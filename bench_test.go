@@ -114,8 +114,8 @@ func BenchmarkSimulator(b *testing.B) {
 		b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "simcycles/s")
 	}
 	// The historical labels (kernel, ±BOWS, 2 SMs, serial, fast-forward on)
-	// keep their exact names so scripts/bench_regress.sh lines them up
-	// against older BENCH_*.json baselines.
+	// keep their exact names so runs line up against the committed
+	// BENCH_PR1.json / BENCH_PR6.json baselines.
 	for _, name := range []string{"HT", "ATM", "ST", "TSP", "NW1", "VECADD"} {
 		name := name
 		for _, bows := range []bool{false, true} {

@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"warpsched"
+	"warpsched/internal/config"
+	"warpsched/internal/exp"
 	"warpsched/internal/metrics"
 )
 
@@ -58,74 +60,49 @@ func main() {
 		fatal(err)
 	}
 
-	opt := warpsched.DefaultOptions()
-	switch strings.ToLower(*gpu) {
-	case "fermi", "gtx480":
-		opt.GPU = warpsched.GTX480()
-	case "pascal", "gtx1080ti":
-		opt.GPU = warpsched.GTX1080Ti()
-	default:
-		fatal(fmt.Errorf("unknown GPU %q", *gpu))
+	// One run description shared with cmd/experiments and warpsimd: the
+	// names resolve through the config vocabulary, and the spec's variant
+	// hash, manifest record and engine options come from internal/exp.
+	// warpsim owns its watchdog budget (the machine's own MaxCycles), not
+	// the experiment clamp.
+	spec := exp.Spec{Kernel: k}
+	spec.GPU, err = config.ParseGPU(*gpu, *sms)
+	usageError(err)
+	spec.MaxCycles = spec.GPU.MaxCycles
+	spec.Sched, err = config.ParseScheduler(*sched)
+	usageError(err)
+	if spec.Sched == config.WASP {
+		spec.WaSP = config.DefaultWaSP()
 	}
-	if *sms > 0 {
-		opt.GPU = opt.GPU.Scaled(*sms)
+	spec.Detector, err = config.ParseDetector(*detector)
+	usageError(err)
+	if spec.Detector == config.DetectTAGE {
+		spec.TAGE = config.DefaultTAGE()
 	}
-	opt.Sched = warpsched.SchedulerKind(strings.ToUpper(*sched))
-	switch opt.Sched {
-	case warpsched.LRR, warpsched.GTO, warpsched.CAWA:
-	case warpsched.WASP:
-		opt.WaSP = warpsched.DefaultWaSP()
-	default:
-		// Usage error, not a runtime failure: name the valid kinds.
-		usageError(fmt.Errorf("unknown scheduler %q (valid kinds: LRR, GTO, CAWA, WASP)", *sched))
+	fixed := delay
+	if *delay < 0 {
+		fixed = nil // adaptive
 	}
-	switch strings.ToUpper(*detector) {
-	case "DDOS":
-		opt.Detector = warpsched.DetectDDOS
-	case "TAGE":
-		opt.Detector = warpsched.DetectTAGE
-		opt.TAGE = warpsched.DefaultTAGE()
-	default:
-		usageError(fmt.Errorf("unknown detector %q (valid kinds: DDOS, TAGE)", *detector))
-	}
-	switch strings.ToLower(*bows) {
-	case "off":
-		opt.BOWS.Mode = warpsched.BOWSOff
-	case "ddos":
-		opt.BOWS = warpsched.DefaultBOWS()
-	case "static":
-		opt.BOWS = warpsched.DefaultBOWS()
-		opt.BOWS.Mode = warpsched.BOWSStatic
-	default:
-		fatal(fmt.Errorf("unknown BOWS mode %q", *bows))
-	}
-	if *delay >= 0 && opt.BOWS.Mode != warpsched.BOWSOff {
-		mode := opt.BOWS.Mode
-		opt.BOWS = warpsched.FixedBOWS(*delay)
-		opt.BOWS.Mode = mode
-	}
-	if strings.EqualFold(*hash, "modulo") {
-		opt.DDOS.Hash = "MODULO"
-	}
-	if *check {
-		opt.Check = true
-		opt.HangWindow = warpsched.DefaultHangWindow
-	}
+	spec.BOWS, err = config.ParseBOWS(*bows, fixed)
+	usageError(err)
+	spec.DDOS, err = config.ParseDDOS(*hash)
+	usageError(err)
+
+	cfg := exp.Cfg{Check: *check, Shards: *shards, NoFastForward: *noFF}
 	if *faultSeed != 0 {
 		f := warpsched.DefaultFaults(*faultSeed).Scale(*faultRate)
-		opt.Faults = &f
+		cfg.Faults = &f
 	}
-	opt.Shards = *shards
-	opt.NoFastForward = *noFF
-
-	if *listing {
-		fmt.Println(k.Launch.Prog.Listing())
-	}
+	opt := cfg.Options(spec, nil)
 	opt.Profile = *profile
 	var ring *warpsched.TraceRing
 	if *traceN > 0 {
 		ring = warpsched.NewTraceRing(*traceN)
 		opt.Tracer = ring
+	}
+
+	if *listing {
+		fmt.Println(k.Launch.Prog.Listing())
 	}
 
 	start := time.Now()
@@ -140,27 +117,8 @@ func main() {
 			"kernel": k.Name, "sched": string(opt.Sched), "bows": string(opt.BOWS.Mode),
 			"gpu": opt.GPU.Name, "delay": *delay, "hash": string(opt.DDOS.Hash),
 		})
-		rec := metrics.RunRecord{
-			Kernel: k.Name,
-			GPU:    opt.GPU.Name,
-			Sched:  string(opt.Sched),
-			BOWS:   string(opt.BOWS.Mode),
-			// The detector and WaSP dimensions are omitted when inactive so
-			// hashes of pre-zoo invocations are unchanged (mirrors
-			// exp.variantHash).
-			Variant: metrics.HashJSON(struct {
-				GPU      warpsched.GPU
-				Sched    warpsched.SchedulerKind
-				BOWS     warpsched.BOWSConfig
-				DDOS     warpsched.DDOSConfig
-				Detector warpsched.DetectorKind `json:",omitempty"`
-				TAGE     *warpsched.TAGEConfig  `json:",omitempty"`
-				WaSP     *warpsched.WaSPConfig  `json:",omitempty"`
-				Kernel   string
-			}{opt.GPU, opt.Sched, opt.BOWS, opt.DDOS, hashDetector(opt), hashTAGE(opt), hashWaSP(opt), k.Name}),
-			Cycles: res.Stats.Cycles,
-			WallMS: wallMS,
-		}
+		rec := exp.Record(spec, exp.Outcome{Res: res})
+		rec.WallMS = wallMS
 		// warpsim is a single run, so the manifest keeps the full per-SM
 		// resolution instead of machine totals.
 		if res.Metrics != nil {
@@ -237,33 +195,13 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// usageError reports a bad flag value with the usage text, exit code 2
-// (a misuse, not a simulation failure).
+// usageError reports a bad flag value (nil is no error) with the usage
+// text, exit code 2 (a misuse, not a simulation failure).
 func usageError(err error) {
+	if err == nil {
+		return
+	}
 	fmt.Fprintln(os.Stderr, "warpsim:", err)
 	flag.Usage()
 	os.Exit(2)
-}
-
-// hashDetector, hashTAGE and hashWaSP feed the variant hash: the zoo
-// dimensions appear only when active, keeping pre-zoo hashes stable.
-func hashDetector(opt warpsched.Options) warpsched.DetectorKind {
-	if opt.Detector == warpsched.DetectTAGE {
-		return opt.Detector
-	}
-	return ""
-}
-
-func hashTAGE(opt warpsched.Options) *warpsched.TAGEConfig {
-	if opt.Detector == warpsched.DetectTAGE {
-		return &opt.TAGE
-	}
-	return nil
-}
-
-func hashWaSP(opt warpsched.Options) *warpsched.WaSPConfig {
-	if opt.Sched == warpsched.WASP {
-		return &opt.WaSP
-	}
-	return nil
 }

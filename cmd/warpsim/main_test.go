@@ -1,0 +1,93 @@
+package main
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"warpsched/internal/config"
+	"warpsched/internal/exp"
+	"warpsched/internal/kernels"
+	"warpsched/internal/metrics"
+)
+
+// bin is the warpsim binary under test, built once in TestMain.
+var bin string
+
+func TestMain(m *testing.M) {
+	tmp, err := os.MkdirTemp("", "warpsim-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	bin = filepath.Join(tmp, "warpsim")
+	if out, err := exec.Command("go", "build", "-o", bin, "warpsched/cmd/warpsim").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "build warpsim: %v\n%s", err, out)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(tmp)
+	os.Exit(code)
+}
+
+// TestManifestIdentityMatchesHarness: the record warpsim -stats-json
+// writes carries the same variant hash and descriptors as internal/exp
+// gives the same configuration, so a warpsim run joins experiment and
+// warpsimd manifests on one identity.
+func TestManifestIdentityMatchesHarness(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	out, err := exec.Command(bin, "-kernel", "VECADD", "-sms", "2", "-sched", "cawa",
+		"-bows", "ddos", "-delay", "500", "-hash", "modulo", "-stats-json", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("warpsim: %v\n%s", err, out)
+	}
+	m, err := metrics.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Runs) != 1 {
+		t.Fatalf("manifest has %d runs, want 1", len(m.Runs))
+	}
+
+	k, err := kernels.ByName("VECADD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ddos := config.DefaultDDOS()
+	ddos.Hash = config.HashModulo
+	spec := exp.Spec{GPU: config.GTX480().Scaled(2), Sched: config.CAWA,
+		BOWS: config.FixedBOWS(500), DDOS: ddos, Kernel: k}
+	got, want := m.Runs[0], exp.Record(spec, exp.Outcome{})
+	if got.Variant != want.Variant {
+		t.Errorf("variant = %s, want exp.VariantHash = %s", got.Variant, want.Variant)
+	}
+	if got.BOWS != want.BOWS || got.DDOS != want.DDOS || got.GPU != want.GPU || got.Sched != want.Sched {
+		t.Errorf("identity columns = %s|%s|%s|%s, want %s|%s|%s|%s",
+			got.GPU, got.Sched, got.BOWS, got.DDOS, want.GPU, want.Sched, want.BOWS, want.DDOS)
+	}
+}
+
+// TestUnknownNamesAreUsageErrors: every name-valued flag rejects an
+// unknown value with the list of valid ones and exit code 2.
+func TestUnknownNamesAreUsageErrors(t *testing.T) {
+	for flag, valid := range map[string]string{
+		"-gpu":      "[fermi pascal]",
+		"-sched":    "[LRR GTO CAWA WASP]",
+		"-detector": "[DDOS TAGE]",
+		"-bows":     "[off ddos static]",
+		"-hash":     "[XOR MODULO]",
+	} {
+		out, err := exec.Command(bin, "-kernel", "VECADD", flag, "bogus").CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%s bogus: err = %v, want exit code 2", flag, err)
+		}
+		if !strings.Contains(string(out), `"bogus" (valid: `+valid+")") {
+			t.Errorf("%s bogus: output does not list the valid names:\n%s", flag, out)
+		}
+	}
+}

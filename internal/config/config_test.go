@@ -151,3 +151,97 @@ func TestBOWSValidate(t *testing.T) {
 		t.Fatal("off mode needs no other fields")
 	}
 }
+
+// TestNameVocabularyRoundTrips: every name the vocabulary accepts —
+// canonical, alias, any case, empty for the default — resolves to the
+// configuration its constructor builds, and the inverse lookups recover
+// the canonical name, so SpecRequest and Resolve cannot disagree.
+func TestNameVocabularyRoundTrips(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sms  int
+		want GPU
+	}{
+		{"", 0, GTX480()}, {"Fermi", 2, GTX480().Scaled(2)}, {"gtx480", 0, GTX480()},
+		{"pascal", 7, GTX1080Ti().Scaled(7)}, {"GTX1080Ti", 0, GTX1080Ti()},
+	} {
+		g, err := ParseGPU(tc.name, tc.sms)
+		if err != nil || g != tc.want {
+			t.Errorf("ParseGPU(%q, %d) = %s, %v; want %s", tc.name, tc.sms, g.Name, err, tc.want.Name)
+		}
+		g.MaxCycles = 12345 // the budget must not affect the machine's name
+		name, sms, ok := GPUName(g)
+		if back, _ := ParseGPU(name, sms); !ok || back != tc.want {
+			t.Errorf("GPUName(%s) = %q, %d, %v", tc.want.Name, name, sms, ok)
+		}
+	}
+	odd := GTX480()
+	odd.WarpsPerSM++
+	if _, _, ok := GPUName(odd); ok {
+		t.Error("GPUName accepted a hand-edited machine")
+	}
+
+	d := int64(500)
+	static := FixedBOWS(500)
+	static.Mode = BOWSStatic
+	for _, tc := range []struct {
+		mode  string
+		delay *int64
+		want  BOWS
+	}{
+		{"", nil, BOWS{Mode: BOWSOff}}, {"OFF", &d, BOWS{Mode: BOWSOff}},
+		{"ddos", nil, DefaultBOWS()}, {"Static", &d, static},
+	} {
+		b, err := ParseBOWS(tc.mode, tc.delay)
+		if err != nil || b != tc.want {
+			t.Errorf("ParseBOWS(%q) = %+v, %v; want %+v", tc.mode, b, err, tc.want)
+		}
+		mode, delay, ok := BOWSName(b)
+		if back, _ := ParseBOWS(mode, delay); !ok || back != tc.want {
+			t.Errorf("BOWSName(%s) = %q, %v, %v", tc.want.Desc(), mode, delay, ok)
+		}
+	}
+	tuned := DefaultBOWS()
+	tuned.WindowCycles++
+	if _, _, ok := BOWSName(tuned); ok {
+		t.Error("BOWSName accepted a non-default controller")
+	}
+
+	for _, hash := range []string{"", "xor", "MODULO"} {
+		dd, err := ParseDDOS(hash)
+		if err != nil || (hash != "" && !strings.EqualFold(string(dd.Hash), hash)) {
+			t.Errorf("ParseDDOS(%q) = %+v, %v", hash, dd, err)
+		}
+		if name, ok := DDOSName(dd); !ok || name != string(dd.Hash) {
+			t.Errorf("DDOSName(%s) = %q, %v", dd.Desc(), name, ok)
+		}
+	}
+	wide := DefaultDDOS()
+	wide.PathBits++
+	if _, ok := DDOSName(wide); ok {
+		t.Error("DDOSName accepted a non-default detector")
+	}
+
+	if k, err := ParseScheduler("wasp"); err != nil || k != WASP {
+		t.Errorf("ParseScheduler(wasp) = %q, %v", k, err)
+	}
+	if k, err := ParseDetector(""); err != nil || k != DetectDDOS {
+		t.Errorf("ParseDetector default = %q, %v", k, err)
+	}
+	neg := int64(-1)
+	for what, err := range map[string]error{
+		"gpu":       second(ParseGPU("volta", 0)),
+		"sms":       second(ParseGPU("fermi", -1)),
+		"scheduler": second(ParseScheduler("FIFO")),
+		"detector":  second(ParseDetector("oracle")),
+		"bows mode": second(ParseBOWS("on", nil)),
+		"delay":     second(ParseBOWS("ddos", &neg)),
+		"ddos hash": second(ParseDDOS("sha")),
+	} {
+		if err == nil {
+			t.Errorf("bad %s accepted", what)
+		}
+	}
+}
+
+func second[T any](_ T, err error) error { return err }

@@ -63,10 +63,10 @@ func Ablation(c Cfg) (*AblationResult, error) {
 		configs = append(configs, col.BOWS)
 	}
 	suite := c.syncSuite()
-	var specs []runSpec
+	var specs []Spec
 	for _, k := range suite {
 		for _, bows := range configs {
-			specs = append(specs, runSpec{gpu: gpu, sched: config.GTO, bows: bows, ddos: config.DefaultDDOS(), k: k})
+			specs = append(specs, Spec{GPU: gpu, Sched: config.GTO, BOWS: bows, DDOS: config.DefaultDDOS(), Kernel: k})
 		}
 	}
 	outs := c.runAll(specs)
@@ -79,7 +79,7 @@ func Ablation(c Cfg) (*AblationResult, error) {
 		r.Kernels = append(r.Kernels, k.Name)
 		var times []float64
 		for i := range configs {
-			res := outs[idx].res
+			res := outs[idx].Res
 			idx++
 			times = append(times, float64(res.Stats.Cycles))
 			c.note("ablation %s %s: %d cycles", k.Name, r.Columns[i], res.Stats.Cycles)

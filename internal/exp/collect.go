@@ -39,35 +39,56 @@ func (c *Collector) Manifest() *metrics.Manifest {
 	return c.m
 }
 
-// buildRecord converts one finished run into a manifest record tagged
-// with the submitting experiment (Cfg.Exp).
-func buildRecord(exp string, sp *runSpec, o runOut, wallMS float64) metrics.RunRecord {
+// Record fills the identity columns of a spec's manifest record —
+// kernel, machine, scheduler, the BOWS and detector descriptors, the
+// variant hash — and the outcome's headline (error string, cycles). Every
+// emitter (the sweep collector below, warpsimd's result manifests,
+// warpsim -stats-json) starts from it, so one configuration reads the
+// same in every manifest; each then attaches counters at its own
+// resolution (machine totals here, per-SM in the single-run tools).
+func Record(sp Spec, o Outcome) metrics.RunRecord {
 	r := metrics.RunRecord{
-		Exp:     exp,
-		Kernel:  sp.k.Name,
-		GPU:     sp.gpu.Name,
-		Sched:   string(sp.sched),
-		BOWS:    sp.bows.Desc(),
-		DDOS:    detectorDesc(sp),
-		Variant: variantHash(sp),
-		WallMS:  wallMS,
+		Kernel:  sp.Kernel.Name,
+		GPU:     sp.GPU.Name,
+		Sched:   string(sp.Sched),
+		BOWS:    sp.BOWS.Desc(),
+		DDOS:    sp.DDOS.Desc(),
+		Variant: VariantHash(sp),
 	}
-	if o.err != nil {
-		r.Err = o.err.Error()
+	// The DDOS column is the manifest's detector-configuration join key:
+	// TAGE specs carry the TAGE descriptor there — disjoint from every
+	// DDOS descriptor by construction — so the tagesib sensitivity table
+	// joins both detector families on one key under a stable schema.
+	if sp.Detector == config.DetectTAGE {
+		r.DDOS = sp.TAGE.Desc()
 	}
-	res := o.res
+	if o.Err != nil {
+		r.Err = o.Err.Error()
+	}
+	if o.Res != nil {
+		r.Cycles = o.Res.Stats.Cycles
+	}
+	return r
+}
+
+// sweepRecord converts one finished sweep run into a manifest record
+// tagged with the submitting experiment (Cfg.Exp), with counters folded
+// into machine totals.
+func sweepRecord(exp string, sp *Spec, o Outcome, wallMS float64) metrics.RunRecord {
+	r := Record(*sp, o)
+	r.Exp, r.WallMS = exp, wallMS
+	res := o.Res
 	if res == nil {
 		return r
 	}
 	st := &res.Stats
-	r.Cycles = st.Cycles
 	r.Counters = aggregateCounters(res.Metrics)
 	r.Derived = map[string]float64{
 		"simd_efficiency":     st.SIMDEfficiency(),
 		"sync_instr_fraction": st.SyncInstrFraction(),
 		"sync_mem_fraction":   st.SyncMemFraction(),
 		"backed_off_fraction": st.BackedOffFraction(),
-		"energy_total_pj":     energy.Compute(energy.ByConfigName(sp.gpu.Name), st).Total(),
+		"energy_total_pj":     energy.Compute(energy.ByConfigName(sp.GPU.Name), st).Total(),
 	}
 	// Detection quality (Table I inputs), from whichever detector the
 	// spec selected; the counter family keeps its historical "ddos."
@@ -91,43 +112,37 @@ func buildRecord(exp string, sp *runSpec, o runOut, wallMS float64) metrics.RunR
 	return r
 }
 
-// detectorDesc renders the spec's detector descriptor for the record's
-// DDOS column (the manifest's detector-configuration join key): the
-// DDOS parameter descriptor for DDOS specs, the TAGE descriptor —
-// disjoint by construction — for TAGE specs. Reusing the column keeps
-// the manifest schema stable while the tagesib sensitivity table joins
-// both detector families on one key.
-func detectorDesc(sp *runSpec) string {
-	if sp.det == config.DetectTAGE {
-		return sp.tage.Desc()
-	}
-	return sp.ddos.Desc()
-}
-
-// variantHash fingerprints everything that can distinguish two runs
+// VariantHash fingerprints everything that can distinguish two runs
 // sharing a kernel/GPU/scheduler name: the full machine configuration
-// (fig16's queue-lock comparator differs only in Mem.QueueLocks), the
-// BOWS and DDOS parameter sets (table1 and the delay sweep vary these),
-// the detector selection with its TAGE parameters and the WASP knobs
-// (the scheduler-zoo sweeps vary these), and the launch geometry and
-// parameters (fig16 reuses kernel names across bucket counts).
-// Manifest.Add cross-checks records that still collide, so a dimension
-// missed here surfaces as an error, not a silent overwrite.
+// (fig16's queue-lock comparator differs only in Mem.QueueLocks; a daemon
+// job's admitted MaxCycles rides in GPU.MaxCycles), the BOWS and DDOS
+// parameter sets (table1 and the delay sweep vary these), the detector
+// selection with its TAGE parameters and the WASP knobs (the
+// scheduler-zoo sweeps vary these), and the launch geometry and
+// parameters (fig16 reuses kernel names across bucket counts). It is the
+// one run identity: manifest records, the resume journal and warpsimd's
+// cache key (server.CacheKey) all use it, so a daemon job, a sweep run and
+// a warpsim run of the same configuration share a variant. Deliberately
+// excluded, like Cfg.Jobs/Shards/NoFastForward: anything that cannot
+// change simulation results. Manifest.Add cross-checks records that still
+// collide, so a dimension missed here surfaces as an error, not a silent
+// overwrite.
 //
 // The zoo dimensions are omitted from the JSON when they are inactive
 // (empty detector kind, nil pointers), so every pre-existing variant
 // hash — including the committed golden and report manifests — is
 // byte-identical to what it was before the zoo existed.
-func variantHash(sp *runSpec) string {
+func VariantHash(sp Spec) string {
 	var tage *config.TAGE
 	var det config.DetectorKind
-	if sp.det == config.DetectTAGE {
-		det, tage = sp.det, &sp.tage
+	if sp.Detector == config.DetectTAGE {
+		det, tage = sp.Detector, &sp.TAGE
 	}
 	var wasp *config.WaSP
-	if sp.sched == config.WASP {
-		wasp = &sp.wasp
+	if sp.Sched == config.WASP {
+		wasp = &sp.WaSP
 	}
+	l := &sp.Kernel.Launch
 	return metrics.HashJSON(struct {
 		GPU      config.GPU
 		Sched    config.SchedulerKind
@@ -141,9 +156,8 @@ func variantHash(sp *runSpec) string {
 		Threads  int
 		MemWords int
 		Params   []uint32
-	}{sp.gpu, sp.sched, sp.bows, sp.ddos, det, tage, wasp, sp.k.Name,
-		sp.k.Launch.GridCTAs, sp.k.Launch.CTAThreads, sp.k.Launch.MemWords,
-		sp.k.Launch.Params})
+	}{sp.GPU, sp.Sched, sp.BOWS, sp.DDOS, det, tage, wasp, sp.Kernel.Name,
+		l.GridCTAs, l.CTAThreads, l.MemWords, l.Params})
 }
 
 // aggregateCounters folds a per-SM snapshot into machine totals: names

@@ -50,10 +50,10 @@ func DelaySweep(c Cfg) (*DelaySweepResult, error) {
 	bowsCols = append(bowsCols, config.DefaultBOWS())
 
 	suite := c.syncSuite()
-	var specs []runSpec
+	var specs []Spec
 	for _, k := range suite {
 		for _, bows := range bowsCols {
-			specs = append(specs, runSpec{gpu: gpu, sched: config.GTO, bows: bows, ddos: config.DefaultDDOS(), k: k})
+			specs = append(specs, Spec{GPU: gpu, Sched: config.GTO, BOWS: bows, DDOS: config.DefaultDDOS(), Kernel: k})
 		}
 	}
 	outs := c.runAll(specs)
@@ -65,7 +65,7 @@ func DelaySweep(c Cfg) (*DelaySweepResult, error) {
 		r.Kernels = append(r.Kernels, k.Name)
 		var pts []DelayPoint
 		for _, bows := range bowsCols {
-			res := outs[idx].res
+			res := outs[idx].Res
 			idx++
 			var limit int64
 			for _, fl := range res.FinalDelayLimits {

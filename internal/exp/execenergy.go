@@ -38,7 +38,7 @@ func ExecEnergy(c Cfg, gpu config.GPU, label string) (*ExecEnergyResult, error) 
 	}
 	coeff := energy.ByConfigName(gpu.Name)
 	suite := c.syncSuite()
-	var specs []runSpec
+	var specs []Spec
 	for _, k := range suite {
 		for _, kind := range config.Schedulers {
 			for _, withBOWS := range []bool{false, true} {
@@ -46,7 +46,7 @@ func ExecEnergy(c Cfg, gpu config.GPU, label string) (*ExecEnergyResult, error) 
 				if withBOWS {
 					bows = config.DefaultBOWS()
 				}
-				specs = append(specs, runSpec{gpu: gpu, sched: kind, bows: bows, ddos: config.DefaultDDOS(), k: k})
+				specs = append(specs, Spec{GPU: gpu, Sched: kind, BOWS: bows, DDOS: config.DefaultDDOS(), Kernel: k})
 			}
 		}
 	}
@@ -61,10 +61,10 @@ func ExecEnergy(c Cfg, gpu config.GPU, label string) (*ExecEnergyResult, error) 
 			for _, withBOWS := range []bool{false, true} {
 				o := outs[idx]
 				idx++
-				res := o.res
-				if o.err != nil {
+				res := o.Res
+				if o.Err != nil {
 					if res == nil {
-						return nil, fmt.Errorf("%s %s/%v: %w", label, k.Name, kind, o.err)
+						return nil, fmt.Errorf("%s %s/%v: %w", label, k.Name, kind, o.Err)
 					}
 					// Watchdog abort: treat as "at least this many cycles".
 					c.note("%s %s %s: watchdog at %d cycles (lower bound)", label, k.Name, kind, res.Stats.Cycles)

@@ -82,7 +82,8 @@ type Cfg struct {
 	// returns the outcome plus true when a warpsimd daemon served it, or
 	// false to run on the local engine — the universal fallback for specs
 	// that cannot go on the wire (host-side Setup/Verify closures outside
-	// the registered suites, non-default detector parameterizations) and
+	// the registered suites, non-default detector parameterizations, the
+	// scheduler zoo's WASP and TAGE dimensions) and
 	// for daemon outages. Remote outcomes carry cycles and manifest
 	// counters only (see Experiment.RemoteSafe) and are never journaled:
 	// a resume journal must hold only full-fidelity local records.
@@ -135,31 +136,31 @@ func (c Cfg) syncFreeSuite() []*kernels.Kernel {
 	return kernels.SyncFreeSuite()
 }
 
-// run simulates one kernel and verifies its output. Experiments cap
-// runaway configurations (a pathologically scheduled baseline can
-// approach livelock, e.g. DS on the oversubscribed Pascal — an effect
-// the paper itself reports in §VI-D) at expMaxCycles; the partial result
-// is returned alongside the error so sweeps can record "at least this
-// slow" instead of aborting. Specs submitted through Execute may carry
-// their own explicit cycle ceiling (sp.maxCycles), which replaces the
-// experiment clamp — the submitter (internal/server admission control)
-// owns the bound.
-func (c Cfg) run(sp *runSpec, tr sim.Tracer) (*sim.Result, error) {
-	gpu := sp.gpu
-	if sp.maxCycles > 0 {
-		gpu.MaxCycles = sp.maxCycles
-	} else if gpu.MaxCycles > expMaxCycles {
-		gpu.MaxCycles = expMaxCycles
-	}
-	opt := sim.Options{GPU: gpu, Sched: sp.sched, BOWS: sp.bows, DDOS: sp.ddos,
-		Detector: sp.det, TAGE: sp.tage, WaSP: sp.wasp, Tracer: tr,
-		Faults: c.Faults, Shards: c.Shards, NoFastForward: c.NoFastForward,
-		Progress: sp.progress}
+// Options is the one Spec→sim.Options conversion: the spec's machine and
+// policies (with the watchdog budget of Spec.Normalized) plus the
+// harness's execution strategy. Experiments cap runaway configurations (a
+// pathologically scheduled baseline can approach livelock, e.g. DS on the
+// oversubscribed Pascal — an effect the paper itself reports in §VI-D)
+// at expMaxCycles; a spec carrying its own MaxCycles replaces that clamp —
+// the submitter (internal/server admission control, cmd/warpsim) owns
+// the bound.
+func (c Cfg) Options(sp Spec, tr sim.Tracer) sim.Options {
+	opt := sim.Options{GPU: sp.Normalized().GPU, Sched: sp.Sched, BOWS: sp.BOWS,
+		DDOS: sp.DDOS, Detector: sp.Detector, TAGE: sp.TAGE, WaSP: sp.WaSP,
+		Tracer: tr, Faults: c.Faults, Shards: c.Shards,
+		NoFastForward: c.NoFastForward, Progress: sp.Progress}
 	if c.Check {
 		opt.Check = true
 		opt.HangWindow = sim.DefaultHangWindow
 	}
-	eng, err := sim.New(opt, sp.k.Launch)
+	return opt
+}
+
+// run simulates one kernel and verifies its output. On a watchdog abort
+// the partial result is returned alongside the error so sweeps can record
+// "at least this slow" instead of aborting.
+func (c Cfg) run(sp *Spec, tr sim.Tracer) (*sim.Result, error) {
+	eng, err := sim.New(c.Options(*sp, tr), sp.Kernel.Launch)
 	if err != nil {
 		return nil, err
 	}
@@ -167,9 +168,9 @@ func (c Cfg) run(sp *runSpec, tr sim.Tracer) (*sim.Result, error) {
 	if err != nil {
 		return res, err // res is the partial state on a watchdog abort
 	}
-	if sp.k.Verify != nil {
-		if err := sp.k.Verify(res.Memory); err != nil {
-			return nil, fmt.Errorf("%s under %s: %w", sp.k.Name, sp.sched, err)
+	if sp.Kernel.Verify != nil {
+		if err := sp.Kernel.Verify(res.Memory); err != nil {
+			return nil, fmt.Errorf("%s under %s: %w", sp.Kernel.Name, sp.Sched, err)
 		}
 	}
 	return res, nil
@@ -196,11 +197,9 @@ type Experiment struct {
 // beyond the service manifest (cycles plus aggregated counters): DDOS
 // detection-quality metrics (table1, fig14, tagesib) and per-SM final
 // delay limits (delaysweep). Offloading them would silently zero those
-// columns, so cmd/experiments -remote runs them locally instead. wasp
-// is listed because the wire format does not carry WASP knobs (the
-// runner additionally guards per spec, see runOne).
+// columns, so cmd/experiments -remote runs them locally instead.
 var remoteUnsafe = map[string]bool{"table1": true, "fig14": true, "delaysweep": true,
-	"tagesib": true, "wasp": true}
+	"tagesib": true}
 
 // RemoteSafe reports whether the experiment's analysis survives the
 // service wire format, i.e. whether Cfg.Remote may serve its runs.

@@ -40,7 +40,7 @@ func Fig1(c Cfg) (*Fig1Result, error) {
 	// Two runs per bucket count: the full launch and a single-warp launch
 	// for the SIMD comparison (1e), the latter with items scaled down so
 	// the run stays small.
-	var specs []runSpec
+	var specs []Spec
 	for _, buckets := range Fig16Buckets {
 		k := kernels.NewHashTable(kernels.HashTableConfig{
 			Items: items, Buckets: buckets, CTAs: ctas, CTAThreads: ctaThreads,
@@ -49,15 +49,15 @@ func Fig1(c Cfg) (*Fig1Result, error) {
 			Items: items / 8, Buckets: buckets, CTAs: 1, CTAThreads: 32,
 		})
 		specs = append(specs,
-			runSpec{gpu: gpu, sched: config.GTO, bows: bowsOff(), ddos: config.DefaultDDOS(), k: k},
-			runSpec{gpu: gpu, sched: config.GTO, bows: bowsOff(), ddos: config.DefaultDDOS(), k: k1})
+			Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k},
+			Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k1})
 	}
 	outs := c.runAll(specs)
 	if err := firstErr(outs); err != nil {
 		return nil, err
 	}
 	for i, buckets := range Fig16Buckets {
-		res, res1 := outs[2*i].res, outs[2*i+1].res
+		res, res1 := outs[2*i].Res, outs[2*i+1].Res
 		// CPU reference uses the same key stream length.
 		keys := make([]uint32, items)
 		for j := range keys {

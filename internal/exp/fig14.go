@@ -36,12 +36,12 @@ func Fig14(c Cfg) (*Fig14Result, error) {
 	modDDOS.Hash = config.HashModulo
 	var xs, ms []float64
 	suite := c.syncFreeSuite()
-	var specs []runSpec
+	var specs []Spec
 	for _, k := range suite {
 		specs = append(specs,
-			runSpec{gpu: gpu, sched: config.GTO, bows: bowsOff(), ddos: config.DefaultDDOS(), k: k},
-			runSpec{gpu: gpu, sched: config.GTO, bows: config.FixedBOWS(5000), ddos: config.DefaultDDOS(), k: k},
-			runSpec{gpu: gpu, sched: config.GTO, bows: config.FixedBOWS(5000), ddos: modDDOS, k: k})
+			Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k},
+			Spec{GPU: gpu, Sched: config.GTO, BOWS: config.FixedBOWS(5000), DDOS: config.DefaultDDOS(), Kernel: k},
+			Spec{GPU: gpu, Sched: config.GTO, BOWS: config.FixedBOWS(5000), DDOS: modDDOS, Kernel: k})
 	}
 	outs := c.runAll(specs)
 	if err := firstErr(outs); err != nil {
@@ -49,7 +49,7 @@ func Fig14(c Cfg) (*Fig14Result, error) {
 	}
 	for i, k := range suite {
 		r.Kernels = append(r.Kernels, k.Name)
-		base, xor, mod := outs[3*i].res, outs[3*i+1].res, outs[3*i+2].res
+		base, xor, mod := outs[3*i].Res, outs[3*i+1].Res, outs[3*i+2].Res
 		r.NormXOR[k.Name] = float64(xor.Stats.Cycles) / float64(base.Stats.Cycles)
 		r.NormMOD[k.Name] = float64(mod.Stats.Cycles) / float64(base.Stats.Cycles)
 		r.FalseXOR[k.Name] = xor.Detection.FalseDetected

@@ -39,22 +39,22 @@ func Fig16(c Cfg) (*Fig16Result, error) {
 	// and never retry.
 	qGPU := gpu
 	qGPU.Mem.QueueLocks = true
-	var specs []runSpec
+	var specs []Spec
 	for _, buckets := range Fig16Buckets {
 		k := kernels.NewHashTable(kernels.HashTableConfig{
 			Items: items, Buckets: buckets, CTAs: ctas, CTAThreads: ctaThreads,
 		})
 		specs = append(specs,
-			runSpec{gpu: gpu, sched: config.GTO, bows: bowsOff(), ddos: config.DefaultDDOS(), k: k},
-			runSpec{gpu: gpu, sched: config.GTO, bows: config.DefaultBOWS(), ddos: config.DefaultDDOS(), k: k},
-			runSpec{gpu: qGPU, sched: config.GTO, bows: bowsOff(), ddos: config.DefaultDDOS(), k: k})
+			Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k},
+			Spec{GPU: gpu, Sched: config.GTO, BOWS: config.DefaultBOWS(), DDOS: config.DefaultDDOS(), Kernel: k},
+			Spec{GPU: qGPU, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k})
 	}
 	outs := c.runAll(specs)
 	if err := firstErr(outs); err != nil {
 		return nil, err
 	}
 	for i, buckets := range Fig16Buckets {
-		base, bows, ideal := outs[3*i].res, outs[3*i+1].res, outs[3*i+2].res
+		base, bows, ideal := outs[3*i].Res, outs[3*i+1].Res, outs[3*i+2].Res
 		r.Buckets = append(r.Buckets, buckets)
 		r.Speedup = append(r.Speedup, float64(base.Stats.Cycles)/float64(bows.Stats.Cycles))
 		r.BOWSInstr = append(r.BOWSInstr, float64(bows.Stats.ThreadInstrs)/float64(base.Stats.ThreadInstrs))

@@ -22,10 +22,10 @@ func Fig2(c Cfg) (*Fig2Result, error) {
 	gpu := c.fermi()
 	r := &Fig2Result{Events: map[string][]stats.SyncEvents{}}
 	suite := c.syncSuite()
-	var specs []runSpec
+	var specs []Spec
 	for _, k := range suite {
 		for _, kind := range config.Schedulers {
-			specs = append(specs, runSpec{gpu: gpu, sched: kind, bows: bowsOff(), ddos: config.DefaultDDOS(), k: k})
+			specs = append(specs, Spec{GPU: gpu, Sched: kind, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k})
 		}
 	}
 	outs := c.runAll(specs)
@@ -37,7 +37,7 @@ func Fig2(c Cfg) (*Fig2Result, error) {
 		r.Kernels = append(r.Kernels, k.Name)
 		var evs []stats.SyncEvents
 		for _, kind := range config.Schedulers {
-			res := outs[i].res
+			res := outs[i].Res
 			i++
 			evs = append(evs, res.Stats.Sync)
 			c.note("fig2 %s %s: attempts=%d", k.Name, kind,

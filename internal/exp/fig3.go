@@ -32,14 +32,14 @@ func Fig3(c Cfg) (*Fig3Result, error) {
 		buckets = []int{128, 512}
 	}
 	r := &Fig3Result{Factors: Fig3Factors}
-	var specs []runSpec
+	var specs []Spec
 	for _, bk := range buckets {
 		for _, df := range Fig3Factors {
 			k := kernels.NewHashTable(kernels.HashTableConfig{
 				Items: items, Buckets: bk, CTAs: ctas, CTAThreads: ctaThreads,
 				DelayFactor: df,
 			})
-			specs = append(specs, runSpec{gpu: gpu, sched: config.GTO, bows: bowsOff(), ddos: config.DefaultDDOS(), k: k})
+			specs = append(specs, Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k})
 		}
 	}
 	outs := c.runAll(specs)
@@ -50,7 +50,7 @@ func Fig3(c Cfg) (*Fig3Result, error) {
 	for _, bk := range buckets {
 		var row []int64
 		for _, df := range Fig3Factors {
-			res := outs[i].res
+			res := outs[i].Res
 			i++
 			row = append(row, res.Stats.Cycles)
 			c.note("fig3 buckets=%d delay=%d: %d cycles", bk, df, res.Stats.Cycles)

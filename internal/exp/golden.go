@@ -12,14 +12,14 @@ import (
 // so the committed golden counters mirror the fig9 records of the
 // manifest a `cmd/experiments -exp all` run emits (differing only in the
 // per-record experiment tag) — simulation drift there fails here too.
-func goldenSpecs(c Cfg) []runSpec {
+func goldenSpecs(c Cfg) []Spec {
 	gpu := c.fermi()
-	var specs []runSpec
+	var specs []Spec
 	for _, k := range c.syncSuite() {
 		for _, kind := range []config.SchedulerKind{config.GTO, config.CAWA} {
 			specs = append(specs,
-				runSpec{gpu: gpu, sched: kind, bows: bowsOff(), ddos: config.DefaultDDOS(), k: k},
-				runSpec{gpu: gpu, sched: kind, bows: config.DefaultBOWS(), ddos: config.DefaultDDOS(), k: k})
+				Spec{GPU: gpu, Sched: kind, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k},
+				Spec{GPU: gpu, Sched: kind, BOWS: config.DefaultBOWS(), DDOS: config.DefaultDDOS(), Kernel: k})
 		}
 	}
 	// Scheduler-zoo variants pin WaSP scheduling and TAGE-SIB detection the
@@ -27,10 +27,10 @@ func goldenSpecs(c Cfg) []runSpec {
 	// order — and every pre-existing variant hash — is untouched.
 	for _, k := range c.syncSuite() {
 		specs = append(specs,
-			runSpec{gpu: gpu, sched: config.WASP, bows: config.DefaultBOWS(),
-				ddos: config.DefaultDDOS(), wasp: config.DefaultWaSP(), k: k},
-			runSpec{gpu: gpu, sched: config.GTO, bows: config.DefaultBOWS(),
-				ddos: config.DefaultDDOS(), det: config.DetectTAGE, tage: config.DefaultTAGE(), k: k})
+			Spec{GPU: gpu, Sched: config.WASP, BOWS: config.DefaultBOWS(),
+				DDOS: config.DefaultDDOS(), WaSP: config.DefaultWaSP(), Kernel: k},
+			Spec{GPU: gpu, Sched: config.GTO, BOWS: config.DefaultBOWS(),
+				DDOS: config.DefaultDDOS(), Detector: config.DetectTAGE, TAGE: config.DefaultTAGE(), Kernel: k})
 	}
 	return specs
 }

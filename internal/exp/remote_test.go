@@ -25,11 +25,11 @@ func TestRunnerRemoteServes(t *testing.T) {
 		got = s
 		return Outcome{Res: fake}, true
 	}}
-	out := c.runAll([]runSpec{sp})
-	if out[0].err != nil || out[0].res != fake {
+	out := c.runAll([]Spec{sp})
+	if out[0].Err != nil || out[0].Res != fake {
 		t.Fatalf("remote outcome not used: %+v", out[0])
 	}
-	if got.Kernel != sp.k || got.Sched != sp.sched {
+	if got.Kernel != sp.Kernel || got.Sched != sp.Sched {
 		t.Errorf("remote hook saw wrong spec: %+v", got)
 	}
 	if j.Len() != 0 {
@@ -45,11 +45,11 @@ func TestRunnerRemoteFallback(t *testing.T) {
 		calls++
 		return Outcome{}, false
 	}}
-	out := c.runAll([]runSpec{testSpec(64)})
+	out := c.runAll([]Spec{testSpec(64)})
 	if calls != 1 {
 		t.Errorf("remote hook consulted %d times, want 1", calls)
 	}
-	if out[0].err != nil || out[0].res == nil || out[0].res.Stats.Cycles == 0 {
+	if out[0].Err != nil || out[0].Res == nil || out[0].Res.Stats.Cycles == 0 {
 		t.Errorf("local fallback did not run: %+v", out[0])
 	}
 }
@@ -64,8 +64,8 @@ func TestRunnerRemoteSkippedForTracer(t *testing.T) {
 			return Outcome{}, false
 		},
 	}
-	out := c.runAll([]runSpec{testSpec(64)})
-	if out[0].err != nil || out[0].res == nil {
+	out := c.runAll([]Spec{testSpec(64)})
+	if out[0].Err != nil || out[0].Res == nil {
 		t.Errorf("tracer run failed: %+v", out[0])
 	}
 }

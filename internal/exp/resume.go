@@ -161,17 +161,17 @@ func (j *Journal) Hits() int {
 // typed detail (hang reports, panic stacks) lives only in the original
 // invocation — but its message is verbatim, so records and tables built
 // from a replay match the original byte for byte.
-func (j *Journal) lookup(key string) (runOut, bool) {
+func (j *Journal) lookup(key string) (Outcome, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	e, ok := j.entries[key]
 	if !ok {
-		return runOut{}, false
+		return Outcome{}, false
 	}
 	j.hits++
-	o := runOut{res: e.Res.toResult()}
+	o := Outcome{Res: e.Res.toResult()}
 	if e.Err != "" {
-		o.err = errors.New(e.Err)
+		o.Err = errors.New(e.Err)
 	}
 	return o, true
 }
@@ -179,10 +179,10 @@ func (j *Journal) lookup(key string) (runOut, bool) {
 // record journals one finished run (success or deterministic failure).
 // Appends are serialized; each entry is a single JSONL line, so a crash
 // mid-append corrupts at most the file's tail, which OpenJournal drops.
-func (j *Journal) record(key string, o runOut) error {
-	e := journalEntry{Key: key, Res: toJournalResult(o.res)}
-	if o.err != nil {
-		e.Err = o.err.Error()
+func (j *Journal) record(key string, o Outcome) error {
+	e := journalEntry{Key: key, Res: toJournalResult(o.Res)}
+	if o.Err != nil {
+		e.Err = o.Err.Error()
 	}
 	line, err := json.Marshal(e)
 	if err != nil {

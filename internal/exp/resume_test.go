@@ -26,9 +26,9 @@ func openTestJournal(t *testing.T, path string) *Journal {
 // require byte-identical manifests with only the lost spec re-simulated.
 func TestRunnerResumeByteIdentical(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	specs := []runSpec{testSpec(16), testSpec(32), testSpec(64), testSpec(128)}
+	specs := []Spec{testSpec(16), testSpec(32), testSpec(64), testSpec(128)}
 
-	sweep := func(j *Journal) ([]metrics.RunRecord, []runOut) {
+	sweep := func(j *Journal) ([]metrics.RunRecord, []Outcome) {
 		col := NewCollector("test", nil)
 		c := Cfg{Jobs: 2, Collect: col, Journal: j}
 		outs := c.runAll(specs)
@@ -82,7 +82,7 @@ func TestRunnerResumeByteIdentical(t *testing.T) {
 		t.Errorf("resumed manifest differs from uninterrupted run:\n%+v\nvs\n%+v", full, resumed)
 	}
 	for i := range outs1 {
-		if !reflect.DeepEqual(outs1[i].res.Stats, outs2[i].res.Stats) {
+		if !reflect.DeepEqual(outs1[i].Res.Stats, outs2[i].Res.Stats) {
 			t.Errorf("spec %d: resumed stats differ", i)
 		}
 	}
@@ -130,11 +130,11 @@ func TestRunnerResumeReplaysFailures(t *testing.T) {
 	sp := testSpec(64)
 	k := panicKernel()
 	k.Verify = func([]uint32) error { runs++; panic("deterministic bug") }
-	sp.k = k
+	sp.Kernel = k
 
 	j1 := openTestJournal(t, path)
 	o1 := Cfg{Journal: j1}.runOne(&sp, 0, 1, nil)
-	if o1.err == nil {
+	if o1.Err == nil {
 		t.Fatal("sabotaged spec succeeded")
 	}
 	j1.Close()
@@ -148,8 +148,8 @@ func TestRunnerResumeReplaysFailures(t *testing.T) {
 	if runs != 1 {
 		t.Errorf("resume re-executed a journaled failure (%d executions)", runs)
 	}
-	if o2.err == nil || o2.err.Error() != o1.err.Error() {
-		t.Errorf("replayed error differs:\n%v\nvs\n%v", o2.err, o1.err)
+	if o2.Err == nil || o2.Err.Error() != o1.Err.Error() {
+		t.Errorf("replayed error differs:\n%v\nvs\n%v", o2.Err, o1.Err)
 	}
 }
 

@@ -15,40 +15,67 @@ import (
 	"warpsched/internal/sim"
 )
 
-// runSpec is one fully-specified simulation: machine, scheduler, BOWS,
-// detector and kernel. Every experiment's sweep is a slice of these.
-// maxCycles and progress only carry values for specs submitted through
-// the exported Execute path (see service.go); experiment sweeps leave
-// them zero. det selects the spin detector (empty means DDOS, matching
-// sim.Options); tage and wasp only carry values for TAGE-detector and
-// WASP-scheduler specs respectively, so the variant hashes of every
-// pre-existing spec are unchanged.
-type runSpec struct {
-	gpu       config.GPU
-	sched     config.SchedulerKind
-	bows      config.BOWS
-	ddos      config.DDOS
-	det       config.DetectorKind
-	tage      config.TAGE
-	wasp      config.WaSP
-	k         *kernels.Kernel
-	maxCycles int64
-	progress  *atomic.Int64
+// Spec is the one description of a run: machine, scheduler, BOWS,
+// detector and kernel. Every experiment's sweep is a slice of these, and
+// internal/server and cmd/warpsim build the same type, so a configuration
+// has one identity (VariantHash), one manifest record (Record) and one
+// engine option set (Cfg.Options) whichever tool runs it.
+type Spec struct {
+	// GPU, Sched, BOWS and DDOS select the machine and policies.
+	GPU   config.GPU
+	Sched config.SchedulerKind
+	BOWS  config.BOWS
+	DDOS  config.DDOS
+	// Detector selects the spin detector (empty means DDOS, matching
+	// sim.Options). TAGE and WaSP only carry values for TAGE-detector and
+	// WASP-scheduler specs respectively.
+	Detector config.DetectorKind
+	TAGE     config.TAGE
+	WaSP     config.WaSP
+	// Kernel is the program plus launch (and, when registered, verifier).
+	// A nil Verify skips functional verification — the case for inline
+	// user-submitted programs, which have no golden output.
+	Kernel *kernels.Kernel
+	// MaxCycles, when positive, replaces the harness's experiment cycle
+	// clamp as the watchdog budget; the submitter owns the ceiling
+	// (internal/server admission control bounds it per job). Experiment
+	// sweeps leave it zero.
+	MaxCycles int64
+	// Progress, when non-nil, is handed to the engine (sim.Options.Progress)
+	// so the submitter can poll cycles simulated while the job runs.
+	Progress *atomic.Int64
 }
 
-// runOut pairs a spec's result with its error. On a watchdog abort res
-// holds the partial state (see run), mirroring the serial path.
-type runOut struct {
-	res *sim.Result
-	err error
+// Normalized returns the spec with the watchdog budget resolved exactly
+// as a local run resolves it (Cfg.Options): an explicit MaxCycles
+// overrides the machine's, otherwise the experiment clamp applies; the
+// effective budget lands in both MaxCycles and GPU.MaxCycles. Remote
+// submitters (internal/server.SpecRequest) need the normalized form
+// because the budget keys the result's content address.
+func (s Spec) Normalized() Spec {
+	switch {
+	case s.MaxCycles > 0:
+		s.GPU.MaxCycles = s.MaxCycles
+	case s.GPU.MaxCycles > expMaxCycles:
+		s.GPU.MaxCycles = expMaxCycles
+	}
+	s.MaxCycles = s.GPU.MaxCycles
+	return s
+}
+
+// Outcome pairs a spec's result with its error. On a watchdog abort Res
+// holds the partial state (see Cfg.run).
+type Outcome struct {
+	Res *sim.Result
+	Err error
 }
 
 // firstErr returns the first error in submission order, or nil. Using
 // submission order keeps the reported error independent of worker timing.
-func firstErr(outs []runOut) error {
+func firstErr(outs []Outcome) error {
 	for _, o := range outs {
-		if o.err != nil {
-			return o.err
+		if o.Err != nil {
+			return o.Err
 		}
 	}
 	return nil
@@ -67,8 +94,8 @@ func firstErr(outs []runOut) error {
 // lines arrive in completion order (that much is timing-dependent);
 // per-run detail lines that experiments emit while collecting results
 // stay in submission order.
-func (c Cfg) runAll(specs []runSpec) []runOut {
-	out := make([]runOut, len(specs))
+func (c Cfg) runAll(specs []Spec) []Outcome {
+	out := make([]Outcome, len(specs))
 	jobs := c.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -118,6 +145,17 @@ func (c Cfg) runAll(specs []runSpec) []runOut {
 	return out
 }
 
+// Execute runs externally submitted specs (internal/server's daemon jobs)
+// on the same bounded worker pool (Cfg.Jobs) and returns outcomes in
+// submission order. Panics are recovered into *PanicError records with
+// Cfg.Retries re-runs, identically to experiment sweeps. Cfg.Collect and
+// Cfg.Journal are not consulted — callers that cache or persist results
+// own that layer.
+func (c Cfg) Execute(specs []Spec) []Outcome {
+	c.Collect, c.Journal = nil, nil
+	return c.runAll(specs)
+}
+
 // PanicError records a simulation that panicked: the spec it was running,
 // the panic value, and the goroutine stack at recovery time. The runner
 // converts panics into failed-run records (bounded retries first, see
@@ -143,25 +181,25 @@ func (e *PanicError) Brief() string {
 // guardedRun executes one simulation with a panic barrier: a panic that
 // escapes the engine (its own recovery handles known fault types) becomes
 // a *PanicError instead of crashing the sweep.
-func (c Cfg) guardedRun(sp *runSpec, tr sim.Tracer) (o runOut) {
+func (c Cfg) guardedRun(sp *Spec, tr sim.Tracer) (o Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			o = runOut{err: &PanicError{Kernel: sp.k.Name, Sched: sp.sched,
+			o = Outcome{Err: &PanicError{Kernel: sp.Kernel.Name, Sched: sp.Sched,
 				Value: fmt.Sprint(r), Stack: string(debug.Stack())}}
 		}
 	}()
 	res, err := c.run(sp, tr)
-	return runOut{res: res, err: err}
+	return Outcome{Res: res, Err: err}
 }
 
 // runOne executes a single spec and reports its completion. With a nil
 // progress channel the line goes directly to c.note (serial path). With a
 // journal attached, finished specs replay instead of re-simulating, and
 // fresh outcomes are journaled for the next invocation.
-func (c Cfg) runOne(sp *runSpec, i, n int, progress chan<- string) runOut {
+func (c Cfg) runOne(sp *Spec, i, n int, progress chan<- string) Outcome {
 	var key, suffix string
 	if c.Journal != nil {
-		key = variantHash(sp)
+		key = VariantHash(*sp)
 		if o, ok := c.Journal.lookup(key); ok {
 			c.collect(sp, &o, 0)
 			c.report(sp, o, i, n, " (from journal)", progress)
@@ -170,19 +208,13 @@ func (c Cfg) runOne(sp *runSpec, i, n int, progress chan<- string) runOut {
 	}
 	start := time.Now()
 	// Remote offload: a daemon serves the run when the spec maps onto the
-	// wire format (see server.SpecRequest); anything else — and any
-	// daemon failure — falls through to the local engine below. Tracer
-	// and fault-injection runs always stay local: both reach inside the
-	// engine. So do specs with a non-default detector or WASP knobs —
-	// the wire format does not carry those dimensions, and a daemon
-	// would silently simulate the default machine instead. Remote
-	// outcomes are never journaled (see Cfg.Remote).
-	if c.Remote != nil && c.Tracer == nil && c.Faults == nil &&
-		sp.det == "" && sp.wasp == (config.WaSP{}) {
-		spec := Spec{GPU: sp.gpu, Sched: sp.sched, BOWS: sp.bows, DDOS: sp.ddos,
-			Kernel: sp.k, MaxCycles: sp.maxCycles, Progress: sp.progress}
-		if ro, ok := c.Remote(spec); ok {
-			o := runOut{res: ro.Res, err: ro.Err}
+	// wire format (see server.SpecRequest, which refuses whatever the wire
+	// cannot carry); anything else — and any daemon failure — falls through
+	// to the local engine below. Tracer and fault-injection runs always
+	// stay local: both reach inside the engine. Remote outcomes are never
+	// journaled (see Cfg.Remote).
+	if c.Remote != nil && c.Tracer == nil && c.Faults == nil {
+		if o, ok := c.Remote(*sp); ok {
 			c.collect(sp, &o, float64(time.Since(start).Microseconds())/1e3)
 			c.report(sp, o, i, n, " (remote)", progress)
 			return o
@@ -195,17 +227,17 @@ func (c Cfg) runOne(sp *runSpec, i, n int, progress chan<- string) runOut {
 	o := c.guardedRun(sp, tr)
 	for attempt := 0; attempt < c.Retries; attempt++ {
 		var pe *PanicError
-		if !errors.As(o.err, &pe) {
+		if !errors.As(o.Err, &pe) {
 			break // deterministic outcome: retrying would repeat it
 		}
 		suffix = fmt.Sprintf(" (retry %d)", attempt+1)
 		o = c.guardedRun(sp, tr)
 	}
 	if c.Journal != nil {
-		if jerr := c.Journal.record(key, o); jerr != nil && o.err == nil {
+		if jerr := c.Journal.record(key, o); jerr != nil && o.Err == nil {
 			// A run whose result cannot be journaled must not be reported
 			// as resumable work; surface the write failure.
-			o.err = jerr
+			o.Err = jerr
 		}
 	}
 	c.collect(sp, &o, float64(time.Since(start).Microseconds())/1e3)
@@ -214,26 +246,26 @@ func (c Cfg) runOne(sp *runSpec, i, n int, progress chan<- string) runOut {
 }
 
 // collect adds the run to the manifest collector, if any.
-func (c Cfg) collect(sp *runSpec, o *runOut, wallMS float64) {
+func (c Cfg) collect(sp *Spec, o *Outcome, wallMS float64) {
 	if c.Collect == nil {
 		return
 	}
-	rec := buildRecord(c.Exp, sp, *o, wallMS)
+	rec := sweepRecord(c.Exp, sp, *o, wallMS)
 	// A collection failure means two specs hashed to one manifest key
 	// with different counters — a determinism violation worth failing
 	// the sweep over, but never one that masks a simulation error.
-	if cerr := c.Collect.add(rec); cerr != nil && o.err == nil {
-		o.err = cerr
+	if cerr := c.Collect.add(rec); cerr != nil && o.Err == nil {
+		o.Err = cerr
 	}
 }
 
 // report emits the run's one-line completion to Cfg.Progress.
-func (c Cfg) report(sp *runSpec, o runOut, i, n int, suffix string, progress chan<- string) {
+func (c Cfg) report(sp *Spec, o Outcome, i, n int, suffix string, progress chan<- string) {
 	if c.Progress == nil {
 		return
 	}
 	line := fmt.Sprintf("[%d/%d] %s %s%s on %s: %s%s", i+1, n,
-		sp.k.Name, sp.sched, bowsTag(sp.bows), sp.gpu.Name, outcome(o), suffix)
+		sp.Kernel.Name, sp.Sched, bowsTag(sp.BOWS), sp.GPU.Name, outcome(o), suffix)
 	if progress != nil {
 		progress <- line
 	} else {
@@ -248,21 +280,21 @@ func bowsTag(b config.BOWS) string {
 	return "+BOWS"
 }
 
-func outcome(o runOut) string {
+func outcome(o Outcome) string {
 	var he *sim.HangError
 	var pe *PanicError
 	switch {
-	case errors.As(o.err, &he):
+	case errors.As(o.Err, &he):
 		// Hang diagnosis: classification plus the top stuck warps.
 		return he.Summary()
-	case errors.As(o.err, &pe):
+	case errors.As(o.Err, &pe):
 		return pe.Brief()
-	case o.err != nil && o.res != nil:
-		return fmt.Sprintf("watchdog at %d cycles", o.res.Stats.Cycles)
-	case o.err != nil:
+	case o.Err != nil && o.Res != nil:
+		return fmt.Sprintf("watchdog at %d cycles", o.Res.Stats.Cycles)
+	case o.Err != nil:
 		// First line only: journal-replayed panic records carry stacks.
-		return strings.SplitN(o.err.Error(), "\n", 2)[0]
+		return strings.SplitN(o.Err.Error(), "\n", 2)[0]
 	default:
-		return fmt.Sprintf("%d cycles", o.res.Stats.Cycles)
+		return fmt.Sprintf("%d cycles", o.Res.Stats.Cycles)
 	}
 }

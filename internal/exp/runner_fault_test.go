@@ -24,16 +24,16 @@ func TestRunnerFaultInjectionStress(t *testing.T) {
 	g := config.GTX480().Scaled(2)
 	for _, seed := range []uint64{1, 99} {
 		for _, bows := range []config.BOWS{bowsOff(), config.DefaultBOWS()} {
-			var specs []runSpec
+			var specs []Spec
 			for _, k := range suite {
-				specs = append(specs, runSpec{gpu: g, sched: config.GTO, bows: bows, ddos: config.DefaultDDOS(), k: k})
+				specs = append(specs, Spec{GPU: g, Sched: config.GTO, BOWS: bows, DDOS: config.DefaultDDOS(), Kernel: k})
 			}
 			faults := mem.DefaultFaults(seed)
 			c := Cfg{Jobs: 2, Check: true, Faults: &faults}
 			outs := c.runAll(specs)
 			for i, o := range outs {
-				if o.err != nil {
-					t.Errorf("seed=%d bows=%s %s: %v", seed, bows.Mode, specs[i].k.Name, o.err)
+				if o.Err != nil {
+					t.Errorf("seed=%d bows=%s %s: %v", seed, bows.Mode, specs[i].Kernel.Name, o.Err)
 				}
 			}
 		}
@@ -44,20 +44,20 @@ func TestRunnerFaultInjectionStress(t *testing.T) {
 // statistics; a different seed gives a different timing profile.
 func TestRunnerFaultDeterminism(t *testing.T) {
 	sp := testSpec(64)
-	run := func(seed uint64) *runOut {
+	run := func(seed uint64) *Outcome {
 		faults := mem.DefaultFaults(seed)
 		c := Cfg{Check: true, Faults: &faults}
 		o := c.guardedRun(&sp, nil)
-		if o.err != nil {
-			t.Fatalf("seed=%d: %v", seed, o.err)
+		if o.Err != nil {
+			t.Fatalf("seed=%d: %v", seed, o.Err)
 		}
 		return &o
 	}
 	a, b := run(5), run(5)
-	if !reflect.DeepEqual(a.res.Stats, b.res.Stats) {
-		t.Errorf("same fault seed produced different stats:\n%+v\n%+v", a.res.Stats, b.res.Stats)
+	if !reflect.DeepEqual(a.Res.Stats, b.Res.Stats) {
+		t.Errorf("same fault seed produced different stats:\n%+v\n%+v", a.Res.Stats, b.Res.Stats)
 	}
-	if c := run(6); reflect.DeepEqual(a.res.Stats, c.res.Stats) {
+	if c := run(6); reflect.DeepEqual(a.Res.Stats, c.Res.Stats) {
 		t.Error("different fault seeds produced identical stats (injector inert?)")
 	}
 }
@@ -75,15 +75,15 @@ func panicKernel() *kernels.Kernel {
 // TestRunnerPanicRecovered: a panicking run becomes a *PanicError record
 // carrying the panic value and stack; sibling specs complete untouched.
 func TestRunnerPanicRecovered(t *testing.T) {
-	specs := []runSpec{testSpec(64), testSpec(64), testSpec(64)}
-	specs[1].k = panicKernel()
+	specs := []Spec{testSpec(64), testSpec(64), testSpec(64)}
+	specs[1].Kernel = panicKernel()
 	outs := Cfg{Jobs: 3}.runAll(specs)
-	if outs[0].err != nil || outs[2].err != nil {
-		t.Errorf("healthy specs errored: %v / %v", outs[0].err, outs[2].err)
+	if outs[0].Err != nil || outs[2].Err != nil {
+		t.Errorf("healthy specs errored: %v / %v", outs[0].Err, outs[2].Err)
 	}
 	var pe *PanicError
-	if !errors.As(outs[1].err, &pe) {
-		t.Fatalf("expected *PanicError, got %v", outs[1].err)
+	if !errors.As(outs[1].Err, &pe) {
+		t.Fatalf("expected *PanicError, got %v", outs[1].Err)
 	}
 	if pe.Value != "synthetic verifier bug" || pe.Kernel == "" {
 		t.Errorf("panic record incomplete: %+v", pe)
@@ -103,14 +103,14 @@ func TestRunnerRetryPolicy(t *testing.T) {
 	sp := testSpec(64)
 	k := panicKernel()
 	k.Verify = func([]uint32) error { attempts++; panic(attempts) }
-	sp.k = k
+	sp.Kernel = k
 	o := Cfg{Retries: 2}.runOne(&sp, 0, 1, nil)
 	if attempts != 3 {
 		t.Errorf("ran %d attempts, want 3 (1 + 2 retries)", attempts)
 	}
 	var pe *PanicError
-	if !errors.As(o.err, &pe) {
-		t.Fatalf("expected *PanicError after exhausted retries, got %v", o.err)
+	if !errors.As(o.Err, &pe) {
+		t.Fatalf("expected *PanicError after exhausted retries, got %v", o.Err)
 	}
 
 	// A deterministic failure (sim.New rejects the launch) must not retry.
@@ -121,13 +121,13 @@ func TestRunnerRetryPolicy(t *testing.T) {
 	})
 	badK.Launch.GridCTAs = 0
 	badK.Verify = func([]uint32) error { calls++; return nil }
-	bad.k = badK
+	bad.Kernel = badK
 	o = Cfg{Retries: 5}.runOne(&bad, 0, 1, nil)
-	if o.err == nil {
+	if o.Err == nil {
 		t.Fatal("sabotaged launch succeeded")
 	}
-	if errors.As(o.err, &pe) {
-		t.Errorf("deterministic failure surfaced as a panic: %v", o.err)
+	if errors.As(o.Err, &pe) {
+		t.Errorf("deterministic failure surfaced as a panic: %v", o.Err)
 	}
 	if calls != 0 {
 		t.Errorf("verifier ran %d times on a rejected launch", calls)

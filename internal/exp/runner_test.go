@@ -13,12 +13,12 @@ import (
 )
 
 // testSpec builds a small hashtable run for runner tests.
-func testSpec(buckets int) runSpec {
+func testSpec(buckets int) Spec {
 	g := config.GTX480().Scaled(2)
 	k := kernels.NewHashTable(kernels.HashTableConfig{
 		Items: 1024, Buckets: buckets, CTAs: 4, CTAThreads: 64,
 	})
-	return runSpec{gpu: g, sched: config.GTO, bows: config.DefaultBOWS(), ddos: config.DefaultDDOS(), k: k}
+	return Spec{GPU: g, Sched: config.GTO, BOWS: config.DefaultBOWS(), DDOS: config.DefaultDDOS(), Kernel: k}
 }
 
 // TestRunnerRepeatDeterminism runs the same kernel with the same options
@@ -68,7 +68,7 @@ func TestRunnerSubmissionOrder(t *testing.T) {
 	// Distinct bucket counts give distinct cycle counts; heavier runs
 	// first so completion order differs from submission order.
 	buckets := []int{16, 32, 64, 128}
-	specs := make([]runSpec, len(buckets))
+	specs := make([]Spec, len(buckets))
 	want := make([]int64, len(buckets))
 	for i, bk := range buckets {
 		specs[i] = testSpec(bk)
@@ -84,9 +84,9 @@ func TestRunnerSubmissionOrder(t *testing.T) {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		for i := range outs {
-			if outs[i].res.Stats.Cycles != want[i] {
+			if outs[i].Res.Stats.Cycles != want[i] {
 				t.Errorf("jobs=%d: out[%d] = %d cycles, want %d (order scrambled?)",
-					jobs, i, outs[i].res.Stats.Cycles, want[i])
+					jobs, i, outs[i].Res.Stats.Cycles, want[i])
 			}
 		}
 	}
@@ -97,7 +97,7 @@ func TestRunnerSubmissionOrder(t *testing.T) {
 // is only safe if Cfg.Progress honors its never-called-concurrently
 // contract.
 func TestRunnerProgressSerialized(t *testing.T) {
-	specs := make([]runSpec, 6)
+	specs := make([]Spec, 6)
 	for i := range specs {
 		specs[i] = testSpec(32 << (i % 3))
 	}
@@ -125,7 +125,7 @@ func TestRunnerProgressSerialized(t *testing.T) {
 // ring (one shared Ring would race), and per-run event totals must not
 // depend on the worker count.
 func TestRunnerTracerPerEngine(t *testing.T) {
-	specs := []runSpec{testSpec(16), testSpec(32), testSpec(64), testSpec(128)}
+	specs := []Spec{testSpec(16), testSpec(32), testSpec(64), testSpec(128)}
 	totals := func(jobs int) []int64 {
 		bufs := trace.NewBuffers(256, 0)
 		c := Cfg{Jobs: jobs, Tracer: func(i int) sim.Tracer { return bufs.For(i) }}
@@ -154,7 +154,7 @@ func TestRunnerTracerPerEngine(t *testing.T) {
 // TestRunnerCollectorJobsInvariant checks that a sweep's manifest is
 // independent of the worker count: same keys, same counters.
 func TestRunnerCollectorJobsInvariant(t *testing.T) {
-	specs := []runSpec{testSpec(16), testSpec(32), testSpec(64)}
+	specs := []Spec{testSpec(16), testSpec(32), testSpec(64)}
 	collect := func(jobs int) []metrics.RunRecord {
 		col := NewCollector("test", map[string]any{"jobs": "varies"})
 		c := Cfg{Jobs: jobs, Collect: col}
@@ -180,21 +180,57 @@ func TestRunnerCollectorJobsInvariant(t *testing.T) {
 // TestRunnerFirstErr verifies errors surface at the failing spec's
 // submission position, mirroring the serial loops the runner replaced.
 func TestRunnerFirstErr(t *testing.T) {
-	specs := []runSpec{testSpec(64), testSpec(64), testSpec(64)}
+	specs := []Spec{testSpec(64), testSpec(64), testSpec(64)}
 	// Sabotage the middle spec: zero CTAs is rejected by sim.New.
 	bad := kernels.NewHashTable(kernels.HashTableConfig{
 		Items: 64, Buckets: 16, CTAs: 1, CTAThreads: 64,
 	})
 	bad.Launch.GridCTAs = 0
-	specs[1].k = bad
+	specs[1].Kernel = bad
 	outs := Cfg{Jobs: 3}.runAll(specs)
 	if err := firstErr(outs); err == nil {
 		t.Fatal("expected an error from the sabotaged spec")
 	}
-	if outs[0].err != nil || outs[2].err != nil {
-		t.Errorf("healthy specs errored: %v / %v", outs[0].err, outs[2].err)
+	if outs[0].Err != nil || outs[2].Err != nil {
+		t.Errorf("healthy specs errored: %v / %v", outs[0].Err, outs[2].Err)
 	}
-	if outs[1].err == nil {
+	if outs[1].Err == nil {
 		t.Error("sabotaged spec did not error")
+	}
+}
+
+// TestExecuteCarriesZoo: Execute runs a WASP spec and a TAGE spec as the
+// machine they describe — the cycles and counters of a direct engine run
+// with the same options (whose counter names, "sm0.tage.*" and
+// "*.wasp_priority_picks", exist only on that machine), not of the default
+// scheduler or detector the exported Spec used to fall back to.
+func TestExecuteCarriesZoo(t *testing.T) {
+	wasp, tage := testSpec(64), testSpec(64)
+	wasp.Sched, wasp.WaSP = config.WASP, config.DefaultWaSP()
+	tage.Detector, tage.TAGE = config.DetectTAGE, config.DefaultTAGE()
+	specs := []Spec{wasp, tage}
+	outs := Cfg{Jobs: 1}.Execute(specs)
+	for i, sp := range specs {
+		if outs[i].Err != nil {
+			t.Fatalf("spec %d: %v", i, outs[i].Err)
+		}
+		gpu := sp.GPU
+		gpu.MaxCycles = expMaxCycles
+		eng, err := sim.New(sim.Options{GPU: gpu, Sched: sp.Sched, BOWS: sp.BOWS, DDOS: sp.DDOS,
+			Detector: sp.Detector, TAGE: sp.TAGE, WaSP: sp.WaSP}, sp.Kernel.Launch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := outs[i].Res
+		if got.Stats != want.Stats {
+			t.Errorf("spec %d: Execute stats differ from the direct run:\n%+v\n%+v", i, got.Stats, want.Stats)
+		}
+		if !reflect.DeepEqual(got.Metrics.Counters, want.Metrics.Counters) {
+			t.Errorf("spec %d: Execute counters differ from the direct run", i)
+		}
 	}
 }

@@ -154,10 +154,10 @@ func Table1(c Cfg) (*Table1Result, error) {
 			}
 		}
 	}
-	var specs []runSpec
+	var specs []Spec
 	for _, d := range order {
 		for _, k := range suite {
-			specs = append(specs, runSpec{gpu: gpu, sched: config.GTO, bows: bowsOff(), ddos: d, k: k})
+			specs = append(specs, Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: d, Kernel: k})
 		}
 	}
 	outs := c.runAll(specs)
@@ -168,10 +168,10 @@ func Table1(c Cfg) (*Table1Result, error) {
 		var tsdrs, fsdrs, tdprs, fdprs []float64
 		for j, k := range suite {
 			o := outs[i*len(suite)+j]
-			if o.err != nil {
-				return nil, fmt.Errorf("table1 %s on %s: %w", label, k.Name, o.err)
+			if o.Err != nil {
+				return nil, fmt.Errorf("table1 %s on %s: %w", label, k.Name, o.Err)
 			}
-			det := o.res.Detection
+			det := o.Res.Detection
 			if det.TrueSeen > 0 {
 				tsdrs = append(tsdrs, det.TSDR())
 				if det.TrueDetected > 0 {

@@ -95,12 +95,12 @@ func TageSIB(c Cfg) (*TageSIBResult, error) {
 	suite := append(c.syncSuite(), c.syncFreeSuite()...)
 	layout := TageSIBLayout()
 
-	var specs []runSpec
+	var specs []Spec
 	for _, gp := range layout {
 		for _, k := range suite {
-			sp := runSpec{gpu: gpu, sched: config.GTO, bows: bowsOff(), ddos: gp.DDOS, k: k}
+			sp := Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: gp.DDOS, Kernel: k}
 			if gp.Det == config.DetectTAGE {
-				sp.det, sp.tage = config.DetectTAGE, gp.TAGE
+				sp.Detector, sp.TAGE = config.DetectTAGE, gp.TAGE
 			}
 			specs = append(specs, sp)
 		}
@@ -113,10 +113,10 @@ func TageSIB(c Cfg) (*TageSIBResult, error) {
 		var trueSeen, trueDet, falseDet int
 		for j, k := range suite {
 			o := outs[i*len(suite)+j]
-			if o.err != nil {
-				return nil, fmt.Errorf("tagesib %s on %s: %w", gp.Label, k.Name, o.err)
+			if o.Err != nil {
+				return nil, fmt.Errorf("tagesib %s on %s: %w", gp.Label, k.Name, o.Err)
 			}
-			det := o.res.Detection
+			det := o.Res.Detection
 			trueSeen += det.TrueSeen
 			trueDet += det.TrueDetected
 			falseDet += det.FalseDetected

@@ -50,7 +50,7 @@ func Wasp(c Cfg) (*WaspResult, error) {
 	}
 	coeff := energy.ByConfigName(gpu.Name)
 	suite := c.syncSuite()
-	var specs []runSpec
+	var specs []Spec
 	for _, k := range suite {
 		for _, kind := range WaspSchedulers {
 			for _, withBOWS := range []bool{false, true} {
@@ -58,9 +58,9 @@ func Wasp(c Cfg) (*WaspResult, error) {
 				if withBOWS {
 					bows = config.DefaultBOWS()
 				}
-				sp := runSpec{gpu: gpu, sched: kind, bows: bows, ddos: config.DefaultDDOS(), k: k}
+				sp := Spec{GPU: gpu, Sched: kind, BOWS: bows, DDOS: config.DefaultDDOS(), Kernel: k}
 				if kind == config.WASP {
-					sp.wasp = r.WaSP
+					sp.WaSP = r.WaSP
 				}
 				specs = append(specs, sp)
 			}
@@ -77,10 +77,10 @@ func Wasp(c Cfg) (*WaspResult, error) {
 			for _, withBOWS := range []bool{false, true} {
 				o := outs[idx]
 				idx++
-				res := o.res
-				if o.err != nil {
+				res := o.Res
+				if o.Err != nil {
 					if res == nil {
-						return nil, fmt.Errorf("wasp %s/%v: %w", k.Name, kind, o.err)
+						return nil, fmt.Errorf("wasp %s/%v: %w", k.Name, kind, o.Err)
 					}
 					// Watchdog abort: treat as "at least this many cycles".
 					c.note("wasp %s %s: watchdog at %d cycles (lower bound)", k.Name, kind, res.Stats.Cycles)

@@ -357,20 +357,8 @@ func (s *System) Stats(sm int) *stats.Mem { return s.ports[sm].stats }
 // "sm0.mem."). The counters are views of the live per-port stats.Mem
 // fields, so registration adds no hot-path cost.
 func (s *System) RegisterMetrics(r *metrics.Registry, sm int, prefix string) {
-	p := s.ports[sm]
-	st := p.stats
-	r.Int64(prefix+"transactions", &st.Transactions)
-	r.Int64(prefix+"sync_transactions", &st.SyncTransactions)
-	r.Int64(prefix+"l1_accesses", &st.L1Accesses)
-	r.Int64(prefix+"l1_hits", &st.L1Hits)
-	r.Int64(prefix+"l2_accesses", &st.L2Accesses)
-	r.Int64(prefix+"l2_hits", &st.L2Hits)
-	r.Int64(prefix+"dram_accesses", &st.DRAMAccesses)
-	r.Int64(prefix+"atomic_ops", &st.AtomicOps)
-	r.Int64(prefix+"fence_ops", &st.FenceOps)
-	r.Int64(prefix+"mshr_stalls", &st.MSHRStalls)
-	r.Int64(prefix+"mshr_merges", &st.MSHRMerges)
-	r.Int64(prefix+"atom_retries", &st.AtomRetries)
+	st := s.ports[sm].stats
+	st.EachCounter(func(name string, v *int64) { r.Int64(prefix+name, v) })
 	r.Rate(prefix+"l1_hit_rate", &st.L1Hits, &st.L1Accesses)
 	r.Rate(prefix+"l2_hit_rate", &st.L2Hits, &st.L2Accesses)
 }

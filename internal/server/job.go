@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"hash/fnv"
-	"strings"
 	"sync"
 
 	"warpsched/internal/analysis"
@@ -161,57 +160,24 @@ func (o Options) resolve(req *JobRequest, skipAnalysis bool) (exp.Spec, *Request
 	}
 	s.Kernel = k
 
-	switch strings.ToLower(req.Config.GPU) {
-	case "", "fermi", "gtx480":
-		s.GPU = config.GTX480()
-	case "pascal", "gtx1080ti":
-		s.GPU = config.GTX1080Ti()
-	default:
-		return s, badRequest("unknown gpu %q (want fermi or pascal)", req.Config.GPU)
+	// The machine and policy names resolve through the shared vocabulary
+	// (internal/config), so the 400 messages list the valid names exactly
+	// as cmd/warpsim's usage errors do.
+	var err error
+	if s.GPU, err = config.ParseGPU(req.Config.GPU, req.Config.SMs); err != nil {
+		return s, badRequest("%v", err)
 	}
-	if req.Config.SMs < 0 {
-		return s, badRequest("sms must be non-negative")
+	if s.Sched, err = config.ParseScheduler(req.Config.Sched); err != nil {
+		return s, badRequest("%v", err)
 	}
-	if req.Config.SMs > 0 {
-		s.GPU = s.GPU.Scaled(req.Config.SMs)
+	if s.Sched == config.WASP {
+		return s, badRequest("scheduler WASP is not served: the wire format carries no WaSP knobs")
 	}
-
-	switch kind := config.SchedulerKind(strings.ToUpper(req.Config.Sched)); kind {
-	case "":
-		s.Sched = config.GTO
-	case config.LRR, config.GTO, config.CAWA:
-		s.Sched = kind
-	default:
-		return s, badRequest("unknown scheduler %q (want LRR, GTO or CAWA)", req.Config.Sched)
+	if s.BOWS, err = config.ParseBOWS(req.Config.BOWS, req.Config.Delay); err != nil {
+		return s, badRequest("%v", err)
 	}
-
-	switch strings.ToLower(req.Config.BOWS) {
-	case "", "off":
-		s.BOWS = config.BOWS{Mode: config.BOWSOff}
-	case "ddos":
-		s.BOWS = config.DefaultBOWS()
-	case "static":
-		s.BOWS = config.DefaultBOWS()
-		s.BOWS.Mode = config.BOWSStatic
-	default:
-		return s, badRequest("unknown bows mode %q (want off, ddos or static)", req.Config.BOWS)
-	}
-	if req.Config.Delay != nil && s.BOWS.Mode != config.BOWSOff {
-		if *req.Config.Delay < 0 {
-			return s, badRequest("delay must be non-negative")
-		}
-		mode := s.BOWS.Mode
-		s.BOWS = config.FixedBOWS(*req.Config.Delay)
-		s.BOWS.Mode = mode
-	}
-
-	s.DDOS = config.DefaultDDOS()
-	switch strings.ToUpper(req.Config.Hash) {
-	case "", "XOR":
-	case "MODULO":
-		s.DDOS.Hash = "MODULO"
-	default:
-		return s, badRequest("unknown ddos hash %q (want XOR or MODULO)", req.Config.Hash)
+	if s.DDOS, err = config.ParseDDOS(req.Config.Hash); err != nil {
+		return s, badRequest("%v", err)
 	}
 
 	max := req.Config.MaxCycles
@@ -231,13 +197,21 @@ func (o Options) resolve(req *JobRequest, skipAnalysis bool) (exp.Spec, *Request
 	return s, nil
 }
 
-// kernelCache memoizes registered-kernel construction ("name|quick"
-// → *kernels.Kernel). The registry is static and kernels are immutable
-// once built (the experiment harness already shares one kernel across
-// concurrent runs), so one instance can serve every admission — this
-// keeps the hot admission path at microseconds instead of rebuilding
-// the whole suite per request.
-var kernelCache sync.Map
+// fullSuite and quickSuite are the registered kernel suites, each
+// assembled once on first use (a daemon serving only quick kernels never
+// pays for the full-size inputs). Kernels are immutable once built (the
+// experiment harness already shares one kernel across concurrent runs),
+// so one instance serves every admission (resolveKernel) and its inverse
+// (registeredVariant) — admitting a registered kernel stays at
+// microseconds.
+var (
+	fullSuite = sync.OnceValue(func() []*kernels.Kernel {
+		return append(kernels.SyncSuite(), kernels.SyncFreeSuite()...)
+	})
+	quickSuite = sync.OnceValue(func() []*kernels.Kernel {
+		return append(kernels.QuickSyncSuite(), kernels.QuickSyncFreeSuite()...)
+	})
+)
 
 // resolveKernel maps the request to a program: a registered kernel
 // (full-size or, with config.quick, the reduced test-suite variant) or a
@@ -247,25 +221,16 @@ func (o Options) resolveKernel(req *JobRequest) (*kernels.Kernel, *RequestError)
 	case req.Kernel != "" && req.Source != "":
 		return nil, badRequest("kernel and source are mutually exclusive")
 	case req.Kernel != "":
-		ck := fmt.Sprintf("%s|%v", req.Kernel, req.Config.Quick)
-		if k, ok := kernelCache.Load(ck); ok {
-			return k.(*kernels.Kernel), nil
-		}
+		suite, what := fullSuite, "kernel"
 		if req.Config.Quick {
-			for _, k := range append(kernels.QuickSyncSuite(), kernels.QuickSyncFreeSuite()...) {
-				if k.Name == req.Kernel {
-					kernelCache.Store(ck, k)
-					return k, nil
-				}
+			suite, what = quickSuite, "quick kernel"
+		}
+		for _, k := range suite() {
+			if k.Name == req.Kernel {
+				return k, nil
 			}
-			return nil, badRequest("unknown quick kernel %q", req.Kernel)
 		}
-		k, err := kernels.ByName(req.Kernel)
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		kernelCache.Store(ck, k)
-		return k, nil
+		return nil, badRequest("unknown %s %q", what, req.Kernel)
 	case req.Source != "":
 		name := req.Name
 		if name == "" {

@@ -1,8 +1,14 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"warpsched/internal/config"
+	"warpsched/internal/exp"
+	"warpsched/internal/kernels"
+	"warpsched/internal/sim"
 )
 
 // testSrc is a tiny analysis-clean inline program used across the
@@ -155,6 +161,75 @@ func TestCacheKeyExcludesExecutionStrategy(t *testing.T) {
 	} {
 		if k := keyOf(t, o, inlineReq(100)); k != plain {
 			t.Errorf("server option %q leaked into the cache key", name)
+		}
+	}
+}
+
+// quickKernel returns the reduced-size registered kernel by name.
+func quickKernel(t *testing.T, name string) *kernels.Kernel {
+	t.Helper()
+	for _, k := range kernels.QuickSyncSuite() {
+		if k.Name == name {
+			return k
+		}
+	}
+	t.Fatalf("no quick kernel %q", name)
+	return nil
+}
+
+// TestIdentityPinned pins exp.VariantHash and CacheKey to literals, so a
+// refactor of the run description cannot silently re-key golden records,
+// full.json rows or on-disk store entries. The GTO, CAWA+BOWS, WASP+BOWS
+// and TAGE variants are the HT records of
+// internal/exp/testdata/golden/quick.json; the rest were read from the
+// commit before exp.Spec became the single run description (PR 12). That
+// commit's Spec could not carry the WASP and TAGE dimensions, so their
+// cache keys are first pinned here. A sim.Version bump re-keys every
+// cache entry on purpose and is applied to the expectation, not pinned.
+func TestIdentityPinned(t *testing.T) {
+	gpu := config.GTX480().Scaled(2)
+	modulo := config.DefaultDDOS()
+	modulo.Hash = config.HashModulo
+	ht, atm := quickKernel(t, "HT"), quickKernel(t, "ATM")
+	resolve := func(req *JobRequest) exp.Spec {
+		spec, rerr := Options{}.Resolve(req)
+		if rerr != nil {
+			t.Fatalf("resolve: %v", rerr)
+		}
+		return spec
+	}
+	delay := int64(64)
+	const htAsm, atmAsm, inlineAsm = "80b042e043bdcb5e", "1ffbcd4517716aea", "fc1383e9e85f2dcf"
+
+	for _, tc := range []struct {
+		name         string
+		spec         exp.Spec
+		asm, variant string
+	}{
+		{"GTO", exp.Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(),
+			DDOS: config.DefaultDDOS(), Kernel: ht}, htAsm, "6f9505f47101f00b"},
+		{"CAWA+BOWS", exp.Spec{GPU: gpu, Sched: config.CAWA, BOWS: config.DefaultBOWS(),
+			DDOS: config.DefaultDDOS(), Kernel: ht}, htAsm, "3b624365f9edfdef"},
+		{"fixed-delay", exp.Spec{GPU: gpu, Sched: config.GTO, BOWS: config.FixedBOWS(5000),
+			DDOS: config.DefaultDDOS(), Kernel: atm}, atmAsm, "1c15275016f1536f"},
+		{"MODULO", exp.Spec{GPU: gpu, Sched: config.GTO, BOWS: config.FixedBOWS(5000),
+			DDOS: modulo, Kernel: ht}, htAsm, "ea01c9dd57c8528d"},
+		{"WASP+BOWS", exp.Spec{GPU: gpu, Sched: config.WASP, BOWS: config.DefaultBOWS(),
+			DDOS: config.DefaultDDOS(), WaSP: config.DefaultWaSP(), Kernel: ht}, htAsm, "2c636f1edea0889b"},
+		{"TAGE", exp.Spec{GPU: gpu, Sched: config.GTO, BOWS: config.DefaultBOWS(),
+			DDOS: config.DefaultDDOS(), Detector: config.DetectTAGE, TAGE: config.DefaultTAGE(),
+			Kernel: ht}, htAsm, "0780719611933262"},
+		{"inline", resolve(inlineReq(300)), inlineAsm, "5ca20cffb274f8a4"},
+		{"resolved", resolve(&JobRequest{Kernel: "HT", Config: JobConfig{GPU: "pascal", SMs: 2,
+			Quick: true, Sched: "lrr", BOWS: "static", Delay: &delay, Hash: "modulo",
+			MaxCycles: 2_000_000}}), htAsm, "739f83d6c1aecc48"},
+	} {
+		if got := exp.VariantHash(tc.spec); got != tc.variant {
+			t.Errorf("%s: VariantHash = %s, want %s", tc.name, got, tc.variant)
+		}
+		want := fmt.Sprintf("%s-%s-v%d", tc.asm, tc.variant, sim.Version)
+		if got := CacheKey(tc.spec); got != want {
+			t.Errorf("%s: CacheKey = %s, want %s", tc.name, got, want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 
 	"warpsched/internal/config"
 	"warpsched/internal/exp"
@@ -18,7 +17,8 @@ import (
 
 // ErrNotMappable marks a spec the wire format cannot express: kernels
 // with host-side closures outside the registered suites, non-default
-// BOWS/DDOS parameterizations, machines that are not a (scaled)
+// BOWS/DDOS parameterizations, the scheduler zoo's dimensions (WASP
+// scheduling, TAGE detection), machines that are not a (scaled)
 // GTX480/GTX1080Ti, or budgets above the default server ceiling.
 // Callers (exp.Cfg.Remote adapters) treat it as "run locally instead".
 var ErrNotMappable = errors.New("spec cannot be expressed as a job request")
@@ -27,10 +27,11 @@ var ErrNotMappable = errors.New("spec cannot be expressed as a job request")
 // wire request whose admission resolves to the same content address.
 // The mapping is proven, not assumed — the built request is resolved
 // with the default server options and its CacheKey compared against the
-// (budget-normalized) spec's; any mismatch returns ErrNotMappable rather
-// than silently fetching the wrong result. Deterministic simulation then
-// gives the full guarantee: a daemon result for the returned request is
-// byte-for-byte the run the spec describes.
+// (budget-normalized) spec's; any mismatch — including every Spec field
+// the wire has no word for, since the key covers them all — returns
+// ErrNotMappable rather than silently fetching the wrong result.
+// Deterministic simulation then gives the full guarantee: a daemon result
+// for the returned request is byte-for-byte the run the spec describes.
 func SpecRequest(spec exp.Spec) (*JobRequest, error) {
 	if spec.Kernel == nil || spec.Kernel.Launch.Prog == nil {
 		return nil, fmt.Errorf("%w: spec has no kernel", ErrNotMappable)
@@ -58,20 +59,20 @@ func SpecRequest(spec exp.Spec) (*JobRequest, error) {
 			ErrNotMappable, norm.Kernel.Name)
 	}
 
-	gpu, sms, ok := gpuRequest(norm.GPU)
+	gpu, sms, ok := config.GPUName(norm.GPU)
 	if !ok {
 		return nil, fmt.Errorf("%w: machine %q is not a (scaled) GTX480 or GTX1080Ti", ErrNotMappable, norm.GPU.Name)
 	}
 	req.Config.GPU, req.Config.SMs = gpu, sms
 	req.Config.Sched = string(norm.Sched)
 
-	mode, delay, ok := bowsRequest(norm.BOWS)
+	mode, delay, ok := config.BOWSName(norm.BOWS)
 	if !ok {
 		return nil, fmt.Errorf("%w: non-default BOWS parameterization", ErrNotMappable)
 	}
 	req.Config.BOWS, req.Config.Delay = mode, delay
 
-	hash, ok := ddosRequest(norm.DDOS)
+	hash, ok := config.DDOSName(norm.DDOS)
 	if !ok {
 		return nil, fmt.Errorf("%w: non-default DDOS parameterization", ErrNotMappable)
 	}
@@ -89,22 +90,11 @@ func SpecRequest(spec exp.Spec) (*JobRequest, error) {
 	return req, nil
 }
 
-// wireSuites caches the assembled kernel registries; building them per
-// spec would re-parse every program on each sweep run.
-var wireSuites struct {
-	once        sync.Once
-	full, quick []*kernels.Kernel
-}
-
 // registeredVariant reports whether the kernel is byte-identical to a
 // registered suite entry (program, geometry and parameters all equal) —
 // the condition under which naming it on the wire reproduces the run,
 // host-side closures included.
 func registeredVariant(k *kernels.Kernel) (quick, ok bool) {
-	wireSuites.once.Do(func() {
-		wireSuites.full = append(kernels.SyncSuite(), kernels.SyncFreeSuite()...)
-		wireSuites.quick = append(kernels.QuickSyncSuite(), kernels.QuickSyncFreeSuite()...)
-	})
 	match := func(c *kernels.Kernel) bool {
 		return c.Name == k.Name &&
 			c.Launch.GridCTAs == k.Launch.GridCTAs &&
@@ -113,80 +103,17 @@ func registeredVariant(k *kernels.Kernel) (quick, ok bool) {
 			reflect.DeepEqual(c.Launch.Params, k.Launch.Params) &&
 			c.Launch.Prog.Assembly() == k.Launch.Prog.Assembly()
 	}
-	for _, c := range wireSuites.full {
+	for _, c := range fullSuite() {
 		if match(c) {
 			return false, true
 		}
 	}
-	for _, c := range wireSuites.quick {
+	for _, c := range quickSuite() {
 		if match(c) {
 			return true, true
 		}
 	}
 	return false, false
-}
-
-// gpuRequest maps a machine back to its wire name and SM override. The
-// budget is neutralized before comparison — it rides in max_cycles, not
-// in the machine selection.
-func gpuRequest(g config.GPU) (name string, sms int, ok bool) {
-	for _, b := range []struct {
-		name string
-		gpu  config.GPU
-	}{{"fermi", config.GTX480()}, {"pascal", config.GTX1080Ti()}} {
-		cand, n := b.gpu, 0
-		if g.NumSMs != cand.NumSMs {
-			n = g.NumSMs
-			cand = cand.Scaled(n)
-		}
-		cand.MaxCycles = g.MaxCycles
-		if reflect.DeepEqual(cand, g) {
-			return b.name, n, true
-		}
-	}
-	return "", 0, false
-}
-
-// bowsRequest maps a BOWS configuration back to the wire's mode + delay
-// vocabulary (off, the paper's adaptive default, or a fixed limit).
-func bowsRequest(b config.BOWS) (mode string, delay *int64, ok bool) {
-	if reflect.DeepEqual(b, config.BOWS{Mode: config.BOWSOff}) {
-		return "off", nil, true
-	}
-	switch b.Mode {
-	case config.BOWSDDOS:
-		mode = "ddos"
-	case config.BOWSStatic:
-		mode = "static"
-	default:
-		return "", nil, false
-	}
-	cand := config.DefaultBOWS()
-	cand.Mode = b.Mode
-	if reflect.DeepEqual(cand, b) {
-		return mode, nil, true
-	}
-	fixed := config.FixedBOWS(b.DelayLimit)
-	fixed.Mode = b.Mode
-	if reflect.DeepEqual(fixed, b) {
-		d := b.DelayLimit
-		return mode, &d, true
-	}
-	return "", nil, false
-}
-
-// ddosRequest maps a detector configuration back to the wire's hash
-// selector (the only DDOS dimension the API exposes).
-func ddosRequest(d config.DDOS) (hash string, ok bool) {
-	if reflect.DeepEqual(d, config.DefaultDDOS()) {
-		return "", true
-	}
-	cand := config.DefaultDDOS()
-	cand.Hash = "MODULO"
-	if reflect.DeepEqual(cand, d) {
-		return "MODULO", true
-	}
-	return "", false
 }
 
 // RunSpec submits the spec as a synchronous job and rebuilds the

@@ -95,8 +95,9 @@ func TestSpecRequestInlineRoundTrip(t *testing.T) {
 
 // TestSpecRequestNotMappable: specs the wire cannot express — modified
 // registered kernels with host closures, non-default BOWS/DDOS
-// parameterizations, hand-edited machines — all fail with
-// ErrNotMappable instead of mapping to the wrong result.
+// parameterizations, hand-edited machines, WASP scheduling, TAGE
+// detection — all fail with ErrNotMappable instead of mapping to the
+// wrong result.
 func TestSpecRequestNotMappable(t *testing.T) {
 	base := func() exp.Spec {
 		return exp.Spec{GPU: config.GTX480().Scaled(2), Sched: config.GTO,
@@ -134,6 +135,22 @@ func TestSpecRequestNotMappable(t *testing.T) {
 	spec.GPU.WarpsPerSM++
 	if _, err := SpecRequest(spec); !errors.Is(err, ErrNotMappable) {
 		t.Errorf("hand-edited machine: err = %v, want ErrNotMappable", err)
+	}
+
+	// The scheduler zoo: the wire has no word for WaSP knobs or a detector
+	// selection, so the round trip must refuse both rather than let a
+	// daemon simulate the default machine in their place.
+	spec = base()
+	spec.Sched, spec.WaSP = config.WASP, config.DefaultWaSP()
+	if _, err := SpecRequest(spec); !errors.Is(err, ErrNotMappable) {
+		t.Errorf("WASP spec: err = %v, want ErrNotMappable", err)
+	}
+
+	spec = base()
+	spec.BOWS = config.DefaultBOWS()
+	spec.Detector, spec.TAGE = config.DetectTAGE, config.DefaultTAGE()
+	if _, err := SpecRequest(spec); !errors.Is(err, ErrNotMappable) {
+		t.Errorf("TAGE spec: err = %v, want ErrNotMappable", err)
 	}
 }
 

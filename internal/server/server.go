@@ -811,29 +811,16 @@ func (s *Server) Stats() Stats {
 // future hit serves identical bytes — from memory or from the
 // persistent store, which keeps exactly these bytes as its payload.
 func buildResult(key string, spec exp.Spec, out exp.Outcome) *CachedResult {
-	r := &CachedResult{Key: key}
-	if out.Err != nil {
-		r.Err = out.Err.Error()
-	}
+	rec := exp.Record(spec, out)
+	r := &CachedResult{Key: key, Err: rec.Err, Cycles: rec.Cycles}
 	m := metrics.NewManifest("warpsimd", map[string]any{
-		"kernel": spec.Kernel.Name, "gpu": spec.GPU.Name,
-		"sched": string(spec.Sched), "bows": spec.BOWS.Desc(),
-		"ddos": spec.DDOS.Desc(), "max_cycles": spec.MaxCycles,
+		"kernel": rec.Kernel, "gpu": rec.GPU, "sched": rec.Sched,
+		"bows": rec.BOWS, "ddos": rec.DDOS, "max_cycles": spec.MaxCycles,
 		"sim_version": sim.Version, "cache_key": key,
 	})
-	rec := metrics.RunRecord{
-		Kernel: spec.Kernel.Name, GPU: spec.GPU.Name,
-		Sched: string(spec.Sched), BOWS: spec.BOWS.Desc(),
-		DDOS: spec.DDOS.Desc(), Variant: exp.VariantHash(spec),
-		Err: r.Err,
-	}
-	if res := out.Res; res != nil {
-		r.Cycles = res.Stats.Cycles
-		rec.Cycles = res.Stats.Cycles
-		if res.Metrics != nil {
-			rec.Counters = res.Metrics.Counters
-			rec.Derived = res.Metrics.Gauges
-		}
+	if res := out.Res; res != nil && res.Metrics != nil {
+		rec.Counters = res.Metrics.Counters
+		rec.Derived = res.Metrics.Gauges
 	}
 	// Add cannot fail on a fresh manifest's first record; a marshal
 	// failure would be a programming error in the metrics layer.

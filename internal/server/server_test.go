@@ -222,7 +222,11 @@ func TestBadRequests(t *testing.T) {
 		"both":            {Kernel: "HT", Source: testSrc},
 		"unknown kernel":  {Kernel: "NOPE"},
 		"unknown sched":   {Kernel: "HT", Config: JobConfig{Quick: true, Sched: "FIFO"}},
+		"unserved sched":  {Kernel: "HT", Config: JobConfig{Quick: true, Sched: "WASP"}},
 		"unknown gpu":     {Kernel: "HT", Config: JobConfig{Quick: true, GPU: "volta"}},
+		"unknown bows":    {Kernel: "HT", Config: JobConfig{Quick: true, BOWS: "on"}},
+		"unknown hash":    {Kernel: "HT", Config: JobConfig{Quick: true, Hash: "sha"}},
+		"negative sms":    {Kernel: "HT", Config: JobConfig{Quick: true, SMs: -1}},
 		"no geometry":     {Source: testSrc},
 		"huge max_cycles": {Kernel: "HT", Config: JobConfig{Quick: true, MaxCycles: 1 << 60}},
 		"parse error":     {Source: "frob %r1", GridCTAs: 1, CTAThreads: 32, MemWords: 64},

@@ -512,25 +512,7 @@ func (e *Engine) registerMetrics() {
 	r.Gauge("engine.ctas_done", func() float64 { return float64(e.ctasDone) })
 	for _, m := range e.sms {
 		p := fmt.Sprintf("sm%d.", m.id)
-		st := &m.st
-		r.Int64(p+"exec.warp_instrs", &st.WarpInstrs)
-		r.Int64(p+"exec.thread_instrs", &st.ThreadInstrs)
-		r.Int64(p+"exec.sync_thread_instrs", &st.SyncThreadInstrs)
-		r.Int64(p+"exec.sib_instrs", &st.SIBInstrs)
-		r.Int64(p+"exec.active_lane_sum", &st.ActiveLaneSum)
-		r.Int64(p+"sched.issue_cycles", &st.IssueCycles)
-		r.Int64(p+"sched.idle_cycles", &st.IdleCycles)
-		r.Int64(p+"sched.stall_warp_cycles", &st.StallTotal)
-		r.Int64(p+"sched.backed_off_sum", &st.BackedOffSum)
-		r.Int64(p+"sched.resident_sum", &st.ResidentSum)
-		r.Int64(p+"sched.sample_cycles", &st.SampleCycles)
-		r.Int64(p+"sched.backoff_blocks", &st.BackoffBlocks)
-		r.Int64(p+"sync.lock_success", &st.Sync.LockSuccess)
-		r.Int64(p+"sync.lock_fail_inter_warp", &st.Sync.InterWarpFail)
-		r.Int64(p+"sync.lock_fail_intra_warp", &st.Sync.IntraWarpFail)
-		r.Int64(p+"sync.wait_exit_success", &st.Sync.WaitExitSuccess)
-		r.Int64(p+"sync.wait_exit_fail", &st.Sync.WaitExitFail)
-		r.Int64(p+"sync.lock_release", &st.Sync.LockRelease)
+		m.st.EachCounter(func(name string, v *int64) { r.Int64(p+name, v) })
 		e.sys.RegisterMetrics(r, m.id, p+"mem.")
 		// The detector's registry prefix follows its kind, so manifests
 		// name DDOS counters "ddos.*" (their historical names) and TAGE

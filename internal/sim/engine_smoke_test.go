@@ -5,6 +5,7 @@ import (
 
 	"warpsched/internal/config"
 	"warpsched/internal/isa"
+	"warpsched/internal/simt"
 )
 
 // smallGPU returns a 2-SM configuration for fast tests.
@@ -51,24 +52,43 @@ func vecAddProg(t *testing.T) *isa.Program {
 	return p
 }
 
-func TestEngineVecAdd(t *testing.T) {
-	const n = 1000
-	for _, kind := range config.Schedulers {
-		t.Run(string(kind), func(t *testing.T) {
-			launch := Launch{
-				Prog:       vecAddProg(t),
-				GridCTAs:   4,
-				CTAThreads: 96, // partial warps included
-				Params:     []uint32{n, 0, n, 2 * n},
-				MemWords:   3*n + 64,
-				Setup: func(w []uint32) {
-					for i := 0; i < n; i++ {
-						w[i] = uint32(i)
-						w[n+i] = uint32(3 * i)
-					}
-				},
+// vecAddLaunch launches vecAddProg over n elements with a[i]=i, b[i]=3i,
+// so c[i] must come out 4i.
+func vecAddLaunch(t *testing.T, n, ctas, threads int) Launch {
+	un := uint32(n)
+	return Launch{
+		Prog:       vecAddProg(t),
+		GridCTAs:   ctas,
+		CTAThreads: threads,
+		Params:     []uint32{un, 0, un, 2 * un},
+		MemWords:   3*n + 64,
+		Setup: func(w []uint32) {
+			for i := 0; i < n; i++ {
+				w[i] = uint32(i)
+				w[n+i] = uint32(3 * i)
 			}
-			eng, err := New(testOptions(kind), launch)
+		},
+	}
+}
+
+func TestEngineVecAdd(t *testing.T) {
+	type vecAddCase struct {
+		name             string
+		opt              Options
+		n, ctas, threads int
+	}
+	// One warp on a one-SM machine: 100 elements at stride 32 end on a
+	// partially active fourth iteration.
+	oneSM := testOptions(config.GTO)
+	oneSM.GPU = oneSM.GPU.Scaled(1)
+	cases := []vecAddCase{{"one-warp", oneSM, 100, 1, 32}}
+	for _, kind := range config.Schedulers {
+		// 96-thread CTAs include partial warps.
+		cases = append(cases, vecAddCase{string(kind), testOptions(kind), 1000, 4, 96})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(tc.opt, vecAddLaunch(t, tc.n, tc.ctas, tc.threads))
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -76,8 +96,8 @@ func TestEngineVecAdd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			for i := 0; i < n; i++ {
-				if got, want := res.Memory[2*n+i], uint32(4*i); got != want {
+			for i := 0; i < tc.n; i++ {
+				if got, want := res.Memory[2*tc.n+i], uint32(4*i); got != want {
 					t.Fatalf("c[%d] = %d, want %d", i, got, want)
 				}
 			}
@@ -139,16 +159,66 @@ func TestEngineDivergence(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	for i := 0; i < n; i++ {
-		want := uint32(300 + i)
-		if i%2 == 0 {
-			if i < 16 {
-				want = uint32(100 + i)
-			} else {
-				want = uint32(200 + i)
+		if want := divergeWant(i); res.Memory[i] != want {
+			t.Fatalf("out[%d] = %d, want %d", i, res.Memory[i], want)
+		}
+	}
+}
+
+// divergeWant is divergeProg's output for global thread i.
+func divergeWant(i int) uint32 {
+	switch {
+	case i%2 != 0:
+		return uint32(300 + i)
+	case i < 16:
+		return uint32(100 + i)
+	}
+	return uint32(200 + i)
+}
+
+// TestWarpFunctionalStep steps one warp through the smoke programs with
+// loads and stores applied immediately — no engine, no timing — so a
+// wrong answer from TestEngineVecAdd or TestEngineDivergence can be told
+// apart as a functional (SIMT stack, ALU) or a timing (scoreboard, memory
+// system) bug.
+func TestWarpFunctionalStep(t *testing.T) {
+	step := func(p *isa.Program, params, words []uint32) {
+		t.Helper()
+		w := simt.NewWarp(p, simt.NewCTA(0, 32, 1, 1), 0, 0, 0, 0, 32)
+		w.Params = params
+		for cycle := int64(0); cycle < 5000 && !w.Done; cycle++ {
+			in := w.NextInstr()
+			res := w.Execute(cycle)
+			for i := range res.Mem {
+				switch a := &res.Mem[i]; in.Op {
+				case isa.OpLd:
+					w.SetReg(a.Lane, in.Dst, words[a.Addr])
+				case isa.OpSt:
+					words[a.Addr] = a.V1
+				}
 			}
 		}
-		if res.Memory[i] != want {
-			t.Fatalf("out[%d] = %d, want %d", i, res.Memory[i], want)
+		if !w.Done {
+			t.Fatalf("%s: warp did not finish", p.Name)
+		}
+	}
+
+	const n = 100
+	launch := vecAddLaunch(t, n, 1, 32)
+	words := make([]uint32, launch.MemWords)
+	launch.Setup(words)
+	step(launch.Prog, launch.Params, words)
+	for i := 0; i < n; i++ {
+		if words[2*n+i] != uint32(4*i) {
+			t.Fatalf("vecadd: c[%d] = %d, want %d", i, words[2*n+i], 4*i)
+		}
+	}
+
+	words = make([]uint32, 32)
+	step(divergeProg(t), []uint32{0}, words)
+	for i := range words {
+		if words[i] != divergeWant(i) {
+			t.Fatalf("diverge: out[%d] = %d, want %d", i, words[i], divergeWant(i))
 		}
 	}
 }

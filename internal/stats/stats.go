@@ -80,47 +80,82 @@ type SyncEvents struct {
 	LockRelease     int64
 }
 
-// Add merges o into s.
+// simCounters and memCounters are the one name↔field table: each row
+// names a counter as the metrics registry and run manifests spell it
+// (under a per-SM "sm<i>." prefix there; memory counters additionally
+// under "mem.") and locates its field. Add, the engine's registration
+// (Sim.EachCounter, Mem.EachCounter) and FromCounters are all derived
+// from it, so a new counter is one new row. Cycles is not a row: it
+// merges by max and travels as the record's headline.
+var simCounters = []struct {
+	name  string
+	field func(*Sim) *int64
+}{
+	{"exec.warp_instrs", func(s *Sim) *int64 { return &s.WarpInstrs }},
+	{"exec.thread_instrs", func(s *Sim) *int64 { return &s.ThreadInstrs }},
+	{"exec.sync_thread_instrs", func(s *Sim) *int64 { return &s.SyncThreadInstrs }},
+	{"exec.sib_instrs", func(s *Sim) *int64 { return &s.SIBInstrs }},
+	{"exec.active_lane_sum", func(s *Sim) *int64 { return &s.ActiveLaneSum }},
+	{"sched.issue_cycles", func(s *Sim) *int64 { return &s.IssueCycles }},
+	{"sched.idle_cycles", func(s *Sim) *int64 { return &s.IdleCycles }},
+	{"sched.stall_warp_cycles", func(s *Sim) *int64 { return &s.StallTotal }},
+	{"sched.backed_off_sum", func(s *Sim) *int64 { return &s.BackedOffSum }},
+	{"sched.resident_sum", func(s *Sim) *int64 { return &s.ResidentSum }},
+	{"sched.sample_cycles", func(s *Sim) *int64 { return &s.SampleCycles }},
+	{"sched.backoff_blocks", func(s *Sim) *int64 { return &s.BackoffBlocks }},
+	{"sync.lock_success", func(s *Sim) *int64 { return &s.Sync.LockSuccess }},
+	{"sync.lock_fail_inter_warp", func(s *Sim) *int64 { return &s.Sync.InterWarpFail }},
+	{"sync.lock_fail_intra_warp", func(s *Sim) *int64 { return &s.Sync.IntraWarpFail }},
+	{"sync.wait_exit_success", func(s *Sim) *int64 { return &s.Sync.WaitExitSuccess }},
+	{"sync.wait_exit_fail", func(s *Sim) *int64 { return &s.Sync.WaitExitFail }},
+	{"sync.lock_release", func(s *Sim) *int64 { return &s.Sync.LockRelease }},
+}
+
+var memCounters = []struct {
+	name  string
+	field func(*Mem) *int64
+}{
+	{"transactions", func(m *Mem) *int64 { return &m.Transactions }},
+	{"sync_transactions", func(m *Mem) *int64 { return &m.SyncTransactions }},
+	{"l1_accesses", func(m *Mem) *int64 { return &m.L1Accesses }},
+	{"l1_hits", func(m *Mem) *int64 { return &m.L1Hits }},
+	{"l2_accesses", func(m *Mem) *int64 { return &m.L2Accesses }},
+	{"l2_hits", func(m *Mem) *int64 { return &m.L2Hits }},
+	{"dram_accesses", func(m *Mem) *int64 { return &m.DRAMAccesses }},
+	{"atomic_ops", func(m *Mem) *int64 { return &m.AtomicOps }},
+	{"fence_ops", func(m *Mem) *int64 { return &m.FenceOps }},
+	{"mshr_stalls", func(m *Mem) *int64 { return &m.MSHRStalls }},
+	{"mshr_merges", func(m *Mem) *int64 { return &m.MSHRMerges }},
+	{"atom_retries", func(m *Mem) *int64 { return &m.AtomRetries }},
+}
+
+// EachCounter visits every counter of s outside s.Mem with its registry
+// name ("exec.warp_instrs", ...). The memory counters are visited
+// through Mem.EachCounter: the engine registers them from the memory
+// system's live per-port Mem, not from the Sim copy made at result time.
+func (s *Sim) EachCounter(visit func(name string, v *int64)) {
+	for _, c := range simCounters {
+		visit(c.name, c.field(s))
+	}
+}
+
+// EachCounter visits every counter of m with its registry name relative
+// to the "mem." scope ("transactions", ...).
+func (m *Mem) EachCounter(visit func(name string, v *int64)) {
+	for _, c := range memCounters {
+		visit(c.name, c.field(m))
+	}
+}
+
+// Add merges o into s: Cycles takes the max, every counter sums.
 func (s *Sim) Add(o *Sim) {
-	s.Cycles = max64(s.Cycles, o.Cycles)
-	s.WarpInstrs += o.WarpInstrs
-	s.ThreadInstrs += o.ThreadInstrs
-	s.SyncThreadInstrs += o.SyncThreadInstrs
-	s.SIBInstrs += o.SIBInstrs
-	s.ActiveLaneSum += o.ActiveLaneSum
-	s.IssueCycles += o.IssueCycles
-	s.IdleCycles += o.IdleCycles
-	s.StallTotal += o.StallTotal
-	s.BackedOffSum += o.BackedOffSum
-	s.ResidentSum += o.ResidentSum
-	s.SampleCycles += o.SampleCycles
-	s.BackoffBlocks += o.BackoffBlocks
-	s.Mem.add(&o.Mem)
-	s.Sync.add(&o.Sync)
-}
-
-func (m *Mem) add(o *Mem) {
-	m.Transactions += o.Transactions
-	m.SyncTransactions += o.SyncTransactions
-	m.L1Accesses += o.L1Accesses
-	m.L1Hits += o.L1Hits
-	m.L2Accesses += o.L2Accesses
-	m.L2Hits += o.L2Hits
-	m.DRAMAccesses += o.DRAMAccesses
-	m.AtomicOps += o.AtomicOps
-	m.FenceOps += o.FenceOps
-	m.MSHRStalls += o.MSHRStalls
-	m.MSHRMerges += o.MSHRMerges
-	m.AtomRetries += o.AtomRetries
-}
-
-func (e *SyncEvents) add(o *SyncEvents) {
-	e.LockSuccess += o.LockSuccess
-	e.InterWarpFail += o.InterWarpFail
-	e.IntraWarpFail += o.IntraWarpFail
-	e.WaitExitSuccess += o.WaitExitSuccess
-	e.WaitExitFail += o.WaitExitFail
-	e.LockRelease += o.LockRelease
+	s.Cycles = max(s.Cycles, o.Cycles)
+	for _, c := range simCounters {
+		*c.field(s) += *c.field(o)
+	}
+	for _, c := range memCounters {
+		*c.field(&s.Mem) += *c.field(&o.Mem)
+	}
 }
 
 // SIMDEfficiency returns average active lanes per issued instruction as a
@@ -185,13 +220,6 @@ func (s *Sim) String() string {
 		s.Sync.WaitExitSuccess, s.Sync.WaitExitFail)
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Gmean returns the geometric mean of vs, or 0 if vs is empty or any
 // value is non-positive. The harness and report use it wherever the paper
 // reports a mean over normalized ratios.
@@ -239,14 +267,26 @@ func Hmean(vs []float64) float64 {
 // internal/exp pins the coupling.
 func FromCounters(cycles int64, c map[string]int64) *Sim {
 	s := &Sim{Cycles: cycles}
-	fields := counterFields(s)
 	for name, v := range c {
-		if dst, ok := fields[FoldCounterName(name)]; ok {
-			*dst += v
+		if field, ok := counterByName[FoldCounterName(name)]; ok {
+			*field(s) += v
 		}
 	}
 	return s
 }
+
+// counterByName indexes the counter table by machine-total manifest
+// name, for FromCounters.
+var counterByName = func() map[string]func(*Sim) *int64 {
+	idx := make(map[string]func(*Sim) *int64, len(simCounters)+len(memCounters))
+	for _, c := range simCounters {
+		idx[c.name] = c.field
+	}
+	for _, c := range memCounters {
+		idx["mem."+c.name] = func(s *Sim) *int64 { return c.field(&s.Mem) }
+	}
+	return idx
+}()
 
 // FoldCounterName maps a per-SM counter name ("sm<i>.<rest>") onto its
 // machine-total name ("<rest>"); names without the prefix — aggregated
@@ -264,42 +304,4 @@ func FoldCounterName(name string) string {
 		return name
 	}
 	return rest[i+1:]
-}
-
-// counterFields maps the manifest's aggregated counter names onto the
-// fields of s. Kept next to FromCounters so adding a Sim field prompts
-// adding its name here.
-func counterFields(s *Sim) map[string]*int64 {
-	return map[string]*int64{
-		"exec.warp_instrs":          &s.WarpInstrs,
-		"exec.thread_instrs":        &s.ThreadInstrs,
-		"exec.sync_thread_instrs":   &s.SyncThreadInstrs,
-		"exec.sib_instrs":           &s.SIBInstrs,
-		"exec.active_lane_sum":      &s.ActiveLaneSum,
-		"sched.issue_cycles":        &s.IssueCycles,
-		"sched.idle_cycles":         &s.IdleCycles,
-		"sched.stall_warp_cycles":   &s.StallTotal,
-		"sched.backed_off_sum":      &s.BackedOffSum,
-		"sched.resident_sum":        &s.ResidentSum,
-		"sched.sample_cycles":       &s.SampleCycles,
-		"sched.backoff_blocks":      &s.BackoffBlocks,
-		"mem.transactions":          &s.Mem.Transactions,
-		"mem.sync_transactions":     &s.Mem.SyncTransactions,
-		"mem.l1_accesses":           &s.Mem.L1Accesses,
-		"mem.l1_hits":               &s.Mem.L1Hits,
-		"mem.l2_accesses":           &s.Mem.L2Accesses,
-		"mem.l2_hits":               &s.Mem.L2Hits,
-		"mem.dram_accesses":         &s.Mem.DRAMAccesses,
-		"mem.atomic_ops":            &s.Mem.AtomicOps,
-		"mem.fence_ops":             &s.Mem.FenceOps,
-		"mem.mshr_stalls":           &s.Mem.MSHRStalls,
-		"mem.mshr_merges":           &s.Mem.MSHRMerges,
-		"mem.atom_retries":          &s.Mem.AtomRetries,
-		"sync.lock_success":         &s.Sync.LockSuccess,
-		"sync.lock_fail_inter_warp": &s.Sync.InterWarpFail,
-		"sync.lock_fail_intra_warp": &s.Sync.IntraWarpFail,
-		"sync.wait_exit_success":    &s.Sync.WaitExitSuccess,
-		"sync.wait_exit_fail":       &s.Sync.WaitExitFail,
-		"sync.lock_release":         &s.Sync.LockRelease,
-	}
 }

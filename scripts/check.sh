@@ -5,12 +5,13 @@
 # manifest), full test suite (including the golden-stats regression in
 # internal/exp and the golden rendering tests in internal/report), the
 # parallel-runner determinism tests under the race detector, the warplint
-# static analyzer over every registered kernel, and an invariant-checked
+# static analyzer over every registered kernel, an invariant-checked
 # simulation smoke pass (-check arms the runtime invariant checker and
-# hang diagnosis). Run from the repo root:
+# hang diagnosis), and the vet + smoke test of the nested bench/ module
+# (tier-1 `go test ./...` does not compile it, so this is where an API
+# rename that breaks the benchmark is caught). Run from the repo root:
 #
-#   scripts/check.sh          # gate only
-#   scripts/check.sh -bench   # gate + regenerate BENCH_PR7.json
+#   scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,11 +56,8 @@ go run ./cmd/warpsim -kernel ATM -sms 2 -bows ddos -check -fault-seed 7 > /dev/n
 echo "== persistent store smoke (crash-restart round trip) =="
 go test ./internal/store -run 'TestRoundTrip|TestCrashRestartLoop' -count=1
 
-if [[ "${1:-}" == "-bench" ]]; then
-    # -f: regenerating the current PR's baseline is the one intentional
-    # overwrite; bench_json.sh refuses all others.
-    echo "== benchmarks -> BENCH_PR7.json =="
-    scripts/bench_json.sh -f BENCH_PR7.json
-fi
+echo "== bench module (vet + smoke) =="
+go -C bench vet ./...
+go -C bench test ./...
 
 echo "OK"
