@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"sync"
 
 	"warpsched/internal/config"
@@ -52,15 +53,8 @@ func Record(sp Spec, o Outcome) metrics.RunRecord {
 		GPU:     sp.GPU.Name,
 		Sched:   string(sp.Sched),
 		BOWS:    sp.BOWS.Desc(),
-		DDOS:    sp.DDOS.Desc(),
+		DDOS:    sp.DetectorDesc(),
 		Variant: VariantHash(sp),
-	}
-	// The DDOS column is the manifest's detector-configuration join key:
-	// TAGE specs carry the TAGE descriptor there — disjoint from every
-	// DDOS descriptor by construction — so the tagesib sensitivity table
-	// joins both detector families on one key under a stable schema.
-	if sp.Detector == config.DetectTAGE {
-		r.DDOS = sp.TAGE.Desc()
 	}
 	if o.Err != nil {
 		r.Err = o.Err.Error()
@@ -69,6 +63,18 @@ func Record(sp Spec, o Outcome) metrics.RunRecord {
 		r.Cycles = o.Res.Stats.Cycles
 	}
 	return r
+}
+
+// DetectorDesc returns the descriptor of the spec's active detector: the
+// manifest's detector-configuration join key (RunRecord.DDOS). TAGE specs
+// carry the TAGE descriptor there — disjoint from every DDOS descriptor
+// by construction — so the tagesib sensitivity table joins both detector
+// families on one key under a stable schema.
+func (sp Spec) DetectorDesc() string {
+	if sp.Detector == config.DetectTAGE {
+		return sp.TAGE.Desc()
+	}
+	return sp.DDOS.Desc()
 }
 
 // sweepRecord converts one finished sweep run into a manifest record
@@ -110,6 +116,26 @@ func sweepRecord(exp string, sp *Spec, o Outcome, wallMS float64) metrics.RunRec
 		r.Derived["ddos_false_dpr"] = det.FalseDPR()
 	}
 	return r
+}
+
+// RunOfRecord is sweepRecord read backwards: the derivation input a
+// manifest record carries, with the event counts rebuilt through
+// stats.FromCounters. A failed run that recorded no counters is an error;
+// a watchdog-aborted one (error beside counters) is a lower bound.
+func RunOfRecord(rec *metrics.RunRecord) (Run, error) {
+	if rec.Cycles == 0 {
+		return Run{}, fmt.Errorf("exp: run %s failed without counters: %s", rec.Key(), rec.Err)
+	}
+	c := rec.Counters
+	return Run{
+		GPU: rec.GPU, Cycles: rec.Cycles, LowerBound: rec.Err != "",
+		Stats: stats.FromCounters(rec.Cycles, c),
+		Detection: Detection{
+			TrueSeen: c["ddos.true_sibs_seen"], TrueDetected: c["ddos.true_sibs_detected"],
+			FalseSeen: c["ddos.false_sibs_seen"], FalseDetected: c["ddos.false_sibs_detected"],
+			TrueDPR: rec.Derived["ddos_true_dpr"], FalseDPR: rec.Derived["ddos_false_dpr"],
+		},
+	}, nil
 }
 
 // VariantHash fingerprints everything that can distinguish two runs

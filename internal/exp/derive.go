@@ -1,0 +1,200 @@
+package exp
+
+import (
+	"warpsched/internal/config"
+	"warpsched/internal/kernels"
+	"warpsched/internal/stats"
+)
+
+// The figure families internal/report also publishes (fig9/fig15, wasp,
+// delaysweep, fig14, table1, tagesib, ablation) are one pipeline each:
+//
+//	layout → lookup → derive → render
+//
+// A layout is a []Column; a lookup fills the kernels × columns matrix of
+// Runs (the harness by outcome index — sweep below — and
+// internal/report by Set.Find over a manifest); a Derive* function turns
+// the matrix into the family's section; the section's String method
+// renders the stdout table and internal/report renders the same section
+// as Markdown and SVG. Every published number is therefore computed once.
+
+// Column is one arm of a sweep: a display label and the policy half of
+// the Spec it runs. GPU and Kernel are left zero; the lookup fills them in
+// per run (sweep) or joins manifest records on the scheduler name and the
+// BOWS and detector descriptors instead (internal/report).
+type Column struct {
+	// Label is the column heading or row label, e.g. "GTO+BOWS".
+	Label string
+	Spec
+}
+
+func labels(cols []Column) []string {
+	out := make([]string, len(cols))
+	for i, c := range cols {
+		out[i] = c.Label
+	}
+	return out
+}
+
+// Run is the per-run input of every derivation: exactly what both a
+// runner Outcome (local, journal-replayed or remote) and a manifest
+// record can supply. Anything a record does not carry —
+// Result.FinalDelayLimits — stays on the Outcome and out of the
+// derivations.
+type Run struct {
+	// GPU is the machine configuration name; it selects the energy model.
+	GPU string
+	// Cycles is the execution time.
+	Cycles int64
+	// LowerBound marks a watchdog-aborted run: its counters are partial,
+	// so every quantity derived from it is a floor.
+	LowerBound bool
+	// Stats holds the run's machine-total event counts.
+	Stats *stats.Sim
+	// Detection is the spin detector's quality summary; zero for remote
+	// outcomes, which is why the detection families are not remote-safe.
+	Detection Detection
+}
+
+// Detection is the part of core.DetectionMetrics a manifest record
+// carries: the raw confirmation counts (the "ddos.*" counters) and the
+// mean detection phase ratio per class (the "ddos_*_dpr" derived values).
+type Detection struct {
+	TrueSeen, TrueDetected   int64
+	FalseSeen, FalseDetected int64
+	TrueDPR, FalseDPR        float64
+}
+
+// runOf converts a finished run to the derivation input.
+func runOf(gpu string, o Outcome) Run {
+	det := o.Res.Detection
+	return Run{
+		GPU: gpu, Cycles: o.Res.Stats.Cycles, LowerBound: o.Err != nil, Stats: &o.Res.Stats,
+		Detection: Detection{
+			TrueSeen: int64(det.TrueSeen), TrueDetected: int64(det.TrueDetected),
+			FalseSeen: int64(det.FalseSeen), FalseDetected: int64(det.FalseDetected),
+			TrueDPR: det.TrueDPR(), FalseDPR: det.FalseDPR(),
+		},
+	}
+}
+
+// sweep is the harness's lookup: it runs every suite kernel under every
+// column on gpu and shapes the outcomes, by submission index, into the
+// kernels × columns matrix the derivations consume (outs keeps the raw
+// outcomes, kernel-major, for what a Run does not carry). The first
+// failed run in submission order is the error; with lowerBounds set, a
+// watchdog abort (an error beside a partial result) is kept as a lower
+// bound instead — the livelocking baselines of fig9/fig15/wasp.
+func (c Cfg) sweep(gpu config.GPU, suite []*kernels.Kernel, cols []Column, lowerBounds bool) (names []string, runs [][]Run, outs []Outcome, err error) {
+	var specs []Spec
+	for _, k := range suite {
+		names = append(names, k.Name)
+		for _, col := range cols {
+			sp := col.Spec
+			sp.GPU, sp.Kernel = gpu, k
+			specs = append(specs, sp)
+		}
+	}
+	outs = c.runAll(specs)
+	runs = make([][]Run, len(suite))
+	for i, o := range outs {
+		if o.Err != nil && (o.Res == nil || !lowerBounds) {
+			return nil, nil, nil, o.Err
+		}
+		runs[i/len(cols)] = append(runs[i/len(cols)], runOf(gpu.Name, o))
+	}
+	return names, runs, outs, nil
+}
+
+// Bar is one derived data point. Runs aborted by the simulation watchdog
+// still carry their counters, so their values are rendered as lower
+// bounds ("≥") instead of being dropped — the paper's DS-on-LRR case
+// livelocks by design.
+type Bar struct {
+	// Value is the derived quantity (normalized time, energy, ...).
+	Value float64
+	// LowerBound marks a watchdog-aborted run: Value is a floor, not
+	// the converged result.
+	LowerBound bool
+}
+
+// lowerBoundMark prefixes a rendered lower bound.
+const lowerBoundMark = "≥"
+
+// String formats the value to two decimals, marking lower bounds "≥".
+func (b Bar) String() string {
+	if b.LowerBound {
+		return lowerBoundMark + f2(b.Value)
+	}
+	return f2(b.Value)
+}
+
+// normalize evaluates metric on every run, divides each kernel's row by
+// its column-0 value (the sweep's baseline) and returns the rows keyed by
+// kernel with the per-column geometric means.
+func normalize(kernels []string, ncols int, runs [][]Run, metric func(Run) float64) (map[string][]Bar, []float64) {
+	rows := make(map[string][]Bar, len(kernels))
+	byCol := make([][]float64, ncols)
+	for ki, k := range kernels {
+		row := make([]Bar, ncols)
+		for ci, r := range runs[ki] {
+			row[ci] = Bar{Value: metric(r), LowerBound: r.LowerBound}
+		}
+		base := row[0].Value
+		if base == 0 {
+			base = 1
+		}
+		for ci := range row {
+			row[ci].Value /= base
+			byCol[ci] = append(byCol[ci], row[ci].Value)
+		}
+		rows[k] = row
+	}
+	gmeans := make([]float64, ncols)
+	for ci, vs := range byCol {
+		gmeans[ci] = stats.Gmean(vs)
+	}
+	return rows, gmeans
+}
+
+func cycles(r Run) float64 { return float64(r.Cycles) }
+
+// ratio returns num/den, or 0 for an empty denominator.
+func ratio(num, den float64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}
+
+// barTable renders a kernels × columns block of bars as a text table with
+// a closing gmean row.
+func barTable(kernels, cols []string, data map[string][]Bar, gmeans []float64) string {
+	t := &table{header: append([]string{"kernel"}, cols...)}
+	for _, k := range kernels {
+		row := []string{k}
+		for _, b := range data[k] {
+			row = append(row, b.String())
+		}
+		t.add(row...)
+	}
+	row := []string{"gmean"}
+	for _, v := range gmeans {
+		row = append(row, f2(v))
+	}
+	t.add(row...)
+	return t.String()
+}
+
+// pctTable renders a kernels × columns block of fractions as percentages.
+func pctTable(kernels, cols []string, data map[string][]float64) string {
+	t := &table{header: append([]string{"kernel"}, cols...)}
+	for _, k := range kernels {
+		row := []string{k}
+		for _, v := range data[k] {
+			row = append(row, pct(v))
+		}
+		t.add(row...)
+	}
+	return t.String()
+}

@@ -6,173 +6,189 @@ import (
 
 	"warpsched/internal/config"
 	"warpsched/internal/energy"
+	"warpsched/internal/stats"
 )
 
-// ExecEnergyResult reproduces Figure 9 (Fermi) / Figure 15 (Pascal):
-// execution time and dynamic energy for every synchronization kernel
-// under LRR, GTO and CAWA with and without BOWS, normalized to LRR.
-type ExecEnergyResult struct {
-	Label   string
-	GPUName string
+// BarsSection is the normalized-bars derivation shared by Figure 9
+// (Fermi), Figure 15 (Pascal) and the WaSP head-to-head: execution time
+// and dynamic energy for every synchronization kernel under each
+// scheduler with and without BOWS, normalized to the first scheduler's
+// baseline, plus the mean improvements the paper quotes and an issue-slot
+// breakdown of where baseline GTO's cycles go.
+type BarsSection struct {
+	// Exp is the experiment tag: "fig9", "fig15" or "wasp".
+	Exp string
+	// GPU is the machine configuration name the sweep ran on.
+	GPU string
+	// Kernels lists the benchmarks in the caller's order.
 	Kernels []string
-	// Time[kernel][column] and Energy[kernel][column] follow Columns.
+	// Columns is the bar order: each scheduler, then scheduler+BOWS.
 	Columns []string
-	Time    map[string][]float64
-	Energy  map[string][]float64
-	// GmeanTime/GmeanEnergy are geometric means per column.
+	// Time[kernel] and Energy[kernel] follow Columns, normalized to the
+	// kernel's column-0 run.
+	Time   map[string][]Bar
+	Energy map[string][]Bar
+	// GmeanTime and GmeanEnergy are per-column geometric means.
 	GmeanTime   []float64
 	GmeanEnergy []float64
+	// Speedup and EnergySaving map a scheduler name to the geometric-mean
+	// improvement its +BOWS column buys; HmeanSpeedup is the harmonic
+	// mean of the per-kernel speedups over converged pairs.
+	Speedup      map[string]float64
+	HmeanSpeedup map[string]float64
+	EnergySaving map[string]float64
+	// Slots breaks down each kernel's baseline-GTO issue slots.
+	Slots map[string]SlotBreakdown
 }
 
-// ExecEnergyColumns is the paper's bar order.
-var ExecEnergyColumns = []string{"LRR", "LRR+BOWS", "GTO", "GTO+BOWS", "CAWA", "CAWA+BOWS"}
+// SlotBreakdown classifies a run's issue slots (one per scheduler per
+// cycle, summed over all SMs) by what the scheduler did with them, plus
+// how much of the issued work was synchronization: the spin-overhead
+// view of Figure 2.
+type SlotBreakdown struct {
+	// Issue and Idle are the fractions of issue slots in which the
+	// scheduler issued an instruction versus had no ready warp; they
+	// sum to 1.
+	Issue, Idle float64
+	// SyncInstr is the fraction of issued thread instructions that were
+	// synchronization operations — work a spin-free machine would not do.
+	SyncInstr float64
+}
 
-// ExecEnergy runs the Figure 9/15 sweep on the given GPU configuration.
-func ExecEnergy(c Cfg, gpu config.GPU, label string) (*ExecEnergyResult, error) {
-	r := &ExecEnergyResult{
-		Label:   label,
-		GPUName: gpu.Name,
-		Columns: ExecEnergyColumns,
-		Time:    map[string][]float64{},
-		Energy:  map[string][]float64{},
+// WaspSchedulers is the WaSP head-to-head's scheduler order: the paper's
+// two strongest baselines, then the zoo contender (LRR would only
+// flatter it).
+var WaspSchedulers = []config.SchedulerKind{config.GTO, config.CAWA, config.WASP}
+
+// BarsLayout returns the normalized-bars columns for a scheduler list:
+// each scheduler without and with adaptive BOWS, the first scheduler's
+// baseline being the normalization anchor.
+func BarsLayout(scheds []config.SchedulerKind) []Column {
+	var cols []Column
+	for _, kind := range scheds {
+		sp := Spec{Sched: kind, BOWS: bowsOff(), DDOS: config.DefaultDDOS()}
+		if kind == config.WASP {
+			sp.WaSP = config.DefaultWaSP()
+		}
+		cols = append(cols, Column{string(kind), sp})
+		sp.BOWS = config.DefaultBOWS()
+		cols = append(cols, Column{string(kind) + "+BOWS", sp})
 	}
-	coeff := energy.ByConfigName(gpu.Name)
-	suite := c.syncSuite()
-	var specs []Spec
-	for _, k := range suite {
-		for _, kind := range config.Schedulers {
-			for _, withBOWS := range []bool{false, true} {
-				bows := bowsOff()
-				if withBOWS {
-					bows = config.DefaultBOWS()
-				}
-				specs = append(specs, Spec{GPU: gpu, Sched: kind, BOWS: bows, DDOS: config.DefaultDDOS(), Kernel: k})
+	return cols
+}
+
+// ExecEnergy runs the Figure 9/15 sweep (tag "fig9" or "fig15") on the
+// given GPU configuration.
+func ExecEnergy(c Cfg, gpu config.GPU, tag string) (*BarsSection, error) {
+	return c.bars(gpu, tag, config.Schedulers)
+}
+
+// Wasp runs the WaSP-vs-baselines sweep on the Fermi machine: the shape
+// of the Figure 9 sweep, anchored at GTO. It answers the two questions
+// the zoo exists for — does prefetch-mimicking priority grouping beat the
+// paper's baselines on spin-heavy kernels, and does BOWS compose with it
+// the way it composes with GTO/CAWA.
+func Wasp(c Cfg) (*BarsSection, error) {
+	return c.bars(c.fermi(), "wasp", WaspSchedulers)
+}
+
+func (c Cfg) bars(gpu config.GPU, tag string, scheds []config.SchedulerKind) (*BarsSection, error) {
+	cols := BarsLayout(scheds)
+	kernels, runs, _, err := c.sweep(gpu, c.syncSuite(), cols, true)
+	if err != nil {
+		return nil, err
+	}
+	return DeriveBars(tag, kernels, cols, runs), nil
+}
+
+// DeriveBars derives a normalized-bars section from a BarsLayout run
+// matrix.
+func DeriveBars(tag string, kernels []string, cols []Column, runs [][]Run) *BarsSection {
+	sec := &BarsSection{
+		Exp: tag, GPU: runs[0][0].GPU, Kernels: kernels, Columns: labels(cols),
+		Speedup: map[string]float64{}, HmeanSpeedup: map[string]float64{},
+		EnergySaving: map[string]float64{}, Slots: map[string]SlotBreakdown{},
+	}
+	coeff := energy.ByConfigName(sec.GPU)
+	sec.Time, sec.GmeanTime = normalize(kernels, len(cols), runs, cycles)
+	sec.Energy, sec.GmeanEnergy = normalize(kernels, len(cols), runs, func(r Run) float64 {
+		return energy.Compute(coeff, r.Stats).Total()
+	})
+	// Columns pair up as (scheduler, scheduler+BOWS).
+	for i := 0; i+1 < len(cols); i += 2 {
+		name := cols[i].Label
+		var speedups []float64
+		for ki := range kernels {
+			if base, with := runs[ki][i], runs[ki][i+1]; !base.LowerBound && !with.LowerBound {
+				speedups = append(speedups, cycles(base)/cycles(with))
+			}
+		}
+		sec.Speedup[name] = ratio(sec.GmeanTime[i], sec.GmeanTime[i+1])
+		sec.EnergySaving[name] = ratio(sec.GmeanEnergy[i], sec.GmeanEnergy[i+1])
+		sec.HmeanSpeedup[name] = stats.Hmean(speedups)
+	}
+	for ci, col := range cols {
+		if col.Sched != config.GTO || col.BOWS.Mode != config.BOWSOff {
+			continue
+		}
+		for ki, k := range kernels {
+			st := runs[ki][ci].Stats
+			slots := float64(st.IssueCycles + st.IdleCycles)
+			sec.Slots[k] = SlotBreakdown{
+				Issue:     ratio(float64(st.IssueCycles), slots),
+				Idle:      ratio(float64(st.IdleCycles), slots),
+				SyncInstr: st.SyncInstrFraction(),
 			}
 		}
 	}
-	outs := c.runAll(specs)
-	idx := 0
-	for _, k := range suite {
-		r.Kernels = append(r.Kernels, k.Name)
-		times := make([]float64, len(r.Columns))
-		energies := make([]float64, len(r.Columns))
-		col := 0
-		for _, kind := range config.Schedulers {
-			for _, withBOWS := range []bool{false, true} {
-				o := outs[idx]
-				idx++
-				res := o.Res
-				if o.Err != nil {
-					if res == nil {
-						return nil, fmt.Errorf("%s %s/%v: %w", label, k.Name, kind, o.Err)
-					}
-					// Watchdog abort: treat as "at least this many cycles".
-					c.note("%s %s %s: watchdog at %d cycles (lower bound)", label, k.Name, kind, res.Stats.Cycles)
-				}
-				times[col] = float64(res.Stats.Cycles)
-				energies[col] = energy.Compute(coeff, &res.Stats).Total()
-				c.note("%s %s %s bows=%v: %d cycles", label, k.Name, kind, withBOWS, res.Stats.Cycles)
-				col++
-			}
-		}
-		// Normalize to LRR (column 0), as in the paper.
-		base, baseE := times[0], energies[0]
-		for i := range times {
-			times[i] /= base
-			energies[i] /= baseE
-		}
-		r.Time[k.Name] = times
-		r.Energy[k.Name] = energies
-	}
-	r.GmeanTime = make([]float64, len(r.Columns))
-	r.GmeanEnergy = make([]float64, len(r.Columns))
-	for i := range r.Columns {
-		var ts, es []float64
-		for _, k := range r.Kernels {
-			ts = append(ts, r.Time[k][i])
-			es = append(es, r.Energy[k][i])
-		}
-		r.GmeanTime[i] = gmean(ts)
-		r.GmeanEnergy[i] = gmean(es)
-	}
-	return r, nil
+	return sec
 }
 
-// Speedup returns the geometric-mean speedup of base+BOWS over base.
-func (r *ExecEnergyResult) Speedup(base config.SchedulerKind) float64 {
-	bi, wi := -1, -1
-	for i, c := range r.Columns {
-		if c == string(base) {
+// TimeVs returns the geometric-mean execution-time ratio of column base
+// over column other (>1 means other is faster).
+func (s *BarsSection) TimeVs(base, other string) float64 {
+	var bi, oi int
+	for i, c := range s.Columns {
+		switch c {
+		case base:
 			bi = i
-		}
-		if c == string(base)+"+BOWS" {
-			wi = i
+		case other:
+			oi = i
 		}
 	}
-	if bi < 0 || wi < 0 || r.GmeanTime[wi] == 0 {
-		return 0
-	}
-	return r.GmeanTime[bi] / r.GmeanTime[wi]
+	return ratio(s.GmeanTime[bi], s.GmeanTime[oi])
 }
 
-// EnergySaving returns the geometric-mean energy reduction factor of
-// base+BOWS versus base.
-func (r *ExecEnergyResult) EnergySaving(base config.SchedulerKind) float64 {
-	bi, wi := -1, -1
-	for i, c := range r.Columns {
-		if c == string(base) {
-			bi = i
-		}
-		if c == string(base)+"+BOWS" {
-			wi = i
-		}
+// String renders the time and energy tables in the harness's text format.
+func (s *BarsSection) String() string {
+	label, knobs := "Fig. 9", ""
+	switch s.Exp {
+	case "fig15":
+		label = "Fig. 15"
+	case "wasp":
+		label, knobs = "WaSP head-to-head", "; WASP "+config.DefaultWaSP().Desc()
 	}
-	if bi < 0 || wi < 0 || r.GmeanEnergy[wi] == 0 {
-		return 0
-	}
-	return r.GmeanEnergy[bi] / r.GmeanEnergy[wi]
-}
-
-// String renders the Figure 9/15 tables in the harness's text format.
-func (r *ExecEnergyResult) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s — normalized execution time on %s (lower is better, LRR = 1.00)\n\n", r.Label, r.GPUName)
-	t := &table{header: append([]string{"kernel"}, r.Columns...)}
-	for _, k := range r.Kernels {
-		row := []string{k}
-		for _, v := range r.Time[k] {
-			row = append(row, f2(v))
-		}
-		t.add(row...)
-	}
-	gm := []string{"gmean"}
-	for _, v := range r.GmeanTime {
-		gm = append(gm, f2(v))
-	}
-	t.add(gm...)
-	sb.WriteString(t.String())
+	fmt.Fprintf(&sb, "%s — normalized execution time on %s (lower is better, %s = 1.00%s)\n\n",
+		label, s.GPU, s.Columns[0], knobs)
+	sb.WriteString(barTable(s.Kernels, s.Columns, s.Time, s.GmeanTime))
+	fmt.Fprintf(&sb, "\n%s — normalized dynamic energy on %s\n\n", label, s.GPU)
+	sb.WriteString(barTable(s.Kernels, s.Columns, s.Energy, s.GmeanEnergy))
 
-	fmt.Fprintf(&sb, "\n%s — normalized dynamic energy on %s\n\n", r.Label, r.GPUName)
-	t2 := &table{header: append([]string{"kernel"}, r.Columns...)}
-	for _, k := range r.Kernels {
-		row := []string{k}
-		for _, v := range r.Energy[k] {
-			row = append(row, f2(v))
-		}
-		t2.add(row...)
+	if s.Exp == "wasp" {
+		fmt.Fprintf(&sb, "\nWaSP time vs baselines: %.2fx vs GTO, %.2fx vs CAWA (>1 means WaSP faster)\n",
+			s.TimeVs("GTO", "WASP"), s.TimeVs("CAWA", "WASP"))
+		fmt.Fprintf(&sb, "BOWS speedup within sweep: %.2fx on GTO, %.2fx on CAWA, %.2fx on WASP\n",
+			s.Speedup["GTO"], s.Speedup["CAWA"], s.Speedup["WASP"])
+		sb.WriteString("WaSP reference (Joseph et al., arXiv 2404.06156): priority grouping buys most on cache-sensitive kernels;\n")
+		sb.WriteString("spin-heavy kernels are expected to favor GTO/CAWA+BOWS — the point of running the head-to-head\n")
+		return sb.String()
 	}
-	gm = []string{"gmean"}
-	for _, v := range r.GmeanEnergy {
-		gm = append(gm, f2(v))
-	}
-	t2.add(gm...)
-	sb.WriteString(t2.String())
-
 	fmt.Fprintf(&sb, "\nBOWS speedup: %.2fx vs LRR, %.2fx vs GTO, %.2fx vs CAWA\n",
-		r.Speedup(config.LRR), r.Speedup(config.GTO), r.Speedup(config.CAWA))
+		s.Speedup["LRR"], s.Speedup["GTO"], s.Speedup["CAWA"])
 	fmt.Fprintf(&sb, "BOWS energy saving: %.2fx vs LRR, %.2fx vs GTO, %.2fx vs CAWA\n",
-		r.EnergySaving(config.LRR), r.EnergySaving(config.GTO), r.EnergySaving(config.CAWA))
-	if r.Label == "Fig. 9" {
+		s.EnergySaving["LRR"], s.EnergySaving["GTO"], s.EnergySaving["CAWA"])
+	if s.Exp == "fig9" {
 		sb.WriteString("paper (GTX480): speedup 2.2x/1.4x/1.5x and energy 2.3x/1.7x/1.6x vs LRR/GTO/CAWA\n")
 	} else {
 		sb.WriteString("paper (Pascal): speedup 1.9x/1.7x/1.5x vs LRR/GTO/CAWA\n")

@@ -1,8 +1,14 @@
 // Package exp is the reproduction harness: one experiment per table and
 // figure of the paper's evaluation (Figures 1-3 and 9-16, Tables I-III),
-// each returning a typed result that renders as a text table next to the
-// paper's reported numbers. cmd/experiments and the repository's
+// each returning a value whose String method renders a text table next to
+// the paper's reported numbers. cmd/experiments and the repository's
 // bench_test.go both drive this package.
+//
+// The families internal/report also publishes are split layout → lookup →
+// derive → render (derive.go): the Derive* functions here are the only
+// place their numbers are computed, from a per-run input (Run) that a
+// runner Outcome and a manifest record can both supply, and
+// internal/report renders the sections they return as Markdown and SVG.
 package exp
 
 import (
@@ -14,7 +20,6 @@ import (
 	"warpsched/internal/kernels"
 	"warpsched/internal/mem"
 	"warpsched/internal/sim"
-	"warpsched/internal/stats"
 )
 
 // Cfg scales the harness.
@@ -182,10 +187,6 @@ const expMaxCycles = 10_000_000
 
 func bowsOff() config.BOWS { return config.BOWS{Mode: config.BOWSOff} }
 
-// gmean is shorthand for stats.Gmean, the geometric mean the paper's
-// normalized figures summarize with.
-func gmean(vs []float64) float64 { return stats.Gmean(vs) }
-
 // Experiment is a registry entry.
 type Experiment struct {
 	Name  string // registry key, e.g. "fig9"
@@ -212,10 +213,10 @@ func All() []Experiment {
 		{"fig2", "Fig. 2: synchronization status distribution under LRR/GTO/CAWA", func(c Cfg) (fmt.Stringer, error) { return Fig2(c) }},
 		{"fig3", "Fig. 3: software back-off delay on GPUs", func(c Cfg) (fmt.Stringer, error) { return Fig3(c) }},
 		{"table1", "Table I: DDOS sensitivity to design parameters", func(c Cfg) (fmt.Stringer, error) { return Table1(c) }},
-		{"fig9", "Fig. 9: performance and energy savings on GTX480 (Fermi)", func(c Cfg) (fmt.Stringer, error) { return ExecEnergy(c, c.fermi(), "Fig. 9") }},
+		{"fig9", "Fig. 9: performance and energy savings on GTX480 (Fermi)", func(c Cfg) (fmt.Stringer, error) { return ExecEnergy(c, c.fermi(), "fig9") }},
 		{"delaysweep", "Figs. 10-13: back-off delay limit sweep (exec time, warp distribution, lock status, overheads)", func(c Cfg) (fmt.Stringer, error) { return DelaySweep(c) }},
 		{"fig14", "Fig. 14: overheads due to detection errors (MODULO hashing)", func(c Cfg) (fmt.Stringer, error) { return Fig14(c) }},
-		{"fig15", "Fig. 15: performance and energy savings on Pascal (GTX1080Ti)", func(c Cfg) (fmt.Stringer, error) { return ExecEnergy(c, c.pascal(), "Fig. 15") }},
+		{"fig15", "Fig. 15: performance and energy savings on Pascal (GTX1080Ti)", func(c Cfg) (fmt.Stringer, error) { return ExecEnergy(c, c.pascal(), "fig15") }},
 		{"fig16", "Fig. 16: sensitivity to contention (hashtable buckets sweep)", func(c Cfg) (fmt.Stringer, error) { return Fig16(c) }},
 		{"ablation", "Ablation: BOWS component contributions (deprioritize / fixed delay / adaptive / static annotations)", func(c Cfg) (fmt.Stringer, error) { return Ablation(c) }},
 		{"wasp", "Scheduler zoo: WaSP priority-group scheduling vs GTO/CAWA (time and energy)", func(c Cfg) (fmt.Stringer, error) { return Wasp(c) }},
@@ -240,7 +241,9 @@ func ByName(name string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("exp: unknown experiment %q (have: %s)", name, strings.Join(names, ", "))
 }
 
-// table is a minimal fixed-width text table renderer.
+// table is a minimal fixed-width text table renderer. A cell's leading
+// lowerBoundMark hangs in the two-space gutter before its column, so a
+// marked cell neither widens the column nor shifts the digits under it.
 type table struct {
 	header []string
 	rows   [][]string
@@ -255,15 +258,20 @@ func (t *table) String() string {
 	}
 	for _, r := range t.rows {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if w := len(strings.TrimPrefix(c, lowerBoundMark)); i < len(widths) && w > widths[i] {
+				widths[i] = w
 			}
 		}
 	}
 	var sb strings.Builder
 	line := func(cells []string) {
 		for i, c := range cells {
-			if i > 0 {
+			rest, marked := strings.CutPrefix(c, lowerBoundMark)
+			switch {
+			case i > 0 && marked:
+				sb.WriteString(" " + lowerBoundMark)
+				c = rest
+			case i > 0:
 				sb.WriteString("  ")
 			}
 			fmt.Fprintf(&sb, "%-*s", widths[i], c)

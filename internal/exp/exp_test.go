@@ -1,44 +1,9 @@
 package exp
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestGmean(t *testing.T) {
-	if g := gmean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
-		t.Fatalf("gmean(2,8) = %f", g)
-	}
-	if gmean(nil) != 0 {
-		t.Fatal("empty gmean should be 0")
-	}
-	if gmean([]float64{1, 0}) != 0 {
-		t.Fatal("non-positive values should yield 0")
-	}
-}
-
-func TestGmeanBetweenMinAndMax(t *testing.T) {
-	f := func(raw []uint16) bool {
-		var vs []float64
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, r := range raw {
-			v := float64(r%1000) + 1
-			vs = append(vs, v)
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-		if len(vs) == 0 {
-			return true
-		}
-		g := gmean(vs)
-		return g >= lo-1e-9 && g <= hi+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestTableRenderer(t *testing.T) {
 	tb := &table{header: []string{"a", "long-header"}}

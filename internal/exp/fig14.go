@@ -7,73 +7,75 @@ import (
 	"warpsched/internal/config"
 )
 
-// Fig14Result reproduces Figure 14: overhead of DDOS detection errors on
-// synchronization-free benchmarks under MODULO hashing with BOWS at a
-// large fixed delay (5000 cycles). With XOR hashing there are no false
+// Fig14Section is the derived Figure 14 content: overhead of DDOS
+// detection errors on synchronization-free kernels under BOWS at a large
+// fixed delay (5000 cycles). With XOR hashing there are no false
 // detections, so BOWS must match the baseline; with MODULO hashing the
 // MS/HL loop shapes are misclassified and get throttled.
-type Fig14Result struct {
+type Fig14Section struct {
+	// Kernels lists the sync-free benchmarks in the caller's order.
 	Kernels []string
-	// NormTime[kernel] = {XOR+BOWS, MODULO+BOWS} normalized to GTO.
-	NormXOR  map[string]float64
-	NormMOD  map[string]float64
-	FalseXOR map[string]int
-	FalseMOD map[string]int
-	GmeanXOR float64
-	GmeanMOD float64
+	// XOR and MOD are execution time normalized to GTO under XOR and
+	// MODULO hashing; FalseXOR/FalseMOD count falsely confirmed SIBs.
+	XOR, MOD           map[string]Bar
+	FalseXOR, FalseMOD map[string]int64
+	// GmeanXOR and GmeanMOD are geometric means over Kernels.
+	GmeanXOR, GmeanMOD float64
+}
+
+// Fig14Layout returns the detection-error study's three runs per kernel:
+// baseline GTO, then GTO+BOWS(5000) under XOR and under MODULO hashing.
+func Fig14Layout() []Column {
+	modulo := config.DefaultDDOS()
+	modulo.Hash = config.HashModulo
+	return []Column{
+		{"GTO", Spec{Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS()}},
+		{"XOR", Spec{Sched: config.GTO, BOWS: config.FixedBOWS(5000), DDOS: config.DefaultDDOS()}},
+		{"MODULO", Spec{Sched: config.GTO, BOWS: config.FixedBOWS(5000), DDOS: modulo}},
+	}
 }
 
 // Fig14 runs the detection-error overhead study.
-func Fig14(c Cfg) (*Fig14Result, error) {
-	gpu := c.fermi()
-	r := &Fig14Result{
-		NormXOR:  map[string]float64{},
-		NormMOD:  map[string]float64{},
-		FalseXOR: map[string]int{},
-		FalseMOD: map[string]int{},
-	}
-	modDDOS := config.DefaultDDOS()
-	modDDOS.Hash = config.HashModulo
-	var xs, ms []float64
-	suite := c.syncFreeSuite()
-	var specs []Spec
-	for _, k := range suite {
-		specs = append(specs,
-			Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k},
-			Spec{GPU: gpu, Sched: config.GTO, BOWS: config.FixedBOWS(5000), DDOS: config.DefaultDDOS(), Kernel: k},
-			Spec{GPU: gpu, Sched: config.GTO, BOWS: config.FixedBOWS(5000), DDOS: modDDOS, Kernel: k})
-	}
-	outs := c.runAll(specs)
-	if err := firstErr(outs); err != nil {
+func Fig14(c Cfg) (*Fig14Section, error) {
+	cols := Fig14Layout()
+	kernels, runs, _, err := c.sweep(c.fermi(), c.syncFreeSuite(), cols, false)
+	if err != nil {
 		return nil, err
 	}
-	for i, k := range suite {
-		r.Kernels = append(r.Kernels, k.Name)
-		base, xor, mod := outs[3*i].Res, outs[3*i+1].Res, outs[3*i+2].Res
-		r.NormXOR[k.Name] = float64(xor.Stats.Cycles) / float64(base.Stats.Cycles)
-		r.NormMOD[k.Name] = float64(mod.Stats.Cycles) / float64(base.Stats.Cycles)
-		r.FalseXOR[k.Name] = xor.Detection.FalseDetected
-		r.FalseMOD[k.Name] = mod.Detection.FalseDetected
-		xs = append(xs, r.NormXOR[k.Name])
-		ms = append(ms, r.NormMOD[k.Name])
-		c.note("fig14 %s: base=%d xor=%d mod=%d", k.Name, base.Stats.Cycles, xor.Stats.Cycles, mod.Stats.Cycles)
+	return DeriveFig14(kernels, cols, runs), nil
+}
+
+// DeriveFig14 derives the detection-error section from a Fig14Layout run
+// matrix.
+func DeriveFig14(kernels []string, cols []Column, runs [][]Run) *Fig14Section {
+	times, gmeans := normalize(kernels, len(cols), runs, cycles)
+	sec := &Fig14Section{
+		Kernels: kernels, GmeanXOR: gmeans[1], GmeanMOD: gmeans[2],
+		XOR: map[string]Bar{}, MOD: map[string]Bar{},
+		FalseXOR: map[string]int64{}, FalseMOD: map[string]int64{},
 	}
-	r.GmeanXOR = gmean(xs)
-	r.GmeanMOD = gmean(ms)
-	return r, nil
+	for ki, k := range kernels {
+		base, xor, mod := times[k][0], times[k][1], times[k][2]
+		xor.LowerBound = xor.LowerBound || base.LowerBound
+		mod.LowerBound = mod.LowerBound || base.LowerBound
+		sec.XOR[k], sec.MOD[k] = xor, mod
+		sec.FalseXOR[k] = runs[ki][1].Detection.FalseDetected
+		sec.FalseMOD[k] = runs[ki][2].Detection.FalseDetected
+	}
+	return sec
 }
 
 // String renders the Figure 14 table in the harness's text format.
-func (r *Fig14Result) String() string {
+func (s *Fig14Section) String() string {
 	var sb strings.Builder
 	sb.WriteString("Fig. 14 — overheads due to detection errors on sync-free kernels\n")
 	sb.WriteString("(execution time under GTO+BOWS(5000) normalized to GTO; falseDet = falsely confirmed SIBs)\n\n")
 	t := &table{header: []string{"kernel", "XOR time", "XOR falseDet", "MODULO time", "MODULO falseDet"}}
-	for _, k := range r.Kernels {
-		t.add(k, f2(r.NormXOR[k]), fmt.Sprintf("%d", r.FalseXOR[k]),
-			f2(r.NormMOD[k]), fmt.Sprintf("%d", r.FalseMOD[k]))
+	for _, k := range s.Kernels {
+		t.add(k, s.XOR[k].String(), fmt.Sprintf("%d", s.FalseXOR[k]),
+			s.MOD[k].String(), fmt.Sprintf("%d", s.FalseMOD[k]))
 	}
-	t.add("gmean", f2(r.GmeanXOR), "", f2(r.GmeanMOD), "")
+	t.add("gmean", f2(s.GmeanXOR), "", f2(s.GmeanMOD), "")
 	sb.WriteString(t.String())
 	sb.WriteString("paper: XOR — identical to baseline (no false detections, reproduced exactly); MODULO — only MS\n")
 	sb.WriteString("       and HL slow down (2.1% avg over Rodinia). Our suite false-detects more kernels under\n")

@@ -5,60 +5,103 @@ import (
 	"strings"
 
 	"warpsched/internal/config"
+	"warpsched/internal/stats"
 )
 
-// Table1Row is one configuration of the DDOS sensitivity study: average
-// true/false spin detection rates and detection phase ratios over the
-// benchmark suite.
-type Table1Row struct {
-	Label     string
-	TSDR      float64
-	TrueDPR   float64
-	FSDR      float64
-	FalseDPR  float64
-	Benchmark int // benchmarks contributing
-}
-
-// Table1Result reproduces Table I: DDOS sensitivity to hashing function,
-// hash width, confidence threshold, history length and time sharing.
-type Table1Result struct {
-	Sections map[string][]Table1Row
-	Order    []string
-}
-
-// Table1Spec is one point of the Table I sensitivity sweep: a row label
-// and the detector configuration it evaluates.
-type Table1Spec struct {
-	// Label is the row label, e.g. "XOR, m=k=8".
+// DetectionRow is one detector configuration's detection quality over
+// the benchmark suite — the row shape Table I and the TAGE-SIB
+// head-to-head share.
+type DetectionRow struct {
+	// Label is the configuration label, e.g. "XOR, m=k=8".
 	Label string
-	// DDOS is the full detector configuration of the point.
-	DDOS config.DDOS
+	// TSDR/FSDR are mean true/false SIB detection rates over kernels
+	// that saw such branches; TrueDPR/FalseDPR are the mean detection
+	// phase ratios over kernels with confirmed detections.
+	TSDR, TrueDPR, FSDR, FalseDPR float64
+	// Precision and Recall aggregate raw counts over the whole suite:
+	// precision = ΣTrueDetected / (ΣTrueDetected + ΣFalseDetected),
+	// recall = ΣTrueDetected / ΣTrueSeen.
+	Precision, Recall float64
 }
 
-// Table1Section is one block of Table I, varying a single detector
-// dimension around the base XOR m=k=8, t=4, l=8 configuration.
+// DetectionRows is the one detection-quality aggregation: for each
+// column of a kernels × columns run matrix, per-kernel TSDR/FSDR and DPR
+// means plus suite-aggregate precision/recall from the raw confirmation
+// counts. The counts keep their historical "ddos." manifest names for
+// every detector (see sweepRecord), so it serves DDOS and TAGE rows alike.
+func DetectionRows(cols []Column, runs [][]Run) []DetectionRow {
+	rows := make([]DetectionRow, len(cols))
+	for ci, col := range cols {
+		var tsdrs, fsdrs, tdprs, fdprs []float64
+		var trueSeen, trueDet, falseDet float64
+		for ki := range runs {
+			d := runs[ki][ci].Detection
+			trueSeen += float64(d.TrueSeen)
+			trueDet += float64(d.TrueDetected)
+			falseDet += float64(d.FalseDetected)
+			if d.TrueSeen > 0 {
+				tsdrs = append(tsdrs, float64(d.TrueDetected)/float64(d.TrueSeen))
+				if d.TrueDetected > 0 {
+					tdprs = append(tdprs, d.TrueDPR)
+				}
+			}
+			if d.FalseSeen > 0 {
+				fsdrs = append(fsdrs, float64(d.FalseDetected)/float64(d.FalseSeen))
+				if d.FalseDetected > 0 {
+					fdprs = append(fdprs, d.FalseDPR)
+				}
+			}
+		}
+		rows[ci] = DetectionRow{
+			Label: col.Label,
+			TSDR:  stats.Mean(tsdrs), TrueDPR: stats.Mean(tdprs),
+			FSDR: stats.Mean(fsdrs), FalseDPR: stats.Mean(fdprs),
+			Precision: ratio(trueDet, trueDet+falseDet),
+			Recall:    ratio(trueDet, trueSeen),
+		}
+	}
+	return rows
+}
+
+// Table1Section is the derived Table I content: DDOS detection quality
+// under parameter sensitivity.
 type Table1Section struct {
+	// Blocks are the table's sections in display order.
+	Blocks []Table1Block
+}
+
+// Table1Block is one section of Table I (one varied dimension).
+type Table1Block struct {
+	// Name is the section heading.
+	Name string
+	// Rows are the section's configurations in display order.
+	Rows []DetectionRow
+}
+
+// Table1Group is one block of the Table I layout, varying a single
+// detector dimension around the base XOR m=k=8, t=4, l=8 configuration.
+type Table1Group struct {
 	// Name is the section heading, e.g. "hashing function (t=4, l=8)".
 	Name string
-	// Specs are the section's rows in display order.
-	Specs []Table1Spec
+	// Specs are the section's rows in display order (on GTO, BOWS off).
+	Specs []Column
 }
 
 // Table1Layout returns the section layout of the Table I sensitivity
 // sweep. The same configuration may appear in several sections (the base
-// configuration appears in four); runs are deduplicated by DDOS.Desc(),
-// which is also how internal/report rebuilds the table from manifest
-// records, so layout and join key cannot drift apart.
-func Table1Layout() []Table1Section {
-	mk := func(f func(*config.DDOS)) config.DDOS {
+// configuration appears in four); Table1Columns deduplicates them by
+// detector descriptor, which is also the manifest join key, so layout and
+// join key cannot drift apart.
+func Table1Layout() []Table1Group {
+	mk := func(label string, f func(*config.DDOS)) Column {
 		d := config.DefaultDDOS()
 		f(&d)
-		return d
+		return Column{label, Spec{Sched: config.GTO, BOWS: bowsOff(), DDOS: d}}
 	}
-	var sections []Table1Section
+	var sections []Table1Group
 
 	// Hashing function at t=4, l=8.
-	var specs []Table1Spec
+	var specs []Column
 	for _, p := range []struct {
 		label string
 		hash  config.HashKind
@@ -70,43 +113,43 @@ func Table1Layout() []Table1Section {
 		{"MODULO, m=k=8", config.HashModulo, 8},
 	} {
 		p := p
-		specs = append(specs, Table1Spec{p.label, mk(func(d *config.DDOS) {
+		specs = append(specs, mk(p.label, func(d *config.DDOS) {
 			d.Hash = p.hash
 			d.PathBits, d.ValueBits = p.width, p.width
-		})})
+		}))
 	}
-	sections = append(sections, Table1Section{"hashing function (t=4, l=8)", specs})
+	sections = append(sections, Table1Group{"hashing function (t=4, l=8)", specs})
 
 	// Hash width with XOR.
 	specs = nil
 	for _, w := range []int{2, 3, 4, 8} {
 		w := w
-		specs = append(specs, Table1Spec{fmt.Sprintf("m=k=%d", w), mk(func(d *config.DDOS) {
+		specs = append(specs, mk(fmt.Sprintf("m=k=%d", w), func(d *config.DDOS) {
 			d.PathBits, d.ValueBits = w, w
-		})})
+		}))
 	}
-	sections = append(sections, Table1Section{"hashed path/value width (XOR, t=4, l=8)", specs})
+	sections = append(sections, Table1Group{"hashed path/value width (XOR, t=4, l=8)", specs})
 
 	// Confidence threshold at m=k=4.
 	specs = nil
 	for _, t := range []int{2, 4, 8, 12} {
 		t := t
-		specs = append(specs, Table1Spec{fmt.Sprintf("t=%d", t), mk(func(d *config.DDOS) {
+		specs = append(specs, mk(fmt.Sprintf("t=%d", t), func(d *config.DDOS) {
 			d.PathBits, d.ValueBits = 4, 4
 			d.ConfidenceThreshold = t
-		})})
+		}))
 	}
-	sections = append(sections, Table1Section{"confidence threshold (XOR, m=k=4, l=8)", specs})
+	sections = append(sections, Table1Group{"confidence threshold (XOR, m=k=4, l=8)", specs})
 
 	// History length at m=k=8.
 	specs = nil
 	for _, l := range []int{1, 2, 4, 8} {
 		l := l
-		specs = append(specs, Table1Spec{fmt.Sprintf("l=%d", l), mk(func(d *config.DDOS) {
+		specs = append(specs, mk(fmt.Sprintf("l=%d", l), func(d *config.DDOS) {
 			d.HistoryLen = l
-		})})
+		}))
 	}
-	sections = append(sections, Table1Section{"history registers length (XOR, m=k=8, t=4)", specs})
+	sections = append(sections, Table1Group{"history registers length (XOR, m=k=8, t=4)", specs})
 
 	// Time sharing.
 	specs = nil
@@ -117,116 +160,83 @@ func Table1Layout() []Table1Section {
 			if share {
 				sh = 1
 			}
-			specs = append(specs, Table1Spec{fmt.Sprintf("sh=%d, m=k=%d", sh, w), mk(func(d *config.DDOS) {
+			specs = append(specs, mk(fmt.Sprintf("sh=%d, m=k=%d", sh, w), func(d *config.DDOS) {
 				d.PathBits, d.ValueBits = w, w
 				d.TimeShare = share
-			})})
+			}))
 		}
 	}
-	sections = append(sections, Table1Section{"time sharing of history registers (XOR, t=4, l=8, epoch=1000)", specs})
+	sections = append(sections, Table1Group{"time sharing of history registers (XOR, t=4, l=8, epoch=1000)", specs})
 	return sections
 }
 
-// Table1 runs the sensitivity sweep over the sync and sync-free suites.
-// Detection-quality rates are insensitive to input scale (loops only need
-// enough iterations to exercise the history FSM), so the sweep always
-// uses the quick suite sizes: 20 configurations x 14 kernels is the
-// largest run matrix in the harness.
-func Table1(c Cfg) (*Table1Result, error) {
-	c.Quick = true
-	gpu := c.fermi()
-	suite := append(c.syncSuite(), c.syncFreeSuite()...)
-	sections := Table1Layout()
-
-	// Unique configurations in first-appearance order (keyed by
-	// descriptor); each expands to one run per suite kernel. Duplicate
-	// points (the base config appears in several sections) are simulated
-	// once and the cached row is relabeled per section. This is the
-	// harness's largest matrix, so the dedup matters (20 requests
-	// collapse to 19 configs x 14 kernels).
-	var order []config.DDOS
-	firstLabel := map[string]string{}
-	for _, sec := range sections {
-		for _, sp := range sec.Specs {
-			if _, ok := firstLabel[sp.DDOS.Desc()]; !ok {
-				firstLabel[sp.DDOS.Desc()] = sp.Label
-				order = append(order, sp.DDOS)
+// Table1Columns returns Table1Layout's distinct detector configurations
+// in first-appearance order: the sweep's actual columns. This is the
+// harness's largest matrix, so the dedup matters (20 rows collapse to 19
+// configurations x 14 kernels).
+func Table1Columns() []Column {
+	var cols []Column
+	seen := map[string]bool{}
+	for _, g := range Table1Layout() {
+		for _, sp := range g.Specs {
+			if !seen[sp.DetectorDesc()] {
+				seen[sp.DetectorDesc()] = true
+				cols = append(cols, sp)
 			}
 		}
 	}
-	var specs []Spec
-	for _, d := range order {
-		for _, k := range suite {
-			specs = append(specs, Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: d, Kernel: k})
-		}
-	}
-	outs := c.runAll(specs)
-
-	cache := map[string]Table1Row{}
-	for i, d := range order {
-		label := firstLabel[d.Desc()]
-		var tsdrs, fsdrs, tdprs, fdprs []float64
-		for j, k := range suite {
-			o := outs[i*len(suite)+j]
-			if o.Err != nil {
-				return nil, fmt.Errorf("table1 %s on %s: %w", label, k.Name, o.Err)
-			}
-			det := o.Res.Detection
-			if det.TrueSeen > 0 {
-				tsdrs = append(tsdrs, det.TSDR())
-				if det.TrueDetected > 0 {
-					tdprs = append(tdprs, det.TrueDPR())
-				}
-			}
-			if det.FalseSeen > 0 {
-				fsdrs = append(fsdrs, det.FSDR())
-				if det.FalseDetected > 0 {
-					fdprs = append(fdprs, det.FalseDPR())
-				}
-			}
-		}
-		row := Table1Row{
-			Label: label, Benchmark: len(suite),
-			TSDR: mean(tsdrs), TrueDPR: mean(tdprs),
-			FSDR: mean(fsdrs), FalseDPR: mean(fdprs),
-		}
-		cache[d.Desc()] = row
-		c.note("table1 %s: TSDR=%.3f FSDR=%.3f", label, row.TSDR, row.FSDR)
-	}
-
-	res := &Table1Result{Sections: map[string][]Table1Row{}}
-	for _, sec := range sections {
-		var rows []Table1Row
-		for _, sp := range sec.Specs {
-			row := cache[sp.DDOS.Desc()]
-			row.Label = sp.Label
-			rows = append(rows, row)
-		}
-		res.Order = append(res.Order, sec.Name)
-		res.Sections[sec.Name] = rows
-	}
-	return res, nil
+	return cols
 }
 
-func mean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
+// detectionSweep runs detector configurations at the Table I evaluation
+// point: the sync plus sync-free suites on Fermi. Detection-quality rates
+// are insensitive to input scale (loops only need enough iterations to
+// exercise the history FSM), so it always uses the quick suite sizes.
+func (c Cfg) detectionSweep(cols []Column) ([][]Run, error) {
+	c.Quick = true
+	suite := append(c.syncSuite(), c.syncFreeSuite()...)
+	_, runs, _, err := c.sweep(c.fermi(), suite, cols, false)
+	return runs, err
+}
+
+// Table1 runs the sensitivity sweep over the sync and sync-free suites.
+func Table1(c Cfg) (*Table1Section, error) {
+	cols := Table1Columns()
+	runs, err := c.detectionSweep(cols)
+	if err != nil {
+		return nil, err
 	}
-	var s float64
-	for _, v := range vs {
-		s += v
+	return DeriveTable1(nil, cols, runs), nil
+}
+
+// DeriveTable1 derives Table I from a Table1Columns run matrix, fanning
+// each distinct configuration's row out to every block that lists it.
+func DeriveTable1(_ []string, cols []Column, runs [][]Run) *Table1Section {
+	byDesc := map[string]DetectionRow{}
+	for ci, row := range DetectionRows(cols, runs) {
+		byDesc[cols[ci].DetectorDesc()] = row
 	}
-	return s / float64(len(vs))
+	sec := &Table1Section{}
+	for _, g := range Table1Layout() {
+		b := Table1Block{Name: g.Name}
+		for _, sp := range g.Specs {
+			row := byDesc[sp.DetectorDesc()]
+			row.Label = sp.Label
+			b.Rows = append(b.Rows, row)
+		}
+		sec.Blocks = append(sec.Blocks, b)
+	}
+	return sec
 }
 
 // String renders Table I in the harness's text format.
-func (r *Table1Result) String() string {
+func (s *Table1Section) String() string {
 	var sb strings.Builder
 	sb.WriteString("Table I — DDOS sensitivity to design parameters (averaged over the benchmark suite)\n\n")
-	for _, name := range r.Order {
-		fmt.Fprintf(&sb, "· Sensitivity to %s\n", name)
+	for _, b := range s.Blocks {
+		fmt.Fprintf(&sb, "· Sensitivity to %s\n", b.Name)
 		t := &table{header: []string{"config", "avg TSDR", "avg DPR (true)", "avg FSDR", "avg DPR (false)"}}
-		for _, row := range r.Sections[name] {
+		for _, row := range b.Rows {
 			t.add(row.Label, f3(row.TSDR), f3(row.TrueDPR), f3(row.FSDR), f3(row.FalseDPR))
 		}
 		sb.WriteString(t.String())

@@ -1,28 +1,31 @@
 package report
 
 import (
+	"warpsched/internal/exp"
 	"warpsched/internal/metrics"
 )
 
-// Report is a fully derived reproduction report, ready to render. A
+// Report is a fully derived reproduction report, ready to render: the
+// sections internal/exp derives (and cmd/experiments prints as text),
+// here looked up from manifests and rendered as Markdown and SVG. A
 // section field is nil when the manifests contain no records for its
 // experiment, and the document simply omits it.
 type Report struct {
 	set *Set
 	// Fig9 and Fig15 are the Fermi and Pascal performance/energy sweeps.
-	Fig9, Fig15 *ExecEnergySection
+	Fig9, Fig15 *exp.BarsSection
 	// Delay is the Figures 10-13 delay-limit sweep.
-	Delay *DelaySection
+	Delay *exp.DelaySection
 	// Fig14 is the detection-error overhead study.
-	Fig14 *Fig14Section
+	Fig14 *exp.Fig14Section
 	// Table1 is the DDOS sensitivity table.
-	Table1 *Table1Section
+	Table1 *exp.Table1Section
 	// Ablation is the BOWS component study.
-	Ablation *AblationSection
+	Ablation *exp.AblationSection
 	// Wasp is the scheduler-zoo head-to-head (WaSP vs GTO/CAWA).
-	Wasp *WaspSection
+	Wasp *exp.BarsSection
 	// TageSIB is the detector head-to-head (TAGE-SIB vs DDOS).
-	TageSIB *TageSIBSection
+	TageSIB *exp.TageSIBSection
 }
 
 // Build joins the manifests and derives every report section present in

@@ -1,223 +1,38 @@
 package report
 
 import (
-	"fmt"
 	"sort"
 
 	"warpsched/internal/config"
-	"warpsched/internal/energy"
 	"warpsched/internal/exp"
-	"warpsched/internal/metrics"
-	"warpsched/internal/stats"
 )
-
-// Bar is one derived data point. Runs aborted by the simulation watchdog
-// still carry their counters, so their values are rendered as lower
-// bounds ("≥") instead of being dropped — the paper's DS-on-LRR case
-// livelocks by design.
-type Bar struct {
-	// Value is the derived quantity (normalized time, energy, ...).
-	Value float64
-	// LowerBound marks a watchdog-aborted run: Value is a floor, not
-	// the converged result.
-	LowerBound bool
-}
-
-// ExecEnergySection is the derived Figure 9 / Figure 15 content:
-// execution time and dynamic energy for every synchronization kernel
-// under LRR, GTO and CAWA with and without BOWS, normalized to LRR, plus
-// the mean speedups and energy savings the paper quotes and an
-// issue-slot breakdown of where the baseline's cycles go.
-type ExecEnergySection struct {
-	// Exp is the experiment tag ("fig9" or "fig15").
-	Exp string
-	// Title is the paper-facing heading.
-	Title string
-	// GPU is the machine configuration name the sweep ran on.
-	GPU string
-	// Kernels lists the benchmarks, sorted.
-	Kernels []string
-	// Columns is the paper's bar order (LRR, LRR+BOWS, ...).
-	Columns []string
-	// Time[kernel] and Energy[kernel] are normalized to the kernel's
-	// LRR baseline, following Columns.
-	Time   map[string][]Bar
-	Energy map[string][]Bar
-	// GmeanTime and GmeanEnergy are per-column geometric means.
-	GmeanTime   []float64
-	GmeanEnergy []float64
-	// Speedup and EnergySaving map a baseline scheduler name to the
-	// geometric-mean improvement of baseline+BOWS over it; HmeanSpeedup
-	// is the harmonic mean of the per-kernel speedups.
-	Speedup      map[string]float64
-	HmeanSpeedup map[string]float64
-	EnergySaving map[string]float64
-	// Slots breaks down each kernel's baseline-GTO issue slots.
-	Slots map[string]SlotBreakdown
-}
-
-// SlotBreakdown classifies a run's issue slots (one per scheduler per
-// cycle, summed over all SMs) by what the scheduler did with them, plus
-// how much of the issued work was synchronization: the spin-overhead
-// view of Figure 2.
-type SlotBreakdown struct {
-	// Issue and Idle are the fractions of issue slots in which the
-	// scheduler issued an instruction versus had no ready warp; they
-	// sum to 1.
-	Issue, Idle float64
-	// SyncInstr is the fraction of issued thread instructions that were
-	// synchronization operations — work a spin-free machine would not do.
-	SyncInstr float64
-	// BackedOff is the average fraction of resident warps BOWS held in
-	// the backed-off state (0 for baseline runs).
-	BackedOff float64
-}
-
-// DelaySection is the derived Figures 10-13 content: the GTO+BOWS
-// delay-limit sweep with its side metrics.
-type DelaySection struct {
-	// Kernels lists the benchmarks, sorted.
-	Kernels []string
-	// Columns is GTO, BOWS(0), ..., BOWS(Adaptive).
-	Columns []string
-	// Time[kernel] is execution time normalized to GTO.
-	Time map[string][]Bar
-	// GmeanTime is the per-column geometric mean of Time.
-	GmeanTime []float64
-	// BackedOff[kernel] is the average backed-off warp fraction.
-	BackedOff map[string][]float64
-	// Instrs and MemTrans are dynamic thread instructions and memory
-	// transactions normalized to GTO; SIMD is raw SIMD efficiency.
-	Instrs   map[string][]float64
-	MemTrans map[string][]float64
-	SIMD     map[string][]float64
-	// GmeanInstrs and GmeanMemTrans are per-column geometric means.
-	GmeanInstrs   []float64
-	GmeanMemTrans []float64
-}
-
-// Fig14Section is the derived Figure 14 content: overhead of detection
-// errors on synchronization-free kernels under BOWS(5000).
-type Fig14Section struct {
-	// Kernels lists the sync-free benchmarks, sorted.
-	Kernels []string
-	// XOR and MOD are execution time normalized to GTO under XOR and
-	// MODULO hashing; FalseXOR/FalseMOD count falsely confirmed SIBs.
-	XOR, MOD           map[string]Bar
-	FalseXOR, FalseMOD map[string]int64
-	// GmeanXOR and GmeanMOD are geometric means over Kernels.
-	GmeanXOR, GmeanMOD float64
-}
-
-// Table1Section is the derived Table I content: DDOS detection quality
-// under parameter sensitivity, with suite-aggregate precision and recall
-// per configuration.
-type Table1Section struct {
-	// Blocks are the table's sections in display order.
-	Blocks []Table1Block
-}
-
-// Table1Block is one section of Table I (one varied dimension).
-type Table1Block struct {
-	// Name is the section heading.
-	Name string
-	// Rows are the section's configurations in display order.
-	Rows []Table1Row
-}
-
-// Table1Row is one detector configuration's detection quality, averaged
-// or aggregated over the benchmark suite.
-type Table1Row struct {
-	// Label is the configuration label, e.g. "XOR, m=k=8".
-	Label string
-	// TSDR/FSDR are mean true/false SIB detection rates over kernels
-	// that saw such branches; TrueDPR/FalseDPR are the mean detection
-	// phase ratios over kernels with confirmed detections.
-	TSDR, TrueDPR, FSDR, FalseDPR float64
-	// Precision and Recall aggregate raw counts over the whole suite:
-	// precision = ΣTrueDetected / (ΣTrueDetected + ΣFalseDetected),
-	// recall = ΣTrueDetected / ΣTrueSeen.
-	Precision, Recall float64
-}
-
-// WaspSection is the derived scheduler-zoo head-to-head: execution time
-// and dynamic energy under GTO, CAWA and WaSP with and without BOWS,
-// normalized to GTO.
-type WaspSection struct {
-	// GPU is the machine configuration name the sweep ran on.
-	GPU string
-	// Kernels lists the benchmarks, sorted.
-	Kernels []string
-	// Columns is exp.WaspColumns (GTO, GTO+BOWS, ..., WASP+BOWS).
-	Columns []string
-	// Time[kernel] and Energy[kernel] follow Columns, normalized to the
-	// kernel's GTO baseline.
-	Time   map[string][]Bar
-	Energy map[string][]Bar
-	// GmeanTime and GmeanEnergy are per-column geometric means.
-	GmeanTime   []float64
-	GmeanEnergy []float64
-	// TimeVsGTO and TimeVsCAWA are the geometric-mean time ratios
-	// baseline/WASP (>1 means WaSP is faster); BOWSSpeedup maps each
-	// scheduler name to the gmean speedup its +BOWS column buys.
-	TimeVsGTO, TimeVsCAWA float64
-	BOWSSpeedup           map[string]float64
-}
-
-// TageSIBSection is the derived detector head-to-head: DDOS anchors
-// versus the TAGE-SIB sensitivity grid, each row's detection quality
-// averaged or aggregated over the benchmark suite exactly as in Table I.
-type TageSIBSection struct {
-	// Rows are the grid points in exp.TageSIBLayout order; the Table1Row
-	// shape is reused because the columns are identical.
-	Rows []TageSIBRow
-}
-
-// TageSIBRow is one detector configuration of the head-to-head grid.
-type TageSIBRow struct {
-	Table1Row
-	// TAGE marks rows evaluating the TAGE-SIB detector (false = DDOS
-	// anchor rows).
-	TAGE bool
-}
-
-// AblationSection is the derived BOWS component study: normalized
-// execution time per arm, GTO = 1.
-type AblationSection struct {
-	// Kernels lists the benchmarks, sorted.
-	Kernels []string
-	// Columns are the arm labels from exp.AblationLayout.
-	Columns []string
-	// Time[kernel] follows Columns, normalized to the GTO arm.
-	Time map[string][]Bar
-	// Gmean is the per-column geometric mean.
-	Gmean []float64
-}
 
 // deriveAll fills the report's sections from the joined set, skipping
 // experiments that are absent entirely (a -quick fig9-only manifest still
-// renders a fig9-only document).
+// renders a fig9-only document). The sections, their layouts and their
+// derivations are internal/exp's — the same ones cmd/experiments prints —
+// so this file is only the manifest side of the lookup.
 func (r *Report) deriveAll() error {
 	s := r.set
 	for _, e := range s.Experiments() {
 		var err error
 		switch e {
 		case "fig9":
-			r.Fig9, err = deriveExecEnergy(s, "fig9", "Figure 9 — performance and energy on Fermi (GTX480)")
+			r.Fig9, err = deriveBars(s, e, config.Schedulers)
 		case "fig15":
-			r.Fig15, err = deriveExecEnergy(s, "fig15", "Figure 15 — performance and energy on Pascal (GTX1080Ti)")
-		case "delaysweep":
-			r.Delay, err = deriveDelay(s)
-		case "fig14":
-			r.Fig14, err = deriveFig14(s)
-		case "table1":
-			r.Table1, err = deriveTable1(s)
-		case "ablation":
-			r.Ablation, err = deriveAblation(s)
+			r.Fig15, err = deriveBars(s, e, config.Schedulers)
 		case "wasp":
-			r.Wasp, err = deriveWasp(s)
+			r.Wasp, err = deriveBars(s, e, exp.WaspSchedulers)
+		case "delaysweep":
+			r.Delay, err = derive(s, e, exp.DelayLayout(), exp.DeriveDelay)
+		case "fig14":
+			r.Fig14, err = derive(s, e, exp.Fig14Layout(), exp.DeriveFig14)
+		case "table1":
+			r.Table1, err = derive(s, e, exp.Table1Columns(), exp.DeriveTable1)
+		case "ablation":
+			r.Ablation, err = derive(s, e, exp.AblationLayout(), exp.DeriveAblation)
 		case "tagesib":
-			r.TageSIB, err = deriveTageSIB(s)
+			r.TageSIB, err = derive(s, e, exp.TageSIBLayout(), exp.DeriveTageSIB)
 		default:
 			// Other experiments (fig1-3, fig16, tables 2-3) publish
 			// through their own harness output; the report has no
@@ -230,447 +45,41 @@ func (r *Report) deriveAll() error {
 	return nil
 }
 
-// kernelsOf returns the distinct kernel names in an experiment's
-// records, sorted — the deterministic row order of every table.
-func kernelsOf(s *Set, exp string) []string {
+// derive looks up experiment tag's kernels × cols run matrix — kernels
+// sorted, the deterministic row order of every table — by joining each
+// column's scheduler, BOWS and detector descriptors against the manifest
+// records, and hands it to the section's derivation. A run the layout
+// needs but the manifests lack is a *MissingRunError.
+func derive[S any](s *Set, tag string, cols []exp.Column, f func([]string, []exp.Column, [][]exp.Run) S) (S, error) {
+	var none S
 	seen := map[string]bool{}
-	var out []string
-	for _, r := range s.Runs(exp) {
+	var kernels []string
+	for _, r := range s.Runs(tag) {
 		if !seen[r.Kernel] {
 			seen[r.Kernel] = true
-			out = append(out, r.Kernel)
+			kernels = append(kernels, r.Kernel)
 		}
 	}
-	sort.Strings(out)
-	return out
-}
-
-// barOf converts a record's cycle count to a Bar, marking watchdog
-// lower bounds; a failed run with no counters is a hard error.
-func barOf(rec *metrics.RunRecord) (Bar, error) {
-	if rec.Cycles == 0 {
-		return Bar{}, fmt.Errorf("report: run %s failed without counters: %s", rec.Key(), rec.Err)
-	}
-	return Bar{Value: float64(rec.Cycles), LowerBound: rec.Err != ""}, nil
-}
-
-// energyOf recomputes a run's dynamic energy from its manifest counters
-// through the same internal/energy model the simulator used online.
-func energyOf(rec *metrics.RunRecord) energy.Breakdown {
-	sim := stats.FromCounters(rec.Cycles, rec.Counters)
-	return energy.Compute(energy.ByConfigName(rec.GPU), sim)
-}
-
-func deriveExecEnergy(s *Set, tag, title string) (*ExecEnergySection, error) {
-	sec := &ExecEnergySection{
-		Exp:          tag,
-		Title:        title,
-		Columns:      exp.ExecEnergyColumns,
-		Kernels:      kernelsOf(s, tag),
-		Time:         map[string][]Bar{},
-		Energy:       map[string][]Bar{},
-		Speedup:      map[string]float64{},
-		HmeanSpeedup: map[string]float64{},
-		EnergySaving: map[string]float64{},
-		Slots:        map[string]SlotBreakdown{},
-	}
-	adaptive := config.DefaultBOWS().Desc()
-	gmT := make([][]float64, len(sec.Columns))
-	gmE := make([][]float64, len(sec.Columns))
-	perKernelSpeedup := map[string][]float64{}
-	for _, k := range sec.Kernels {
-		var times []Bar
-		var energies []Bar
-		for _, kind := range config.Schedulers {
-			for _, bows := range []string{"off", adaptive} {
-				rec, err := s.Find(tag, k, string(kind), bows)
-				if err != nil {
-					return nil, err
-				}
-				if sec.GPU == "" {
-					sec.GPU = rec.GPU
-				}
-				b, err := barOf(rec)
-				if err != nil {
-					return nil, err
-				}
-				times = append(times, b)
-				energies = append(energies, Bar{Value: energyOf(rec).Total(), LowerBound: b.LowerBound})
-				if kind == config.GTO && bows == "off" {
-					sec.Slots[k] = slotsOf(rec)
-				}
-			}
-		}
-		// Normalize to LRR (column 0), as in the paper; per-baseline
-		// speedups come from the unnormalized pairs.
-		for i, kind := range config.Schedulers {
-			base, with := times[2*i], times[2*i+1]
-			if with.Value > 0 && !base.LowerBound && !with.LowerBound {
-				perKernelSpeedup[string(kind)] = append(perKernelSpeedup[string(kind)], base.Value/with.Value)
-			}
-		}
-		baseT, baseE := times[0].Value, energies[0].Value
-		for i := range times {
-			times[i].Value /= baseT
-			energies[i].Value /= baseE
-			gmT[i] = append(gmT[i], times[i].Value)
-			gmE[i] = append(gmE[i], energies[i].Value)
-		}
-		sec.Time[k] = times
-		sec.Energy[k] = energies
-	}
-	for i := range sec.Columns {
-		sec.GmeanTime = append(sec.GmeanTime, stats.Gmean(gmT[i]))
-		sec.GmeanEnergy = append(sec.GmeanEnergy, stats.Gmean(gmE[i]))
-	}
-	for i, kind := range config.Schedulers {
-		name := string(kind)
-		sec.Speedup[name] = ratioOrZero(sec.GmeanTime[2*i], sec.GmeanTime[2*i+1])
-		sec.EnergySaving[name] = ratioOrZero(sec.GmeanEnergy[2*i], sec.GmeanEnergy[2*i+1])
-		sec.HmeanSpeedup[name] = stats.Hmean(perKernelSpeedup[name])
-	}
-	return sec, nil
-}
-
-func ratioOrZero(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// slotsOf derives the issue-slot breakdown from a record's scheduler and
-// execution counters.
-func slotsOf(rec *metrics.RunRecord) SlotBreakdown {
-	c := rec.Counters
-	var b SlotBreakdown
-	if slots := c["sched.issue_cycles"] + c["sched.idle_cycles"]; slots > 0 {
-		b.Issue = float64(c["sched.issue_cycles"]) / float64(slots)
-		b.Idle = float64(c["sched.idle_cycles"]) / float64(slots)
-	}
-	if ti := c["exec.thread_instrs"]; ti > 0 {
-		b.SyncInstr = float64(c["exec.sync_thread_instrs"]) / float64(ti)
-	}
-	if sam := c["sched.sample_cycles"]; sam > 0 && c["sched.resident_sum"] > 0 {
-		b.BackedOff = float64(c["sched.backed_off_sum"]) / float64(c["sched.resident_sum"])
-	}
-	return b
-}
-
-func deriveDelay(s *Set) (*DelaySection, error) {
-	sec := &DelaySection{
-		Kernels:   kernelsOf(s, "delaysweep"),
-		Time:      map[string][]Bar{},
-		BackedOff: map[string][]float64{},
-		Instrs:    map[string][]float64{},
-		MemTrans:  map[string][]float64{},
-		SIMD:      map[string][]float64{},
-	}
-	bowsCols := []string{"off"}
-	sec.Columns = []string{"GTO"}
-	for _, d := range exp.DelayLimits {
-		bowsCols = append(bowsCols, config.FixedBOWS(d).Desc())
-		sec.Columns = append(sec.Columns, fmt.Sprintf("BOWS(%d)", d))
-	}
-	bowsCols = append(bowsCols, config.DefaultBOWS().Desc())
-	sec.Columns = append(sec.Columns, "BOWS(Adaptive)")
-
-	gmT := make([][]float64, len(sec.Columns))
-	gmI := make([][]float64, len(sec.Columns))
-	gmM := make([][]float64, len(sec.Columns))
-	for _, k := range sec.Kernels {
-		var times []Bar
-		var backed, instrs, mems, simd []float64
-		for _, bows := range bowsCols {
-			rec, err := s.Find("delaysweep", k, string(config.GTO), bows)
+	sort.Strings(kernels)
+	runs := make([][]exp.Run, len(kernels))
+	for ki, k := range kernels {
+		for _, col := range cols {
+			rec, err := s.FindDDOS(tag, k, string(col.Sched), col.BOWS.Desc(), col.DetectorDesc())
 			if err != nil {
-				return nil, err
+				return none, err
 			}
-			b, err := barOf(rec)
+			run, err := exp.RunOfRecord(rec)
 			if err != nil {
-				return nil, err
+				return none, err
 			}
-			times = append(times, b)
-			backed = append(backed, rec.Derived["backed_off_fraction"])
-			simd = append(simd, rec.Derived["simd_efficiency"])
-			instrs = append(instrs, float64(rec.Counters["exec.thread_instrs"]))
-			mems = append(mems, float64(rec.Counters["mem.transactions"]))
+			runs[ki] = append(runs[ki], run)
 		}
-		baseT, baseI, baseM := times[0].Value, instrs[0], mems[0]
-		if baseI == 0 {
-			baseI = 1
-		}
-		if baseM == 0 {
-			baseM = 1
-		}
-		for i := range times {
-			times[i].Value /= baseT
-			instrs[i] /= baseI
-			mems[i] /= baseM
-			gmT[i] = append(gmT[i], times[i].Value)
-			gmI[i] = append(gmI[i], instrs[i])
-			gmM[i] = append(gmM[i], mems[i])
-		}
-		sec.Time[k] = times
-		sec.BackedOff[k] = backed
-		sec.Instrs[k] = instrs
-		sec.MemTrans[k] = mems
-		sec.SIMD[k] = simd
 	}
-	for i := range sec.Columns {
-		sec.GmeanTime = append(sec.GmeanTime, stats.Gmean(gmT[i]))
-		sec.GmeanInstrs = append(sec.GmeanInstrs, stats.Gmean(gmI[i]))
-		sec.GmeanMemTrans = append(sec.GmeanMemTrans, stats.Gmean(gmM[i]))
-	}
-	return sec, nil
+	return f(kernels, cols, runs), nil
 }
 
-func deriveFig14(s *Set) (*Fig14Section, error) {
-	sec := &Fig14Section{
-		Kernels:  kernelsOf(s, "fig14"),
-		XOR:      map[string]Bar{},
-		MOD:      map[string]Bar{},
-		FalseXOR: map[string]int64{},
-		FalseMOD: map[string]int64{},
-	}
-	xorDesc := config.DefaultDDOS().Desc()
-	modCfg := config.DefaultDDOS()
-	modCfg.Hash = config.HashModulo
-	modDesc := modCfg.Desc()
-	big := config.FixedBOWS(5000).Desc()
-	var xs, ms []float64
-	for _, k := range sec.Kernels {
-		base, err := s.Find("fig14", k, string(config.GTO), "off")
-		if err != nil {
-			return nil, err
-		}
-		xor, err := s.FindDDOS("fig14", k, string(config.GTO), big, xorDesc)
-		if err != nil {
-			return nil, err
-		}
-		mod, err := s.FindDDOS("fig14", k, string(config.GTO), big, modDesc)
-		if err != nil {
-			return nil, err
-		}
-		bb, err := barOf(base)
-		if err != nil {
-			return nil, err
-		}
-		for _, pair := range []struct {
-			rec  *metrics.RunRecord
-			bar  map[string]Bar
-			fdet map[string]int64
-			gm   *[]float64
-		}{
-			{xor, sec.XOR, sec.FalseXOR, &xs},
-			{mod, sec.MOD, sec.FalseMOD, &ms},
-		} {
-			b, err := barOf(pair.rec)
-			if err != nil {
-				return nil, err
-			}
-			b.Value /= bb.Value
-			b.LowerBound = b.LowerBound || bb.LowerBound
-			pair.bar[k] = b
-			pair.fdet[k] = pair.rec.Counters["ddos.false_sibs_detected"]
-			*pair.gm = append(*pair.gm, b.Value)
-		}
-	}
-	sec.GmeanXOR = stats.Gmean(xs)
-	sec.GmeanMOD = stats.Gmean(ms)
-	return sec, nil
-}
-
-func deriveTable1(s *Set) (*Table1Section, error) {
-	kernels := kernelsOf(s, "table1")
-	byCfg := byDetector(s, "table1")
-	sec := &Table1Section{}
-	for _, block := range exp.Table1Layout() {
-		b := Table1Block{Name: block.Name}
-		for _, sp := range block.Specs {
-			row, err := detectionRow("table1", sp.Label, sp.DDOS.Desc(), kernels, byCfg)
-			if err != nil {
-				return nil, err
-			}
-			b.Rows = append(b.Rows, row)
-		}
-		sec.Blocks = append(sec.Blocks, b)
-	}
-	return sec, nil
-}
-
-// detectionRow aggregates one detector configuration's Table I columns
-// over the suite: per-kernel TSDR/FSDR and DPR means, plus aggregate
-// precision/recall from the raw confirmation counts. The counter family
-// keeps its historical "ddos." names for every detector (see
-// exp.buildRecord), so the same aggregation serves DDOS and TAGE rows.
-func detectionRow(tag, label, desc string, kernels []string, byCfg map[string]map[string]*metrics.RunRecord) (Table1Row, error) {
-	recs := byCfg[desc]
-	row := Table1Row{Label: label}
-	var tsdrs, fsdrs, tdprs, fdprs []float64
-	var trueSeen, trueDet, falseDet int64
-	for _, k := range kernels {
-		rec := recs[k]
-		if rec == nil {
-			return row, &MissingRunError{Exp: tag, Kernel: k,
-				Sched: string(config.GTO), BOWS: "off", DDOS: desc}
-		}
-		ts := rec.Counters["ddos.true_sibs_seen"]
-		td := rec.Counters["ddos.true_sibs_detected"]
-		fs := rec.Counters["ddos.false_sibs_seen"]
-		fd := rec.Counters["ddos.false_sibs_detected"]
-		trueSeen += ts
-		trueDet += td
-		falseDet += fd
-		if ts > 0 {
-			tsdrs = append(tsdrs, float64(td)/float64(ts))
-			if td > 0 {
-				tdprs = append(tdprs, rec.Derived["ddos_true_dpr"])
-			}
-		}
-		if fs > 0 {
-			fsdrs = append(fsdrs, float64(fd)/float64(fs))
-			if fd > 0 {
-				fdprs = append(fdprs, rec.Derived["ddos_false_dpr"])
-			}
-		}
-	}
-	row.TSDR, row.TrueDPR = mean(tsdrs), mean(tdprs)
-	row.FSDR, row.FalseDPR = mean(fsdrs), mean(fdprs)
-	if trueDet+falseDet > 0 {
-		row.Precision = float64(trueDet) / float64(trueDet+falseDet)
-	}
-	if trueSeen > 0 {
-		row.Recall = float64(trueDet) / float64(trueSeen)
-	}
-	return row, nil
-}
-
-// byDetector indexes an experiment's records by detector descriptor (the
-// record's DDOS column) and kernel.
-func byDetector(s *Set, tag string) map[string]map[string]*metrics.RunRecord {
-	byCfg := map[string]map[string]*metrics.RunRecord{}
-	for _, rec := range s.Runs(tag) {
-		if byCfg[rec.DDOS] == nil {
-			byCfg[rec.DDOS] = map[string]*metrics.RunRecord{}
-		}
-		byCfg[rec.DDOS][rec.Kernel] = rec
-	}
-	return byCfg
-}
-
-func deriveTageSIB(s *Set) (*TageSIBSection, error) {
-	kernels := kernelsOf(s, "tagesib")
-	byCfg := byDetector(s, "tagesib")
-	sec := &TageSIBSection{}
-	for _, sp := range exp.TageSIBLayout() {
-		row, err := detectionRow("tagesib", sp.Label, sp.Desc(), kernels, byCfg)
-		if err != nil {
-			return nil, err
-		}
-		sec.Rows = append(sec.Rows, TageSIBRow{Table1Row: row, TAGE: sp.Det == config.DetectTAGE})
-	}
-	return sec, nil
-}
-
-func deriveWasp(s *Set) (*WaspSection, error) {
-	sec := &WaspSection{
-		Kernels:     kernelsOf(s, "wasp"),
-		Columns:     exp.WaspColumns,
-		Time:        map[string][]Bar{},
-		Energy:      map[string][]Bar{},
-		BOWSSpeedup: map[string]float64{},
-	}
-	adaptive := config.DefaultBOWS().Desc()
-	gmT := make([][]float64, len(sec.Columns))
-	gmE := make([][]float64, len(sec.Columns))
-	for _, k := range sec.Kernels {
-		var times []Bar
-		var energies []Bar
-		for _, kind := range exp.WaspSchedulers {
-			for _, bows := range []string{"off", adaptive} {
-				rec, err := s.Find("wasp", k, string(kind), bows)
-				if err != nil {
-					return nil, err
-				}
-				if sec.GPU == "" {
-					sec.GPU = rec.GPU
-				}
-				b, err := barOf(rec)
-				if err != nil {
-					return nil, err
-				}
-				times = append(times, b)
-				energies = append(energies, Bar{Value: energyOf(rec).Total(), LowerBound: b.LowerBound})
-			}
-		}
-		// Normalize to GTO (column 0), matching exp.Wasp.
-		baseT, baseE := times[0].Value, energies[0].Value
-		for i := range times {
-			times[i].Value /= baseT
-			energies[i].Value /= baseE
-			gmT[i] = append(gmT[i], times[i].Value)
-			gmE[i] = append(gmE[i], energies[i].Value)
-		}
-		sec.Time[k] = times
-		sec.Energy[k] = energies
-	}
-	for i := range sec.Columns {
-		sec.GmeanTime = append(sec.GmeanTime, stats.Gmean(gmT[i]))
-		sec.GmeanEnergy = append(sec.GmeanEnergy, stats.Gmean(gmE[i]))
-	}
-	// Column layout: [GTO, GTO+BOWS, CAWA, CAWA+BOWS, WASP, WASP+BOWS].
-	sec.TimeVsGTO = ratioOrZero(sec.GmeanTime[0], sec.GmeanTime[4])
-	sec.TimeVsCAWA = ratioOrZero(sec.GmeanTime[2], sec.GmeanTime[4])
-	for i, kind := range exp.WaspSchedulers {
-		sec.BOWSSpeedup[string(kind)] = ratioOrZero(sec.GmeanTime[2*i], sec.GmeanTime[2*i+1])
-	}
-	return sec, nil
-}
-
-func deriveAblation(s *Set) (*AblationSection, error) {
-	layout := exp.AblationLayout()
-	sec := &AblationSection{
-		Kernels: kernelsOf(s, "ablation"),
-		Time:    map[string][]Bar{},
-	}
-	for _, col := range layout {
-		sec.Columns = append(sec.Columns, col.Label)
-	}
-	gm := make([][]float64, len(layout))
-	for _, k := range sec.Kernels {
-		var times []Bar
-		for _, col := range layout {
-			rec, err := s.Find("ablation", k, string(config.GTO), col.BOWS.Desc())
-			if err != nil {
-				return nil, err
-			}
-			b, err := barOf(rec)
-			if err != nil {
-				return nil, err
-			}
-			times = append(times, b)
-		}
-		base := times[0].Value
-		for i := range times {
-			times[i].Value /= base
-			gm[i] = append(gm[i], times[i].Value)
-		}
-		sec.Time[k] = times
-	}
-	for i := range layout {
-		sec.Gmean = append(sec.Gmean, stats.Gmean(gm[i]))
-	}
-	return sec, nil
-}
-
-func mean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range vs {
-		s += v
-	}
-	return s / float64(len(vs))
+func deriveBars(s *Set, tag string, scheds []config.SchedulerKind) (*exp.BarsSection, error) {
+	return derive(s, tag, exp.BarsLayout(scheds), func(kernels []string, cols []exp.Column, runs [][]exp.Run) *exp.BarsSection {
+		return exp.DeriveBars(tag, kernels, cols, runs)
+	})
 }

@@ -74,7 +74,7 @@ func TestTable1PrecisionRecall(t *testing.T) {
 	if rep.Table1 == nil {
 		t.Fatal("no Table1 section derived")
 	}
-	var baseRow *Table1Row
+	var baseRow *exp.DetectionRow
 	for bi := range rep.Table1.Blocks {
 		b := &rep.Table1.Blocks[bi]
 		if b.Name != "hashing function (t=4, l=8)" {

@@ -38,7 +38,7 @@ func goldenFixture(t *testing.T) *metrics.Manifest {
 				"exec.warp_instrs":        cycles / 4,
 				"exec.thread_instrs":      cycles * 4,
 				"exec.sync_thread_instrs": cycles,
-				"exec.active_lane_sum":    cycles * 8,
+				"exec.active_lane_sum":    cycles / 4 * 8, // SIMD efficiency 0.25
 				"mem.transactions":        cycles / 2,
 				"mem.l1_accesses":         cycles / 2,
 				"mem.l1_hits":             cycles / 3,
@@ -47,10 +47,6 @@ func goldenFixture(t *testing.T) *metrics.Manifest {
 				"sched.sample_cycles":     cycles,
 				"sched.resident_sum":      cycles * 16,
 				"sched.backed_off_sum":    cycles * int64(i),
-			},
-			Derived: map[string]float64{
-				"simd_efficiency":     0.25,
-				"backed_off_fraction": float64(i) / 16,
 			},
 		}
 	}

@@ -4,10 +4,11 @@
 // document states — per-benchmark and mean speedups normalized to the
 // paper's baselines, normalized dynamic energy, issue-slot and
 // spin-overhead breakdowns, and the Table I detection-quality rates — is
-// *derived here* from manifest counters, never hand-entered, so the
-// published numbers cannot drift from the code that produced them (a CI
-// job regenerates the document from the checked-in manifest and fails on
-// any diff).
+// *derived* from manifest counters, never hand-entered, and by the same
+// internal/exp functions that feed cmd/experiments' text tables, so the
+// published numbers cannot drift from the code that produced them or
+// from stdout (a CI job regenerates the document from the checked-in
+// manifest and fails on any diff).
 //
 // The pipeline is strictly offline: it consumes manifests, it never
 // simulates. Rendering is deterministic — byte-identical output for the
@@ -150,40 +151,27 @@ func (s *Set) Experiments() []string {
 // (meaning the coordinates under-specify the run — e.g. the fig16 bucket
 // sweep, whose points differ only in launch parameters).
 func (s *Set) Find(exp, kernel, sched, bows string) (*metrics.RunRecord, error) {
-	var found *metrics.RunRecord
-	for _, r := range s.byExp[exp] {
-		if r.Kernel != kernel || r.Sched != sched || r.BOWS != bows {
-			continue
-		}
-		if found != nil {
-			return nil, fmt.Errorf("report: %s/%s/%s/%s is ambiguous (variants %s and %s)",
-				exp, kernel, sched, bows, found.Variant, r.Variant)
-		}
-		found = r
-	}
-	if found == nil {
-		return nil, &MissingRunError{Exp: exp, Kernel: kernel, Sched: sched, BOWS: bows}
-	}
-	return found, nil
+	return s.FindDDOS(exp, kernel, sched, bows, "")
 }
 
 // FindDDOS is Find with the detector descriptor as a fifth coordinate,
-// needed where runs differ only in DDOS parameters (the fig14 hashing
-// comparison, the Table I sweep).
+// needed where runs differ only in detector parameters (the fig14 hashing
+// comparison, the Table I sweep); an empty descriptor matches any.
 func (s *Set) FindDDOS(exp, kernel, sched, bows, ddos string) (*metrics.RunRecord, error) {
+	missing := &MissingRunError{Exp: exp, Kernel: kernel, Sched: sched, BOWS: bows, DDOS: ddos}
 	var found *metrics.RunRecord
 	for _, r := range s.byExp[exp] {
-		if r.Kernel != kernel || r.Sched != sched || r.BOWS != bows || r.DDOS != ddos {
+		if r.Kernel != kernel || r.Sched != sched || r.BOWS != bows || (ddos != "" && r.DDOS != ddos) {
 			continue
 		}
 		if found != nil {
-			return nil, fmt.Errorf("report: %s/%s/%s/%s/%s is ambiguous (variants %s and %s)",
-				exp, kernel, sched, bows, ddos, found.Variant, r.Variant)
+			return nil, fmt.Errorf("report: %s is ambiguous (variants %s and %s)",
+				missing.coord(), found.Variant, r.Variant)
 		}
 		found = r
 	}
 	if found == nil {
-		return nil, &MissingRunError{Exp: exp, Kernel: kernel, Sched: sched, BOWS: bows, DDOS: ddos}
+		return nil, missing
 	}
 	return found, nil
 }
@@ -200,11 +188,15 @@ type MissingRunError struct {
 
 // Error implements error.
 func (e *MissingRunError) Error() string {
+	return fmt.Sprintf("report: manifest has no run %s (sweep incomplete or wrong -exp selection?)", e.coord())
+}
+
+func (e *MissingRunError) coord() string {
 	coord := fmt.Sprintf("%s/%s/%s/%s", e.Exp, e.Kernel, e.Sched, e.BOWS)
 	if e.DDOS != "" {
 		coord += "/" + e.DDOS
 	}
-	return fmt.Sprintf("report: manifest has no run %s (sweep incomplete or wrong -exp selection?)", coord)
+	return coord
 }
 
 func groupByExp(m *metrics.Manifest) map[string][]*metrics.RunRecord {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"warpsched/internal/exp"
 )
 
 // The figures are self-contained SVGs following the repo's chart rules:
@@ -23,7 +25,7 @@ type svgSeries struct {
 	label string
 	slot  int // palette slot index
 	tint  bool
-	vals  []Bar
+	vals  []exp.Bar
 }
 
 // palette is the validated categorical palette, light and dark steps.
@@ -156,7 +158,7 @@ func groupedBars(title, yLabel string, groups []string, series []svgSeries) []by
 			}
 			fmt.Fprintf(&sb, "<rect class=\"s%d\"%s x=\"%d\" y=\"%s\" width=\"%d\" height=\"%s\" rx=\"2\"><title>%s · %s: %s</title></rect>\n",
 				s.slot, op, x, c1(top), barW, c1(float64(marginT+plotH)-top),
-				xmlEscape(g), xmlEscape(s.label), fbar(b))
+				xmlEscape(g), xmlEscape(s.label), b)
 			if b.LowerBound {
 				fmt.Fprintf(&sb, "<text class=\"muted\" x=\"%s\" y=\"%s\" font-size=\"8\" text-anchor=\"middle\">≥</text>\n",
 					c1(float64(x)+float64(barW)/2), c1(top-3))
@@ -245,13 +247,13 @@ func xmlEscape(s string) string {
 // figures renders every SVG the document references, keyed by base name.
 func (r *Report) figures() map[string][]byte {
 	out := map[string][]byte{}
-	for _, s := range []*ExecEnergySection{r.Fig9, r.Fig15} {
+	for _, s := range []*exp.BarsSection{r.Fig9, r.Fig15} {
 		if s == nil {
 			continue
 		}
-		out[s.Exp+"-time.svg"] = execEnergySVG(s, s.Time, s.GmeanTime,
+		out[s.Exp+"-time.svg"] = barsSVG(s, s.Time, s.GmeanTime,
 			fmt.Sprintf("%s: execution time on %s (normalized to LRR)", s.Exp, s.GPU))
-		out[s.Exp+"-energy.svg"] = execEnergySVG(s, s.Energy, s.GmeanEnergy,
+		out[s.Exp+"-energy.svg"] = barsSVG(s, s.Energy, s.GmeanEnergy,
 			fmt.Sprintf("%s: dynamic energy on %s (normalized to LRR)", s.Exp, s.GPU))
 	}
 	if s := r.Delay; s != nil {
@@ -267,15 +269,15 @@ func (r *Report) figures() map[string][]byte {
 			xor.vals = append(xor.vals, s.XOR[k])
 			mod.vals = append(mod.vals, s.MOD[k])
 		}
-		xor.vals = append(xor.vals, Bar{Value: s.GmeanXOR})
-		mod.vals = append(mod.vals, Bar{Value: s.GmeanMOD})
+		xor.vals = append(xor.vals, exp.Bar{Value: s.GmeanXOR})
+		mod.vals = append(mod.vals, exp.Bar{Value: s.GmeanMOD})
 		out["fig14.svg"] = groupedBars("fig14: detection-error overhead (GTO = 1)",
 			"normalized time", groups, []svgSeries{xor, mod})
 	}
 	if s := r.Wasp; s != nil {
-		out["wasp-time.svg"] = waspSVG(s, s.Time, s.GmeanTime,
+		out["wasp-time.svg"] = barsSVG(s, s.Time, s.GmeanTime,
 			fmt.Sprintf("WaSP head-to-head: execution time on %s (normalized to GTO)", s.GPU))
-		out["wasp-energy.svg"] = waspSVG(s, s.Energy, s.GmeanEnergy,
+		out["wasp-energy.svg"] = barsSVG(s, s.Energy, s.GmeanEnergy,
 			fmt.Sprintf("WaSP head-to-head: dynamic energy on %s (normalized to GTO)", s.GPU))
 	}
 	if s := r.Ablation; s != nil {
@@ -286,7 +288,7 @@ func (r *Report) figures() map[string][]byte {
 			for _, k := range s.Kernels {
 				sv.vals = append(sv.vals, s.Time[k][ci])
 			}
-			sv.vals = append(sv.vals, Bar{Value: s.Gmean[ci]})
+			sv.vals = append(sv.vals, exp.Bar{Value: s.Gmean[ci]})
 			series = append(series, sv)
 		}
 		out["ablation.svg"] = groupedBars("Ablation: BOWS components (GTO = 1)",
@@ -295,10 +297,10 @@ func (r *Report) figures() map[string][]byte {
 	return out
 }
 
-// waspSVG renders one WaSP head-to-head panel: per-kernel groups plus a
-// gmean group, one hue per scheduler with the baseline member of each
-// baseline/+BOWS pair tinted (the Figure 9 treatment, anchored at GTO).
-func waspSVG(s *WaspSection, data map[string][]Bar, gmean []float64, title string) []byte {
+// barsSVG renders one normalized-bars panel (Figure 9/15, WaSP
+// head-to-head): per-kernel groups plus a gmean group, scheduler hue
+// carried by the pair, baseline tinted and +BOWS solid.
+func barsSVG(s *exp.BarsSection, data map[string][]exp.Bar, gmean []float64, title string) []byte {
 	groups := append(append([]string{}, s.Kernels...), "gmean")
 	var series []svgSeries
 	for ci, col := range s.Columns {
@@ -306,25 +308,8 @@ func waspSVG(s *WaspSection, data map[string][]Bar, gmean []float64, title strin
 		for _, k := range s.Kernels {
 			sv.vals = append(sv.vals, data[k][ci])
 		}
-		sv.vals = append(sv.vals, Bar{Value: gmean[ci]})
+		sv.vals = append(sv.vals, exp.Bar{Value: gmean[ci]})
 		series = append(series, sv)
 	}
-	return groupedBars(title, "normalized to GTO", groups, series)
-}
-
-// execEnergySVG renders one Figure 9/15 panel: per-kernel groups plus a
-// gmean group, scheduler hue carried by the pair, baseline tinted and
-// +BOWS solid.
-func execEnergySVG(s *ExecEnergySection, data map[string][]Bar, gmean []float64, title string) []byte {
-	groups := append(append([]string{}, s.Kernels...), "gmean")
-	var series []svgSeries
-	for ci, col := range s.Columns {
-		sv := svgSeries{label: col, slot: ci / 2, tint: ci%2 == 0}
-		for _, k := range s.Kernels {
-			sv.vals = append(sv.vals, data[k][ci])
-		}
-		sv.vals = append(sv.vals, Bar{Value: gmean[ci]})
-		series = append(series, sv)
-	}
-	return groupedBars(title, "normalized to LRR", groups, series)
+	return groupedBars(title, "normalized to "+s.Columns[0], groups, series)
 }

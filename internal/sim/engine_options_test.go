@@ -1,6 +1,11 @@
+// Configuration, options and limits: machine configurations, launch
+// validation, the MaxCycles watchdog, and the per-SM statistics, PC
+// profile and tracer outputs an Options field switches on.
+
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"warpsched/internal/config"
@@ -48,21 +53,50 @@ func TestPascalConfigRuns(t *testing.T) {
 	}
 }
 
-func TestPartialWarpCTA(t *testing.T) {
-	// 50 threads per CTA: one full warp + one 18-lane warp.
-	const n = 200
+func TestNewRejectsBadLaunch(t *testing.T) {
+	opt := testOptions(config.GTO)
+	good := Launch{Prog: vecAddProg(t), GridCTAs: 1, CTAThreads: 32, MemWords: 64, Params: []uint32{0, 0, 0, 0}}
+	cases := []func(*Launch){
+		func(l *Launch) { l.Prog = nil },
+		func(l *Launch) { l.GridCTAs = 0 },
+		func(l *Launch) { l.CTAThreads = 0 },
+		func(l *Launch) { l.CTAThreads = 33 * 64 }, // exceeds warp slots
+		func(l *Launch) { l.MemWords = 0 },
+	}
+	for i, mut := range cases {
+		l := good
+		mut(&l)
+		if _, err := New(opt, l); err == nil {
+			t.Errorf("case %d: bad launch accepted", i)
+		}
+	}
+}
+
+func TestWatchdogFiresOnInfiniteLoop(t *testing.T) {
+	b := isa.NewBuilder("hang")
+	b.Label("top")
+	b.Bra("top")
+	p := b.MustBuild()
+	opt := testOptions(config.GTO)
+	opt.GPU.MaxCycles = 10_000
+	eng, err := New(opt, Launch{Prog: p, GridCTAs: 1, CTAThreads: 32, MemWords: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = eng.Run()
+	if err == nil || !strings.Contains(err.Error(), "MaxCycles") {
+		t.Fatalf("watchdog should fire, got %v", err)
+	}
+}
+
+func TestPerSMStatsSumToTotal(t *testing.T) {
+	const n = 2000
 	launch := Launch{
 		Prog:       vecAddProg(t),
-		GridCTAs:   4,
-		CTAThreads: 50,
+		GridCTAs:   8,
+		CTAThreads: 64,
 		Params:     []uint32{n, 0, n, 2 * n},
 		MemWords:   3*n + 64,
-		Setup: func(w []uint32) {
-			for i := 0; i < n; i++ {
-				w[i] = uint32(i)
-				w[n+i] = uint32(10 * i)
-			}
-		},
 	}
 	eng, err := New(testOptions(config.LRR), launch)
 	if err != nil {
@@ -72,63 +106,14 @@ func TestPartialWarpCTA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		if res.Memory[2*n+i] != uint32(11*i) {
-			t.Fatalf("c[%d] = %d, want %d", i, res.Memory[2*n+i], 11*i)
-		}
+	var warpInstrs, threadInstrs int64
+	for _, sm := range res.PerSM {
+		warpInstrs += sm.WarpInstrs
+		threadInstrs += sm.ThreadInstrs
 	}
-}
-
-func TestClockSpecialAdvances(t *testing.T) {
-	b := isa.NewBuilder("clock")
-	b.Clock(1)
-	// Burn a few cycles with dependent ALU ops.
-	b.Add(2, isa.R(1), isa.I(1))
-	b.Add(2, isa.R(2), isa.I(1))
-	b.Add(2, isa.R(2), isa.I(1))
-	b.Clock(3)
-	b.Sub(4, isa.R(3), isa.R(1))
-	b.St(isa.I(0), isa.I(0), isa.R(4))
-	b.Exit()
-	p := b.MustBuild()
-	eng, err := New(testOptions(config.GTO), Launch{
-		Prog: p, GridCTAs: 1, CTAThreads: 32, MemWords: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int32(res.Memory[0]) <= 0 {
-		t.Fatalf("clock delta = %d, want positive", int32(res.Memory[0]))
-	}
-}
-
-func TestStaticBOWSMatchesAnnotations(t *testing.T) {
-	// In static mode the warp backs off at the annotated SIB even before
-	// DDOS could have confirmed anything.
-	prog := spinPairProg(t)
-	opt := testOptions(config.GTO)
-	opt.BOWS = config.FixedBOWS(500)
-	opt.BOWS.Mode = config.BOWSStatic
-	eng, err := New(opt, Launch{
-		Prog: prog, GridCTAs: 2, CTAThreads: 32,
-		Params: []uint32{64, 96, 2}, MemWords: 160,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.BackedOffSum == 0 {
-		t.Fatal("static BOWS never engaged")
-	}
-	if got := res.Memory[96]; got != 64*2 {
-		t.Fatalf("counter = %d", got)
+	if warpInstrs != res.Stats.WarpInstrs || threadInstrs != res.Stats.ThreadInstrs {
+		t.Fatalf("per-SM stats don't sum: %d/%d vs %d/%d",
+			warpInstrs, threadInstrs, res.Stats.WarpInstrs, res.Stats.ThreadInstrs)
 	}
 }
 

@@ -1,7 +1,10 @@
+// Synchronization behaviour: lock mutual exclusion under contention, DDOS
+// confirming the spin branch, BOWS (DDOS-driven and statically annotated)
+// backing spinners off, and run-to-run determinism of a contended kernel.
+
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"warpsched/internal/config"
@@ -154,104 +157,16 @@ func TestBOWSReducesSpinInstructionsInEngine(t *testing.T) {
 	}
 }
 
-func TestCTAOversubscription(t *testing.T) {
-	// More CTAs than the machine can host at once: the dispatcher must
-	// place them in waves.
-	const n = 4096
-	launch := Launch{
-		Prog:       vecAddProg(t),
-		GridCTAs:   40, // 2 SMs × 8 CTAs max → 3 waves
-		CTAThreads: 64,
-		Params:     []uint32{n, 0, n, 2 * n},
-		MemWords:   3*n + 64,
-		Setup: func(w []uint32) {
-			for i := 0; i < n; i++ {
-				w[i] = uint32(i)
-				w[n+i] = uint32(2 * i)
-			}
-		},
-	}
-	eng, err := New(testOptions(config.GTO), launch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if res.Memory[2*n+i] != uint32(3*i) {
-			t.Fatalf("c[%d] = %d", i, res.Memory[2*n+i])
-		}
-	}
-}
-
-func TestWatchdogFiresOnInfiniteLoop(t *testing.T) {
-	b := isa.NewBuilder("hang")
-	b.Label("top")
-	b.Bra("top")
-	p := b.MustBuild()
+func TestStaticBOWSMatchesAnnotations(t *testing.T) {
+	// In static mode the warp backs off at the annotated SIB even before
+	// DDOS could have confirmed anything.
+	prog := spinPairProg(t)
 	opt := testOptions(config.GTO)
-	opt.GPU.MaxCycles = 10_000
-	eng, err := New(opt, Launch{Prog: p, GridCTAs: 1, CTAThreads: 32, MemWords: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = eng.Run()
-	if err == nil || !strings.Contains(err.Error(), "MaxCycles") {
-		t.Fatalf("watchdog should fire, got %v", err)
-	}
-}
-
-func TestNewRejectsBadLaunch(t *testing.T) {
-	opt := testOptions(config.GTO)
-	good := Launch{Prog: vecAddProg(t), GridCTAs: 1, CTAThreads: 32, MemWords: 64, Params: []uint32{0, 0, 0, 0}}
-	cases := []func(*Launch){
-		func(l *Launch) { l.Prog = nil },
-		func(l *Launch) { l.GridCTAs = 0 },
-		func(l *Launch) { l.CTAThreads = 0 },
-		func(l *Launch) { l.CTAThreads = 33 * 64 }, // exceeds warp slots
-		func(l *Launch) { l.MemWords = 0 },
-	}
-	for i, mut := range cases {
-		l := good
-		mut(&l)
-		if _, err := New(opt, l); err == nil {
-			t.Errorf("case %d: bad launch accepted", i)
-		}
-	}
-}
-
-func TestMembarOrdersStoreBeforeFlag(t *testing.T) {
-	// Producer stores data then flag (with membar between); consumer
-	// spins on the flag and must observe the data.
-	// The producer must be a whole warp: a producer lane sharing a warp
-	// with spinning consumer lanes would be a SIMT-induced deadlock.
-	b := isa.NewBuilder("producer-consumer")
-	b.Mov(1, isa.S(isa.SpecGTID))
-	b.Setp(isa.LT, 0, isa.R(1), isa.I(32))
-	b.IfElse(0, false,
-		func() { // producer warp: lane 0 publishes
-			b.Setp(isa.EQ, 2, isa.R(1), isa.I(0))
-			b.If(2, false, func() {
-				b.St(isa.I(0), isa.I(0), isa.I(1234)) // data
-				b.Membar()
-				b.St(isa.I(0), isa.I(1), isa.I(1)) // flag
-			})
-		},
-		func() { // consumer warps
-			b.DoWhile(1, false, true,
-				func() { b.LdVol(3, isa.I(0), isa.I(1)) },
-				func() { b.Setp(isa.EQ, 1, isa.R(3), isa.I(0)) })
-			b.LdVol(4, isa.I(0), isa.I(0))
-			b.Add(5, isa.R(1), isa.I(16))
-			b.St(isa.I(0), isa.R(5), isa.R(4)) // out[16+gtid] = data
-		})
-	b.Exit()
-	p := b.MustBuild()
-	// Consumers must be in other warps: use 2 CTAs of 32.
-	eng, err := New(testOptions(config.GTO), Launch{
-		Prog: p, GridCTAs: 2, CTAThreads: 32, MemWords: 128,
+	opt.BOWS = config.FixedBOWS(500)
+	opt.BOWS.Mode = config.BOWSStatic
+	eng, err := New(opt, Launch{
+		Prog: prog, GridCTAs: 2, CTAThreads: 32,
+		Params: []uint32{64, 96, 2}, MemWords: 160,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,38 +175,11 @@ func TestMembarOrdersStoreBeforeFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for gtid := 32; gtid < 64; gtid++ {
-		if got := res.Memory[16+gtid]; got != 1234 {
-			t.Fatalf("consumer %d observed %d, want 1234 (fence violated)", gtid, got)
-		}
+	if res.Stats.BackedOffSum == 0 {
+		t.Fatal("static BOWS never engaged")
 	}
-}
-
-func TestPerSMStatsSumToTotal(t *testing.T) {
-	const n = 2000
-	launch := Launch{
-		Prog:       vecAddProg(t),
-		GridCTAs:   8,
-		CTAThreads: 64,
-		Params:     []uint32{n, 0, n, 2 * n},
-		MemWords:   3*n + 64,
-	}
-	eng, err := New(testOptions(config.LRR), launch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var warpInstrs, threadInstrs int64
-	for _, sm := range res.PerSM {
-		warpInstrs += sm.WarpInstrs
-		threadInstrs += sm.ThreadInstrs
-	}
-	if warpInstrs != res.Stats.WarpInstrs || threadInstrs != res.Stats.ThreadInstrs {
-		t.Fatalf("per-SM stats don't sum: %d/%d vs %d/%d",
-			warpInstrs, threadInstrs, res.Stats.WarpInstrs, res.Stats.ThreadInstrs)
+	if got := res.Memory[96]; got != 64*2 {
+		t.Fatalf("counter = %d", got)
 	}
 }
 

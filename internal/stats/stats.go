@@ -220,6 +220,19 @@ func (s *Sim) String() string {
 		s.Sync.WaitExitSuccess, s.Sync.WaitExitFail)
 }
 
+// Mean returns the arithmetic mean of vs, or 0 if vs is empty. Table I
+// averages per-kernel detection rates with it.
+func Mean(vs []float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, v := range vs {
+		sum += v
+	}
+	return sum / float64(len(vs))
+}
+
 // Gmean returns the geometric mean of vs, or 0 if vs is empty or any
 // value is non-positive. The harness and report use it wherever the paper
 // reports a mean over normalized ratios.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -124,5 +125,47 @@ func TestStringContainsHeadline(t *testing.T) {
 	s := Sim{Cycles: 42, WarpInstrs: 7}
 	if !strings.Contains(s.String(), "cycles=42") {
 		t.Errorf("String() = %q", s.String())
+	}
+}
+
+func TestMean(t *testing.T) {
+	if m := Mean([]float64{0.75, 0.5}); m != 0.625 {
+		t.Fatalf("Mean(0.75,0.5) = %v", m)
+	}
+	if Mean(nil) != 0 {
+		t.Fatal("empty Mean should be 0")
+	}
+}
+
+func TestGmean(t *testing.T) {
+	if g := Gmean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
+		t.Fatalf("Gmean(2,8) = %f", g)
+	}
+	if Gmean(nil) != 0 {
+		t.Fatal("empty Gmean should be 0")
+	}
+	if Gmean([]float64{1, 0}) != 0 {
+		t.Fatal("non-positive values should yield 0")
+	}
+}
+
+func TestGmeanBetweenMinAndMax(t *testing.T) {
+	f := func(raw []uint16) bool {
+		var vs []float64
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, r := range raw {
+			v := float64(r%1000) + 1
+			vs = append(vs, v)
+			lo = math.Min(lo, v)
+			hi = math.Max(hi, v)
+		}
+		if len(vs) == 0 {
+			return true
+		}
+		g := Gmean(vs)
+		return g >= lo-1e-9 && g <= hi+1e-9
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
