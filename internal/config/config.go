@@ -435,6 +435,10 @@ func (g GPU) Scaled(n int) GPU {
 	return s
 }
 
+// MaxWarpsPerSM is the widest SM the engine models: it keeps per-SM warp
+// sets (ready, live, backed-off) as one 64-bit mask each.
+const MaxWarpsPerSM = 64
+
 // Validate checks the configuration for internally consistent values.
 func (g *GPU) Validate() error {
 	switch {
@@ -442,6 +446,8 @@ func (g *GPU) Validate() error {
 		return fmt.Errorf("config: %s: NumSMs must be positive", g.Name)
 	case g.WarpsPerSM <= 0:
 		return fmt.Errorf("config: %s: WarpsPerSM must be positive", g.Name)
+	case g.WarpsPerSM > MaxWarpsPerSM:
+		return fmt.Errorf("config: %s: WarpsPerSM (%d) exceeds the engine's limit of %d warp slots per SM", g.Name, g.WarpsPerSM, MaxWarpsPerSM)
 	case g.SchedulersPerSM <= 0:
 		return fmt.Errorf("config: %s: SchedulersPerSM must be positive", g.Name)
 	case g.WarpsPerSM%g.SchedulersPerSM != 0:

@@ -63,7 +63,8 @@ func TestValidateRejectsBadGPU(t *testing.T) {
 	mutations := []func(*GPU){
 		func(g *GPU) { g.NumSMs = 0 },
 		func(g *GPU) { g.WarpsPerSM = 0 },
-		func(g *GPU) { g.SchedulersPerSM = 5 }, // 48 % 5 != 0
+		func(g *GPU) { g.WarpsPerSM = MaxWarpsPerSM + 2 }, // divides among 2 schedulers, too wide for the masks
+		func(g *GPU) { g.SchedulersPerSM = 5 },            // 48 % 5 != 0
 		func(g *GPU) { g.MaxCTAsPerSM = 0 },
 		func(g *GPU) { g.ALULat = 0 },
 		func(g *GPU) { g.Mem.L2Banks = 0 },

@@ -21,7 +21,10 @@ type BOWS struct {
 	det   Detector // nil in static (annotation-driven) mode
 	limit int64
 
-	backedOff    []bool
+	// backedOff is the set of backed-off warp slots, bit s for slot s (a
+	// machine has at most 64 warp slots per SM — config.GPU.Validate), so
+	// the engine's per-cycle accounting is a population count.
+	backedOff    uint64
 	pendingUntil []int64
 	// inSpinLoop tracks whether a warp's most recent taken backward
 	// branch was a confirmed SIB; instructions issued while it holds are
@@ -64,7 +67,6 @@ func NewBOWS(cfg config.BOWS, det Detector, numSlots int) *BOWS {
 		det:          det,
 		limit:        limit,
 		limitPeak:    limit,
-		backedOff:    make([]bool, numSlots),
 		pendingUntil: make([]int64, numSlots),
 		inSpinLoop:   make([]bool, numSlots),
 	}
@@ -91,7 +93,10 @@ func (b *BOWS) RegisterMetrics(r *metrics.Registry, prefix string) {
 func (b *BOWS) DelayLimit() int64 { return b.limit }
 
 // BackedOff reports whether the warp in slot is in the backed-off state.
-func (b *BOWS) BackedOff(slot int) bool { return b.backedOff[slot] }
+func (b *BOWS) BackedOff(slot int) bool { return b.backedOff>>uint(slot)&1 != 0 }
+
+// BackedOffMask returns the backed-off warp slots as a bitmask.
+func (b *BOWS) BackedOffMask() uint64 { return b.backedOff }
 
 // SIBExecutions returns the number of warp SIB executions observed.
 func (b *BOWS) SIBExecutions() int64 { return b.sibExecutions }
@@ -111,7 +116,7 @@ func (b *BOWS) IsSIB(pc int32, in *isa.Instr) bool {
 // branch: it enters the backed-off state (Figure 4, step 6).
 func (b *BOWS) OnSIB(slot int) {
 	b.sibExecutions++
-	b.backedOff[slot] = true
+	b.backedOff |= 1 << uint(slot)
 	b.inSpinLoop[slot] = true
 }
 
@@ -145,8 +150,8 @@ func (b *BOWS) onIssue(slot int, cycle int64) {
 	if b.inSpinLoop[slot] && (b.det == nil || b.det.Spinning(slot)) {
 		b.sibInstr++
 	}
-	if b.backedOff[slot] {
-		b.backedOff[slot] = false
+	if b.BackedOff(slot) {
+		b.backedOff &^= 1 << uint(slot)
 		b.pendingUntil[slot] = cycle + b.limit + b.jitter()
 	}
 }
@@ -271,7 +276,7 @@ var _ sched.Policy = (*Wrapped)(nil)
 func Wrap(base sched.Policy, b *BOWS) *Wrapped {
 	w := &Wrapped{base: base, bows: b}
 	w.filtered = func(slot int) bool {
-		return !w.bows.backedOff[slot] && w.curReady(slot)
+		return !w.bows.BackedOff(slot) && w.curReady(slot)
 	}
 	return w
 }
@@ -298,7 +303,7 @@ func (w *Wrapped) Pick(cycle int64, ready func(int) bool) int {
 
 // OnIssue implements sched.Policy.
 func (w *Wrapped) OnIssue(slot int, cycle int64) {
-	if w.bows.backedOff[slot] {
+	if w.bows.BackedOff(slot) {
 		for i, s := range w.queue {
 			if s == slot {
 				w.queue = append(w.queue[:i], w.queue[i+1:]...)
@@ -317,7 +322,7 @@ func (w *Wrapped) OnBranch(slot int, backwardTaken bool) {
 
 // OnSIB pushes the warp to the back of this unit's backed-off queue.
 func (w *Wrapped) OnSIB(slot int) {
-	if !w.bows.backedOff[slot] {
+	if !w.bows.BackedOff(slot) {
 		w.queue = append(w.queue, slot)
 		w.enqueues++
 		if n := int64(len(w.queue)); n > w.queuePeak {

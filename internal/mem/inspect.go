@@ -108,8 +108,8 @@ func (s *System) ForEachInFlightRequest(fn func(*Request)) {
 	for i := range s.events {
 		visit(s.events[i].seg)
 	}
-	for _, seg := range s.l2Queue {
-		visit(seg)
+	for i := range s.l2Queue {
+		visit(s.l2Queue[i].seg)
 	}
 	for _, seg := range s.dramQueue {
 		visit(seg)

@@ -14,6 +14,7 @@ package mem
 
 import (
 	"math"
+	"slices"
 
 	"warpsched/internal/config"
 	"warpsched/internal/isa"
@@ -74,6 +75,22 @@ type segment struct {
 	// parked counts lanes waiting in a lock queue (QueueLocks mode);
 	// the segment completes only when every parked lane is granted.
 	parked int
+}
+
+// l2Entry is one segment waiting in the L2 service queue. The fields the
+// per-cycle arbitration walk tests are copied out of the segment and its
+// request so the walk reads contiguous memory instead of chasing
+// seg → req → Op for every queued atomic.
+type l2Entry struct {
+	seg    *segment
+	line   uint32
+	sm     int32
+	atomic bool
+	// busyUntil caches atomBusy[line] as read by this entry's last NACK.
+	// It is exact while cycle < busyUntil: a busy line services no atomic,
+	// and atomBusy[line] is only written at service, so the map is
+	// consulted once per entry per busy period rather than once per cycle.
+	busyUntil int64
 }
 
 // evKind tags a scheduled completion. Events carry a kind and a segment
@@ -165,7 +182,7 @@ type System struct {
 	ports []*Port
 
 	l2        *cache
-	l2Queue   []*segment
+	l2Queue   []l2Entry
 	dramQueue []*segment
 	events    eventHeap
 	seq       int64
@@ -180,16 +197,19 @@ type System struct {
 	// occupies the bank's atomic ALU), so spin-loop CAS spam steals
 	// bandwidth from all other traffic — the paper's §II observation.
 	l2Tokens int64
-	// l2StuckUntil caches the result of a service scan that NACKed every
-	// queued segment: each was an atomic whose line stays busy until at
-	// least this cycle (exclusive). Until then — provided nothing new is
-	// enqueued (pushL2 clears it) — every scan is byte-for-byte the same
-	// retry storm, so Tick replays the recorded per-SM retry counts in
-	// l2StuckRetries instead of re-walking the queue. Lock-retry storms
-	// (dozens of CASes parked on one line) otherwise make the scan O(queue)
-	// per cycle; this makes those cycles O(SMs) with identical statistics.
-	l2StuckUntil   int64
-	l2StuckRetries []int64
+	// l2Nacks tallies, per SM, the NACKs of the most recent service scan;
+	// they are added to stats.AtomRetries once after the walk.
+	//
+	// l2StuckUntil caches the result of a scan that covered the whole queue
+	// and NACKed every segment: each was an atomic whose line stays busy
+	// until at least this cycle (exclusive). Until then — provided nothing
+	// new is enqueued (pushL2 clears it) — every scan is byte-for-byte the
+	// same retry storm, so Tick replays l2Nacks instead of re-walking the
+	// queue. Lock-retry storms (dozens of CASes parked on one line)
+	// otherwise make the scan O(queue) per cycle; this makes those cycles
+	// O(SMs) with identical statistics.
+	l2Nacks      []int64
+	l2StuckUntil int64
 
 	// lockOwner maps a lock word address to the global thread id of the
 	// current holder (annotated acquires/releases only).
@@ -259,6 +279,7 @@ func NewSystem(cfg config.Memory, numSMs, warpsPerSM int, sizeWords int) *System
 		words:      make([]uint32, sizeWords),
 		l2:         newCache(cfg.L2KB, cfg.L2Assoc),
 		atomBusy:   make(map[uint32]int64),
+		l2Nacks:    make([]int64, numSMs),
 		lockOwner:  make(map[uint32]int32),
 		lockQueues: make(map[uint32][]lockWaiter),
 		warpHolds:  make(map[int32]int),
@@ -489,19 +510,13 @@ func (s *System) Tick(cycle int64) {
 	// artifact real interconnect/DRAM arbitration does not have.
 	if n := len(s.l2Queue); n > 0 {
 		s.arbLFSR = s.arbLFSR*1103515245 + 12345
-		if cycle < s.l2StuckUntil {
-			// A previous scan NACKed every queued segment and nothing has
-			// been enqueued since: each is an atomic whose line is still
-			// busy, so this cycle's scan would charge the identical retry
-			// set and service nothing. Replay the recorded counts. (The
-			// LFSR above still advances once per non-empty-queue cycle,
-			// exactly as the walk would.)
-			for sm, k := range s.l2StuckRetries {
-				if k != 0 {
-					s.ports[sm].stats.AtomRetries += k
-				}
-			}
-		} else {
+		// While cycle < l2StuckUntil the walk is skipped: a previous scan
+		// NACKed every queued segment and nothing has been enqueued since, so
+		// this cycle's scan would charge the identical retry set — still in
+		// l2Nacks — and service nothing. (The LFSR above still advances once
+		// per non-empty-queue cycle, exactly as the walk would.)
+		if cycle >= s.l2StuckUntil {
+			clear(s.l2Nacks)
 			start := int(s.arbLFSR>>16) % n
 			scanned := 0
 			served := false
@@ -510,13 +525,16 @@ func (s *System) Tick(cycle int64) {
 				if i >= len(s.l2Queue) {
 					i = 0
 				}
-				seg := s.l2Queue[i]
+				e := &s.l2Queue[i]
 				cost := int64(1)
-				if seg.req.Op.IsAtomic() {
-					if busy, ok := s.atomBusy[seg.line]; ok && busy > cycle {
-						s.ports[seg.req.SM].stats.AtomRetries++
-						if busy < minBusy {
-							minBusy = busy
+				if e.atomic {
+					if e.busyUntil <= cycle {
+						e.busyUntil = s.atomBusy[e.line]
+					}
+					if e.busyUntil > cycle {
+						s.l2Nacks[e.sm]++
+						if e.busyUntil < minBusy {
+							minBusy = e.busyUntil
 						}
 						i++ // line's atomic slot occupied; leave queued
 						continue
@@ -524,36 +542,33 @@ func (s *System) Tick(cycle int64) {
 					if s.inj != nil && s.inj.forceAtomRetry() {
 						// Injected retry storm: NACK the service attempt exactly
 						// like a busy atomic slot would.
-						s.ports[seg.req.SM].stats.AtomRetries++
+						s.l2Nacks[e.sm]++
 						i++
 						continue
 					}
 					cost = s.cfg.AtomCost
-					s.atomBusy[seg.line] = cycle + s.cfg.AtomLat
+					s.atomBusy[e.line] = cycle + s.cfg.AtomLat
 				}
-				s.l2Queue = append(s.l2Queue[:i], s.l2Queue[i+1:]...)
+				seg := e.seg
+				s.l2Queue = slices.Delete(s.l2Queue, i, i+1) // zeroes the vacated tail: the segment is not pinned
 				s.l2Tokens -= cost
 				s.serviceL2(seg)
 				served = true
 			}
-			// If nothing was served, every scanned entry took the busy-NACK
-			// path (non-atomics and free-line atomics are always serviced,
-			// and NACKs cost no tokens, so the walk covered the full queue):
-			// the scan is a pure function of the queue and atomBusy until
-			// minBusy. Record it — unless fault injection is live, whose
-			// forced NACKs draw from the RNG stream every walk.
-			if !served && s.inj == nil {
+			// A walk that covered the whole queue and served nothing took the
+			// busy-NACK path on every entry (non-atomics and free-line atomics
+			// are always serviced): the scan is a pure function of the queue
+			// and atomBusy until minBusy, and l2Nacks is its record. A walk cut
+			// short by token debt (AtomCost > L2Banks) is not — tokens refill
+			// with time — nor is one under fault injection, whose forced NACKs
+			// draw from the RNG stream every walk.
+			if !served && scanned == len(s.l2Queue) && s.inj == nil {
 				s.l2StuckUntil = minBusy
-				if cap(s.l2StuckRetries) < len(s.ports) {
-					s.l2StuckRetries = make([]int64, len(s.ports))
-				}
-				s.l2StuckRetries = s.l2StuckRetries[:len(s.ports)]
-				for i := range s.l2StuckRetries {
-					s.l2StuckRetries[i] = 0
-				}
-				for _, seg := range s.l2Queue {
-					s.l2StuckRetries[seg.req.SM]++
-				}
+			}
+		}
+		for sm, k := range s.l2Nacks {
+			if k != 0 {
+				s.ports[sm].stats.AtomRetries += k
 			}
 		}
 	}
@@ -625,7 +640,9 @@ func (s *System) Quiescent() bool {
 // blocked atomic) changes what the next scan charges and may be
 // serviceable.
 func (s *System) pushL2(seg *segment) {
-	s.l2Queue = append(s.l2Queue, seg)
+	s.l2Queue = append(s.l2Queue, l2Entry{
+		seg: seg, line: seg.line, sm: int32(seg.req.SM), atomic: seg.req.Op.IsAtomic(),
+	})
 	s.l2StuckUntil = 0
 }
 
@@ -670,7 +687,10 @@ func (p *Port) inject() {
 			}
 		}
 	}
-	p.lsq = p.lsq[1:]
+	// Pop by shifting down rather than re-slicing from the front: the LSQ is
+	// a few entries deep, and lsq[1:] gives up capacity on every pop, so an
+	// SM that drains its queue each cycle would reallocate on every Enqueue.
+	p.lsq = slices.Delete(p.lsq, 0, 1)
 }
 
 func (s *System) serviceL2(seg *segment) {

@@ -457,3 +457,82 @@ func TestQueueLockBlocksAndGrantsFIFO(t *testing.T) {
 		t.Fatalf("successes = %d, want 3", ev.LockSuccess)
 	}
 }
+
+// TestAtomicStormPinned pins the L2 arbitration walk to the numbers the
+// per-cycle map-lookup implementation produced: twelve CASes from three
+// SMs parked on one line (AtomLat 12, so each service is followed by an
+// eleven-cycle span in which every scan NACKs the whole queue — the
+// stuck-scan replay — until the line frees and the walk resumes), with a
+// store enqueued behind SM 2's CASes that interrupts the first span. The
+// per-SM retry counts, the service order and every completion cycle are
+// the contract the flat queue, its cached busy-until and the replayed
+// NACK tally must keep.
+func TestAtomicStormPinned(t *testing.T) {
+	cfg := testMemCfg()
+	cfg.AtomLat = 12
+	s := NewSystem(cfg, 3, 8, 1024)
+	type completion struct {
+		id    int // sm*10 + warp slot
+		cycle int64
+	}
+	var got []completion
+	var now int64
+	left := 0
+	enqueue := func(sm, slot int, op isa.Op, addr uint32) {
+		left++
+		s.Port(sm).Enqueue(&Request{SM: sm, WarpSlot: slot, Op: op,
+			Accesses: []Access{{Lane: 0, Addr: addr, V1: 0, V2: 1}},
+			Done: func(r *Request) {
+				left--
+				got = append(got, completion{r.SM*10 + r.WarpSlot, now})
+			}})
+	}
+	for slot := 0; slot < 4; slot++ {
+		for sm := 0; sm < 3; sm++ {
+			enqueue(sm, slot, isa.OpAtomCAS, 512+uint32(sm*4+slot)) // one line
+		}
+	}
+	enqueue(2, 4, isa.OpSt, 900)
+	for now = 0; left > 0 && now < 1000; now++ {
+		s.Tick(now)
+	}
+	want := []completion{
+		{0, 21}, {24, 25}, {21, 33}, {22, 45}, {3, 57}, {10, 69}, {11, 81},
+		{23, 93}, {12, 105}, {1, 117}, {13, 129}, {20, 141}, {2, 153},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d completions, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("completion %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	for sm, wantRetries := range []int64{253, 290, 219} {
+		if n := s.Stats(sm).AtomRetries; n != wantRetries {
+			t.Errorf("sm%d AtomRetries = %d, want %d", sm, n, wantRetries)
+		}
+	}
+}
+
+// TestAtomCostAboveBankCountStillDrains: a machine whose atomic costs
+// more tokens than one cycle refills (AtomCost > L2Banks) leaves the
+// bucket in debt after each service, so the next cycle's walk covers no
+// entry. That is a wait for tokens, not a stuck scan: the queue must keep
+// draining as the bucket refills.
+func TestAtomCostAboveBankCountStillDrains(t *testing.T) {
+	cfg := testMemCfg()
+	cfg.AtomCost = 8
+	s := NewSystem(cfg, 2, 8, 1024)
+	left := 4
+	for i := 0; i < 4; i++ {
+		sm := i % 2
+		s.Port(sm).Enqueue(&Request{SM: sm, WarpSlot: i / 2, Op: isa.OpAtomAdd,
+			Accesses: []Access{{Lane: 0, Addr: uint32(64 * (i + 1)), V1: 1}},
+			Done:     func(*Request) { left-- }})
+	}
+	runUntil(t, s, func() bool { return left == 0 }, 5000)
+	if n := s.Stats(0).AtomRetries + s.Stats(1).AtomRetries; n != 0 {
+		t.Errorf("atomics on four free lines charged %d retries", n)
+	}
+}

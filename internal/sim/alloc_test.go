@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"runtime"
@@ -6,6 +6,8 @@ import (
 
 	"warpsched/internal/config"
 	"warpsched/internal/isa"
+	"warpsched/internal/kernels"
+	"warpsched/internal/sim"
 )
 
 // aluLoopProg builds a pure-ALU countdown loop: iters iterations of a few
@@ -31,31 +33,23 @@ func aluLoopProg(t *testing.T) *isa.Program {
 	return p
 }
 
-// aluRun executes the loop kernel at the given iteration count and
-// returns the heap allocations performed by Run (not construction) and
-// the warp instructions issued.
-func aluRun(t *testing.T, iters uint32) (allocs uint64, instrs int64) {
+// runAllocs executes the launch and returns the heap allocations
+// performed by Run (not construction) alongside the result.
+func runAllocs(t *testing.T, opt sim.Options, launch sim.Launch) (allocs uint64, res *sim.Result) {
 	t.Helper()
-	launch := Launch{
-		Prog:       aluLoopProg(t),
-		GridCTAs:   4,
-		CTAThreads: 64,
-		Params:     []uint32{iters},
-		MemWords:   64,
-	}
-	eng, err := New(testOptions(config.GTO), launch)
+	eng, err := sim.New(opt, launch)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	res, err := eng.Run()
+	res, err = eng.Run()
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return m1.Mallocs - m0.Mallocs, res.Stats.WarpInstrs
+	return m1.Mallocs - m0.Mallocs, res
 }
 
 // TestEngineSteadyStateAllocs requires the issue/writeback hot path to be
@@ -64,8 +58,18 @@ func aluRun(t *testing.T, iters uint32) (allocs uint64, instrs int64) {
 // (CTA dispatch, scratch growth, GC noise) are identical between the two
 // runs, so the delta isolates the steady state.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	aSmall, iSmall := aluRun(t, 500)
-	aBig, iBig := aluRun(t, 5000)
+	aluRun := func(iters uint32) (uint64, int64) {
+		allocs, res := runAllocs(t, detOptions(2, config.GTO, false), sim.Launch{
+			Prog:       aluLoopProg(t),
+			GridCTAs:   4,
+			CTAThreads: 64,
+			Params:     []uint32{iters},
+			MemWords:   64,
+		})
+		return allocs, res.Stats.WarpInstrs
+	}
+	aSmall, iSmall := aluRun(500)
+	aBig, iBig := aluRun(5000)
 	dInstr := iBig - iSmall
 	if dInstr < 10_000 {
 		t.Fatalf("instruction delta too small to measure: %d", dInstr)
@@ -80,5 +84,36 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if dAlloc > 64 {
 		t.Errorf("steady-state allocations: %d extra allocs over %d extra warp instructions (small=%d big=%d)",
 			dAlloc, dInstr, aSmall, aBig)
+	}
+}
+
+// TestEngineLockRetryAllocs is the same requirement for the lock-retry
+// path: the hashtable kernel inserts the same keys from the same threads
+// into many buckets and into few, with and without BOWS/DDOS, so the
+// contended run does the same useful work with tens of thousands more
+// failed acquires and over ten times the cycles, most of them spent
+// NACKing parked atomics at the L2 or walking backed-off warps. The L2
+// queue and its NACK tally, the LSQ, the back-off queues and the
+// readiness masks must not allocate per retry or per cycle.
+func TestEngineLockRetryAllocs(t *testing.T) {
+	for _, bows := range []bool{true, false} {
+		htRun := func(buckets int) (allocs uint64, failed, cycles int64) {
+			k := kernels.NewHashTable(kernels.HashTableConfig{Items: 3072, Buckets: buckets, CTAs: 12, CTAThreads: 128})
+			allocs, res := runAllocs(t, detOptions(2, config.GTO, bows), k.Launch)
+			return allocs, res.Stats.Sync.InterWarpFail + res.Stats.Sync.IntraWarpFail, res.Stats.Cycles
+		}
+		aLow, fLow, cLow := htRun(512)
+		aHigh, fHigh, cHigh := htRun(8)
+		if fHigh-fLow < 10_000 || cHigh < 10*cLow {
+			t.Fatalf("bows=%v: contention delta too small to measure: %d → %d failed acquires, %d → %d cycles",
+				bows, fLow, fHigh, cLow, cHigh)
+		}
+		// The uncontended run misses more in L1 and DRAM, whose queues still
+		// allocate, so the contended run normally allocates less; allow the
+		// same constant slop as above, nothing proportional to the retries.
+		if aHigh > aLow+64 {
+			t.Errorf("bows=%v: %d extra allocs over %d extra failed acquires and %d extra cycles (low=%d high=%d)",
+				bows, aHigh-aLow, fHigh-fLow, cHigh-cLow, aLow, aHigh)
+		}
 	}
 }

@@ -203,6 +203,7 @@ type smUnit struct {
 	policy  sched.Policy
 	wrapped *core.Wrapped // non-nil when BOWS is on
 	slots   []int
+	mask    uint64 // the unit's slots as a warp-slot set
 	// ffBlocked caches, during a fast-forward decision, how many ready
 	// backed-off warps each skipped cycle's failing Pick would have walked
 	// past (see core.Wrapped.BackoffStall); fastForward credits it.
@@ -213,7 +214,10 @@ type smState struct {
 	id  int
 	eng *Engine
 
-	warps   []*simt.Warp
+	warps []*simt.Warp
+	// ctaOf[slot] is the resident CTA the slot's warp belongs to (nil for a
+	// free slot).
+	ctaOf   []*ctaRec
 	metrics []sched.WarpMetrics
 	// regPend/predPend are per-slot scoreboards: bit r of regPend[slot]
 	// marks register r pending writeback. One uint64 covers the full
@@ -243,11 +247,41 @@ type smState struct {
 	// writes engine state from a sharded SM tick.
 	ctasDone int
 
+	// Warp-slot sets, bit s for slot s (WarpsPerSM ≤ 64, see the
+	// compile-time lines below). They are maintained, not recomputed:
+	// refresh(slot) rederives a slot's bits and runs at exactly the events
+	// that can change them (DESIGN.md §8b lists them), so the per-cycle
+	// ready probe is two bit tests and per-cycle accounting a population
+	// count.
+	//
+	// live: the slot holds a warp that has not finished. sbReady: the warp
+	// is live, not at a barrier, the scoreboard is clear for the instruction
+	// at its PC and the per-warp port condition of that instruction's
+	// readyKind holds. nextMem: that instruction is a memory operation, so
+	// issue also needs LSQ space — one condition for the whole SM, tested at
+	// probe time because unit 0's issue can flip it for unit 1 within a tick.
+	live    uint64
+	sbReady uint64
+	nextMem uint64
+	// issuedMask holds the slots that issued during the current tick; the
+	// per-cycle accounting charges a stall to every live slot outside it and
+	// then clears the live slots' bits. A warp that retires on its issue is
+	// no longer live, so its bit stays set and the next warp placed in the
+	// slot is not charged a stall for its first tick (pinned by golden; see
+	// TestRecycledSlotFirstTickStallFree).
+	issuedMask uint64
+	// The per-warp WarpMetrics.ResidentCycles/StallCycles (read only by
+	// CAWA, and only for slots reported ready) are settled lazily: acctMark
+	// is the SampleCycles value up to which a slot's pair is current, and
+	// skipStall marks a freshly placed warp that inherited a set issuedMask
+	// bit — its first unsettled tick is not a stall.
+	acctMark  []int64
+	skipStall uint64
+
 	// issued reports whether any scheduler unit issued during the current
 	// tick; the engine reads it after the SM phase to decide whether the
 	// whole machine is stalled (a fast-forward precondition).
-	issued          bool
-	issuedThisCycle []bool
+	issued bool
 
 	// Dormancy: when a tick ends with nothing issued, no pending ALU
 	// writebacks and an empty LSQ, this SM is inert — failing Picks have
@@ -303,10 +337,12 @@ const (
 	readyMembar                  // needs an empty per-warp LSQ
 )
 
-// The bitmask scoreboards require the architectural limits to fit.
+// The bitmask scoreboards and warp-slot sets require the architectural
+// limits to fit.
 const (
-	_ = uint64(1) << (isa.NumRegs - 1)  // compile-time: NumRegs ≤ 64
-	_ = uint64(1) << (isa.NumPreds - 1) // compile-time: NumPreds ≤ 64
+	_ = uint64(1) << (isa.NumRegs - 1)          // compile-time: NumRegs ≤ 64
+	_ = uint64(1) << (isa.NumPreds - 1)         // compile-time: NumPreds ≤ 64
+	_ = uint64(1) << (config.MaxWarpsPerSM - 1) // compile-time: WarpsPerSM ≤ 64 (GPU.Validate)
 )
 
 func buildMasks(p *isa.Program) []instrMasks {
@@ -451,18 +487,19 @@ func New(opt Options, launch Launch) (*Engine, error) {
 	slotsPer := opt.GPU.WarpsPerSM / opt.GPU.SchedulersPerSM
 	for id := 0; id < opt.GPU.NumSMs; id++ {
 		m := &smState{
-			id:              id,
-			eng:             e,
-			warps:           make([]*simt.Warp, opt.GPU.WarpsPerSM),
-			metrics:         make([]sched.WarpMetrics, opt.GPU.WarpsPerSM),
-			regPend:         make([]uint64, opt.GPU.WarpsPerSM),
-			predPend:        make([]uint64, opt.GPU.WarpsPerSM),
-			wbRing:          make([][]wbItem, opt.GPU.ALULat+1),
-			issuedThisCycle: make([]bool, opt.GPU.WarpsPerSM),
-			det:             newDetector(),
-			port:            e.sys.Port(id),
+			id:       id,
+			eng:      e,
+			warps:    make([]*simt.Warp, opt.GPU.WarpsPerSM),
+			ctaOf:    make([]*ctaRec, opt.GPU.WarpsPerSM),
+			metrics:  make([]sched.WarpMetrics, opt.GPU.WarpsPerSM),
+			regPend:  make([]uint64, opt.GPU.WarpsPerSM),
+			predPend: make([]uint64, opt.GPU.WarpsPerSM),
+			wbRing:   make([][]wbItem, opt.GPU.ALULat+1),
+			acctMark: make([]int64, opt.GPU.WarpsPerSM),
+			det:      newDetector(),
+			port:     e.sys.Port(id),
 		}
-		m.readyFn = m.ready
+		m.readyFn = m.pickReady
 		m.doneFn = m.memDone
 		if opt.BOWS.Mode != config.BOWSOff {
 			m.bows = core.NewBOWS(opt.BOWS, m.det, opt.GPU.WarpsPerSM)
@@ -472,15 +509,17 @@ func New(opt Options, launch Launch) (*Engine, error) {
 		}
 		for u := 0; u < opt.GPU.SchedulersPerSM; u++ {
 			slots := make([]int, slotsPer)
+			var mask uint64
 			for i := range slots {
 				slots[i] = u*slotsPer + i
+				mask |= 1 << uint(slots[i])
 			}
 			base, err := sched.New(opt.Sched, slots, m.metrics,
 				sched.Params{GTORotatePeriod: opt.GPU.GTORotatePeriod, WaSP: opt.WaSP})
 			if err != nil {
 				return nil, err
 			}
-			unit := &smUnit{policy: base, slots: slots}
+			unit := &smUnit{policy: base, slots: slots, mask: mask}
 			if m.bows != nil {
 				unit.wrapped = core.Wrap(base, m.bows)
 				unit.policy = unit.wrapped
@@ -801,11 +840,12 @@ func (m *smState) sleep(cycle int64) {
 
 // flush ends a dormant span at cycle (exclusive) and bulk-credits the
 // skipped ticks so every counter a per-cycle run would have accrued is
-// identical: per-unit idle cycles, per-warp residency/stall/backed-off
-// accounting (BackedOff is sticky — it only changes when the warp
-// issues, so the end-of-span value holds for the whole span), blocked
-// pick attempts (cached by sleep), and the writeback ring position (the
-// ring is empty — only its phase must track cycle).
+// identical: per-unit idle cycles, residency/stall/backed-off sums (the
+// live set cannot change while nothing issues, and BackedOff is sticky —
+// it only changes when the warp issues — so the end-of-span sets hold for
+// the whole span; the per-warp pairs follow SampleCycles lazily, see
+// settle), blocked pick attempts (cached by sleep), and the writeback
+// ring position (the ring is empty — only its phase must track cycle).
 func (m *smState) flush(cycle int64) {
 	delta := cycle - m.dormantSince
 	m.dormant = false
@@ -816,18 +856,11 @@ func (m *smState) flush(cycle int64) {
 	m.ffSkipped += delta
 	m.st.IdleCycles += int64(len(m.units)) * delta
 	m.st.SampleCycles += delta
-	for slot, w := range m.warps {
-		if w == nil || w.Done {
-			continue
-		}
-		mt := &m.metrics[slot]
-		mt.ResidentCycles += delta
-		mt.StallCycles += delta
-		m.st.ResidentSum += delta
-		m.st.StallTotal += delta
-		if m.bows != nil && m.bows.BackedOff(slot) {
-			m.st.BackedOffSum += delta
-		}
+	live := int64(bits.OnesCount64(m.live))
+	m.st.ResidentSum += live * delta
+	m.st.StallTotal += live * delta
+	if m.bows != nil {
+		m.st.BackedOffSum += int64(bits.OnesCount64(m.live&m.bows.BackedOffMask())) * delta
 	}
 	m.wbHead = int((int64(m.wbHead) + delta) % int64(len(m.wbRing)))
 	for _, u := range m.units {
@@ -881,31 +914,97 @@ func (m *smState) placeCTA(ctaID, warpsPerCTA int) {
 		w := simt.NewWarp(l.Prog, cta, wi, slot, m.id, gtidBase, lanes)
 		w.Params = l.Params
 		m.warps[slot] = w
+		m.ctaOf[slot] = rec
 		m.metrics[slot] = sched.WarpMetrics{Resident: true, EstRemaining: int64(l.Prog.Len())}
+		m.acctMark[slot] = m.st.SampleCycles
+		bit := uint64(1) << uint(slot)
+		m.skipStall = m.skipStall&^bit | m.issuedMask&bit
+		m.refresh(slot)
 		rec.slots = append(rec.slots, slot)
 	}
 	m.ctas = append(m.ctas, rec)
 	m.resident++
 }
 
-// ready reports whether the warp in slot can issue its next instruction.
-func (m *smState) ready(slot int) bool {
+// refresh rederives slot's bits in live, sbReady and nextMem from the
+// machine state. It must run after every event that can change them: an
+// ALU writeback, the slot's own issue, a barrier release or warp
+// retirement in its CTA, a memory completion charged to the slot, and CTA
+// placement.
+func (m *smState) refresh(slot int) {
+	bit := uint64(1) << uint(slot)
+	m.live &^= bit
+	m.sbReady &^= bit
+	m.nextMem &^= bit
 	w := m.warps[slot]
-	if w == nil || w.Done || w.AtBarrier {
-		return false
+	if w == nil || w.Done {
+		return
 	}
-	pc := w.PC()
-	mk := &m.eng.masks[pc]
+	m.live |= bit
+	if w.AtBarrier {
+		return
+	}
+	mk := &m.eng.masks[w.PC()]
 	if m.regPend[slot]&mk.regs != 0 || m.predPend[slot]&mk.preds != 0 {
-		return false
+		return
 	}
 	switch mk.kind {
 	case readyMem:
-		return m.port.Outstanding(slot) < m.eng.opt.GPU.Mem.MaxPerWarp && m.port.CanAccept(1)
+		if m.port.Outstanding(slot) >= m.eng.opt.GPU.Mem.MaxPerWarp {
+			return
+		}
+		m.nextMem |= bit
 	case readyMembar:
-		return m.port.Outstanding(slot) == 0
+		if m.port.Outstanding(slot) != 0 {
+			return
+		}
 	}
+	m.sbReady |= bit
+}
+
+// refreshCTA refreshes every slot of rec: a barrier release or a warp
+// retirement can unblock any warp of the CTA.
+func (m *smState) refreshCTA(rec *ctaRec) {
+	for _, s := range rec.slots {
+		m.refresh(s)
+	}
+}
+
+// ready reports whether the warp in slot can issue its next instruction.
+func (m *smState) ready(slot int) bool {
+	bit := uint64(1) << uint(slot)
+	return m.sbReady&bit != 0 && (m.nextMem&bit == 0 || m.port.CanAccept(1))
+}
+
+// pickReady is the readiness predicate handed to Policy.Pick: ready, plus
+// settling the slot's lazily kept WarpMetrics before a policy (CAWA) can
+// read them.
+func (m *smState) pickReady(slot int) bool {
+	if !m.ready(slot) {
+		return false
+	}
+	m.settle(slot)
 	return true
+}
+
+// settle brings slot's WarpMetrics.ResidentCycles/StallCycles up to
+// SampleCycles. Every tick since the mark was a resident one in which the
+// warp did not issue (an issue settles and accounts its own tick), i.e. a
+// stall — except the first tick of a warp that inherited a set issuedMask
+// bit from the slot's previous occupant.
+func (m *smState) settle(slot int) {
+	d := m.st.SampleCycles - m.acctMark[slot]
+	if d <= 0 {
+		return
+	}
+	m.acctMark[slot] = m.st.SampleCycles
+	mt := &m.metrics[slot]
+	mt.ResidentCycles += d
+	mt.StallCycles += d
+	if bit := uint64(1) << uint(slot); m.skipStall&bit != 0 {
+		m.skipStall &^= bit
+		mt.StallCycles--
+	}
 }
 
 func (m *smState) tick(cycle int64) {
@@ -913,14 +1012,19 @@ func (m *smState) tick(cycle int64) {
 	// end of each tick), avoiding the per-cycle int64 modulo.
 	ring := &m.wbRing[m.wbHead]
 	m.wbPending -= len(*ring)
+	var touched uint64
 	for _, it := range *ring {
 		if it.isPred {
 			m.predPend[it.slot] &^= 1 << it.idx
 		} else {
 			m.regPend[it.slot] &^= 1 << it.idx
 		}
+		touched |= 1 << uint(it.slot)
 	}
 	*ring = (*ring)[:0]
+	for ; touched != 0; touched &= touched - 1 {
+		m.refresh(bits.TrailingZeros64(touched))
+	}
 
 	// 2. Detector / controller ticks.
 	m.det.Tick(cycle)
@@ -928,10 +1032,15 @@ func (m *smState) tick(cycle int64) {
 		m.bows.Tick(cycle)
 	}
 
-	// 3. Issue: one instruction per scheduler unit.
+	// 3. Issue: one instruction per scheduler unit. A unit with no
+	// scoreboard-ready slot is not asked: its Pick would fail, and a failing
+	// Pick has no side effects (dormancy rests on the same rule).
 	m.issued = false
 	for _, u := range m.units {
-		slot := u.policy.Pick(cycle, m.readyFn)
+		slot := -1
+		if m.sbReady&u.mask != 0 {
+			slot = u.policy.Pick(cycle, m.readyFn)
+		}
 		if slot < 0 {
 			m.st.IdleCycles++
 			continue
@@ -941,24 +1050,14 @@ func (m *smState) tick(cycle int64) {
 		m.issue(u, slot, cycle)
 	}
 
-	// 4. Per-warp accounting (CAWA metrics, Figure 11 sampling).
+	// 4. Per-cycle accounting over the live set (Figure 11 sampling; CAWA's
+	// per-warp pairs follow SampleCycles lazily, see settle).
 	m.st.SampleCycles++
-	for slot, w := range m.warps {
-		if w == nil || w.Done {
-			continue
-		}
-		mt := &m.metrics[slot]
-		mt.ResidentCycles++
-		m.st.ResidentSum++
-		if m.issuedThisCycle[slot] {
-			m.issuedThisCycle[slot] = false
-		} else {
-			mt.StallCycles++
-			m.st.StallTotal++
-		}
-		if m.bows != nil && m.bows.BackedOff(slot) {
-			m.st.BackedOffSum++
-		}
+	m.st.ResidentSum += int64(bits.OnesCount64(m.live))
+	m.st.StallTotal += int64(bits.OnesCount64(m.live &^ m.issuedMask))
+	m.issuedMask &^= m.live
+	if m.bows != nil {
+		m.st.BackedOffSum += int64(bits.OnesCount64(m.live & m.bows.BackedOffMask()))
 	}
 	if n := m.det.TableLen(); n > m.maxSIBPT {
 		m.maxSIBPT = n
@@ -991,7 +1090,15 @@ func (m *smState) issue(u *smUnit, slot int, cycle int64) {
 	if in.HasAnn(isa.AnnSync) {
 		m.st.SyncThreadInstrs += lanes
 	}
-	m.issuedThisCycle[slot] = true
+	// This tick is a resident, non-stall one for the warp: settle what came
+	// before it and account it here, ahead of SampleCycles by the one tick
+	// step 4 is about to add.
+	m.settle(slot)
+	bit := uint64(1) << uint(slot)
+	m.issuedMask |= bit
+	m.skipStall &^= bit
+	m.acctMark[slot] = m.st.SampleCycles + 1
+	m.metrics[slot].ResidentCycles++
 	m.metrics[slot].Issued++
 	if m.pcCounts != nil {
 		m.pcCounts[res.PC]++
@@ -1053,8 +1160,16 @@ func (m *smState) issue(u *smUnit, slot int, cycle int64) {
 		m.pushWB(slot, false, uint8(in.Dst))
 	}
 
-	if w.Done {
-		m.checkCTADone(w.CTA)
+	// The issue moved the warp's PC and may have set scoreboard bits or
+	// taken a port slot; bar.sync and retirement can also release the CTA's
+	// barrier (CTA.Arrive, warpFinished) and so unblock its other warps.
+	if rec := m.ctaOf[slot]; w.Done {
+		m.checkCTADone(rec)
+		m.refreshCTA(rec)
+	} else if in.Op == isa.OpBar {
+		m.refreshCTA(rec)
+	} else {
+		m.refresh(slot)
 	}
 	if ob := m.eng.opt.Observer; ob != nil && w.CTA.Released {
 		w.CTA.Released = false
@@ -1113,28 +1228,29 @@ func (m *smState) memDone(r *mem.Request) {
 			m.regPend[r.WarpSlot] &^= 1 << uint(r.Dst)
 		}
 	}
+	// The slot's outstanding count dropped too (or, for a fully
+	// predicated-off instruction, never rose); the slot may by now hold a
+	// different warp than the one that issued r.
+	m.refresh(r.WarpSlot)
 	r.Owner = nil
 	m.reqPuts++
 	m.reqFree = append(m.reqFree, r)
 }
 
-func (m *smState) checkCTADone(cta *simt.CTA) {
-	if cta.LiveWarps() != 0 {
+// checkCTADone frees rec's slots once its last warp has retired.
+func (m *smState) checkCTADone(rec *ctaRec) {
+	if rec.cta.LiveWarps() != 0 {
 		return
 	}
-	for _, rec := range m.ctas {
-		if rec.cta == cta && !rec.done {
-			rec.done = true
-			for _, s := range rec.slots {
-				m.warps[s] = nil
-				m.metrics[s] = sched.WarpMetrics{}
-				m.freeSlots = append(m.freeSlots, s)
-			}
-			m.resident--
-			m.ctasDone++
-			return
-		}
+	rec.done = true
+	for _, s := range rec.slots {
+		m.warps[s] = nil
+		m.ctaOf[s] = nil
+		m.metrics[s] = sched.WarpMetrics{}
+		m.freeSlots = append(m.freeSlots, s)
 	}
+	m.resident--
+	m.ctasDone++
 }
 
 func (e *Engine) result() *Result {

@@ -412,3 +412,65 @@ func TestClockSpecialAdvances(t *testing.T) {
 		t.Fatalf("clock delta = %d, want positive", int32(res.Memory[0]))
 	}
 }
+
+// TestRecycledSlotFirstTickStallFree pins a rule of the cycle accounting
+// that golden would otherwise carry silently: a warp that retires on its
+// issue leaves its slot's issued mark set (the per-cycle accounting only
+// clears the marks of live warps), so the next warp placed in that slot is
+// not charged a stall for its first tick even if it does not issue in it.
+//
+// One CTA at a time, two warps per CTA, a program that is a single exit;
+// both slots belong to scheduler unit 0, which issues one warp per tick:
+//
+//	tick 0  A0 (slot 0) exits; A1 (slot 1) waits        resident 1, stall 1
+//	tick 1  A1 exits, the CTA completes, B is placed    resident 0
+//	tick 2  B0 (slot 1) exits; B1 (slot 0) waits — its
+//	        first tick, on slot 0's stale mark          resident 1, stall 0
+//	tick 3  B1 exits                                    resident 0
+func TestRecycledSlotFirstTickStallFree(t *testing.T) {
+	b := isa.NewBuilder("exit-only")
+	b.Exit()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := testOptions(config.CAWA)
+	opt.GPU = opt.GPU.Scaled(1)
+	opt.GPU.MaxCTAsPerSM = 1
+	launch := Launch{Prog: p, GridCTAs: 2, CTAThreads: 64, MemWords: 64}
+
+	eng, err := New(opt, launch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Cycles != 4 || res.Stats.ResidentSum != 2 || res.Stats.StallTotal != 1 {
+		t.Errorf("cycles/resident/stall = %d/%d/%d, want 4/2/1 (stall 2 would charge the recycled slot's first tick)",
+			res.Stats.Cycles, res.Stats.ResidentSum, res.Stats.StallTotal)
+	}
+
+	// The same launch stepped by hand up to tick 2, for the per-warp pair
+	// CAWA reads: B1 has been resident one tick and stalled none.
+	eng, err = New(opt, launch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := eng.sms[0]
+	eng.dispatch()
+	m.tick(0)
+	m.tick(1)
+	eng.dispatch()
+	m.tick(2)
+	if w := m.warps[0]; w == nil || w.Done || m.warps[1] == nil || !m.warps[1].Done {
+		t.Fatalf("after tick 2 slot 0 should hold the waiting B1 and slot 1 the retired B0")
+	}
+	if !m.pickReady(0) {
+		t.Fatal("B1 is not ready")
+	}
+	if mt := m.metrics[0]; mt.ResidentCycles != 1 || mt.StallCycles != 0 {
+		t.Errorf("B1 resident/stall cycles = %d/%d, want 1/0", mt.ResidentCycles, mt.StallCycles)
+	}
+}

@@ -2,10 +2,11 @@
 // periodically cross-checks redundant state the simulator maintains in
 // several places at once — scoreboard pending bits against in-flight
 // producers, request-pool gets against puts, CTA slot accounting against
-// residency — and fails fast with a structured InvariantError instead of
-// silently simulating garbage for millions of cycles. Checks are pure
-// reads: a checked run simulates cycle-identically to an unchecked one,
-// it just may stop earlier.
+// residency, the event-maintained readiness masks against the
+// from-scratch readiness predicate — and fails fast with a structured
+// InvariantError instead of silently simulating garbage for millions of
+// cycles. Checks are pure reads: a checked run simulates cycle-identically
+// to an unchecked one, it just may stop earlier.
 package sim
 
 import (
@@ -145,6 +146,7 @@ func (e *Engine) checkInvariants(atEnd bool) error {
 		for slot := 0; slot < slots; slot++ {
 			p := prod[i][slot]
 			inFlight += p.count
+			m.checkSlotMasks(slot, add)
 			if m.warps[slot] == nil {
 				// Empty slots may carry stale scoreboard bits (cleared when the
 				// stale producer completes) but never own/ALU producers.
@@ -262,6 +264,54 @@ func (e *Engine) checkInvariants(atEnd bool) error {
 		return nil
 	}
 	return &InvariantError{Violations: vs}
+}
+
+// readyFromScratch is the readiness predicate computed from machine state
+// alone — what smState.ready computed on every probe before the masks
+// existed. It is the oracle the maintained bits are checked against, and
+// nothing on the simulation path calls it.
+func (m *smState) readyFromScratch(slot int) bool {
+	w := m.warps[slot]
+	if w == nil || w.Done || w.AtBarrier {
+		return false
+	}
+	mk := &m.eng.masks[w.PC()]
+	if m.regPend[slot]&mk.regs != 0 || m.predPend[slot]&mk.preds != 0 {
+		return false
+	}
+	switch mk.kind {
+	case readyMem:
+		return m.port.Outstanding(slot) < m.eng.opt.GPU.Mem.MaxPerWarp && m.port.CanAccept(1)
+	case readyMembar:
+		return m.port.Outstanding(slot) == 0
+	}
+	return true
+}
+
+// checkSlotMasks cross-checks slot's event-maintained state against the
+// machine: the live bit against the warp table, the ready and next-is-mem
+// bits against readyFromScratch (a drift means some event that changes
+// readiness does not call refresh), and the lazy accounting mark against
+// SampleCycles (a mark ahead of it would settle a negative span).
+func (m *smState) checkSlotMasks(slot int, add func(name string, sm, slot int, format string, args ...any)) {
+	bit := uint64(1) << uint(slot)
+	w := m.warps[slot]
+	if live := w != nil && !w.Done; (m.live&bit != 0) != live {
+		add("live.mask-drift", m.id, slot, "live bit %v but warp live %v", m.live&bit != 0, live)
+	}
+	if got, want := m.ready(slot), m.readyFromScratch(slot); got != want {
+		add("ready.mask-drift", m.id, slot, "maintained readiness %v, from scratch %v (sbReady %v, nextMem %v)",
+			got, want, m.sbReady&bit != 0, m.nextMem&bit != 0)
+	} else if m.sbReady&bit != 0 {
+		if isMem := m.eng.masks[w.PC()].kind == readyMem; (m.nextMem&bit != 0) != isMem {
+			add("ready.mask-drift", m.id, slot, "next-is-mem bit %v but the next instruction's memory class is %v",
+				m.nextMem&bit != 0, isMem)
+		}
+	}
+	if m.acctMark[slot] > m.st.SampleCycles {
+		add("acct.mark-ahead", m.id, slot, "accounting mark %d is ahead of SampleCycles %d",
+			m.acctMark[slot], m.st.SampleCycles)
+	}
 }
 
 // barrierComplete reports whether every live warp of cta currently

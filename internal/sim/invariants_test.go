@@ -162,6 +162,32 @@ func TestInvariantDetectsSlotCorruption(t *testing.T) {
 	requireViolation(t, eng2.checkInvariants(false), "cta.residency")
 }
 
+// TestInvariantDetectsMaskDrift corrupts each piece of event-maintained
+// slot state in turn: a readiness bit that no refresh would have produced,
+// a next-is-mem bit that disagrees with the instruction at the warp's PC,
+// a live bit on the wrong side of the warp table, and an accounting mark
+// from the future.
+func TestInvariantDetectsMaskDrift(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(m *smState)
+	}{
+		{"ready.mask-drift", func(m *smState) { m.sbReady &^= 1 }}, // slot 0 can issue its ldparam
+		{"ready.mask-drift", func(m *smState) { m.nextMem |= 1 }},  // ... which is not a memory operation
+		{"live.mask-drift", func(m *smState) { m.live &^= 1 }},
+		{"live.mask-drift", func(m *smState) { m.live |= 1 << 47 }}, // the last slot is empty
+		{"acct.mark-ahead", func(m *smState) { m.acctMark[0] = m.st.SampleCycles + 1 }},
+	}
+	for _, tc := range cases {
+		eng := invTestEngine(t)
+		if err := eng.checkInvariants(false); err != nil {
+			t.Fatalf("clean engine reports violations: %v", err)
+		}
+		tc.corrupt(eng.sms[0])
+		requireViolation(t, eng.checkInvariants(false), tc.name)
+	}
+}
+
 func TestInvariantErrorFormat(t *testing.T) {
 	err := &InvariantError{Violations: []InvariantViolation{
 		{Name: "pool.balance", Cycle: 4096, SM: 1, Slot: -1, Detail: "x"},

@@ -7,7 +7,8 @@
 # parallel-runner determinism tests under the race detector, the warplint
 # static analyzer over every registered kernel, an invariant-checked
 # simulation smoke pass (-check arms the runtime invariant checker and
-# hang diagnosis), and the vet + smoke test of the nested bench/ module
+# hang diagnosis; the third run is the 64-slot machine, the full width of
+# the engine's warp-slot masks), and the vet + smoke test of the nested bench/ module
 # (tier-1 `go test ./...` does not compile it, so this is where an API
 # rename that breaks the benchmark is caught). Run from the repo root:
 #
@@ -52,6 +53,7 @@ go test -race ./internal/exp -run TestRunner
 echo "== invariant-checked smoke (warpsim -check) =="
 go run ./cmd/warpsim -kernel HT -sms 2 -check > /dev/null
 go run ./cmd/warpsim -kernel ATM -sms 2 -bows ddos -check -fault-seed 7 > /dev/null
+go run ./cmd/warpsim -kernel HT -gpu pascal -sms 2 -sched CAWA -bows ddos -check > /dev/null
 
 echo "== persistent store smoke (crash-restart round trip) =="
 go test ./internal/store -run 'TestRoundTrip|TestCrashRestartLoop' -count=1
