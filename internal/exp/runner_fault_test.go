@@ -96,6 +96,24 @@ func TestRunnerPanicRecovered(t *testing.T) {
 	}
 }
 
+// TestRunnerMissingParamIsPlainError: a launch that supplies fewer
+// parameters than its program reads (what a warpsimd inline job with a
+// short "params" list amounts to) is rejected by sim.New as a configuration
+// error; it used to panic inside Run and come back as a *PanicError with a
+// stack.
+func TestRunnerMissingParamIsPlainError(t *testing.T) {
+	sp := testSpec(64)
+	sp.Kernel.Launch.Params = sp.Kernel.Launch.Params[:1]
+	o := Cfg{Jobs: 1}.runAll([]Spec{sp})[0]
+	if o.Err == nil || !strings.Contains(o.Err.Error(), "ld.param") {
+		t.Fatalf("short parameter list: err = %v, want an ld.param range error", o.Err)
+	}
+	var pe *PanicError
+	if errors.As(o.Err, &pe) {
+		t.Errorf("configuration error surfaced as a panic: %v", pe.Brief())
+	}
+}
+
 // TestRunnerRetryPolicy: panicking runs are retried up to Cfg.Retries;
 // deterministic failures are not retried.
 func TestRunnerRetryPolicy(t *testing.T) {

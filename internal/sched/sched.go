@@ -100,11 +100,28 @@ func New(kind config.SchedulerKind, slots []int, metrics []WarpMetrics, p Params
 // last issued one, taking the first ready warp.
 type LRR struct {
 	slots []int
-	next  int // index into slots to start the scan from
+	pos   []int // slot -> index in slots
+	next  int   // index into slots to start the scan from
 }
 
 // NewLRR returns an LRR policy over slots.
-func NewLRR(slots []int) *LRR { return &LRR{slots: slots} }
+func NewLRR(slots []int) *LRR { return &LRR{slots: slots, pos: slotIndex(slots)} }
+
+// slotIndex inverts slots: out[slot] is slot's index in slots. A unit is
+// only ever told about its own slots, so the other entries are never read.
+func slotIndex(slots []int) []int {
+	n := 0
+	for _, s := range slots {
+		if s >= n {
+			n = s + 1
+		}
+	}
+	out := make([]int, n)
+	for i, s := range slots {
+		out[s] = i
+	}
+	return out
+}
 
 // Name implements Policy.
 func (l *LRR) Name() string { return string(config.LRR) }
@@ -123,12 +140,7 @@ func (l *LRR) Pick(_ int64, ready func(int) bool) int {
 
 // OnIssue implements Policy.
 func (l *LRR) OnIssue(slot int, _ int64) {
-	for i, s := range l.slots {
-		if s == slot {
-			l.next = (i + 1) % len(l.slots)
-			return
-		}
-	}
+	l.next = (l.pos[slot] + 1) % len(l.slots)
 }
 
 // OnBranch implements Policy.
@@ -274,8 +286,8 @@ func (c *CAWA) OnBranch(slot int, backwardTaken bool) {
 type WaSP struct {
 	slots []int
 	cfg   config.WaSP
-	pos   map[int]int // slot -> index in slots
-	last  int         // last issued slot, -1 if none
+	pos   []int // slot -> index in slots
+	last  int   // last issued slot, -1 if none
 
 	// priorityPicks counts issues from the priority group, trailingPicks
 	// issues that fell through to the trailing group. Their ratio shows
@@ -286,11 +298,7 @@ type WaSP struct {
 
 // NewWaSP returns a WaSP policy over slots with the given group knobs.
 func NewWaSP(slots []int, cfg config.WaSP) *WaSP {
-	w := &WaSP{slots: slots, cfg: cfg, last: -1, pos: make(map[int]int, len(slots))}
-	for i, s := range slots {
-		w.pos[s] = i
-	}
-	return w
+	return &WaSP{slots: slots, cfg: cfg, last: -1, pos: slotIndex(slots)}
 }
 
 // Name implements Policy.

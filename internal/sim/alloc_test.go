@@ -87,6 +87,35 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestEngineTSPAllocsPerIssue is the ROADMAP's requirement on the path
+// every result is bought with: zero steady-state allocations per issued
+// warp instruction on quick TSP, under GTO and under CAWA+BOWS. The same
+// climbers on the same CTAs walk a 24-city and the quick suite's 48-city
+// tour, so the larger run issues a few hundred thousand more instructions
+// — ALU rows, setp masks, divergent branches, loads and the lock's
+// atomics — from identical warps; nothing may allocate in proportion.
+func TestEngineTSPAllocsPerIssue(t *testing.T) {
+	for _, v := range []struct {
+		kind config.SchedulerKind
+		bows bool
+	}{{config.GTO, false}, {config.CAWA, true}} {
+		tspRun := func(cities int) (uint64, int64) {
+			allocs, res := runAllocs(t, detOptions(2, v.kind, v.bows), kernels.NewTSP(3072, cities, 24, 128).Launch)
+			return allocs, res.Stats.WarpInstrs
+		}
+		aSmall, iSmall := tspRun(24)
+		aBig, iBig := tspRun(48)
+		if iBig-iSmall < 100_000 {
+			t.Fatalf("%s bows=%v: instruction delta too small to measure: %d", v.kind, v.bows, iBig-iSmall)
+		}
+		// The constant slop of TestEngineSteadyStateAllocs.
+		if aBig > aSmall+64 {
+			t.Errorf("%s bows=%v: %d extra allocs over %d extra warp instructions (small=%d big=%d)",
+				v.kind, v.bows, aBig-aSmall, iBig-iSmall, aSmall, aBig)
+		}
+	}
+}
+
 // TestEngineLockRetryAllocs is the same requirement for the lock-retry
 // path: the hashtable kernel inserts the same keys from the same threads
 // into many buckets and into few, with and without BOWS/DDOS, so the

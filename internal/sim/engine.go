@@ -315,28 +315,6 @@ type smState struct {
 	reqPuts int64
 }
 
-// instrMasks caches, per PC, the scoreboard bits ready must test: every
-// register (source and destination) and predicate the instruction waits
-// on. Computed once per launch in New.
-type instrMasks struct {
-	regs  uint64
-	preds uint64
-	// kind caches the instruction's readiness class so the scheduler's
-	// per-slot ready probe — the hottest call in the simulator — never
-	// touches the instruction stream.
-	kind readyKind
-}
-
-// readyKind classifies what, beyond the scoreboard, gates an
-// instruction's issue.
-type readyKind uint8
-
-const (
-	readyPlain  readyKind = iota // scoreboard only
-	readyMem                     // needs LSQ space and per-warp slots
-	readyMembar                  // needs an empty per-warp LSQ
-)
-
 // The bitmask scoreboards and warp-slot sets require the architectural
 // limits to fit.
 const (
@@ -344,38 +322,6 @@ const (
 	_ = uint64(1) << (isa.NumPreds - 1)         // compile-time: NumPreds ≤ 64
 	_ = uint64(1) << (config.MaxWarpsPerSM - 1) // compile-time: WarpsPerSM ≤ 64 (GPU.Validate)
 )
-
-func buildMasks(p *isa.Program) []instrMasks {
-	out := make([]instrMasks, p.Len())
-	for pc := range out {
-		in := p.At(int32(pc))
-		mk := &out[pc]
-		if in.WritesReg() {
-			mk.regs |= 1 << uint(in.Dst)
-		}
-		for _, o := range [...]isa.Operand{in.A, in.B, in.C, in.D} {
-			if o.Kind == isa.OpdReg {
-				mk.regs |= 1 << uint(o.Reg)
-			}
-		}
-		if in.Op == isa.OpSetp {
-			mk.preds |= 1 << uint(in.PDst)
-		}
-		if in.Op == isa.OpSelp {
-			mk.preds |= 1 << uint(in.PSrc)
-		}
-		if in.Guarded() {
-			mk.preds |= 1 << uint(in.Guard)
-		}
-		switch {
-		case in.Op.IsMem():
-			mk.kind = readyMem
-		case in.Op == isa.OpMembar:
-			mk.kind = readyMembar
-		}
-	}
-	return out
-}
 
 // Engine runs one kernel launch to completion. An Engine is entirely
 // self-contained (it owns its memory system and SM state), so distinct
@@ -386,7 +332,7 @@ type Engine struct {
 	launch Launch
 	sys    *mem.System
 	sms    []*smState
-	masks  []instrMasks // per-PC scoreboard masks for launch.Prog
+	tab    *simt.Table // launch.Prog decoded once; every warp shares it
 	cycle  int64
 
 	// reg is the engine's metrics registry; every entry is a view over
@@ -466,7 +412,10 @@ func New(opt Options, launch Launch) (*Engine, error) {
 	}
 
 	e := &Engine{opt: opt, launch: launch, totalCTAs: launch.GridCTAs}
-	e.masks = buildMasks(launch.Prog)
+	e.tab = simt.Decode(launch.Prog)
+	if err := e.tab.CheckParams(len(launch.Params)); err != nil {
+		return nil, err
+	}
 	e.sys = mem.NewSystem(opt.GPU.Mem, opt.GPU.NumSMs, opt.GPU.WarpsPerSM, launch.MemWords)
 	if opt.Faults != nil {
 		e.sys.InjectFaults(*opt.Faults)
@@ -911,7 +860,7 @@ func (m *smState) placeCTA(ctaID, warpsPerCTA int) {
 			lanes = rem
 		}
 		gtidBase := int32(ctaID*l.CTAThreads + wi*32)
-		w := simt.NewWarp(l.Prog, cta, wi, slot, m.id, gtidBase, lanes)
+		w := m.eng.tab.NewWarp(cta, wi, slot, m.id, gtidBase, lanes)
 		w.Params = l.Params
 		m.warps[slot] = w
 		m.ctaOf[slot] = rec
@@ -944,17 +893,17 @@ func (m *smState) refresh(slot int) {
 	if w.AtBarrier {
 		return
 	}
-	mk := &m.eng.masks[w.PC()]
-	if m.regPend[slot]&mk.regs != 0 || m.predPend[slot]&mk.preds != 0 {
+	d := m.eng.tab.At(w.PC())
+	if m.regPend[slot]&d.RegMask != 0 || m.predPend[slot]&d.PredMask != 0 {
 		return
 	}
-	switch mk.kind {
-	case readyMem:
+	switch d.Class {
+	case simt.ClassMem:
 		if m.port.Outstanding(slot) >= m.eng.opt.GPU.Mem.MaxPerWarp {
 			return
 		}
 		m.nextMem |= bit
-	case readyMembar:
+	case simt.ClassMembar:
 		if m.port.Outstanding(slot) != 0 {
 			return
 		}
@@ -1154,7 +1103,7 @@ func (m *smState) issue(u *smUnit, slot int, cycle int64) {
 		if ob := m.eng.opt.Observer; ob != nil && len(res.Mem) > 0 {
 			ob.Access(w, res.PC, in, res.Mem)
 		}
-		m.issueMem(w, in, res, slot)
+		m.issueMem(w, in, &res, slot)
 	case in.WritesReg():
 		m.regPend[slot] |= 1 << uint(in.Dst)
 		m.pushWB(slot, false, uint8(in.Dst))
@@ -1177,11 +1126,16 @@ func (m *smState) issue(u *smUnit, slot int, cycle int64) {
 	}
 }
 
-func (m *smState) issueMem(w *simt.Warp, in *isa.Instr, res simt.ExecResult, slot int) {
+func (m *smState) issueMem(w *simt.Warp, in *isa.Instr, res *simt.ExecResult, slot int) {
 	req := m.getReq()
-	accs := req.Accesses[:0]
-	for _, a := range res.Mem {
-		accs = append(accs, mem.Access{Lane: a.Lane, Addr: a.Addr, V1: a.V1, V2: a.V2, GTID: a.GTID})
+	// Pooled requests hold a full warp's accesses (getReq). Fields are
+	// stored in place: appending a composite stalls on store forwarding.
+	accs := req.Accesses[:len(res.Mem)]
+	for i := range accs {
+		from, to := &res.Mem[i], &accs[i]
+		to.Lane, to.Addr = from.Lane, from.Addr
+		to.V1, to.V2 = from.V1, from.V2
+		to.Result, to.GTID = 0, from.GTID
 	}
 	req.SM, req.WarpSlot = m.id, slot
 	req.Op, req.Ann, req.Vol = in.Op, in.Ann, in.Vol
@@ -1219,10 +1173,10 @@ func (m *smState) memDone(r *mem.Request) {
 	// outstanding count, lock wake), so it ends this SM's dormancy.
 	m.woke = true
 	if r.WritesReg {
-		w := r.Owner.(*simt.Warp)
+		dst := r.Owner.(*simt.Warp).RegRow(r.Dst)
 		for i := range r.Accesses {
 			a := &r.Accesses[i]
-			w.SetReg(a.Lane, r.Dst, a.Result)
+			dst[a.Lane] = a.Result
 		}
 		if len(r.Accesses) > 0 {
 			m.regPend[r.WarpSlot] &^= 1 << uint(r.Dst)

@@ -72,6 +72,22 @@ func TestNewRejectsBadLaunch(t *testing.T) {
 	}
 }
 
+// TestNewRejectsParamOutOfRange: a program reading a parameter the launch
+// does not supply is a configuration error from New, naming the PC and the
+// index — not a panic in the middle of Run.
+func TestNewRejectsParamOutOfRange(t *testing.T) {
+	l := Launch{Prog: vecAddProg(t), GridCTAs: 1, CTAThreads: 32, MemWords: 64, Params: []uint32{0, 0, 0}}
+	const want = "pc=3: ld.param 3 out of range (3 params)" // vecadd's fourth ld.param
+	_, err := New(testOptions(config.GTO), l)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("New = %v, want an error containing %q", err, want)
+	}
+	l.Params = append(l.Params, 0)
+	if _, err := New(testOptions(config.GTO), l); err != nil {
+		t.Fatalf("New with every parameter supplied: %v", err)
+	}
+}
+
 func TestWatchdogFiresOnInfiniteLoop(t *testing.T) {
 	b := isa.NewBuilder("hang")
 	b.Label("top")

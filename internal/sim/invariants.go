@@ -275,14 +275,14 @@ func (m *smState) readyFromScratch(slot int) bool {
 	if w == nil || w.Done || w.AtBarrier {
 		return false
 	}
-	mk := &m.eng.masks[w.PC()]
-	if m.regPend[slot]&mk.regs != 0 || m.predPend[slot]&mk.preds != 0 {
+	d := m.eng.tab.At(w.PC())
+	if m.regPend[slot]&d.RegMask != 0 || m.predPend[slot]&d.PredMask != 0 {
 		return false
 	}
-	switch mk.kind {
-	case readyMem:
+	switch d.Class {
+	case simt.ClassMem:
 		return m.port.Outstanding(slot) < m.eng.opt.GPU.Mem.MaxPerWarp && m.port.CanAccept(1)
-	case readyMembar:
+	case simt.ClassMembar:
 		return m.port.Outstanding(slot) == 0
 	}
 	return true
@@ -303,7 +303,7 @@ func (m *smState) checkSlotMasks(slot int, add func(name string, sm, slot int, f
 		add("ready.mask-drift", m.id, slot, "maintained readiness %v, from scratch %v (sbReady %v, nextMem %v)",
 			got, want, m.sbReady&bit != 0, m.nextMem&bit != 0)
 	} else if m.sbReady&bit != 0 {
-		if isMem := m.eng.masks[w.PC()].kind == readyMem; (m.nextMem&bit != 0) != isMem {
+		if isMem := m.eng.tab.At(w.PC()).Class == simt.ClassMem; (m.nextMem&bit != 0) != isMem {
 			add("ready.mask-drift", m.id, slot, "next-is-mem bit %v but the next instruction's memory class is %v",
 				m.nextMem&bit != 0, isMem)
 		}

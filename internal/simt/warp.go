@@ -1,8 +1,9 @@
-// Package simt models SIMT execution state: warps with per-lane register
-// files, the stack-based reconvergence mechanism of pre-Volta NVIDIA GPUs
-// (the architecture the paper targets), divergence/reconvergence on
-// annotated branches, CTA barriers, and the functional execution of one
-// warp instruction.
+// Package simt models SIMT execution state: warps with register-major
+// register files and predicate masks, the stack-based reconvergence
+// mechanism of pre-Volta NVIDIA GPUs (the architecture the paper targets),
+// divergence/reconvergence on annotated branches, CTA barriers, and the
+// functional execution of one warp instruction as an operation on 32-lane
+// rows over a program decoded once (Table).
 //
 // Functional effects of non-memory instructions are applied immediately;
 // memory instructions return the per-lane accesses for the memory system
@@ -68,14 +69,26 @@ type Warp struct {
 	// AtBarrier marks the warp blocked on bar.sync.
 	AtBarrier bool
 
-	regs  []uint32 // 32 * NumRegs, lane-major: regs[lane*NumRegs+r]
-	preds []bool   // 32 * NumPreds
+	tab *Table
+	// regs is register-major: regs[r] is register r's 32-lane row, so a
+	// source operand is one contiguous row and a destination another. It
+	// and memScratch are allocations of their own (pointer-free, so never
+	// scanned): held inside the Warp they measured +6 MB of peak RSS on the
+	// issue_bound benchmark.
+	regs *[isa.NumRegs]row
+	// preds[p] holds predicate p of lane l in bit l.
+	preds [isa.NumPreds]uint32
 
 	// memScratch backs ExecResult.Mem. The engine converts the accesses
 	// into its memory request before the warp's next Execute, so one
 	// buffer per warp suffices and the issue path stays allocation-free.
-	memScratch []MemAccess
+	memScratch *[isa.WarpSize]MemAccess
 }
+
+// row is one value per lane.
+type row = [isa.WarpSize]uint32
+
+const fullMask = ^uint32(0)
 
 // NewCTA creates barrier state for a CTA of numWarps warps.
 func NewCTA(id, threadsPer, gridCTAs int32, numWarps int) *CTA {
@@ -84,20 +97,25 @@ func NewCTA(id, threadsPer, gridCTAs int32, numWarps int) *CTA {
 }
 
 // NewWarp creates a warp with valid lanes [0,lanes) and a full active
-// mask, PC 0.
+// mask, PC 0, decoding prog for it. Warps of one launch share a table
+// instead: Decode once, then Table.NewWarp.
 func NewWarp(prog *isa.Program, cta *CTA, idInCTA, slot, sm int, gtidBase int32, lanes int) *Warp {
-	var valid uint32
-	if lanes >= 32 {
-		valid = ^uint32(0)
-	} else {
+	return Decode(prog).NewWarp(cta, idInCTA, slot, sm, gtidBase, lanes)
+}
+
+// NewWarp creates a warp executing t's program with valid lanes [0,lanes)
+// and a full active mask, PC 0.
+func (t *Table) NewWarp(cta *CTA, idInCTA, slot, sm int, gtidBase int32, lanes int) *Warp {
+	valid := fullMask
+	if lanes < 32 {
 		valid = (uint32(1) << lanes) - 1
 	}
 	w := &Warp{
-		Prog: prog, CTA: cta, IDInCTA: idInCTA, Slot: slot, SM: sm,
+		Prog: t.Prog, CTA: cta, IDInCTA: idInCTA, Slot: slot, SM: sm,
 		GTIDBase: gtidBase, Valid: valid,
-		regs:       make([]uint32, 32*isa.NumRegs),
-		preds:      make([]bool, 32*isa.NumPreds),
-		memScratch: make([]MemAccess, 0, 32),
+		tab:        t,
+		regs:       new([isa.NumRegs]row),
+		memScratch: new([isa.WarpSize]MemAccess),
 	}
 	w.Stack = append(w.Stack, StackEntry{PC: 0, Reconv: isa.NoReconv, Mask: valid})
 	w.ProfiledLane = bits.TrailingZeros32(valid)
@@ -105,16 +123,25 @@ func NewWarp(prog *isa.Program, cta *CTA, idInCTA, slot, sm int, gtidBase int32,
 }
 
 // Reg returns lane's register r (for tests and result verification).
-func (w *Warp) Reg(lane int, r isa.Reg) uint32 { return w.regs[lane*isa.NumRegs+int(r)] }
+func (w *Warp) Reg(lane int, r isa.Reg) uint32 { return w.regs[r][lane] }
 
 // SetReg sets lane's register r.
-func (w *Warp) SetReg(lane int, r isa.Reg, v uint32) { w.regs[lane*isa.NumRegs+int(r)] = v }
+func (w *Warp) SetReg(lane int, r isa.Reg, v uint32) { w.regs[r][lane] = v }
+
+// RegRow returns register r's 32-lane row, for writing back a memory
+// instruction's results without re-indexing per lane.
+func (w *Warp) RegRow(r isa.Reg) *[isa.WarpSize]uint32 { return &w.regs[r] }
 
 // PredVal returns lane's predicate p.
-func (w *Warp) PredVal(lane int, p isa.Pred) bool { return w.preds[lane*isa.NumPreds+int(p)] }
+func (w *Warp) PredVal(lane int, p isa.Pred) bool { return w.preds[p]>>uint(lane)&1 != 0 }
 
 // SetPred sets lane's predicate p.
-func (w *Warp) SetPred(lane int, p isa.Pred, v bool) { w.preds[lane*isa.NumPreds+int(p)] = v }
+func (w *Warp) SetPred(lane int, p isa.Pred, v bool) {
+	w.preds[p] &^= 1 << uint(lane)
+	if v {
+		w.preds[p] |= 1 << uint(lane)
+	}
+}
 
 // PC returns the current program counter (top of SIMT stack).
 func (w *Warp) PC() int32 { return w.Stack[len(w.Stack)-1].PC }
@@ -137,7 +164,8 @@ func (w *Warp) NextInstr() *isa.Instr {
 // name the lock word a stuck acquire is waiting on; address operands
 // never read %clock, so the clock is evaluated as zero.
 func (w *Warp) EvalAddr(in *isa.Instr, lane int) uint32 {
-	return w.operand(in.A, lane, 0) + w.operand(in.B, lane, 0)
+	a, b := w.resolve(decodeOperand(in.A), 0), w.resolve(decodeOperand(in.B), 0)
+	return a.at(lane) + b.at(lane)
 }
 
 // popReconverged pops stack entries whose PC reached their reconvergence
@@ -177,55 +205,58 @@ func (c *CTA) warpFinished() {
 	}
 }
 
-// guardMask returns the lanes in mask whose guard predicate passes.
-func (w *Warp) guardMask(in *isa.Instr, mask uint32) uint32 {
-	if !in.Guarded() {
-		return mask
-	}
-	var g uint32
-	p := int(in.Guard)
-	for lane := 0; lane < 32; lane++ {
-		if mask&(1<<lane) == 0 {
-			continue
-		}
-		v := w.preds[lane*isa.NumPreds+p]
-		if v != in.GuardNeg {
-			g |= 1 << lane
-		}
-	}
-	return g
+// src is an operand resolved for one execution: a register row read in
+// place, or the value base + step*lane.
+type src struct {
+	row        *row
+	base, step uint32
 }
 
-// operand evaluates o for lane.
-func (w *Warp) operand(o isa.Operand, lane int, clock int64) uint32 {
-	switch o.Kind {
-	case isa.OpdReg:
-		return w.regs[lane*isa.NumRegs+int(o.Reg)]
-	case isa.OpdImm:
-		return uint32(o.Imm)
-	case isa.OpdSpecial:
-		switch o.Spec {
-		case isa.SpecTID:
-			return uint32(w.IDInCTA*32 + lane)
-		case isa.SpecNTID:
-			return uint32(w.CTA.ThreadsPer)
-		case isa.SpecCTAID:
-			return uint32(w.CTA.ID)
-		case isa.SpecNCTAID:
-			return uint32(w.CTA.GridCTAs)
-		case isa.SpecLaneID:
-			return uint32(lane)
-		case isa.SpecWarpID:
-			return uint32(w.IDInCTA)
-		case isa.SpecSMID:
-			return uint32(w.SM)
-		case isa.SpecGTID:
-			return uint32(w.GTIDBase + int32(lane))
-		case isa.SpecClock:
-			return uint32(clock)
-		}
+// resolve evaluates what of o is the same for every lane.
+func (w *Warp) resolve(o operand, clock int64) src {
+	switch o.kind {
+	case opdReg:
+		return src{row: &w.regs[o.val]}
+	case opdLaneID:
+		return src{step: 1}
+	case opdTID:
+		return src{base: uint32(w.IDInCTA * 32), step: 1}
+	case opdGTID:
+		return src{base: uint32(w.GTIDBase), step: 1}
+	case opdNTID:
+		return src{base: uint32(w.CTA.ThreadsPer)}
+	case opdCTAID:
+		return src{base: uint32(w.CTA.ID)}
+	case opdNCTAID:
+		return src{base: uint32(w.CTA.GridCTAs)}
+	case opdWarpID:
+		return src{base: uint32(w.IDInCTA)}
+	case opdSMID:
+		return src{base: uint32(w.SM)}
+	case opdClock:
+		return src{base: uint32(clock)}
 	}
-	return 0
+	return src{base: o.val}
+}
+
+// at returns the operand's value for lane.
+func (s *src) at(lane int) uint32 {
+	if s.row != nil {
+		return s.row[lane]
+	}
+	return s.base + s.step*uint32(lane)
+}
+
+// full returns the operand as a whole row: the register row itself, or buf
+// filled in.
+func (s *src) full(buf *row) *row {
+	if s.row != nil {
+		return s.row
+	}
+	for i := range buf {
+		buf[i] = s.base + s.step*uint32(i)
+	}
+	return buf
 }
 
 // MemAccess is one lane's pending access (re-exported shape; the sim
@@ -269,29 +300,29 @@ func (r *ExecResult) ActiveLanes() int { return bits.OnesCount32(r.EffMask) }
 
 // Execute runs the instruction at the warp's PC. clock is the SM cycle
 // (for %clock). Memory instructions compute addresses and operands but
-// defer data movement to the memory system: the caller must apply
-// WritebackMem once results are available. All other instructions commit
+// defer data movement to the memory system: the caller writes loaded values
+// back (RegRow) once they are available. All other instructions commit
 // immediately and the PC/stack advance before returning.
-func (w *Warp) Execute(clock int64) ExecResult {
+func (w *Warp) Execute(clock int64) (res ExecResult) {
 	if w.Done {
 		panic("simt: Execute on finished warp")
 	}
-	pc := w.PC()
-	in := w.Prog.At(pc)
-	active := w.ActiveMask()
-	res := ExecResult{Instr: in, PC: pc, EffMask: active}
+	top := &w.Stack[len(w.Stack)-1]
+	pc := top.PC
+	d := &w.tab.code[pc]
+	active := top.Mask &^ w.Exited
+	res = ExecResult{Instr: w.Prog.At(pc), PC: pc, EffMask: active}
 
-	if in.Op == isa.OpBra {
-		w.execBranch(in, pc, active, &res)
+	if d.op == isa.OpBra {
+		w.execBranch(d, pc, active, &res)
 		w.popReconverged()
 		return res
 	}
 
-	eff := active & w.guardMask(in, active)
+	eff := w.guardMask(d, active)
 	res.EffMask = eff
-	top := &w.Stack[len(w.Stack)-1]
 
-	switch in.Op {
+	switch d.op {
 	case isa.OpNop, isa.OpMembar:
 		// Timing handled by the engine.
 	case isa.OpExit:
@@ -304,37 +335,13 @@ func (w *Warp) Execute(clock int64) ExecResult {
 		isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpRem,
 		isa.OpMin, isa.OpMax, isa.OpAnd, isa.OpOr, isa.OpXor,
 		isa.OpShl, isa.OpShr:
-		for lane := 0; lane < 32; lane++ {
-			if eff&(1<<lane) == 0 {
-				continue
-			}
-			w.regs[lane*isa.NumRegs+int(in.Dst)] = w.alu(in, lane, clock)
-		}
+		w.execALU(d, eff, clock)
 	case isa.OpSetp:
-		// A setp record is produced only when the warp's profiled thread
-		// executes the setp, so the history never mixes values from
-		// different threads. If the profiled thread has exited, fall back
-		// to the lowest live lane.
-		if w.Valid&^w.Exited&(1<<w.ProfiledLane) == 0 {
-			w.ProfiledLane = bits.TrailingZeros32(w.Valid &^ w.Exited)
-		}
-		profiled := w.ProfiledLane
-		for lane := 0; lane < 32; lane++ {
-			if eff&(1<<lane) == 0 {
-				continue
-			}
-			a := w.operand(in.A, lane, clock)
-			b := w.operand(in.B, lane, clock)
-			w.preds[lane*isa.NumPreds+int(in.PDst)] = in.Cmp.Eval(a, b)
-			if lane == profiled {
-				res.IsSetp, res.SetpV1, res.SetpV2 = true, a, b
-				res.SetpLane = lane
-			}
-		}
+		w.execSetp(d, eff, clock, &res)
 	case isa.OpLd, isa.OpSt, isa.OpAtomCAS, isa.OpAtomExch, isa.OpAtomAdd, isa.OpAtomMax:
-		res.Mem = w.buildAccesses(in, eff, clock)
+		res.Mem = w.buildAccesses(d, eff, clock)
 	default:
-		panic(fmt.Sprintf("simt: unimplemented opcode %v", in.Op))
+		panic(fmt.Sprintf("simt: unimplemented opcode %v", d.op))
 	}
 
 	top.PC = pc + 1
@@ -342,33 +349,128 @@ func (w *Warp) Execute(clock int64) ExecResult {
 	return res
 }
 
-func (w *Warp) alu(in *isa.Instr, lane int, clock int64) uint32 {
-	a := w.operand(in.A, lane, clock)
-	switch in.Op {
-	case isa.OpMov:
-		return a
+// guardMask returns the lanes in mask whose guard predicate passes.
+func (w *Warp) guardMask(d *Inst, mask uint32) uint32 {
+	if d.guard == isa.NoGuard {
+		return mask
+	}
+	g := w.preds[d.guard]
+	if d.guardNeg {
+		g = ^g
+	}
+	return mask & g
+}
+
+// execALU writes the destination row of a register-writing instruction for
+// the lanes in eff. With every lane executing it is one loop over whole
+// rows, the opcode chosen outside it; otherwise only the set lanes are
+// visited. A destination that is also a source is safe either way: each
+// lane reads its own elements before writing its own.
+func (w *Warp) execALU(d *Inst, eff uint32, clock int64) {
+	if eff == 0 {
+		return
+	}
+	dst := &w.regs[d.dst]
+	var a, b src
+	switch d.op {
 	case isa.OpLdParam:
-		if int(in.Param) >= len(w.Params) {
+		if int(d.param) >= len(w.Params) {
 			panic(fmt.Sprintf("simt: %s: ld.param %d out of range (%d params)",
-				w.Prog.Name, in.Param, len(w.Params)))
+				w.Prog.Name, d.param, len(w.Params)))
 		}
-		return w.Params[in.Param]
+		a.base = w.Params[d.param]
+	case isa.OpMov:
+		a = w.resolve(d.a, clock)
+	default:
+		a, b = w.resolve(d.a, clock), w.resolve(d.b, clock)
+	}
+
+	if eff != fullMask {
+		sel := w.preds[d.psrc]
+		for m := eff; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			dst[lane] = alu(d.op, a.at(lane), b.at(lane), sel>>uint(lane)&1 != 0)
+		}
+		return
+	}
+	if d.op == isa.OpMov || d.op == isa.OpLdParam {
+		if a.row != nil {
+			*dst = *a.row
+		} else {
+			a.full(dst)
+		}
+		return
+	}
+
+	var bufA, bufB row
+	ra, rb := a.full(&bufA), b.full(&bufB)
+	switch d.op {
 	case isa.OpSelp:
-		b := w.operand(in.B, lane, clock)
-		if w.preds[lane*isa.NumPreds+int(in.PSrc)] {
+		sel := w.preds[d.psrc]
+		for i := range dst {
+			if sel>>uint(i)&1 != 0 {
+				dst[i] = ra[i]
+			} else {
+				dst[i] = rb[i]
+			}
+		}
+	case isa.OpAdd:
+		for i := range dst {
+			dst[i] = ra[i] + rb[i]
+		}
+	case isa.OpSub:
+		for i := range dst {
+			dst[i] = ra[i] - rb[i]
+		}
+	case isa.OpMul:
+		for i := range dst {
+			dst[i] = ra[i] * rb[i]
+		}
+	case isa.OpAnd:
+		for i := range dst {
+			dst[i] = ra[i] & rb[i]
+		}
+	case isa.OpOr:
+		for i := range dst {
+			dst[i] = ra[i] | rb[i]
+		}
+	case isa.OpXor:
+		for i := range dst {
+			dst[i] = ra[i] ^ rb[i]
+		}
+	case isa.OpShl:
+		for i := range dst {
+			dst[i] = ra[i] << (rb[i] & 31)
+		}
+	case isa.OpShr:
+		for i := range dst {
+			dst[i] = ra[i] >> (rb[i] & 31)
+		}
+	default: // div, rem, min, max: branchy per lane, share the scalar form
+		for i := range dst {
+			dst[i] = alu(d.op, ra[i], rb[i], false)
+		}
+	}
+}
+
+// alu computes one lane of a register-writing instruction; sel is the
+// lane's selp predicate.
+func alu(op isa.Op, a, b uint32, sel bool) uint32 {
+	sa, sb := int32(a), int32(b)
+	switch op {
+	case isa.OpMov, isa.OpLdParam:
+		return a
+	case isa.OpSelp:
+		if sel {
 			return a
 		}
 		return b
-	}
-	b := w.operand(in.B, lane, clock)
-	sa, sb := int32(a), int32(b)
-	switch in.Op {
 	case isa.OpAdd:
-		return uint32(sa + sb)
+		return a + b
 	case isa.OpSub:
-		return uint32(sa - sb)
+		return a - b
 	case isa.OpMul:
-		return uint32(sa * sb)
+		return a * b
 	case isa.OpDiv:
 		if sb == 0 {
 			return 0
@@ -403,47 +505,117 @@ func (w *Warp) alu(in *isa.Instr, lane int, clock int64) uint32 {
 	panic("simt: alu: bad opcode")
 }
 
-// buildAccesses builds the per-lane access list for a memory instruction
-// in the warp's scratch buffer (valid until the warp's next Execute).
-func (w *Warp) buildAccesses(in *isa.Instr, eff uint32, clock int64) []MemAccess {
-	out := w.memScratch[:0]
-	for lane := 0; lane < 32; lane++ {
-		if eff&(1<<lane) == 0 {
-			continue
-		}
-		addr := w.operand(in.A, lane, clock) + w.operand(in.B, lane, clock)
-		acc := MemAccess{Lane: lane, Addr: addr, GTID: w.GTIDBase + int32(lane)}
-		switch in.Op {
-		case isa.OpSt, isa.OpAtomExch, isa.OpAtomAdd, isa.OpAtomMax:
-			acc.V1 = w.operand(in.C, lane, clock)
-		case isa.OpAtomCAS:
-			acc.V1 = w.operand(in.C, lane, clock)
-			acc.V2 = w.operand(in.D, lane, clock)
-		}
-		out = append(out, acc)
+// execSetp builds the comparison's lane mask and merges it into the
+// destination predicate under eff.
+func (w *Warp) execSetp(d *Inst, eff uint32, clock int64, res *ExecResult) {
+	// A setp record is produced only when the warp's profiled thread
+	// executes the setp, so the history never mixes values from
+	// different threads. If the profiled thread has exited, fall back
+	// to the lowest live lane.
+	if w.Valid&^w.Exited&(1<<w.ProfiledLane) == 0 {
+		w.ProfiledLane = bits.TrailingZeros32(w.Valid &^ w.Exited)
 	}
-	w.memScratch = out
-	return out
+	a, b := w.resolve(d.a, clock), w.resolve(d.b, clock)
+	var hit uint32
+	if eff == fullMask {
+		var bufA, bufB row
+		hit = cmpRows(d.cmp, a.full(&bufA), b.full(&bufB))
+	} else {
+		for m := eff; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			if d.cmp.Eval(a.at(lane), b.at(lane)) {
+				hit |= 1 << uint(lane)
+			}
+		}
+	}
+	w.preds[d.pdst] = w.preds[d.pdst]&^eff | hit
+	if lane := w.ProfiledLane; eff&(1<<lane) != 0 {
+		res.IsSetp, res.SetpLane = true, lane
+		res.SetpV1, res.SetpV2 = a.at(lane), b.at(lane)
+	}
+}
+
+// cmpRows returns the lanes for which a[lane] c b[lane] holds (signed).
+func cmpRows(c isa.Cmp, a, b *row) (hit uint32) {
+	switch c {
+	case isa.EQ:
+		for i := range a {
+			hit |= bit(a[i] == b[i]) << uint(i)
+		}
+	case isa.NE:
+		for i := range a {
+			hit |= bit(a[i] != b[i]) << uint(i)
+		}
+	case isa.LT:
+		for i := range a {
+			hit |= bit(int32(a[i]) < int32(b[i])) << uint(i)
+		}
+	case isa.LE:
+		for i := range a {
+			hit |= bit(int32(a[i]) <= int32(b[i])) << uint(i)
+		}
+	case isa.GT:
+		for i := range a {
+			hit |= bit(int32(a[i]) > int32(b[i])) << uint(i)
+		}
+	case isa.GE:
+		for i := range a {
+			hit |= bit(int32(a[i]) >= int32(b[i])) << uint(i)
+		}
+	}
+	return hit
+}
+
+// bit is 1 when v holds (compiled without a branch).
+func bit(v bool) uint32 {
+	var x uint32
+	if v {
+		x = 1
+	}
+	return x
+}
+
+// buildAccesses builds the per-lane access list for a memory instruction
+// in the warp's scratch buffer (valid until the warp's next Execute). The
+// operands are resolved once; slots the opcode does not read are the
+// constant 0 (see Inst).
+func (w *Warp) buildAccesses(d *Inst, eff uint32, clock int64) []MemAccess {
+	a, b := w.resolve(d.a, clock), w.resolve(d.b, clock)
+	c, e := w.resolve(d.c, clock), w.resolve(d.d, clock)
+	// Fields are stored in place: a composite built on the stack and copied
+	// in stalls on store forwarding.
+	buf := w.memScratch
+	n := 0
+	for m := eff; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		acc := &buf[n]
+		acc.Lane = lane
+		acc.Addr = a.at(lane) + b.at(lane)
+		acc.V1, acc.V2 = c.at(lane), e.at(lane)
+		acc.GTID = w.GTIDBase + int32(lane)
+		n++
+	}
+	return buf[:n]
 }
 
 // execBranch updates the SIMT stack for a (possibly divergent) branch.
-func (w *Warp) execBranch(in *isa.Instr, pc int32, active uint32, res *ExecResult) {
+func (w *Warp) execBranch(d *Inst, pc int32, active uint32, res *ExecResult) {
 	res.IsBranch = true
 	top := &w.Stack[len(w.Stack)-1]
-	if !in.Guarded() {
+	if d.guard == isa.NoGuard {
 		// Unconditional: all active lanes jump, no divergence.
 		res.Taken = active
-		top.PC = in.Target
-		res.BackwardTaken = in.Target <= pc && active != 0
+		top.PC = d.target
+		res.BackwardTaken = d.target <= pc && active != 0
 		if res.BackwardTaken {
 			w.ProfiledLane = bits.TrailingZeros32(active)
 		}
 		return
 	}
-	taken := active & w.guardMask(in, active)
+	taken := w.guardMask(d, active)
 	notTaken := active &^ taken
 	res.Taken, res.NotTaken = taken, notTaken
-	res.BackwardTaken = in.Target <= pc && taken != 0
+	res.BackwardTaken = d.target <= pc && taken != 0
 	if res.BackwardTaken {
 		// Loop boundary: the profiled thread for the next iteration is
 		// the lowest lane staying in the loop.
@@ -453,16 +625,16 @@ func (w *Warp) execBranch(in *isa.Instr, pc int32, active uint32, res *ExecResul
 	case taken == 0:
 		top.PC = pc + 1
 	case notTaken == 0:
-		top.PC = in.Target
+		top.PC = d.target
 	default:
 		res.Diverged = true
 		// Standard reconvergence-stack divergence: the current entry
 		// becomes the reconvergence entry; the not-taken path is pushed
 		// below the taken path, so the taken side executes first.
-		top.PC = in.Reconv
+		top.PC = d.reconv
 		w.Stack = append(w.Stack,
-			StackEntry{PC: pc + 1, Reconv: in.Reconv, Mask: notTaken},
-			StackEntry{PC: in.Target, Reconv: in.Reconv, Mask: taken},
+			StackEntry{PC: pc + 1, Reconv: d.reconv, Mask: notTaken},
+			StackEntry{PC: d.target, Reconv: d.reconv, Mask: taken},
 		)
 	}
 }

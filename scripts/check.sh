@@ -34,11 +34,11 @@ echo "== warplint =="
 go run ./cmd/warplint -all
 
 echo "== golint-internal (determinism + store durability lint) =="
-go run ./cmd/golint-internal ./internal/sim ./internal/mem ./internal/store ./internal/sched
+go run ./cmd/golint-internal ./internal/sim ./internal/simt ./internal/mem ./internal/store ./internal/sched
 
 echo "== doccheck (godoc coverage) =="
 go run ./cmd/doccheck ./internal/report ./internal/exp ./internal/metrics \
-    ./internal/server ./internal/store ./internal/sim ./internal/sched .
+    ./internal/server ./internal/store ./internal/sim ./internal/simt ./internal/sched .
 
 echo "== report drift (REPRODUCTION.md + docs/figures) =="
 go run ./cmd/warpreport -manifest internal/report/testdata/full.json \
