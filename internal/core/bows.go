@@ -2,16 +2,13 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"warpsched/internal/config"
 	"warpsched/internal/isa"
 	"warpsched/internal/metrics"
 	"warpsched/internal/sched"
 )
-
-// DebugAdaptive, when set, observes each adaptive-controller window
-// (development aid; nil in production).
-var DebugAdaptive func(cycle, tot, sib, limit int64)
 
 // BOWS is one SM's Back-Off Warp Spinning state: per-warp backed-off
 // flags, pending back-off delay expiries, and the adaptive delay-limit
@@ -201,9 +198,6 @@ func (b *BOWS) Tick(cycle int64) {
 	b.windowStart = cycle
 	tot, sib := b.totInstr, b.sibInstr
 	b.totInstr, b.sibInstr = 0, 0
-	if DebugAdaptive != nil {
-		DebugAdaptive(cycle, tot, sib, b.limit)
-	}
 	b.windowsEvaluated++
 	if float64(sib) > b.cfg.Frac1*float64(tot) {
 		b.limit += b.cfg.DelayStep
@@ -252,15 +246,13 @@ func (b *BOWS) NextWindowBoundary() int64 {
 // exists may a ready backed-off warp whose pending delay has expired
 // issue, in backed-off queue (FIFO) order.
 type Wrapped struct {
-	base  sched.Policy
-	bows  *BOWS
-	queue []int // backed-off FIFO for this unit's slots
-
-	// curReady is the ready predicate of the Pick in progress; filtered
-	// is the backed-off-excluding wrapper built once at Wrap time so Pick
-	// allocates no closure per cycle.
-	curReady func(int) bool
-	filtered func(int) bool
+	base sched.Policy
+	bows *BOWS
+	// queue is the backed-off FIFO for this unit's slots. As a set it is
+	// exactly the unit's share of bows.backedOff (OnSIB and OnIssue move
+	// both together), which is what lets PickMask and BackoffStall decide
+	// "no ready backed-off warp" from the masks without walking it.
+	queue []int
 
 	// stats: backed-off queue pushes, its high-water mark, and issue
 	// attempts rejected because a ready backed-off warp's pending delay
@@ -273,25 +265,27 @@ type Wrapped struct {
 var _ sched.Policy = (*Wrapped)(nil)
 
 // Wrap attaches BOWS arbitration to a base policy for one scheduler unit.
-func Wrap(base sched.Policy, b *BOWS) *Wrapped {
-	w := &Wrapped{base: base, bows: b}
-	w.filtered = func(slot int) bool {
-		return !w.bows.BackedOff(slot) && w.curReady(slot)
-	}
-	return w
-}
+func Wrap(base sched.Policy, b *BOWS) *Wrapped { return &Wrapped{base: base, bows: b} }
 
 // Name implements sched.Policy.
 func (w *Wrapped) Name() string { return w.base.Name() + "+BOWS" }
 
-// Pick implements sched.Policy.
-func (w *Wrapped) Pick(cycle int64, ready func(int) bool) int {
-	w.curReady = ready
-	if s := w.base.Pick(cycle, w.filtered); s >= 0 {
-		return s
+// Slots implements sched.Policy.
+func (w *Wrapped) Slots() uint64 { return w.base.Slots() }
+
+// PickMask implements sched.Policy.
+func (w *Wrapped) PickMask(cycle int64, ready uint64) int {
+	backedOff := ready & w.bows.backedOff
+	if front := ready &^ backedOff; front != 0 {
+		if s := w.base.PickMask(cycle, front); s >= 0 {
+			return s
+		}
+	}
+	if backedOff == 0 {
+		return -1
 	}
 	for _, s := range w.queue {
-		if ready(s) {
+		if backedOff>>uint(s)&1 != 0 {
 			if w.bows.eligible(s, cycle) {
 				return s
 			}
@@ -299,6 +293,11 @@ func (w *Wrapped) Pick(cycle int64, ready func(int) bool) int {
 		}
 	}
 	return -1
+}
+
+// Pick implements sched.Policy.
+func (w *Wrapped) Pick(cycle int64, ready func(int) bool) int {
+	return w.PickMask(cycle, sched.MaskOf(w.Slots(), ready))
 }
 
 // OnIssue implements sched.Policy.
@@ -332,29 +331,27 @@ func (w *Wrapped) OnSIB(slot int) {
 	w.bows.OnSIB(slot)
 }
 
-// QueueLen returns the backed-off queue occupancy (for tests).
-func (w *Wrapped) QueueLen() int { return len(w.queue) }
+// Queue returns the backed-off FIFO, oldest first, for tests and the
+// engine's invariant checker. The slice is the wrapper's own: read only.
+func (w *Wrapped) Queue() []int { return w.queue }
 
-// BackoffStall supports the engine's event-driven clock. It reports, for
-// the current all-stalled machine state, the earliest back-off expiry
-// among this unit's ready backed-off warps (math.MaxInt64 when none is
-// ready) and how many ready backed-off warps a failing Pick walks past.
-// While every warp is stalled, each skipped cycle's Pick would scan the
+// BackoffStall supports the engine's event-driven clock. Given the unit's
+// ready set in the current all-stalled machine state, it reports the
+// earliest back-off expiry among the ready backed-off warps (math.MaxInt64
+// when there is none) and how many of them a failing PickMask walks past.
+// While every warp is stalled, each skipped cycle's PickMask would scan the
 // whole queue and count one blocked pick per ready warp (none is eligible,
 // or the machine would not be stalled), so the engine bulk-credits
 // readyBlocked × skipped cycles through CreditBlockedPicks.
-func (w *Wrapped) BackoffStall(ready func(int) bool) (nextWake int64, readyBlocked int64) {
+func (w *Wrapped) BackoffStall(ready uint64) (nextWake int64, readyBlocked int64) {
 	nextWake = math.MaxInt64
-	for _, s := range w.queue {
-		if !ready(s) {
-			continue
-		}
-		readyBlocked++
-		if pu := w.bows.pendingUntil[s]; pu < nextWake {
+	blocked := ready & w.bows.backedOff
+	for m := blocked; m != 0; m &= m - 1 {
+		if pu := w.bows.pendingUntil[bits.TrailingZeros64(m)]; pu < nextWake {
 			nextWake = pu
 		}
 	}
-	return nextWake, readyBlocked
+	return nextWake, int64(bits.OnesCount64(blocked))
 }
 
 // CreditBlockedPicks bulk-credits blocked pick attempts for cycles the

@@ -13,7 +13,8 @@ func fixedBOWS(limit int64) *BOWS {
 	return NewBOWS(config.FixedBOWS(limit), nil, 8)
 }
 
-func allReady(int) bool { return true }
+// allReady is a ready set holding every slot of the small units below.
+const allReady uint64 = 0b111
 
 func TestBOWSBackedOffDeprioritized(t *testing.T) {
 	b := fixedBOWS(100)
@@ -26,7 +27,7 @@ func TestBOWSBackedOffDeprioritized(t *testing.T) {
 	}
 	picks := map[int]bool{}
 	for c := int64(0); c < 3; c++ {
-		s := w.Pick(c, allReady)
+		s := w.PickMask(c, allReady)
 		picks[s] = true
 		w.OnIssue(s, c)
 		if s == 1 && (c == 0) {
@@ -43,8 +44,7 @@ func TestBOWSBackedOffIssuesWhenAlone(t *testing.T) {
 	base := sched.NewLRR([]int{0, 1})
 	w := Wrap(base, b)
 	w.OnSIB(0)
-	only0 := func(s int) bool { return s == 0 }
-	got := w.Pick(5, only0)
+	got := w.PickMask(5, 1<<0)
 	if got != 0 {
 		t.Fatalf("lone ready backed-off warp should issue, got %d", got)
 	}
@@ -62,19 +62,19 @@ func TestBOWSPendingDelayGatesNextIteration(t *testing.T) {
 
 	// Iteration 1: warp backs off, issues at cycle 10 (exits, delay arms).
 	w.OnSIB(0)
-	if got := w.Pick(10, allReady); got != 0 {
+	if got := w.PickMask(10, 1<<0); got != 0 {
 		t.Fatalf("pick = %d", got)
 	}
 	w.OnIssue(0, 10)
 	// It hits the SIB again quickly.
 	w.OnSIB(0)
 	// Before expiry it must not be eligible even with a free slot.
-	if got := w.Pick(200, allReady); got != -1 {
+	if got := w.PickMask(200, 1<<0); got != -1 {
 		t.Fatalf("warp issued at cycle 200 with pending delay, got %d", got)
 	}
 	// After limit + max jitter it must be eligible.
 	late := 10 + limit + limit/2 + 32 + 1
-	if got := w.Pick(late, allReady); got != 0 {
+	if got := w.PickMask(late, 1<<0); got != 0 {
 		t.Fatalf("warp not released after delay expiry, got %d", got)
 	}
 }
@@ -92,7 +92,7 @@ func TestBOWSMinimumIntervalProperty(t *testing.T) {
 			w.OnSIB(0)
 			// Advance until eligible.
 			cycle += int64(g)
-			for w.Pick(cycle, allReady) != 0 {
+			for w.PickMask(cycle, 1<<0) != 0 {
 				cycle++
 				if cycle > 1<<40 {
 					return false
@@ -118,19 +118,18 @@ func TestBOWSQueueFIFO(t *testing.T) {
 	w.OnSIB(2)
 	w.OnSIB(0)
 	w.OnSIB(1)
-	if w.QueueLen() != 3 {
-		t.Fatalf("queue len = %d", w.QueueLen())
+	if len(w.Queue()) != 3 {
+		t.Fatalf("queue = %v", w.Queue())
 	}
 	// All backed off: released in SIB order 2, 0, 1. Released warps are
 	// made unready so each pick must come from the queue.
-	issued := map[int]bool{}
-	ready := func(s int) bool { return !issued[s] }
+	ready := allReady
 	var order []int
 	for c := int64(0); c < 3; c++ {
-		s := w.Pick(c, ready)
+		s := w.PickMask(c, ready)
 		order = append(order, s)
 		w.OnIssue(s, c)
-		issued[s] = true
+		ready &^= 1 << uint(s)
 	}
 	want := []int{2, 0, 1}
 	for i := range want {
@@ -138,8 +137,8 @@ func TestBOWSQueueFIFO(t *testing.T) {
 			t.Fatalf("release order = %v, want %v", order, want)
 		}
 	}
-	if w.QueueLen() != 0 {
-		t.Fatalf("queue should drain, len = %d", w.QueueLen())
+	if len(w.Queue()) != 0 {
+		t.Fatalf("queue should drain, holds %v", w.Queue())
 	}
 }
 
@@ -148,8 +147,8 @@ func TestBOWSDoubleSIBNoDuplicate(t *testing.T) {
 	w := Wrap(sched.NewLRR([]int{0}), b)
 	w.OnSIB(0)
 	w.OnSIB(0)
-	if w.QueueLen() != 1 {
-		t.Fatalf("duplicate queue entries: %d", w.QueueLen())
+	if len(w.Queue()) != 1 {
+		t.Fatalf("duplicate queue entries: %v", w.Queue())
 	}
 }
 

@@ -132,9 +132,11 @@ func (t *SIBPT) Snapshot() []SIBView {
 	return out
 }
 
-// Len returns the current entry count; Evictions the displaced-entry
-// count.
-func (t *SIBPT) Len() int         { return len(t.entries) }
+// Len returns the current entry count.
+func (t *SIBPT) Len() int { return len(t.entries) }
+
+// Evictions returns the number of entries displaced to make room for a new
+// candidate.
 func (t *SIBPT) Evictions() int64 { return t.evictions }
 
 // Promotions returns the number of SIB confirmations.

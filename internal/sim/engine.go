@@ -202,11 +202,10 @@ type ctaRec struct {
 type smUnit struct {
 	policy  sched.Policy
 	wrapped *core.Wrapped // non-nil when BOWS is on
-	slots   []int
-	mask    uint64 // the unit's slots as a warp-slot set
+	mask    uint64        // the unit's slots as a warp-slot set
 	// ffBlocked caches, during a fast-forward decision, how many ready
-	// backed-off warps each skipped cycle's failing Pick would have walked
-	// past (see core.Wrapped.BackoffStall); fastForward credits it.
+	// backed-off warps each skipped cycle's failing PickMask would have
+	// walked past (see core.Wrapped.BackoffStall); fastForward credits it.
 	ffBlocked int64
 }
 
@@ -250,16 +249,16 @@ type smState struct {
 	// Warp-slot sets, bit s for slot s (WarpsPerSM ≤ 64, see the
 	// compile-time lines below). They are maintained, not recomputed:
 	// refresh(slot) rederives a slot's bits and runs at exactly the events
-	// that can change them (DESIGN.md §8b lists them), so the per-cycle
-	// ready probe is two bit tests and per-cycle accounting a population
-	// count.
+	// that can change them (DESIGN.md §8b lists them), so a unit's ready set
+	// is two ANDs (readyMask) and per-cycle accounting a population count.
 	//
 	// live: the slot holds a warp that has not finished. sbReady: the warp
 	// is live, not at a barrier, the scoreboard is clear for the instruction
 	// at its PC and the per-warp port condition of that instruction's
 	// readyKind holds. nextMem: that instruction is a memory operation, so
-	// issue also needs LSQ space — one condition for the whole SM, tested at
-	// probe time because unit 0's issue can flip it for unit 1 within a tick.
+	// issue also needs LSQ space — one condition for the whole SM, tested per
+	// unit at pick time because unit 0's issue can flip it for unit 1 within
+	// a tick.
 	live    uint64
 	sbReady uint64
 	nextMem uint64
@@ -274,9 +273,12 @@ type smState struct {
 	// CAWA, and only for slots reported ready) are settled lazily: acctMark
 	// is the SampleCycles value up to which a slot's pair is current, and
 	// skipStall marks a freshly placed warp that inherited a set issuedMask
-	// bit — its first unsettled tick is not a stall.
-	acctMark  []int64
-	skipStall uint64
+	// bit — its first unsettled tick is not a stall. settlePicks is set when
+	// the policy reads the pairs, so tick settles a ready set before handing
+	// it over; under the other policies only issue settles.
+	acctMark    []int64
+	skipStall   uint64
+	settlePicks bool
 
 	// issued reports whether any scheduler unit issued during the current
 	// tick; the engine reads it after the SM phase to decide whether the
@@ -301,11 +303,10 @@ type smState struct {
 	maxSIBPT     int
 	pcCounts     []int64 // per-PC issue counts (Options.Profile)
 
-	// port caches eng.sys.Port(id); readyFn and doneFn are bound once so
-	// the per-cycle Pick and per-request completion allocate no closures.
-	port    *mem.Port
-	readyFn func(int) bool
-	doneFn  func(*mem.Request)
+	// port caches eng.sys.Port(id); doneFn is bound once so a request's
+	// completion allocates no closure.
+	port   *mem.Port
+	doneFn func(*mem.Request)
 	// reqFree pools memory requests (with their access buffers); requests
 	// return to the pool in memDone. reqGets/reqPuts count pool traffic so
 	// the invariant checker can prove issued == completed + in-flight and
@@ -313,6 +314,9 @@ type smState struct {
 	reqFree []*mem.Request
 	reqGets int64
 	reqPuts int64
+	// badPicks holds the pick.not-ready violations checkPick found since the
+	// last invariant sweep (Options.Check only).
+	badPicks []InvariantViolation
 }
 
 // The bitmask scoreboards and warp-slot sets require the architectural
@@ -447,8 +451,9 @@ func New(opt Options, launch Launch) (*Engine, error) {
 			acctMark: make([]int64, opt.GPU.WarpsPerSM),
 			det:      newDetector(),
 			port:     e.sys.Port(id),
+			// CAWA is the one policy that reads the lazily kept per-warp pairs.
+			settlePicks: opt.Sched == config.CAWA,
 		}
-		m.readyFn = m.pickReady
 		m.doneFn = m.memDone
 		if opt.BOWS.Mode != config.BOWSOff {
 			m.bows = core.NewBOWS(opt.BOWS, m.det, opt.GPU.WarpsPerSM)
@@ -458,17 +463,15 @@ func New(opt Options, launch Launch) (*Engine, error) {
 		}
 		for u := 0; u < opt.GPU.SchedulersPerSM; u++ {
 			slots := make([]int, slotsPer)
-			var mask uint64
 			for i := range slots {
 				slots[i] = u*slotsPer + i
-				mask |= 1 << uint(slots[i])
 			}
 			base, err := sched.New(opt.Sched, slots, m.metrics,
 				sched.Params{GTORotatePeriod: opt.GPU.GTORotatePeriod, WaSP: opt.WaSP})
 			if err != nil {
 				return nil, err
 			}
-			unit := &smUnit{policy: base, slots: slots, mask: mask}
+			unit := &smUnit{policy: base, mask: base.Slots()}
 			if m.bows != nil {
 				unit.wrapped = core.Wrap(base, m.bows)
 				unit.policy = unit.wrapped
@@ -757,7 +760,7 @@ func (m *smState) tickOrSkip(cycle int64) {
 
 // sleep marks the SM dormant after a tick in which nothing issued, no ALU
 // writeback is pending and the LSQ is empty. In that state a tick's only
-// effects are per-cycle accounting (failing Picks are side-effect-free —
+// effects are per-cycle accounting (failing picks are side-effect-free —
 // see internal/sched — except for blocked-pick counts, whose per-cycle
 // contribution is cached here in u.ffBlocked). State can next change at a
 // completion callback (memDone sets woke), a CTA placement (placeCTA sets
@@ -775,7 +778,7 @@ func (m *smState) sleep(cycle int64) {
 		if u.wrapped == nil {
 			continue
 		}
-		w, blocked := u.wrapped.BackoffStall(m.readyFn)
+		w, blocked := u.wrapped.BackoffStall(m.readyMask(u))
 		u.ffBlocked = blocked
 		if w < wake {
 			wake = w
@@ -919,21 +922,24 @@ func (m *smState) refreshCTA(rec *ctaRec) {
 	}
 }
 
-// ready reports whether the warp in slot can issue its next instruction.
+// ready reports whether the warp in slot can issue its next instruction:
+// readyMask for one slot, for the hang report and the invariant oracle.
 func (m *smState) ready(slot int) bool {
 	bit := uint64(1) << uint(slot)
 	return m.sbReady&bit != 0 && (m.nextMem&bit == 0 || m.port.CanAccept(1))
 }
 
-// pickReady is the readiness predicate handed to Policy.Pick: ready, plus
-// settling the slot's lazily kept WarpMetrics before a policy (CAWA) can
-// read them.
-func (m *smState) pickReady(slot int) bool {
-	if !m.ready(slot) {
-		return false
+// readyMask returns the slots of u that can issue right now: scoreboard-
+// ready, minus those whose next instruction is a memory operation while the
+// LSQ is full. It is a snapshot — an issue by an earlier unit of the same
+// tick can fill the LSQ — so tick takes it per unit, immediately before the
+// unit's pick.
+func (m *smState) readyMask(u *smUnit) uint64 {
+	ready := m.sbReady & u.mask
+	if ready&m.nextMem != 0 && !m.port.CanAccept(1) {
+		ready &^= m.nextMem
 	}
-	m.settle(slot)
-	return true
+	return ready
 }
 
 // settle brings slot's WarpMetrics.ResidentCycles/StallCycles up to
@@ -981,14 +987,22 @@ func (m *smState) tick(cycle int64) {
 		m.bows.Tick(cycle)
 	}
 
-	// 3. Issue: one instruction per scheduler unit. A unit with no
-	// scoreboard-ready slot is not asked: its Pick would fail, and a failing
-	// Pick has no side effects (dormancy rests on the same rule).
+	// 3. Issue: one instruction per scheduler unit. A unit with an empty
+	// ready set is not asked: its pick would fail, and a failing pick has no
+	// side effects (dormancy rests on the same rule).
 	m.issued = false
 	for _, u := range m.units {
 		slot := -1
-		if m.sbReady&u.mask != 0 {
-			slot = u.policy.Pick(cycle, m.readyFn)
+		if ready := m.readyMask(u); ready != 0 {
+			if m.settlePicks {
+				for s := ready; s != 0; s &= s - 1 {
+					m.settle(bits.TrailingZeros64(s))
+				}
+			}
+			slot = u.policy.PickMask(cycle, ready)
+			if m.eng.opt.Check {
+				slot = m.checkPick(u, slot, ready, cycle)
+			}
 		}
 		if slot < 0 {
 			m.st.IdleCycles++

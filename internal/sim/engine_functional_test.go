@@ -467,9 +467,10 @@ func TestRecycledSlotFirstTickStallFree(t *testing.T) {
 	if w := m.warps[0]; w == nil || w.Done || m.warps[1] == nil || !m.warps[1].Done {
 		t.Fatalf("after tick 2 slot 0 should hold the waiting B1 and slot 1 the retired B0")
 	}
-	if !m.pickReady(0) {
+	if m.readyMask(m.units[0])&1 == 0 {
 		t.Fatal("B1 is not ready")
 	}
+	m.settle(0) // what tick does for a ready set before CAWA reads the pairs
 	if mt := m.metrics[0]; mt.ResidentCycles != 1 || mt.StallCycles != 0 {
 		t.Errorf("B1 resident/stall cycles = %d/%d, want 1/0", mt.ResidentCycles, mt.StallCycles)
 	}

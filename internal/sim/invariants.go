@@ -3,14 +3,18 @@
 // several places at once — scoreboard pending bits against in-flight
 // producers, request-pool gets against puts, CTA slot accounting against
 // residency, the event-maintained readiness masks against the
-// from-scratch readiness predicate — and fails fast with a structured
-// InvariantError instead of silently simulating garbage for millions of
-// cycles. Checks are pure reads: a checked run simulates cycle-identically
-// to an unchecked one, it just may stop earlier.
+// from-scratch readiness predicate, each BOWS back-off queue against the
+// backed-off set, every pick against the ready set it was made from — and
+// fails fast with a structured InvariantError instead of silently
+// simulating garbage for millions of cycles. Checks are pure reads: a
+// checked run simulates cycle-identically to an unchecked one, it just may
+// stop earlier (the one check that acts, checkPick, acts only on a policy
+// that has already broken its contract).
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"warpsched/internal/mem"
@@ -139,6 +143,24 @@ func (e *Engine) checkInvariants(atEnd bool) error {
 					}
 					wbReg[it.slot] |= 1 << it.idx
 				}
+			}
+		}
+
+		vs = append(vs, m.badPicks...)
+		m.badPicks = m.badPicks[:0]
+		for j, u := range m.units {
+			if u.wrapped == nil {
+				continue
+			}
+			// Wrapped.PickMask and BackoffStall decide "no ready backed-off
+			// warp" from the mask alone, which is only right while the FIFO
+			// holds exactly the unit's backed-off slots, once each.
+			queue, queued := u.wrapped.Queue(), uint64(0)
+			for _, s := range queue {
+				queued |= 1 << uint(s)
+			}
+			if want := m.bows.BackedOffMask() & u.mask; queued != want || len(queue) != bits.OnesCount64(want) {
+				add("bows.queue-drift", i, -1, "unit %d back-off queue %v is not the unit's backed-off set %#x", j, queue, want)
 			}
 		}
 
@@ -312,6 +334,21 @@ func (m *smState) checkSlotMasks(slot int, add func(name string, sm, slot int, f
 		add("acct.mark-ahead", m.id, slot, "accounting mark %d is ahead of SampleCycles %d",
 			m.acctMark[slot], m.st.SampleCycles)
 	}
+}
+
+// checkPick enforces PickMask's contract where it is called, under
+// Options.Check: a returned slot must be a set bit of the ready set the
+// policy was given. A violation is kept for the next sweep to report as
+// pick.not-ready, and the issue is refused (the result is -1) — the slot may
+// hold no warp at all — so from that cycle on a checked run of a broken
+// policy no longer matches the unchecked one.
+func (m *smState) checkPick(u *smUnit, slot int, ready uint64, cycle int64) int {
+	if slot < 0 || slot < 64 && ready>>uint(slot)&1 != 0 {
+		return slot
+	}
+	m.badPicks = append(m.badPicks, InvariantViolation{Name: "pick.not-ready", Cycle: cycle, SM: m.id, Slot: slot,
+		Detail: fmt.Sprintf("%s returned slot %d, not a member of the ready set %#x it was given", u.policy.Name(), slot, ready)})
+	return -1
 }
 
 // barrierComplete reports whether every live warp of cta currently

@@ -2,12 +2,14 @@ package sim
 
 import (
 	"errors"
+	"math/bits"
 	"strings"
 	"testing"
 
 	"warpsched/internal/config"
 	"warpsched/internal/isa"
 	"warpsched/internal/mem"
+	"warpsched/internal/sched"
 )
 
 // lockAddProg increments a shared counter (word 1) under the lock at
@@ -186,6 +188,72 @@ func TestInvariantDetectsMaskDrift(t *testing.T) {
 		tc.corrupt(eng.sms[0])
 		requireViolation(t, eng.checkInvariants(false), tc.name)
 	}
+}
+
+// offReadyPolicy breaks the PickMask contract: whenever some slot can issue
+// it returns the lowest slot of its unit that cannot.
+type offReadyPolicy struct{ sched.Policy }
+
+func (p offReadyPolicy) PickMask(_ int64, ready uint64) int {
+	if off := p.Slots() &^ ready; off != 0 {
+		return bits.TrailingZeros64(off)
+	}
+	return -1
+}
+
+// TestInvariantDetectsPickOutsideReadySet: a policy that returns a slot
+// whose bit is clear in the ready set it was given would have that warp
+// issued regardless of its scoreboard. Under Check the pick is refused and
+// the run fails at the next sweep, naming the policy's slot.
+func TestInvariantDetectsPickOutsideReadySet(t *testing.T) {
+	opt := testOptions(config.GTO)
+	opt.Check = true
+	opt.CheckEvery = 64
+	eng, err := New(opt, Launch{
+		Prog: vecAddProg(t), GridCTAs: 2, CTAThreads: 64,
+		Params: []uint32{16, 0, 16, 32}, MemWords: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range eng.sms {
+		for _, u := range m.units {
+			u.policy = offReadyPolicy{u.policy}
+		}
+	}
+	_, err = eng.Run()
+	requireViolation(t, err, "pick.not-ready")
+	if eng.cycle != 64 {
+		t.Errorf("run stopped at cycle %d, want the first sweep at 64", eng.cycle)
+	}
+	if n := eng.sms[0].st.WarpInstrs; n != 0 {
+		t.Errorf("%d instructions issued from refused picks", n)
+	}
+}
+
+// TestInvariantDetectsBackoffQueueDrift: Wrapped.PickMask skips its FIFO
+// when no ready slot is in the backed-off set, so a warp that is backed off
+// without being queued (here: marked behind the wrapper's back) would never
+// be released. The sweep compares the two.
+func TestInvariantDetectsBackoffQueueDrift(t *testing.T) {
+	opt := testOptions(config.GTO)
+	opt.Check = true
+	opt.BOWS = config.DefaultBOWS()
+	eng, err := New(opt, Launch{
+		Prog: vecAddProg(t), GridCTAs: 2, CTAThreads: 64,
+		Params: []uint32{16, 0, 16, 32}, MemWords: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.dispatch()
+	m := eng.sms[0]
+	m.units[0].wrapped.OnSIB(0) // the engine's path: queued and marked
+	if err := eng.checkInvariants(false); err != nil {
+		t.Fatalf("clean engine reports violations: %v", err)
+	}
+	m.bows.OnSIB(1) // marked, never queued
+	requireViolation(t, eng.checkInvariants(false), "bows.queue-drift")
 }
 
 func TestInvariantErrorFormat(t *testing.T) {

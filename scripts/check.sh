@@ -4,7 +4,8 @@
 # figures must match what cmd/warpreport regenerates from the checked-in
 # manifest), full test suite (including the golden-stats regression in
 # internal/exp and the golden rendering tests in internal/report), the
-# parallel-runner determinism tests under the race detector, the warplint
+# parallel-runner determinism tests under the race detector, one iteration
+# of the sched/core pick benchmarks (so they cannot rot), the warplint
 # static analyzer over every registered kernel, an invariant-checked
 # simulation smoke pass (-check arms the runtime invariant checker and
 # hang diagnosis; the third run is the 64-slot machine, the full width of
@@ -34,11 +35,11 @@ echo "== warplint =="
 go run ./cmd/warplint -all
 
 echo "== golint-internal (determinism + store durability lint) =="
-go run ./cmd/golint-internal ./internal/sim ./internal/simt ./internal/mem ./internal/store ./internal/sched
+go run ./cmd/golint-internal ./internal/sim ./internal/simt ./internal/mem ./internal/store ./internal/sched ./internal/core
 
 echo "== doccheck (godoc coverage) =="
 go run ./cmd/doccheck ./internal/report ./internal/exp ./internal/metrics \
-    ./internal/server ./internal/store ./internal/sim ./internal/simt ./internal/sched .
+    ./internal/server ./internal/store ./internal/sim ./internal/simt ./internal/sched ./internal/core .
 
 echo "== report drift (REPRODUCTION.md + docs/figures) =="
 go run ./cmd/warpreport -manifest internal/report/testdata/full.json \
@@ -49,6 +50,9 @@ go test ./...
 
 echo "== go test -race (runner determinism, fault injection, resume) =="
 go test -race ./internal/exp -run TestRunner
+
+echo "== pick benchmarks still build and run (one iteration) =="
+go test -run '^$' -bench 'PickMask' -benchtime 1x ./internal/sched ./internal/core
 
 echo "== invariant-checked smoke (warpsim -check) =="
 go run ./cmd/warpsim -kernel HT -sms 2 -check > /dev/null
