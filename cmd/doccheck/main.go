@@ -2,9 +2,10 @@
 // symbol (type, function, method, var, const) in the packages it is
 // pointed at must carry a doc comment. It is a plain-parser lint — no
 // type checking, no external dependencies — wired into scripts/check.sh
-// so exported API cannot land undocumented.
+// and CI (from the repo root, no arguments: defaultDirs) so exported API
+// cannot land undocumented.
 //
-//	go run ./cmd/doccheck ./internal/report ./internal/exp .
+//	go run ./cmd/doccheck [<package dir>...]
 //
 // A const/var block's doc comment covers every spec in the block; an
 // individual spec comment covers just that spec. Test files and
@@ -23,13 +24,18 @@ import (
 	"strings"
 )
 
+// defaultDirs is what the gate checks: the packages with an API surface.
+var defaultDirs = []string{"./internal/report", "./internal/exp", "./internal/metrics",
+	"./internal/server", "./internal/store", "./internal/sim", "./internal/simt",
+	"./internal/sched", "./internal/core", "."}
+
 func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck <package dir>...")
-		os.Exit(2)
+	dirs := os.Args[1:]
+	if len(dirs) == 0 {
+		dirs = defaultDirs
 	}
 	var problems []string
-	for _, dir := range os.Args[1:] {
+	for _, dir := range dirs {
 		p, err := checkDir(strings.TrimSuffix(dir, "/..."))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)

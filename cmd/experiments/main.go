@@ -37,9 +37,7 @@ func main() {
 		statsJSON = flag.String("stats-json", "", "write a machine-readable run manifest (per-simulation counters) to this file")
 		check     = flag.Bool("check", false, "enable runtime invariant checking and early hang aborts in every simulation")
 		resume    = flag.String("resume", "", "crash-tolerant run journal (created if missing); completed runs found in it are replayed instead of re-simulated")
-		retries   = flag.Int("retries", 0, "retry a run that panics up to N times before recording the failure")
 		reportDir = flag.String("report", "", "after the sweep, render the reproduction report (REPRODUCTION.md + SVG figures) from the collected manifest into this directory")
-		shards    = flag.Int("shards", 1, "tick each simulation's SMs on this many worker goroutines; output is identical for every value")
 		noFF      = flag.Bool("no-ff", false, "disable event-driven fast-forward and tick every cycle; output is identical either way")
 		remote    = flag.String("remote", "", "offload simulations to a warpsimd daemon at this base URL (e.g. http://localhost:8723); remote-unsafe experiments and unmappable runs use the local engine")
 	)
@@ -52,8 +50,7 @@ func main() {
 		return
 	}
 
-	cfg := exp.Cfg{SMs: *sms, Quick: *quick, Jobs: *jobs, Check: *check, Retries: *retries,
-		Shards: *shards, NoFastForward: *noFF}
+	cfg := exp.Cfg{SMs: *sms, Quick: *quick, Jobs: *jobs, Check: *check, NoFastForward: *noFF}
 	if *verbose {
 		cfg.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  ..", line) }
 	}
@@ -93,12 +90,12 @@ func main() {
 
 	var col *exp.Collector
 	if *statsJSON != "" || *reportDir != "" {
-		// The config map deliberately omits -j, -shards and -no-ff (the
-		// manifest, and its config hash, is identical for every worker
-		// count and for either clock implementation) and the
-		// experiment selection (records carry their experiment tag, so
-		// same-scale manifests from different -exp invocations share a
-		// config hash and can be joined by cmd/warpreport).
+		// The config map deliberately omits -j and -no-ff (the manifest,
+		// and its config hash, is identical for every worker count and
+		// for either clock implementation) and the experiment selection
+		// (records carry their experiment tag, so same-scale manifests
+		// from different -exp invocations share a config hash and can be
+		// joined by cmd/warpreport).
 		col = exp.NewCollector("experiments", map[string]any{
 			"quick": *quick, "sms": *sms,
 		})

@@ -9,9 +9,10 @@
 // and its temp-file + fsync + rename protocol, or crash-safety and
 // fault injection silently stop covering it. It is a plain-parser lint
 // in the style of cmd/doccheck — no type checking, no external
-// dependencies — wired into scripts/check.sh and the CI lint job:
+// dependencies — wired into scripts/check.sh and the CI lint job (from the
+// repo root, no arguments: defaultDirs):
 //
-//	go run ./cmd/golint-internal ./internal/sim ./internal/mem ./internal/store ./internal/sched
+//	go run ./cmd/golint-internal [<package dir>...]
 //
 // Test files are exempt: harnesses legitimately time out, shuffle and
 // corrupt files in place. Exits 1 listing each violation as
@@ -29,13 +30,17 @@ import (
 	"strings"
 )
 
+// defaultDirs is what the gate lints: the simulation core and the store.
+var defaultDirs = []string{"./internal/sim", "./internal/simt", "./internal/mem",
+	"./internal/store", "./internal/sched", "./internal/core"}
+
 func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: golint-internal <package dir>...")
-		os.Exit(2)
+	dirs := os.Args[1:]
+	if len(dirs) == 0 {
+		dirs = defaultDirs
 	}
 	var problems []string
-	for _, dir := range os.Args[1:] {
+	for _, dir := range dirs {
 		p, err := checkDir(strings.TrimSuffix(dir, "/..."))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "golint-internal: %v\n", err)

@@ -40,7 +40,6 @@ func main() {
 		check     = flag.Bool("check", false, "enable runtime invariant checking and early hang aborts (diagnoses deadlock/livelock/starvation)")
 		faultSeed = flag.Uint64("fault-seed", 0, "inject deterministic memory faults (latency spikes, reordering, atomic retry storms) with this seed; 0 = off")
 		faultRate = flag.Float64("fault-rate", 1.0, "scale fault-injection probabilities by this factor (with -fault-seed)")
-		shards    = flag.Int("shards", 1, "tick SMs on this many worker goroutines (results are cycle-identical for every value)")
 		noFF      = flag.Bool("no-ff", false, "disable event-driven fast-forward and tick every cycle (results are cycle-identical either way)")
 	)
 	flag.Parse()
@@ -88,7 +87,7 @@ func main() {
 	spec.DDOS, err = config.ParseDDOS(*hash)
 	usageError(err)
 
-	cfg := exp.Cfg{Check: *check, Shards: *shards, NoFastForward: *noFF}
+	cfg := exp.Cfg{Check: *check, NoFastForward: *noFF}
 	if *faultSeed != 0 {
 		f := warpsched.DefaultFaults(*faultSeed).Scale(*faultRate)
 		cfg.Faults = &f

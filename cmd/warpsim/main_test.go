@@ -24,14 +24,22 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	bin = filepath.Join(tmp, "warpsim")
-	if out, err := exec.Command("go", "build", "-o", bin, "warpsched/cmd/warpsim").CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "build warpsim: %v\n%s", err, out)
+	if bin, err = build(tmp, "warpsim"); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	code := m.Run()
 	os.RemoveAll(tmp)
 	os.Exit(code)
+}
+
+// build compiles one of the repo's commands into dir.
+func build(dir, tool string) (string, error) {
+	path := filepath.Join(dir, tool)
+	if out, err := exec.Command("go", "build", "-o", path, "warpsched/cmd/"+tool).CombinedOutput(); err != nil {
+		return "", fmt.Errorf("build %s: %v\n%s", tool, err, out)
+	}
+	return path, nil
 }
 
 // TestManifestIdentityMatchesHarness: the record warpsim -stats-json
@@ -88,6 +96,37 @@ func TestUnknownNamesAreUsageErrors(t *testing.T) {
 		}
 		if !strings.Contains(string(out), `"bogus" (valid: `+valid+")") {
 			t.Errorf("%s bogus: output does not list the valid names:\n%s", flag, out)
+		}
+	}
+}
+
+// TestRemovedFlagsAreUsageErrors: the execution-strategy flags that could
+// not change a result and never won a measurement are gone from all three
+// tools, not silently accepted.
+func TestRemovedFlagsAreUsageErrors(t *testing.T) {
+	bins, dir := map[string]string{"warpsim": bin}, t.TempDir()
+	for _, tool := range []string{"experiments", "warpsimd"} {
+		path, err := build(dir, tool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bins[tool] = path
+	}
+	for _, c := range []struct{ tool, flag string }{
+		{"warpsim", "-shards"},
+		{"experiments", "-shards"},
+		{"experiments", "-retries"},
+		{"warpsimd", "-shards"},
+		{"warpsimd", "-retries"},
+		{"warpsimd", "-no-ff"},
+	} {
+		out, err := exec.Command(bins[c.tool], c.flag, "1").CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%s %s: err = %v, want exit code 2", c.tool, c.flag, err)
+		}
+		if !strings.Contains(string(out), "flag provided but not defined: "+c.flag) {
+			t.Errorf("%s %s: output does not name the undefined flag:\n%s", c.tool, c.flag, out)
 		}
 	}
 }

@@ -37,9 +37,6 @@ func main() {
 		queue        = flag.Int("queue", 64, "admission queue depth; beyond it submissions get HTTP 429")
 		cacheMB      = flag.Int64("cache-mb", 256, "result cache memory bound in MiB")
 		maxCycles    = flag.Int64("max-cycles", 10_000_000, "per-job watchdog cycle ceiling")
-		retries      = flag.Int("retries", 1, "bounded re-runs of panicked simulations")
-		shards       = flag.Int("shards", 1, "SM shards per engine (results identical for every value)")
-		noFF         = flag.Bool("no-ff", false, "disable event-driven fast-forward (results identical either way)")
 		check        = flag.Bool("check", false, "arm runtime invariant checking and early hang aborts on every job")
 		journal      = flag.String("journal", "", "recovery journal path (empty = no crash recovery)")
 		storeDir     = flag.String("store", "", "persistent result store directory (empty = memory-only cache)")
@@ -52,8 +49,7 @@ func main() {
 
 	opt := server.Options{
 		Workers: *workers, QueueDepth: *queue, CacheBytes: *cacheMB << 20,
-		MaxJobCycles: *maxCycles, Retries: *retries, Shards: *shards,
-		NoFastForward: *noFF, Check: *check, Journal: *journal,
+		MaxJobCycles: *maxCycles, Check: *check, Journal: *journal,
 		StoreDir: *storeDir, StoreBytes: *storeMB << 20,
 		DegradeAfter: *degradeAfter,
 	}
@@ -71,7 +67,7 @@ func main() {
 	}
 	httpSrv := &http.Server{Handler: s.Handler()}
 	log.Printf("warpsimd: serving on %s (workers=%d queue=%d cache=%dMiB store=%q journal=%q)",
-		ln.Addr(), opt.Workers, opt.QueueDepth, *cacheMB, *storeDir, *journal)
+		ln.Addr(), s.Stats().Workers, opt.QueueDepth, *cacheMB, *storeDir, *journal)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()

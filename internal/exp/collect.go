@@ -149,8 +149,8 @@ func RunOfRecord(rec *metrics.RunRecord) (Run, error) {
 // one run identity: manifest records, the resume journal and warpsimd's
 // cache key (server.CacheKey) all use it, so a daemon job, a sweep run and
 // a warpsim run of the same configuration share a variant. Deliberately
-// excluded, like Cfg.Jobs/Shards/NoFastForward: anything that cannot
-// change simulation results. Manifest.Add cross-checks records that still
+// excluded, like Cfg.Jobs/NoFastForward: anything that cannot change
+// simulation results. Manifest.Add cross-checks records that still
 // collide, so a dimension missed here surfaces as an error, not a silent
 // overwrite.
 //

@@ -1,8 +1,8 @@
 // Package exp is the reproduction harness: one experiment per table and
 // figure of the paper's evaluation (Figures 1-3 and 9-16, Tables I-III),
 // each returning a value whose String method renders a text table next to
-// the paper's reported numbers. cmd/experiments and the repository's
-// bench_test.go both drive this package.
+// the paper's reported numbers. cmd/experiments and the benchmark
+// (bench/) both drive this package.
 //
 // The families internal/report also publishes are split layout → lookup →
 // derive → render (derive.go): the Derive* functions here are the only
@@ -67,16 +67,6 @@ type Cfg struct {
 	// appended, so an interrupted sweep picks up where it died and renders
 	// byte-identical tables.
 	Journal *Journal
-	// Retries bounds re-runs of a spec whose simulation panicked (the
-	// panic is recovered into the run record either way). Deterministic
-	// failures — watchdog aborts, verification mismatches, invariant
-	// violations — are never retried.
-	Retries int
-	// Shards runs each simulation's SM phase on that many worker
-	// goroutines (cmd/experiments -shards; see sim.Options.Shards).
-	// Results are cycle-identical for every value, so — like Jobs — it is
-	// deliberately excluded from collected manifests' config hashes.
-	Shards int
 	// NoFastForward disables the event-driven clock and ticks every cycle
 	// (cmd/experiments -no-ff; see sim.Options.NoFastForward). Results
 	// are cycle-identical either way; the flag exists for A/B timing and
@@ -152,8 +142,8 @@ func (c Cfg) syncFreeSuite() []*kernels.Kernel {
 func (c Cfg) Options(sp Spec, tr sim.Tracer) sim.Options {
 	opt := sim.Options{GPU: sp.Normalized().GPU, Sched: sp.Sched, BOWS: sp.BOWS,
 		DDOS: sp.DDOS, Detector: sp.Detector, TAGE: sp.TAGE, WaSP: sp.WaSP,
-		Tracer: tr, Faults: c.Faults, Shards: c.Shards,
-		NoFastForward: c.NoFastForward, Progress: sp.Progress}
+		Tracer: tr, Faults: c.Faults, NoFastForward: c.NoFastForward,
+		Progress: sp.Progress}
 	if c.Check {
 		opt.Check = true
 		opt.HangWindow = sim.DefaultHangWindow

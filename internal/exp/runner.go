@@ -147,10 +147,9 @@ func (c Cfg) runAll(specs []Spec) []Outcome {
 
 // Execute runs externally submitted specs (internal/server's daemon jobs)
 // on the same bounded worker pool (Cfg.Jobs) and returns outcomes in
-// submission order. Panics are recovered into *PanicError records with
-// Cfg.Retries re-runs, identically to experiment sweeps. Cfg.Collect and
-// Cfg.Journal are not consulted — callers that cache or persist results
-// own that layer.
+// submission order. Panics are recovered into *PanicError records,
+// identically to experiment sweeps. Cfg.Collect and Cfg.Journal are not
+// consulted — callers that cache or persist results own that layer.
 func (c Cfg) Execute(specs []Spec) []Outcome {
 	c.Collect, c.Journal = nil, nil
 	return c.runAll(specs)
@@ -158,8 +157,8 @@ func (c Cfg) Execute(specs []Spec) []Outcome {
 
 // PanicError records a simulation that panicked: the spec it was running,
 // the panic value, and the goroutine stack at recovery time. The runner
-// converts panics into failed-run records (bounded retries first, see
-// Cfg.Retries) so one crashing configuration cannot take down a sweep.
+// converts panics into failed-run records so one crashing configuration
+// cannot take down a sweep.
 type PanicError struct {
 	Kernel string
 	Sched  config.SchedulerKind
@@ -197,7 +196,7 @@ func (c Cfg) guardedRun(sp *Spec, tr sim.Tracer) (o Outcome) {
 // journal attached, finished specs replay instead of re-simulating, and
 // fresh outcomes are journaled for the next invocation.
 func (c Cfg) runOne(sp *Spec, i, n int, progress chan<- string) Outcome {
-	var key, suffix string
+	var key string
 	if c.Journal != nil {
 		key = VariantHash(*sp)
 		if o, ok := c.Journal.lookup(key); ok {
@@ -225,14 +224,6 @@ func (c Cfg) runOne(sp *Spec, i, n int, progress chan<- string) Outcome {
 		tr = c.Tracer(i)
 	}
 	o := c.guardedRun(sp, tr)
-	for attempt := 0; attempt < c.Retries; attempt++ {
-		var pe *PanicError
-		if !errors.As(o.Err, &pe) {
-			break // deterministic outcome: retrying would repeat it
-		}
-		suffix = fmt.Sprintf(" (retry %d)", attempt+1)
-		o = c.guardedRun(sp, tr)
-	}
 	if c.Journal != nil {
 		if jerr := c.Journal.record(key, o); jerr != nil && o.Err == nil {
 			// A run whose result cannot be journaled must not be reported
@@ -241,7 +232,7 @@ func (c Cfg) runOne(sp *Spec, i, n int, progress chan<- string) Outcome {
 		}
 	}
 	c.collect(sp, &o, float64(time.Since(start).Microseconds())/1e3)
-	c.report(sp, o, i, n, suffix, progress)
+	c.report(sp, o, i, n, "", progress)
 	return o
 }
 

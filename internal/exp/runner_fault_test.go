@@ -2,6 +2,7 @@ package exp
 
 import (
 	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,24 +115,36 @@ func TestRunnerMissingParamIsPlainError(t *testing.T) {
 	}
 }
 
-// TestRunnerRetryPolicy: panicking runs are retried up to Cfg.Retries;
-// deterministic failures are not retried.
-func TestRunnerRetryPolicy(t *testing.T) {
+// TestRunnerPanicRunsOnce: a panicking spec executes exactly once and
+// comes back as a *PanicError with its stack, which is what the journal
+// records; a launch sim.New rejects never reaches the verifier.
+func TestRunnerPanicRunsOnce(t *testing.T) {
 	attempts := 0
 	sp := testSpec(64)
 	k := panicKernel()
 	k.Verify = func([]uint32) error { attempts++; panic(attempts) }
 	sp.Kernel = k
-	o := Cfg{Retries: 2}.runOne(&sp, 0, 1, nil)
-	if attempts != 3 {
-		t.Errorf("ran %d attempts, want 3 (1 + 2 retries)", attempts)
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	o := Cfg{Journal: j}.runOne(&sp, 0, 1, nil)
+	if attempts != 1 {
+		t.Errorf("panicking spec ran %d times, want 1", attempts)
 	}
 	var pe *PanicError
 	if !errors.As(o.Err, &pe) {
-		t.Fatalf("expected *PanicError after exhausted retries, got %v", o.Err)
+		t.Fatalf("expected *PanicError, got %v", o.Err)
+	}
+	if pe.Value != "1" || !strings.Contains(pe.Stack, "goroutine") {
+		t.Errorf("panic record incomplete: value %q, stack %q", pe.Value, pe.Stack)
+	}
+	if replay, ok := j.lookup(VariantHash(sp)); !ok || replay.Err == nil || replay.Err.Error() != pe.Error() {
+		t.Errorf("journal holds %v (found=%v), want the panic's message verbatim", replay.Err, ok)
 	}
 
-	// A deterministic failure (sim.New rejects the launch) must not retry.
+	// A rejected launch is a plain error, not a panic.
 	calls := 0
 	bad := testSpec(64)
 	badK := kernels.NewHashTable(kernels.HashTableConfig{
@@ -140,7 +153,7 @@ func TestRunnerRetryPolicy(t *testing.T) {
 	badK.Launch.GridCTAs = 0
 	badK.Verify = func([]uint32) error { calls++; return nil }
 	bad.Kernel = badK
-	o = Cfg{Retries: 5}.runOne(&bad, 0, 1, nil)
+	o = Cfg{}.runOne(&bad, 0, 1, nil)
 	if o.Err == nil {
 		t.Fatal("sabotaged launch succeeded")
 	}

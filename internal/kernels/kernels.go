@@ -62,98 +62,118 @@ func (l *layout) size() int { return int(l.next) + 64 }
 // rng returns a deterministic generator for input synthesis.
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// SyncSuite returns the paper's eight synchronization kernels in the
-// order of Figure 2 (TB, ST, DS, ATM, HT, TSP, NW1, NW2) at the default
-// scaled sizes documented in EXPERIMENTS.md. Sizes are chosen to
+// row is one line of the suite table: a kernel's name and class and the
+// constructors of its full- and quick-scale instances.
+type row struct {
+	name        string
+	class       Class
+	full, quick func() *Kernel
+}
+
+// table is the benchmark suite, the one list the suite constructors,
+// ByName and Names derive from: the paper's eight synchronization kernels
+// in the order of Figure 2, then the Rodinia-standin kernels of the
+// false-detection studies (Table I denominators, Figure 14). Full sizes
+// are the default scaled sizes documented in EXPERIMENTS.md, chosen to
 // saturate the default 4-SM scaled Fermi (192 warp slots = 6144 threads)
 // at thread:lock contention ratios comparable to the paper's inputs —
 // BOWS's effects only appear when spinning warps compete with useful
-// work for issue slots and memory bandwidth.
-func SyncSuite() []*Kernel {
-	return []*Kernel{
-		NewBHTB(12288, 8, 8, 128), // CTA count limited, as in the real TB
-		NewBHST(16383, 32, 128),
-		NewClothDS(12288, 384, 48, 128),
-		NewATM(12288, 256, 48, 128),
-		NewHashTable(HashTableConfig{Items: 12288, Buckets: 256, CTAs: 48, CTAThreads: 128}),
-		NewTSP(6144, 64, 48, 128),
-		NewNW(1, 512, 128),
-		NewNW(2, 512, 128),
-	}
+// work for issue slots and memory bandwidth. Quick sizes keep the
+// structure on smaller inputs, for tests and the benchmark (see
+// EXPERIMENTS.md for the scaling rationale).
+var table = []row{
+	{"TB", ClassSync, func() *Kernel { return NewBHTB(12288, 8, 8, 128) }, // CTA count limited, as in the real TB
+		func() *Kernel { return NewBHTB(6144, 7, 4, 128) }},
+	{"ST", ClassSync, func() *Kernel { return NewBHST(16383, 32, 128) },
+		func() *Kernel { return NewBHST(8191, 16, 128) }},
+	{"DS", ClassSync, func() *Kernel { return NewClothDS(12288, 384, 48, 128) },
+		func() *Kernel { return NewClothDS(3072, 128, 24, 128) }},
+	{"ATM", ClassSync, func() *Kernel { return NewATM(12288, 256, 48, 128) },
+		func() *Kernel { return NewATM(3072, 128, 24, 128) }},
+	{"HT", ClassSync, func() *Kernel {
+		return NewHashTable(HashTableConfig{Items: 12288, Buckets: 256, CTAs: 48, CTAThreads: 128})
+	}, func() *Kernel {
+		return NewHashTable(HashTableConfig{Items: 6144, Buckets: 128, CTAs: 24, CTAThreads: 128})
+	}},
+	{"TSP", ClassSync, func() *Kernel { return NewTSP(6144, 64, 48, 128) },
+		func() *Kernel { return NewTSP(3072, 48, 24, 128) }},
+	{"NW1", ClassSync, func() *Kernel { return NewNW(1, 512, 128) },
+		func() *Kernel { return NewNW(1, 256, 128) }},
+	{"NW2", ClassSync, func() *Kernel { return NewNW(2, 512, 128) },
+		func() *Kernel { return NewNW(2, 256, 128) }},
+	{"KMEANS", ClassSyncFree, func() *Kernel { return NewKmeansCopy(16384, 8, 128) },
+		func() *Kernel { return NewKmeansCopy(2048, 2, 64) }},
+	{"VECADD", ClassSyncFree, func() *Kernel { return NewVecAdd(32768, 16, 128) },
+		func() *Kernel { return NewVecAdd(2048, 2, 64) }},
+	{"REDUCE", ClassSyncFree, func() *Kernel { return NewReduce(64, 256) },
+		func() *Kernel { return NewReduce(8, 128) }},
+	{"MS", ClassSyncFree, func() *Kernel { return NewMergeSortPass(131072, 8, 128) },
+		func() *Kernel { return NewMergeSortPass(65536, 2, 64) }},
+	{"HL", ClassSyncFree, func() *Kernel { return NewHeartwall(32768, 8, 128) },
+		func() *Kernel { return NewHeartwall(8192, 2, 64) }},
+	{"STENCIL", ClassSyncFree, func() *Kernel { return NewStencil(16384, 8, 128) },
+		func() *Kernel { return NewStencil(2048, 2, 64) }},
+	{"BFS", ClassSyncFree, func() *Kernel { return NewBFS(1024, 4, 256) },
+		func() *Kernel { return NewBFS(512, 3, 128) }},
+	{"HOTSPOT", ClassSyncFree, func() *Kernel { return NewHotspot(64, 4, 128) },
+		func() *Kernel { return NewHotspot(32, 2, 64) }},
+	{"PATHFINDER", ClassSyncFree, func() *Kernel { return NewPathfinder(64, 256) },
+		func() *Kernel { return NewPathfinder(32, 128) }},
+	{"BACKPROP", ClassSyncFree, func() *Kernel { return NewBackprop(128, 1024, 8, 128) },
+		func() *Kernel { return NewBackprop(64, 256, 2, 128) }},
+	{"SRAD", ClassSyncFree, func() *Kernel { return NewSRAD(8192, 4, 128) },
+		func() *Kernel { return NewSRAD(2048, 2, 64) }},
+	{"LUD", ClassSyncFree, func() *Kernel { return NewLUD(32, 256) },
+		func() *Kernel { return NewLUD(24, 128) }},
+	{"NN", ClassSyncFree, func() *Kernel { return NewNN(1024, 32, 8, 128) },
+		func() *Kernel { return NewNN(256, 16, 2, 128) }},
+	{"GAUSSIAN", ClassSyncFree, func() *Kernel { return NewGaussian(48, 3, 4, 128) },
+		func() *Kernel { return NewGaussian(32, 2, 2, 64) }},
 }
 
-// SyncFreeSuite returns the Rodinia-standin kernels used for the
-// false-detection studies (Table I denominators, Figure 14).
-func SyncFreeSuite() []*Kernel {
-	return []*Kernel{
-		NewKmeansCopy(16384, 8, 128),
-		NewVecAdd(32768, 16, 128),
-		NewReduce(64, 256),
-		NewMergeSortPass(131072, 8, 128),
-		NewHeartwall(32768, 8, 128),
-		NewStencil(16384, 8, 128),
-		NewBFS(1024, 4, 256),
-		NewHotspot(64, 4, 128),
-		NewPathfinder(64, 256),
-		NewBackprop(128, 1024, 8, 128),
-		NewSRAD(8192, 4, 128),
-		NewLUD(32, 256),
-		NewNN(1024, 32, 8, 128),
-		NewGaussian(48, 3, 4, 128),
+// suite builds the table's kernels of one class at one scale, in table order.
+func suite(class Class, quick bool) []*Kernel {
+	var out []*Kernel
+	for _, r := range table {
+		mk := r.full
+		if quick {
+			mk = r.quick
+		}
+		if r.class == class {
+			out = append(out, mk())
+		}
 	}
+	return out
 }
 
-// QuickSyncSuite returns reduced-size instances of the synchronization
-// suite for tests and testing.B benchmarks (same structure, smaller
-// inputs; see EXPERIMENTS.md for the scaling rationale).
-func QuickSyncSuite() []*Kernel {
-	return []*Kernel{
-		NewBHTB(6144, 7, 4, 128),
-		NewBHST(8191, 16, 128),
-		NewClothDS(3072, 128, 24, 128),
-		NewATM(3072, 128, 24, 128),
-		NewHashTable(HashTableConfig{Items: 6144, Buckets: 128, CTAs: 24, CTAThreads: 128}),
-		NewTSP(3072, 48, 24, 128),
-		NewNW(1, 256, 128),
-		NewNW(2, 256, 128),
-	}
-}
+// SyncSuite returns the paper's eight synchronization kernels in the
+// order of Figure 2 (TB, ST, DS, ATM, HT, TSP, NW1, NW2) at full size.
+func SyncSuite() []*Kernel { return suite(ClassSync, false) }
+
+// SyncFreeSuite returns the full-size Rodinia-standin kernels.
+func SyncFreeSuite() []*Kernel { return suite(ClassSyncFree, false) }
+
+// QuickSyncSuite returns reduced-size instances of the synchronization suite.
+func QuickSyncSuite() []*Kernel { return suite(ClassSync, true) }
 
 // QuickSyncFreeSuite returns reduced-size sync-free kernels.
-func QuickSyncFreeSuite() []*Kernel {
-	return []*Kernel{
-		NewKmeansCopy(2048, 2, 64),
-		NewVecAdd(2048, 2, 64),
-		NewReduce(8, 128),
-		NewMergeSortPass(65536, 2, 64),
-		NewHeartwall(8192, 2, 64),
-		NewStencil(2048, 2, 64),
-		NewBFS(512, 3, 128),
-		NewHotspot(32, 2, 64),
-		NewPathfinder(32, 128),
-		NewBackprop(64, 256, 2, 128),
-		NewSRAD(2048, 2, 64),
-		NewLUD(24, 128),
-		NewNN(256, 16, 2, 128),
-		NewGaussian(32, 2, 2, 64),
-	}
-}
+func QuickSyncFreeSuite() []*Kernel { return suite(ClassSyncFree, true) }
 
-// ByName returns the kernel with the given name from both suites.
+// ByName builds the full-size kernel with the given name.
 func ByName(name string) (*Kernel, error) {
-	for _, k := range append(SyncSuite(), SyncFreeSuite()...) {
-		if k.Name == name {
-			return k, nil
+	for _, r := range table {
+		if r.name == name {
+			return r.full(), nil
 		}
 	}
 	return nil, fmt.Errorf("kernels: unknown kernel %q", name)
 }
 
-// Names lists all kernel names, sync suite first.
+// Names lists all kernel names, sync suite first, without building any.
 func Names() []string {
-	var out []string
-	for _, k := range append(SyncSuite(), SyncFreeSuite()...) {
-		out = append(out, k.Name)
+	out := make([]string, len(table))
+	for i, r := range table {
+		out[i] = r.name
 	}
 	return out
 }

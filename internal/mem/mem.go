@@ -257,8 +257,8 @@ type Port struct {
 	// segFree pools retired segments (and their lane-index backing
 	// arrays): the steady-state simulated cycle allocates nothing. The
 	// pool is per-port rather than system-wide so Enqueue — which runs in
-	// the engine's (possibly sharded) SM phase — touches only this SM's
-	// state; finish returns segments here from the serial memory phase.
+	// the engine's SM phase — touches only this SM's state; finish returns
+	// segments here from the memory phase.
 	segFree []*segment
 
 	stats *stats.Mem

@@ -64,9 +64,10 @@ func chaosReq(iters uint32, wait bool) *server.JobRequest {
 
 // daemon is one warpsimd child process.
 type daemon struct {
-	cmd  *exec.Cmd
-	addr string
-	done chan error // closed after the process exits
+	cmd     *exec.Cmd
+	addr    string
+	startup string     // the "serving on …" log line, from the address on
+	done    chan error // closed after the process exits
 }
 
 // startDaemon launches warpsimd on an ephemeral port with the given
@@ -81,18 +82,14 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start warpsimd: %v", err)
 	}
-	addrCh := make(chan string, 1)
+	startCh := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
 			if i := strings.Index(line, "serving on "); i >= 0 {
-				rest := line[i+len("serving on "):]
-				if j := strings.IndexByte(rest, ' '); j >= 0 {
-					rest = rest[:j]
-				}
 				select {
-				case addrCh <- rest:
+				case startCh <- line[i+len("serving on "):]:
 				default:
 				}
 			}
@@ -102,8 +99,9 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 	go func() { done <- cmd.Wait(); close(done) }()
 
 	select {
-	case addr := <-addrCh:
-		d := &daemon{cmd: cmd, addr: addr, done: done}
+	case startup := <-startCh:
+		addr, _, _ := strings.Cut(startup, " ")
+		d := &daemon{cmd: cmd, addr: addr, startup: startup, done: done}
 		t.Cleanup(d.sigkill) // safety net; a no-op once the process exited
 		return d
 	case err := <-done:
@@ -191,6 +189,22 @@ const (
 	fastIters = 1000
 	slowIters = 400_000 // long enough to be in flight when the crash lands
 )
+
+// TestStartupLineReportsThePool: started without -workers, the daemon logs
+// the pool the server built (GET /v1/stats' "workers"), not the flag's 0.
+func TestStartupLineReportsThePool(t *testing.T) {
+	d := startDaemon(t)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	st, err := d.client().Stats(ctx)
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	d.terminate(t)
+	if want := fmt.Sprintf("(workers=%d ", st.Workers); st.Workers < 1 || !strings.Contains(d.startup, want) {
+		t.Errorf("startup line %q does not carry %q", d.startup, want)
+	}
+}
 
 // TestSIGKILLMidJobRecovers is the headline durability claim: SIGKILL
 // the daemon with one result acked and another job in flight, restart

@@ -16,9 +16,8 @@ import (
 
 // JobConfig is the wire form of a job's simulation configuration. Every
 // field here changes simulation results and therefore the cache key;
-// execution-strategy knobs (worker count, SM sharding, fast-forward) are
-// deliberately server-wide options instead, matching the manifest-hash
-// rule that `-j`/`-shards`/`-no-ff` never key results.
+// the worker count, which cannot, is a server-wide option instead,
+// matching the manifest-hash rule that `-j`/`-no-ff` never key results.
 type JobConfig struct {
 	// GPU selects the machine: "fermi" (GTX480, default) or "pascal"
 	// (GTX1080Ti).

@@ -145,17 +145,13 @@ loop:
 }
 
 // TestCacheKeyExcludesExecutionStrategy: server-wide execution-strategy
-// knobs (worker count, sharding, fast-forward, retries, invariant
-// checking) must NOT key results — they cannot change what a
-// deterministic simulation computes, only how it is scheduled, matching
-// the manifest-hash rule for -j/-shards/-no-ff.
+// knobs (worker count, invariant checking, queue depth) must NOT key
+// results — they cannot change what a deterministic simulation computes,
+// only how it is scheduled, matching the manifest-hash rule for -j/-no-ff.
 func TestCacheKeyExcludesExecutionStrategy(t *testing.T) {
 	plain := keyOf(t, Options{}, inlineReq(100))
 	for name, o := range map[string]Options{
-		"shards":  {Shards: 4},
-		"no-ff":   {NoFastForward: true},
 		"workers": {Workers: 2},
-		"retries": {Retries: 3},
 		"check":   {Check: true},
 		"queue":   {QueueDepth: 1},
 	} {

@@ -57,14 +57,6 @@ type Options struct {
 	// MaxMemWords bounds inline programs' memory size (default 4M words
 	// = 16 MiB per running job).
 	MaxMemWords int
-	// Retries bounds re-runs of panicked simulations, as in exp.Cfg
-	// (default 1).
-	Retries int
-	// Shards and NoFastForward tune engine execution strategy for every
-	// job. Neither affects results, so neither participates in cache
-	// keys — the same rule that keeps them out of manifest hashes.
-	Shards        int
-	NoFastForward bool
 	// Check arms the runtime invariant checker and early hang aborts on
 	// every job.
 	Check bool
@@ -113,9 +105,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxMemWords <= 0 {
 		o.MaxMemWords = 4 << 20
-	}
-	if o.Retries <= 0 {
-		o.Retries = 1
 	}
 	if o.DegradeAfter <= 0 {
 		o.DegradeAfter = 5
@@ -303,14 +292,6 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// cfg is the exp harness configuration a worker runs one job under:
-// serial in-place execution (the server owns the pool), with the
-// runner's panic barrier and bounded retries.
-func (s *Server) cfg() exp.Cfg {
-	return exp.Cfg{Jobs: 1, Retries: s.opt.Retries, Shards: s.opt.Shards,
-		NoFastForward: s.opt.NoFastForward, Check: s.opt.Check}
-}
-
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -388,7 +369,8 @@ func (s *Server) runJob(j *job) {
 	if !cached {
 		s.engRuns.Add(1)
 		t0 := time.Now()
-		out := s.cfg().Execute([]exp.Spec{j.spec})[0]
+		// Jobs 1: this worker is the pool. Execute is exp's panic barrier.
+		out := exp.Cfg{Jobs: 1, Check: s.opt.Check}.Execute([]exp.Spec{j.spec})[0]
 		s.latMu.Lock()
 		s.svc.Observe(time.Since(t0).Microseconds())
 		s.latMu.Unlock()

@@ -1,7 +1,7 @@
-// Determinism suite for the event-driven clock and sharded SM execution:
-// both are pure performance levers, so every observable — cycle counts,
-// per-SM statistics, DDOS detection quality, the final memory image, the
-// metrics snapshot — must be bit-identical to the per-cycle serial run.
+// Determinism suite for the event-driven clock: it is a pure performance
+// lever, so every observable — cycle counts, per-SM statistics, DDOS
+// detection quality, the final memory image, the metrics snapshot — must
+// be bit-identical to the per-cycle run.
 // The file lives in package sim_test so it can drive the real benchmark
 // kernels (package kernels imports sim).
 package sim_test
@@ -80,56 +80,44 @@ func requireIdentical(t *testing.T, label string, want, got *sim.Result) {
 // TestFastForwardCycleExact runs the quick synchronization suite — the
 // kernels whose BOWS back-off windows are exactly what fast-forward
 // skips — per-cycle and fast-forwarded, under both schedulers the golden
-// gate covers, with BOWS off and on.
+// gate covers, with BOWS off and on, on two SMs; then three of them and
+// the first sync-free kernel on a 4-SM machine under GTO+BOWS, where SMs
+// go dormant and wake independently of each other.
 func TestFastForwardCycleExact(t *testing.T) {
+	type row struct {
+		k    *kernels.Kernel
+		sms  int
+		kind config.SchedulerKind
+		bows bool
+	}
+	var rows []row
+	quick := kernels.QuickSyncSuite()
 	for _, kind := range []config.SchedulerKind{config.GTO, config.CAWA} {
 		for _, bows := range []bool{false, true} {
-			for _, k := range kernels.QuickSyncSuite() {
-				name := fmt.Sprintf("%s/%s/bows=%v", k.Name, kind, bows)
-				t.Run(name, func(t *testing.T) {
-					opt := detOptions(2, kind, bows)
-					opt.NoFastForward = true
-					want := runKernel(t, k, opt)
-					opt.NoFastForward = false
-					got := runKernel(t, k, opt)
-					requireIdentical(t, name, want, got)
-				})
+			for _, k := range quick {
+				rows = append(rows, row{k, 2, kind, bows})
 			}
 		}
 	}
-}
-
-// TestShardDeterminism runs representative sync and sync-free kernels on
-// a 4-SM machine across shard counts (8 clamps to the SM count) and both
-// clock implementations, requiring every variant to match the serial
-// per-cycle run. Run under -race in CI, this also proves the SM phase is
-// data-race-free.
-func TestShardDeterminism(t *testing.T) {
-	suite := kernels.QuickSyncSuite()
-	picks := map[string]bool{"HT": true, "ATM": true, "TSP": true}
-	var todo []*kernels.Kernel
-	for _, k := range suite {
-		if picks[k.Name] {
-			todo = append(todo, k)
+	rows = append(rows, row{kernels.QuickSyncFreeSuite()[0], 4, config.GTO, true})
+	for _, k := range quick {
+		switch k.Name {
+		case "HT", "ATM", "TSP":
+			rows = append(rows, row{k, 4, config.GTO, true})
 		}
 	}
-	if free := kernels.QuickSyncFreeSuite(); len(free) > 0 {
-		todo = append(todo, free[0])
-	}
-	for _, k := range todo {
-		t.Run(k.Name, func(t *testing.T) {
-			base := detOptions(4, config.GTO, true)
-			base.NoFastForward = true
-			want := runKernel(t, k, base)
-			for _, shards := range []int{1, 2, 8} {
-				for _, noFF := range []bool{true, false} {
-					opt := base
-					opt.Shards = shards
-					opt.NoFastForward = noFF
-					got := runKernel(t, k, opt)
-					requireIdentical(t, fmt.Sprintf("%s/shards=%d/noff=%v", k.Name, shards, noFF), want, got)
-				}
-			}
+	for _, r := range rows {
+		name := fmt.Sprintf("%s/%s/bows=%v", r.k.Name, r.kind, r.bows)
+		if r.sms != 2 {
+			name += fmt.Sprintf("/sms=%d", r.sms)
+		}
+		t.Run(name, func(t *testing.T) {
+			opt := detOptions(r.sms, r.kind, r.bows)
+			opt.NoFastForward = true
+			want := runKernel(t, r.k, opt)
+			opt.NoFastForward = false
+			got := runKernel(t, r.k, opt)
+			requireIdentical(t, name, want, got)
 		})
 	}
 }

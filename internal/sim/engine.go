@@ -61,9 +61,7 @@ type Options struct {
 	Tracer Tracer
 	// Observer, when non-nil, receives every memory access at issue time
 	// and every CTA barrier release. Observation-only: an observed run
-	// simulates identically (same cycles, stats and memory image), but a
-	// non-nil observer forces serial execution like a Tracer — a shared
-	// observer would otherwise see SM events in nondeterministic order.
+	// simulates identically (same cycles, stats and memory image).
 	Observer Observer
 
 	// Check enables the runtime invariant checker (internal/sim/invariants.go):
@@ -96,13 +94,8 @@ type Options struct {
 	// cycle-exact: identical cycle counts, statistics, memory images and
 	// hang reports (see TestFastForwardCycleExact and the golden gate).
 	NoFastForward bool
-	// Shards runs SM ticks on a pool of worker goroutines (at most Shards,
-	// clamped to the SM count; 0 or 1 simulates serially). Each cycle is
-	// phase-split — serial memory tick, parallel SM ticks, serial merge —
-	// with a barrier at the L2 boundary, and SMs never touch shared state
-	// during their phase, so results are bit-identical for every value.
-	// Runs with a Tracer attached force serial execution (a shared tracer
-	// would observe SM events in nondeterministic order).
+	// Shards is ignored: SM ticks are serial (DESIGN.md §8b). It stays declared
+	// only because bench/probes_sim.go assigns it; ROADMAP (2b) drops both.
 	Shards int
 	// Progress, when non-nil, receives the current cycle count while the
 	// run is in flight so another goroutine (e.g. a job server answering a
@@ -241,10 +234,6 @@ type smState struct {
 	ctas      []*ctaRec
 	freeSlots []int
 	resident  int
-	// ctasDone counts CTAs completed on this SM. It is per-SM (merged into
-	// Engine.ctasDone after each cycle's SM phase) so checkCTADone never
-	// writes engine state from a sharded SM tick.
-	ctasDone int
 
 	// Warp-slot sets, bit s for slot s (WarpsPerSM ≤ 64, see the
 	// compile-time lines below). They are maintained, not recomputed:
@@ -560,12 +549,6 @@ func (e *Engine) Run() (res *Result, err error) {
 	nextCheck := checkEvery
 	hm := newHangMonitor(e)
 	ff := !e.opt.NoFastForward
-	pool := e.newShardPool()
-	if pool != nil {
-		// Registered after the AddrFault-translating recover above, so the
-		// workers are parked before a recovered fault returns.
-		defer pool.stop()
-	}
 
 	e.dispatch()
 	for e.ctasDone < e.totalCTAs {
@@ -596,7 +579,11 @@ func (e *Engine) Run() (res *Result, err error) {
 			}
 		}
 		e.sys.Tick(e.cycle)
-		issued := e.tickSMs(pool)
+		issued := false
+		for _, m := range e.sms {
+			m.tickOrSkip(e.cycle)
+			issued = issued || m.issued
+		}
 		if e.nextCTA < e.totalCTAs {
 			e.dispatch()
 		}
@@ -661,41 +648,6 @@ func (e *Engine) Run() (res *Result, err error) {
 		}
 	}
 	return e.result(), nil
-}
-
-// tickSMs runs every SM's tick for the current cycle — serially, or on
-// the shard pool when one is attached — then merges the per-SM CTA
-// completion counts and reports whether any unit issued. The merge order
-// is the fixed SM order, so sharded and serial runs are bit-identical.
-func (e *Engine) tickSMs(pool *shardPool) (issued bool) {
-	if pool == nil {
-		for _, m := range e.sms {
-			m.tickOrSkip(e.cycle)
-		}
-	} else {
-		// Dispatching the pool costs a cross-core barrier handoff; skip
-		// it on cycles where every SM would skip its tick anyway (all
-		// dormant, no wake due) — common while the machine waits out
-		// memory latency. Equivalent to the serial loop, whose calls
-		// would all return immediately.
-		work := false
-		for _, m := range e.sms {
-			if !m.dormant || m.woke || e.cycle >= m.wakeAt {
-				work = true
-				break
-			}
-		}
-		if work {
-			pool.run(e.cycle)
-		}
-	}
-	done := 0
-	for _, m := range e.sms {
-		issued = issued || m.issued
-		done += m.ctasDone
-	}
-	e.ctasDone = done
-	return issued
 }
 
 // calm reports whether simulated time alone can change machine state:
@@ -1218,7 +1170,7 @@ func (m *smState) checkCTADone(rec *ctaRec) {
 		m.freeSlots = append(m.freeSlots, s)
 	}
 	m.resident--
-	m.ctasDone++
+	m.eng.ctasDone++
 }
 
 func (e *Engine) result() *Result {

@@ -19,9 +19,7 @@ import (
 // multi-wave launch (more CTAs than fit, so slots recycle) with
 // CheckEvery 1 under every scheduler, with BOWS off and on, on a two-SM
 // Fermi (48 slots) and a two-SM Pascal (64 slots: eight 256-thread CTAs
-// fill an SM, so the top mask bit is in use). The SM ticks are sharded, so
-// under -race this also runs refresh from the serial memory phase
-// (memDone) against refresh from concurrent SM ticks. Zero violations.
+// fill an SM, so the top mask bit is in use). Zero violations.
 func TestMasksCheckedEveryCycle(t *testing.T) {
 	suite := []*kernels.Kernel{
 		kernels.NewReduce(16, 256),
@@ -36,7 +34,7 @@ func TestMasksCheckedEveryCycle(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						gpu.MaxCycles = 2_000_000
 						res := runKernel(t, k, sim.Options{GPU: gpu, Sched: kind, BOWS: bows,
-							DDOS: config.DefaultDDOS(), Check: true, CheckEvery: 1, Shards: 2})
+							DDOS: config.DefaultDDOS(), Check: true, CheckEvery: 1})
 						if res.Stats.Cycles == 0 {
 							t.Fatal("no cycles simulated")
 						}
@@ -51,32 +49,26 @@ func TestMasksCheckedEveryCycle(t *testing.T) {
 // holds, so every warp slot is reused by later waves, and requires the
 // population-count accounting to agree — cycles, ResidentSum, StallTotal,
 // BackedOffSum and everything else in the result — between the per-cycle
-// serial clock, the event-driven clock (whose flush credits the same sums
-// in bulk) and sharded SM ticks.
+// clock and the event-driven clock (whose flush credits the same sums in
+// bulk).
 func TestRecycledSlotsAccountIdentically(t *testing.T) {
 	k := kernels.NewHashTable(kernels.HashTableConfig{Items: 2048, Buckets: 16, CTAs: 48, CTAThreads: 128})
 	for _, kind := range []config.SchedulerKind{config.GTO, config.CAWA} {
-		base := detOptions(2, kind, true)
-		base.NoFastForward = true
-		want := runKernel(t, k, base)
+		opt := detOptions(2, kind, true)
+		opt.NoFastForward = true
+		want := runKernel(t, k, opt)
 		if want.Stats.BackedOffSum == 0 || want.Stats.StallTotal == 0 {
 			t.Fatalf("%s: run exercises no back-off or stall accounting: %+v", kind, want.Stats)
 		}
-		for _, v := range []struct {
-			noFF   bool
-			shards int
-		}{{false, 0}, {true, 2}, {false, 2}} {
-			opt := base
-			opt.NoFastForward, opt.Shards = v.noFF, v.shards
-			got := runKernel(t, k, opt)
-			label := fmt.Sprintf("%s/noff=%v/shards=%d", kind, v.noFF, v.shards)
-			if got.Stats.Cycles != want.Stats.Cycles || got.Stats.ResidentSum != want.Stats.ResidentSum ||
-				got.Stats.StallTotal != want.Stats.StallTotal || got.Stats.BackedOffSum != want.Stats.BackedOffSum {
-				t.Errorf("%s: cycles/resident/stall/backed-off = %d/%d/%d/%d, want %d/%d/%d/%d", label,
-					got.Stats.Cycles, got.Stats.ResidentSum, got.Stats.StallTotal, got.Stats.BackedOffSum,
-					want.Stats.Cycles, want.Stats.ResidentSum, want.Stats.StallTotal, want.Stats.BackedOffSum)
-			}
-			requireIdentical(t, label, want, got)
+		opt.NoFastForward = false
+		got := runKernel(t, k, opt)
+		label := fmt.Sprintf("%s/event-driven", kind)
+		if got.Stats.Cycles != want.Stats.Cycles || got.Stats.ResidentSum != want.Stats.ResidentSum ||
+			got.Stats.StallTotal != want.Stats.StallTotal || got.Stats.BackedOffSum != want.Stats.BackedOffSum {
+			t.Errorf("%s: cycles/resident/stall/backed-off = %d/%d/%d/%d, want %d/%d/%d/%d", label,
+				got.Stats.Cycles, got.Stats.ResidentSum, got.Stats.StallTotal, got.Stats.BackedOffSum,
+				want.Stats.Cycles, want.Stats.ResidentSum, want.Stats.StallTotal, want.Stats.BackedOffSum)
 		}
+		requireIdentical(t, label, want, got)
 	}
 }

@@ -35,11 +35,10 @@ echo "== warplint =="
 go run ./cmd/warplint -all
 
 echo "== golint-internal (determinism + store durability lint) =="
-go run ./cmd/golint-internal ./internal/sim ./internal/simt ./internal/mem ./internal/store ./internal/sched ./internal/core
+go run ./cmd/golint-internal
 
 echo "== doccheck (godoc coverage) =="
-go run ./cmd/doccheck ./internal/report ./internal/exp ./internal/metrics \
-    ./internal/server ./internal/store ./internal/sim ./internal/simt ./internal/sched ./internal/core .
+go run ./cmd/doccheck
 
 echo "== report drift (REPRODUCTION.md + docs/figures) =="
 go run ./cmd/warpreport -manifest internal/report/testdata/full.json \

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"warpsched/internal/exp"
 )
 
 func quickOpt() Options {
@@ -148,5 +150,24 @@ again:
 	}
 	if res.Detection.TSDR() != 1 {
 		t.Errorf("parsed SIB not detected: TSDR=%.2f", res.Detection.TSDR())
+	}
+}
+
+// TestExperimentRegistryResolves drives a cheap experiment end to end
+// through the registry (the path cmd/experiments uses).
+func TestExperimentRegistryResolves(t *testing.T) {
+	e, err := exp.ByName("table3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(exp.Cfg{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fmt.Sprint(res)) == 0 {
+		t.Fatal("empty rendering")
+	}
+	if _, err := exp.ByName("nope"); err == nil {
+		t.Fatal("unknown experiment must error")
 	}
 }
