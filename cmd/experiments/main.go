@@ -12,18 +12,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"warpsched/internal/exp"
 	"warpsched/internal/report"
-	"warpsched/internal/server"
 )
 
 func main() {
@@ -32,14 +28,13 @@ func main() {
 		quick     = flag.Bool("quick", false, "use reduced kernel sizes")
 		sms       = flag.Int("sms", 0, "override simulated SM count (0 = experiment default)")
 		jobs      = flag.Int("j", 0, "simulations to run concurrently (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
-		verbose   = flag.Bool("v", false, "print per-run progress")
+		verbose   = flag.Bool("v", false, "print per-run progress; a run replayed from the journal is marked so, and a replayed watchdog abort reads 'watchdog at N cycles' without the hang diagnosis")
 		list      = flag.Bool("list", false, "list experiments and exit")
 		statsJSON = flag.String("stats-json", "", "write a machine-readable run manifest (per-simulation counters) to this file")
 		check     = flag.Bool("check", false, "enable runtime invariant checking and early hang aborts in every simulation")
-		resume    = flag.String("resume", "", "crash-tolerant run journal (created if missing); completed runs found in it are replayed instead of re-simulated")
+		resume    = flag.String("resume", "", "crash-tolerant run journal (created if missing); completed runs found in it are replayed instead of re-simulated (repeats inside one invocation are replayed with or without it)")
 		reportDir = flag.String("report", "", "after the sweep, render the reproduction report (REPRODUCTION.md + SVG figures) from the collected manifest into this directory")
 		noFF      = flag.Bool("no-ff", false, "disable event-driven fast-forward and tick every cycle; output is identical either way")
-		remote    = flag.String("remote", "", "offload simulations to a warpsimd daemon at this base URL (e.g. http://localhost:8723); remote-unsafe experiments and unmappable runs use the local engine")
 	)
 	flag.Parse()
 
@@ -54,39 +49,17 @@ func main() {
 	if *verbose {
 		cfg.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  ..", line) }
 	}
-	if *resume != "" {
-		j, err := exp.OpenJournal(*resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		defer j.Close()
-		cfg.Journal = j
+	// The journal is always attached: a run another experiment of this
+	// invocation already made is replayed, not simulated again. -resume
+	// only decides whether it is also on disk.
+	journal, err := exp.OpenJournal(*resume)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
-	// Remote offload adapter: one hardened client, shared across runs.
-	// Manifest collection is refused because remote outcomes carry the
-	// daemon's aggregated counters, not the per-SM snapshot records need.
-	var remoteFn func(exp.Spec) (exp.Outcome, bool)
-	if *remote != "" {
-		if *statsJSON != "" || *reportDir != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -remote cannot be combined with -stats-json or -report (manifest collection needs local per-SM counters)")
-			os.Exit(1)
-		}
-		cli := server.NewClient(*remote, server.ClientOptions{})
-		var warnOnce sync.Once
-		remoteFn = func(sp exp.Spec) (exp.Outcome, bool) {
-			out, err := cli.RunSpec(context.Background(), sp)
-			if err != nil {
-				if !errors.Is(err, server.ErrNotMappable) {
-					warnOnce.Do(func() {
-						fmt.Fprintf(os.Stderr, "experiments: remote %s: %v (falling back to the local engine)\n", *remote, err)
-					})
-				}
-				return exp.Outcome{}, false
-			}
-			return out, true
-		}
-	}
+	defer journal.Close()
+	cfg.Journal = journal
+	loaded := journal.Len()
 
 	var col *exp.Collector
 	if *statsJSON != "" || *reportDir != "" {
@@ -119,14 +92,6 @@ func main() {
 		fmt.Printf("==== %s: %s ====\n", e.Name, e.Title)
 		t0 := time.Now()
 		cfg.Exp = e.Name
-		cfg.Remote = nil
-		if remoteFn != nil {
-			if e.RemoteSafe() {
-				cfg.Remote = remoteFn
-			} else {
-				fmt.Fprintf(os.Stderr, "experiments: %s consumes engine-only outputs; running locally\n", e.Name)
-			}
-		}
 		res, err := e.Run(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.Name, err)
@@ -136,10 +101,11 @@ func main() {
 		fmt.Printf("(%s completed in %v)\n\n", e.Name, time.Since(t0).Round(time.Millisecond))
 	}
 
-	if cfg.Journal != nil {
-		fmt.Fprintf(os.Stderr, "experiments: journal %s holds %d runs (%d replayed this invocation)\n",
-			*resume, cfg.Journal.Len(), cfg.Journal.Hits())
+	fmt.Fprintf(os.Stderr, "experiments: %d distinct runs simulated, %d repeats replayed", journal.Len()-loaded, journal.Hits())
+	if *resume != "" {
+		fmt.Fprintf(os.Stderr, "; journal %s holds %d", *resume, journal.Len())
 	}
+	fmt.Fprintln(os.Stderr)
 
 	if col != nil {
 		m := col.Manifest()

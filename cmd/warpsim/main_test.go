@@ -101,8 +101,8 @@ func TestUnknownNamesAreUsageErrors(t *testing.T) {
 }
 
 // TestRemovedFlagsAreUsageErrors: the execution-strategy flags that could
-// not change a result and never won a measurement are gone from all three
-// tools, not silently accepted.
+// not change a result and never won a measurement (and -remote, which
+// lost its) are gone from all three tools, not silently accepted.
 func TestRemovedFlagsAreUsageErrors(t *testing.T) {
 	bins, dir := map[string]string{"warpsim": bin}, t.TempDir()
 	for _, tool := range []string{"experiments", "warpsimd"} {
@@ -116,6 +116,7 @@ func TestRemovedFlagsAreUsageErrors(t *testing.T) {
 		{"warpsim", "-shards"},
 		{"experiments", "-shards"},
 		{"experiments", "-retries"},
+		{"experiments", "-remote"},
 		{"warpsimd", "-shards"},
 		{"warpsimd", "-retries"},
 		{"warpsimd", "-no-ff"},

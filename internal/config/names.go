@@ -7,11 +7,12 @@ import (
 )
 
 // The name↔configuration vocabulary shared by every front end: cmd/warpsim
-// flags, warpsimd's JobConfig wire fields (internal/server resolves them
-// here) and the inverse mapping remote offload needs (internal/server
-// SpecRequest). Names are case-insensitive and the empty name selects the
+// flags and warpsimd's JobConfig wire fields (internal/server resolves them
+// here). Names are case-insensitive and the empty name selects the
 // documented default. An unknown name is an error listing the valid ones;
-// warpsim reports it as a usage error, warpsimd as a 400.
+// warpsim reports it as a usage error, warpsimd as a 400. The *Name
+// inverses serve only internal/server.SpecRequest, which only the
+// benchmark calls (see internal/server/remote.go).
 
 // machines are the Table II configurations by wire name and model alias.
 var machines = []struct {

@@ -2,11 +2,13 @@ package exp
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sync"
 
 	"warpsched/internal/config"
 	"warpsched/internal/energy"
 	"warpsched/internal/metrics"
+	"warpsched/internal/sim"
 	"warpsched/internal/stats"
 )
 
@@ -146,9 +148,9 @@ func RunOfRecord(rec *metrics.RunRecord) (Run, error) {
 // selection with its TAGE parameters and the WASP knobs (the
 // scheduler-zoo sweeps vary these), and the launch geometry and
 // parameters (fig16 reuses kernel names across bucket counts). It is the
-// one run identity: manifest records, the resume journal and warpsimd's
-// cache key (server.CacheKey) all use it, so a daemon job, a sweep run and
-// a warpsim run of the same configuration share a variant. Deliberately
+// one run identity: manifest records carry it and ContentKey (the journal's
+// and warpsimd's key) embeds it, so a daemon job, a sweep run and a
+// warpsim run of the same configuration share a variant. Deliberately
 // excluded, like Cfg.Jobs/NoFastForward: anything that cannot change
 // simulation results. Manifest.Add cross-checks records that still
 // collide, so a dimension missed here surfaces as an error, not a silent
@@ -184,6 +186,20 @@ func VariantHash(sp Spec) string {
 		Params   []uint32
 	}{sp.GPU, sp.Sched, sp.BOWS, sp.DDOS, det, tage, wasp, sp.Kernel.Name,
 		l.GridCTAs, l.CTAThreads, l.MemWords, l.Params})
+}
+
+// ContentKey is the content address of a spec's result, the key of the
+// sweep journal and of warpsimd's cache and store (server.CacheKey):
+// FNV-1a over the program's canonical assembly text (so two routes to
+// the same instruction stream share results, and any instruction change
+// misses), the variant hash over the full configuration, and the
+// engine's semantic version (sim.Version, bumped whenever results can
+// change). Deterministic simulation makes it sound: equal key ⇒ equal
+// result, with no expiry policy.
+func ContentKey(sp Spec) string {
+	h := fnv.New64a()
+	h.Write([]byte(sp.Kernel.Launch.Prog.Assembly()))
+	return fmt.Sprintf("%016x-%s-v%d", h.Sum64(), VariantHash(sp), sim.Version)
 }
 
 // aggregateCounters folds a per-SM snapshot into machine totals: names

@@ -37,7 +37,7 @@ func labels(cols []Column) []string {
 }
 
 // Run is the per-run input of every derivation: exactly what both a
-// runner Outcome (local, journal-replayed or remote) and a manifest
+// runner Outcome (simulated or journal-replayed) and a manifest
 // record can supply. Anything a record does not carry —
 // Result.FinalDelayLimits — stays on the Outcome and out of the
 // derivations.
@@ -51,8 +51,7 @@ type Run struct {
 	LowerBound bool
 	// Stats holds the run's machine-total event counts.
 	Stats *stats.Sim
-	// Detection is the spin detector's quality summary; zero for remote
-	// outcomes, which is why the detection families are not remote-safe.
+	// Detection is the spin detector's quality summary.
 	Detection Detection
 }
 

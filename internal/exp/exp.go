@@ -72,18 +72,6 @@ type Cfg struct {
 	// are cycle-identical either way; the flag exists for A/B timing and
 	// for auditing the fast-forward path itself.
 	NoFastForward bool
-	// Remote, when non-nil, is consulted before each fresh simulation
-	// (after journal replay): it receives the run's exported spec and
-	// returns the outcome plus true when a warpsimd daemon served it, or
-	// false to run on the local engine — the universal fallback for specs
-	// that cannot go on the wire (host-side Setup/Verify closures outside
-	// the registered suites, non-default detector parameterizations, the
-	// scheduler zoo's WASP and TAGE dimensions) and
-	// for daemon outages. Remote outcomes carry cycles and manifest
-	// counters only (see Experiment.RemoteSafe) and are never journaled:
-	// a resume journal must hold only full-fidelity local records.
-	// Ignored when Tracer or Faults is set — both need the local engine.
-	Remote func(Spec) (Outcome, bool)
 }
 
 func (c Cfg) note(format string, args ...any) {
@@ -183,18 +171,6 @@ type Experiment struct {
 	Title string
 	Run   func(Cfg) (fmt.Stringer, error)
 }
-
-// remoteUnsafe lists experiments whose analysis consumes engine outputs
-// beyond the service manifest (cycles plus aggregated counters): DDOS
-// detection-quality metrics (table1, fig14, tagesib) and per-SM final
-// delay limits (delaysweep). Offloading them would silently zero those
-// columns, so cmd/experiments -remote runs them locally instead.
-var remoteUnsafe = map[string]bool{"table1": true, "fig14": true, "delaysweep": true,
-	"tagesib": true}
-
-// RemoteSafe reports whether the experiment's analysis survives the
-// service wire format, i.e. whether Cfg.Remote may serve its runs.
-func (e Experiment) RemoteSafe() bool { return !remoteUnsafe[e.Name] }
 
 // All returns every experiment in paper order.
 func All() []Experiment {

@@ -1,12 +1,15 @@
-// Crash-tolerant sweep resumption. A Journal is an append-only JSONL
-// file with one entry per finished simulation, keyed by the spec's
-// variant hash (collect.go). Interrupting a sweep — a crash, a kill, a
-// power cut mid-write — loses at most the entry being appended; on the
-// next invocation finished specs replay from the journal (their results
-// were verified before journaling) and only unfinished work simulates.
+// The sweep's memory of finished runs, and its crash-tolerant resumption.
+// A Journal holds one entry per finished simulation, keyed by the spec's
+// content key (ContentKey, collect.go): a spec another experiment of the
+// same invocation already ran replays instead of simulating again. With
+// a file behind it (cmd/experiments -resume) it is also an append-only
+// JSONL log: interrupting a sweep — a crash, a kill, a power cut
+// mid-write — loses at most the entry being appended; on the next
+// invocation finished specs replay from the journal (their results were
+// verified before journaling) and only unfinished work simulates.
 // Because replay restores the exact Result fields and error strings the
-// original run produced, a resumed sweep renders byte-identical tables
-// and manifests.
+// original run produced, a sweep that replays renders byte-identical
+// tables and manifests.
 package exp
 
 import (
@@ -69,7 +72,7 @@ func (jr *journalResult) toResult() *sim.Result {
 	}
 }
 
-// journalEntry is one JSONL line: the spec's variant hash, the run's
+// journalEntry is one JSONL line: the spec's content key, the run's
 // error string (empty on success — replay restores it verbatim so
 // manifests compare equal), and the result.
 type journalEntry struct {
@@ -82,31 +85,43 @@ type journalEntry struct {
 // a whole parallel sweep; lookup and record are safe under Jobs > 1.
 type Journal struct {
 	mu      sync.Mutex
-	path    string
-	f       *os.File
+	path    string   // "" for a journal with no file behind it
+	f       *os.File // nil when file-less, and after Close
 	entries map[string]journalEntry
 	hits    int
 }
 
-// OpenJournal loads (or creates) the journal at path. A truncated final
+// OpenJournal loads (or creates) the journal at path; the empty path
+// gives a journal with no file behind it, which reads and writes nothing
+// and only remembers the runs of this invocation. A truncated final
 // line — the signature of a run killed mid-append — is dropped silently;
 // corruption anywhere else is an error, since dropping a complete entry
-// would silently re-simulate work the user believes finished.
+// would silently re-simulate work the user believes finished. An entry
+// under a key this build would not compute (an older key format, another
+// sim.Version, an edited program) is never looked up, so its run
+// simulates again.
 func OpenJournal(path string) (*Journal, error) {
+	if path == "" {
+		return &Journal{entries: make(map[string]journalEntry)}, nil
+	}
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("exp: reading journal: %w", err)
 	}
 	entries := make(map[string]journalEntry)
 	lines := bytes.Split(data, []byte("\n"))
+	keep, next := len(data), 0 // bytes that stay: all but a torn tail; where the next line starts
 	for i, line := range lines {
+		start := next
+		next += len(line) + 1
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
 		var e journalEntry
 		if jerr := json.Unmarshal(line, &e); jerr != nil || e.Key == "" {
-			if i == len(lines)-1 || allBlank(lines[i+1:]) {
+			if allBlank(lines[i+1:]) {
+				keep = start
 				break // torn final append: resume re-runs that one spec
 			}
 			return nil, fmt.Errorf("exp: journal %s line %d corrupt: %v", path, i+1, jerr)
@@ -116,6 +131,18 @@ func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("exp: opening journal for append: %w", err)
+	}
+	// The next append must start a line of its own: left in place, a torn
+	// tail — or a last entry killed before its newline — would fuse with
+	// it into damage that the open after that finds mid-file and refuses.
+	if keep < len(data) {
+		err = f.Truncate(int64(keep))
+	} else if keep > 0 && data[keep-1] != '\n' {
+		_, err = f.WriteString("\n")
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("exp: repairing journal tail: %w", err)
 	}
 	return &Journal{path: path, f: f, entries: entries}, nil
 }
@@ -129,7 +156,7 @@ func allBlank(lines [][]byte) bool {
 	return true
 }
 
-// Close flushes and closes the journal file.
+// Close closes the journal file, if there is one.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -183,6 +210,12 @@ func (j *Journal) record(key string, o Outcome) error {
 	e := journalEntry{Key: key, Res: toJournalResult(o.Res)}
 	if o.Err != nil {
 		e.Err = o.Err.Error()
+	}
+	if j.path == "" {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		j.entries[key] = e
+		return nil
 	}
 	line, err := json.Marshal(e)
 	if err != nil {

@@ -3,12 +3,17 @@ package exp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"warpsched/internal/config"
+	"warpsched/internal/isa"
+	"warpsched/internal/kernels"
 	"warpsched/internal/metrics"
+	"warpsched/internal/sim"
 )
 
 func openTestJournal(t *testing.T, path string) *Journal {
@@ -172,5 +177,140 @@ func TestOpenJournalRejectsMidFileCorruption(t *testing.T) {
 		}
 	} else {
 		j.Close()
+	}
+}
+
+// aluSpec is a counted ALU loop under the kernel name "alu-loop" whose
+// increment is step: two steps give two programs that VariantHash — which
+// sees the name, geometry and parameters — cannot tell apart.
+func aluSpec(t *testing.T, step int) Spec {
+	t.Helper()
+	prog, err := isa.Parse("alu-loop", fmt.Sprintf(`
+  ld.param %%r2, 0
+  mov %%r1, 0
+loop:
+  add %%r1, %%r1, %d
+  setp.lt %%p1, %%r1, %%r2
+  @%%p1 bra loop
+  exit
+`, step))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := &kernels.Kernel{Name: "alu-loop", Launch: sim.Launch{Prog: prog,
+		GridCTAs: 1, CTAThreads: 32, MemWords: 64, Params: []uint32{200}}}
+	return Spec{GPU: config.GTX480().Scaled(1), Sched: config.GTO, BOWS: bowsOff(),
+		DDOS: config.DefaultDDOS(), Kernel: k}
+}
+
+// TestJournalKeyedByContent: the journal's key covers the program text
+// and the engine version, so editing one instruction under the same
+// kernel name misses and re-simulates, and an entry an older build wrote
+// under a bare variant hash loads without error and is never replayed.
+func TestJournalKeyedByContent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	orig, edited := aluSpec(t, 1), aluSpec(t, 2)
+	if VariantHash(orig) != VariantHash(edited) {
+		t.Fatal("the two programs differ in variant hash; the test needs them equal")
+	}
+
+	j1 := openTestJournal(t, path)
+	first := Cfg{Journal: j1}.runOne(&orig, 0, 1, nil)
+	if first.Err != nil {
+		t.Fatal(first.Err)
+	}
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(f, `{"key":%q,"res":{"stats":{"Cycles":1},"detection":{}}}`+"\n", VariantHash(orig))
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2 := openTestJournal(t, path)
+	defer j2.Close()
+	if j2.Len() != 2 {
+		t.Fatalf("journal loaded %d entries, want 2 (the run and the old-format line)", j2.Len())
+	}
+	again := Cfg{Journal: j2}.runOne(&orig, 0, 1, nil)
+	if j2.Hits() != 1 || again.Res.Stats.Cycles != first.Res.Stats.Cycles {
+		t.Errorf("unchanged program: %d hits, %d cycles, want 1 hit and %d cycles",
+			j2.Hits(), again.Res.Stats.Cycles, first.Res.Stats.Cycles)
+	}
+	fresh := Cfg{Journal: j2}.runOne(&edited, 0, 1, nil)
+	if fresh.Err != nil {
+		t.Fatal(fresh.Err)
+	}
+	if j2.Hits() != 1 || j2.Len() != 3 {
+		t.Errorf("edited program: %d hits and %d entries, want 1 and 3 (a miss, journaled under its own key)", j2.Hits(), j2.Len())
+	}
+	if c := fresh.Res.Stats.Cycles; c == first.Res.Stats.Cycles || c == 1 {
+		t.Errorf("edited program reports %d cycles: replayed, not simulated", c)
+	}
+}
+
+// TestRunnerFilelessJournal: with no file behind it the journal still
+// remembers, across runAll calls and under parallel workers (this is the
+// test the -race step reaches it through), and Close has nothing to do.
+func TestRunnerFilelessJournal(t *testing.T) {
+	j := openTestJournal(t, "")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := Cfg{Jobs: 2, Journal: j}
+	specs := []Spec{testSpec(16), testSpec(32), testSpec(64), testSpec(128)}
+	first := c.runAll(specs[:3])
+	if err := firstErr(first); err != nil {
+		t.Fatal(err)
+	}
+	all := c.runAll(specs)
+	if j.Hits() != 3 || j.Len() != 4 {
+		t.Errorf("%d hits and %d entries, want 3 and 4", j.Hits(), j.Len())
+	}
+	for i := range first {
+		if !reflect.DeepEqual(first[i].Res.Stats, all[i].Res.Stats) {
+			t.Errorf("spec %d: replayed stats differ", i)
+		}
+	}
+}
+
+// TestSweepMemoReplaysRepeats: two experiments sharing one file-less
+// journal, as every cmd/experiments invocation does. The TAGE-SIB study
+// runs its DDOS rows on Table I's grid, so those 44 runs replay; both
+// tables and the manifest are what two separate sweeps produce.
+func TestSweepMemoReplaysRepeats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick table1 and tagesib sweeps twice")
+	}
+	sweep := func(j *Journal) (string, string, *metrics.Manifest) {
+		col := NewCollector("test", nil)
+		c := Cfg{Quick: true, Collect: col, Journal: j, Exp: "table1"}
+		t1, err := Table1(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Exp = "tagesib"
+		ts, err := TageSIB(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return t1.String(), ts.String(), col.Manifest()
+	}
+	j := openTestJournal(t, "")
+	t1, ts, got := sweep(j)
+	const shared = 44
+	if j.Hits() != shared || j.Len() != len(got.Runs)-shared {
+		t.Errorf("%d replayed, %d remembered of %d runs; want %d replayed", j.Hits(), j.Len(), len(got.Runs), shared)
+	}
+	wantT1, wantTS, want := sweep(nil)
+	if t1 != wantT1 || ts != wantTS {
+		t.Errorf("tables differ from the sweep without a journal:\n%s%s--- want ---\n%s%s", t1, ts, wantT1, wantTS)
+	}
+	for _, d := range metrics.Diff(got, want, metrics.DiffOptions{RequireSameRuns: true}) {
+		t.Error(d)
 	}
 }

@@ -49,9 +49,9 @@ type Spec struct {
 // Normalized returns the spec with the watchdog budget resolved exactly
 // as a local run resolves it (Cfg.Options): an explicit MaxCycles
 // overrides the machine's, otherwise the experiment clamp applies; the
-// effective budget lands in both MaxCycles and GPU.MaxCycles. Remote
-// submitters (internal/server.SpecRequest) need the normalized form
-// because the budget keys the result's content address.
+// effective budget lands in both MaxCycles and GPU.MaxCycles.
+// internal/server.SpecRequest needs the normalized form because the
+// budget keys the result's content address.
 func (s Spec) Normalized() Spec {
 	switch {
 	case s.MaxCycles > 0:
@@ -191,14 +191,14 @@ func (c Cfg) guardedRun(sp *Spec, tr sim.Tracer) (o Outcome) {
 	return Outcome{Res: res, Err: err}
 }
 
-// runOne executes a single spec and reports its completion. With a nil
-// progress channel the line goes directly to c.note (serial path). With a
-// journal attached, finished specs replay instead of re-simulating, and
-// fresh outcomes are journaled for the next invocation.
+// runOne gets a spec's outcome one of two ways — replayed from the
+// journal, else simulated on the local engine and journaled for the next
+// spec (or invocation) that asks — and reports its completion. With a nil
+// progress channel the line goes directly to c.note (serial path).
 func (c Cfg) runOne(sp *Spec, i, n int, progress chan<- string) Outcome {
 	var key string
 	if c.Journal != nil {
-		key = VariantHash(*sp)
+		key = ContentKey(*sp)
 		if o, ok := c.Journal.lookup(key); ok {
 			c.collect(sp, &o, 0)
 			c.report(sp, o, i, n, " (from journal)", progress)
@@ -206,19 +206,6 @@ func (c Cfg) runOne(sp *Spec, i, n int, progress chan<- string) Outcome {
 		}
 	}
 	start := time.Now()
-	// Remote offload: a daemon serves the run when the spec maps onto the
-	// wire format (see server.SpecRequest, which refuses whatever the wire
-	// cannot carry); anything else — and any daemon failure — falls through
-	// to the local engine below. Tracer and fault-injection runs always
-	// stay local: both reach inside the engine. Remote outcomes are never
-	// journaled (see Cfg.Remote).
-	if c.Remote != nil && c.Tracer == nil && c.Faults == nil {
-		if o, ok := c.Remote(*sp); ok {
-			c.collect(sp, &o, float64(time.Since(start).Microseconds())/1e3)
-			c.report(sp, o, i, n, " (remote)", progress)
-			return o
-		}
-	}
 	var tr sim.Tracer
 	if c.Tracer != nil {
 		tr = c.Tracer(i)

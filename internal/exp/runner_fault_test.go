@@ -140,7 +140,7 @@ func TestRunnerPanicRunsOnce(t *testing.T) {
 	if pe.Value != "1" || !strings.Contains(pe.Stack, "goroutine") {
 		t.Errorf("panic record incomplete: value %q, stack %q", pe.Value, pe.Stack)
 	}
-	if replay, ok := j.lookup(VariantHash(sp)); !ok || replay.Err == nil || replay.Err.Error() != pe.Error() {
+	if replay, ok := j.lookup(ContentKey(sp)); !ok || replay.Err == nil || replay.Err.Error() != pe.Error() {
 		t.Errorf("journal holds %v (found=%v), want the panic's message verbatim", replay.Err, ok)
 	}
 

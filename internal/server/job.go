@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"warpsched/internal/analysis"
@@ -260,18 +259,7 @@ func (o Options) resolveKernel(req *JobRequest) (*kernels.Kernel, *RequestError)
 	}
 }
 
-// CacheKey is the content address of a spec's result:
-// FNV-1a over the program's canonical assembly text (so two routes to
-// the same instruction stream share results, and any instruction change
-// misses), the variant hash over the full configuration (machine
-// including the admitted MaxCycles budget, scheduler, BOWS, DDOS, launch
-// geometry and parameters — see exp.VariantHash), and the engine's
-// semantic version (sim.Version, bumped whenever results can change).
-// Deterministic simulation makes this sound: equal key ⇒ byte-equal
-// result manifest, with no expiry policy needed beyond LRU memory
-// pressure.
-func CacheKey(s exp.Spec) string {
-	h := fnv.New64a()
-	h.Write([]byte(s.Kernel.Launch.Prog.Assembly()))
-	return fmt.Sprintf("%016x-%s-v%d", h.Sum64(), exp.VariantHash(s), sim.Version)
-}
+// CacheKey is the content address of a spec's result: exp.ContentKey,
+// under the name the cache, the store and the wire use. For a resolved
+// spec the variant hash inside it covers the admitted MaxCycles budget.
+func CacheKey(s exp.Spec) string { return exp.ContentKey(s) }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,17 +8,17 @@ import (
 	"warpsched/internal/config"
 	"warpsched/internal/exp"
 	"warpsched/internal/kernels"
-	"warpsched/internal/metrics"
-	"warpsched/internal/sim"
-	"warpsched/internal/stats"
 )
+
+// This file, and config.{GPU,BOWS,DDOS}Name under it, has no caller in this
+// module: bench/probes_host.go times SpecRequest (server.spec_request_us).
+// It goes with that probe in the benchmark PR of ROADMAP (2b).
 
 // ErrNotMappable marks a spec the wire format cannot express: kernels
 // with host-side closures outside the registered suites, non-default
 // BOWS/DDOS parameterizations, the scheduler zoo's dimensions (WASP
 // scheduling, TAGE detection), machines that are not a (scaled)
 // GTX480/GTX1080Ti, or budgets above the default server ceiling.
-// Callers (exp.Cfg.Remote adapters) treat it as "run locally instead".
 var ErrNotMappable = errors.New("spec cannot be expressed as a job request")
 
 // SpecRequest inverts Options.Resolve: it maps an exp.Spec back to the
@@ -47,7 +45,7 @@ func SpecRequest(spec exp.Spec) (*JobRequest, error) {
 		// closures — Setup initializes memory the daemon cannot reproduce
 		// and Verify checks outputs the daemon would skip. AllowUnsafe
 		// mirrors local-sweep semantics: a sweep runs its programs without
-		// the admission race gate, so the remote must too.
+		// the admission race gate, so the daemon must too.
 		req.Source = l.Prog.Assembly()
 		req.Name = norm.Kernel.Name
 		req.GridCTAs, req.CTAThreads = l.GridCTAs, l.CTAThreads
@@ -114,50 +112,4 @@ func registeredVariant(k *kernels.Kernel) (quick, ok bool) {
 		}
 	}
 	return false, false
-}
-
-// RunSpec submits the spec as a synchronous job and rebuilds the
-// sweep-facing outcome from the daemon's result manifest: headline
-// cycles plus every manifest counter (stats.FromCounters), with the
-// run's error string rehydrated — the same partial-result convention a
-// watchdog abort has locally. Engine-only outputs (memory image,
-// detection metrics, per-SM state) are not on the wire; see
-// exp.Experiment.RemoteSafe for who may consume such an outcome.
-// Mapping failures wrap ErrNotMappable so callers can fall back to the
-// local engine.
-func (c *Client) RunSpec(ctx context.Context, spec exp.Spec) (exp.Outcome, error) {
-	req, err := SpecRequest(spec)
-	if err != nil {
-		return exp.Outcome{}, err
-	}
-	st, err := c.Submit(ctx, req)
-	if err != nil {
-		return exp.Outcome{}, err
-	}
-	data, err := c.Result(ctx, st.Key)
-	if err != nil {
-		return exp.Outcome{}, err
-	}
-	return outcomeFromManifest(data)
-}
-
-// outcomeFromManifest rebuilds an Outcome from a single-run result
-// manifest.
-func outcomeFromManifest(data []byte) (exp.Outcome, error) {
-	var m metrics.Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return exp.Outcome{}, fmt.Errorf("parse result manifest: %w", err)
-	}
-	if len(m.Runs) != 1 {
-		return exp.Outcome{}, fmt.Errorf("result manifest has %d runs, want 1", len(m.Runs))
-	}
-	rec := m.Runs[0]
-	var out exp.Outcome
-	if rec.Counters != nil {
-		out.Res = &sim.Result{Stats: *stats.FromCounters(rec.Cycles, rec.Counters)}
-	}
-	if rec.Err != "" {
-		out.Err = errors.New(rec.Err)
-	}
-	return out, nil
 }

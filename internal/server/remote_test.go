@@ -1,9 +1,7 @@
 package server
 
 import (
-	"context"
 	"errors"
-	"net/http/httptest"
 	"testing"
 
 	"warpsched/internal/config"
@@ -151,87 +149,5 @@ func TestSpecRequestNotMappable(t *testing.T) {
 	spec.Detector, spec.TAGE = config.DetectTAGE, config.DefaultTAGE()
 	if _, err := SpecRequest(spec); !errors.Is(err, ErrNotMappable) {
 		t.Errorf("TAGE spec: err = %v, want ErrNotMappable", err)
-	}
-}
-
-// TestRunSpecEndToEnd: RunSpec against a live daemon returns the same
-// cycle count as a direct local run, and a second submission is served
-// without another engine run.
-func TestRunSpecEndToEnd(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	cli := NewClient(ts.URL, ClientOptions{})
-
-	spec, rerr := Options{}.Resolve(inlineReq(fastIters))
-	if rerr != nil {
-		t.Fatalf("Resolve: %v", rerr)
-	}
-	out, err := cli.RunSpec(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("RunSpec: %v", err)
-	}
-	if out.Err != nil || out.Res == nil || out.Res.Stats.Cycles <= 0 {
-		t.Fatalf("remote outcome: res=%v err=%v", out.Res, out.Err)
-	}
-
-	local := exp.Cfg{Jobs: 1}.Execute([]exp.Spec{spec})[0]
-	if local.Err != nil {
-		t.Fatalf("local run: %v", local.Err)
-	}
-	if out.Res.Stats.Cycles != local.Res.Stats.Cycles {
-		t.Errorf("remote cycles %d != local %d", out.Res.Stats.Cycles, local.Res.Stats.Cycles)
-	}
-	// Counter reconstruction must fold the manifest's per-SM names into
-	// machine totals — every derived metric the experiments consume
-	// (instruction counts, sync events, memory traffic) depends on it.
-	if got, want := out.Res.Stats.WarpInstrs, local.Res.Stats.WarpInstrs; got != want || got == 0 {
-		t.Errorf("remote WarpInstrs %d != local %d (want nonzero)", got, want)
-	}
-	if got, want := out.Res.Stats.IssueCycles, local.Res.Stats.IssueCycles; got != want || got == 0 {
-		t.Errorf("remote IssueCycles %d != local %d (want nonzero)", got, want)
-	}
-	if out.Res.Stats.Sync != local.Res.Stats.Sync {
-		t.Errorf("remote sync events %+v != local %+v", out.Res.Stats.Sync, local.Res.Stats.Sync)
-	}
-	if out.Res.Stats.Mem != local.Res.Stats.Mem {
-		t.Errorf("remote mem stats %+v != local %+v", out.Res.Stats.Mem, local.Res.Stats.Mem)
-	}
-
-	again, err := cli.RunSpec(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("RunSpec (cached): %v", err)
-	}
-	if again.Res.Stats.Cycles != out.Res.Stats.Cycles {
-		t.Errorf("cached remote cycles %d != %d", again.Res.Stats.Cycles, out.Res.Stats.Cycles)
-	}
-	if runs := s.Stats().Jobs.EngineRuns; runs != 1 {
-		t.Errorf("EngineRuns = %d, want 1 (second submission cached)", runs)
-	}
-}
-
-// TestRunSpecWatchdogOutcome: a remote watchdog abort comes back in the
-// local convention — error set, partial result attached.
-func TestRunSpecWatchdogOutcome(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	cli := NewClient(ts.URL, ClientOptions{})
-
-	req := inlineReq(slowIters)
-	req.Config.MaxCycles = 2000
-	spec, rerr := Options{}.Resolve(req)
-	if rerr != nil {
-		t.Fatalf("Resolve: %v", rerr)
-	}
-	out, err := cli.RunSpec(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("RunSpec: %v", err)
-	}
-	if out.Err == nil {
-		t.Fatal("watchdog abort came back clean")
-	}
-	if out.Res == nil || out.Res.Stats.Cycles <= 0 {
-		t.Errorf("partial result missing: %+v", out.Res)
 	}
 }

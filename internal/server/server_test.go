@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"warpsched/internal/exp"
 	"warpsched/internal/metrics"
+	"warpsched/internal/stats"
 )
 
 // fastIters/slowIters pick loop lengths for testSrc: fastIters finishes
@@ -592,6 +594,62 @@ func TestUnrecoverableJobDropped(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	} else if len(unfinished) != 0 {
 		t.Errorf("dropped job still unfinished: %v", unfinished)
+	}
+}
+
+// TestResultMatchesLocalRun: the manifest a job leaves behind is the run
+// a local engine makes of the same spec — cycles, and every counter once
+// the per-SM names are folded into machine totals (stats.FromCounters).
+func TestResultMatchesLocalRun(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
+	req := inlineReq(fastIters)
+	j, rerr := s.Submit(req)
+	if rerr != nil {
+		t.Fatalf("Submit: %v", rerr)
+	}
+	waitDone(t, j)
+	var m metrics.Manifest
+	if err := json.Unmarshal(j.result.Manifest, &m); err != nil || len(m.Runs) != 1 {
+		t.Fatalf("result manifest: %v (%d runs)", err, len(m.Runs))
+	}
+	served := stats.FromCounters(m.Runs[0].Cycles, m.Runs[0].Counters)
+
+	spec, rerr := Options{}.Resolve(req)
+	if rerr != nil {
+		t.Fatalf("Resolve: %v", rerr)
+	}
+	local := exp.Cfg{Jobs: 1}.Execute([]exp.Spec{spec})[0]
+	if local.Err != nil {
+		t.Fatalf("local run: %v", local.Err)
+	}
+	want := &local.Res.Stats
+	if served.Cycles != want.Cycles || served.WarpInstrs != want.WarpInstrs || served.WarpInstrs == 0 ||
+		served.IssueCycles != want.IssueCycles || served.Sync != want.Sync || served.Mem != want.Mem {
+		t.Errorf("served run differs from the local one:\n%+v\nvs\n%+v", served, want)
+	}
+}
+
+// TestWatchdogJobKeepsPartialResult: a job that exhausts its cycle budget
+// finishes with the error and the partial run beside it, the convention a
+// watchdog abort has in a local sweep.
+func TestWatchdogJobKeepsPartialResult(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
+	req := inlineReq(slowIters)
+	req.Config.MaxCycles = 2000
+	j, rerr := s.Submit(req)
+	if rerr != nil {
+		t.Fatalf("Submit: %v", rerr)
+	}
+	waitDone(t, j)
+	if j.result.Err == "" {
+		t.Fatal("watchdog abort came back clean")
+	}
+	var m metrics.Manifest
+	if err := json.Unmarshal(j.result.Manifest, &m); err != nil || len(m.Runs) != 1 {
+		t.Fatalf("result manifest: %v (%d runs)", err, len(m.Runs))
+	}
+	if r := m.Runs[0]; r.Err != j.result.Err || r.Cycles <= 0 || r.Counters == nil {
+		t.Errorf("partial result missing: err %q, %d cycles, counters %v", r.Err, r.Cycles, r.Counters != nil)
 	}
 }
 

@@ -3,7 +3,8 @@
 # over the API packages, the docs-drift check (REPRODUCTION.md and the SVG
 # figures must match what cmd/warpreport regenerates from the checked-in
 # manifest), full test suite (including the golden-stats regression in
-# internal/exp and the golden rendering tests in internal/report), the
+# internal/exp, the golden rendering tests in internal/report and the seed
+# corpora of the journal fuzz targets, which are ordinary tests), the
 # parallel-runner determinism tests under the race detector, one iteration
 # of the sched/core pick benchmarks (so they cannot rot), the warplint
 # static analyzer over every registered kernel, an invariant-checked
