@@ -27,7 +27,7 @@ import (
 // defaultDirs is what the gate checks: the packages with an API surface.
 var defaultDirs = []string{"./internal/report", "./internal/exp", "./internal/metrics",
 	"./internal/server", "./internal/store", "./internal/sim", "./internal/simt",
-	"./internal/sched", "./internal/core", "."}
+	"./internal/sched", "./internal/core", "./internal/mem", "."}
 
 func main() {
 	dirs := os.Args[1:]

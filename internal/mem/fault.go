@@ -24,6 +24,8 @@ type AddrFault struct {
 	Op       isa.Op
 }
 
+// Error names the address and the image size and, when the fault happened
+// inside a transaction, the operation and warp being serviced.
 func (f *AddrFault) Error() string {
 	if f.HasCtx {
 		return fmt.Sprintf("mem: address %d out of range (size %d words) servicing %v from sm%d/w%d",

@@ -43,10 +43,10 @@ func (f InFlightSummary) OnlyParked() bool {
 func (s *System) InFlight() InFlightSummary {
 	var f InFlightSummary
 	f.Events = len(s.events)
-	f.L2Queue = len(s.l2Queue)
-	f.DRAMQueue = len(s.dramQueue)
+	f.L2Queue = s.l2q.n
+	f.DRAMQueue = s.dramQueue.len()
 	for _, q := range s.lockQueues {
-		f.LockWaiters += len(q)
+		f.LockWaiters += q.len()
 	}
 	for _, p := range s.ports {
 		f.LSQ += len(p.lsq)
@@ -80,7 +80,8 @@ func (s *System) ParkedWaiters() []ParkedWaiter {
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, addr := range addrs {
-		for _, w := range s.lockQueues[addr] {
+		q := s.lockQueues[addr]
+		for _, w := range q.items() {
 			a := &w.seg.req.Accesses[w.li]
 			out = append(out, ParkedWaiter{Addr: addr, SM: w.seg.req.SM,
 				WarpSlot: w.seg.req.WarpSlot, GTID: a.GTID})
@@ -108,14 +109,14 @@ func (s *System) ForEachInFlightRequest(fn func(*Request)) {
 	for i := range s.events {
 		visit(s.events[i].seg)
 	}
-	for i := range s.l2Queue {
-		visit(s.l2Queue[i].seg)
+	for i := range s.l2q.ent[:s.l2q.tail] {
+		visit(s.l2q.ent[i].seg) // nil in a hole
 	}
-	for _, seg := range s.dramQueue {
+	for _, seg := range s.dramQueue.items() {
 		visit(seg)
 	}
 	for _, q := range s.lockQueues {
-		for _, w := range q {
+		for _, w := range q.items() {
 			visit(w.seg)
 		}
 	}
@@ -134,10 +135,11 @@ func (s *System) ForEachInFlightRequest(fn func(*Request)) {
 // Audit runs the memory system's internal consistency checks and returns
 // one human-readable line per violation (nil when clean). It validates
 // state the engine cannot see from outside: MSHR table shape, segment
-// pool hygiene, lock-queue/parked-count agreement, and lock-hold
-// accounting.
+// pool hygiene, lock-queue/parked-count agreement, lock-hold accounting,
+// and the L2 service queue's index against a recount from its entries
+// (reported as l2.index-drift).
 func (s *System) Audit() []string {
-	var out []string
+	out := s.l2q.audit(s.cycle)
 	for _, p := range s.ports {
 		if len(p.mshr) > s.cfg.L1MSHRs {
 			out = append(out, fmt.Sprintf("sm%d: %d MSHR lines exceed capacity %d",
@@ -162,10 +164,10 @@ func (s *System) Audit() []string {
 	// Each parked lane is counted exactly once by its segment.
 	parkedPerSeg := make(map[*segment]int)
 	for addr, q := range s.lockQueues {
-		if len(q) == 0 {
+		if q.len() == 0 {
 			out = append(out, fmt.Sprintf("empty lock queue for addr %d", addr))
 		}
-		for _, w := range q {
+		for _, w := range q.items() {
 			parkedPerSeg[w.seg]++
 		}
 	}

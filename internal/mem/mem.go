@@ -13,7 +13,7 @@
 package mem
 
 import (
-	"math"
+	"math/bits"
 	"slices"
 
 	"warpsched/internal/config"
@@ -75,22 +75,6 @@ type segment struct {
 	// parked counts lanes waiting in a lock queue (QueueLocks mode);
 	// the segment completes only when every parked lane is granted.
 	parked int
-}
-
-// l2Entry is one segment waiting in the L2 service queue. The fields the
-// per-cycle arbitration walk tests are copied out of the segment and its
-// request so the walk reads contiguous memory instead of chasing
-// seg → req → Op for every queued atomic.
-type l2Entry struct {
-	seg    *segment
-	line   uint32
-	sm     int32
-	atomic bool
-	// busyUntil caches atomBusy[line] as read by this entry's last NACK.
-	// It is exact while cycle < busyUntil: a busy line services no atomic,
-	// and atomBusy[line] is only written at service, so the map is
-	// consulted once per entry per busy period rather than once per cycle.
-	busyUntil int64
 }
 
 // evKind tags a scheduled completion. Events carry a kind and a segment
@@ -182,40 +166,25 @@ type System struct {
 	ports []*Port
 
 	l2        *cache
-	l2Queue   []l2Entry
-	dramQueue []*segment
+	l2q       l2Queue
+	dramQueue fifo[*segment]
 	events    eventHeap
 	seq       int64
 	cycle     int64
 
-	// atomBusy serializes atomics per line at the L2 atomic unit.
-	atomBusy map[uint32]int64
-	// arbLFSR drives the rotating L2 service arbitration (see Tick).
+	// arbLFSR drives the rotating L2 service arbitration (see scanL2).
 	arbLFSR uint32
 	// l2Tokens throttles L2 bank throughput: a plain access costs one
-	// token, an atomic costs AtomLat tokens (the read-modify-write
+	// token, an atomic costs AtomCost tokens (the read-modify-write
 	// occupies the bank's atomic ALU), so spin-loop CAS spam steals
 	// bandwidth from all other traffic — the paper's §II observation.
 	l2Tokens int64
-	// l2Nacks tallies, per SM, the NACKs of the most recent service scan;
-	// they are added to stats.AtomRetries once after the walk.
-	//
-	// l2StuckUntil caches the result of a scan that covered the whole queue
-	// and NACKed every segment: each was an atomic whose line stays busy
-	// until at least this cycle (exclusive). Until then — provided nothing
-	// new is enqueued (pushL2 clears it) — every scan is byte-for-byte the
-	// same retry storm, so Tick replays l2Nacks instead of re-walking the
-	// queue. Lock-retry storms (dozens of CASes parked on one line)
-	// otherwise make the scan O(queue) per cycle; this makes those cycles
-	// O(SMs) with identical statistics.
-	l2Nacks      []int64
-	l2StuckUntil int64
 
 	// lockOwner maps a lock word address to the global thread id of the
 	// current holder (annotated acquires/releases only).
 	lockOwner map[uint32]int32
 	// lockQueues holds parked acquires per lock word (QueueLocks mode).
-	lockQueues map[uint32][]lockWaiter
+	lockQueues map[uint32]fifo[lockWaiter]
 	// warpHolds counts tracked locks held per global warp id: a warp
 	// that holds a lock is never parked (it gets a NACK-style failure
 	// and retries), because parking blocks the whole warp and a blocked
@@ -278,10 +247,9 @@ func NewSystem(cfg config.Memory, numSMs, warpsPerSM int, sizeWords int) *System
 		cfg:        cfg,
 		words:      make([]uint32, sizeWords),
 		l2:         newCache(cfg.L2KB, cfg.L2Assoc),
-		atomBusy:   make(map[uint32]int64),
-		l2Nacks:    make([]int64, numSMs),
+		l2q:        newL2Queue(numSMs),
 		lockOwner:  make(map[uint32]int32),
-		lockQueues: make(map[uint32][]lockWaiter),
+		lockQueues: make(map[uint32]fifo[lockWaiter]),
 		warpHolds:  make(map[int32]int),
 	}
 	s.ports = make([]*Port, numSMs)
@@ -489,116 +457,209 @@ func (s *System) Tick(cycle int64) {
 		s.dispatch(s.events.popRoot())
 	}
 	// 2. Service the DRAM queue (bandwidth limited).
-	n := s.cfg.DRAMBw
-	for n > 0 && len(s.dramQueue) > 0 {
-		seg := s.dramQueue[0]
-		s.dramQueue = s.dramQueue[1:]
-		n--
+	for n := s.cfg.DRAMBw; n > 0 && s.dramQueue.len() > 0; n-- {
+		seg := s.dramQueue.pop()
 		s.ports[seg.req.SM].stats.DRAMAccesses++
 		s.schedule(cycle+s.cfg.DRAMLat, evDRAMDone, seg)
 	}
 	// 3. Service the L2 queue (banked; atomics serialized per line and
-	// charged AtomLat bank tokens).
-	s.l2Tokens += int64(s.cfg.L2Banks)
-	if s.l2Tokens > 4*int64(s.cfg.L2Banks) {
-		s.l2Tokens = 4 * int64(s.cfg.L2Banks)
+	// charged AtomCost bank tokens).
+	s.l2Tokens = s.refilled(1)
+	if s.l2q.wake.len() > 0 {
+		s.l2q.wakeLines(cycle)
 	}
-	// The scan start rotates pseudo-randomly across cycles. A strictly
-	// FIFO pick would make every transaction's queueing delay identical
-	// round after round, letting symmetrically conflicting lock retries
-	// (nested try-locks in ATM/DS) re-collide forever — a determinism
-	// artifact real interconnect/DRAM arbitration does not have.
-	if n := len(s.l2Queue); n > 0 {
-		s.arbLFSR = s.arbLFSR*1103515245 + 12345
-		// While cycle < l2StuckUntil the walk is skipped: a previous scan
-		// NACKed every queued segment and nothing has been enqueued since, so
-		// this cycle's scan would charge the identical retry set — still in
-		// l2Nacks — and service nothing. (The LFSR above still advances once
-		// per non-empty-queue cycle, exactly as the walk would.)
-		if cycle >= s.l2StuckUntil {
-			clear(s.l2Nacks)
-			start := int(s.arbLFSR>>16) % n
-			scanned := 0
-			served := false
-			minBusy := int64(math.MaxInt64)
-			for i := start; scanned < len(s.l2Queue) && s.l2Tokens > 0; scanned++ {
-				if i >= len(s.l2Queue) {
-					i = 0
-				}
-				e := &s.l2Queue[i]
-				cost := int64(1)
-				if e.atomic {
-					if e.busyUntil <= cycle {
-						e.busyUntil = s.atomBusy[e.line]
-					}
-					if e.busyUntil > cycle {
-						s.l2Nacks[e.sm]++
-						if e.busyUntil < minBusy {
-							minBusy = e.busyUntil
-						}
-						i++ // line's atomic slot occupied; leave queued
-						continue
-					}
-					if s.inj != nil && s.inj.forceAtomRetry() {
-						// Injected retry storm: NACK the service attempt exactly
-						// like a busy atomic slot would.
-						s.l2Nacks[e.sm]++
-						i++
-						continue
-					}
-					cost = s.cfg.AtomCost
-					s.atomBusy[e.line] = cycle + s.cfg.AtomLat
-				}
-				seg := e.seg
-				s.l2Queue = slices.Delete(s.l2Queue, i, i+1) // zeroes the vacated tail: the segment is not pinned
-				s.l2Tokens -= cost
-				s.serviceL2(seg)
-				served = true
-			}
-			// A walk that covered the whole queue and served nothing took the
-			// busy-NACK path on every entry (non-atomics and free-line atomics
-			// are always serviced): the scan is a pure function of the queue
-			// and atomBusy until minBusy, and l2Nacks is its record. A walk cut
-			// short by token debt (AtomCost > L2Banks) is not — tokens refill
-			// with time — nor is one under fault injection, whose forced NACKs
-			// draw from the RNG stream every walk.
-			if !served && scanned == len(s.l2Queue) && s.inj == nil {
-				s.l2StuckUntil = minBusy
-			}
-		}
-		for sm, k := range s.l2Nacks {
-			if k != 0 {
-				s.ports[sm].stats.AtomRetries += k
-			}
-		}
+	if s.l2q.n > 0 {
+		s.scanL2(cycle)
 	}
 	// 4. Inject one segment per SM port.
 	for _, p := range s.ports {
 		p.inject()
 	}
-	// Opportunistically trim the atomic-busy map.
-	if len(s.atomBusy) > 64 {
-		for line, busy := range s.atomBusy {
-			if busy <= cycle {
-				delete(s.atomBusy, line)
+}
+
+// refilled returns the L2 token bucket after n more cycles of refill and
+// no consumption: L2Banks tokens a cycle, capped at four cycles' worth.
+// The cap only binds a bucket that is already positive, so n rounds of
+// (add, cap) equal one capped bulk add.
+func (s *System) refilled(n int64) int64 {
+	banks := int64(s.cfg.L2Banks)
+	return min(s.l2Tokens+banks*n, 4*banks)
+}
+
+// The arbitration LFSR is a 32-bit linear congruential step.
+const (
+	arbMul = 1103515245
+	arbInc = 12345
+)
+
+// arbSkip returns x advanced by n steps of x → x·arbMul + arbInc: the
+// n-fold composition of an affine map is affine, built by squaring.
+func arbSkip(x uint32, n int64) uint32 {
+	mul, inc := uint32(arbMul), uint32(arbInc) // one step, then 2, 4, 8 … steps
+	accMul, accInc := uint32(1), uint32(0)
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			accMul, accInc = accMul*mul, accInc*mul+inc
+		}
+		mul, inc = mul*mul, inc*mul+inc
+	}
+	return x*accMul + accInc
+}
+
+// scanL2 is one cycle of L2 arbitration over a non-empty queue. The walk
+// it implements visits queued entries in arrival order, cyclically from a
+// start that rotates pseudo-randomly across cycles — a strictly FIFO pick
+// would make every transaction's queueing delay identical round after
+// round, letting symmetrically conflicting lock retries (nested try-locks
+// in ATM/DS) re-collide forever, a determinism artifact real
+// interconnect/DRAM arbitration does not have. A visited entry is
+// serviced, or — an atomic whose line is busy, or one the fault injector
+// NACKs — charged to its SM as a retry and left queued. The walk ends
+// when the bucket runs dry, or at the visit bound: entries visited so far
+// ≥ entries still queued, so a walk that services k entries stops k short
+// of a full circle.
+//
+// Only serviceable entries are looked at. With p live entries between the
+// start and a serviceable entry (the k serviced ones no longer among
+// them), the entry's place in the walk is p+k and the bound lets it be
+// visited iff p+k < n-k. Everything the walk passed and left queued was
+// NACKed; those entries are never visited, only counted afterwards: a
+// walk cut short steps back from where it stopped over what it passed, a
+// walk that ran its course charges the whole queue and steps back from the
+// start over the few entries it did not reach.
+func (s *System) scanL2(cycle int64) {
+	q := &s.l2q
+	n := q.n
+	s.arbLFSR = s.arbLFSR*arbMul + arbInc
+	if s.l2Tokens <= 0 {
+		return // still paying for an atomic dearer than a refill: no visit, no NACK
+	}
+	if q.nReady == 0 {
+		s.chargeRetries(1) // a full circle of busy-line NACKs
+		return
+	}
+	rank := 0
+	if n > 1 { // the usual uncontended queue holds one entry: spare it the divide
+		rank = int(s.arbLFSR >> 16 % uint32(n))
+	}
+	start := q.selectLive(rank)
+	words := (q.tail + 63) >> 6
+	w0, b0 := start>>6, uint(start&63)
+	k := 0       // entries serviced
+	visited := 0 // walk length once the last serviceable entry was visited
+	passed := 0  // live entries between the start and the current word
+walk:
+	for i := 0; i <= words && q.nReady > 0; i++ {
+		// Word w0 comes first for the bits from the start up and last for
+		// the bits below it.
+		w := w0 + i
+		if w >= words {
+			w -= words
+		}
+		mask := ^uint64(0)
+		switch i {
+		case 0:
+			mask <<= b0
+		case words:
+			mask = 1<<b0 - 1
+		}
+		// A service clears the ready bits of the line's other waiters, so
+		// the set is read again after every visit.
+		for todo := mask; q.ready[w]&todo != 0; {
+			t := bits.TrailingZeros64(q.ready[w] & todo)
+			bit := uint64(1) << t
+			todo = mask &^ (bit<<1 - 1)
+			p := passed + bits.OnesCount64(q.live[w]&mask&(bit-1))
+			if p+2*k >= n {
+				break walk
 			}
+			visited = p + k + 1
+			slot := w<<6 | t
+			cost := int64(1)
+			if q.ent[slot].rec != nil {
+				if s.inj != nil && s.inj.forceAtomRetry() {
+					continue // injected retry storm: a NACK like a busy line's
+				}
+				cost = s.cfg.AtomCost
+			}
+			seg := q.serve(slot, cycle+s.cfg.AtomLat)
+			k++
+			s.l2Tokens -= cost
+			s.serviceL2(seg)
+			if s.l2Tokens <= 0 {
+				// Cut short: the NACKed entries are the visited-k live ones
+				// behind the entry just serviced.
+				s.chargeBehind(slot, visited-k, 1)
+				return
+			}
+		}
+		passed += bits.OnesCount64(q.live[w] & mask)
+	}
+	// The walk ran to its bound: it covered n-k entries, or as far as the
+	// last serviceable one if that is further, and NACKed all it did not
+	// service — every queued entry but the unvisited ones just behind the
+	// start.
+	visited = max(visited, n-k)
+	if visited > k {
+		s.chargeRetries(1)
+		s.chargeBehind(start, n-visited, -1)
+	}
+}
+
+// chargeRetries charges every queued entry's SM a retry, scans times over:
+// the sum of that many walks that each cover the whole queue and service
+// nothing.
+func (s *System) chargeRetries(scans int64) {
+	for sm, k := range s.l2q.pop {
+		if k != 0 {
+			s.ports[sm].stats.AtomRetries += k * scans
 		}
 	}
 }
 
-// NextEventAt returns the timestamp of the earliest scheduled completion
-// event, or false when none is pending.
-func (s *System) NextEventAt() (int64, bool) { return s.events.Peek() }
+// chargeBehind adds d retries to the SM of each of the count live entries
+// that precede slot in cyclic arrival order.
+func (s *System) chargeBehind(slot, count int, d int64) {
+	q := &s.l2q
+	w := slot >> 6
+	m := q.live[w] & (1<<uint(slot&63) - 1)
+	for ; count > 0; count-- {
+		for m == 0 {
+			if w--; w < 0 {
+				w = len(q.live) - 1
+			}
+			m = q.live[w]
+		}
+		t := 63 - bits.LeadingZeros64(m)
+		m &^= 1 << t
+		s.ports[q.ent[w<<6|t].sm].stats.AtomRetries += d
+	}
+}
 
-// Idle reports whether Tick currently has no per-cycle work: the DRAM and
-// L2 service queues and every port's LSQ are empty. While idle, a Tick
-// that fires no due event changes nothing observable except the L2 token
-// bucket (MSHR maps, parked lock waiters and the atomic-busy table are
-// passive — they only change when an event fires or a new segment is
-// injected), so the engine's event-driven clock may skip idle cycles and
-// settle the token bucket through FastForward.
+// NextEventAt returns the earliest future cycle at which the memory system
+// can change state by itself: the earliest scheduled completion or, with
+// segments queued at L2, the end of the next line's busy period. It
+// reports false when neither is pending.
+func (s *System) NextEventAt() (int64, bool) {
+	at, ok := s.events.Peek()
+	if s.l2q.n > 0 {
+		if due, busy := s.l2q.nextWake(); busy && (!ok || due < at) {
+			return due, true
+		}
+	}
+	return at, ok
+}
+
+// Idle reports whether Tick's outcome depends on nothing but time: the
+// DRAM queue and every port's LSQ are empty, and no segment queued at L2
+// is serviceable — each one is an atomic on a busy line. While idle, a
+// Tick that fires no due event and ends no busy period (NextEventAt is
+// past it) advances only the three time-driven values FastForward
+// settles; MSHR maps, parked lock waiters and the line records are
+// passive. So the engine's event-driven clock may skip idle cycles, a
+// retry storm's NACK spans included.
 func (s *System) Idle() bool {
-	if len(s.l2Queue) > 0 || len(s.dramQueue) > 0 {
+	if s.l2q.nReady > 0 || s.dramQueue.len() > 0 {
 		return false
 	}
 	for _, p := range s.ports {
@@ -609,22 +670,25 @@ func (s *System) Idle() bool {
 	return true
 }
 
-// FastForward credits delta skipped idle cycles to the only time-driven
-// state Tick advances while Idle: the L2 token bucket. Per-cycle Tick
-// refills l2Tokens by L2Banks and caps at 4×L2Banks before any
-// consumption; with the L2 queue empty nothing consumes, so delta
-// iterations of (add, cap) equal one capped bulk add — the skip is
-// cycle-exact.
+// FastForward credits delta skipped idle cycles, none of them at or past
+// NextEventAt, to the state a per-cycle Tick would have advanced: the L2
+// token bucket refills; and if segments are queued at L2 — all of them
+// blocked, none can be served, so no token is spent — the arbitration
+// LFSR steps once per cycle and every cycle whose bucket is positive
+// after its refill is a scan that NACKs the whole queue.
 func (s *System) FastForward(delta int64) {
-	s.l2Tokens += int64(s.cfg.L2Banks) * delta
-	if lim := 4 * int64(s.cfg.L2Banks); s.l2Tokens > lim {
-		s.l2Tokens = lim
+	if s.l2q.n > 0 {
+		// A bucket at -t ≤ 0 is still not positive after ⌊t/L2Banks⌋ refills.
+		inDebt := min(max(-s.l2Tokens/int64(s.cfg.L2Banks), 0), delta)
+		s.chargeRetries(delta - inDebt)
+		s.arbLFSR = arbSkip(s.arbLFSR, delta)
 	}
+	s.l2Tokens = s.refilled(delta)
 }
 
 // Quiescent reports whether no transactions are in flight anywhere.
 func (s *System) Quiescent() bool {
-	if len(s.events) > 0 || len(s.l2Queue) > 0 || len(s.dramQueue) > 0 || len(s.lockQueues) > 0 {
+	if len(s.events) > 0 || s.l2q.n > 0 || s.dramQueue.len() > 0 || len(s.lockQueues) > 0 {
 		return false
 	}
 	for _, p := range s.ports {
@@ -633,17 +697,6 @@ func (s *System) Quiescent() bool {
 		}
 	}
 	return true
-}
-
-// pushL2 is the only way segments enter the L2 service queue: the append
-// invalidates the stuck-scan cache, because a fresh segment (even another
-// blocked atomic) changes what the next scan charges and may be
-// serviceable.
-func (s *System) pushL2(seg *segment) {
-	s.l2Queue = append(s.l2Queue, l2Entry{
-		seg: seg, line: seg.line, sm: int32(seg.req.SM), atomic: seg.req.Op.IsAtomic(),
-	})
-	s.l2StuckUntil = 0
 }
 
 func (p *Port) inject() {
@@ -657,16 +710,16 @@ func (p *Port) inject() {
 		// Atomics bypass (and invalidate) L1 and go to the L2 atomic unit.
 		p.l1.Invalidate(seg.line)
 		p.stats.AtomicOps++
-		s.pushL2(seg)
+		s.l2q.push(seg, s.cycle)
 	case seg.req.Op == isa.OpSt:
 		// Write-through, no write-allocate: evict from L1, send to L2.
 		p.l1.Invalidate(seg.line)
 		p.stats.L1Accesses++
-		s.pushL2(seg)
+		s.l2q.push(seg, s.cycle)
 	case seg.req.Vol:
 		// Volatile load: bypass and invalidate the non-coherent L1.
 		p.l1.Invalidate(seg.line)
-		s.pushL2(seg)
+		s.l2q.push(seg, s.cycle)
 	default: // load
 		p.stats.L1Accesses++
 		if p.l1.Lookup(seg.line) {
@@ -683,7 +736,7 @@ func (p *Port) inject() {
 					return // no MSHR free: stall injection this cycle
 				}
 				p.mshr[seg.line] = []*segment{seg}
-				s.pushL2(seg)
+				s.l2q.push(seg, s.cycle)
 			}
 		}
 	}
@@ -720,7 +773,7 @@ func (s *System) serviceL2(seg *segment) {
 				s.schedule(s.cycle+s.cfg.L2Lat, evLoadFill, seg)
 			}
 		} else {
-			s.dramQueue = append(s.dramQueue, seg)
+			s.dramQueue.push(seg)
 		}
 	}
 }
@@ -795,15 +848,15 @@ func (s *System) releaseOwner(addr uint32) {
 // free lock. Requires the release-to-zero mutex convention (the grant
 // replays cmp/swap of the parked access).
 func (s *System) grantNext(addr uint32) {
-	q := s.lockQueues[addr]
-	if len(q) == 0 {
+	q, ok := s.lockQueues[addr]
+	if !ok {
 		return
 	}
-	w := q[0]
-	if len(q) == 1 {
+	w := q.pop()
+	if q.len() == 0 {
 		delete(s.lockQueues, addr)
 	} else {
-		s.lockQueues[addr] = q[1:]
+		s.lockQueues[addr] = q
 	}
 	a := &w.seg.req.Accesses[w.li]
 	s.Write(a.Addr, a.V2)
@@ -854,7 +907,9 @@ func (s *System) applyAtomics(seg *segment) {
 					// Idealized blocking lock (HQL-style): park the lane;
 					// it is granted, in FIFO order, when the holder
 					// releases — the acquire never retries.
-					s.lockQueues[a.Addr] = append(s.lockQueues[a.Addr], lockWaiter{seg: seg, li: li})
+					q := s.lockQueues[a.Addr]
+					q.push(lockWaiter{seg: seg, li: li})
+					s.lockQueues[a.Addr] = q
 					seg.parked++
 					r.qlParked = true
 					continue

@@ -13,6 +13,7 @@ import (
 
 	"warpsched/internal/config"
 	"warpsched/internal/kernels"
+	"warpsched/internal/mem"
 	"warpsched/internal/sim"
 )
 
@@ -82,28 +83,56 @@ func requireIdentical(t *testing.T, label string, want, got *sim.Result) {
 // skips — per-cycle and fast-forwarded, under both schedulers the golden
 // gate covers, with BOWS off and on, on two SMs; then three of them and
 // the first sync-free kernel on a 4-SM machine under GTO+BOWS, where SMs
-// go dormant and wake independently of each other.
+// go dormant and wake independently of each other. The last rows are the
+// memory system's own clock jumps: a hashtable whose 32 bucket locks share
+// one cache line, so the L2 queue spends most cycles holding nothing but
+// atomics NACKed by that line's busy period (the run must jump, not merely
+// agree); the same storm on a machine whose atomic costs more tokens than
+// a cycle refills, where some skipped cycles charge no retry; and both
+// contended kernels with the fault injector's forced NACKs and latency
+// spikes drawing from its stream.
 func TestFastForwardCycleExact(t *testing.T) {
 	type row struct {
 		k    *kernels.Kernel
 		sms  int
 		kind config.SchedulerKind
 		bows bool
+		// tag names and tune, when set, changes the row's machine.
+		tag  string
+		tune func(*sim.Options)
+		// mustJump requires the clock to have jumped over more than a quarter
+		// of the run: SM dormancy alone skips a few percent of a storm, the
+		// spans in which the whole L2 queue is NACKed are two thirds of it.
+		mustJump bool
 	}
 	var rows []row
 	quick := kernels.QuickSyncSuite()
 	for _, kind := range []config.SchedulerKind{config.GTO, config.CAWA} {
 		for _, bows := range []bool{false, true} {
 			for _, k := range quick {
-				rows = append(rows, row{k, 2, kind, bows})
+				rows = append(rows, row{k: k, sms: 2, kind: kind, bows: bows})
 			}
 		}
 	}
-	rows = append(rows, row{kernels.QuickSyncFreeSuite()[0], 4, config.GTO, true})
+	rows = append(rows, row{k: kernels.QuickSyncFreeSuite()[0], sms: 4, kind: config.GTO, bows: true})
 	for _, k := range quick {
 		switch k.Name {
 		case "HT", "ATM", "TSP":
-			rows = append(rows, row{k, 4, config.GTO, true})
+			rows = append(rows, row{k: k, sms: 4, kind: config.GTO, bows: true})
+		}
+	}
+	storm := kernels.NewHashTable(kernels.HashTableConfig{Items: 2048, Buckets: 32, CTAs: 16, CTAThreads: 128})
+	dearAtomics := func(o *sim.Options) { o.GPU.Mem.AtomCost = int64(o.GPU.Mem.L2Banks) + 2 }
+	faults := func(o *sim.Options) { f := mem.DefaultFaults(7).Scale(2); o.Faults = &f }
+	for _, bows := range []bool{false, true} {
+		rows = append(rows,
+			row{k: storm, sms: 2, kind: config.GTO, bows: bows, tag: "one-line", mustJump: true},
+			row{k: storm, sms: 2, kind: config.GTO, bows: bows, tag: "one-line/dear-atomics", tune: dearAtomics})
+	}
+	for _, k := range quick {
+		switch k.Name {
+		case "HT", "ATM":
+			rows = append(rows, row{k: k, sms: 2, kind: config.GTO, bows: true, tag: "faults", tune: faults})
 		}
 	}
 	for _, r := range rows {
@@ -111,13 +140,23 @@ func TestFastForwardCycleExact(t *testing.T) {
 		if r.sms != 2 {
 			name += fmt.Sprintf("/sms=%d", r.sms)
 		}
+		if r.tag != "" {
+			name += "/" + r.tag
+		}
 		t.Run(name, func(t *testing.T) {
 			opt := detOptions(r.sms, r.kind, r.bows)
+			if r.tune != nil {
+				r.tune(&opt)
+			}
 			opt.NoFastForward = true
 			want := runKernel(t, r.k, opt)
 			opt.NoFastForward = false
 			got := runKernel(t, r.k, opt)
 			requireIdentical(t, name, want, got)
+			if r.mustJump && 4*got.FFSkippedCycles <= got.Stats.Cycles {
+				t.Errorf("%s: the clock skipped %d of %d cycles: it no longer jumps over all-NACK spans",
+					name, got.FFSkippedCycles, got.Stats.Cycles)
+			}
 		})
 	}
 }
