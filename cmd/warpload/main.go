@@ -276,6 +276,9 @@ func dumpStats(cli *server.Client) {
 	fmt.Printf("server   engine runs %d, deduped %d, cache %d/%d hits (%.1f%%), evictions %d, latency p50 %dµs p99 %dµs\n",
 		st.Jobs.EngineRuns, st.Jobs.Deduped, st.Cache.Hits, st.Cache.Hits+st.Cache.Misses,
 		100*st.Cache.HitRate, st.Cache.Evictions, st.LatencyUS.P50, st.LatencyUS.P99)
+	fmt.Printf("admit    %d/%d requests admitted from the table (%.1f%%), %d entries (%d/%d bytes), evictions %d\n",
+		st.Admission.Hits, st.Admission.Hits+st.Admission.Misses, 100*st.Admission.HitRate,
+		st.Admission.Entries, st.Admission.Bytes, st.Admission.MaxBytes, st.Admission.Evictions)
 	if st.Store != nil {
 		fmt.Printf("store    %d entries (%d/%d bytes), %d hits, %d quarantined\n",
 			st.Store.Entries, st.Store.Bytes, st.Store.MaxBytes, st.Store.Hits, st.Store.Quarantined)

@@ -1,6 +1,11 @@
 package server
 
-import "testing"
+import (
+	"context"
+	"path/filepath"
+	"testing"
+	"time"
+)
 
 func BenchmarkResolveQuickKernel(b *testing.B) {
 	o := Options{}
@@ -19,4 +24,86 @@ func BenchmarkResolveInline(b *testing.B) {
 			b.Fatal(rerr)
 		}
 	}
+}
+
+// benchSubmitHits times direct Submit calls (no HTTP) that are answered
+// from a cache tier. A server keeps every job it admitted for the life of
+// the process, so the loop runs in lives of a few thousand submissions:
+// outside the timer a fresh server is primed with every request, and opt
+// decides which tier answers afterwards.
+func benchSubmitHits(b *testing.B, opt Options, reqs []*JobRequest) {
+	const life = 4096
+	opt.Workers, opt.DegradeInterval = 1, -1
+	var s *Server
+	stop := func() {
+		if s == nil {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			b.Error(err)
+		}
+	}
+	defer stop() // also on Fatal, or the store outlives its TempDir
+	for i := 0; i < b.N; i++ {
+		if i%life == 0 {
+			b.StopTimer()
+			stop()
+			var err error
+			if s, err = New(opt); err != nil {
+				b.Fatal(err)
+			}
+			for _, req := range reqs {
+				j, rerr := s.Submit(req)
+				if rerr != nil {
+					b.Fatal(rerr)
+				}
+				<-j.done
+			}
+			for s.disk != nil && s.persisted.Load() < s.engRuns.Load() {
+				time.Sleep(time.Millisecond) // the store is written behind the reply
+			}
+			b.StartTimer()
+		}
+		j, rerr := s.Submit(reqs[i%len(reqs)])
+		if rerr != nil || !j.cached {
+			b.Fatalf("submission %d was not a cache hit: %v", i, rerr)
+		}
+	}
+	b.StopTimer()
+}
+
+// BenchmarkSubmitHitRegistered: memory-tier hits on registered quick
+// kernels, the bulk of the benchmark's service mix.
+func BenchmarkSubmitHitRegistered(b *testing.B) {
+	var reqs []*JobRequest
+	for _, sched := range []string{"LRR", "GTO", "CAWA"} {
+		for _, k := range []string{"VECADD", "HT"} {
+			reqs = append(reqs, &JobRequest{Kernel: k, Wait: true,
+				Config: JobConfig{SMs: 2, Quick: true, Sched: sched, BOWS: "off"}})
+		}
+	}
+	benchSubmitHits(b, Options{}, reqs)
+}
+
+// BenchmarkSubmitHitInline: memory-tier hits on inline programs, which a
+// full admission parses and runs through both analyzers.
+func BenchmarkSubmitHitInline(b *testing.B) {
+	var reqs []*JobRequest
+	for i := uint32(0); i < 6; i++ {
+		reqs = append(reqs, inlineReq(200+i), &JobRequest{Name: "vec", Source: vecLoopSrc,
+			GridCTAs: 2, CTAThreads: 64, MemWords: 256, Params: []uint32{0, 200 + i}, Config: JobConfig{SMs: 1}})
+	}
+	benchSubmitHits(b, Options{}, reqs)
+}
+
+// BenchmarkSubmitDiskHit: a one-byte memory cache stores nothing, so
+// every submission reads, verifies and decodes a store entry.
+func BenchmarkSubmitDiskHit(b *testing.B) {
+	var reqs []*JobRequest
+	for i := uint32(0); i < 12; i++ {
+		reqs = append(reqs, inlineReq(200+i))
+	}
+	benchSubmitHits(b, Options{CacheBytes: 1, StoreDir: filepath.Join(b.TempDir(), "store")}, reqs)
 }

@@ -3,11 +3,17 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"warpsched/internal/metrics"
+	"warpsched/internal/store"
 )
 
 // waitDone blocks until the job finishes, with a test-failing timeout.
@@ -310,5 +316,211 @@ func TestAckedImpliesDurable(t *testing.T) {
 		if _, ok := s2.Result(key); !ok {
 			t.Errorf("key %s not durable across restart", key)
 		}
+	}
+}
+
+// TestResultFromManifest: the disk tier decodes two fields of a stored
+// manifest. Anything that is not one run with an integer cycles and a
+// string err is an error (fetch turns it into a miss and leaves the entry
+// for inspection); a real manifest yields what the full decode yields.
+func TestResultFromManifest(t *testing.T) {
+	for name, payload := range map[string]string{
+		"truncated":      `{"schema":2,"runs":[{"cycles":12`,
+		"empty object":   `{}`,
+		"zero runs":      `{"schema":2,"runs":[]}`,
+		"two runs":       `{"runs":[{"cycles":1},{"cycles":2}]}`,
+		"cycles string":  `{"runs":[{"cycles":"x"}]}`,
+		"cycles float":   `{"runs":[{"cycles":1.5}]}`,
+		"err not string": `{"runs":[{"cycles":1,"err":7}]}`,
+		"runs not array": `{"runs":{"cycles":1}}`,
+		"trailing bytes": `{"runs":[{"cycles":1}]} x`,
+	} {
+		if res, err := resultFromManifest("k", []byte(payload)); err == nil {
+			t.Errorf("%s: decoded to %+v, want an error", name, res)
+		}
+	}
+
+	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
+	clean, aborted := inlineReq(fastIters), inlineReq(slowIters)
+	aborted.Config.MaxCycles = 2000
+	for _, req := range []*JobRequest{clean, aborted} {
+		j, rerr := s.Submit(req)
+		if rerr != nil {
+			t.Fatalf("Submit: %v", rerr)
+		}
+		waitDone(t, j)
+		if (j.result.Err != "") != (req == aborted) {
+			t.Fatalf("job err %q: want one clean run and one watchdog abort", j.result.Err)
+		}
+		var full metrics.Manifest
+		if err := json.Unmarshal(j.result.Manifest, &full); err != nil || len(full.Runs) != 1 {
+			t.Fatalf("full decode: %v (%d runs)", err, len(full.Runs))
+		}
+		res, err := resultFromManifest(j.key, j.result.Manifest)
+		if err != nil {
+			t.Fatalf("two-field decode of a real manifest: %v", err)
+		}
+		if res.Cycles != full.Runs[0].Cycles || res.Err != full.Runs[0].Err || res.Key != j.key ||
+			res.Cycles != j.result.Cycles || res.Err != j.result.Err {
+			t.Errorf("two-field decode %d/%q, full decode %d/%q, engine %d/%q", res.Cycles, res.Err,
+				full.Runs[0].Cycles, full.Runs[0].Err, j.result.Cycles, j.result.Err)
+		}
+		if &res.Manifest[0] != &j.result.Manifest[0] {
+			t.Error("the payload was copied, not kept verbatim")
+		}
+	}
+}
+
+// TestUnparsableStoreEntryIsAMiss: checksum-valid entries whose payload
+// is not a one-run manifest are misses, are not counted as disk hits and
+// stay on disk; a real entry beside them is served byte for byte.
+func TestUnparsableStoreEntryIsAMiss(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	a := newTestServer(t, Options{Workers: 1, StoreDir: dir, DegradeInterval: -1})
+	req := inlineReq(slowIters)
+	req.Config.MaxCycles = 2000 // a watchdog abort: the entry carries an err
+	j, rerr := a.Submit(req)
+	if rerr != nil {
+		t.Fatalf("Submit: %v", rerr)
+	}
+	waitDone(t, j)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := a.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
+	bad := map[string]string{
+		"bad-truncated": `{"schema":2,"runs":[{"cycles":12`,
+		"bad-empty":     `{}`,
+		"bad-zero-runs": `{"schema":2,"runs":[]}`,
+		"bad-two-runs":  `{"runs":[{"cycles":1},{"cycles":2}]}`,
+		"bad-cycles":    `{"runs":[{"cycles":"x"}]}`,
+	}
+	st, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	for key, payload := range bad {
+		if err := st.Put(key, []byte(payload)); err != nil {
+			t.Fatalf("Put %s: %v", key, err)
+		}
+	}
+
+	b := newTestServer(t, Options{Workers: 1, StoreDir: dir, DegradeInterval: -1})
+	for key := range bad {
+		if res, ok := b.Result(key); ok {
+			t.Errorf("%s: served %+v, want a miss", key, res)
+		}
+	}
+	stats := b.Stats()
+	if stats.Jobs.DiskHits != 0 {
+		t.Errorf("DiskHits = %d after five unparsable entries, want 0", stats.Jobs.DiskHits)
+	}
+	if stats.Store.Entries != len(bad)+1 {
+		t.Errorf("store holds %d entries, want all %d left for inspection", stats.Store.Entries, len(bad)+1)
+	}
+	res, ok := b.Result(j.key)
+	if !ok || res.Cycles != j.result.Cycles || res.Err != j.result.Err || res.Err == "" ||
+		!bytes.Equal(res.Manifest, j.result.Manifest) {
+		t.Errorf("real entry: ok=%v %+v, want cycles %d err %q and the same bytes", ok, res, j.result.Cycles, j.result.Err)
+	}
+	if got := b.Stats().Jobs.DiskHits; got != 1 {
+		t.Errorf("DiskHits = %d, want 1", got)
+	}
+}
+
+// gateFS is the real filesystem with a ReadFile that, once armed, reports
+// that it was entered and then blocks until released.
+type gateFS struct {
+	store.OS
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *gateFS) ReadFile(path string) ([]byte, error) {
+	if g.armed.Load() {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return g.OS.ReadFile(path)
+}
+
+// TestDiskReadOutsideServerLock: while one Submit sits in the store's
+// file read, the server mutex is free — Stats, Job and a Submit for a
+// memory-resident key all return.
+func TestDiskReadOutsideServerLock(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	onDisk, inMemory := inlineReq(fastIters), inlineReq(fastIters+1)
+	a := newTestServer(t, Options{Workers: 1, StoreDir: dir, DegradeInterval: -1})
+	j, rerr := a.Submit(onDisk)
+	if rerr != nil {
+		t.Fatalf("Submit: %v", rerr)
+	}
+	waitDone(t, j)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := a.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
+	fs := &gateFS{entered: make(chan struct{}), release: make(chan struct{})}
+	b := newTestServer(t, Options{Workers: 1, StoreDir: dir, StoreFS: fs, DegradeInterval: -1})
+	resident, rerr := b.Submit(inMemory)
+	if rerr != nil {
+		t.Fatalf("Submit: %v", rerr)
+	}
+	waitDone(t, resident)
+
+	fs.armed.Store(true)
+	// Deferred too, so a failure below cannot leave a Submit parked in the
+	// read with the cleanup's Shutdown waiting behind it.
+	release := sync.OnceFunc(func() { fs.armed.Store(false); close(fs.release) })
+	defer release()
+	blocked := make(chan *job, 1)
+	go func() {
+		j, rerr := b.Submit(onDisk)
+		if rerr != nil {
+			t.Errorf("Submit of the stored key: %v", rerr)
+		}
+		blocked <- j
+	}()
+	select {
+	case <-fs.entered:
+	case <-time.After(time.Minute):
+		t.Fatal("the disk read never started")
+	}
+	returns := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { f(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s waits for a disk read in another Submit", what)
+		}
+	}
+	returns("Stats", func() { b.Stats() })
+	returns("Job", func() {
+		if _, ok := b.Job(resident.ids[0]); !ok {
+			t.Error("resident job not found")
+		}
+	})
+	returns("Submit of a memory-resident key", func() {
+		if j, rerr := b.Submit(inMemory); rerr != nil || !j.cached {
+			t.Errorf("memory-resident submit: %v", rerr)
+		}
+	})
+	release()
+	select {
+	case j := <-blocked:
+		if j == nil || !j.cached || j.result.Cycles <= 0 {
+			t.Errorf("the stored key was not served from disk: %+v", j)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("the blocked Submit never returned")
+	}
+	if got := b.Stats().Jobs.DiskHits; got != 1 {
+		t.Errorf("DiskHits = %d, want 1", got)
 	}
 }

@@ -153,10 +153,11 @@ type persistReq struct {
 // Server is the warpsimd daemon core. Create with New, expose via
 // Handler, stop with Shutdown.
 type Server struct {
-	opt   Options
-	cache *Cache
-	disk  *store.Store // nil without StoreDir
-	jour  *journal
+	opt        Options
+	cache      *Cache
+	admitTable *admissionTable // request identity → full admission (admission.go)
+	disk       *store.Store    // nil without StoreDir
+	jour       *journal
 
 	mu     sync.Mutex
 	jobs   map[string]*job // every admitted job, by id
@@ -207,14 +208,15 @@ func latencyBounds() []int64 {
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	s := &Server{
-		opt:       opt,
-		cache:     NewCache(opt.CacheBytes),
-		jobs:      make(map[string]*job),
-		byKey:     make(map[string]*job),
-		queue:     newJobQueue(),
-		persistCh: make(chan persistReq, opt.Workers),
-		stop:      make(chan struct{}),
-		start:     time.Now(),
+		opt:        opt,
+		cache:      NewCache(opt.CacheBytes),
+		admitTable: newAdmissionTable(admitTableBytes),
+		jobs:       make(map[string]*job),
+		byKey:      make(map[string]*job),
+		queue:      newJobQueue(),
+		persistCh:  make(chan persistReq, opt.Workers),
+		stop:       make(chan struct{}),
+		start:      time.Now(),
 	}
 	reg := metrics.NewRegistry()
 	s.latency = reg.Histogram("server.latency_us", latencyBounds())
@@ -333,8 +335,19 @@ func (s *Server) fetch(key string) (*CachedResult, bool) {
 // resultFromManifest rebuilds a CachedResult from a persisted manifest:
 // the payload bytes are kept verbatim (byte-identical serving) and the
 // headline cycles/error are recovered from the manifest's single run.
+// Only those two fields are decoded. json.Unmarshal still validates the
+// whole document, and a run count other than one, a non-integer cycles
+// or a non-string err is still an error; a wrong type in a field the
+// server never reads (a counter map, say) is no longer noticed — a
+// checksum-valid entry is bytes buildResult encoded, so Put cannot have
+// written one.
 func resultFromManifest(key string, payload []byte) (*CachedResult, error) {
-	var m metrics.Manifest
+	var m struct {
+		Runs []struct {
+			Cycles int64  `json:"cycles"`
+			Err    string `json:"err"`
+		} `json:"runs"`
+	}
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return nil, err
 	}
@@ -540,10 +553,10 @@ func (s *Server) estimateStartDelay() time.Duration {
 	return time.Duration(waves) * time.Duration(p50) * time.Microsecond
 }
 
-// Submit admits one job: validation, two-tier cache lookup,
-// single-flight attach, deadline shed, or enqueue. It returns the job
-// (possibly already done, on a cache or store hit) or a *RequestError
-// carrying the HTTP status.
+// Submit admits one job: validation (memoised, see admission.go),
+// two-tier cache lookup, single-flight attach, deadline shed, or enqueue.
+// It returns the job (possibly already done, on a cache or store hit) or
+// a *RequestError carrying the HTTP status.
 func (s *Server) Submit(req *JobRequest) (*job, *RequestError) {
 	if req.DeadlineMS < 0 {
 		s.rejectedInvalid.Add(1)
@@ -553,19 +566,29 @@ func (s *Server) Submit(req *JobRequest) (*job, *RequestError) {
 	// (the expensive step the breaker protects) and are served only when
 	// their result already exists in a cache tier.
 	degradedInline := s.degraded.Load() && req.Source != ""
-	spec, rerr := s.opt.resolve(req, degradedInline)
+	spec, key, rerr := s.admit(req, degradedInline)
 	if rerr != nil {
 		s.rejectedInvalid.Add(1)
 		return nil, rerr
 	}
-	key := CacheKey(spec)
+	// Both tiers lock themselves, so the lookup — on a disk hit an open, a
+	// read, a checksum and a decode — runs before s.mu is taken and stalls
+	// no other admission, status poll or finishing worker.
+	res, hit := s.fetch(key)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.drain {
 		return nil, &RequestError{Status: http.StatusServiceUnavailable, Msg: "server is draining"}
 	}
-	if res, ok := s.fetch(key); ok {
+	if !hit {
+		// An in-flight twin may have finished between the miss and the
+		// lock: it is out of byKey by now, and its result is in memory
+		// (if already evicted, runJob looks through both tiers again
+		// before it runs the engine). Not a second counted lookup.
+		res, hit = s.cache.lru.peek(key)
+	}
+	if hit {
 		// Admission-time hit (either tier): the job is born finished; no
 		// queue slot, no journal entry, no engine run.
 		id := s.newID()
@@ -676,6 +699,11 @@ type Stats struct {
 	Jobs JobStats `json:"jobs"`
 	// Cache is the in-memory result cache's occupancy and hit statistics.
 	Cache CacheStats `json:"cache"`
+	// Admission is the admission table's occupancy and hit statistics:
+	// a hit is a request admitted without parsing, analysing or hashing
+	// anything (see admission.go). Its counts are its own, never folded
+	// into Cache's.
+	Admission CacheStats `json:"admission"`
 	// Store is the persistent tier's occupancy and health; nil when the
 	// server runs without one.
 	Store *store.Stats `json:"store,omitempty"`
@@ -773,6 +801,7 @@ func (s *Server) Stats() Stats {
 			DegradeTrips:      s.degradeTrips.Load(),
 		},
 		Cache:     s.cache.Stats(),
+		Admission: s.admitTable.stats(),
 		LatencyUS: lat,
 		ServiceUS: svc,
 	}

@@ -4,9 +4,10 @@
 # figures must match what cmd/warpreport regenerates from the checked-in
 # manifest), full test suite (including the golden-stats regression in
 # internal/exp, the golden rendering tests in internal/report and the seed
-# corpora of the journal fuzz targets, which are ordinary tests), the
-# parallel-runner determinism tests under the race detector, one iteration
-# of the sched/core pick and mem L2-queue benchmarks (so they cannot rot), the warplint
+# corpora of the journal and POST /v1/jobs fuzz targets, which are ordinary
+# tests), the parallel-runner determinism tests under the race detector, one
+# iteration of the sched/core pick, mem L2-queue and server Submit-hit
+# benchmarks (so they cannot rot), the warplint
 # static analyzer over every registered kernel, an invariant-checked
 # simulation smoke pass (-check arms the runtime invariant checker and
 # hang diagnosis; the third run is the 64-slot machine, the full width of
@@ -51,9 +52,10 @@ go test ./...
 echo "== go test -race (runner determinism, fault injection, resume) =="
 go test -race ./internal/exp -run TestRunner
 
-echo "== pick and L2 queue benchmarks still build and run (one iteration) =="
+echo "== pick, L2 queue and Submit-hit benchmarks still build and run (one iteration) =="
 go test -run '^$' -bench 'PickMask' -benchtime 1x ./internal/sched ./internal/core
 go test -run '^$' -bench 'L2' -benchtime 1x ./internal/mem
+go test -run '^$' -bench 'Submit' -benchtime 1x ./internal/server
 
 echo "== invariant-checked smoke (warpsim -check) =="
 go run ./cmd/warpsim -kernel HT -sms 2 -check > /dev/null
