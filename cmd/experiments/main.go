@@ -32,7 +32,7 @@ func main() {
 		list      = flag.Bool("list", false, "list experiments and exit")
 		statsJSON = flag.String("stats-json", "", "write a machine-readable run manifest (per-simulation counters) to this file")
 		check     = flag.Bool("check", false, "enable runtime invariant checking and early hang aborts in every simulation")
-		resume    = flag.String("resume", "", "crash-tolerant run journal (created if missing); completed runs found in it are replayed instead of re-simulated (repeats inside one invocation are replayed with or without it)")
+		resume    = flag.String("resume", "", "crash-tolerant run journal: a directory (created if missing) of checksummed, fsynced entries, one per finished run; runs found in it are replayed instead of re-simulated (repeats inside one invocation are replayed with or without it)")
 		reportDir = flag.String("report", "", "after the sweep, render the reproduction report (REPRODUCTION.md + SVG figures) from the collected manifest into this directory")
 		noFF      = flag.Bool("no-ff", false, "disable event-driven fast-forward and tick every cycle; output is identical either way")
 	)
@@ -60,6 +60,11 @@ func main() {
 	defer journal.Close()
 	cfg.Journal = journal
 	loaded := journal.Len()
+	damaged, _ := journal.Dropped()
+	if damaged > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: journal %s: %d of %d files damaged or orphaned, moved to %s; their runs simulate again, %d entries replay\n",
+			*resume, damaged, loaded+damaged, filepath.Join(*resume, "quarantine"), loaded)
+	}
 
 	var col *exp.Collector
 	if *statsJSON != "" || *reportDir != "" {
@@ -101,9 +106,17 @@ func main() {
 		fmt.Printf("(%s completed in %v)\n\n", e.Name, time.Since(t0).Round(time.Millisecond))
 	}
 
-	fmt.Fprintf(os.Stderr, "experiments: %d distinct runs simulated, %d repeats replayed", journal.Len()-loaded, journal.Hits())
+	// A run simulated in place of an entry dropped since the open adds
+	// nothing to Len: its entry was counted in loaded, and is either
+	// quarantined and written again or still there, foreign.
+	quarantined, foreign := journal.Dropped()
+	simulated := journal.Len() - loaded + (quarantined - damaged) + foreign
+	fmt.Fprintf(os.Stderr, "experiments: %d distinct runs simulated, %d repeats replayed", simulated, journal.Hits())
 	if *resume != "" {
 		fmt.Fprintf(os.Stderr, "; journal %s holds %d", *resume, journal.Len())
+	}
+	if foreign > 0 {
+		fmt.Fprintf(os.Stderr, ", %d of them not runs of this journal and never replayed (a warpsimd -store directory?)", foreign)
 	}
 	fmt.Fprintln(os.Stderr)
 

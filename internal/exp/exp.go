@@ -64,8 +64,9 @@ type Cfg struct {
 	// Journal, when non-nil, makes the sweep crash-tolerant and resumable
 	// (cmd/experiments -resume): specs whose results are already journaled
 	// are replayed instead of re-simulated, and freshly finished specs are
-	// appended, so an interrupted sweep picks up where it died and renders
-	// byte-identical tables.
+	// recorded (durably, when the journal has a directory), so an
+	// interrupted sweep picks up where it died and renders byte-identical
+	// tables.
 	Journal *Journal
 	// NoFastForward disables the event-driven clock and ticks every cycle
 	// (cmd/experiments -no-ff; see sim.Options.NoFastForward). Results

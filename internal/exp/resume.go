@@ -2,175 +2,85 @@
 // A Journal holds one entry per finished simulation, keyed by the spec's
 // content key (ContentKey, collect.go): a spec another experiment of the
 // same invocation already ran replays instead of simulating again. With
-// a file behind it (cmd/experiments -resume) it is also an append-only
-// JSONL log: interrupting a sweep — a crash, a kill, a power cut
-// mid-write — loses at most the entry being appended; on the next
-// invocation finished specs replay from the journal (their results were
-// verified before journaling) and only unfinished work simulates.
-// Because replay restores the exact Result fields and error strings the
-// original run produced, a sweep that replays renders byte-identical
-// tables and manifests.
+// a directory behind it (cmd/experiments -resume) every entry is also a
+// file of an internal/store there — the same checksummed, atomically
+// written and fsynced entries warpsimd keeps, under the same key — so
+// interrupting a sweep (a crash, a kill, a power cut mid-write) loses at
+// most the runs in flight; on the next invocation finished specs replay
+// from the store (their results were verified before journaling) and
+// only unfinished work simulates. Because replay restores the exact
+// Result fields and error strings the original run produced, a sweep
+// that replays renders byte-identical tables and manifests.
 package exp
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"sync"
 
-	"warpsched/internal/core"
-	"warpsched/internal/metrics"
 	"warpsched/internal/sim"
-	"warpsched/internal/stats"
+	"warpsched/internal/store"
 )
 
-// journalResult is the JSON-serializable subset of sim.Result a table can
-// consume. Memory is deliberately omitted: kernel output is verified
-// before an entry is written, so replay never needs it.
-type journalResult struct {
-	Stats            stats.Sim               `json:"stats"`
-	PerSM            []stats.Sim             `json:"per_sm,omitempty"`
-	Detection        core.DetectionMetrics   `json:"detection"`
-	PerSMDetection   []core.DetectionMetrics `json:"per_sm_detection,omitempty"`
-	ConfirmedSIBs    []int32                 `json:"confirmed_sibs,omitempty"`
-	MaxSIBPTEntries  int                     `json:"max_sibpt_entries,omitempty"`
-	FinalDelayLimits []int64                 `json:"final_delay_limits,omitempty"`
-	Metrics          *metrics.Snapshot       `json:"metrics,omitempty"`
-}
-
-func toJournalResult(r *sim.Result) *journalResult {
-	if r == nil {
-		return nil
-	}
-	return &journalResult{
-		Stats:            r.Stats,
-		PerSM:            r.PerSM,
-		Detection:        r.Detection,
-		PerSMDetection:   r.PerSMDetection,
-		ConfirmedSIBs:    r.ConfirmedSIBs,
-		MaxSIBPTEntries:  r.MaxSIBPTEntries,
-		FinalDelayLimits: r.FinalDelayLimits,
-		Metrics:          r.Metrics,
-	}
-}
-
-func (jr *journalResult) toResult() *sim.Result {
-	if jr == nil {
-		return nil
-	}
-	return &sim.Result{
-		Stats:            jr.Stats,
-		PerSM:            jr.PerSM,
-		Detection:        jr.Detection,
-		PerSMDetection:   jr.PerSMDetection,
-		ConfirmedSIBs:    jr.ConfirmedSIBs,
-		MaxSIBPTEntries:  jr.MaxSIBPTEntries,
-		FinalDelayLimits: jr.FinalDelayLimits,
-		Metrics:          jr.Metrics,
-	}
-}
-
-// journalEntry is one JSONL line: the spec's content key, the run's
+// journalEntry is one finished run: the spec's content key, the run's
 // error string (empty on success — replay restores it verbatim so
-// manifests compare equal), and the result.
+// manifests compare equal), and what a table can consume of the result.
+// Its JSON is the payload stored under Key.
 type journalEntry struct {
-	Key string         `json:"key"`
-	Err string         `json:"err,omitempty"`
-	Res *journalResult `json:"res,omitempty"`
+	Key string      `json:"key"`
+	Err string      `json:"err,omitempty"`
+	Res *sim.Result `json:"res,omitempty"`
 }
 
 // Journal is a crash-tolerant store of finished runs. One Journal serves
 // a whole parallel sweep; lookup and record are safe under Jobs > 1.
 type Journal struct {
+	st *store.Store // nil for a journal with no directory behind it
+
 	mu      sync.Mutex
-	path    string   // "" for a journal with no file behind it
-	f       *os.File // nil when file-less, and after Close
-	entries map[string]journalEntry
+	entries map[string]journalEntry // every run recorded or replayed by this invocation
 	hits    int
+	foreign int // payloads that verified in the store but are not the run filed under their key
 }
 
-// OpenJournal loads (or creates) the journal at path; the empty path
-// gives a journal with no file behind it, which reads and writes nothing
-// and only remembers the runs of this invocation. A truncated final
-// line — the signature of a run killed mid-append — is dropped silently;
-// corruption anywhere else is an error, since dropping a complete entry
-// would silently re-simulate work the user believes finished. An entry
-// under a key this build would not compute (an older key format, another
-// sim.Version, an edited program) is never looked up, so its run
-// simulates again.
+// OpenJournal opens (or creates) the journal kept in the directory at
+// path; the empty path gives a journal with nothing on disk, which only
+// remembers the runs of this invocation. The directory is an
+// internal/store: opening it verifies every entry and moves damaged ones
+// (a truncated or bit-flipped file, a temp file a killed writer left)
+// into its quarantine/, where they miss and their runs simulate again —
+// Dropped counts them. An entry under a key this build would not compute
+// (another sim.Version, an edited program) is never looked up, so its
+// run simulates again.
 func OpenJournal(path string) (*Journal, error) {
+	j := &Journal{entries: make(map[string]journalEntry)}
 	if path == "" {
-		return &Journal{entries: make(map[string]journalEntry)}, nil
+		return j, nil
 	}
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("exp: reading journal: %w", err)
+	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
+		return nil, fmt.Errorf("exp: journal %s is a file: the one-line-per-run journal format is retired and nothing reads it, so it can be deleted; -resume now takes a directory", path)
 	}
-	entries := make(map[string]journalEntry)
-	lines := bytes.Split(data, []byte("\n"))
-	keep, next := len(data), 0 // bytes that stay: all but a torn tail; where the next line starts
-	for i, line := range lines {
-		start := next
-		next += len(line) + 1
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		var e journalEntry
-		if jerr := json.Unmarshal(line, &e); jerr != nil || e.Key == "" {
-			if allBlank(lines[i+1:]) {
-				keep = start
-				break // torn final append: resume re-runs that one spec
-			}
-			return nil, fmt.Errorf("exp: journal %s line %d corrupt: %v", path, i+1, jerr)
-		}
-		entries[e.Key] = e
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	st, _, err := store.Open(path, store.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("exp: opening journal for append: %w", err)
+		return nil, fmt.Errorf("exp: opening journal: %w", err)
 	}
-	// The next append must start a line of its own: left in place, a torn
-	// tail — or a last entry killed before its newline — would fuse with
-	// it into damage that the open after that finds mid-file and refuses.
-	if keep < len(data) {
-		err = f.Truncate(int64(keep))
-	} else if keep > 0 && data[keep-1] != '\n' {
-		_, err = f.WriteString("\n")
-	}
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("exp: repairing journal tail: %w", err)
-	}
-	return &Journal{path: path, f: f, entries: entries}, nil
+	j.st = st
+	return j, nil
 }
 
-func allBlank(lines [][]byte) bool {
-	for _, l := range lines {
-		if len(bytes.TrimSpace(l)) != 0 {
-			return false
-		}
-	}
-	return true
-}
+// Close has nothing to release: the journal holds no open file, and every
+// recorded entry is already durable when record returns.
+func (j *Journal) Close() error { return nil }
 
-// Close closes the journal file, if there is one.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
-
-// Len returns the number of loaded + appended entries; Hits the number of
-// lookups served from the journal this invocation.
+// Len returns the number of entries the journal holds: those on disk
+// (found at open plus recorded since) when it has a directory, else the
+// runs remembered by this invocation.
 func (j *Journal) Len() int {
+	if j.st != nil {
+		return j.st.Len()
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.entries)
@@ -184,51 +94,100 @@ func (j *Journal) Hits() int {
 	return j.hits
 }
 
-// lookup replays a finished run. The restored error is a plain string —
-// typed detail (hang reports, panic stacks) lives only in the original
-// invocation — but its message is verbatim, so records and tables built
-// from a replay match the original byte for byte.
-func (j *Journal) lookup(key string) (Outcome, bool) {
+// Dropped counts what the directory held that the journal will not
+// replay, so its runs simulate once more: files the store moved to
+// quarantine/ (damaged entries and orphaned temp files, found at open or
+// on a later read), and entries that pass the store's checksum but are
+// not a journal record of their own key — what a warpsimd -store
+// directory holds. Both are zero for a journal with no directory.
+func (j *Journal) Dropped() (quarantined, foreign int) {
+	if j.st == nil {
+		return 0, 0
+	}
+	quarantined = int(j.st.Stats().Quarantined)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return quarantined, j.foreign
+}
+
+// lookup replays a finished run: from this invocation's memory, else
+// from the store. The restored error is a plain string — typed detail
+// (hang reports, panic stacks) lives only in the original invocation —
+// but its message is verbatim, so records and tables built from a replay
+// match the original byte for byte.
+func (j *Journal) lookup(key string) (Outcome, bool) {
+	j.mu.Lock()
 	e, ok := j.entries[key]
+	j.mu.Unlock()
+	if !ok && j.st != nil {
+		e, ok = j.load(key)
+	}
 	if !ok {
 		return Outcome{}, false
 	}
+	j.mu.Lock()
+	j.entries[key] = e
 	j.hits++
-	o := Outcome{Res: e.Res.toResult()}
+	j.mu.Unlock()
+	var o Outcome
+	if e.Res != nil {
+		res := *e.Res
+		o.Res = &res
+	}
 	if e.Err != "" {
 		o.Err = errors.New(e.Err)
 	}
 	return o, true
 }
 
-// record journals one finished run (success or deterministic failure).
-// Appends are serialized; each entry is a single JSONL line, so a crash
-// mid-append corrupts at most the file's tail, which OpenJournal drops.
+// load reads one entry from the store. The store has already verified
+// the bytes against their checksum; a payload that is not a journal
+// record carrying the key it is filed under is somebody else's, and a
+// miss.
+func (j *Journal) load(key string) (journalEntry, bool) {
+	data, ok := j.st.Get(key)
+	if !ok {
+		return journalEntry{}, false
+	}
+	var e journalEntry
+	if err := json.Unmarshal(data, &e); err != nil || e.Key != key {
+		j.mu.Lock()
+		j.foreign++
+		j.mu.Unlock()
+		return journalEntry{}, false
+	}
+	return e, true
+}
+
+// record journals one finished run (success or deterministic failure):
+// durably first when there is a directory, then in memory. What is kept
+// of the result is a shallow copy without the memory image and the PC
+// profile — kernel output is verified before an entry is written, so
+// replay never needs them — and without the clock's activity counters,
+// which no table reads and which alone depend on -no-ff, so an entry's
+// bytes are a function of its key.
 func (j *Journal) record(key string, o Outcome) error {
-	e := journalEntry{Key: key, Res: toJournalResult(o.Res)}
+	e := journalEntry{Key: key}
+	if o.Res != nil {
+		res := *o.Res
+		res.Memory, res.PCProfile = nil, nil
+		res.FFJumps, res.FFSkippedCycles, res.FFSkippedSMTicks = 0, 0, 0
+		e.Res = &res
+	}
 	if o.Err != nil {
 		e.Err = o.Err.Error()
 	}
-	if j.path == "" {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		j.entries[key] = e
-		return nil
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("exp: journaling %s: %w", key, err)
+	if j.st != nil {
+		data, err := json.Marshal(e)
+		if err == nil {
+			err = j.st.Put(key, data)
+		}
+		if err != nil {
+			return fmt.Errorf("exp: journaling %s: %w", key, err)
+		}
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("exp: journal %s already closed", j.path)
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("exp: journaling %s: %w", key, err)
-	}
 	j.entries[key] = e
 	return nil
 }

@@ -2,11 +2,14 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"syscall"
 	"testing"
 
 	"warpsched/internal/config"
@@ -14,6 +17,7 @@ import (
 	"warpsched/internal/kernels"
 	"warpsched/internal/metrics"
 	"warpsched/internal/sim"
+	"warpsched/internal/store"
 )
 
 func openTestJournal(t *testing.T, path string) *Journal {
@@ -25,12 +29,24 @@ func openTestJournal(t *testing.T, path string) *Journal {
 	return j
 }
 
+// journalFiles lists the entry files of the journal directory at dir,
+// quarantine/ aside, in name order.
+func journalFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "??", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // TestRunnerResumeByteIdentical is the crash-recovery contract end to
-// end: run a sweep journaled, tear the journal the way a killed process
-// would (drop the last entry, leave a truncated append), resume, and
-// require byte-identical manifests with only the lost spec re-simulated.
+// end: run a sweep journaled, damage the journal the way a killed process
+// and a bad disk would (one entry cut short, one temp file left behind),
+// resume, and require byte-identical manifests with only the lost spec
+// re-simulated.
 func TestRunnerResumeByteIdentical(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	path := filepath.Join(t.TempDir(), "journal")
 	specs := []Spec{testSpec(16), testSpec(32), testSpec(64), testSpec(128)}
 
 	sweep := func(j *Journal) ([]metrics.RunRecord, []Outcome) {
@@ -56,25 +72,32 @@ func TestRunnerResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the journal: lose the final entry, leave a torn half-line.
-	data, err := os.ReadFile(path)
+	// Lose the final entry to a short write, and leave the temp file of a
+	// writer killed before its rename.
+	files := journalFiles(t, path)
+	if len(files) != len(specs) {
+		t.Fatalf("journal has %d entry files, want %d", len(files), len(specs))
+	}
+	last := files[len(files)-1]
+	data, err := os.ReadFile(last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
-	if len(lines) != len(specs) {
-		t.Fatalf("journal has %d lines, want %d", len(lines), len(specs))
+	if err := os.WriteFile(last, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	torn := append(bytes.Join(lines[:3], []byte("\n")), '\n')
-	torn = append(torn, []byte(`{"key":"deadbeef","res":{"stats":{"cy`)...)
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
+	orphan := filepath.Join(filepath.Dir(last), ".tmp-9-deadbeef")
+	if err := os.WriteFile(orphan, []byte(`warpstore1 deadbeef 900 0123`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	j2 := openTestJournal(t, path)
 	defer j2.Close()
 	if j2.Len() != 3 {
-		t.Fatalf("torn journal loaded %d entries, want 3", j2.Len())
+		t.Fatalf("damaged journal loaded %d entries, want 3", j2.Len())
+	}
+	if q, f := j2.Dropped(); q != 2 || f != 0 {
+		t.Errorf("damaged journal dropped %d files and %d foreign entries, want 2 and 0", q, f)
 	}
 	resumed, outs2 := sweep(j2)
 	if j2.Hits() != 3 {
@@ -96,9 +119,11 @@ func TestRunnerResumeByteIdentical(t *testing.T) {
 // TestRunnerResumeRendersIdenticalTable runs a real experiment once
 // normally and once resumed from a complete journal, requiring the
 // rendered table — the artifact the user actually reads — to be
-// byte-identical.
+// byte-identical. Then one entry has a byte flipped: that run alone
+// simulates again, the table is still the same bytes, and the damaged
+// file is in quarantine/, not gone.
 func TestRunnerResumeRendersIdenticalTable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	path := filepath.Join(t.TempDir(), "journal")
 	render := func(j *Journal) string {
 		r, err := Fig3(Cfg{Quick: true, Jobs: 4, Journal: j})
 		if err != nil {
@@ -116,7 +141,6 @@ func TestRunnerResumeRendersIdenticalTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2 := openTestJournal(t, path)
-	defer j2.Close()
 	replayed := render(j2)
 	if j2.Hits() != entries {
 		t.Errorf("replay hit %d of %d entries", j2.Hits(), entries)
@@ -124,13 +148,40 @@ func TestRunnerResumeRendersIdenticalTable(t *testing.T) {
 	if fresh != replayed {
 		t.Errorf("resumed table differs:\n--- fresh ---\n%s--- replayed ---\n%s", fresh, replayed)
 	}
+	j2.Close()
+
+	victim := journalFiles(t, path)[entries/2]
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-10] ^= 0x20
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j3 := openTestJournal(t, path)
+	defer j3.Close()
+	if q, f := j3.Dropped(); q != 1 || f != 0 || j3.Len() != entries-1 {
+		t.Errorf("one flipped byte: %d files and %d foreign entries dropped, %d entries left; want 1, 0 and %d", q, f, j3.Len(), entries-1)
+	}
+	healed := render(j3)
+	if j3.Hits() != entries-1 || j3.Len() != entries {
+		t.Errorf("after the flip %d runs replayed and the journal holds %d, want %d and %d", j3.Hits(), j3.Len(), entries-1, entries)
+	}
+	if healed != fresh {
+		t.Errorf("table differs after a damaged entry simulated again:\n--- fresh ---\n%s--- healed ---\n%s", fresh, healed)
+	}
+	moved, _ := filepath.Glob(filepath.Join(path, "quarantine", filepath.Base(victim)+".*.checksum-mismatch"))
+	if len(moved) != 1 {
+		t.Errorf("damaged entry not kept in quarantine/: %v", moved)
+	}
 }
 
 // TestRunnerResumeReplaysFailures: failed runs are journaled too — a
 // resumed sweep reproduces the exact error string without re-executing
 // the failing configuration.
 func TestRunnerResumeReplaysFailures(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	path := filepath.Join(t.TempDir(), "journal")
 	runs := 0
 	sp := testSpec(64)
 	k := panicKernel()
@@ -158,25 +209,79 @@ func TestRunnerResumeReplaysFailures(t *testing.T) {
 	}
 }
 
-// TestOpenJournalRejectsMidFileCorruption: only the final line may be
-// torn; corruption earlier in the file must fail loudly rather than
-// silently re-running work.
-func TestOpenJournalRejectsMidFileCorruption(t *testing.T) {
+// TestOpenJournalRefusesRetiredFile: a regular file where the directory
+// should be is a journal of the format before PR 24; the error says it
+// can go, and the file is left as it was.
+func TestOpenJournalRefusesRetiredFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	content := `{"key":"aaaa"}` + "\n" + `garbage not json` + "\n" + `{"key":"bbbb"}` + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	old := []byte(`{"key":"aaaa"}` + "\n")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(path); err == nil {
-		t.Fatal("mid-file corruption accepted")
+	_, err := OpenJournal(path)
+	if err == nil || !strings.Contains(err.Error(), "retired") || strings.Contains(err.Error(), "\n") {
+		t.Errorf("a journal file of the retired format: error %v, want one line naming it retired", err)
 	}
-	var pathErr *os.PathError
-	if j, err := OpenJournal(filepath.Join(t.TempDir(), "fresh.jsonl")); err != nil {
-		if !errors.As(err, &pathErr) {
-			t.Fatalf("fresh journal open failed: %v", err)
+	if now, _ := os.ReadFile(path); !bytes.Equal(now, old) {
+		t.Errorf("refused file was rewritten to %q", now)
+	}
+}
+
+// TestJournalForeignPayloadMisses: an entry that passes the store's
+// checksum but is not a journal record of its own key — here what
+// warpsimd files under the same content key, a manifest — is a miss,
+// counted, and the run simulates.
+func TestJournalForeignPayloadMisses(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store")
+	sp, other := testSpec(16), testSpec(32)
+	st, _, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(ContentKey(sp), []byte(`{"tool":"warpsimd","runs":[{"kernel":"HT","cycles":1}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	stolen, _ := json.Marshal(journalEntry{Key: ContentKey(sp), Err: "somebody else's run"})
+	if err := st.Put(ContentKey(other), stolen); err != nil {
+		t.Fatal(err)
+	}
+
+	j := openTestJournal(t, path)
+	defer j.Close()
+	for i, s := range []Spec{sp, other} {
+		if o := (Cfg{Journal: j}).runOne(&s, 0, 1, nil); o.Err != nil || o.Res.Stats.Cycles <= 1 {
+			t.Fatalf("spec %d: outcome %+v: replayed from a foreign payload, not simulated", i, o)
 		}
-	} else {
-		j.Close()
+	}
+	if q, f := j.Dropped(); j.Hits() != 0 || q != 0 || f != 2 {
+		t.Errorf("%d hits, %d files and %d foreign entries dropped; want 0, 0 and 2", j.Hits(), q, f)
+	}
+	if o := (Cfg{Journal: j}).runOne(&sp, 0, 1, nil); o.Err != nil || j.Hits() != 1 {
+		t.Errorf("the simulated run is not remembered: err %v, %d hits", o.Err, j.Hits())
+	}
+}
+
+// TestJournalPutErrorIsRunError: a run whose entry cannot be made durable
+// (the disk is full) fails with that error and is not remembered as
+// journaled; once there is space the same spec simulates and journals.
+func TestJournalPutErrorIsRunError(t *testing.T) {
+	fs := store.NewFaultFS(store.OS{}, 1, store.FaultConfig{WriteEvery: 1})
+	st, _, err := store.Open(filepath.Join(t.TempDir(), "journal"), store.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &Journal{st: st, entries: make(map[string]journalEntry)}
+	sp := testSpec(16)
+	o := Cfg{Journal: j}.runOne(&sp, 0, 1, nil)
+	if !errors.Is(o.Err, syscall.ENOSPC) || o.Res == nil {
+		t.Fatalf("run on a full disk: err %v, result %v; want ENOSPC beside the result", o.Err, o.Res)
+	}
+	if _, ok := j.lookup(ContentKey(sp)); ok || j.Len() != 0 {
+		t.Errorf("an entry that never reached the disk replays (journal holds %d)", j.Len())
+	}
+	fs.SetEnabled(false)
+	if o := (Cfg{Journal: j}).runOne(&sp, 0, 1, nil); o.Err != nil || j.Len() != 1 || j.Hits() != 0 {
+		t.Errorf("with space again: err %v, %d entries, %d hits; want a journaled simulation", o.Err, j.Len(), j.Hits())
 	}
 }
 
@@ -205,10 +310,11 @@ loop:
 
 // TestJournalKeyedByContent: the journal's key covers the program text
 // and the engine version, so editing one instruction under the same
-// kernel name misses and re-simulates, and an entry an older build wrote
-// under a bare variant hash loads without error and is never replayed.
+// kernel name misses and re-simulates, and an entry under a key this
+// build does not compute (here the bare variant hash) is held without
+// error and is never replayed.
 func TestJournalKeyedByContent(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	path := filepath.Join(t.TempDir(), "journal")
 	orig, edited := aluSpec(t, 1), aluSpec(t, 2)
 	if VariantHash(orig) != VariantHash(edited) {
 		t.Fatal("the two programs differ in variant hash; the test needs them equal")
@@ -222,19 +328,19 @@ func TestJournalKeyedByContent(t *testing.T) {
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	st, _, err := store.Open(path, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(f, `{"key":%q,"res":{"stats":{"Cycles":1},"detection":{}}}`+"\n", VariantHash(orig))
-	if err := f.Close(); err != nil {
+	stale := fmt.Sprintf(`{"key":%q,"res":{"Stats":{"Cycles":1}}}`, VariantHash(orig))
+	if err := st.Put(VariantHash(orig), []byte(stale)); err != nil {
 		t.Fatal(err)
 	}
 
 	j2 := openTestJournal(t, path)
 	defer j2.Close()
 	if j2.Len() != 2 {
-		t.Fatalf("journal loaded %d entries, want 2 (the run and the old-format line)", j2.Len())
+		t.Fatalf("journal loaded %d entries, want 2 (the run and the one under another key)", j2.Len())
 	}
 	again := Cfg{Journal: j2}.runOne(&orig, 0, 1, nil)
 	if j2.Hits() != 1 || again.Res.Stats.Cycles != first.Res.Stats.Cycles {

@@ -124,7 +124,7 @@ func TestRunnerPanicRunsOnce(t *testing.T) {
 	k := panicKernel()
 	k.Verify = func([]uint32) error { attempts++; panic(attempts) }
 	sp.Kernel = k
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"sync"
+
+	"warpsched/internal/store"
 )
 
 // journalLine is one JSONL record in the server's recovery journal:
@@ -52,8 +54,9 @@ type JournalStats struct {
 // tolerates (the matching job is simply re-run; determinism makes the
 // re-run identical). On every open the journal is compacted: finished
 // admit/done pairs are dropped, unfinished admits and a max_id header
-// are rewritten through a temp file + atomic rename, so the file's size
-// tracks in-flight work instead of growing forever.
+// are rewritten through the store's atomic write protocol
+// (store.WriteFileAtomic), so the file's size tracks in-flight work
+// instead of growing forever.
 type journal struct {
 	mu    sync.Mutex
 	path  string
@@ -87,8 +90,7 @@ func openJournal(path string) (*journal, []journalAdmit, int64, error) {
 		}
 	}
 	doneIdx := make(map[string]bool)
-	lines, _ := splitLines(data)
-	for _, line := range lines {
+	for _, line := range bytes.Split(data, []byte("\n")) {
 		if len(line) == 0 {
 			continue
 		}
@@ -139,9 +141,9 @@ func openJournal(path string) (*journal, []journalAdmit, int64, error) {
 }
 
 // compact rewrites the journal to its minimal equivalent — a max_id
-// header plus the still-unfinished admits — through a temp file and
-// atomic rename, so a crash mid-compaction leaves the previous journal
-// intact.
+// header plus the still-unfinished admits — through a temp file, fsync,
+// atomic rename and directory fsync, so a crash mid-compaction leaves
+// the previous journal or the new one, durably, and nothing between.
 func (j *journal) compact(unfinished []journalAdmit, maxID, parsed int64) error {
 	var buf bytes.Buffer
 	if maxID > 0 {
@@ -160,23 +162,7 @@ func (j *journal) compact(unfinished []journalAdmit, maxID, parsed int64) error 
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
-	tmp := j.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: journal compact: %w", err)
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		return fmt.Errorf("server: journal compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("server: journal compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("server: journal compact: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
+	if err := store.WriteFileAtomic(j.path, buf.Bytes()); err != nil {
 		return fmt.Errorf("server: journal compact: %w", err)
 	}
 	j.size = int64(buf.Len())
@@ -193,24 +179,6 @@ func (j *journal) statsSnapshot() JournalStats {
 	st := j.stats
 	st.SizeBytes = j.size
 	return st
-}
-
-// splitLines splits data on '\n' and also returns each line's starting
-// byte offset.
-func splitLines(data []byte) (lines [][]byte, starts []int) {
-	start := 0
-	for i, b := range data {
-		if b == '\n' {
-			lines = append(lines, data[start:i])
-			starts = append(starts, start)
-			start = i + 1
-		}
-	}
-	if start < len(data) {
-		lines = append(lines, data[start:])
-		starts = append(starts, start)
-	}
-	return lines, starts
 }
 
 func (j *journal) append(jl journalLine) error {
