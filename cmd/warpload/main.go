@@ -9,12 +9,12 @@
 //	warpload -addr http://localhost:8723 -clients 256 -requests 4096
 //
 // Submissions go through the hardened client (internal/server.Client):
-// shed responses (429/503 + Retry-After) and transport faults are
-// retried with capped jittered backoff (-retries attempts per call), and
-// -hedge arms hedged result reads. Requests that still fail after every
-// retry are counted, classified and dumped as a JSON error summary on
-// stderr, and the process exits non-zero — so CI can assert both the
-// happy path and the failure contract.
+// a full queue's 429 + Retry-After, a draining daemon's 503 and transport
+// faults are retried with capped jittered backoff (-retries attempts per
+// call). Requests that still fail after every retry are counted,
+// classified and dumped as a JSON error summary on stderr, and the
+// process exits non-zero — so CI can assert both the happy path and the
+// failure contract.
 //
 // -verify re-runs every distinct job in the mix directly on the engine
 // and diffs cycles and the full counter snapshot against the daemon's
@@ -52,8 +52,7 @@ func main() {
 		verify   = flag.Bool("verify", false, "re-run the mix directly on the engine and diff against cached manifests")
 		workers  = flag.Int("workers", 0, "in-process server worker pool size (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 64, "in-process server queue depth")
-		retries  = flag.Int("retries", 5, "attempts per request (shed and transport failures back off and retry)")
-		hedge    = flag.Duration("hedge", 0, "hedge result reads after this delay (0 = off), e.g. 50ms")
+		retries  = flag.Int("retries", 5, "attempts per request (queue-full, draining and transport failures back off and retry)")
 	)
 	flag.Parse()
 
@@ -75,7 +74,6 @@ func main() {
 		HTTP: &http.Client{Timeout: 10 * time.Minute,
 			Transport: &http.Transport{MaxIdleConnsPerHost: *clients}},
 		MaxAttempts: *retries,
-		Hedge:       *hedge,
 	})
 	rec := &errorRecorder{byClass: map[string]int{}}
 
@@ -199,10 +197,9 @@ func (r *errorRecorder) dump(w *os.File, requests int, cli *server.Client, diver
 		Errors    int            `json:"errors"`
 		Divergent int            `json:"divergent"`
 		Retries   int64          `json:"retries"`
-		Hedges    int64          `json:"hedges"`
 		ByClass   map[string]int `json:"by_class"`
 		Sample    []string       `json:"sample,omitempty"`
-	}{requests, r.errs, divergent, cli.Retries(), cli.Hedges(), r.byClass, r.sample}
+	}{requests, r.errs, divergent, cli.Retries(), r.byClass, r.sample}
 	data, err := json.Marshal(summary)
 	if err != nil {
 		data = []byte(`{"errors":` + strconv.Itoa(r.errs) + `}`)

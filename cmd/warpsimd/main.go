@@ -4,7 +4,8 @@
 // static analyzer at admission, runs them on a bounded worker pool, and
 // serves results from a content-addressed cache keyed by (program FNV,
 // config hash, sim version) — so repeated submissions return instantly
-// and byte-identically.
+// and byte-identically. Jobs run in admission order; a full queue (-queue)
+// is the only load shed, answered with 429 and a Retry-After hint.
 //
 //	warpsimd -addr :8723 -workers 8 -journal /var/tmp/warpsimd.jsonl
 //
@@ -32,18 +33,17 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":8723", "listen address")
-		workers      = flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 64, "admission queue depth; beyond it submissions get HTTP 429")
-		cacheMB      = flag.Int64("cache-mb", 256, "result cache memory bound in MiB")
-		maxCycles    = flag.Int64("max-cycles", 10_000_000, "per-job watchdog cycle ceiling")
-		check        = flag.Bool("check", false, "arm runtime invariant checking and early hang aborts on every job")
-		journal      = flag.String("journal", "", "recovery journal path (empty = no crash recovery)")
-		storeDir     = flag.String("store", "", "persistent result store directory (empty = memory-only cache)")
-		storeMB      = flag.Int64("store-mb", 4096, "persistent store size bound in MiB")
-		degradeAfter = flag.Int("degrade-after", 5, "consecutive saturated 1s windows before inline admission degrades to cache-only")
-		drainSecs    = flag.Int("drain-timeout", 600, "seconds to wait for in-flight jobs on shutdown")
-		quiet        = flag.Bool("quiet", false, "suppress per-job log lines")
+		addr      = flag.String("addr", ":8723", "listen address")
+		workers   = flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
+		queue     = flag.Int("queue", 64, "admission queue depth; beyond it submissions get HTTP 429 + Retry-After (the only load shed)")
+		cacheMB   = flag.Int64("cache-mb", 256, "result cache memory bound in MiB")
+		maxCycles = flag.Int64("max-cycles", 10_000_000, "per-job watchdog cycle ceiling")
+		check     = flag.Bool("check", false, "arm runtime invariant checking and early hang aborts on every job")
+		journal   = flag.String("journal", "", "recovery journal path (empty = no crash recovery)")
+		storeDir  = flag.String("store", "", "persistent result store directory (empty = memory-only cache)")
+		storeMB   = flag.Int64("store-mb", 4096, "persistent store size bound in MiB")
+		drainSecs = flag.Int("drain-timeout", 600, "seconds to wait for in-flight jobs on shutdown")
+		quiet     = flag.Bool("quiet", false, "suppress per-job log lines")
 	)
 	flag.Parse()
 
@@ -51,7 +51,6 @@ func main() {
 		Workers: *workers, QueueDepth: *queue, CacheBytes: *cacheMB << 20,
 		MaxJobCycles: *maxCycles, Check: *check, Journal: *journal,
 		StoreDir: *storeDir, StoreBytes: *storeMB << 20,
-		DegradeAfter: *degradeAfter,
 	}
 	if !*quiet {
 		opt.Log = log.Printf

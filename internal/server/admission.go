@@ -16,11 +16,9 @@ import (
 // memoises it per request: one bounded LRU from request identity to what
 // a full admission of that request returned.
 //
-// Only successful, fully analysed admissions are stored. A rejection is
-// recomputed every time (a 400/422 body cannot go stale), and a
-// resolution made while the breaker skipped static analysis never enters
-// the table — so a hit always stands for an admission that passed every
-// check the server makes.
+// Only successful admissions are stored; a rejection is recomputed every
+// time (a 400/422 body cannot go stale). Every admission runs every
+// check, so a hit always stands for one that passed them all.
 
 // admission is what a full admission of one request returned. The spec is
 // shared read-only by every job born from it, as the experiment harness
@@ -60,10 +58,9 @@ func (t *admissionTable) put(id string, a admission) {
 func (t *admissionTable) stats() CacheStats { return t.lru.stats() }
 
 // identity renders every field of the request that admission reads — all
-// of JobRequest and JobConfig except DeadlineMS, Priority and Wait, which
-// steer queueing and the reply, never the spec — into one string, each
-// field length-prefixed or varint-encoded so that distinct requests
-// render distinctly. Table keys are these strings compared in full, so
+// of JobRequest and JobConfig except Wait, which steers the reply, never
+// the spec — into one string, each field length-prefixed or
+// varint-encoded so that distinct requests render distinctly. Table keys are these strings compared in full, so
 // two requests share an entry only when they are the same request.
 // TestIdentityCoversRequest fails when a field is added to either struct
 // and is neither rendered here nor exempted there.
@@ -109,29 +106,23 @@ func identity(req *JobRequest) string {
 	return string(b)
 }
 
-// admit is Options.resolve + CacheKey behind the admission table. With
-// skipAnalysis (the breaker is open and the request is inline) a table
-// hit is still served — it stands for a fully analysed admission of this
-// very request — but a miss resolves without the analyzers and is not
-// stored.
-func (s *Server) admit(req *JobRequest, skipAnalysis bool) (exp.Spec, string, *RequestError) {
+// admit is Options.Resolve + CacheKey behind the admission table.
+func (s *Server) admit(req *JobRequest) (exp.Spec, string, *RequestError) {
 	id := identity(req)
 	if a, ok := s.admitTable.get(id); ok {
 		return a.spec, a.key, nil
 	}
-	spec, rerr := s.opt.resolve(req, skipAnalysis)
+	spec, rerr := s.opt.Resolve(req)
 	if rerr != nil {
 		return spec, "", rerr
 	}
 	key := CacheKey(spec)
-	if !skipAnalysis {
-		if req.Source != "" {
-			// An inline kernel is built for this request and its launch
-			// aliases the caller's Params; what the table keeps must not
-			// change if the caller reuses the slice.
-			spec.Kernel.Launch.Params = slices.Clone(req.Params)
-		}
-		s.admitTable.put(id, admission{spec, key})
+	if req.Source != "" {
+		// An inline kernel is built for this request and its launch
+		// aliases the caller's Params; what the table keeps must not
+		// change if the caller reuses the slice.
+		spec.Kernel.Launch.Params = slices.Clone(req.Params)
 	}
+	s.admitTable.put(id, admission{spec, key})
 	return spec, key, nil
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // identityExempt names the request fields identity leaves out: they steer
-// queueing and the reply, and admission never reads them.
-var identityExempt = map[string]bool{"DeadlineMS": true, "Priority": true, "Wait": true}
+// the reply, and admission never reads them.
+var identityExempt = map[string]bool{"Wait": true}
 
 // TestIdentityCoversRequest sets every field of JobRequest and JobConfig,
 // one at a time, to a non-zero value: the identity must change unless the
@@ -55,8 +55,8 @@ func TestIdentityCoversRequest(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(JobRequest{}), nil, "")
-	if seen != 19 { // 11 of JobRequest + 8 of JobConfig
-		t.Errorf("walked %d fields, want 19: the walk itself has drifted", seen)
+	if seen != 17 { // 9 of JobRequest + 8 of JobConfig
+		t.Errorf("walked %d fields, want 17: the walk itself has drifted", seen)
 	}
 }
 
@@ -174,8 +174,6 @@ func differentialMatrix() map[string]*JobRequest {
 		"max_cycles=-1":   func(r *JobRequest) { r.Config.MaxCycles = -1 },
 		"max_cycles=huge": func(r *JobRequest) { r.Config.MaxCycles = 1 << 60 },
 		"quick":           func(r *JobRequest) { r.Config.Quick = !r.Config.Quick },
-		"deadline":        func(r *JobRequest) { r.DeadlineMS = 60_000 },
-		"priority":        func(r *JobRequest) { r.Priority = 3 },
 		"wait":            func(r *JobRequest) { r.Wait = true },
 	}
 	out := make(map[string]*JobRequest)
@@ -195,7 +193,7 @@ func differentialMatrix() map[string]*JobRequest {
 // second (hit, when the first was admitted) and one made after the entry
 // has been evicted by the rest of the matrix.
 func TestAdmissionTableInvisible(t *testing.T) {
-	opt := Options{Workers: 1, MaxJobCycles: 3000, DegradeInterval: -1}
+	opt := Options{Workers: 1, MaxJobCycles: 3000}
 	s := newTestServer(t, opt)
 	s.admitTable = newAdmissionTable(8 << 10) // a dozen entries: the matrix overflows it
 	matrix := differentialMatrix()
@@ -231,58 +229,16 @@ func TestAdmissionTableInvisible(t *testing.T) {
 	t.Logf("%d requests, %d admitted per round; table %+v", len(matrix), admitted/2, st)
 }
 
-// TestAdmissionExemptFieldsShareEntry: deadline, priority and wait do
-// not make a new table entry.
+// TestAdmissionExemptFieldsShareEntry: wait does not make a new table
+// entry.
 func TestAdmissionExemptFieldsShareEntry(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
+	s := newTestServer(t, Options{Workers: 1})
 	submitOutcome(t, s, inlineReq(fastIters))
-	for _, mutate := range []func(r *JobRequest){
-		func(r *JobRequest) { r.DeadlineMS = 60_000 },
-		func(r *JobRequest) { r.Priority = 9 },
-		func(r *JobRequest) { r.Wait = true },
-	} {
-		req := inlineReq(fastIters)
-		mutate(req)
-		submitOutcome(t, s, req)
-	}
-	if st := s.admitTable.stats(); st.Entries != 1 || st.Hits != 3 || st.Misses != 1 {
-		t.Errorf("table after four spellings of one request: %+v", st)
-	}
-}
-
-// TestAdmissionTableSkipsDegraded: a resolution made while the breaker is
-// open (static analysis skipped) never enters the table, so a racy inline
-// program first seen degraded is still rejected 422 once the breaker
-// closes; a request the table already knows is served degraded as before.
-func TestAdmissionTableSkipsDegraded(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
-	known := submitOutcome(t, s, inlineReq(fastIters))
-	racy := &JobRequest{Source: racySrc, GridCTAs: 1, CTAThreads: 64, MemWords: 64}
-	clean := inlineReq(fastIters + 1)
-
-	s.degraded.Store(true)
-	for name, req := range map[string]*JobRequest{"racy": racy, "clean": clean} {
-		if got := submitOutcome(t, s, req); got.status != 503 {
-			t.Errorf("degraded %s miss: %+v, want 503", name, got)
-		}
-	}
-	if st := s.admitTable.stats(); st.Entries != 1 {
-		t.Errorf("degraded resolutions entered the table: %+v", st)
-	}
-	hits := s.admitTable.stats().Hits
-	if got := submitOutcome(t, s, inlineReq(fastIters)); !reflect.DeepEqual(got, known) {
-		t.Errorf("degraded hit on a known request: %+v, want %+v", got, known)
-	}
-	if s.admitTable.stats().Hits != hits+1 {
-		t.Error("a known request was not admitted from the table while degraded")
-	}
-
-	s.degraded.Store(false)
-	if got := submitOutcome(t, s, racy); got.status != 422 || len(got.findings) == 0 {
-		t.Errorf("racy program after the breaker closed: %+v, want 422 with findings", got)
-	}
-	if got := submitOutcome(t, s, clean); got.status != 0 {
-		t.Errorf("clean program after the breaker closed: %+v, want admitted", got)
+	req := inlineReq(fastIters)
+	req.Wait = true
+	submitOutcome(t, s, req)
+	if st := s.admitTable.stats(); st.Entries != 1 || st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("table after two spellings of one request: %+v", st)
 	}
 }
 
@@ -290,7 +246,7 @@ func TestAdmissionTableSkipsDegraded(t *testing.T) {
 // re-admitted in full and resolves to the same key, and an entry is
 // charged what its source weighs.
 func TestAdmissionTableEviction(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
+	s := newTestServer(t, Options{Workers: 1})
 	one := int64(len(identity(inlineReq(fastIters)))) + admitEntryOverhead
 	s.admitTable = newAdmissionTable(2*one + one/2) // room for two
 

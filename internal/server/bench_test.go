@@ -33,7 +33,7 @@ func BenchmarkResolveInline(b *testing.B) {
 // decides which tier answers afterwards.
 func benchSubmitHits(b *testing.B, opt Options, reqs []*JobRequest) {
 	const life = 4096
-	opt.Workers, opt.DegradeInterval = 1, -1
+	opt.Workers = 1
 	var s *Server
 	stop := func() {
 		if s == nil {

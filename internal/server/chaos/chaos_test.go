@@ -391,7 +391,7 @@ func TestENOSPCPersistence(t *testing.T) {
 	ffs.SetEnabled(false) // healthy while the store opens
 
 	s, err := server.New(server.Options{Workers: 1, StoreDir: t.TempDir(),
-		StoreFS: ffs, DegradeInterval: -1})
+		StoreFS: ffs})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

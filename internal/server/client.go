@@ -25,8 +25,7 @@ type APIError struct {
 	// the standard error shape).
 	Msg string
 	// RetryAfter is the server's Retry-After hint in seconds (0 = none).
-	// Shed responses (deadline-infeasible, queue full, breaker open)
-	// carry it; the client's backoff honors it.
+	// The queue-full 429 carries it; the client's backoff honors it.
 	RetryAfter int
 }
 
@@ -66,12 +65,7 @@ type ClientOptions struct {
 	// Defaults: 100ms base, 5s max.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// Hedge, when positive, arms hedged result reads: if GET
-	// /v1/results/{key} has not answered within this duration, a second
-	// identical request is fired and the first success wins. Safe because
-	// result reads are immutable lookups. Zero disables hedging.
-	Hedge time.Duration
-	// Log, when non-nil, receives one line per retry and hedge.
+	// Log, when non-nil, receives one line per retry.
 	Log func(format string, args ...any)
 }
 
@@ -93,9 +87,8 @@ func (o ClientOptions) withDefaults() ClientOptions {
 
 // Client is a hardened client for the warpsimd HTTP API: capped
 // exponential backoff with full jitter on shed/fault responses and
-// transport errors, Retry-After honoring, context-deadline propagation
-// into the job's admission deadline, and optional hedged result reads.
-// Safe for concurrent use.
+// transport errors, honoring the server's Retry-After. Safe for
+// concurrent use.
 type Client struct {
 	base string
 	opt  ClientOptions
@@ -104,7 +97,6 @@ type Client struct {
 	rng   *rand.Rand
 
 	retries atomic.Int64
-	hedges  atomic.Int64
 }
 
 // NewClient returns a client for the daemon at base (e.g.
@@ -120,30 +112,14 @@ func NewClient(base string, opt ClientOptions) *Client {
 // Retries returns the lifetime count of retried calls.
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
-// Hedges returns the lifetime count of hedge requests fired.
-func (c *Client) Hedges() int64 { return c.hedges.Load() }
-
-// Submit posts one job. When the request has no explicit DeadlineMS and
-// ctx carries a deadline, the remaining time is propagated as the job's
-// admission deadline — recomputed per attempt, so backoff sleeps shrink
-// the budget the server sees instead of overstating it.
+// Submit posts one job.
 func (c *Client) Submit(ctx context.Context, req *JobRequest) (JobStatus, error) {
 	var st JobStatus
-	err := c.retry(ctx, func(ctx context.Context) error {
-		r := *req
-		if r.DeadlineMS == 0 {
-			if dl, ok := ctx.Deadline(); ok {
-				ms := time.Until(dl).Milliseconds()
-				if ms < 1 {
-					return context.DeadlineExceeded
-				}
-				r.DeadlineMS = ms
-			}
-		}
-		body, err := json.Marshal(&r)
-		if err != nil {
-			return err
-		}
+	body, err := json.Marshal(req)
+	if err != nil {
+		return st, err
+	}
+	err = c.retry(ctx, func(ctx context.Context) error {
 		data, err := c.do(ctx, http.MethodPost, "/v1/jobs", body)
 		if err != nil {
 			return err
@@ -167,14 +143,12 @@ func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 }
 
 // Result fetches the raw result manifest for a content address. A 404 is
-// definitive (the key is not cached) and never retried. With
-// ClientOptions.Hedge set, each attempt races a second request after the
-// hedge delay.
+// definitive (the key is not cached) and never retried.
 func (c *Client) Result(ctx context.Context, key string) ([]byte, error) {
 	var out []byte
 	err := c.retry(ctx, func(ctx context.Context) error {
 		var err error
-		out, err = c.resultOnce(ctx, key)
+		out, err = c.do(ctx, http.MethodGet, "/v1/results/"+url.PathEscape(key), nil)
 		return err
 	})
 	return out, err
@@ -254,58 +228,6 @@ func (c *Client) backoff(ctx context.Context, attempt int, last error) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// resultOnce is one (possibly hedged) result fetch.
-func (c *Client) resultOnce(ctx context.Context, key string) ([]byte, error) {
-	path := "/v1/results/" + url.PathEscape(key)
-	if c.opt.Hedge <= 0 {
-		return c.do(ctx, http.MethodGet, path, nil)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // reels in the losing request
-	type reply struct {
-		data []byte
-		err  error
-	}
-	ch := make(chan reply, 2)
-	fire := func() {
-		go func() {
-			data, err := c.do(hctx, http.MethodGet, path, nil)
-			ch <- reply{data, err}
-		}()
-	}
-	fire()
-	inflight, hedged := 1, false
-	timer := time.NewTimer(c.opt.Hedge)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			if r.err == nil {
-				return r.data, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if inflight--; inflight == 0 {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				c.hedges.Add(1)
-				if c.opt.Log != nil {
-					c.opt.Log("client: hedging result read for %s after %s", key, c.opt.Hedge)
-				}
-				fire()
-				inflight++
-			}
-		case <-hctx.Done():
-			return nil, hctx.Err()
-		}
 	}
 }
 

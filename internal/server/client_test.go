@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -117,72 +116,8 @@ func TestClientBackoffRespectsContext(t *testing.T) {
 	}
 }
 
-// TestClientDeadlinePropagation: a context deadline becomes the job's
-// admission deadline on the wire.
-func TestClientDeadlinePropagation(t *testing.T) {
-	var gotDeadline atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req JobRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Errorf("decode: %v", err)
-		}
-		gotDeadline.Store(req.DeadlineMS)
-		writeJSON(w, http.StatusOK, JobStatus{ID: "j1", State: "done"})
-	}))
-	defer ts.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-	defer cancel()
-	c := NewClient(ts.URL, fastClientOptions())
-	if _, err := c.Submit(ctx, &JobRequest{Kernel: "TB"}); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if d := gotDeadline.Load(); d <= 0 || d > 500 {
-		t.Errorf("DeadlineMS on the wire = %d, want in (0, 500]", d)
-	}
-
-	// An explicit deadline wins over the context's.
-	if _, err := c.Submit(ctx, &JobRequest{Kernel: "TB", DeadlineMS: 9999}); err != nil {
-		t.Fatalf("Submit explicit: %v", err)
-	}
-	if d := gotDeadline.Load(); d != 9999 {
-		t.Errorf("explicit DeadlineMS = %d, want 9999", d)
-	}
-}
-
-// TestClientHedgedResult: when the first result read stalls past the
-// hedge delay, a second is fired and its (faster) answer wins.
-func TestClientHedgedResult(t *testing.T) {
-	var calls atomic.Int32
-	release := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			<-release // first request stalls until the test ends
-			w.Write([]byte(`slow`))
-			return
-		}
-		w.Write([]byte(`fast`))
-	}))
-	defer ts.Close()
-	defer close(release)
-
-	opt := fastClientOptions()
-	opt.Hedge = 10 * time.Millisecond
-	c := NewClient(ts.URL, opt)
-	data, err := c.Result(context.Background(), "somekey")
-	if err != nil {
-		t.Fatalf("Result: %v", err)
-	}
-	if string(data) != "fast" {
-		t.Errorf("hedged read returned %q, want the fast leg", data)
-	}
-	if got := c.Hedges(); got != 1 {
-		t.Errorf("Hedges = %d, want 1", got)
-	}
-}
-
 // TestClientResultMissIsDefinitive: a 404 from the results endpoint is
-// never retried or hedged into a retry loop.
+// never retried.
 func TestClientResultMissIsDefinitive(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,16 +44,20 @@ func TestStoreTierSurvivesRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	req := inlineReq(fastIters)
 
-	a := newTestServer(t, Options{Workers: 1, StoreDir: dir, DegradeInterval: -1})
+	a := newTestServer(t, Options{Workers: 1, StoreDir: dir})
 	j, rerr := a.Submit(req)
 	if rerr != nil {
 		t.Fatalf("Submit: %v", rerr)
 	}
 	waitDone(t, j)
-	if j.result.Err != "" {
-		t.Fatalf("job failed: %s", j.result.Err)
+	if j.err != "" {
+		t.Fatalf("job failed: %s", j.err)
 	}
-	key, manifest := j.key, j.result.Manifest
+	res, ok := a.Result(j.key)
+	if !ok {
+		t.Fatal("finished job's result is not cached")
+	}
+	key, manifest := j.key, res.Manifest
 	// Shutdown (via Cleanup ordering we do it explicitly here) flushes
 	// the async persist queue before returning.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -66,7 +69,7 @@ func TestStoreTierSurvivesRestart(t *testing.T) {
 		t.Fatalf("Persisted = %d, want 1 (stats: %+v)", st.Jobs.Persisted, st.Jobs)
 	}
 
-	b := newTestServer(t, Options{Workers: 1, StoreDir: dir, DegradeInterval: -1})
+	b := newTestServer(t, Options{Workers: 1, StoreDir: dir})
 	j2, rerr := b.Submit(req)
 	if rerr != nil {
 		t.Fatalf("Submit on restart: %v", rerr)
@@ -75,8 +78,8 @@ func TestStoreTierSurvivesRestart(t *testing.T) {
 	if !j2.cached {
 		t.Error("restart submission was not served from a cache tier")
 	}
-	if !bytes.Equal(j2.result.Manifest, manifest) {
-		t.Error("restarted result bytes differ from the original")
+	if j2.cycles != res.Cycles || j2.err != res.Err {
+		t.Errorf("restart headline %d/%q, original %d/%q", j2.cycles, j2.err, res.Cycles, res.Err)
 	}
 	st := b.Stats()
 	if st.Jobs.EngineRuns != 0 {
@@ -90,151 +93,12 @@ func TestStoreTierSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestDeadlineShed: a deadline the queue provably cannot meet (per the
-// observed p50 service time) is rejected at admission with 429 and a
-// Retry-After hint, without occupying a queue slot.
-func TestDeadlineShed(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
-	slow, rerr := s.Submit(inlineReq(slowIters))
-	if rerr != nil {
-		t.Fatalf("Submit slow: %v", rerr)
-	}
-	waitRunning(t, s, 1)
-	if _, rerr := s.Submit(inlineReq(fastIters)); rerr != nil {
-		t.Fatalf("Submit queued: %v", rerr)
-	}
-	// Teach the estimator a 5s p50 service time; with one queued job on
-	// one worker, the estimated start delay is one full 5s wave.
-	s.latMu.Lock()
-	s.svc.Observe(5_000_000)
-	s.latMu.Unlock()
-
-	req := inlineReq(fastIters + 1)
-	req.DeadlineMS = 10
-	_, rerr = s.Submit(req)
-	if rerr == nil {
-		t.Fatal("infeasible deadline was admitted")
-	}
-	if rerr.Status != 429 {
-		t.Errorf("status = %d, want 429", rerr.Status)
-	}
-	if rerr.RetryAfter < 1 {
-		t.Errorf("RetryAfter = %d, want >= 1", rerr.RetryAfter)
-	}
-	if !strings.Contains(rerr.Msg, "deadline") {
-		t.Errorf("message %q does not mention the deadline", rerr.Msg)
-	}
-	if got := s.Stats().Jobs.DeadlineShed; got != 1 {
-		t.Errorf("DeadlineShed = %d, want 1", got)
-	}
-	waitDone(t, slow)
-}
-
-// TestDeadlineExpiresInQueue: a job admitted optimistically (no service
-// observations yet) whose deadline passes while queued fails at dequeue
-// without an engine run.
-func TestDeadlineExpiresInQueue(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
-	slow, rerr := s.Submit(inlineReq(slowIters))
-	if rerr != nil {
-		t.Fatalf("Submit slow: %v", rerr)
-	}
-	waitRunning(t, s, 1)
-	req := inlineReq(fastIters)
-	req.DeadlineMS = 1
-	j, rerr := s.Submit(req)
-	if rerr != nil {
-		t.Fatalf("Submit deadline job: %v", rerr)
-	}
-	waitDone(t, j)
-	if !strings.Contains(j.result.Err, "deadline exceeded") {
-		t.Errorf("result err = %q, want a deadline failure", j.result.Err)
-	}
-	st := s.Stats()
-	if st.Jobs.Expired != 1 {
-		t.Errorf("Expired = %d, want 1", st.Jobs.Expired)
-	}
-	// The expired pseudo-result must never enter a cache tier: the same
-	// request without a deadline must run the engine for real.
-	waitDone(t, slow)
-	j2, rerr := s.Submit(inlineReq(fastIters))
-	if rerr != nil {
-		t.Fatalf("resubmit: %v", rerr)
-	}
-	waitDone(t, j2)
-	if j2.result.Err != "" || j2.result.Cycles <= 0 {
-		t.Errorf("resubmission after expiry: %+v", j2.result)
-	}
-}
-
-// TestBreakerDegradesInlineAdmission: sustained saturation trips the
-// breaker; inline programs are then served only from the cache tiers
-// (503 on miss, no static analysis), and slack resets the breaker.
-func TestBreakerDegradesInlineAdmission(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, DegradeAfter: 2, DegradeInterval: -1})
-
-	// Prime the cache with one inline result while the pool is idle.
-	primed, rerr := s.Submit(inlineReq(fastIters))
-	if rerr != nil {
-		t.Fatalf("Submit primed: %v", rerr)
-	}
-	waitDone(t, primed)
-
-	slow, rerr := s.Submit(inlineReq(slowIters))
-	if rerr != nil {
-		t.Fatalf("Submit slow: %v", rerr)
-	}
-	waitRunning(t, s, 1)
-	queued, rerr := s.Submit(inlineReq(slowIters - 1))
-	if rerr != nil {
-		t.Fatalf("Submit queued: %v", rerr)
-	}
-
-	s.sampleDegrade()
-	if s.degraded.Load() {
-		t.Fatal("breaker tripped after one window, want two")
-	}
-	s.sampleDegrade()
-	if !s.degraded.Load() {
-		t.Fatal("breaker did not trip after DegradeAfter windows")
-	}
-
-	// Uncached inline miss: rejected cache-only.
-	_, rerr = s.Submit(inlineReq(fastIters + 7))
-	if rerr == nil || rerr.Status != 503 {
-		t.Fatalf("degraded inline miss: got %v, want 503", rerr)
-	}
-	if rerr.RetryAfter < 1 {
-		t.Errorf("RetryAfter = %d, want >= 1", rerr.RetryAfter)
-	}
-	// Cached inline hit still serves.
-	hit, rerr := s.Submit(inlineReq(fastIters))
-	if rerr != nil {
-		t.Fatalf("degraded inline hit rejected: %v", rerr)
-	}
-	waitDone(t, hit)
-	if !hit.cached {
-		t.Error("degraded inline hit was not served from cache")
-	}
-	st := s.Stats()
-	if !st.Degraded || st.Jobs.RejectedDegraded != 1 || st.Jobs.DegradeTrips != 1 {
-		t.Errorf("degraded stats: %+v (degraded=%v)", st.Jobs, st.Degraded)
-	}
-
-	waitDone(t, slow)
-	waitDone(t, queued)
-	s.sampleDegrade() // pool has slack again
-	if s.degraded.Load() {
-		t.Error("breaker did not reset once the pool drained")
-	}
-}
-
 // TestJournalCompactsAtStartup: a journal full of finished admit/done
 // pairs shrinks to a max_id header on the next open, and ids are never
 // reused.
 func TestJournalCompactsAtStartup(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	s := newTestServer(t, Options{Workers: 1, Journal: path, DegradeInterval: -1})
+	s := newTestServer(t, Options{Workers: 1, Journal: path})
 	j, rerr := s.Submit(inlineReq(fastIters))
 	if rerr != nil {
 		t.Fatalf("Submit: %v", rerr)
@@ -282,7 +146,7 @@ func TestAckedImpliesDurable(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal.jsonl")
 	s := newTestServer(t, Options{Workers: 2, Journal: jpath,
-		StoreDir: filepath.Join(dir, "store"), DegradeInterval: -1})
+		StoreDir: filepath.Join(dir, "store")})
 	var keys []string
 	var jobs []*job
 	for i := uint32(0); i < 4; i++ {
@@ -311,7 +175,7 @@ func TestAckedImpliesDurable(t *testing.T) {
 	}
 
 	s2 := newTestServer(t, Options{Workers: 1, Journal: jpath,
-		StoreDir: filepath.Join(dir, "store"), DegradeInterval: -1})
+		StoreDir: filepath.Join(dir, "store")})
 	for _, key := range keys {
 		if _, ok := s2.Result(key); !ok {
 			t.Errorf("key %s not durable across restart", key)
@@ -340,7 +204,7 @@ func TestResultFromManifest(t *testing.T) {
 		}
 	}
 
-	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
+	s := newTestServer(t, Options{Workers: 1})
 	clean, aborted := inlineReq(fastIters), inlineReq(slowIters)
 	aborted.Config.MaxCycles = 2000
 	for _, req := range []*JobRequest{clean, aborted} {
@@ -349,23 +213,27 @@ func TestResultFromManifest(t *testing.T) {
 			t.Fatalf("Submit: %v", rerr)
 		}
 		waitDone(t, j)
-		if (j.result.Err != "") != (req == aborted) {
-			t.Fatalf("job err %q: want one clean run and one watchdog abort", j.result.Err)
+		if (j.err != "") != (req == aborted) {
+			t.Fatalf("job err %q: want one clean run and one watchdog abort", j.err)
+		}
+		engine, ok := s.Result(j.key)
+		if !ok {
+			t.Fatal("finished job's result is not cached")
 		}
 		var full metrics.Manifest
-		if err := json.Unmarshal(j.result.Manifest, &full); err != nil || len(full.Runs) != 1 {
+		if err := json.Unmarshal(engine.Manifest, &full); err != nil || len(full.Runs) != 1 {
 			t.Fatalf("full decode: %v (%d runs)", err, len(full.Runs))
 		}
-		res, err := resultFromManifest(j.key, j.result.Manifest)
+		res, err := resultFromManifest(j.key, engine.Manifest)
 		if err != nil {
 			t.Fatalf("two-field decode of a real manifest: %v", err)
 		}
 		if res.Cycles != full.Runs[0].Cycles || res.Err != full.Runs[0].Err || res.Key != j.key ||
-			res.Cycles != j.result.Cycles || res.Err != j.result.Err {
+			res.Cycles != j.cycles || res.Err != j.err {
 			t.Errorf("two-field decode %d/%q, full decode %d/%q, engine %d/%q", res.Cycles, res.Err,
-				full.Runs[0].Cycles, full.Runs[0].Err, j.result.Cycles, j.result.Err)
+				full.Runs[0].Cycles, full.Runs[0].Err, j.cycles, j.err)
 		}
-		if &res.Manifest[0] != &j.result.Manifest[0] {
+		if &res.Manifest[0] != &engine.Manifest[0] {
 			t.Error("the payload was copied, not kept verbatim")
 		}
 	}
@@ -376,7 +244,7 @@ func TestResultFromManifest(t *testing.T) {
 // stay on disk; a real entry beside them is served byte for byte.
 func TestUnparsableStoreEntryIsAMiss(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	a := newTestServer(t, Options{Workers: 1, StoreDir: dir, DegradeInterval: -1})
+	a := newTestServer(t, Options{Workers: 1, StoreDir: dir})
 	req := inlineReq(slowIters)
 	req.Config.MaxCycles = 2000 // a watchdog abort: the entry carries an err
 	j, rerr := a.Submit(req)
@@ -384,6 +252,10 @@ func TestUnparsableStoreEntryIsAMiss(t *testing.T) {
 		t.Fatalf("Submit: %v", rerr)
 	}
 	waitDone(t, j)
+	engine, ok := a.Result(j.key)
+	if !ok {
+		t.Fatal("finished job's result is not cached")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	if err := a.Shutdown(ctx); err != nil {
@@ -407,7 +279,7 @@ func TestUnparsableStoreEntryIsAMiss(t *testing.T) {
 		}
 	}
 
-	b := newTestServer(t, Options{Workers: 1, StoreDir: dir, DegradeInterval: -1})
+	b := newTestServer(t, Options{Workers: 1, StoreDir: dir})
 	for key := range bad {
 		if res, ok := b.Result(key); ok {
 			t.Errorf("%s: served %+v, want a miss", key, res)
@@ -421,9 +293,9 @@ func TestUnparsableStoreEntryIsAMiss(t *testing.T) {
 		t.Errorf("store holds %d entries, want all %d left for inspection", stats.Store.Entries, len(bad)+1)
 	}
 	res, ok := b.Result(j.key)
-	if !ok || res.Cycles != j.result.Cycles || res.Err != j.result.Err || res.Err == "" ||
-		!bytes.Equal(res.Manifest, j.result.Manifest) {
-		t.Errorf("real entry: ok=%v %+v, want cycles %d err %q and the same bytes", ok, res, j.result.Cycles, j.result.Err)
+	if !ok || res.Cycles != j.cycles || res.Err != j.err || res.Err == "" ||
+		!bytes.Equal(res.Manifest, engine.Manifest) {
+		t.Errorf("real entry: ok=%v %+v, want cycles %d err %q and the same bytes", ok, res, j.cycles, j.err)
 	}
 	if got := b.Stats().Jobs.DiskHits; got != 1 {
 		t.Errorf("DiskHits = %d, want 1", got)
@@ -452,7 +324,7 @@ func (g *gateFS) ReadFile(path string) ([]byte, error) {
 func TestDiskReadOutsideServerLock(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	onDisk, inMemory := inlineReq(fastIters), inlineReq(fastIters+1)
-	a := newTestServer(t, Options{Workers: 1, StoreDir: dir, DegradeInterval: -1})
+	a := newTestServer(t, Options{Workers: 1, StoreDir: dir})
 	j, rerr := a.Submit(onDisk)
 	if rerr != nil {
 		t.Fatalf("Submit: %v", rerr)
@@ -465,7 +337,7 @@ func TestDiskReadOutsideServerLock(t *testing.T) {
 	}
 
 	fs := &gateFS{entered: make(chan struct{}), release: make(chan struct{})}
-	b := newTestServer(t, Options{Workers: 1, StoreDir: dir, StoreFS: fs, DegradeInterval: -1})
+	b := newTestServer(t, Options{Workers: 1, StoreDir: dir, StoreFS: fs})
 	resident, rerr := b.Submit(inMemory)
 	if rerr != nil {
 		t.Fatalf("Submit: %v", rerr)
@@ -514,7 +386,7 @@ func TestDiskReadOutsideServerLock(t *testing.T) {
 	release()
 	select {
 	case j := <-blocked:
-		if j == nil || !j.cached || j.result.Cycles <= 0 {
+		if j == nil || !j.cached || j.cycles <= 0 {
 			t.Errorf("the stored key was not served from disk: %+v", j)
 		}
 	case <-time.After(time.Minute):

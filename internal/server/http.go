@@ -43,8 +43,7 @@ func (s *Server) status(j *job) JobStatus {
 	defer s.mu.Unlock()
 	st := JobStatus{ID: j.ids[0], Key: j.key, State: string(j.state), Cached: j.cached}
 	if j.state == stateDone {
-		st.Cycles = j.result.Cycles
-		st.Err = j.result.Err
+		st.Cycles, st.Err = j.cycles, j.err
 	} else {
 		st.Cycles = j.progress.Load()
 	}
@@ -94,8 +93,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			body.Schema = 2
 		}
 		if rerr.RetryAfter > 0 {
-			// Shed responses (deadline-infeasible, queue full, breaker
-			// open) tell well-behaved clients when to come back.
+			// The queue-full 429 tells well-behaved clients when to come
+			// back.
 			w.Header().Set("Retry-After", strconv.Itoa(rerr.RetryAfter))
 		}
 		writeJSON(w, rerr.Status, body)

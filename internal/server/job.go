@@ -68,20 +68,10 @@ type JobRequest struct {
 	// Config tunes the simulation; the zero value is GTO on the full
 	// Fermi machine with BOWS off.
 	Config JobConfig `json:"config"`
-	// DeadlineMS, when positive, is the job's start deadline relative to
-	// admission: if the queue provably cannot start the job within it
-	// (queue depth × observed p50 service time), the submission is shed
-	// with 429 + Retry-After instead of occupying a slot, and a job whose
-	// deadline passes while queued fails without an engine run. Neither
-	// the deadline nor the priority affects results, so neither
-	// participates in the cache key.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Priority orders the admission queue: higher runs first, equal
-	// priorities keep FIFO order (default 0).
-	Priority int `json:"priority,omitempty"`
 	// Wait makes the POST synchronous: the response carries the finished
 	// job. Without it the response returns immediately with the job id
-	// for polling.
+	// for polling. It does not affect results, so it does not participate
+	// in the cache key.
 	Wait bool `json:"wait,omitempty"`
 }
 
@@ -94,7 +84,7 @@ type RequestError struct {
 	// rejected the program (HTTP 422).
 	Findings []analysis.Finding
 	// RetryAfter, when positive, is the suggested wait in seconds before
-	// resubmitting (sent as the Retry-After header on 429/503).
+	// resubmitting (sent as the Retry-After header on the queue-full 429).
 	RetryAfter int
 }
 
@@ -111,15 +101,6 @@ func badRequest(format string, args ...any) *RequestError {
 // take their documented defaults, so a zero Options resolves exactly
 // like a default server admits.
 func (o Options) Resolve(req *JobRequest) (exp.Spec, *RequestError) {
-	return o.resolve(req, false)
-}
-
-// resolve is Resolve with a switch the saturation breaker uses: with
-// skipAnalysis, inline programs bypass admission-time static analysis
-// (the expensive step) — safe only because the degraded admission path
-// serves such a spec exclusively from the cache tiers, where a result
-// can exist only if an earlier, fully-analyzed admission ran it.
-func (o Options) resolve(req *JobRequest, skipAnalysis bool) (exp.Spec, *RequestError) {
 	o = o.withDefaults()
 	var s exp.Spec
 
@@ -132,7 +113,7 @@ func (o Options) resolve(req *JobRequest, skipAnalysis bool) (exp.Spec, *Request
 	// worker. Only inline submissions need it — registered kernels pass
 	// by construction (warplint gates them in CI) and skipping them
 	// keeps the admission path fast enough for cache-hit traffic.
-	if req.Source != "" && !skipAnalysis {
+	if req.Source != "" {
 		if rep := analysis.Analyze(k.Launch.Prog); !rep.Clean() {
 			return s, &RequestError{Status: 422,
 				Msg:      fmt.Sprintf("program %s failed static analysis (%d findings)", k.Name, len(rep.Findings)),

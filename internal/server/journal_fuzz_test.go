@@ -32,6 +32,9 @@ func FuzzJournalRecovery(f *testing.F) {
 	f.Add([]byte(live[:len(live)/2]))                                                                      // torn inside an admit
 	f.Add(bytes.Replace([]byte(live), []byte(`"id"`), []byte(`"i\x84"`), 1))                               // one flipped byte
 	f.Add([]byte{})
+	// Request fields the wire no longer has: an admit carrying them replays
+	// without them.
+	f.Add(bytes.Replace([]byte(live), []byte(`"req":{`), []byte(`"req":{"deadline_ms":50,"priority":3,`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var lines int64

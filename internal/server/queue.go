@@ -2,14 +2,10 @@ package server
 
 import "sync"
 
-// jobQueue is the admission queue: a blocking priority queue ordered by
-// (priority descending, admission sequence ascending), so higher-priority
-// jobs start first and equal-priority jobs keep FIFO order. It replaces
-// the earlier channel queue to support deadline-aware scheduling —
-// a channel cannot reorder, and deadline shedding needs urgent work to
-// overtake the backlog. Unbounded by construction: the admission bound
+// jobQueue is the admission queue: a blocking FIFO, so jobs start in
+// admission order. Unbounded by construction: the admission bound
 // (Options.QueueDepth) is enforced by Submit, and journal replay may
-// push past it without deadlocking.
+// push past it before the workers start without deadlocking.
 type jobQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -23,14 +19,6 @@ func newJobQueue() *jobQueue {
 	return q
 }
 
-// before is the heap order: higher priority first, then admission order.
-func (q *jobQueue) before(a, b *job) bool {
-	if a.priority != b.priority {
-		return a.priority > b.priority
-	}
-	return a.seq < b.seq
-}
-
 // Push enqueues a job and wakes one waiting worker. Pushing after Close
 // drops the job; the server never does this (all pushes happen under the
 // server lock with draining checked).
@@ -41,13 +29,12 @@ func (q *jobQueue) Push(j *job) {
 		return
 	}
 	q.items = append(q.items, j)
-	q.up(len(q.items) - 1)
 	q.cond.Signal()
 }
 
-// Pop blocks until a job is available and returns it. After Close it
-// keeps returning queued jobs until the queue is empty (drain), then
-// returns false.
+// Pop blocks until a job is available and returns the oldest. After
+// Close it keeps returning queued jobs until the queue is empty (drain),
+// then returns false.
 func (q *jobQueue) Pop() (*job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -58,13 +45,8 @@ func (q *jobQueue) Pop() (*job, bool) {
 		return nil, false
 	}
 	j := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items[last] = nil
-	q.items = q.items[:last]
-	if last > 0 {
-		q.down(0)
-	}
+	q.items[0] = nil
+	q.items = q.items[1:]
 	return j, true
 }
 
@@ -82,33 +64,4 @@ func (q *jobQueue) Close() {
 	q.closed = true
 	q.cond.Broadcast()
 	q.mu.Unlock()
-}
-
-func (q *jobQueue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.before(q.items[i], q.items[parent]) {
-			return
-		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
-	}
-}
-
-func (q *jobQueue) down(i int) {
-	n := len(q.items)
-	for {
-		best, l, r := i, 2*i+1, 2*i+2
-		if l < n && q.before(q.items[l], q.items[best]) {
-			best = l
-		}
-		if r < n && q.before(q.items[r], q.items[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		q.items[i], q.items[best] = q.items[best], q.items[i]
-		i = best
-	}
 }

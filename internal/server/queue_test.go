@@ -5,31 +5,32 @@ import (
 	"testing"
 )
 
-func qjob(priority int, seq int64) *job {
-	return &job{priority: priority, seq: seq, done: make(chan struct{})}
+func qjob(key string) *job {
+	return &job{key: key, done: make(chan struct{})}
 }
 
-// TestQueueOrder: higher priority pops first; equal priorities keep
-// admission (FIFO) order.
+// TestQueueOrder: jobs pop in the order they were pushed, also when
+// pushes and pops interleave.
 func TestQueueOrder(t *testing.T) {
 	q := newJobQueue()
-	q.Push(qjob(0, 1))
-	q.Push(qjob(5, 2))
-	q.Push(qjob(0, 3))
-	q.Push(qjob(5, 4))
-	q.Push(qjob(-1, 5))
-	want := []int64{2, 4, 1, 3, 5}
-	for i, w := range want {
+	q.Push(qjob("a"))
+	q.Push(qjob("b"))
+	pop := func() string {
+		t.Helper()
 		j, ok := q.Pop()
 		if !ok {
-			t.Fatalf("Pop %d: queue empty", i)
+			t.Fatal("Pop: queue empty")
 		}
-		if j.seq != w {
-			t.Errorf("Pop %d: got seq %d, want %d", i, j.seq, w)
-		}
+		return j.key
 	}
-	if q.Len() != 0 {
-		t.Errorf("Len = %d after draining", q.Len())
+	got := pop()
+	q.Push(qjob("c"))
+	q.Push(qjob("d"))
+	for q.Len() > 0 {
+		got += pop()
+	}
+	if got != "abcd" {
+		t.Errorf("pop order %q, want abcd", got)
 	}
 }
 
@@ -37,8 +38,8 @@ func TestQueueOrder(t *testing.T) {
 // blocked or future Pop returns false.
 func TestQueueCloseDrains(t *testing.T) {
 	q := newJobQueue()
-	q.Push(qjob(0, 1))
-	q.Push(qjob(0, 2))
+	q.Push(qjob("a"))
+	q.Push(qjob("b"))
 	q.Close()
 	for i := 0; i < 2; i++ {
 		if _, ok := q.Pop(); !ok {
@@ -55,18 +56,18 @@ func TestQueueCloseDrains(t *testing.T) {
 func TestQueueBlockedPopWakes(t *testing.T) {
 	q := newJobQueue()
 	var wg sync.WaitGroup
-	got := make(chan int64, 1)
+	got := make(chan string, 1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		if j, ok := q.Pop(); ok {
-			got <- j.seq
+			got <- j.key
 		}
 	}()
-	q.Push(qjob(0, 7))
+	q.Push(qjob("x"))
 	wg.Wait()
-	if seq := <-got; seq != 7 {
-		t.Errorf("woken Pop got seq %d, want 7", seq)
+	if key := <-got; key != "x" {
+		t.Errorf("woken Pop got %q, want x", key)
 	}
 
 	exited := make(chan struct{})

@@ -6,9 +6,11 @@
 // content-addressed LRU cache keyed by (program FNV, config hash,
 // sim.Version) — so repeated submissions, the common case under heavy
 // traffic, return instantly and byte-identically. Concurrent identical
-// submissions collapse to one engine run (single-flight), a bounded
-// queue sheds load with 429, and an append-only journal makes queued
-// and running jobs recoverable across restarts.
+// submissions collapse to one engine run (single-flight), and an
+// append-only journal makes queued and running jobs recoverable across
+// restarts. Jobs run in admission order; the bounded queue is the only
+// load shed — a submission that finds it full gets 429 with a
+// Retry-After priced from the observed engine service time.
 //
 // With Options.StoreDir set, a persistent content-addressed store
 // (internal/store) backs the in-memory cache as a second, durable tier:
@@ -16,10 +18,7 @@
 // results write through asynchronously, and the journal's done marker is
 // written only after the result is durable — so every acked result
 // either survives restart on disk or is re-run deterministically from
-// the journal. Jobs may carry a deadline and priority; work that
-// provably cannot start in time is shed at admission with 429 +
-// Retry-After, and a saturation breaker degrades inline-program
-// admission to cache-only while the pool is overloaded.
+// the journal.
 package server
 
 import (
@@ -45,7 +44,8 @@ type Options struct {
 	// (default: GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the admission queue; submissions beyond it are
-	// rejected with HTTP 429 (default 64).
+	// rejected with HTTP 429 + Retry-After, the server's only load shed
+	// (default 64).
 	QueueDepth int
 	// CacheBytes bounds the result cache's memory footprint
 	// (default 256 MiB).
@@ -76,16 +76,6 @@ type Options struct {
 	// injects store.FaultFS here to simulate ENOSPC, torn writes and
 	// failed renames. Nil means the real filesystem.
 	StoreFS store.FS
-	// DegradeAfter is the saturation breaker's threshold: after this
-	// many consecutive saturated sampling windows (every worker busy and
-	// the queue non-empty), inline-program admission degrades to
-	// cache-only — static analysis is skipped and misses are rejected
-	// with 503 — until a window observes slack (default 5).
-	DegradeAfter int
-	// DegradeInterval is the breaker's sampling period (default 1s).
-	// Negative disables the sampler goroutine; tests then drive
-	// sampleDegrade directly for deterministic breaker coverage.
-	DegradeInterval time.Duration
 	// Log, when non-nil, receives one line per notable server event.
 	Log func(format string, args ...any)
 }
@@ -106,12 +96,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxMemWords <= 0 {
 		o.MaxMemWords = 4 << 20
 	}
-	if o.DegradeAfter <= 0 {
-		o.DegradeAfter = 5
-	}
-	if o.DegradeInterval == 0 {
-		o.DegradeInterval = time.Second
-	}
 	return o
 }
 
@@ -131,15 +115,16 @@ type job struct {
 	ids      []string
 	key      string
 	spec     exp.Spec
-	state    jobState  // guarded by Server.mu
-	cached   bool      // result came from a cache tier, no engine run
-	deadline time.Time // zero = none; guarded by Server.mu (attach extends)
-	priority int
-	seq      int64
+	state    jobState // guarded by Server.mu
+	cached   bool     // result came from a cache tier, no engine run
 	progress atomic.Int64
 	admitted time.Time
-	result   *CachedResult // set before done is closed
-	done     chan struct{}
+	// cycles and err are the result's headline, all a status reads; the
+	// manifest stays in the cache tiers (Server.Result), so a finished
+	// job pins no result bytes. Set before done is closed.
+	cycles int64
+	err    string
+	done   chan struct{}
 }
 
 // persistReq is one fresh result on its way to the durable store; the
@@ -163,7 +148,6 @@ type Server struct {
 	jobs   map[string]*job // every admitted job, by id
 	byKey  map[string]*job // queued/running jobs, by cache key (single-flight)
 	nextID int64
-	seq    int64
 	queue  *jobQueue
 	drain  bool
 
@@ -172,21 +156,16 @@ type Server struct {
 
 	wg      sync.WaitGroup
 	start   time.Time
-	stop    chan struct{} // closed at Shutdown; stops the breaker sampler
 	running atomic.Int64
 
 	latMu   sync.Mutex
 	latency *metrics.Histogram
 	svc     *metrics.Histogram // engine-run service time (no queueing)
 
-	degraded  atomic.Bool
-	satStreak int // breaker sampler state; single-goroutine
-
 	admitted, completed, failed, deduped   atomic.Int64
 	rejectedFull, rejectedInvalid, engRuns atomic.Int64
-	recovered, deadlineShed, expired       atomic.Int64
+	recovered                              atomic.Int64
 	persisted, persistFailed, diskHits     atomic.Int64
-	degradeTrips, rejectedDegraded         atomic.Int64
 }
 
 // latencyBounds is a 1-2-5 log series from 100µs to 1000s, the bucket
@@ -203,8 +182,8 @@ func latencyBounds() []int64 {
 // New builds a server, opens the persistent store (quarantining any
 // entries damaged since the last run), replays the recovery journal
 // (re-enqueueing jobs that were admitted but unfinished when the
-// previous incarnation died), and starts the worker pool, the result
-// persister, and the saturation breaker's sampler.
+// previous incarnation died), and starts the worker pool and the result
+// persister.
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	s := &Server{
@@ -215,7 +194,6 @@ func New(opt Options) (*Server, error) {
 		byKey:      make(map[string]*job),
 		queue:      newJobQueue(),
 		persistCh:  make(chan persistReq, opt.Workers),
-		stop:       make(chan struct{}),
 		start:      time.Now(),
 	}
 	reg := metrics.NewRegistry()
@@ -250,16 +228,12 @@ func New(opt Options) (*Server, error) {
 	}
 	s.persistWG.Add(1)
 	go s.persister()
-	if opt.DegradeInterval > 0 {
-		go s.degradeSampler()
-	}
 	return s, nil
 }
 
 // recover re-admits one journaled job under its original id. Requests
 // that no longer validate (e.g. a ceiling was lowered) are dropped with
-// a done marker so they stop reappearing. Deadlines are not replayed —
-// wall time has moved on arbitrarily — but priorities are.
+// a done marker so they stop reappearing.
 func (s *Server) recover(a journalAdmit) {
 	spec, rerr := s.opt.Resolve(a.Req)
 	if rerr != nil {
@@ -276,9 +250,7 @@ func (s *Server) recover(a journalAdmit) {
 		s.journalDone(a.ID)
 		return
 	}
-	s.seq++
 	j := &job{ids: []string{a.ID}, key: key, spec: spec, state: stateQueued,
-		priority: a.Req.Priority, seq: s.seq,
 		admitted: time.Now(), done: make(chan struct{})}
 	j.spec.Progress = &j.progress
 	s.jobs[a.ID] = j
@@ -360,22 +332,13 @@ func resultFromManifest(key string, payload []byte) (*CachedResult, error) {
 
 // runJob executes one queued job (or resolves it from a cache tier —
 // the recovery path can enqueue a key that a later run already filled),
-// stores the result, and wakes every waiter. Jobs whose deadline passed
-// while queued are failed without an engine run.
+// stores the result, and wakes every waiter.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	j.state = stateRunning
-	deadline := j.deadline
 	s.mu.Unlock()
 	s.running.Add(1)
 	defer s.running.Add(-1)
-
-	if !deadline.IsZero() && time.Now().After(deadline) {
-		s.expired.Add(1)
-		s.finish(j, &CachedResult{Key: j.key,
-			Err: "deadline exceeded before start"}, false, false)
-		return
-	}
 
 	res, cached := s.fetch(j.key)
 	fresh := false
@@ -411,7 +374,7 @@ func (s *Server) runJob(j *job) {
 // admit, so a crash re-runs it deterministically).
 func (s *Server) finish(j *job, res *CachedResult, cached, fresh bool) {
 	s.mu.Lock()
-	j.result = res
+	j.cycles, j.err = res.Cycles, res.Err
 	j.cached = cached
 	j.state = stateDone
 	delete(s.byKey, j.key)
@@ -457,44 +420,6 @@ func (s *Server) journalDone(id string) {
 	}
 }
 
-// degradeSampler drives the saturation breaker on a wall-clock period.
-func (s *Server) degradeSampler() {
-	t := time.NewTicker(s.opt.DegradeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.sampleDegrade()
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-// sampleDegrade takes one breaker sample: a window is saturated when
-// every worker is mid-simulation and jobs are still queued behind them.
-// DegradeAfter consecutive saturated windows trip the breaker (inline
-// admission degrades to cache-only, skipping static analysis); the
-// first window with slack resets it. Tests with DegradeInterval < 0
-// call this directly for deterministic schedules.
-func (s *Server) sampleDegrade() {
-	saturated := s.running.Load() >= int64(s.opt.Workers) && s.queue.Len() > 0
-	if !saturated {
-		if s.degraded.Load() {
-			s.logf("breaker: pool has slack; inline admission restored")
-		}
-		s.satStreak = 0
-		s.degraded.Store(false)
-		return
-	}
-	s.satStreak++
-	if s.satStreak >= s.opt.DegradeAfter && !s.degraded.Load() {
-		s.degraded.Store(true)
-		s.degradeTrips.Add(1)
-		s.logf("breaker: %d consecutive saturated windows; inline admission degraded to cache-only", s.satStreak)
-	}
-}
-
 // Shutdown drains the server: admission stops (503), queued and running
 // jobs finish, dirty store writes flush, then the journal closes. A
 // journal-backed server killed before the drain completes recovers the
@@ -507,7 +432,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.drain = true
-	close(s.stop)
 	s.queue.Close() // all pushes happen under mu with drain false
 	s.mu.Unlock()
 
@@ -532,15 +456,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // retryAfterSeconds rounds a wait estimate up to whole seconds for a
 // Retry-After header, minimum 1.
 func retryAfterSeconds(d time.Duration) int {
-	secs := int(d / time.Second)
-	return secs + 1
+	return max(1, int((d+time.Second-1)/time.Second))
 }
 
 // estimateStartDelay estimates how long a job admitted now would queue
 // before starting: full waves of already-queued work across the worker
-// pool, each lasting the observed p50 engine service time. Before any
-// engine run has been observed the estimate is zero — admission stays
-// optimistic rather than shedding on no evidence.
+// pool, each lasting the observed p50 engine service time. It prices the
+// queue-full Retry-After; before any engine run has been observed it is
+// zero, and the hint is the one-second minimum.
 func (s *Server) estimateStartDelay() time.Duration {
 	s.latMu.Lock()
 	n := s.svc.Count()
@@ -554,19 +477,11 @@ func (s *Server) estimateStartDelay() time.Duration {
 }
 
 // Submit admits one job: validation (memoised, see admission.go),
-// two-tier cache lookup, single-flight attach, deadline shed, or enqueue.
-// It returns the job (possibly already done, on a cache or store hit) or
-// a *RequestError carrying the HTTP status.
+// two-tier cache lookup, single-flight attach, and enqueue — or 429 when
+// the queue is full. It returns the job (possibly already done, on a
+// cache or store hit) or a *RequestError carrying the HTTP status.
 func (s *Server) Submit(req *JobRequest) (*job, *RequestError) {
-	if req.DeadlineMS < 0 {
-		s.rejectedInvalid.Add(1)
-		return nil, badRequest("deadline_ms must be non-negative")
-	}
-	// Breaker open: inline programs skip admission-time static analysis
-	// (the expensive step the breaker protects) and are served only when
-	// their result already exists in a cache tier.
-	degradedInline := s.degraded.Load() && req.Source != ""
-	spec, key, rerr := s.admit(req, degradedInline)
+	spec, key, rerr := s.admit(req)
 	if rerr != nil {
 		s.rejectedInvalid.Add(1)
 		return nil, rerr
@@ -593,39 +508,18 @@ func (s *Server) Submit(req *JobRequest) (*job, *RequestError) {
 		// queue slot, no journal entry, no engine run.
 		id := s.newID()
 		j := &job{ids: []string{id}, key: key, spec: spec, state: stateDone,
-			cached: true, admitted: time.Now(), result: res,
+			cached: true, admitted: time.Now(), cycles: res.Cycles, err: res.Err,
 			done: make(chan struct{})}
 		close(j.done)
 		s.jobs[id] = j
 		s.admitted.Add(1)
 		return j, nil
 	}
-	if degradedInline {
-		s.rejectedDegraded.Add(1)
-		return nil, &RequestError{Status: http.StatusServiceUnavailable,
-			Msg:        "saturated: inline admission is cache-only until the worker pool drains (breaker open)",
-			RetryAfter: retryAfterSeconds(s.estimateStartDelay())}
-	}
 	if inflight, ok := s.byKey[key]; ok {
 		// Single-flight: an identical job is already queued or running;
-		// this submission shares it (same id, one engine run). The shared
-		// job runs under the laxest deadline of its submitters.
+		// this submission shares it (same id, one engine run).
 		s.deduped.Add(1)
-		if !inflight.deadline.IsZero() {
-			if d := reqDeadline(req); d.IsZero() || d.After(inflight.deadline) {
-				inflight.deadline = d
-			}
-		}
 		return inflight, nil
-	}
-	if req.DeadlineMS > 0 {
-		if est := s.estimateStartDelay(); est > time.Duration(req.DeadlineMS)*time.Millisecond {
-			s.deadlineShed.Add(1)
-			return nil, &RequestError{Status: http.StatusTooManyRequests,
-				Msg: fmt.Sprintf("deadline %dms cannot be met: estimated queue wait %s",
-					req.DeadlineMS, est.Round(time.Millisecond)),
-				RetryAfter: retryAfterSeconds(est)}
-		}
 	}
 	if s.queue.Len() >= s.opt.QueueDepth {
 		s.rejectedFull.Add(1)
@@ -634,9 +528,7 @@ func (s *Server) Submit(req *JobRequest) (*job, *RequestError) {
 			RetryAfter: retryAfterSeconds(s.estimateStartDelay())}
 	}
 	id := s.newID()
-	s.seq++
 	j := &job{ids: []string{id}, key: key, spec: spec, state: stateQueued,
-		priority: req.Priority, seq: s.seq, deadline: reqDeadline(req),
 		admitted: time.Now(), done: make(chan struct{})}
 	j.spec.Progress = &j.progress
 	s.jobs[id] = j
@@ -652,15 +544,6 @@ func (s *Server) Submit(req *JobRequest) (*job, *RequestError) {
 	s.queue.Push(j)
 	s.admitted.Add(1)
 	return j, nil
-}
-
-// reqDeadline converts a request's relative deadline to absolute wall
-// time (zero when the request has none).
-func reqDeadline(req *JobRequest) time.Time {
-	if req.DeadlineMS <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
 }
 
 func (s *Server) newID() string {
@@ -692,9 +575,6 @@ type Stats struct {
 	// QueueDepth/QueueCapacity describe the admission queue.
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity"`
-	// Degraded reports the saturation breaker's state: true while inline
-	// admission is cache-only.
-	Degraded bool `json:"degraded"`
 	// Jobs counts admissions and outcomes since start.
 	Jobs JobStats `json:"jobs"`
 	// Cache is the in-memory result cache's occupancy and hit statistics.
@@ -715,7 +595,7 @@ type Stats struct {
 	// not observed here — they never enter the queue).
 	LatencyUS LatencyStats `json:"latency_us"`
 	// ServiceUS summarizes pure engine service time (no queueing), the
-	// signal behind deadline shedding and Retry-After estimates.
+	// signal behind the queue-full Retry-After estimate.
 	ServiceUS LatencyStats `json:"service_us"`
 }
 
@@ -725,11 +605,9 @@ type JobStats struct {
 	// hits); Deduped submissions attached to an in-flight identical job.
 	Admitted int64 `json:"admitted"`
 	Deduped  int64 `json:"deduped"`
-	// Completed jobs finished (Failed of them with a simulation error,
-	// Expired with their deadline passed before they could start).
+	// Completed jobs finished (Failed of them with a simulation error).
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
-	Expired   int64 `json:"expired"`
 	// EngineRuns counts actual simulations — the cache and single-flight
 	// savings are Admitted+Deduped-EngineRuns.
 	EngineRuns int64 `json:"engine_runs"`
@@ -741,14 +619,15 @@ type JobStats struct {
 	Persisted     int64 `json:"persisted"`
 	PersistFailed int64 `json:"persist_failed"`
 	DiskHits      int64 `json:"disk_hits"`
-	// RejectedQueueFull, RejectedInvalid, DeadlineShed and
-	// RejectedDegraded were turned away at admission (HTTP 429, 400/422,
-	// 429 and 503 respectively). DegradeTrips counts breaker openings.
+	// RejectedQueueFull and RejectedInvalid were turned away at admission
+	// (HTTP 429 and 400/422 respectively).
 	RejectedQueueFull int64 `json:"rejected_queue_full"`
 	RejectedInvalid   int64 `json:"rejected_invalid"`
-	DeadlineShed      int64 `json:"deadline_shed"`
-	RejectedDegraded  int64 `json:"rejected_degraded"`
-	DegradeTrips      int64 `json:"degrade_trips"`
+	// DeadlineShed and RejectedDegraded are always 0: the deadline shed
+	// and the saturation breaker that counted them are gone. The fields
+	// stay only until the benchmark module stops reading them.
+	DeadlineShed     int64 `json:"deadline_shed"`
+	RejectedDegraded int64 `json:"rejected_degraded"`
 }
 
 // LatencyStats summarizes a latency histogram in microseconds.
@@ -785,20 +664,15 @@ func (s *Server) Stats() Stats {
 		Running:       s.running.Load(),
 		QueueDepth:    s.queue.Len(),
 		QueueCapacity: s.opt.QueueDepth,
-		Degraded:      s.degraded.Load(),
 		Jobs: JobStats{
 			Admitted: s.admitted.Load(), Deduped: s.deduped.Load(),
 			Completed: s.completed.Load(), Failed: s.failed.Load(),
-			Expired:    s.expired.Load(),
 			EngineRuns: s.engRuns.Load(), Recovered: s.recovered.Load(),
 			Persisted:         s.persisted.Load(),
 			PersistFailed:     s.persistFailed.Load(),
 			DiskHits:          s.diskHits.Load(),
 			RejectedQueueFull: s.rejectedFull.Load(),
 			RejectedInvalid:   s.rejectedInvalid.Load(),
-			DeadlineShed:      s.deadlineShed.Load(),
-			RejectedDegraded:  s.rejectedDegraded.Load(),
-			DegradeTrips:      s.degradeTrips.Load(),
 		},
 		Cache:     s.cache.Stats(),
 		Admission: s.admitTable.stats(),

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -42,6 +43,17 @@ func newTestServer(t *testing.T, opt Options) *Server {
 		}
 	})
 	return s
+}
+
+// manifestOf reads a finished job's manifest back from the cache tiers:
+// the job itself keeps only the headline.
+func manifestOf(t *testing.T, s *Server, j *job) []byte {
+	t.Helper()
+	res, ok := s.Result(j.key)
+	if !ok {
+		t.Fatalf("job %s: result %s is in no cache tier", j.ids[0], j.key)
+	}
+	return res.Manifest
 }
 
 func postJob(t *testing.T, base string, req *JobRequest) (JobStatus, int, []byte) {
@@ -219,6 +231,14 @@ func TestBadRequests(t *testing.T) {
 	if code, _ := post(`{"kernle": "HT"}`); code != 400 {
 		t.Errorf("unknown field: %d, want 400", code)
 	}
+	// The wire has no deadline or priority: the bounded queue is the only
+	// shed and jobs run in admission order.
+	for _, field := range []string{"deadline_ms", "priority"} {
+		body := fmt.Sprintf(`{"kernel":"HT","config":{"quick":true},%q:1}`, field)
+		if code, data := post(body); code != 400 || !strings.Contains(string(data), field) {
+			t.Errorf("%s: %d (%s), want a 400 naming the field", field, code, data)
+		}
+	}
 	for name, req := range map[string]*JobRequest{
 		"no program":      {},
 		"both":            {Kernel: "HT", Source: testSrc},
@@ -322,7 +342,7 @@ func TestSingleFlight(t *testing.T) {
 				return
 			}
 			<-j.done
-			cycles[i] = j.result.Cycles
+			cycles[i] = j.cycles
 		}(i)
 	}
 	wg.Wait()
@@ -342,7 +362,9 @@ func TestSingleFlight(t *testing.T) {
 }
 
 // TestQueueFull: with one worker and a one-deep queue, a third distinct
-// job must be shed with 429 while the first runs and the second waits.
+// job must be shed with 429 while the first runs and the second waits,
+// and — this being the only shed — tell the client when to come back,
+// directly and as the Retry-After header of the HTTP reply.
 func TestQueueFull(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 
@@ -350,14 +372,7 @@ func TestQueueFull(t *testing.T) {
 	if rerr != nil {
 		t.Fatalf("submit a: %v", rerr)
 	}
-	// Wait until the worker has picked up job a, so the queue is empty.
-	deadline := time.Now().Add(time.Minute)
-	for s.Stats().Running == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("job a never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRunning(t, s, 1) // the worker has job a, so the queue is empty
 	b, rerr := s.Submit(inlineReq(slowIters + 1))
 	if rerr != nil {
 		t.Fatalf("submit b: %v", rerr)
@@ -366,11 +381,42 @@ func TestQueueFull(t *testing.T) {
 	if rerr == nil || rerr.Status != http.StatusTooManyRequests {
 		t.Fatalf("third submit: %v, want 429", rerr)
 	}
-	if st := s.Stats(); st.Jobs.RejectedQueueFull != 1 {
-		t.Errorf("rejected_queue_full = %d, want 1", st.Jobs.RejectedQueueFull)
+	if rerr.RetryAfter < 1 {
+		t.Errorf("RetryAfter = %d, want >= 1", rerr.RetryAfter)
+	}
+	rec := httptest.NewRecorder()
+	body, _ := json.Marshal(inlineReq(slowIters + 3))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("HTTP submit into a full queue: %d (%s), want 429", rec.Code, rec.Body.Bytes())
+	}
+	if ra, err := strconv.Atoi(rec.Header().Get("Retry-After")); err != nil || ra < 1 {
+		t.Errorf("Retry-After header %q, want a whole number of seconds >= 1", rec.Header().Get("Retry-After"))
+	}
+	if st := s.Stats(); st.Jobs.RejectedQueueFull != 2 {
+		t.Errorf("rejected_queue_full = %d, want 2", st.Jobs.RejectedQueueFull)
 	}
 	<-a.done
 	<-b.done
+}
+
+// TestRetryAfterSeconds: the queue-full hint is the estimate rounded up
+// to whole seconds, never less than one.
+func TestRetryAfterSeconds(t *testing.T) {
+	for _, c := range []struct {
+		d    time.Duration
+		want int
+	}{
+		{0, 1},
+		{time.Nanosecond, 1},
+		{time.Second, 1},
+		{1500 * time.Millisecond, 2},
+		{2 * time.Second, 2},
+	} {
+		if got := retryAfterSeconds(c.d); got != c.want {
+			t.Errorf("retryAfterSeconds(%s) = %d, want %d", c.d, got, c.want)
+		}
+	}
 }
 
 // TestDrain: Shutdown finishes queued and running jobs, then admission
@@ -400,8 +446,8 @@ func TestDrain(t *testing.T) {
 		default:
 			t.Fatal("Shutdown returned with unfinished jobs")
 		}
-		if j.result == nil || j.result.Err != "" {
-			t.Errorf("drained job result: %+v", j.result)
+		if j.err != "" || j.cycles <= 0 {
+			t.Errorf("drained job: %d cycles, err %q", j.cycles, j.err)
 		}
 	}
 	if _, rerr := s.Submit(inlineReq(fastIters)); rerr == nil || rerr.Status != http.StatusServiceUnavailable {
@@ -456,7 +502,8 @@ func TestProgress(t *testing.T) {
 // TestJournalRecovery: jobs admitted but unfinished when a server dies
 // are re-run on the next start under their original ids; duplicate-key
 // admits collapse onto one job; a torn final line (crash mid-append) is
-// tolerated.
+// tolerated; and a request journaled with the retired deadline_ms and
+// priority fields replays as the same job without them.
 func TestJournalRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 
@@ -468,7 +515,12 @@ func TestJournalRecovery(t *testing.T) {
 		return string(data) + "\n"
 	}
 	var sb strings.Builder
-	sb.WriteString(write(journalLine{Admit: &journalAdmit{ID: "j3", Req: inlineReq(fastIters)}}))
+	retired := strings.Replace(write(journalLine{Admit: &journalAdmit{ID: "j3", Req: inlineReq(fastIters)}}),
+		`"req":{`, `"req":{"deadline_ms":50,"priority":3,`, 1)
+	if !strings.Contains(retired, `"deadline_ms":50`) {
+		t.Fatalf("admit line %q carries no retired fields", retired)
+	}
+	sb.WriteString(retired)
 	sb.WriteString(write(journalLine{Admit: &journalAdmit{ID: "j4", Req: inlineReq(fastIters)}})) // same key as j3
 	sb.WriteString(write(journalLine{Admit: &journalAdmit{ID: "j5", Req: inlineReq(fastIters + 1)}}))
 	sb.WriteString(write(journalLine{Done: "j5"})) // j5 finished before the crash
@@ -494,8 +546,8 @@ func TestJournalRecovery(t *testing.T) {
 	case <-time.After(2 * time.Minute):
 		t.Fatal("recovered job never finished")
 	}
-	if j3.result == nil || j3.result.Err != "" || j3.cached {
-		t.Fatalf("recovered result: %+v", j3.result)
+	if j3.err != "" || j3.cycles <= 0 || j3.cached {
+		t.Fatalf("recovered job: %d cycles, err %q, cached %v", j3.cycles, j3.err, j3.cached)
 	}
 	if _, ok := s.Result(j3.key); !ok {
 		t.Error("recovered job's result not cached")
@@ -601,7 +653,7 @@ func TestUnrecoverableJobDropped(t *testing.T) {
 // a local engine makes of the same spec — cycles, and every counter once
 // the per-SM names are folded into machine totals (stats.FromCounters).
 func TestResultMatchesLocalRun(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
+	s := newTestServer(t, Options{Workers: 1})
 	req := inlineReq(fastIters)
 	j, rerr := s.Submit(req)
 	if rerr != nil {
@@ -609,7 +661,7 @@ func TestResultMatchesLocalRun(t *testing.T) {
 	}
 	waitDone(t, j)
 	var m metrics.Manifest
-	if err := json.Unmarshal(j.result.Manifest, &m); err != nil || len(m.Runs) != 1 {
+	if err := json.Unmarshal(manifestOf(t, s, j), &m); err != nil || len(m.Runs) != 1 {
 		t.Fatalf("result manifest: %v (%d runs)", err, len(m.Runs))
 	}
 	served := stats.FromCounters(m.Runs[0].Cycles, m.Runs[0].Counters)
@@ -633,7 +685,7 @@ func TestResultMatchesLocalRun(t *testing.T) {
 // finishes with the error and the partial run beside it, the convention a
 // watchdog abort has in a local sweep.
 func TestWatchdogJobKeepsPartialResult(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, DegradeInterval: -1})
+	s := newTestServer(t, Options{Workers: 1})
 	req := inlineReq(slowIters)
 	req.Config.MaxCycles = 2000
 	j, rerr := s.Submit(req)
@@ -641,14 +693,14 @@ func TestWatchdogJobKeepsPartialResult(t *testing.T) {
 		t.Fatalf("Submit: %v", rerr)
 	}
 	waitDone(t, j)
-	if j.result.Err == "" {
+	if j.err == "" {
 		t.Fatal("watchdog abort came back clean")
 	}
 	var m metrics.Manifest
-	if err := json.Unmarshal(j.result.Manifest, &m); err != nil || len(m.Runs) != 1 {
+	if err := json.Unmarshal(manifestOf(t, s, j), &m); err != nil || len(m.Runs) != 1 {
 		t.Fatalf("result manifest: %v (%d runs)", err, len(m.Runs))
 	}
-	if r := m.Runs[0]; r.Err != j.result.Err || r.Cycles <= 0 || r.Counters == nil {
+	if r := m.Runs[0]; r.Err != j.err || r.Cycles <= 0 || r.Counters == nil {
 		t.Errorf("partial result missing: err %q, %d cycles, counters %v", r.Err, r.Cycles, r.Counters != nil)
 	}
 }
