@@ -460,6 +460,10 @@ func (g *GPU) Validate() error {
 		return fmt.Errorf("config: %s: cache geometry must be positive", g.Name)
 	case g.Mem.L2Banks <= 0 || g.Mem.DRAMBw <= 0:
 		return fmt.Errorf("config: %s: memory bandwidth must be positive", g.Name)
+	case g.Mem.L1HitLat <= 0 || g.Mem.L2Lat <= 0 || g.Mem.DRAMLat <= 0:
+		// A completion is scheduled at least a cycle after the Tick that
+		// schedules it; the memory system's completion wheel relies on it.
+		return fmt.Errorf("config: %s: memory latencies must be positive", g.Name)
 	case g.Mem.AtomLat <= 0 || g.Mem.AtomCost <= 0:
 		return fmt.Errorf("config: %s: atomic costs must be positive", g.Name)
 	case g.Mem.LSQDepth <= 0 || g.Mem.MaxPerWarp <= 0 || g.Mem.L1MSHRs <= 0:

@@ -68,6 +68,9 @@ func TestValidateRejectsBadGPU(t *testing.T) {
 		func(g *GPU) { g.MaxCTAsPerSM = 0 },
 		func(g *GPU) { g.ALULat = 0 },
 		func(g *GPU) { g.Mem.L2Banks = 0 },
+		func(g *GPU) { g.Mem.L1HitLat = 0 },
+		func(g *GPU) { g.Mem.L2Lat = 0 },
+		func(g *GPU) { g.Mem.DRAMLat = -1 },
 		func(g *GPU) { g.Mem.AtomLat = 0 },
 		func(g *GPU) { g.Mem.LSQDepth = 0 },
 		func(g *GPU) { g.MaxCycles = 0 },

@@ -78,11 +78,6 @@ type faultInjector struct {
 	cfg        FaultConfig
 	rng        uint64
 	retryBurst int
-	// injected event counts (observability for tests; unregistered, so
-	// metrics snapshots and golden stats are untouched).
-	latencySpikes int64
-	reorders      int64
-	atomNACKs     int64
 }
 
 func newFaultInjector(cfg FaultConfig) *faultInjector {
@@ -117,11 +112,9 @@ func (fi *faultInjector) delay() int64 {
 	var d int64
 	if fi.chance(fi.cfg.LatencyProb) {
 		d += fi.cfg.LatencySpike
-		fi.latencySpikes++
 	}
 	if fi.cfg.ReorderJitter > 0 && fi.chance(fi.cfg.ReorderProb) {
 		d += int64(fi.next() % uint64(fi.cfg.ReorderJitter+1))
-		fi.reorders++
 	}
 	return d
 }
@@ -131,14 +124,12 @@ func (fi *faultInjector) delay() int64 {
 func (fi *faultInjector) forceAtomRetry() bool {
 	if fi.retryBurst > 0 {
 		fi.retryBurst--
-		fi.atomNACKs++
 		return true
 	}
 	if fi.chance(fi.cfg.AtomRetryProb) {
 		if fi.cfg.AtomRetryBurst > 1 {
 			fi.retryBurst = fi.cfg.AtomRetryBurst - 1
 		}
-		fi.atomNACKs++
 		return true
 	}
 	return false
@@ -152,13 +143,5 @@ func (s *System) InjectFaults(cfg FaultConfig) {
 		return
 	}
 	s.inj = newFaultInjector(cfg)
-}
-
-// InjectedFaults reports how many faults of each class the injector has
-// produced so far (zeros when no injector is attached).
-func (s *System) InjectedFaults() (latencySpikes, reorders, atomNACKs int64) {
-	if s.inj == nil {
-		return 0, 0, 0
-	}
-	return s.inj.latencySpikes, s.inj.reorders, s.inj.atomNACKs
+	s.events = newWheel(s.horizon())
 }

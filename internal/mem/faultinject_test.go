@@ -82,18 +82,22 @@ func TestScaleAndEnabled(t *testing.T) {
 }
 
 // TestInjectFaultsWiring: injecting into a System is a no-op for a
-// disabled config and records counters for an enabled one.
+// disabled config, and an enabled one widens the completion wheel by its
+// worst delay.
 func TestInjectFaultsWiring(t *testing.T) {
 	s := NewSystem(testMemCfg(), 1, 4, 256)
 	s.InjectFaults(FaultConfig{}) // disabled: must stay nil
 	if s.inj != nil {
 		t.Error("disabled fault config installed an injector")
 	}
+	if got := len(s.events.slots); got != 64 {
+		t.Errorf("wheel of %d slots for a 50-cycle horizon, want 64", got)
+	}
 	s.InjectFaults(DefaultFaults(9))
 	if s.inj == nil {
 		t.Fatal("enabled fault config did not install an injector")
 	}
-	if l, r, a := s.InjectedFaults(); l != 0 || r != 0 || a != 0 {
-		t.Errorf("fresh injector reports nonzero counts: %d %d %d", l, r, a)
+	if got := len(s.events.slots); got != 256 {
+		t.Errorf("wheel of %d slots for a 50+200+3-cycle horizon, want 256", got)
 	}
 }

@@ -42,14 +42,14 @@ func (f InFlightSummary) OnlyParked() bool {
 // InFlight summarizes the system's in-flight work.
 func (s *System) InFlight() InFlightSummary {
 	var f InFlightSummary
-	f.Events = len(s.events)
+	f.Events = s.events.n
 	f.L2Queue = s.l2q.n
 	f.DRAMQueue = s.dramQueue.len()
 	for _, q := range s.lockQueues {
 		f.LockWaiters += q.len()
 	}
 	for _, p := range s.ports {
-		f.LSQ += len(p.lsq)
+		f.LSQ += p.lsq.len()
 		f.MSHR += len(p.mshr)
 	}
 	return f
@@ -57,9 +57,6 @@ func (s *System) InFlight() InFlightSummary {
 
 // MSHRLines returns the port's outstanding L1 miss-line count.
 func (p *Port) MSHRLines() int { return len(p.mshr) }
-
-// LSQLen returns the port's pending segment count.
-func (p *Port) LSQLen() int { return len(p.lsq) }
 
 // ParkedWaiter is one parked lock acquire (QueueLocks mode): the lock
 // word it waits on and the warp that issued it.
@@ -96,37 +93,42 @@ func (s *System) ParkedWaiters() []ParkedWaiter {
 // and request-pool accounting. Iteration order is unspecified.
 func (s *System) ForEachInFlightRequest(fn func(*Request)) {
 	seen := make(map[*Request]struct{})
-	visit := func(seg *segment) {
-		if seg == nil || seg.req == nil {
-			return
+	s.eachQueued(func(_ string, seg *segment) bool {
+		if _, ok := seen[seg.req]; !ok && seg.req != nil {
+			seen[seg.req] = struct{}{}
+			fn(seg.req)
 		}
-		if _, ok := seen[seg.req]; ok {
-			return
+		return true
+	})
+}
+
+// eachQueued calls fn with every segment waiting on the wheel, in the L2
+// or DRAM queue, in a lock queue, on an LSQ or on an MSHR chain, and that
+// queue's name. A chain is cut short where fn returns false.
+func (s *System) eachQueued(fn func(q string, seg *segment) bool) {
+	for _, sl := range s.events.slots {
+		for seg := sl.head; seg != nil && fn("the wheel", seg); seg = seg.next {
 		}
-		seen[seg.req] = struct{}{}
-		fn(seg.req)
 	}
-	for i := range s.events {
-		visit(s.events[i].seg)
-	}
-	for i := range s.l2q.ent[:s.l2q.tail] {
-		visit(s.l2q.ent[i].seg) // nil in a hole
+	for _, e := range s.l2q.ent[:s.l2q.tail] {
+		if e.seg != nil { // nil in a hole
+			fn("the L2 queue", e.seg)
+		}
 	}
 	for _, seg := range s.dramQueue.items() {
-		visit(seg)
+		fn("the DRAM queue", seg)
 	}
 	for _, q := range s.lockQueues {
 		for _, w := range q.items() {
-			visit(w.seg)
+			fn("a lock queue", w.seg)
 		}
 	}
 	for _, p := range s.ports {
-		for _, seg := range p.lsq {
-			visit(seg)
+		for _, seg := range p.lsq.items() {
+			fn("an LSQ", seg)
 		}
-		for _, merged := range p.mshr {
-			for _, seg := range merged {
-				visit(seg)
+		for _, e := range p.mshr {
+			for seg := e.waiters.head; seg != nil && fn("an MSHR chain", seg); seg = seg.next {
 			}
 		}
 	}
@@ -134,20 +136,31 @@ func (s *System) ForEachInFlightRequest(fn func(*Request)) {
 
 // Audit runs the memory system's internal consistency checks and returns
 // one human-readable line per violation (nil when clean). It validates
-// state the engine cannot see from outside: MSHR table shape, segment
-// pool hygiene, lock-queue/parked-count agreement, lock-hold accounting,
-// and the L2 service queue's index against a recount from its entries
-// (reported as l2.index-drift).
+// state the engine cannot see from outside: the L2 service queue's index
+// and the completion wheel's against a recount from their entries
+// (l2.index-drift, wheel.index-drift), that no segment is queued in two
+// places at once (segment.aliased), MSHR table shape (mshr), segment pool
+// hygiene, lock-queue/parked-count agreement and lock-hold accounting.
 func (s *System) Audit() []string {
-	out := s.l2q.audit(s.cycle)
+	out := append(s.l2q.audit(s.cycle), s.events.audit()...)
+	// Each segment waits in one queue at most.
+	where := make(map[*segment]string)
+	s.eachQueued(func(q string, seg *segment) bool {
+		prev, seen := where[seg]
+		if seen {
+			out = append(out, fmt.Sprintf("segment.aliased: line %d queued on %s and on %s", seg.line, prev, q))
+		}
+		where[seg] = q
+		return !seen
+	})
 	for _, p := range s.ports {
 		if len(p.mshr) > s.cfg.L1MSHRs {
-			out = append(out, fmt.Sprintf("sm%d: %d MSHR lines exceed capacity %d",
+			out = append(out, fmt.Sprintf("mshr: sm%d: %d lines exceed capacity %d",
 				p.sm, len(p.mshr), s.cfg.L1MSHRs))
 		}
-		for line, merged := range p.mshr {
-			if len(merged) == 0 {
-				out = append(out, fmt.Sprintf("sm%d: empty MSHR entry for line %d", p.sm, line))
+		for i, e := range p.mshr {
+			if p.findMSHR(e.line) != i {
+				out = append(out, fmt.Sprintf("mshr: sm%d: line %d held twice", p.sm, e.line))
 			}
 		}
 		for slot, n := range p.outstanding {

@@ -273,14 +273,6 @@ func (q *l2Queue) wakeLines(cycle int64) {
 	}
 }
 
-// nextWake returns the cycle at which the next busy line frees up.
-func (q *l2Queue) nextWake() (int64, bool) {
-	if q.wake.len() == 0 {
-		return 0, false
-	}
-	return q.wake.items()[0].busyUntil, true
-}
-
 // audit recomputes the index from the entries alone and reports every
 // disagreement with what push, serve, wakeLines and compact maintained.
 // cycle is the last Tick's.

@@ -13,8 +13,8 @@
 package mem
 
 import (
+	"math"
 	"math/bits"
-	"slices"
 
 	"warpsched/internal/config"
 	"warpsched/internal/isa"
@@ -75,10 +75,16 @@ type segment struct {
 	// parked counts lanes waiting in a lock queue (QueueLocks mode);
 	// the segment completes only when every parked lane is granted.
 	parked int
+	// at and kind are the segment's one pending completion; next links it
+	// behind the one before it in its wheel slot or, while it waits merged
+	// on an MSHR (with no completion pending), behind the previous merge.
+	at   int64
+	kind evKind
+	next *segment
 }
 
-// evKind tags a scheduled completion. Events carry a kind and a segment
-// instead of a closure so that scheduling is allocation-free on the
+// evKind tags a scheduled completion. A completion is a kind on its
+// segment instead of a closure, so scheduling is allocation-free on the
 // simulated hot path.
 type evKind uint8
 
@@ -90,74 +96,6 @@ const (
 	evVolFill                // volFilled(seg)
 )
 
-// event is a scheduled completion, ordered by (at, seq).
-type event struct {
-	at   int64
-	seq  int64
-	kind evKind
-	seg  *segment
-}
-
-// eventHeap is a hand-rolled binary min-heap. container/heap is avoided
-// because its any-typed interface boxes every event on Push.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-// popRoot removes the minimum event. The caller must have checked len>0.
-func (h *eventHeap) popRoot() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // release the segment pointer
-	*h = s[:n]
-	s = s[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.less(l, min) {
-			min = l
-		}
-		if r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
-func (h eventHeap) Peek() (int64, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].at, true
-}
-
 // System is the shared memory system: functional store, L2, DRAM, atomic
 // unit, and one port per SM.
 type System struct {
@@ -168,8 +106,7 @@ type System struct {
 	l2        *cache
 	l2q       l2Queue
 	dramQueue fifo[*segment]
-	events    eventHeap
-	seq       int64
+	events    wheel
 	cycle     int64
 
 	// arbLFSR drives the rotating L2 service arbitration (see scanL2).
@@ -215,9 +152,9 @@ type Port struct {
 	sm  int
 	l1  *cache
 
-	lsq []*segment // segments awaiting injection, FIFO
-	// mshr maps line -> segments merged on an outstanding miss.
-	mshr map[uint32][]*segment
+	lsq fifo[*segment] // segments awaiting injection
+	// mshr holds the outstanding L1 misses, at most L1MSHRs of them.
+	mshr []mshrEntry
 	// outstanding counts in-flight memory instructions per warp slot
 	// (for membar draining and per-warp issue limits).
 	outstanding []int
@@ -236,6 +173,12 @@ type Port struct {
 	sync *stats.SyncEvents
 }
 
+// mshrEntry is an outstanding L1 miss and the loads merged onto it since.
+type mshrEntry struct {
+	line    uint32
+	waiters chain
+}
+
 // AttachSync points SM sm's port at the engine's synchronization-event
 // counters so the atomic unit can classify acquire outcomes at service
 // time (when the lock-owner table is current).
@@ -252,13 +195,14 @@ func NewSystem(cfg config.Memory, numSMs, warpsPerSM int, sizeWords int) *System
 		lockQueues: make(map[uint32]fifo[lockWaiter]),
 		warpHolds:  make(map[int32]int),
 	}
+	s.events = newWheel(s.horizon())
 	s.ports = make([]*Port, numSMs)
 	for i := range s.ports {
 		s.ports[i] = &Port{
 			sys:         s,
 			sm:          i,
 			l1:          newCache(cfg.L1KB, cfg.L1Assoc),
-			mshr:        make(map[uint32][]*segment),
+			mshr:        make([]mshrEntry, 0, cfg.L1MSHRs),
 			outstanding: make([]int, warpsPerSM),
 			stats:       &stats.Mem{},
 		}
@@ -302,27 +246,43 @@ func (s *System) check(addr uint32) {
 	}
 }
 
+// horizon is how far past its Tick a completion can fall due at most.
+func (s *System) horizon() int64 {
+	h := max(s.cfg.L1HitLat, s.cfg.L2Lat, s.cfg.DRAMLat, s.cfg.AtomLat)
+	if s.inj != nil {
+		h += s.inj.cfg.LatencySpike + s.inj.cfg.ReorderJitter
+	}
+	return h
+}
+
 func (s *System) schedule(at int64, kind evKind, seg *segment) {
 	if s.inj != nil {
 		at += s.inj.delay()
 	}
-	s.seq++
-	s.events.push(event{at: at, seq: s.seq, kind: kind, seg: seg})
+	seg.at, seg.kind = at, kind
+	s.events.push(seg)
 }
 
-func (s *System) dispatch(e event) {
-	switch e.kind {
+// fireDue dispatches every completion due by cycle, earliest first.
+func (s *System) fireDue(cycle int64) {
+	for seg := s.events.due(cycle); seg != nil; seg = s.events.due(cycle) {
+		s.dispatch(seg)
+	}
+}
+
+func (s *System) dispatch(seg *segment) {
+	switch seg.kind {
 	case evFinish:
-		s.finish(e.seg)
+		s.finish(seg)
 	case evL1Hit:
-		s.applyLoads(e.seg)
-		s.finish(e.seg)
+		s.applyLoads(seg)
+		s.finish(seg)
 	case evDRAMDone:
-		s.dramDone(e.seg)
+		s.dramDone(seg)
 	case evLoadFill:
-		s.loadFilled(e.seg)
+		s.loadFilled(seg)
 	case evVolFill:
-		s.volFilled(e.seg)
+		s.volFilled(seg)
 	}
 }
 
@@ -365,7 +325,7 @@ func (s *System) LockOwner(addr uint32) int32 {
 // CanAccept reports whether the port can take another warp memory
 // instruction (LSQ space for its segments).
 func (p *Port) CanAccept(nSegments int) bool {
-	return len(p.lsq)+nSegments <= p.sys.cfg.LSQDepth
+	return p.lsq.len()+nSegments <= p.sys.cfg.LSQDepth
 }
 
 // Outstanding returns in-flight memory instructions for a warp slot.
@@ -375,7 +335,7 @@ func (p *Port) Outstanding(warpSlot int) int { return p.outstanding[warpSlot] }
 // the SM issues nothing, CanAccept cannot flip, so port-side warp
 // readiness can only change through a completion callback — the property
 // the engine's SM dormancy optimization rests on.
-func (p *Port) LSQEmpty() bool { return len(p.lsq) == 0 }
+func (p *Port) LSQEmpty() bool { return p.lsq.len() == 0 }
 
 // Coalesce groups the request's lane accesses into 128-byte segments,
 // returning the segment count without enqueuing (used for LSQ admission
@@ -432,7 +392,7 @@ func (p *Port) Enqueue(r *Request) {
 	r.remaining = len(segs)
 	p.outstanding[r.WarpSlot]++
 	for i, seg := range segs {
-		p.lsq = append(p.lsq, seg)
+		p.lsq.push(seg)
 		p.stats.Transactions++
 		if r.Ann&isa.AnnSync != 0 {
 			p.stats.SyncTransactions++
@@ -449,13 +409,7 @@ func (p *Port) Enqueue(r *Request) {
 func (s *System) Tick(cycle int64) {
 	s.cycle = cycle
 	// 1. Fire due completions.
-	for {
-		at, ok := s.events.Peek()
-		if !ok || at > cycle {
-			break
-		}
-		s.dispatch(s.events.popRoot())
-	}
+	s.fireDue(cycle)
 	// 2. Service the DRAM queue (bandwidth limited).
 	for n := s.cfg.DRAMBw; n > 0 && s.dramQueue.len() > 0; n-- {
 		seg := s.dramQueue.pop()
@@ -641,13 +595,11 @@ func (s *System) chargeBehind(slot, count int, d int64) {
 // segments queued at L2, the end of the next line's busy period. It
 // reports false when neither is pending.
 func (s *System) NextEventAt() (int64, bool) {
-	at, ok := s.events.Peek()
-	if s.l2q.n > 0 {
-		if due, busy := s.l2q.nextWake(); busy && (!ok || due < at) {
-			return due, true
-		}
+	at := s.events.nextAt
+	if s.l2q.n > 0 && s.l2q.wake.len() > 0 {
+		at = min(at, s.l2q.wake.items()[0].busyUntil) // the next busy line to free up
 	}
-	return at, ok
+	return at, at != math.MaxInt64
 }
 
 // Idle reports whether Tick's outcome depends on nothing but time: the
@@ -655,7 +607,7 @@ func (s *System) NextEventAt() (int64, bool) {
 // is serviceable — each one is an atomic on a busy line. While idle, a
 // Tick that fires no due event and ends no busy period (NextEventAt is
 // past it) advances only the three time-driven values FastForward
-// settles; MSHR maps, parked lock waiters and the line records are
+// settles; MSHR tables, parked lock waiters and the line records are
 // passive. So the engine's event-driven clock may skip idle cycles, a
 // retry storm's NACK spans included.
 func (s *System) Idle() bool {
@@ -663,7 +615,7 @@ func (s *System) Idle() bool {
 		return false
 	}
 	for _, p := range s.ports {
-		if len(p.lsq) > 0 {
+		if p.lsq.len() > 0 {
 			return false
 		}
 	}
@@ -688,11 +640,11 @@ func (s *System) FastForward(delta int64) {
 
 // Quiescent reports whether no transactions are in flight anywhere.
 func (s *System) Quiescent() bool {
-	if len(s.events) > 0 || s.l2q.n > 0 || s.dramQueue.len() > 0 || len(s.lockQueues) > 0 {
+	if s.events.n > 0 || s.l2q.n > 0 || s.dramQueue.len() > 0 || len(s.lockQueues) > 0 {
 		return false
 	}
 	for _, p := range s.ports {
-		if len(p.lsq) > 0 || len(p.mshr) > 0 {
+		if p.lsq.len() > 0 || len(p.mshr) > 0 {
 			return false
 		}
 	}
@@ -700,10 +652,10 @@ func (s *System) Quiescent() bool {
 }
 
 func (p *Port) inject() {
-	if len(p.lsq) == 0 {
+	if p.lsq.len() == 0 {
 		return
 	}
-	seg := p.lsq[0]
+	seg := p.lsq.items()[0]
 	s := p.sys
 	switch {
 	case seg.req.Op.IsAtomic():
@@ -725,25 +677,30 @@ func (p *Port) inject() {
 		if p.l1.Lookup(seg.line) {
 			p.stats.L1Hits++
 			s.schedule(s.cycle+s.cfg.L1HitLat, evL1Hit, seg)
+		} else if i := p.findMSHR(seg.line); i >= 0 {
+			// Merge with the outstanding miss.
+			p.stats.MSHRMerges++
+			p.mshr[i].waiters.push(seg)
+		} else if len(p.mshr) >= s.cfg.L1MSHRs {
+			p.stats.MSHRStalls++
+			return // no MSHR free: stall injection this cycle
 		} else {
-			if waiting, ok := p.mshr[seg.line]; ok {
-				// Merge with the outstanding miss.
-				p.stats.MSHRMerges++
-				p.mshr[seg.line] = append(waiting, seg)
-			} else {
-				if len(p.mshr) >= s.cfg.L1MSHRs {
-					p.stats.MSHRStalls++
-					return // no MSHR free: stall injection this cycle
-				}
-				p.mshr[seg.line] = []*segment{seg}
-				s.l2q.push(seg, s.cycle)
-			}
+			p.mshr = append(p.mshr, mshrEntry{line: seg.line})
+			s.l2q.push(seg, s.cycle)
 		}
 	}
-	// Pop by shifting down rather than re-slicing from the front: the LSQ is
-	// a few entries deep, and lsq[1:] gives up capacity on every pop, so an
-	// SM that drains its queue each cycle would reallocate on every Enqueue.
-	p.lsq = slices.Delete(p.lsq, 0, 1)
+	p.lsq.pop()
+}
+
+// findMSHR returns the index of line's outstanding miss, or -1. The table
+// is a few dozen lines at most, so a scan beats hashing.
+func (p *Port) findMSHR(line uint32) int {
+	for i := range p.mshr {
+		if p.mshr[i].line == line {
+			return i
+		}
+	}
+	return -1
 }
 
 func (s *System) serviceL2(seg *segment) {
@@ -793,19 +750,20 @@ func (s *System) volFilled(seg *segment) {
 	s.finish(seg)
 }
 
-// loadFilled commits a load fill: fill L1, read data for every merged
-// segment, release the MSHR.
+// loadFilled commits a load fill: fill L1, release the MSHR, read data
+// for the missing segment and then for each merged onto it.
 func (s *System) loadFilled(seg *segment) {
 	p := s.ports[seg.req.SM]
 	p.l1.Fill(seg.line)
-	merged := p.mshr[seg.line]
-	delete(p.mshr, seg.line)
-	if merged == nil {
-		merged = []*segment{seg}
-	}
-	for _, m := range merged {
-		s.applyLoads(m)
-		s.finish(m)
+	i, last := p.findMSHR(seg.line), len(p.mshr)-1
+	seg.next = p.mshr[i].waiters.head // seg's completion is over: its link is free
+	p.mshr[i], p.mshr[last] = p.mshr[last], mshrEntry{}
+	p.mshr = p.mshr[:last]
+	for seg != nil {
+		next := seg.next // finish pools seg
+		s.applyLoads(seg)
+		s.finish(seg)
+		seg = next
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"warpsched/internal/config"
 	"warpsched/internal/isa"
 )
 
@@ -27,7 +28,7 @@ type refEntry struct {
 }
 
 // refSystem is a System whose L2 queue is the reference one. Everything
-// else — event heap, DRAM queue, ports, functional store, statistics,
+// else — completion wheel, DRAM queue, ports, functional store, statistics,
 // fault injector — is the embedded System's, whose own l2q only catches
 // what inject pushes until harvest moves it over.
 type refSystem struct {
@@ -45,13 +46,7 @@ func newRefSystem(s *System) *refSystem {
 // tick is Tick with the reference step 3.
 func (s *refSystem) tick(cycle int64) {
 	s.cycle = cycle
-	for {
-		at, ok := s.events.Peek()
-		if !ok || at > cycle {
-			break
-		}
-		s.dispatch(s.events.popRoot())
-	}
+	s.fireDue(cycle)
 	for n := s.cfg.DRAMBw; n > 0 && s.dramQueue.len() > 0; n-- {
 		seg := s.dramQueue.pop()
 		s.ports[seg.req.SM].stats.DRAMAccesses++
@@ -410,25 +405,40 @@ func TestArbSkipMatchesStepping(t *testing.T) {
 	}
 }
 
-// TestAuditDetectsIndexDrift corrupts each piece of the queue's index in
-// turn — state the entries alone determine, which push, serve, wakeLines
-// and compact maintain incrementally — and requires Audit to name it.
+// TestAuditDetectsIndexDrift corrupts each piece of the memory system's
+// indexes in turn — state their entries alone determine, which push,
+// serve, wakeLines, compact, the wheel and inject maintain incrementally —
+// and requires Audit to name it.
 func TestAuditDetectsIndexDrift(t *testing.T) {
 	cases := []struct {
-		name    string
-		corrupt func(q *l2Queue)
+		name, want string
+		corrupt    func(s *System, q *l2Queue)
 	}{
-		{"parked atomic marked serviceable", func(q *l2Queue) { q.ready[0] |= 1 << 2; q.nReady++ }},
-		{"plain access not serviceable", func(q *l2Queue) { q.ready[0] &^= 1 << 3; q.nReady-- }},
-		{"live bit without an entry", func(q *l2Queue) { q.live[0] |= 1 << 40 }},
-		{"population miscounted", func(q *l2Queue) { q.n++ }},
-		{"serviceable count miscounted", func(q *l2Queue) { q.nReady++ }},
-		{"per-SM population miscounted", func(q *l2Queue) { q.pop[0]--; q.pop[1]++ }},
-		{"waiter dropped from its line's set", func(q *l2Queue) { q.ent[2].rec.slots[0] &^= 1 << 2 }},
-		{"waiter count off", func(q *l2Queue) { q.ent[2].rec.n++ }},
-		{"busy line missing from the wake list", func(q *l2Queue) { q.wake.pop() }},
-		{"wake list out of expiry order", func(q *l2Queue) { q.wake.items()[0].busyUntil += 1000 }},
-		{"entry on another line's record", func(q *l2Queue) { q.ent[2].rec = q.ent[4].rec }},
+		{"parked atomic marked serviceable", "l2.index-drift", func(s *System, q *l2Queue) { q.ready[0] |= 1 << 2; q.nReady++ }},
+		{"plain access not serviceable", "l2.index-drift", func(s *System, q *l2Queue) { q.ready[0] &^= 1 << 3; q.nReady-- }},
+		{"live bit without an entry", "l2.index-drift", func(s *System, q *l2Queue) { q.live[0] |= 1 << 40 }},
+		{"population miscounted", "l2.index-drift", func(s *System, q *l2Queue) { q.n++ }},
+		{"serviceable count miscounted", "l2.index-drift", func(s *System, q *l2Queue) { q.nReady++ }},
+		{"per-SM population miscounted", "l2.index-drift", func(s *System, q *l2Queue) { q.pop[0]--; q.pop[1]++ }},
+		{"waiter dropped from its line's set", "l2.index-drift", func(s *System, q *l2Queue) { q.ent[2].rec.slots[0] &^= 1 << 2 }},
+		{"waiter count off", "l2.index-drift", func(s *System, q *l2Queue) { q.ent[2].rec.n++ }},
+		{"busy line missing from the wake list", "l2.index-drift", func(s *System, q *l2Queue) { q.wake.pop() }},
+		{"wake list out of expiry order", "l2.index-drift", func(s *System, q *l2Queue) { q.wake.items()[0].busyUntil += 1000 }},
+		{"entry on another line's record", "l2.index-drift", func(s *System, q *l2Queue) { q.ent[2].rec = q.ent[4].rec }},
+		{"wheel count off", "wheel.index-drift", func(s *System, q *l2Queue) { s.events.n++ }},
+		{"stale bitmap bit", "wheel.index-drift", func(s *System, q *l2Queue) { s.events.occ[0] |= 1 << 40 }},
+		{"nextAt off by one", "wheel.index-drift", func(s *System, q *l2Queue) { s.events.nextAt++ }},
+		{"completion beyond the horizon", "wheel.index-drift", func(s *System, q *l2Queue) {
+			s.schedule(s.events.base+int64(len(s.events.slots))+3, evFinish, s.ports[1].newSegment(&Request{SM: 1}, 30))
+		}},
+		{"completion also on an LSQ", "segment.aliased", func(s *System, q *l2Queue) { s.ports[1].lsq.push(s.events.slots[3].head) }},
+		{"merged miss also on the L2 queue", "segment.aliased", func(s *System, q *l2Queue) { q.push(s.ports[0].mshr[0].waiters.head, s.cycle) }},
+		{"MSHR line held twice", "mshr", func(s *System, q *l2Queue) { s.ports[0].mshr = append(s.ports[0].mshr, mshrEntry{line: 20}) }},
+		{"MSHRs beyond L1MSHRs", "mshr", func(s *System, q *l2Queue) {
+			for line := uint32(100); len(s.ports[0].mshr) <= s.cfg.L1MSHRs; line++ {
+				s.ports[0].mshr = append(s.ports[0].mshr, mshrEntry{line: line})
+			}
+		}},
 	}
 	for _, tc := range cases {
 		// Two lines, each serviced once and so busy, with atomics parked behind
@@ -449,13 +459,201 @@ func TestAuditDetectsIndexDrift(t *testing.T) {
 			}
 			push(slot%2, op, line)
 		}
-		if bad := s.Audit(); bad != nil {
-			t.Fatalf("clean queue reports %v", bad)
+		// A miss on line 20 (queued at L2, slot 5) with a second load merged
+		// on its MSHR, a load to line 21 still on the LSQ, and completions
+		// due at cycles 3 (two of them) and 9.
+		p := s.ports[0]
+		for _, line := range []uint32{20, 20, 21} {
+			p.Enqueue(&Request{SM: 0, Op: isa.OpLd, Accesses: []Access{{Addr: line * isa.LineWords}}})
 		}
-		tc.corrupt(q)
+		p.inject()
+		p.inject()
+		for _, at := range []int64{3, 3, 9} {
+			s.schedule(at, evFinish, s.ports[1].newSegment(&Request{SM: 1, Op: isa.OpSt}, 30))
+		}
+		if bad := s.Audit(); bad != nil {
+			t.Fatalf("clean state reports %v", bad)
+		}
+		tc.corrupt(s, q)
 		bad := s.Audit()
-		if len(bad) == 0 || !strings.HasPrefix(bad[0], "l2.index-drift") {
-			t.Errorf("%s: Audit reports %v, want l2.index-drift", tc.name, bad)
+		if !slices.ContainsFunc(bad, func(line string) bool { return strings.HasPrefix(line, tc.want) }) {
+			t.Errorf("%s: Audit reports %v, want %s", tc.name, bad, tc.want)
 		}
 	}
+}
+
+// The reference completion queue: the binary min-heap ordered by (at, seq)
+// that Tick's step 1 popped before the calendar wheel (wheel.go) replaced
+// it, verbatim. TestEventWheelDifferential holds the wheel to it.
+
+// event is a scheduled completion, ordered by (at, seq).
+type event struct {
+	at   int64
+	seq  int64
+	kind evKind
+	seg  *segment
+}
+
+// eventHeap is a hand-rolled binary min-heap. container/heap is avoided
+// because its any-typed interface boxes every event on Push.
+type eventHeap []event
+
+func (h eventHeap) less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// popRoot removes the minimum event. The caller must have checked len>0.
+func (h *eventHeap) popRoot() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = event{} // release the segment pointer
+	*h = s[:n]
+	s = s[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < n && s.less(l, min) {
+			min = l
+		}
+		if r < n && s.less(r, min) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	return top
+}
+
+func (h eventHeap) Peek() (int64, bool) {
+	if len(h) == 0 {
+		return 0, false
+	}
+	return h[0].at, true
+}
+
+// TestEventWheelDifferential schedules one seeded stream of completions on
+// a System's wheel, through schedule and so through the fault injector's
+// delays, and on the reference heap, and requires the two to agree after
+// every fired cycle on what they dispatched, in what order, and on the
+// next due cycle. The stream piles many completions onto the same cycle
+// (the configured latencies, scheduled from nearby cycles), runs for
+// dozens of turns of the wheel, and — on the jumping clock — moves from
+// each fired cycle straight to NextEventAt, or to a cycle short of it.
+func TestEventWheelDifferential(t *testing.T) {
+	for _, cfg := range []config.Memory{testMemCfg(), config.GTX480().Mem} {
+		for _, faults := range []bool{false, true} {
+			for _, jump := range []bool{false, true} {
+				for seed := uint64(1); seed <= 4; seed++ {
+					t.Run(fmt.Sprintf("dram=%d/faults=%v/jump=%v/seed=%d", cfg.DRAMLat, faults, jump, seed), func(t *testing.T) {
+						runWheelDiff(t, cfg, seed, faults, jump)
+					})
+				}
+			}
+		}
+	}
+}
+
+func runWheelDiff(t *testing.T, cfg config.Memory, seed uint64, faults, jump bool) {
+	s := NewSystem(cfg, 1, 1, 64)
+	if faults {
+		s.InjectFaults(DefaultFaults(seed).Scale(10))
+	}
+	rng := seed*0x9e3779b97f4a7c15 + 1
+	next := func(n int64) int64 {
+		rng ^= rng >> 12
+		rng ^= rng << 25
+		rng ^= rng >> 27
+		return int64((rng * 0x2545f4914f6cdd1d) >> 33 % uint64(n))
+	}
+	lats := []int64{cfg.L1HitLat, cfg.L2Lat, cfg.DRAMLat, cfg.AtomLat, 1}
+	maxLat := max(cfg.L1HitLat, cfg.L2Lat, cfg.DRAMLat, cfg.AtomLat)
+	size := int64(len(s.events.slots))
+	var ref eventHeap
+	var seq int64
+	var free []*segment
+	var got, want []*segment
+	scheduled, ties := 0, 0
+	for cycle := int64(0); cycle < 40*size; {
+		got, want = got[:0], want[:0]
+		for seg := s.events.due(cycle); seg != nil; seg = s.events.due(cycle) {
+			got = append(got, seg)
+		}
+		for at, ok := ref.Peek(); ok && at <= cycle; at, ok = ref.Peek() {
+			e := ref.popRoot()
+			if e.seg.at != e.at || e.seg.kind != e.kind {
+				t.Fatalf("cycle %d: completion %d (due %d, kind %d) rescheduled as due %d, kind %d",
+					cycle, e.seg.line, e.at, e.kind, e.seg.at, e.seg.kind)
+			}
+			want = append(want, e.seg)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("cycle %d: the wheel dispatched %v, the heap %v", cycle, segIDs(got), segIDs(want))
+		}
+		if len(want) > 1 && want[0].at == want[1].at {
+			ties++
+		}
+		free = append(free, got...)
+		s.cycle = cycle
+		for k := next(4) + 4*next(2)*next(3); k > 0; k-- {
+			lat := lats[next(int64(len(lats)))]
+			if next(2) == 0 {
+				lat = 1 + next(maxLat)
+			}
+			var seg *segment
+			if n := len(free); n > 0 {
+				seg, free = free[n-1], free[:n-1]
+			} else {
+				seg = &segment{line: uint32(scheduled)}
+			}
+			s.schedule(cycle+lat, evKind(next(5)), seg)
+			seq++
+			ref.push(event{at: seg.at, seq: seq, kind: seg.kind, seg: seg})
+			scheduled++
+		}
+		wantAt, ok := ref.Peek()
+		if !ok {
+			wantAt = math.MaxInt64
+		}
+		if at, _ := s.NextEventAt(); at != wantAt || s.events.n != len(ref) {
+			t.Fatalf("cycle %d: %d queued, next due %d; heap %d, %d", cycle, s.events.n, at, len(ref), wantAt)
+		}
+		cycle++
+		if jump && wantAt != math.MaxInt64 && wantAt > cycle {
+			cycle += next(wantAt - cycle + 1) // at most to NextEventAt
+		}
+	}
+	if scheduled < int(10*size) || ties < 100 {
+		t.Errorf("only %d completions scheduled, %d cycles firing tied completions", scheduled, ties)
+	}
+}
+
+func segIDs(segs []*segment) []uint32 {
+	ids := make([]uint32, len(segs))
+	for i, seg := range segs {
+		ids[i] = seg.line
+	}
+	return ids
 }

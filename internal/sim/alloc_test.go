@@ -146,3 +146,63 @@ func TestEngineLockRetryAllocs(t *testing.T) {
 		}
 	}
 }
+
+// streamProg builds a streaming-load loop: each of iters iterations loads
+// the thread's word of a fresh stretch of memory, one cache line per warp
+// that no warp touched before, then a second word of that line, which
+// merges onto the first load's outstanding miss.
+func streamProg(t *testing.T) *isa.Program {
+	t.Helper()
+	b := isa.NewBuilder("stream")
+	b.LdParam(10, 0) // iters
+	b.LdParam(11, 1) // threads: the stride between iterations
+	b.Mov(2, isa.I(0))
+	b.Mov(3, isa.S(isa.SpecGTID))
+	b.Mov(4, isa.I(0))
+	b.While(0, false,
+		func() { b.Setp(isa.LT, 0, isa.R(2), isa.R(10)) },
+		func() {
+			b.Ld(5, isa.R(3), isa.I(0))
+			b.Ld(6, isa.R(3), isa.I(1))
+			b.Add(4, isa.R(4), isa.R(5))
+			b.Add(4, isa.R(4), isa.R(6))
+			b.Add(3, isa.R(3), isa.R(11))
+			b.Add(2, isa.R(2), isa.I(1))
+		})
+	b.Exit()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return p
+}
+
+// TestEngineMissAllocs is the same requirement for the L1 miss path: a
+// streaming kernel whose every line misses runs ten times as many
+// iterations, and the MSHRs, their merges, the completion wheel and the
+// DRAM queue must not allocate per miss.
+func TestEngineMissAllocs(t *testing.T) {
+	const ctas, threads = 4, 64
+	streamRun := func(iters uint32) (uint64, int64) {
+		allocs, res := runAllocs(t, detOptions(2, config.GTO, false), sim.Launch{
+			Prog:       streamProg(t),
+			GridCTAs:   ctas,
+			CTAThreads: threads,
+			Params:     []uint32{iters, ctas * threads},
+			MemWords:   int(iters+1) * ctas * threads,
+		})
+		m := res.Stats.Mem
+		if m.MSHRMerges == 0 {
+			t.Errorf("%d iterations: no load merged onto an outstanding miss", iters)
+		}
+		return allocs, m.L1Accesses - m.L1Hits
+	}
+	aSmall, mSmall := streamRun(40)
+	aBig, mBig := streamRun(400)
+	if mBig < 10*mSmall {
+		t.Fatalf("L1 misses grew %d → %d, not tenfold", mSmall, mBig)
+	}
+	if aBig > aSmall+64 {
+		t.Errorf("%d extra allocs over %d extra L1 misses (small=%d big=%d)", aBig-aSmall, mBig-mSmall, aSmall, aBig)
+	}
+}

@@ -355,6 +355,10 @@ func New(opt Options, launch Launch) (*Engine, error) {
 	if err := opt.BOWS.Validate(); err != nil {
 		return nil, err
 	}
+	if f := opt.Faults; f != nil && (f.LatencySpike < 0 || f.ReorderJitter < 0 || f.AtomRetryBurst < 0) {
+		return nil, fmt.Errorf("sim: fault config: LatencySpike (%d), ReorderJitter (%d) and AtomRetryBurst (%d) must be non-negative",
+			f.LatencySpike, f.ReorderJitter, f.AtomRetryBurst)
+	}
 	// Detector and WASP knobs default in place so pre-existing callers
 	// (zero Detector, zero TAGE/WaSP) build exactly the machine they
 	// always did.
@@ -615,7 +619,7 @@ func (e *Engine) Run() (res *Result, err error) {
 	e.flushSMs()
 	// Drain in-flight stores so the final memory image is complete. Only
 	// the memory system ticks here, so the event-driven clock jumps to the
-	// event heap's next timestamp whenever the service queues are empty
+	// completion wheel's next due cycle whenever the service queues are empty
 	// (clamped to MaxCycles so a drain that can never finish — e.g. parked
 	// lock waiters with no releaser — reports at the same cycle either way).
 	for !e.sys.Quiescent() {
@@ -666,7 +670,7 @@ func (e *Engine) calm() bool {
 }
 
 // nextWake returns the earliest future cycle at which the calm machine
-// can change state: the memory event heap's minimum timestamp, each
+// can change state: the memory system's next scheduled completion, each
 // dormant SM's cached wake-up boundary (earliest back-off expiry among
 // ready warps, adaptive delay-limit window, DDOS time-share epoch — see
 // smState.sleep), the next hang-monitor sample or invariant sweep, or the

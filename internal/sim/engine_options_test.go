@@ -10,6 +10,7 @@ import (
 
 	"warpsched/internal/config"
 	"warpsched/internal/isa"
+	"warpsched/internal/mem"
 	"warpsched/internal/trace"
 )
 
@@ -69,6 +70,35 @@ func TestNewRejectsBadLaunch(t *testing.T) {
 		if _, err := New(opt, l); err == nil {
 			t.Errorf("case %d: bad launch accepted", i)
 		}
+	}
+}
+
+// TestNewRejectsBadFaults: a fault config with a negative delay or retry
+// burst is a configuration error from New. A negative delay would schedule
+// a completion before the cycle that schedules it.
+func TestNewRejectsBadFaults(t *testing.T) {
+	opt := testOptions(config.GTO)
+	l := Launch{Prog: vecAddProg(t), GridCTAs: 1, CTAThreads: 32, MemWords: 64, Params: []uint32{0, 0, 0, 0}}
+	cases := []struct {
+		name string
+		mut  func(*mem.FaultConfig)
+	}{
+		{"latency spike", func(f *mem.FaultConfig) { f.LatencySpike = -1 }},
+		{"reorder jitter", func(f *mem.FaultConfig) { f.ReorderJitter = -3 }},
+		{"retry burst", func(f *mem.FaultConfig) { f.AtomRetryBurst = -4 }},
+	}
+	for _, tc := range cases {
+		f := mem.DefaultFaults(7)
+		tc.mut(&f)
+		opt.Faults = &f
+		if _, err := New(opt, l); err == nil || !strings.Contains(err.Error(), "must be non-negative") {
+			t.Errorf("%s: New returned %v, want a non-negative error", tc.name, err)
+		}
+	}
+	f := mem.DefaultFaults(7)
+	opt.Faults = &f
+	if _, err := New(opt, l); err != nil {
+		t.Errorf("default faults rejected: %v", err)
 	}
 }
 

@@ -7,8 +7,8 @@
 # corpora of the ISA-parser (FuzzParse), store-entry, daemon-journal and
 # POST /v1/jobs fuzz targets, which are ordinary tests), the
 # parallel-runner determinism tests under the race detector, one
-# iteration of the sched/core pick, mem L2-queue and server Submit-hit
-# benchmarks (so they cannot rot), the warplint
+# iteration of the sched/core pick, mem L2-queue, completion-wheel and
+# L1-miss, and server Submit-hit benchmarks (so they cannot rot), the warplint
 # static analyzer over every registered kernel, an invariant-checked
 # simulation smoke pass (-check arms the runtime invariant checker and
 # hang diagnosis; the third run is the 64-slot machine, the full width of
@@ -53,9 +53,9 @@ go test ./...
 echo "== go test -race (runner determinism, fault injection, resume from the store-backed journal) =="
 go test -race ./internal/exp -run TestRunner
 
-echo "== pick, L2 queue and Submit-hit benchmarks still build and run (one iteration) =="
+echo "== pick, mem and Submit-hit benchmarks still build and run (one iteration) =="
 go test -run '^$' -bench 'PickMask' -benchtime 1x ./internal/sched ./internal/core
-go test -run '^$' -bench 'L2' -benchtime 1x ./internal/mem
+go test -run '^$' -bench 'L2|EventWheel|L1Miss' -benchtime 1x ./internal/mem
 go test -run '^$' -bench 'Submit' -benchtime 1x ./internal/server
 
 echo "== invariant-checked smoke (warpsim -check) =="
