@@ -7,13 +7,15 @@
 // and byte-identically. Jobs run in admission order; a full queue (-queue)
 // is the only load shed, answered with 429 and a Retry-After hint.
 //
-//	warpsimd -addr :8723 -workers 8 -journal /var/tmp/warpsimd.jsonl
+//	warpsimd -addr :8723 -workers 8 -store /var/tmp/warpsimd.d
 //
 // Endpoints: POST /v1/jobs, GET /v1/jobs/{id}, GET /v1/results/{key},
 // GET /v1/stats, GET /healthz (see README "Serving simulations" for the
-// curl quickstart). SIGTERM/SIGINT drain gracefully: admission stops,
-// queued and running jobs finish, and — with -journal — anything still
-// unfinished at a hard kill is re-enqueued on next start.
+// curl quickstart). A job's id is its result key. SIGTERM/SIGINT drain
+// gracefully: admission stops and queued and running jobs finish. With
+// -store, every result the daemon has written survives a restart; a job
+// still unfinished at a hard kill is not resumed, and resubmitting it
+// recomputes the same bytes.
 package main
 
 import (
@@ -39,7 +41,6 @@ func main() {
 		cacheMB   = flag.Int64("cache-mb", 256, "result cache memory bound in MiB")
 		maxCycles = flag.Int64("max-cycles", 10_000_000, "per-job watchdog cycle ceiling")
 		check     = flag.Bool("check", false, "arm runtime invariant checking and early hang aborts on every job")
-		journal   = flag.String("journal", "", "recovery journal path (empty = no crash recovery)")
 		storeDir  = flag.String("store", "", "persistent result store directory (empty = memory-only cache)")
 		storeMB   = flag.Int64("store-mb", 4096, "persistent store size bound in MiB")
 		drainSecs = flag.Int("drain-timeout", 600, "seconds to wait for in-flight jobs on shutdown")
@@ -49,7 +50,7 @@ func main() {
 
 	opt := server.Options{
 		Workers: *workers, QueueDepth: *queue, CacheBytes: *cacheMB << 20,
-		MaxJobCycles: *maxCycles, Check: *check, Journal: *journal,
+		MaxJobCycles: *maxCycles, Check: *check,
 		StoreDir: *storeDir, StoreBytes: *storeMB << 20,
 	}
 	if !*quiet {
@@ -65,8 +66,8 @@ func main() {
 		fatal(err)
 	}
 	httpSrv := &http.Server{Handler: s.Handler()}
-	log.Printf("warpsimd: serving on %s (workers=%d queue=%d cache=%dMiB store=%q journal=%q)",
-		ln.Addr(), s.Stats().Workers, opt.QueueDepth, *cacheMB, *storeDir, *journal)
+	log.Printf("warpsimd: serving on %s (workers=%d queue=%d cache=%dMiB store=%q)",
+		ln.Addr(), s.Stats().Workers, opt.QueueDepth, *cacheMB, *storeDir)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()

@@ -1,0 +1,197 @@
+package report
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"warpsched/internal/exp"
+	"warpsched/internal/metrics"
+)
+
+// The paper's headline claims, as README "Reproduction status" states
+// them, and the two EXPERIMENTS.md Known divergences, as bounds over the
+// archived full-scale manifest. The golden and drift gates pin the bytes
+// of the report; these pin what the bytes say, so a regrown manifest that
+// drifts the wrong way fails here even when it is committed with -update.
+// A bound that moves is a reviewed change to this file and to
+// EXPERIMENTS.md, not a silent one.
+const (
+	// maxPaperSpeedupGap is today's benchmark layer report.paper_speedup_gap:
+	// |Fig. 9 harmonic-mean CAWA speedup − the paper's 1.5| ÷ 1.5.
+	maxPaperSpeedupGap = 0.2208
+	// maxSTSlowdown is the worst BOWS slowdown of ST over the six Fig. 9/15
+	// scheduler pairs (Known divergence 1): 2.718 for GTO on Fermi, the
+	// others 1.97 to 2.48.
+	maxSTSlowdown = 2.72
+)
+
+// moduloFalseDetects pins, per MODULO-hashed configuration, which
+// sync-free kernels it falsely confirms a SIB in (Known divergence 2; the
+// paper names MS and HL only). Their union is nine of the fourteen
+// kernels. XOR hashing flags none in any of these configurations.
+var moduloFalseDetects = map[string][]string{
+	"fig14 BOWS(5000)":     {"BFS", "HL", "HOTSPOT", "KMEANS", "LUD", "MS", "STENCIL", "VECADD"},
+	"table1 MODULO, m=k=4": {"BFS", "HL", "HOTSPOT", "KMEANS", "MS", "REDUCE", "STENCIL", "VECADD"},
+	"table1 MODULO, m=k=8": {"HL", "HOTSPOT", "KMEANS", "MS", "STENCIL", "VECADD"},
+}
+
+// claims returns one line per claim or bound the report violates.
+func claims(r *Report) []string {
+	var bad []string
+	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
+
+	// BOWS wins in gmean time and dynamic energy against every baseline on
+	// both machines. (The harmonic mean is not asserted: GTO's reads 0.95
+	// on Fermi and 0.97 on Pascal.)
+	for _, b := range []*exp.BarsSection{r.Fig9, r.Fig15} {
+		for _, sched := range []string{"LRR", "GTO", "CAWA"} {
+			if b.Speedup[sched] <= 1 {
+				fail("%s: BOWS gmean speedup over %s is %.3f, want > 1", b.Exp, sched, b.Speedup[sched])
+			}
+			if b.EnergySaving[sched] <= 1 {
+				fail("%s: BOWS gmean energy saving over %s is %.3f, want > 1", b.Exp, sched, b.EnergySaving[sched])
+			}
+		}
+	}
+	// The paper's ordering LRR > CAWA > GTO holds on Fermi. Pascal reads
+	// CAWA > GTO > LRR against the paper's 1.9/1.7/1.5 (Known divergence 5).
+	for _, o := range []struct {
+		b     *exp.BarsSection
+		order []string
+	}{{r.Fig9, []string{"LRR", "CAWA", "GTO"}}, {r.Fig15, []string{"CAWA", "GTO", "LRR"}}} {
+		for i := 1; i < len(o.order); i++ {
+			hi, lo := o.order[i-1], o.order[i]
+			if o.b.Speedup[hi] <= o.b.Speedup[lo] {
+				fail("%s: BOWS speedup over %s (%.3f) no longer exceeds that over %s (%.3f)",
+					o.b.Exp, hi, o.b.Speedup[hi], lo, o.b.Speedup[lo])
+			}
+		}
+	}
+	if gap := math.Abs(r.Fig9.HmeanSpeedup["CAWA"]-1.5) / 1.5; gap > maxPaperSpeedupGap {
+		fail("fig9: paper speedup gap %.4f, want <= %.4f", gap, maxPaperSpeedupGap)
+	}
+
+	// Table I at the paper's XOR m=k=8 configuration.
+	syncFree := r.Fig14.Kernels
+	if len(syncFree) != 14 {
+		fail("fig14 covers %d sync-free kernels, want 14", len(syncFree))
+	}
+	for _, row := range r.Table1.Blocks[0].Rows {
+		if row.Label == "XOR, m=k=8" && (row.TSDR != 1 || row.FSDR != 0) {
+			fail("table1 XOR, m=k=8: TSDR %.3f FSDR %.3f, want 1 and 0", row.TSDR, row.FSDR)
+		}
+	}
+
+	// Known divergence 2: who MODULO false-detects, and that XOR does not.
+	flagged := map[string][]string{}
+	for _, k := range syncFree {
+		if r.Fig14.FalseXOR[k] != 0 {
+			fail("fig14: XOR hashing falsely confirmed %d SIBs in %s, want none", r.Fig14.FalseXOR[k], k)
+		}
+		if r.Fig14.FalseMOD[k] > 0 {
+			flagged["fig14 BOWS(5000)"] = append(flagged["fig14 BOWS(5000)"], k)
+		}
+	}
+	for _, col := range exp.Table1Columns() {
+		label := "table1 " + col.Label
+		_, modulo := moduloFalseDetects[label]
+		if !modulo && !strings.HasPrefix(col.Label, "XOR") {
+			continue
+		}
+		for _, k := range syncFree {
+			rec, err := r.Set().FindDDOS("table1", k, string(col.Sched), col.BOWS.Desc(), col.DetectorDesc())
+			if err != nil {
+				fail("%s: %v", label, err)
+				continue
+			}
+			run, err := exp.RunOfRecord(rec)
+			if err != nil {
+				fail("%s: %v", label, err)
+				continue
+			}
+			switch n := run.Detection.FalseDetected; {
+			case n > 0 && modulo:
+				flagged[label] = append(flagged[label], k)
+			case n > 0:
+				fail("%s: falsely confirmed %d SIBs in %s, want none", label, n, k)
+			}
+		}
+	}
+	for label, want := range moduloFalseDetects {
+		got := flagged[label]
+		sort.Strings(got)
+		if !slices.Equal(got, want) {
+			fail("%s: MODULO false-detects %v, want %v", label, got, want)
+		}
+	}
+
+	// Known divergence 1: ST slows under BOWS, in a pinned shape. Delay
+	// columns: GTO, BOWS(0), BOWS(500), BOWS(1000), BOWS(3000), BOWS(5000),
+	// BOWS(Adaptive), normalized to GTO.
+	st := r.Delay.Time["ST"]
+	if len(st) != 7 {
+		fail("delaysweep: ST has %d columns, want 7", len(st))
+		return bad
+	}
+	if math.Abs(st[1].Value-1) > 0.01 {
+		fail("delaysweep: ST BOWS(0) at %.4f of GTO, want within 1%%", st[1].Value)
+	}
+	for i := 2; i <= 5; i++ {
+		if st[i].Value <= st[i-1].Value {
+			fail("delaysweep: ST time %.3f at %s does not rise above %.3f at %s",
+				st[i].Value, r.Delay.Columns[i], st[i-1].Value, r.Delay.Columns[i-1])
+		}
+	}
+	if adaptive := st[6].Value; adaptive <= st[3].Value || adaptive >= st[4].Value {
+		fail("delaysweep: ST adaptive BOWS at %.3f, want between BOWS(1000) %.3f and BOWS(3000) %.3f",
+			adaptive, st[3].Value, st[4].Value)
+	}
+	for _, b := range []*exp.BarsSection{r.Fig9, r.Fig15} {
+		t := b.Time["ST"]
+		for i := 0; i+1 < len(t); i += 2 {
+			if slow := t[i+1].Value / t[i].Value; slow > maxSTSlowdown {
+				fail("%s: ST slows %.3fx under %s, want <= %.2fx", b.Exp, slow, b.Columns[i+1], maxSTSlowdown)
+			}
+		}
+	}
+	return bad
+}
+
+// TestPaperClaims asserts claims over testdata/full.json, then checks
+// that they can fail: a 50% slower Fig. 9 CAWA+BOWS run must trip one.
+func TestPaperClaims(t *testing.T) {
+	m, err := metrics.ReadFile("testdata/full.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Build(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range claims(r) {
+		t.Error(v)
+	}
+
+	mutated := *m
+	mutated.Runs = slices.Clone(m.Runs)
+	i := slices.IndexFunc(mutated.Runs, func(rec metrics.RunRecord) bool {
+		return rec.Exp == "fig9" && rec.Sched == "CAWA" && rec.BOWS != "off"
+	})
+	if i < 0 {
+		t.Fatal("full.json has no fig9 CAWA+BOWS run")
+	}
+	mutated.Runs[i].Cycles = mutated.Runs[i].Cycles * 3 / 2
+	r, err = Build(&mutated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := claims(r)
+	if len(bad) == 0 {
+		t.Errorf("%s at 1.5x its cycles violates no claim", mutated.Runs[i].Key())
+	}
+	t.Logf("a 50%% slower %s trips: %v", mutated.Runs[i].Key(), bad)
+}

@@ -27,45 +27,34 @@ func BenchmarkResolveInline(b *testing.B) {
 }
 
 // benchSubmitHits times direct Submit calls (no HTTP) that are answered
-// from a cache tier. A server keeps every job it admitted for the life of
-// the process, so the loop runs in lives of a few thousand submissions:
-// outside the timer a fresh server is primed with every request, and opt
-// decides which tier answers afterwards.
+// from a cache tier: outside the timer the server is primed with every
+// request, and opt decides which tier answers afterwards. A hit leaves
+// nothing behind in the server, so one server serves any b.N.
 func benchSubmitHits(b *testing.B, opt Options, reqs []*JobRequest) {
-	const life = 4096
 	opt.Workers = 1
-	var s *Server
-	stop := func() {
-		if s == nil {
-			return
-		}
+	s, err := New(opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { // also on Fatal, or the store outlives its TempDir
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
 			b.Error(err)
 		}
-	}
-	defer stop() // also on Fatal, or the store outlives its TempDir
-	for i := 0; i < b.N; i++ {
-		if i%life == 0 {
-			b.StopTimer()
-			stop()
-			var err error
-			if s, err = New(opt); err != nil {
-				b.Fatal(err)
-			}
-			for _, req := range reqs {
-				j, rerr := s.Submit(req)
-				if rerr != nil {
-					b.Fatal(rerr)
-				}
-				<-j.done
-			}
-			for s.disk != nil && s.persisted.Load() < s.engRuns.Load() {
-				time.Sleep(time.Millisecond) // the store is written behind the reply
-			}
-			b.StartTimer()
+	}()
+	for _, req := range reqs {
+		j, rerr := s.Submit(req)
+		if rerr != nil {
+			b.Fatal(rerr)
 		}
+		<-j.done
+	}
+	for s.disk != nil && s.persisted.Load() < s.engRuns.Load() {
+		time.Sleep(time.Millisecond) // the store is written behind the reply
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		j, rerr := s.Submit(reqs[i%len(reqs)])
 		if rerr != nil || !j.cached {
 			b.Fatalf("submission %d was not a cache hit: %v", i, rerr)

@@ -3,15 +3,12 @@
 // process, and proves the durability contract under the failures that
 // matter in production —
 //
-//   - SIGKILL mid-job: no acked result is lost, the recovery journal
-//     re-runs unfinished work, and recovered manifests are byte-identical
-//     to a clean engine run (TestSIGKILLMidJobRecovers);
+//   - SIGKILL mid-job: no acked and written result is lost, and
+//     resubmitting the job the crash interrupted yields a manifest
+//     byte-identical to a clean engine run (TestSIGKILLMidJobRecovers);
 //   - on-disk corruption of a persisted result: the entry is quarantined
 //     (moved, never deleted) while the daemon keeps serving, and the
 //     re-run reproduces the original bytes (TestStoreCorruptionQuarantine);
-//   - a torn or garbage recovery journal: startup salvages what parses,
-//     preserves the damaged original at <journal>.corrupt, and keeps
-//     serving (TestJournalCorruptionSalvage);
 //   - a full disk: persistence failures are counted, never acked away a
 //     result or wedged the daemon, and persistence resumes once space
 //     frees up (TestENOSPCPersistence, in-process via store.FaultFS).

@@ -11,8 +11,10 @@ import (
 // JobStatus is the wire form of a job: the POST /v1/jobs and
 // GET /v1/jobs/{id} payload.
 type JobStatus struct {
-	// ID addresses the job at GET /v1/jobs/{id}. Identical concurrent
-	// submissions share one id (single-flight).
+	// ID addresses the job at GET /v1/jobs/{id}. It is the content key,
+	// the same string as Key, so identical submissions share one id and
+	// the id answers, once the job is done, for as long as a cache tier
+	// holds the result.
 	ID string `json:"id"`
 	// Key is the result's content address (GET /v1/results/{key}).
 	Key string `json:"key"`
@@ -41,7 +43,7 @@ type errorBody struct {
 func (s *Server) status(j *job) JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := JobStatus{ID: j.ids[0], Key: j.key, State: string(j.state), Cached: j.cached}
+	st := JobStatus{ID: j.key, Key: j.key, State: string(j.state), Cached: j.cached}
 	if j.state == stateDone {
 		st.Cycles, st.Err = j.cycles, j.err
 	} else {
@@ -53,7 +55,7 @@ func (s *Server) status(j *job) JobStatus {
 // Handler returns the daemon's HTTP API:
 //
 //	POST /v1/jobs          submit a job (sync with "wait": true)
-//	GET  /v1/jobs/{id}     job state and progress
+//	GET  /v1/jobs/{id}     job state and progress (the id is the result key)
 //	GET  /v1/results/{key} full schema-2 result manifest
 //	GET  /v1/stats         cache, queue and latency statistics
 //	GET  /healthz          liveness (503 while draining)
@@ -107,7 +109,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			// The client gave up; the job keeps running and stays
 			// addressable by id.
-			writeJSON(w, http.StatusRequestTimeout, errorBody{Error: "client cancelled; job continues as " + j.ids[0]})
+			writeJSON(w, http.StatusRequestTimeout, errorBody{Error: "client cancelled; job continues as " + j.key})
 		}
 		return
 	}
@@ -120,12 +122,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
+	id := r.PathValue("id")
+	st, ok := s.Job(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job " + r.PathValue("id")})
+		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job " + id +
+			": no job is queued or running under it and no result is stored; resubmit the request"})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.status(j))
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

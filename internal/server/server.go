@@ -5,20 +5,22 @@
 // internal/exp's guarded runner, and their results stored in a
 // content-addressed LRU cache keyed by (program FNV, config hash,
 // sim.Version) — so repeated submissions, the common case under heavy
-// traffic, return instantly and byte-identically. Concurrent identical
-// submissions collapse to one engine run (single-flight), and an
-// append-only journal makes queued and running jobs recoverable across
-// restarts. Jobs run in admission order; the bounded queue is the only
-// load shed — a submission that finds it full gets 429 with a
-// Retry-After priced from the observed engine service time.
+// traffic, return instantly and byte-identically. A job's id is that
+// content key: concurrent identical submissions collapse to one engine
+// run (single-flight), the server tracks only queued and running jobs,
+// and a finished job is answered from the cache tiers. Jobs run in
+// admission order; the bounded queue is the only load shed — a
+// submission that finds it full gets 429 with a Retry-After priced from
+// the observed engine service time.
 //
 // With Options.StoreDir set, a persistent content-addressed store
 // (internal/store) backs the in-memory cache as a second, durable tier:
-// misses read through to disk (promoting hits into memory), fresh engine
-// results write through asynchronously, and the journal's done marker is
-// written only after the result is durable — so every acked result
-// either survives restart on disk or is re-run deterministically from
-// the journal.
+// misses read through to disk (promoting hits into memory) and fresh
+// engine results write through asynchronously. A result the persister
+// has written survives a restart; a job queued or running at a crash,
+// or a result acked but not yet written, is gone, and resubmitting the
+// request recomputes the same bytes (the engine is deterministic and the
+// key fixes program, configuration and engine version).
 package server
 
 import (
@@ -60,9 +62,9 @@ type Options struct {
 	// Check arms the runtime invariant checker and early hang aborts on
 	// every job.
 	Check bool
-	// Journal, when non-empty, is the path of the append-only recovery
-	// journal: admitted jobs are logged before they run and marked done
-	// after, and on startup unfinished entries are re-enqueued.
+	// Journal is ignored: the server keeps no recovery journal (a job's id
+	// is its content key, and a lost job is recomputed on resubmission).
+	// The field stays only until the benchmark module stops setting it.
 	Journal string
 	// StoreDir, when non-empty, enables the persistent result store: a
 	// durable content-addressed tier behind the in-memory cache, written
@@ -108,11 +110,9 @@ const (
 	stateDone    jobState = "done"
 )
 
-// job is one admitted submission. Identical concurrent submissions
-// share a single job (single-flight): ids lists every journaled id the
-// job answers for.
+// job is one admitted submission, addressed by its content key.
+// Identical concurrent submissions share a single job (single-flight).
 type job struct {
-	ids      []string
 	key      string
 	spec     exp.Spec
 	state    jobState // guarded by Server.mu
@@ -127,14 +127,6 @@ type job struct {
 	done   chan struct{}
 }
 
-// persistReq is one fresh result on its way to the durable store; the
-// job's journal ids ride along so the done markers are written only
-// after the bytes are on disk.
-type persistReq struct {
-	res *CachedResult
-	ids []string
-}
-
 // Server is the warpsimd daemon core. Create with New, expose via
 // Handler, stop with Shutdown.
 type Server struct {
@@ -142,16 +134,18 @@ type Server struct {
 	cache      *Cache
 	admitTable *admissionTable // request identity → full admission (admission.go)
 	disk       *store.Store    // nil without StoreDir
-	jour       *journal
 
-	mu     sync.Mutex
-	jobs   map[string]*job // every admitted job, by id
-	byKey  map[string]*job // queued/running jobs, by cache key (single-flight)
-	nextID int64
-	queue  *jobQueue
-	drain  bool
+	mu sync.Mutex
+	// jobs holds the queued and running jobs by content key (single-flight),
+	// so it never exceeds QueueDepth + Workers entries.
+	jobs map[string]*job
+	// queue carries admitted jobs to the workers in admission order. Its
+	// capacity is QueueDepth, and it is sent to only under mu after the
+	// length check, so a send never blocks; Shutdown closes it under mu.
+	queue chan *job
+	drain bool
 
-	persistCh chan persistReq
+	persistCh chan *CachedResult
 	persistWG sync.WaitGroup
 
 	wg      sync.WaitGroup
@@ -164,7 +158,6 @@ type Server struct {
 
 	admitted, completed, failed, deduped   atomic.Int64
 	rejectedFull, rejectedInvalid, engRuns atomic.Int64
-	recovered                              atomic.Int64
 	persisted, persistFailed, diskHits     atomic.Int64
 }
 
@@ -180,10 +173,8 @@ func latencyBounds() []int64 {
 }
 
 // New builds a server, opens the persistent store (quarantining any
-// entries damaged since the last run), replays the recovery journal
-// (re-enqueueing jobs that were admitted but unfinished when the
-// previous incarnation died), and starts the worker pool and the result
-// persister.
+// entries damaged since the last run), and starts the worker pool and
+// the result persister.
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	s := &Server{
@@ -191,9 +182,8 @@ func New(opt Options) (*Server, error) {
 		cache:      NewCache(opt.CacheBytes),
 		admitTable: newAdmissionTable(admitTableBytes),
 		jobs:       make(map[string]*job),
-		byKey:      make(map[string]*job),
-		queue:      newJobQueue(),
-		persistCh:  make(chan persistReq, opt.Workers),
+		queue:      make(chan *job, opt.QueueDepth),
+		persistCh:  make(chan *CachedResult, opt.Workers),
 		start:      time.Now(),
 	}
 	reg := metrics.NewRegistry()
@@ -211,17 +201,6 @@ func New(opt Options) (*Server, error) {
 			opt.StoreDir, rep.Recovered, rep.Scanned, len(rep.Quarantined), rep.EvictedAtOpen)
 	}
 
-	var pending []journalAdmit
-	if opt.Journal != "" {
-		var err error
-		s.jour, pending, s.nextID, err = openJournal(opt.Journal)
-		if err != nil {
-			return nil, fmt.Errorf("server: open journal: %w", err)
-		}
-	}
-	for _, a := range pending {
-		s.recover(a)
-	}
 	for i := 0; i < opt.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -229,35 +208,6 @@ func New(opt Options) (*Server, error) {
 	s.persistWG.Add(1)
 	go s.persister()
 	return s, nil
-}
-
-// recover re-admits one journaled job under its original id. Requests
-// that no longer validate (e.g. a ceiling was lowered) are dropped with
-// a done marker so they stop reappearing.
-func (s *Server) recover(a journalAdmit) {
-	spec, rerr := s.opt.Resolve(a.Req)
-	if rerr != nil {
-		s.logf("journal: dropping unrecoverable job %s: %v", a.ID, rerr)
-		s.journalDone(a.ID)
-		return
-	}
-	key := CacheKey(spec)
-	if dup, ok := s.byKey[key]; ok {
-		// Two unfinished admits of the same configuration: attach the id
-		// to the earlier job and mark this admit resolved.
-		dup.ids = append(dup.ids, a.ID)
-		s.jobs[a.ID] = dup
-		s.journalDone(a.ID)
-		return
-	}
-	j := &job{ids: []string{a.ID}, key: key, spec: spec, state: stateQueued,
-		admitted: time.Now(), done: make(chan struct{})}
-	j.spec.Progress = &j.progress
-	s.jobs[a.ID] = j
-	s.byKey[key] = j
-	s.queue.Push(j)
-	s.recovered.Add(1)
-	s.logf("journal: recovered job %s (%s)", a.ID, key)
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -268,23 +218,24 @@ func (s *Server) logf(format string, args ...any) {
 
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
-		j, ok := s.queue.Pop()
-		if !ok {
-			return
-		}
+	for j := range s.queue {
 		s.runJob(j)
 	}
 }
 
 // fetch looks a key up in both cache tiers: memory first, then the
-// persistent store, promoting a disk hit into memory so the bytes
-// served stay identical across tiers (the stored payload is the
-// manifest verbatim).
+// persistent store.
 func (s *Server) fetch(key string) (*CachedResult, bool) {
 	if res, ok := s.cache.Get(key); ok {
 		return res, true
 	}
+	return s.fetchDisk(key)
+}
+
+// fetchDisk looks a key up in the persistent store, promoting a hit into
+// memory so the bytes served stay identical across tiers (the stored
+// payload is the manifest verbatim).
+func (s *Server) fetchDisk(key string) (*CachedResult, bool) {
 	if s.disk == nil {
 		return nil, false
 	}
@@ -330,9 +281,9 @@ func resultFromManifest(key string, payload []byte) (*CachedResult, error) {
 		Err: m.Runs[0].Err, Manifest: payload}, nil
 }
 
-// runJob executes one queued job (or resolves it from a cache tier —
-// the recovery path can enqueue a key that a later run already filled),
-// stores the result, and wakes every waiter.
+// runJob executes one queued job (or resolves it from a cache tier — a
+// twin that finished while this one was admitted may have reached the
+// store by now), stores the result, and wakes every waiter.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	j.state = stateRunning
@@ -362,69 +313,49 @@ func (s *Server) runJob(j *job) {
 	s.latency.Observe(us)
 	s.latMu.Unlock()
 	s.finish(j, res, cached, fresh)
-	s.logf("job %s done: %s cycles=%d err=%q (%.1f ms)",
-		j.ids[0], j.key, res.Cycles, res.Err, float64(us)/1e3)
+	s.logf("job %s done: cycles=%d err=%q (%.1f ms)",
+		j.key, res.Cycles, res.Err, float64(us)/1e3)
 }
 
-// finish publishes a job's result and settles its journal entries. A
-// fresh engine result on a store-backed server is handed to the
-// persister, which writes the journal done markers only after the bytes
-// are durable — the acked-implies-durable half of the recovery
-// invariant (the other half: an undurable job still has its journal
-// admit, so a crash re-runs it deterministically).
+// finish publishes a job's result, drops the job from the map (from here
+// on GET /v1/jobs/{id} answers from the cache tiers, which runJob has
+// already filled) and, on a store-backed server, hands a fresh engine
+// result to the persister.
 func (s *Server) finish(j *job, res *CachedResult, cached, fresh bool) {
 	s.mu.Lock()
 	j.cycles, j.err = res.Cycles, res.Err
 	j.cached = cached
 	j.state = stateDone
-	delete(s.byKey, j.key)
+	delete(s.jobs, j.key)
 	s.mu.Unlock()
 	close(j.done)
 	s.completed.Add(1)
 
 	if fresh && s.disk != nil {
-		s.persistCh <- persistReq{res: res, ids: j.ids}
-		return
-	}
-	for _, id := range j.ids {
-		s.journalDone(id)
+		s.persistCh <- res
 	}
 }
 
 // persister is the single write-behind goroutine draining fresh results
 // into the persistent store. Persist failures (e.g. ENOSPC) are logged
-// and counted but still settle the journal: the result remains served
-// from memory, and losing it at a crash is indistinguishable from an
-// eviction — the job re-runs deterministically on resubmission.
+// and counted: the result remains served from memory, and losing it at
+// a crash is indistinguishable from an eviction — the job re-runs
+// deterministically on resubmission.
 func (s *Server) persister() {
 	defer s.persistWG.Done()
-	for p := range s.persistCh {
-		if err := s.disk.Put(p.res.Key, p.res.Manifest); err != nil {
+	for res := range s.persistCh {
+		if err := s.disk.Put(res.Key, res.Manifest); err != nil {
 			s.persistFailed.Add(1)
-			s.logf("store: persist %s: %v", p.res.Key, err)
+			s.logf("store: persist %s: %v", res.Key, err)
 		} else {
 			s.persisted.Add(1)
 		}
-		for _, id := range p.ids {
-			s.journalDone(id)
-		}
-	}
-}
-
-func (s *Server) journalDone(id string) {
-	if s.jour == nil {
-		return
-	}
-	if err := s.jour.done(id); err != nil {
-		s.logf("journal: done %s: %v", id, err)
 	}
 }
 
 // Shutdown drains the server: admission stops (503), queued and running
-// jobs finish, dirty store writes flush, then the journal closes. A
-// journal-backed server killed before the drain completes recovers the
-// unfinished jobs on next start. Returns ctx.Err when the deadline
-// expires first.
+// jobs finish, then dirty store writes flush. Returns ctx.Err when the
+// deadline expires first.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.drain {
@@ -432,25 +363,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.drain = true
-	s.queue.Close() // all pushes happen under mu with drain false
+	close(s.queue) // all sends happen under mu with drain false
 	s.mu.Unlock()
 
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()        // workers drain the queue...
 		close(s.persistCh) // ...then no more persist sends...
-		s.persistWG.Wait() // ...and the store flushes before the journal
+		s.persistWG.Wait() // ...and the store flushes
 		close(done)
 	}()
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	if s.jour != nil {
-		return s.jour.Close()
-	}
-	return nil
 }
 
 // retryAfterSeconds rounds a wait estimate up to whole seconds for a
@@ -472,14 +400,15 @@ func (s *Server) estimateStartDelay() time.Duration {
 	if n == 0 {
 		return 0
 	}
-	waves := (s.queue.Len() + s.opt.Workers - 1) / s.opt.Workers
+	waves := (len(s.queue) + s.opt.Workers - 1) / s.opt.Workers
 	return time.Duration(waves) * time.Duration(p50) * time.Microsecond
 }
 
 // Submit admits one job: validation (memoised, see admission.go),
 // two-tier cache lookup, single-flight attach, and enqueue — or 429 when
-// the queue is full. It returns the job (possibly already done, on a
-// cache or store hit) or a *RequestError carrying the HTTP status.
+// the queue is full. It returns the job (already done, and tracked
+// nowhere, on a cache or store hit) or a *RequestError carrying the HTTP
+// status.
 func (s *Server) Submit(req *JobRequest) (*job, *RequestError) {
 	spec, key, rerr := s.admit(req)
 	if rerr != nil {
@@ -498,65 +427,64 @@ func (s *Server) Submit(req *JobRequest) (*job, *RequestError) {
 	}
 	if !hit {
 		// An in-flight twin may have finished between the miss and the
-		// lock: it is out of byKey by now, and its result is in memory
-		// (if already evicted, runJob looks through both tiers again
-		// before it runs the engine). Not a second counted lookup.
+		// lock: it is out of the job map by now, and its result is in
+		// memory (if already evicted, runJob looks through both tiers
+		// again before it runs the engine). Not a second counted lookup.
 		res, hit = s.cache.lru.peek(key)
 	}
 	if hit {
 		// Admission-time hit (either tier): the job is born finished; no
-		// queue slot, no journal entry, no engine run.
-		id := s.newID()
-		j := &job{ids: []string{id}, key: key, spec: spec, state: stateDone,
-			cached: true, admitted: time.Now(), cycles: res.Cycles, err: res.Err,
-			done: make(chan struct{})}
+		// map entry, no queue slot, no engine run.
+		j := &job{key: key, state: stateDone, cached: true,
+			cycles: res.Cycles, err: res.Err, done: make(chan struct{})}
 		close(j.done)
-		s.jobs[id] = j
 		s.admitted.Add(1)
 		return j, nil
 	}
-	if inflight, ok := s.byKey[key]; ok {
+	if inflight, ok := s.jobs[key]; ok {
 		// Single-flight: an identical job is already queued or running;
 		// this submission shares it (same id, one engine run).
 		s.deduped.Add(1)
 		return inflight, nil
 	}
-	if s.queue.Len() >= s.opt.QueueDepth {
+	if len(s.queue) >= s.opt.QueueDepth {
 		s.rejectedFull.Add(1)
 		return nil, &RequestError{Status: http.StatusTooManyRequests,
 			Msg:        fmt.Sprintf("queue full (%d jobs)", s.opt.QueueDepth),
 			RetryAfter: retryAfterSeconds(s.estimateStartDelay())}
 	}
-	id := s.newID()
-	j := &job{ids: []string{id}, key: key, spec: spec, state: stateQueued,
+	j := &job{key: key, spec: spec, state: stateQueued,
 		admitted: time.Now(), done: make(chan struct{})}
 	j.spec.Progress = &j.progress
-	s.jobs[id] = j
-	s.byKey[key] = j
-	if s.jour != nil {
-		if err := s.jour.admit(id, req); err != nil {
-			delete(s.jobs, id)
-			delete(s.byKey, key)
-			return nil, &RequestError{Status: http.StatusInternalServerError,
-				Msg: fmt.Sprintf("journal write failed: %v", err)}
-		}
-	}
-	s.queue.Push(j)
+	s.jobs[key] = j
+	s.queue <- j // below capacity, checked above under mu: never blocks
 	s.admitted.Add(1)
 	return j, nil
 }
 
-func (s *Server) newID() string {
-	s.nextID++
-	return fmt.Sprintf("j%d", s.nextID)
-}
-
-// Job returns the admitted job with the given id, if any.
-func (s *Server) Job(id string) (*job, bool) {
+// Job returns the status of the job whose id (its content key) is given:
+// from the job map while it is queued or running, otherwise from the
+// cache tiers as a finished, cached job. The memory tier is peeked, not
+// counted, so cache statistics move only on submissions. It reports
+// false for an id no job or stored result answers to.
+func (s *Server) Job(id string) (JobStatus, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	return j, ok
+	s.mu.Unlock()
+	if ok {
+		return s.status(j), true
+	}
+	// runJob fills the cache before finish drops the job from the map, so
+	// a job that finished since the lock was released is found here.
+	res, ok := s.cache.lru.peek(id)
+	if !ok {
+		res, ok = s.fetchDisk(id)
+	}
+	if !ok {
+		return JobStatus{}, false
+	}
+	return JobStatus{ID: id, Key: id, State: string(stateDone), Cached: true,
+		Cycles: res.Cycles, Err: res.Err}, true
 }
 
 // Result returns the result at the given content address from either
@@ -587,9 +515,6 @@ type Stats struct {
 	// Store is the persistent tier's occupancy and health; nil when the
 	// server runs without one.
 	Store *store.Stats `json:"store,omitempty"`
-	// Journal is the recovery journal's size and last-compaction summary;
-	// nil when the server runs without one.
-	Journal *JournalStats `json:"journal,omitempty"`
 	// LatencyUS summarizes end-to-end job latency (admission to result,
 	// engine runs and queueing included; admission-time cache hits are
 	// not observed here — they never enter the queue).
@@ -611,8 +536,6 @@ type JobStats struct {
 	// EngineRuns counts actual simulations — the cache and single-flight
 	// savings are Admitted+Deduped-EngineRuns.
 	EngineRuns int64 `json:"engine_runs"`
-	// Recovered jobs were replayed from the journal at startup.
-	Recovered int64 `json:"recovered"`
 	// Persisted results reached the durable store; PersistFailed writes
 	// errored (the result stays served from memory). DiskHits counts
 	// lookups answered by the persistent tier.
@@ -662,12 +585,12 @@ func (s *Server) Stats() Stats {
 		UptimeS:       time.Since(s.start).Seconds(),
 		Workers:       s.opt.Workers,
 		Running:       s.running.Load(),
-		QueueDepth:    s.queue.Len(),
+		QueueDepth:    len(s.queue),
 		QueueCapacity: s.opt.QueueDepth,
 		Jobs: JobStats{
 			Admitted: s.admitted.Load(), Deduped: s.deduped.Load(),
 			Completed: s.completed.Load(), Failed: s.failed.Load(),
-			EngineRuns: s.engRuns.Load(), Recovered: s.recovered.Load(),
+			EngineRuns:        s.engRuns.Load(),
 			Persisted:         s.persisted.Load(),
 			PersistFailed:     s.persistFailed.Load(),
 			DiskHits:          s.diskHits.Load(),
@@ -682,10 +605,6 @@ func (s *Server) Stats() Stats {
 	if s.disk != nil {
 		ds := s.disk.Stats()
 		st.Store = &ds
-	}
-	if s.jour != nil {
-		js := s.jour.statsSnapshot()
-		st.Journal = &js
 	}
 	return st
 }

@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,7 +49,7 @@ func manifestOf(t *testing.T, s *Server, j *job) []byte {
 	t.Helper()
 	res, ok := s.Result(j.key)
 	if !ok {
-		t.Fatalf("job %s: result %s is in no cache tier", j.ids[0], j.key)
+		t.Fatalf("result %s is in no cache tier", j.key)
 	}
 	return res.Manifest
 }
@@ -496,156 +494,6 @@ func TestProgress(t *testing.T) {
 			t.Fatalf("job stuck: %+v", st)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestJournalRecovery: jobs admitted but unfinished when a server dies
-// are re-run on the next start under their original ids; duplicate-key
-// admits collapse onto one job; a torn final line (crash mid-append) is
-// tolerated; and a request journaled with the retired deadline_ms and
-// priority fields replays as the same job without them.
-func TestJournalRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-
-	write := func(jl journalLine) string {
-		data, err := json.Marshal(jl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data) + "\n"
-	}
-	var sb strings.Builder
-	retired := strings.Replace(write(journalLine{Admit: &journalAdmit{ID: "j3", Req: inlineReq(fastIters)}}),
-		`"req":{`, `"req":{"deadline_ms":50,"priority":3,`, 1)
-	if !strings.Contains(retired, `"deadline_ms":50`) {
-		t.Fatalf("admit line %q carries no retired fields", retired)
-	}
-	sb.WriteString(retired)
-	sb.WriteString(write(journalLine{Admit: &journalAdmit{ID: "j4", Req: inlineReq(fastIters)}})) // same key as j3
-	sb.WriteString(write(journalLine{Admit: &journalAdmit{ID: "j5", Req: inlineReq(fastIters + 1)}}))
-	sb.WriteString(write(journalLine{Done: "j5"})) // j5 finished before the crash
-	sb.WriteString(`{"admit":{"id":"j9"`)          // torn final line
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := newTestServer(t, Options{Workers: 1, Journal: path, Log: t.Logf})
-	j3, ok := s.Job("j3")
-	if !ok {
-		t.Fatal("j3 not recovered")
-	}
-	j4, ok := s.Job("j4")
-	if !ok || j4 != j3 {
-		t.Fatalf("j4 should attach to j3's job (ok=%v, same=%v)", ok, j4 == j3)
-	}
-	if _, ok := s.Job("j5"); ok {
-		t.Error("finished job j5 should not be recovered")
-	}
-	select {
-	case <-j3.done:
-	case <-time.After(2 * time.Minute):
-		t.Fatal("recovered job never finished")
-	}
-	if j3.err != "" || j3.cycles <= 0 || j3.cached {
-		t.Fatalf("recovered job: %d cycles, err %q, cached %v", j3.cycles, j3.err, j3.cached)
-	}
-	if _, ok := s.Result(j3.key); !ok {
-		t.Error("recovered job's result not cached")
-	}
-	if st := s.Stats(); st.Jobs.Recovered != 1 {
-		t.Errorf("recovered = %d, want 1 (duplicate admits collapse)", st.Jobs.Recovered)
-	}
-
-	// Recovery must advance the id counter past every journaled id.
-	j6, rerr := s.Submit(inlineReq(fastIters + 2))
-	if rerr != nil {
-		t.Fatalf("post-recovery submit: %v", rerr)
-	}
-	if j6.ids[0] != "j6" {
-		t.Errorf("next id = %s, want j6", j6.ids[0])
-	}
-	<-j6.done
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	// After a clean drain, every admit has a matching done, and the max
-	// id covers both recovered and freshly-admitted jobs.
-	jour, unfinished, maxID, err := openJournal(path)
-	if err != nil {
-		t.Fatalf("reopen journal: %v", err)
-	}
-	jour.Close()
-	if len(unfinished) != 0 {
-		t.Errorf("unfinished after clean drain: %v", unfinished)
-	}
-	if maxID != 6 {
-		t.Errorf("journal max id = %d, want 6", maxID)
-	}
-}
-
-// TestJournalCorruption: damage before the final line is salvaged — the
-// bad line is skipped, the readable records still count, and the
-// damaged original is preserved beside the compacted journal.
-func TestJournalCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	content := "{\"admit\":{\"id\":\"j1\",\"req\":{\"kernel\":\"HT\"}}}\nGARBAGE\n{\"done\":\"j1\"}\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, unfinished, maxID, err := openJournal(path)
-	if err != nil {
-		t.Fatalf("openJournal: %v", err)
-	}
-	defer j.Close()
-	if len(unfinished) != 0 {
-		t.Errorf("j1 admitted and done, want no unfinished jobs, got %v", unfinished)
-	}
-	if maxID != 1 {
-		t.Errorf("maxID = %d, want 1", maxID)
-	}
-	st := j.statsSnapshot()
-	if st.SalvagedLines != 1 {
-		t.Errorf("SalvagedLines = %d, want 1", st.SalvagedLines)
-	}
-	saved, err := os.ReadFile(path + ".corrupt")
-	if err != nil {
-		t.Fatalf("damaged original not preserved: %v", err)
-	}
-	if string(saved) != content {
-		t.Errorf("preserved copy differs from the damaged original")
-	}
-}
-
-// TestUnrecoverableJobDropped: a journaled request that no longer
-// validates (here: a lowered cycle ceiling) is dropped with a done
-// marker instead of wedging recovery forever.
-func TestUnrecoverableJobDropped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	req := inlineReq(fastIters)
-	req.Config.MaxCycles = 5_000_000
-	data, err := json.Marshal(journalLine{Admit: &journalAdmit{ID: "j1", Req: req}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, Options{Workers: 1, Journal: path, MaxJobCycles: 1_000_000})
-	if _, ok := s.Job("j1"); ok {
-		t.Error("invalid job should not be recovered")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	if _, unfinished, _, err := openJournal(path); err != nil {
-		t.Fatalf("reopen: %v", err)
-	} else if len(unfinished) != 0 {
-		t.Errorf("dropped job still unfinished: %v", unfinished)
 	}
 }
 

@@ -112,7 +112,8 @@ func FuzzSubmit(f *testing.F) {
 	})
 	h := s.Handler()
 	// post submits the body and, if a job was admitted, waits for it, so
-	// that the queue is empty again and the second post finds it done.
+	// that the queue is empty again and the second post finds it done;
+	// the status it returns is the finished job's GET /v1/jobs/{id}.
 	post := func(t *testing.T, body []byte) (int, []byte, JobStatus) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
@@ -122,12 +123,14 @@ func FuzzSubmit(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 				t.Fatalf("status %d with an undecodable body %q: %v", rec.Code, rec.Body.Bytes(), err)
 			}
-			j, ok := s.Job(st.ID)
-			if !ok {
-				t.Fatalf("reply names job %q, which the server does not know", st.ID)
+			id := st.ID
+			if j := inflight(s, id); j != nil {
+				waitDone(t, j)
 			}
-			waitDone(t, j)
-			st = s.status(j)
+			var ok bool
+			if st, ok = s.Job(id); !ok {
+				t.Fatalf("reply names job %q, which the server does not know", id)
+			}
 		case 400, 422, 429:
 		default:
 			t.Fatalf("status %d (%s) for body %q", rec.Code, rec.Body.Bytes(), body)

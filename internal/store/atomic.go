@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // File is the writable-file surface the store needs: sequential writes,
@@ -128,12 +127,4 @@ func atomicWrite(fs FS, dir, tmpName, path string, data []byte) error {
 		return fmt.Errorf("store: fsync dir %s: %w", dir, err)
 	}
 	return nil
-}
-
-// WriteFileAtomic replaces the file at path with data through the same
-// protocol on the real filesystem, for single-writer files outside a
-// store that must never be seen half-written (the daemon's recovery
-// journal at compaction). The temp file is ".tmp-<name>" beside path.
-func WriteFileAtomic(path string, data []byte) error {
-	return atomicWrite(OS{}, filepath.Dir(path), ".tmp-"+filepath.Base(path), path, data)
 }

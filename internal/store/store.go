@@ -341,7 +341,6 @@ func parseEntry(key string, data []byte) (payload []byte, reason string) {
 // miss — the daemon keeps serving, and a resubmission repopulates the
 // key.
 func (s *Store) Get(key string) ([]byte, bool) {
-	path := s.root + "/" + shardOf(key) + "/" + key
 	// Read outside the lock: an eviction (or an eviction followed by a
 	// re-put) can race us, but any bytes that verify are the value for
 	// this key (content addressing). A failed read loops back to the
@@ -361,6 +360,9 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.ll.MoveToFront(el)
 		s.mu.Unlock()
 
+		// Only an indexed key becomes a path: the daemon passes any URL
+		// path segment here, and shardOf needs two characters.
+		path := s.root + "/" + shardOf(key) + "/" + key
 		data, err := s.fs.ReadFile(path)
 		if err != nil {
 			s.mu.Lock()

@@ -55,6 +55,11 @@ func TestRejectsUnsafeKeys(t *testing.T) {
 		if err := s.Put(key, []byte("x")); err == nil {
 			t.Errorf("Put(%q) accepted an unsafe key", key)
 		}
+		// Get takes any string (a daemon passes URL path segments): an
+		// unsafe key is a plain miss, never a panic or a read.
+		if _, ok := s.Get(key); ok {
+			t.Errorf("Get(%q) hit", key)
+		}
 	}
 }
 

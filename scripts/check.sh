@@ -4,8 +4,9 @@
 # figures must match what cmd/warpreport regenerates from the checked-in
 # manifest), full test suite (including the golden-stats regression in
 # internal/exp, the golden rendering tests in internal/report and the seed
-# corpora of the ISA-parser (FuzzParse), store-entry, daemon-journal and
-# POST /v1/jobs fuzz targets, which are ordinary tests), the
+# corpora of the ISA-parser (FuzzParse), analyzer (FuzzAnalyze),
+# store-entry, manifest-join and POST /v1/jobs fuzz targets, which are
+# ordinary tests, and the paper-claims inequalities over full.json), the
 # parallel-runner determinism tests under the race detector, one
 # iteration of the sched/core pick, mem L2-queue, completion-wheel and
 # L1-miss, and server Submit-hit benchmarks (so they cannot rot), the warplint

@@ -3,10 +3,14 @@
 #
 # Builds warpsimd, starts it on a local port with a persistent store,
 # submits the same job twice, asserts the second response is a cache
-# hit whose result bytes are identical to the first, SIGTERMs the
-# daemon and asserts a clean drain (exit 0), then restarts on the same
-# store and asserts the persisted key is a disk hit with byte-identical
-# results across the restart. Finally asserts warpload's failure
+# hit whose result bytes are identical to the first and that the job id
+# is the result key, SIGTERMs the daemon and asserts a clean drain
+# (exit 0), then restarts on the same store and asserts the persisted
+# key is a disk hit with byte-identical results across the restart and
+# that GET /v1/jobs/{key} still answers it. It then SIGTERMs again,
+# restarts without the store (the result is gone, as an in-flight job is
+# after a crash) and asserts a resubmission recomputes the same bytes.
+# Finally asserts warpload's failure
 # contract: against a dead port it must exit non-zero with a structured
 # `warpload: FAIL {...}` summary on stderr. Run by the CI `service`
 # job; safe to run locally (uses a temp dir, kills its own daemon).
@@ -28,7 +32,7 @@ wait_healthy() {
   curl -fs "$BASE/healthz" >/dev/null
 }
 
-"$TMP/warpsimd" -addr "127.0.0.1:$PORT" -journal "$TMP/journal.jsonl" -store "$TMP/store" &
+"$TMP/warpsimd" -addr "127.0.0.1:$PORT" -store "$TMP/store" &
 PID=$!
 wait_healthy
 
@@ -41,6 +45,7 @@ echo "$r1" | grep -q '"cached": false' || { echo "FAIL: first submission should 
 echo "$r1" | grep -q '"state": "done"'  || { echo "FAIL: sync submission should return done" >&2; exit 1; }
 key="$(echo "$r1" | sed -n 's/.*"key": "\([^"]*\)".*/\1/p')"
 [ -n "$key" ] || { echo "FAIL: no result key in response" >&2; exit 1; }
+echo "$r1" | grep -q "\"id\": \"$key\"" || { echo "FAIL: the job id is not the result key" >&2; exit 1; }
 
 echo "--- second submission (must be a cache hit)"
 r2="$(curl -fs -X POST -H 'Content-Type: application/json' -d "$req" "$BASE/v1/jobs")"
@@ -71,13 +76,8 @@ echo "--- SIGTERM: daemon must drain cleanly (exit 0)"
 kill -TERM "$PID"
 wait "$PID"
 
-echo "--- journal is fully resolved (no unfinished jobs survive a clean drain)"
-admits="$(grep -c '"admit"' "$TMP/journal.jsonl")"
-dones="$(grep -c '"done"' "$TMP/journal.jsonl")"
-[ "$admits" -eq "$dones" ] || { echo "FAIL: $admits admits vs $dones dones after drain" >&2; exit 1; }
-
 echo "--- restart on the same store: persisted key survives as a disk hit"
-"$TMP/warpsimd" -addr "127.0.0.1:$PORT" -journal "$TMP/journal.jsonl" -store "$TMP/store" &
+"$TMP/warpsimd" -addr "127.0.0.1:$PORT" -store "$TMP/store" &
 PID=$!
 wait_healthy
 r4="$(curl -fs -X POST -H 'Content-Type: application/json' -d "$req" "$BASE/v1/jobs")"
@@ -86,6 +86,20 @@ echo "$r4" | grep -q '"cached": true' || { echo "FAIL: persisted key re-ran the 
 curl -fs "$BASE/v1/results/$key" > "$TMP/res3.json"
 cmp "$TMP/res1.json" "$TMP/res3.json" || { echo "FAIL: result bytes changed across restart" >&2; exit 1; }
 curl -fs "$BASE/v1/stats" | grep -q '"disk_hits"' || { echo "FAIL: stats lack the persistent-store counters" >&2; exit 1; }
+curl -fs "$BASE/v1/jobs/$key" | grep -q '"state": "done"' || { echo "FAIL: GET /v1/jobs/{key} does not answer a stored result" >&2; exit 1; }
+jcode="$(curl -s -o "$TMP/unknown.json" -w '%{http_code}' "$BASE/v1/jobs/j1")"
+[ "$jcode" = 404 ] && grep -q resubmit "$TMP/unknown.json" || { echo "FAIL: unknown job id returned $jcode, want a 404 that says to resubmit" >&2; exit 1; }
+kill -TERM "$PID"
+wait "$PID"
+
+echo "--- SIGTERM restart without the store: a resubmission recomputes the same bytes"
+"$TMP/warpsimd" -addr "127.0.0.1:$PORT" &
+PID=$!
+wait_healthy
+r5="$(curl -fs -X POST -H 'Content-Type: application/json' -d "$req" "$BASE/v1/jobs")"
+echo "$r5" | grep -q '"cached": false' || { echo "FAIL: a memory-only daemon served the result without running it" >&2; exit 1; }
+curl -fs "$BASE/v1/results/$key" > "$TMP/res4.json"
+cmp "$TMP/res1.json" "$TMP/res4.json" || { echo "FAIL: the recomputed result differs from the original" >&2; exit 1; }
 kill -TERM "$PID"
 wait "$PID"
 
