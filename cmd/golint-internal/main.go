@@ -1,9 +1,12 @@
 // Command golint-internal enforces the determinism contract of the
 // simulation core at the Go-source level: packages it is pointed at may
 // not import math/rand (any randomness must come from seeded injectors
-// like mem.FaultConfig) and may not call time.Now (wall-clock reads make
+// like mem.FaultConfig), may not call time.Now (wall-clock reads make
 // cycle-exact replay and the content-addressed result cache unsound —
-// simulated time is the only clock). In internal/store it additionally
+// simulated time is the only clock) and may not declare package-level
+// func variables (a settable hook is state shared by every engine a -j
+// sweep runs at once; behaviour belongs in sim.Options, which each engine
+// owns). In internal/store it additionally
 // enforces the durability contract: only atomic.go may call os.Rename
 // or os.WriteFile — every other write must go through the FS interface
 // and its temp-file + fsync + rename protocol, or crash-safety and
@@ -76,13 +79,37 @@ func checkDir(dir string) ([]string, error) {
 	return out, nil
 }
 
-// checkFile flags math/rand imports and calls through any local name of
-// the time package whose selector is Now. Import aliases are honoured,
-// so `import t "time"; t.Now()` is caught and a local variable named
-// `time` is not. In internal/store it also flags os.Rename and
-// os.WriteFile calls outside atomic.go, which owns the write protocol.
+// checkFile flags math/rand imports, package-level variables declared
+// with a func type or initialised with a func literal, and calls through
+// any local name of the time package whose selector is Now. Import aliases
+// are honoured, so `import t "time"; t.Now()` is caught and a local
+// variable named `time` is not. A variable of a named func type is not
+// seen: the lint parses, it does not type-check. In internal/store it also
+// flags os.Rename and os.WriteFile calls outside atomic.go, which owns the
+// write protocol.
 func checkFile(fset *token.FileSet, f *ast.File, storePkg bool) []string {
 	var out []string
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			_, funcType := vs.Type.(*ast.FuncType)
+			for i, name := range vs.Names {
+				funcLit := false
+				if i < len(vs.Values) {
+					_, funcLit = vs.Values[i].(*ast.FuncLit)
+				}
+				if (funcType || funcLit) && name.Name != "_" {
+					pos := fset.Position(name.Pos())
+					out = append(out, fmt.Sprintf("%s:%d: package-level func variable %s forbidden: a hook shared by concurrent engines belongs in sim.Options",
+						pos.Filename, pos.Line, name.Name))
+				}
+			}
+		}
+	}
 	timeNames := map[string]bool{}
 	osNames := map[string]bool{}
 	for _, imp := range f.Imports {

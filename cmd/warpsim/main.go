@@ -87,13 +87,12 @@ func main() {
 	spec.DDOS, err = config.ParseDDOS(*hash)
 	usageError(err)
 
-	cfg := exp.Cfg{Check: *check, NoFastForward: *noFF}
+	opt := exp.Cfg{Check: *check, NoFastForward: *noFF}.Options(spec)
+	opt.Profile = *profile
 	if *faultSeed != 0 {
 		f := warpsched.DefaultFaults(*faultSeed).Scale(*faultRate)
-		cfg.Faults = &f
+		opt.Faults = &f
 	}
-	opt := cfg.Options(spec, nil)
-	opt.Profile = *profile
 	var ring *warpsched.TraceRing
 	if *traceN > 0 {
 		ring = warpsched.NewTraceRing(*traceN)
@@ -112,10 +111,17 @@ func main() {
 	wallMS := float64(time.Since(start).Microseconds()) / 1e3
 
 	if *statsJSON != "" {
-		m := metrics.NewManifest("warpsim", map[string]any{
+		desc := map[string]any{
 			"kernel": k.Name, "sched": string(opt.Sched), "bows": string(opt.BOWS.Mode),
 			"gpu": opt.GPU.Name, "delay": *delay, "hash": string(opt.DDOS.Hash),
-		})
+		}
+		// A fault-injected run is a different run: its config hash must not
+		// collide with the clean run's, or joining the two manifests reads
+		// as a determinism conflict.
+		if *faultSeed != 0 {
+			desc["fault_seed"], desc["fault_rate"] = *faultSeed, *faultRate
+		}
+		m := metrics.NewManifest("warpsim", desc)
 		rec := exp.Record(spec, exp.Outcome{Res: res})
 		rec.WallMS = wallMS
 		// warpsim is a single run, so the manifest keeps the full per-SM

@@ -13,6 +13,7 @@ import (
 	"warpsched/internal/exp"
 	"warpsched/internal/kernels"
 	"warpsched/internal/metrics"
+	"warpsched/internal/report"
 )
 
 // bin is the warpsim binary under test, built once in TestMain.
@@ -76,6 +77,38 @@ func TestManifestIdentityMatchesHarness(t *testing.T) {
 	if got.BOWS != want.BOWS || got.DDOS != want.DDOS || got.GPU != want.GPU || got.Sched != want.Sched {
 		t.Errorf("identity columns = %s|%s|%s|%s, want %s|%s|%s|%s",
 			got.GPU, got.Sched, got.BOWS, got.DDOS, want.GPU, want.Sched, want.BOWS, want.DDOS)
+	}
+}
+
+// TestFaultedManifestIsNotACleanRun: a -fault-seed run's manifest carries
+// the seed in its config, so joining it with the clean run's manifest is
+// refused as a different configuration, not reported as a determinism
+// conflict between two results of one run.
+func TestFaultedManifestIsNotACleanRun(t *testing.T) {
+	dir := t.TempDir()
+	manifest := func(name string, extra ...string) *metrics.Manifest {
+		path := filepath.Join(dir, name)
+		args := append([]string{"-kernel", "ATM", "-sms", "2", "-bows", "ddos", "-stats-json", path}, extra...)
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("warpsim %v: %v\n%s", extra, err, out)
+		}
+		m, err := metrics.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	clean, faulted := manifest("clean.json"), manifest("faulted.json", "-fault-seed", "7")
+	if clean.ConfigHash == faulted.ConfigHash {
+		t.Fatalf("faulted and clean manifests share config hash %s", clean.ConfigHash)
+	}
+	if _, ok := clean.Config["fault_seed"]; ok {
+		t.Errorf("clean manifest config names a fault seed: %v", clean.Config)
+	}
+	_, err := report.Join(clean, faulted)
+	var je *report.JoinError
+	if !errors.As(err, &je) || je.Reason != report.ReasonConfig {
+		t.Fatalf("Join(clean, faulted) = %v, want JoinError{ReasonConfig}", err)
 	}
 }
 

@@ -95,9 +95,6 @@ func (b *BOWS) BackedOff(slot int) bool { return b.backedOff>>uint(slot)&1 != 0 
 // BackedOffMask returns the backed-off warp slots as a bitmask.
 func (b *BOWS) BackedOffMask() uint64 { return b.backedOff }
 
-// SIBExecutions returns the number of warp SIB executions observed.
-func (b *BOWS) SIBExecutions() int64 { return b.sibExecutions }
-
 // IsSIB resolves the active trigger source for a branch instruction.
 func (b *BOWS) IsSIB(pc int32, in *isa.Instr) bool {
 	switch b.cfg.Mode {

@@ -20,7 +20,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"warpsched/internal/config"
@@ -139,16 +138,6 @@ type branchTrack struct {
 	isSIB     bool // ground truth (AnnSIB)
 }
 
-// DebugBranchHook, when set, observes every backward-branch event
-// (development aid; nil in production).
-var DebugBranchHook func(slot int, pc int32, isSIB, spinning bool, state string)
-
-// DebugString renders the history FSM state (development aid).
-func (h *history) DebugString() string {
-	return fmt.Sprintf("n=%d mp=%d fixed=%v rem=%d spin=%v path=%v valA=%v valB=%v",
-		h.n, h.mp, h.fixed, h.remaining, h.spinning, h.path, h.valA, h.valB)
-}
-
 // DDOS is one SM's detector.
 type DDOS struct {
 	cfg   config.DDOS
@@ -181,9 +170,6 @@ func NewDDOS(cfg config.DDOS, numSlots int) *DDOS {
 	}
 	return d
 }
-
-// Table exposes the SIB-PT (shared with BOWS and reporting).
-func (d *DDOS) Table() *SIBPT { return d.table }
 
 // RegisterMetrics registers the detector's observability surface under
 // prefix (e.g. "sm0.ddos."): the SIB-PT counters plus detection-quality
@@ -270,9 +256,6 @@ func (d *DDOS) OnBranch(slot int, pc int32, isSIB bool, cycle int64) {
 	if h == nil {
 		return // time sharing: unobserved warps neither build nor decay
 	}
-	if DebugBranchHook != nil {
-		DebugBranchHook(slot, pc, isSIB, h.spinning, h.DebugString())
-	}
 	if h.spinning {
 		d.table.Bump(pc, cycle)
 	} else {
@@ -348,9 +331,6 @@ func (d *DDOS) Metrics() DetectionMetrics {
 
 // ConfirmedPCs returns every confirmed SIB PC (order unspecified).
 func (d *DDOS) ConfirmedPCs() []int32 { return d.table.ConfirmedPCs() }
-
-// TableLen returns the SIB-PT's current entry count.
-func (d *DDOS) TableLen() int { return d.table.Len() }
 
 // TableSnapshot returns a PC-sorted copy of the SIB-PT for hang
 // reports.

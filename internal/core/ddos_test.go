@@ -120,14 +120,14 @@ func TestDDOSConfidenceDecay(t *testing.T) {
 	var cycle int64
 	// Two spinning bumps...
 	feedSpin(d, 0, 6, &cycle) // history warm-up + bumps
-	pre := d.Table().entry(24)
+	pre := d.table.entry(24)
 	if pre == nil || pre.Confirmed() {
 		t.Fatalf("branch should be tracked but not yet confirmed (conf=%v)", pre)
 	}
 	conf := pre.Confidence()
 	// ...then a non-spinning warp takes the branch: confidence decays.
 	d.OnBranch(1, 24, true, cycle)
-	if got := d.Table().entry(24).Confidence(); got != conf-1 {
+	if got := d.table.entry(24).Confidence(); got != conf-1 {
 		t.Fatalf("confidence = %d, want %d", got, conf-1)
 	}
 }
@@ -240,8 +240,8 @@ func TestSIBPTEviction(t *testing.T) {
 	if pt.entry(3) == nil || pt.entry(2) == nil {
 		t.Fatal("wrong eviction victim")
 	}
-	if pt.Evictions() != 1 {
-		t.Fatalf("evictions = %d", pt.Evictions())
+	if pt.evictions != 1 {
+		t.Fatalf("evictions = %d", pt.evictions)
 	}
 }
 

@@ -49,9 +49,6 @@ type Detector interface {
 	Metrics() DetectionMetrics
 	// ConfirmedPCs returns every confirmed SIB PC (order unspecified).
 	ConfirmedPCs() []int32
-	// TableLen returns the confirmation table's current entry count
-	// (the engine tracks its high-water mark).
-	TableLen() int
 	// TableSnapshot returns a PC-sorted copy of the confirmation
 	// table, for attaching to hang reports.
 	TableSnapshot() []SIBView

@@ -132,16 +132,6 @@ func (t *SIBPT) Snapshot() []SIBView {
 	return out
 }
 
-// Len returns the current entry count.
-func (t *SIBPT) Len() int { return len(t.entries) }
-
-// Evictions returns the number of entries displaced to make room for a new
-// candidate.
-func (t *SIBPT) Evictions() int64 { return t.evictions }
-
-// Promotions returns the number of SIB confirmations.
-func (t *SIBPT) Promotions() int64 { return t.promotions }
-
 // RegisterMetrics registers the table's counters under prefix (e.g.
 // "sm0.ddos.sibpt.").
 func (t *SIBPT) RegisterMetrics(r *metrics.Registry, prefix string) {

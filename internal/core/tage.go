@@ -323,9 +323,6 @@ func (t *TAGESIB) Metrics() DetectionMetrics {
 // ConfirmedPCs returns every confirmed SIB PC (order unspecified).
 func (t *TAGESIB) ConfirmedPCs() []int32 { return t.table.ConfirmedPCs() }
 
-// TableLen returns the confirmation table's current entry count.
-func (t *TAGESIB) TableLen() int { return t.table.Len() }
-
 // TableSnapshot returns a PC-sorted copy of the confirmation table for
 // hang reports.
 func (t *TAGESIB) TableSnapshot() []SIBView { return t.table.Snapshot() }

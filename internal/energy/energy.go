@@ -83,17 +83,6 @@ func (b Breakdown) Total() float64 {
 	return b.Core + b.L1 + b.L2 + b.DRAM + b.Atomic + b.Idle + b.Sched
 }
 
-// NormalizedTo returns this breakdown's total as a fraction of base's
-// total — the quantity Figures 9b and 15b plot (dynamic energy normalized
-// to the LRR baseline). Returns 0 when base is empty.
-func (b Breakdown) NormalizedTo(base Breakdown) float64 {
-	t := base.Total()
-	if t == 0 {
-		return 0
-	}
-	return b.Total() / t
-}
-
 // String renders the breakdown in nanojoules.
 func (b Breakdown) String() string {
 	return fmt.Sprintf("total=%.1fnJ core=%.1f l1=%.1f l2=%.1f dram=%.1f atomic=%.1f idle=%.1f sched=%.1f",

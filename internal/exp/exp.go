@@ -18,7 +18,6 @@ import (
 
 	"warpsched/internal/config"
 	"warpsched/internal/kernels"
-	"warpsched/internal/mem"
 	"warpsched/internal/sim"
 )
 
@@ -46,21 +45,11 @@ type Cfg struct {
 	// (the registry key, e.g. "fig9"); cmd/experiments sets it per
 	// experiment so internal/report can group a manifest's runs.
 	Exp string
-	// Tracer, when non-nil, supplies the tracer for the run at submission
-	// index i. Each concurrently running engine must get its own tracer
-	// instance — use trace.Buffers; sharing one Ring across engines is a
-	// data race under Jobs > 1.
-	Tracer func(i int) sim.Tracer
 	// Check enables the engine's runtime invariant checker and early hang
 	// aborts for every run (cmd/experiments -check). Checked runs simulate
 	// cycle-identically to unchecked ones — they only fail faster and with
 	// a diagnosis when something is wrong.
 	Check bool
-	// Faults, when non-nil, wires the deterministic memory fault injector
-	// into every run (see mem.FaultConfig). Used by the robustness test
-	// suite; injected runs are deterministic per seed but differ from
-	// clean runs, so never combine with golden comparisons.
-	Faults *mem.FaultConfig
 	// Journal, when non-nil, makes the sweep crash-tolerant and resumable
 	// (cmd/experiments -resume): specs whose results are already journaled
 	// are replayed instead of re-simulated, and freshly finished specs are
@@ -128,23 +117,17 @@ func (c Cfg) syncFreeSuite() []*kernels.Kernel {
 // at expMaxCycles; a spec carrying its own MaxCycles replaces that clamp —
 // the submitter (internal/server admission control, cmd/warpsim) owns
 // the bound.
-func (c Cfg) Options(sp Spec, tr sim.Tracer) sim.Options {
-	opt := sim.Options{GPU: sp.Normalized().GPU, Sched: sp.Sched, BOWS: sp.BOWS,
+func (c Cfg) Options(sp Spec) sim.Options {
+	return sim.Options{GPU: sp.Normalized().GPU, Sched: sp.Sched, BOWS: sp.BOWS,
 		DDOS: sp.DDOS, Detector: sp.Detector, TAGE: sp.TAGE, WaSP: sp.WaSP,
-		Tracer: tr, Faults: c.Faults, NoFastForward: c.NoFastForward,
-		Progress: sp.Progress}
-	if c.Check {
-		opt.Check = true
-		opt.HangWindow = sim.DefaultHangWindow
-	}
-	return opt
+		Check: c.Check, NoFastForward: c.NoFastForward, Progress: sp.Progress}
 }
 
 // run simulates one kernel and verifies its output. On a watchdog abort
 // the partial result is returned alongside the error so sweeps can record
 // "at least this slow" instead of aborting.
-func (c Cfg) run(sp *Spec, tr sim.Tracer) (*sim.Result, error) {
-	eng, err := sim.New(c.Options(*sp, tr), sp.Kernel.Launch)
+func (c Cfg) run(sp *Spec) (*sim.Result, error) {
+	eng, err := sim.New(c.Options(*sp), sp.Kernel.Launch)
 	if err != nil {
 		return nil, err
 	}

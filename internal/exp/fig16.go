@@ -24,19 +24,18 @@ type Fig16Result struct {
 // Fig16Buckets is the paper's contention sweep.
 var Fig16Buckets = []int{128, 256, 512, 1024, 2048, 4096}
 
-// Fig16 runs the contention sweep.
-func Fig16(c Cfg) (*Fig16Result, error) {
+// Fig16Specs lists the contention sweep's runs: per bucket count of
+// Fig16Buckets, the GTO baseline, GTO+BOWS, and ideal blocking (the
+// paper's HQL proxy, Fig. 16b) — the same kernel on the machine with the
+// blocking queue-lock unit enabled, where acquires park at the L2 and
+// never retry.
+func Fig16Specs(c Cfg) []Spec {
 	gpu := c.fermi()
 	// Same machine-saturating geometry as the suite's HT instance.
 	items, ctas, ctaThreads := 12288, 48, 128
 	if c.Quick {
 		items, ctas, ctaThreads = 6144, 24, 128
 	}
-	r := &Fig16Result{}
-	// Per bucket count: GTO baseline, GTO+BOWS, and ideal blocking (the
-	// paper's HQL proxy, Fig. 16b) — the same kernel on the machine with
-	// the blocking queue-lock unit enabled, where acquires park at the L2
-	// and never retry.
 	qGPU := gpu
 	qGPU.Mem.QueueLocks = true
 	var specs []Spec
@@ -49,7 +48,13 @@ func Fig16(c Cfg) (*Fig16Result, error) {
 			Spec{GPU: gpu, Sched: config.GTO, BOWS: config.DefaultBOWS(), DDOS: config.DefaultDDOS(), Kernel: k},
 			Spec{GPU: qGPU, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k})
 	}
-	outs := c.runAll(specs)
+	return specs
+}
+
+// Fig16 runs the contention sweep.
+func Fig16(c Cfg) (*Fig16Result, error) {
+	r := &Fig16Result{}
+	outs := c.runAll(Fig16Specs(c))
 	if err := firstErr(outs); err != nil {
 		return nil, err
 	}

@@ -177,6 +177,59 @@ func TestRunnerResumeRendersIdenticalTable(t *testing.T) {
 	}
 }
 
+// TestRunnerResumeReadsOlderEntries: entries written before sim.Result
+// lost its per-SM copies still carry PerSM, PerSMDetection and
+// MaxSIBPTEntries. Such a directory replays every run — the fields are
+// ignored, not a decode failure that would quarantine or re-simulate —
+// and the table it renders is byte-identical.
+func TestRunnerResumeReadsOlderEntries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	render := func(j *Journal) string {
+		r, err := Fig3(Cfg{Quick: true, Jobs: 2, Journal: j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.String()
+	}
+	fresh := render(openTestJournal(t, path))
+
+	st, _, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := journalFiles(t, path)
+	for _, f := range files {
+		key := filepath.Base(f)
+		data, _ := st.Get(key)
+		var e struct {
+			Key string         `json:"key"`
+			Err string         `json:"err,omitempty"`
+			Res map[string]any `json:"res"`
+		}
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Fatal(err)
+		}
+		e.Res["PerSM"] = []any{e.Res["Stats"], e.Res["Stats"]}
+		e.Res["PerSMDetection"] = []any{e.Res["Detection"], e.Res["Detection"]}
+		e.Res["MaxSIBPTEntries"] = 3
+		old, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(key, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	j := openTestJournal(t, path)
+	if replayed := render(j); replayed != fresh {
+		t.Errorf("table replayed from older entries differs:\n--- fresh ---\n%s--- replayed ---\n%s", fresh, replayed)
+	}
+	if q, f := j.Dropped(); j.Hits() != len(files) || q != 0 || f != 0 {
+		t.Errorf("%d of %d older entries replayed, %d quarantined, %d foreign; want all, 0, 0", j.Hits(), len(files), q, f)
+	}
+}
+
 // TestRunnerResumeReplaysFailures: failed runs are journaled too — a
 // resumed sweep reproduces the exact error string without re-executing
 // the failing configuration.

@@ -180,14 +180,14 @@ func (e *PanicError) Brief() string {
 // guardedRun executes one simulation with a panic barrier: a panic that
 // escapes the engine (its own recovery handles known fault types) becomes
 // a *PanicError instead of crashing the sweep.
-func (c Cfg) guardedRun(sp *Spec, tr sim.Tracer) (o Outcome) {
+func (c Cfg) guardedRun(sp *Spec) (o Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			o = Outcome{Err: &PanicError{Kernel: sp.Kernel.Name, Sched: sp.Sched,
 				Value: fmt.Sprint(r), Stack: string(debug.Stack())}}
 		}
 	}()
-	res, err := c.run(sp, tr)
+	res, err := c.run(sp)
 	return Outcome{Res: res, Err: err}
 }
 
@@ -206,11 +206,7 @@ func (c Cfg) runOne(sp *Spec, i, n int, progress chan<- string) Outcome {
 		}
 	}
 	start := time.Now()
-	var tr sim.Tracer
-	if c.Tracer != nil {
-		tr = c.Tracer(i)
-	}
-	o := c.guardedRun(sp, tr)
+	o := c.guardedRun(sp)
 	if c.Journal != nil {
 		if jerr := c.Journal.record(key, o); jerr != nil && o.Err == nil {
 			// A run whose result cannot be journaled must not be reported

@@ -9,7 +9,6 @@ import (
 	"warpsched/internal/kernels"
 	"warpsched/internal/metrics"
 	"warpsched/internal/sim"
-	"warpsched/internal/trace"
 )
 
 // testSpec builds a small hashtable run for runner tests.
@@ -27,12 +26,12 @@ func testSpec(buckets int) Spec {
 // parallel runner's byte-identical-output guarantee rests on.
 func TestRunnerRepeatDeterminism(t *testing.T) {
 	sp := testSpec(64)
-	a, err := Cfg{}.run(&sp, nil)
+	a, err := Cfg{}.run(&sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp2 := testSpec(64)
-	b, err := Cfg{}.run(&sp2, nil)
+	b, err := Cfg{}.run(&sp2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestRunnerSubmissionOrder(t *testing.T) {
 	want := make([]int64, len(buckets))
 	for i, bk := range buckets {
 		specs[i] = testSpec(bk)
-		res, err := Cfg{}.run(&specs[i], nil)
+		res, err := Cfg{}.run(&specs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,37 +116,6 @@ func TestRunnerProgressSerialized(t *testing.T) {
 	}
 	if len(seen) != len(specs) {
 		t.Errorf("duplicate or missing progress indices:\n%v", lines)
-	}
-}
-
-// TestRunnerTracerPerEngine exercises tracing under the parallel runner
-// with the race detector: trace.Buffers must give each engine its own
-// ring (one shared Ring would race), and per-run event totals must not
-// depend on the worker count.
-func TestRunnerTracerPerEngine(t *testing.T) {
-	specs := []Spec{testSpec(16), testSpec(32), testSpec(64), testSpec(128)}
-	totals := func(jobs int) []int64 {
-		bufs := trace.NewBuffers(256, 0)
-		c := Cfg{Jobs: jobs, Tracer: func(i int) sim.Tracer { return bufs.For(i) }}
-		outs := c.runAll(specs)
-		if err := firstErr(outs); err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		out := make([]int64, len(specs))
-		for i := range specs {
-			out[i] = bufs.For(i).Total()
-		}
-		return out
-	}
-	serial := totals(1)
-	parallel := totals(4)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("per-run trace totals differ between -j1 and -j4: %v vs %v", serial, parallel)
-	}
-	for i, n := range serial {
-		if n == 0 {
-			t.Errorf("run %d recorded no events", i)
-		}
 	}
 }
 

@@ -371,20 +371,6 @@ func (in *Instr) WritesReg() bool {
 	return false
 }
 
-// SrcRegs appends the GPRs read by the instruction to dst and returns it.
-func (in *Instr) SrcRegs(dst []Reg) []Reg {
-	add := func(o Operand) {
-		if o.Kind == OpdReg {
-			dst = append(dst, o.Reg)
-		}
-	}
-	add(in.A)
-	add(in.B)
-	add(in.C)
-	add(in.D)
-	return dst
-}
-
 // Program is an assembled kernel body.
 type Program struct {
 	Name string

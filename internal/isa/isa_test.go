@@ -79,20 +79,6 @@ func TestWritesReg(t *testing.T) {
 	}
 }
 
-func TestSrcRegs(t *testing.T) {
-	in := Instr{Op: OpAtomCAS, A: R(1), B: I(3), C: R(2), D: R(7)}
-	got := in.SrcRegs(nil)
-	want := []Reg{1, 2, 7}
-	if len(got) != len(want) {
-		t.Fatalf("SrcRegs = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SrcRegs = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestValidateCatchesBadPrograms(t *testing.T) {
 	cases := []struct {
 		name string

@@ -55,15 +55,6 @@ func Parse(name, src string) (*Program, error) {
 	return b.Build()
 }
 
-// MustParse is Parse that panics on error, for static program literals.
-func MustParse(name, src string) *Program {
-	p, err := Parse(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func stripComment(line string) string {
 	if i := strings.Index(line, "//"); i >= 0 {
 		line = line[:i]

@@ -168,12 +168,3 @@ func TestParseAddressForms(t *testing.T) {
 		t.Fatal("[reg+imm] form wrong")
 	}
 }
-
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse should panic on bad source")
-		}
-	}()
-	MustParse("bad", "wat")
-}

@@ -171,14 +171,3 @@ func TestDerivedMatchesOnline(t *testing.T) {
 		}
 	}
 }
-
-func TestNormalizedTo(t *testing.T) {
-	base := energy.Breakdown{Core: 50, L1: 30, L2: 20}
-	b := energy.Breakdown{Core: 25, L1: 15, L2: 10}
-	if got := b.NormalizedTo(base); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("NormalizedTo = %v, want 0.5", got)
-	}
-	if got := b.NormalizedTo(energy.Breakdown{}); got != 0 {
-		t.Fatalf("NormalizedTo(empty) = %v, want 0", got)
-	}
-}

@@ -55,15 +55,10 @@ func requireIdentical(t *testing.T, label string, want, got *sim.Result) {
 	if !reflect.DeepEqual(want.Stats, got.Stats) {
 		t.Errorf("%s: aggregate stats diverged:\nwant %+v\ngot  %+v", label, want.Stats, got.Stats)
 	}
-	if !reflect.DeepEqual(want.PerSM, got.PerSM) {
-		t.Errorf("%s: per-SM stats diverged", label)
-	}
-	if !reflect.DeepEqual(want.Detection, got.Detection) ||
-		!reflect.DeepEqual(want.PerSMDetection, got.PerSMDetection) {
+	if !reflect.DeepEqual(want.Detection, got.Detection) {
 		t.Errorf("%s: detection metrics diverged", label)
 	}
-	if !reflect.DeepEqual(want.ConfirmedSIBs, got.ConfirmedSIBs) ||
-		want.MaxSIBPTEntries != got.MaxSIBPTEntries {
+	if !reflect.DeepEqual(want.ConfirmedSIBs, got.ConfirmedSIBs) {
 		t.Errorf("%s: SIB state diverged", label)
 	}
 	if !reflect.DeepEqual(want.FinalDelayLimits, got.FinalDelayLimits) {

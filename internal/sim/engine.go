@@ -64,20 +64,18 @@ type Options struct {
 	// simulates identically (same cycles, stats and memory image).
 	Observer Observer
 
-	// Check enables the runtime invariant checker (internal/sim/invariants.go):
-	// every CheckEvery cycles (DefaultCheckEvery when zero) the engine
-	// cross-checks scoreboards, request-pool balance, CTA accounting and the
-	// memory system's internal audit, failing with an *InvariantError.
-	// Checks only read state, so a checked run simulates identically.
+	// Check enables the runtime invariant checker (internal/sim/invariants.go)
+	// and early hang aborts. Every CheckEvery cycles (DefaultCheckEvery when
+	// zero) the engine cross-checks scoreboards, request-pool balance, CTA
+	// accounting and the memory system's internal audit, failing with an
+	// *InvariantError; a hang classified over two consecutive
+	// DefaultHangWindow windows (internal/sim/hang.go) aborts the run with a
+	// *HangError instead of burning the rest of the MaxCycles budget. Both
+	// only read state, so a checked run simulates identically. Without Check,
+	// progress monitoring still runs passively so watchdog errors carry a
+	// HangReport either way.
 	Check      bool
 	CheckEvery int64
-	// HangWindow arms early hang aborts: when positive, a hang classified
-	// over two consecutive windows of that many cycles (see
-	// internal/sim/hang.go) aborts the run with a *HangError instead of
-	// burning the rest of the MaxCycles budget. Zero disables early aborts;
-	// progress monitoring still runs passively (at DefaultHangWindow) so
-	// watchdog errors carry a HangReport either way.
-	HangWindow int64
 	// Faults, when non-nil, wires a deterministic fault injector into the
 	// memory system (see mem.FaultConfig): seeded latency spikes, response
 	// reordering and atomic retry storms. Results remain deterministic for
@@ -147,18 +145,13 @@ func DefaultOptions() Options {
 
 // Result is the outcome of a simulation.
 type Result struct {
-	// Stats aggregates all SMs; PerSM holds the per-SM breakdown.
+	// Stats aggregates all SMs; Metrics holds the per-SM counters.
 	Stats stats.Sim
-	PerSM []stats.Sim
 	// Detection aggregates spin-detection quality (from whichever
-	// detector Options.Detector selected) over SMs; PerSMDetection is
-	// the per-SM view.
-	Detection      core.DetectionMetrics
-	PerSMDetection []core.DetectionMetrics
+	// detector Options.Detector selected) over SMs.
+	Detection core.DetectionMetrics
 	// ConfirmedSIBs is the union of confirmed SIB PCs across SMs.
 	ConfirmedSIBs []int32
-	// MaxSIBPTEntries is the maximum concurrent SIB-PT occupancy seen.
-	MaxSIBPTEntries int
 	// FinalDelayLimits holds each SM's final (adaptive) delay limit.
 	FinalDelayLimits []int64
 	// PCProfile[pc] counts warp instructions issued at pc (Options.Profile).
@@ -289,7 +282,6 @@ type smState struct {
 	wakeAt       int64
 	ffSkipped    int64 // SM ticks skipped while dormant (observability)
 	st           stats.Sim
-	maxSIBPT     int
 	pcCounts     []int64 // per-PC issue counts (Options.Profile)
 
 	// port caches eng.sys.Port(id); doneFn is bound once so a request's
@@ -524,7 +516,7 @@ func (e *Engine) registerMetrics() {
 // Run simulates to completion and returns the result. It fails on the
 // MaxCycles watchdog (livelock/deadlock guard) with a *HangError whose
 // report classifies the stall and names the stuck warps; with
-// Options.HangWindow set it aborts as soon as a hang is confirmed. A
+// Options.Check set it aborts as soon as a hang is confirmed. A
 // memory-system address fault (out-of-range access) is recovered into an
 // error wrapping *mem.AddrFault rather than crashing the process; the
 // partial result accompanies every failure.
@@ -572,7 +564,7 @@ func (e *Engine) Run() (res *Result, err error) {
 			if p := e.opt.Progress; p != nil {
 				p.Store(e.cycle)
 			}
-			if class := hm.sample(); class != HangUnknown && e.opt.HangWindow > 0 {
+			if class := hm.sample(); class != HangUnknown && e.opt.Check {
 				return e.result(), &HangError{Report: e.buildHangReport(hm, class)}
 			}
 		}
@@ -790,9 +782,6 @@ func (e *Engine) flushSMs() {
 	}
 }
 
-// Cycle returns the current simulation cycle.
-func (e *Engine) Cycle() int64 { return e.cycle }
-
 // dispatch places pending CTAs onto SMs with capacity.
 func (e *Engine) dispatch() {
 	warpsPerCTA := (e.launch.CTAThreads + 31) / 32
@@ -977,9 +966,6 @@ func (m *smState) tick(cycle int64) {
 	m.issuedMask &^= m.live
 	if m.bows != nil {
 		m.st.BackedOffSum += int64(bits.OnesCount64(m.live & m.bows.BackedOffMask()))
-	}
-	if n := m.det.TableLen(); n > m.maxSIBPT {
-		m.maxSIBPT = n
 	}
 	if m.wbHead++; m.wbHead == len(m.wbRing) {
 		m.wbHead = 0
@@ -1196,19 +1182,13 @@ func (e *Engine) result() *Result {
 		if m.bows != nil {
 			r.FinalDelayLimits = append(r.FinalDelayLimits, m.bows.DelayLimit())
 		}
-		det := m.det.Metrics()
-		r.PerSM = append(r.PerSM, m.st)
-		r.PerSMDetection = append(r.PerSMDetection, det)
-		r.Detection.Add(det)
+		r.Detection.Add(m.det.Metrics())
 		r.Stats.Add(&m.st)
 		for _, pc := range m.det.ConfirmedPCs() {
 			if _, ok := seen[pc]; !ok {
 				seen[pc] = struct{}{}
 				r.ConfirmedSIBs = append(r.ConfirmedSIBs, pc)
 			}
-		}
-		if m.maxSIBPT > r.MaxSIBPTEntries {
-			r.MaxSIBPTEntries = m.maxSIBPT
 		}
 		if m.pcCounts != nil {
 			if r.PCProfile == nil {

@@ -1,5 +1,5 @@
 // Configuration, options and limits: machine configurations, launch
-// validation, the MaxCycles watchdog, and the per-SM statistics, PC
+// validation, the MaxCycles watchdog, the per-SM counters, and the PC
 // profile and tracer outputs an Options field switches on.
 
 package sim
@@ -11,6 +11,7 @@ import (
 	"warpsched/internal/config"
 	"warpsched/internal/isa"
 	"warpsched/internal/mem"
+	"warpsched/internal/stats"
 	"warpsched/internal/trace"
 )
 
@@ -48,9 +49,13 @@ func TestPascalConfigRuns(t *testing.T) {
 			t.Fatalf("c[%d] = %d", i, res.Memory[2*n+i])
 		}
 	}
-	// 4 schedulers per SM on Pascal: per-SM stats exist for each SM.
-	if len(res.PerSM) != 2 {
-		t.Fatalf("PerSM = %d", len(res.PerSM))
+	// The scaled Pascal machine reports counters for its two SMs, no more.
+	c := res.Metrics.Counters
+	if _, ok := c["sm1.exec.warp_instrs"]; !ok {
+		t.Fatal("no counters for the second SM")
+	}
+	if _, ok := c["sm2.exec.warp_instrs"]; ok {
+		t.Fatal("counters for a third SM")
 	}
 }
 
@@ -152,14 +157,8 @@ func TestPerSMStatsSumToTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var warpInstrs, threadInstrs int64
-	for _, sm := range res.PerSM {
-		warpInstrs += sm.WarpInstrs
-		threadInstrs += sm.ThreadInstrs
-	}
-	if warpInstrs != res.Stats.WarpInstrs || threadInstrs != res.Stats.ThreadInstrs {
-		t.Fatalf("per-SM stats don't sum: %d/%d vs %d/%d",
-			warpInstrs, threadInstrs, res.Stats.WarpInstrs, res.Stats.ThreadInstrs)
+	if sum := *stats.FromCounters(res.Stats.Cycles, res.Metrics.Counters); sum != res.Stats {
+		t.Fatalf("per-SM counters don't sum to the aggregate:\n%+v\n%+v", sum, res.Stats)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestHangReportFastForwardExact(t *testing.T) {
 	}
 }
 
-// TestWatchdogFastForwardExact exercises the passive path: no HangWindow,
+// TestWatchdogFastForwardExact exercises the passive path: no Check,
 // so the run must burn its entire MaxCycles budget. Fast-forward covers
 // that budget in a handful of jumps, but the abort cycle and the sampled
 // report must match the per-cycle run exactly.

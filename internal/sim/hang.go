@@ -20,8 +20,8 @@
 // plateaus) never trigger. Monitoring is passive and always on — it only
 // reads counters, so simulated behavior and golden stats are
 // byte-identical — but the engine aborts early on a confirmed hang only
-// when Options.HangWindow arms it. Either way, every watchdog error
-// carries a structured HangReport naming the stuck warps.
+// when Options.Check arms it. Either way, every watchdog error carries a
+// structured HangReport naming the stuck warps.
 package sim
 
 import (
@@ -53,9 +53,9 @@ const (
 	HangUnknown HangClass = "unknown"
 )
 
-// DefaultHangWindow is the progress-sample period (and, when armed via
-// Options.HangWindow, the no-progress window that triggers an abort
-// after two consecutive confirmations). It is chosen well above every
+// DefaultHangWindow is the progress-sample period (and, when Options.Check
+// arms early aborts, the no-progress window that triggers an abort after
+// two consecutive confirmations). It is chosen well above every
 // legitimate stall the machine can produce (DRAM round trips are
 // hundreds of cycles, BOWS back-off delays top out around 10k) and well
 // below the experiment watchdog budget, so a seeded hang is classified
@@ -164,7 +164,7 @@ func (r *HangReport) StuckSummary(n int) string {
 }
 
 // HangError is returned by Engine.Run when the machine stops making
-// progress: either an early abort on a confirmed hang (Options.HangWindow
+// progress: either an early abort on a confirmed hang (Options.Check
 // armed) or the MaxCycles/drain watchdog (Watchdog true, classification
 // best-effort). The partial Result is returned alongside it.
 type HangError struct {
@@ -210,9 +210,8 @@ type slotTrack struct {
 
 // hangMonitor samples the engine's progress counters once per window.
 type hangMonitor struct {
-	eng    *Engine
-	window int64
-	next   int64
+	eng  *Engine
+	next int64
 
 	prevIssued int64
 	prevUseful int64
@@ -231,11 +230,7 @@ type hangMonitor struct {
 }
 
 func newHangMonitor(e *Engine) *hangMonitor {
-	window := e.opt.HangWindow
-	if window <= 0 {
-		window = DefaultHangWindow
-	}
-	hm := &hangMonitor{eng: e, window: window, next: window,
+	hm := &hangMonitor{eng: e, next: DefaultHangWindow,
 		pending: HangUnknown, lastClass: HangUnknown}
 	hm.prevSlots = make([][]slotTrack, len(e.sms))
 	for i, m := range e.sms {
@@ -331,7 +326,7 @@ func (hm *hangMonitor) sample() HangClass {
 
 	hm.prevIssued, hm.prevUseful, hm.prevSpin = issued, useful, spin
 	hm.snapshotSlots()
-	hm.next += hm.window
+	hm.next += DefaultHangWindow
 	return confirmed
 }
 
@@ -349,7 +344,7 @@ func (e *Engine) buildHangReport(hm *hangMonitor, class HangClass) *HangReport {
 		Mem:       e.sys.InFlight(),
 	}
 	if hm != nil {
-		r.Window = hm.window
+		r.Window = DefaultHangWindow
 		r.IssuedInWindow = hm.lastIssuedD
 		r.UsefulInWindow = hm.lastUsefulD
 		r.SpinInWindow = hm.lastSpinD

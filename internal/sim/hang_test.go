@@ -13,11 +13,12 @@ import (
 // is detection within 10% of it.
 const hangBudget int64 = 10_000_000
 
-// hangOptions arms early hang aborts on the small test machine.
+// hangOptions arms early hang aborts (and with them the invariant
+// checker) on the small test machine.
 func hangOptions(kind config.SchedulerKind) Options {
 	opt := testOptions(kind)
 	opt.GPU.MaxCycles = hangBudget
-	opt.HangWindow = DefaultHangWindow
+	opt.Check = true
 	return opt
 }
 
@@ -157,8 +158,8 @@ func TestHangStarvationClassified(t *testing.T) {
 	}
 }
 
-// TestWatchdogCarriesHangReport checks the passive path: with HangWindow
-// unset the run burns its MaxCycles budget, but the watchdog error still
+// TestWatchdogCarriesHangReport checks the passive path: without Check
+// the run burns its MaxCycles budget, but the watchdog error still
 // carries a classified report.
 func TestWatchdogCarriesHangReport(t *testing.T) {
 	opt := testOptions(config.GTO)

@@ -60,7 +60,6 @@ func TestInvariantsCleanRuns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := testOptions(config.GTO)
 			opt.Check = true
-			opt.HangWindow = DefaultHangWindow
 			opt.GPU.Mem.QueueLocks = tc.queueLocks
 			eng, err := New(opt, Launch{
 				Prog: lockAddProg(t), GridCTAs: 2, CTAThreads: 64, MemWords: 64,

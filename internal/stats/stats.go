@@ -7,7 +7,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"strings"
 )
@@ -175,9 +174,6 @@ func (s *Sim) SyncInstrFraction() float64 {
 	return float64(s.SyncThreadInstrs) / float64(s.ThreadInstrs)
 }
 
-// UsefulThreadInstrs returns ThreadInstrs minus synchronization overhead.
-func (s *Sim) UsefulThreadInstrs() int64 { return s.ThreadInstrs - s.SyncThreadInstrs }
-
 // SyncMemFraction returns the Figure 1d traffic fraction.
 func (s *Sim) SyncMemFraction() float64 {
 	if s.Mem.Transactions == 0 {
@@ -202,23 +198,6 @@ func (e *SyncEvents) LockAttempts() int64 {
 
 // WaitAttempts returns total wait-exit lane attempts.
 func (e *SyncEvents) WaitAttempts() int64 { return e.WaitExitSuccess + e.WaitExitFail }
-
-// FailureRate returns failed acquire attempts per successful acquire.
-func (e *SyncEvents) FailureRate() float64 {
-	if e.LockSuccess == 0 {
-		return 0
-	}
-	return float64(e.InterWarpFail+e.IntraWarpFail) / float64(e.LockSuccess)
-}
-
-// String summarizes headline numbers for logging.
-func (s *Sim) String() string {
-	return fmt.Sprintf("cycles=%d warpInstrs=%d threadInstrs=%d (sync %.1f%%) simd=%.1f%% mem=%d (sync %.1f%%) locks[s=%d interF=%d intraF=%d] wait[s=%d f=%d]",
-		s.Cycles, s.WarpInstrs, s.ThreadInstrs, 100*s.SyncInstrFraction(),
-		100*s.SIMDEfficiency(), s.Mem.Transactions, 100*s.SyncMemFraction(),
-		s.Sync.LockSuccess, s.Sync.InterWarpFail, s.Sync.IntraWarpFail,
-		s.Sync.WaitExitSuccess, s.Sync.WaitExitFail)
-}
 
 // Mean returns the arithmetic mean of vs, or 0 if vs is empty. Table I
 // averages per-kernel detection rates with it.

@@ -7,9 +7,7 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"warpsched/internal/isa"
 )
@@ -69,15 +67,13 @@ func (e Event) String() string {
 
 // Ring is a fixed-capacity event recorder keeping the most recent events.
 // It is the standard Tracer implementation; custom tracers can implement
-// the sim.Tracer interface directly.
+// the sim.Tracer interface directly. A Ring is unsynchronized (it sits on
+// the simulator's issue path), so each engine needs its own.
 type Ring struct {
 	events []Event
 	next   int
 	full   bool
 	total  int64
-	// Filter, when non-zero, keeps only events whose Kind bit is set
-	// (1<<Kind).
-	Filter uint8
 }
 
 // NewRing creates a recorder holding the last n events.
@@ -90,9 +86,6 @@ func NewRing(n int) *Ring {
 
 // Record implements the simulator's Tracer interface.
 func (r *Ring) Record(e Event) {
-	if r.Filter != 0 && r.Filter&(1<<e.Kind) == 0 {
-		return
-	}
 	r.total++
 	r.events[r.next] = e
 	r.next++
@@ -126,70 +119,4 @@ func (r *Ring) Dump() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// Buffers owns one Ring per engine for tracing a parallel sweep. A Ring
-// is deliberately unsynchronized (tracing sits on the simulator's issue
-// path), so sharing one across concurrently running engines is a data
-// race; Buffers instead hands each engine index its own ring, created on
-// first use. For itself is safe to call from any goroutine — workers
-// fetch their ring as they pick up a run — but each returned Ring must
-// stay with its engine.
-type Buffers struct {
-	size   int
-	filter uint8
-
-	mu    sync.Mutex
-	rings map[int]*Ring
-}
-
-// NewBuffers creates a per-engine recorder set; each ring keeps the last
-// n events matching filter (0 keeps every kind, see Only).
-func NewBuffers(n int, filter uint8) *Buffers {
-	return &Buffers{size: n, filter: filter, rings: make(map[int]*Ring)}
-}
-
-// For returns engine index i's ring, creating it on first use.
-func (b *Buffers) For(i int) *Ring {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r := b.rings[i]
-	if r == nil {
-		r = NewRing(b.size)
-		r.Filter = b.filter
-		b.rings[i] = r
-	}
-	return r
-}
-
-// Indexes returns the engine indexes with a ring, ascending.
-func (b *Buffers) Indexes() []int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]int, 0, len(b.rings))
-	for i := range b.rings {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Total sums recorded events (including evicted ones) across all rings.
-func (b *Buffers) Total() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var n int64
-	for _, r := range b.rings {
-		n += r.Total()
-	}
-	return n
-}
-
-// Only returns a filter mask keeping the listed kinds.
-func Only(kinds ...Kind) uint8 {
-	var m uint8
-	for _, k := range kinds {
-		m |= 1 << k
-	}
-	return m
 }

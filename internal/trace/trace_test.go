@@ -2,7 +2,6 @@ package trace
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"warpsched/internal/isa"
@@ -34,60 +33,6 @@ func TestRingPartial(t *testing.T) {
 	evs := r.Events()
 	if len(evs) != 2 || evs[0].Cycle != 1 || evs[1].Cycle != 2 {
 		t.Fatalf("partial ring wrong: %v", evs)
-	}
-}
-
-func TestRingFilter(t *testing.T) {
-	r := NewRing(8)
-	r.Filter = Only(KindSIB, KindBackoffExit)
-	r.Record(Event{Kind: KindIssue})
-	r.Record(Event{Kind: KindSIB})
-	r.Record(Event{Kind: KindBarrier})
-	r.Record(Event{Kind: KindBackoffExit})
-	if got := len(r.Events()); got != 2 {
-		t.Fatalf("filtered events = %d, want 2", got)
-	}
-}
-
-func TestBuffersPerIndexRings(t *testing.T) {
-	b := NewBuffers(4, Only(KindSIB))
-	if b.For(2) != b.For(2) {
-		t.Fatal("For must return the same ring for the same index")
-	}
-	if b.For(0) == b.For(1) {
-		t.Fatal("distinct indexes must get distinct rings")
-	}
-	b.For(0).Record(Event{Kind: KindSIB})
-	b.For(0).Record(Event{Kind: KindIssue}) // filtered out
-	b.For(1).Record(Event{Kind: KindSIB})
-	if got := b.Total(); got != 2 {
-		t.Fatalf("Total = %d, want 2", got)
-	}
-	idx := b.Indexes()
-	if len(idx) != 3 || idx[0] != 0 || idx[1] != 1 || idx[2] != 2 {
-		t.Fatalf("Indexes = %v", idx)
-	}
-}
-
-// TestBuffersConcurrentFor exercises the usage pattern of the parallel
-// experiment runner under the race detector: workers fetch their own
-// ring concurrently, then record into it privately.
-func TestBuffersConcurrentFor(t *testing.T) {
-	b := NewBuffers(16, 0)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := b.For(i)
-			for c := int64(0); c < 100; c++ {
-				r.Record(Event{Cycle: c, Kind: KindIssue})
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := b.Total(); got != 800 {
-		t.Fatalf("Total = %d, want 800", got)
 	}
 }
 

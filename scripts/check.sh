@@ -51,8 +51,9 @@ go run ./cmd/warpreport -manifest internal/report/testdata/full.json \
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (runner determinism, fault injection, resume from the store-backed journal) =="
+echo "== go test -race (runner determinism, resume from the store-backed journal, fault injection) =="
 go test -race ./internal/exp -run TestRunner
+go test -race ./internal/sim -run 'TestFaultInjectionStress|TestFaultDeterminism'
 
 echo "== pick, mem and Submit-hit benchmarks still build and run (one iteration) =="
 go test -run '^$' -bench 'PickMask' -benchtime 1x ./internal/sched ./internal/core

@@ -70,22 +70,19 @@ type (
 	// FaultConfig configures deterministic, seeded memory-system fault
 	// injection (Options.Faults); see DefaultFaults.
 	FaultConfig = mem.FaultConfig
-	// HangError reports a hung simulation: a watchdog or early-abort
-	// failure carrying a classified HangReport. Returned (wrapped) by Run
-	// when a kernel deadlocks, livelocks or starves.
+	// HangError reports a hung simulation: a watchdog expiry, or with
+	// Options.Check an early abort, carrying a classified HangReport.
+	// Returned (wrapped) by Run when a kernel deadlocks, livelocks or
+	// starves.
 	HangError = sim.HangError
 	// HangReport is the structured diagnosis attached to a HangError:
 	// classification, progress counters over the sampling window, and the
 	// per-warp stuck states.
 	HangReport = sim.HangReport
 	// InvariantError reports runtime invariant violations detected with
-	// Options.Check enabled.
+	// Options.Check enabled (which also arms early hang aborts).
 	InvariantError = sim.InvariantError
 )
-
-// DefaultHangWindow is the progress-sampling window (in cycles) used for
-// hang classification when Options.HangWindow is armed.
-const DefaultHangWindow = sim.DefaultHangWindow
 
 // DefaultFaults returns the standard fault-injection mix (rare latency
 // spikes, response reordering, atomic retry storms) driven by seed.
