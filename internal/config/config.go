@@ -147,8 +147,8 @@ func (t TAGE) Desc() string {
 // Validate checks TAGE parameters.
 func (t *TAGE) Validate() error {
 	switch {
-	case t.Tables < 1 || t.Tables > 8:
-		return fmt.Errorf("config: tage: Tables %d out of range [1,8]", t.Tables)
+	case t.Tables < 1 || t.Tables > MaxTAGETables:
+		return fmt.Errorf("config: tage: Tables %d out of range [1,%d]", t.Tables, MaxTAGETables)
 	case t.BaseHist < 1:
 		return fmt.Errorf("config: tage: BaseHist must be positive")
 	case t.Ratio < 2:
@@ -162,8 +162,30 @@ func (t *TAGE) Validate() error {
 	case t.UsefulDecayPeriod < 1:
 		return fmt.Errorf("config: tage: UsefulDecayPeriod must be positive")
 	}
+	// Every warp slot keeps a ring of the longest history, so bound it
+	// before anything is allocated. A multiply happens only when its
+	// product stays within the bound, so none overflows.
+	h := t.BaseHist
+	for i := 1; i < t.Tables && h <= maxTAGEHist; i++ {
+		if h > maxTAGEHist/t.Ratio {
+			h = maxTAGEHist + 1
+		} else {
+			h *= t.Ratio
+		}
+	}
+	if h > maxTAGEHist {
+		return fmt.Errorf("config: tage: longest history BaseHist·Ratio^(Tables-1) exceeds %d records", maxTAGEHist)
+	}
 	return nil
 }
+
+const (
+	// MaxTAGETables bounds TAGE.Tables.
+	MaxTAGETables = 8
+	// maxTAGEHist bounds the longest TAGE history, BaseHist·Ratio^(Tables−1),
+	// in setp records.
+	maxTAGEHist = 1024
+)
 
 // HashKind selects the DDOS history hashing function (Table I).
 type HashKind string

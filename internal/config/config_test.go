@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,35 @@ func TestDDOSValidate(t *testing.T) {
 	d.TimeShareEpoch = 0
 	if d.Validate() == nil {
 		t.Fatal("time sharing without epoch must fail")
+	}
+}
+
+// TestTAGEValidate: the longest history, BaseHist·Ratio^(Tables−1), is
+// bounded before any multiply can overflow, so a geometry whose history
+// rings would exhaust memory is an error, not a dead process.
+func TestTAGEValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		tables, baseHist, ratio int
+		ok                      bool
+	}{
+		{"default", 4, 4, 2, true},
+		{"at the bound", 8, 8, 2, true},
+		{"one table at the bound", 1, maxTAGEHist, 2, true},
+		{"one table past the bound", 1, maxTAGEHist + 1, 2, false},
+		{"huge ratio", 2, 4, 1 << 40, false},
+		{"ratio that wraps int64", 3, 2, 1 << 62, false},
+		{"huge base", 1, math.MaxInt, 2, false},
+		{"eight tables of ratio 3", 8, 1, 3, false},
+		{"max ratio, many tables", 8, 1, math.MaxInt, false},
+		{"zero ratio", 2, 4, 0, false},
+		{"zero tables", 0, 4, 2, false},
+	} {
+		c := DefaultTAGE()
+		c.Tables, c.BaseHist, c.Ratio = tc.tables, tc.baseHist, tc.ratio
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

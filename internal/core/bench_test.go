@@ -36,3 +36,19 @@ func BenchmarkWrappedPickMask(b *testing.B) {
 		benchSink = w.PickMask(int64(i+1), ready)
 	}
 }
+
+// benchOnSetp feeds d the setp stream of bench/probes_sim.go's
+// core.*_onsetp_ns probes: 48 slots in turn, five PCs, the profiled lane
+// 0, and operands that repeat every eight calls.
+func benchOnSetp(b *testing.B, d Detector) {
+	const slots = 48
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		u := uint32(i)
+		d.OnSetp(int(u%slots), int32(8+4*(u%5)), 0, u&7, 3)
+	}
+}
+
+func BenchmarkTAGESIBOnSetp(b *testing.B) { benchOnSetp(b, NewTAGESIB(config.DefaultTAGE(), 48)) }
+
+func BenchmarkDDOSOnSetp(b *testing.B) { benchOnSetp(b, NewDDOS(config.DefaultDDOS(), 48)) }

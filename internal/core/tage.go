@@ -23,13 +23,16 @@ type tageEntry struct {
 }
 
 // tageSlot is one warp slot's predictor-side state: the raw path
-// history ring the per-table folded histories are computed from, the
+// history ring, the per-table folded histories kept from it, the
 // last-seen operand signature per setp PC (the training oracle), and
 // the latched spinning classification.
 type tageSlot struct {
 	ring []uint16 // hashed setp records, newest at head
 	head int
 	n    int
+	// folds[2i] and folds[2i+1] are table i's history folded to IndexBits
+	// and to TagBits bits (TAGESIB.folds), updated on every push.
+	folds [2 * config.MaxTAGETables]uint32
 
 	lastVal map[int32]uint64 // setp pc -> packed (v1, v2) of last execution
 	streak  int              // consecutive operand-repeat observations
@@ -39,40 +42,57 @@ type tageSlot struct {
 	lastLane int
 }
 
-func (s *tageSlot) reset(maxHist int) {
-	if s.ring == nil {
-		s.ring = make([]uint16, maxHist)
-	}
+func (s *tageSlot) reset() {
 	s.head, s.n, s.streak = 0, 0, 0
+	clear(s.folds[:])
 	s.spin = false
 	s.lastLane = -1
-	s.lastVal = make(map[int32]uint64)
+	clear(s.lastVal)
 }
 
-// push shifts one record into the history ring.
-func (s *tageSlot) push(rec uint16) {
+// foldGeom is one folded history: the newest length records compressed
+// into width bits by rotate-and-XOR, so record j (0 the newest) enters
+// rotated left by rot·j. out is rot·(length−1) mod width, the rotation of
+// the record about to leave the window.
+type foldGeom struct {
+	length, width int
+	rot, out      int
+	mask          uint32
+}
+
+func newFoldGeom(length, width int) foldGeom {
+	rot := 3 % width
+	return foldGeom{length: length, width: width, rot: rot,
+		out: rot * (length - 1) % width, mask: uint32(1)<<width - 1}
+}
+
+// rotl rotates the width-bit value x left by k < width.
+func (g *foldGeom) rotl(x uint32, k int) uint32 {
+	if k == 0 {
+		return x
+	}
+	return (x<<k | x>>(g.width-k)) & g.mask
+}
+
+// push shifts one record into s's history ring and brings every folded
+// history up to date in O(1): each record already in the window turns by
+// rot, the one leaving it (there is one once the ring holds length
+// records) drops out, and rec enters unrotated.
+func (t *TAGESIB) push(s *tageSlot, rec uint16) {
+	for k := range t.folds {
+		g := &t.folds[k]
+		f := s.folds[k]
+		if s.n >= g.length {
+			out := uint32(s.ring[(s.head-(g.length-1)+len(s.ring))%len(s.ring)]) & g.mask
+			f ^= g.rotl(out, g.out)
+		}
+		s.folds[k] = g.rotl(f, g.rot) ^ uint32(rec)&g.mask
+	}
 	s.head = (s.head + 1) % len(s.ring)
 	s.ring[s.head] = rec
 	if s.n < len(s.ring) {
 		s.n++
 	}
-}
-
-// fold compresses the newest length records into width bits by
-// rotate-and-XOR, oldest first so the newest record lands unrotated.
-func (s *tageSlot) fold(length, width int) uint32 {
-	mask := uint32(1)<<width - 1
-	rot := 3 % width
-	var h uint32
-	for j := length - 1; j >= 0; j-- {
-		if rot > 0 {
-			h = ((h << rot) | (h >> (width - rot))) & mask
-		}
-		if j < s.n {
-			h ^= uint32(s.ring[(s.head-j+len(s.ring))%len(s.ring)]) & mask
-		}
-	}
-	return h
 }
 
 // TAGESIB is one SM's tagged-geometric-history spin predictor. It
@@ -93,8 +113,10 @@ func (s *tageSlot) fold(length, width int) uint32 {
 // NextEpochBoundary returns math.MaxInt64, so the engine's event-driven
 // fast-forward stays cycle-exact atop it.
 type TAGESIB struct {
-	cfg   config.TAGE
-	hists []int // per-table history lengths, shortest first
+	cfg config.TAGE
+	// folds describes tageSlot.folds: table i's index fold, then its tag
+	// fold; the history lengths grow with i.
+	folds []foldGeom
 
 	tables [][]tageEntry
 	base   []uint8 // tagless bimodal base, 2-bit counters
@@ -130,14 +152,17 @@ func NewTAGESIB(cfg config.TAGE, numSlots int) *TAGESIB {
 		if h < i+1 {
 			h = i + 1
 		}
-		t.hists = append(t.hists, h)
+		t.folds = append(t.folds, newFoldGeom(h, cfg.IndexBits), newFoldGeom(h, cfg.TagBits))
 		t.tables = append(t.tables, make([]tageEntry, 1<<cfg.IndexBits))
 		h *= cfg.Ratio
 	}
-	maxHist := t.hists[len(t.hists)-1]
+	maxHist := t.folds[len(t.folds)-1].length
 	t.slots = make([]tageSlot, numSlots)
 	for i := range t.slots {
-		t.slots[i].reset(maxHist)
+		s := &t.slots[i]
+		s.ring = make([]uint16, maxHist)
+		s.lastVal = make(map[int32]uint64)
+		s.reset()
 	}
 	return t
 }
@@ -149,8 +174,8 @@ func (t *TAGESIB) index(s *tageSlot, i int, pc int32) (uint32, uint16) {
 	pcBits := uint32(pc) >> 2
 	idxMask := uint32(1)<<t.cfg.IndexBits - 1
 	tagMask := uint32(1)<<t.cfg.TagBits - 1
-	idx := (s.fold(t.hists[i], t.cfg.IndexBits) ^ pcBits ^ uint32(i)) & idxMask
-	tag := (s.fold(t.hists[i], t.cfg.TagBits) ^ pcBits ^ (pcBits >> t.cfg.TagBits)) & tagMask
+	idx := (s.folds[2*i] ^ pcBits ^ uint32(i)) & idxMask
+	tag := (s.folds[2*i+1] ^ pcBits ^ (pcBits >> t.cfg.TagBits)) & tagMask
 	return idx, uint16(tag)
 }
 
@@ -170,7 +195,7 @@ func (t *TAGESIB) NextEpochBoundary() int64 { return math.MaxInt64 }
 func (t *TAGESIB) OnSetp(slot int, pc int32, lane int, v1, v2 uint32) {
 	s := &t.slots[slot]
 	if lane != s.lastLane {
-		s.reset(t.hists[len(t.hists)-1])
+		s.reset()
 		s.lastLane = lane
 	}
 	key := uint64(v1)<<32 | uint64(v2)
@@ -287,7 +312,7 @@ func (t *TAGESIB) OnSetp(slot int, pc int32, lane int, v1, v2 uint32) {
 	if repeat {
 		rec |= 1
 	}
-	s.push(rec)
+	t.push(s, rec)
 }
 
 // Spinning reports the predictor's current classification for the warp

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"warpsched/internal/config"
@@ -170,6 +171,60 @@ func TestTAGEDeterministic(t *testing.T) {
 	am, bm := a.Metrics(), b.Metrics()
 	if am != bm {
 		t.Fatalf("metrics diverged: %+v vs %+v", am, bm)
+	}
+}
+
+// refFold recomputes a folded history from s's ring: the newest length
+// records compressed into width bits by rotate-and-XOR, oldest first so
+// the newest record lands unrotated. It is how TAGESIB computed every
+// fold on every lookup before it kept them.
+func refFold(s *tageSlot, length, width int) uint32 {
+	mask := uint32(1)<<width - 1
+	rot := 3 % width
+	var h uint32
+	for j := length - 1; j >= 0; j-- {
+		if rot > 0 {
+			h = ((h << rot) | (h >> (width - rot))) & mask
+		}
+		if j < s.n {
+			h ^= uint32(s.ring[(s.head-j+len(s.ring))%len(s.ring)]) & mask
+		}
+	}
+	return h
+}
+
+// TestTAGEFoldsMatchRecompute checks the kept folds against refFold after
+// every push, over random valid geometries — 1 to 8 tables, index and tag
+// widths 1 to 16, geometric history lengths — with random lane-change
+// resets in between.
+func TestTAGEFoldsMatchRecompute(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var cfg config.TAGE
+		for {
+			cfg = config.TAGE{Tables: 1 + rng.Intn(8), BaseHist: 1 + rng.Intn(6), Ratio: 2 + rng.Intn(3),
+				IndexBits: 1 + rng.Intn(16), TagBits: 1 + rng.Intn(16), ConfidenceThreshold: 4, UsefulDecayPeriod: 64}
+			if cfg.Validate() == nil {
+				break
+			}
+		}
+		d := NewTAGESIB(cfg, 1)
+		s := &d.slots[0]
+		for push := 0; push < 300; push++ {
+			if rng.Intn(50) == 0 {
+				s.reset()
+			}
+			d.push(s, uint16(rng.Uint32()))
+			for i := 0; i < cfg.Tables; i++ {
+				h := d.folds[2*i].length
+				if got, want := s.folds[2*i], refFold(s, h, cfg.IndexBits); got != want {
+					t.Fatalf("%+v push %d: table %d index fold %#x, recomputed %#x", cfg, push, i, got, want)
+				}
+				if got, want := s.folds[2*i+1], refFold(s, h, cfg.TagBits); got != want {
+					t.Fatalf("%+v push %d: table %d tag fold %#x, recomputed %#x", cfg, push, i, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -37,19 +37,38 @@ func aluLoopProg(t *testing.T) *isa.Program {
 // performed by Run (not construction) alongside the result.
 func runAllocs(t *testing.T, opt sim.Options, launch sim.Launch) (allocs uint64, res *sim.Result) {
 	t.Helper()
+	m0, m1, res := runMemStats(t, opt, launch)
+	return m1.Mallocs - m0.Mallocs, res
+}
+
+// runMemStats executes the launch and returns the memory statistics read
+// just before and just after Run.
+func runMemStats(t *testing.T, opt sim.Options, launch sim.Launch) (m0, m1 runtime.MemStats, res *sim.Result) {
+	t.Helper()
 	eng, err := sim.New(opt, launch)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	runtime.GC()
-	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	res, err = eng.Run()
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return m1.Mallocs - m0.Mallocs, res
+	return m0, m1, res
+}
+
+// TestEngineWarpBytes pins what placing a warp costs Run: REDUCE's 512
+// warps on the 4-SM machine name 13 registers, so each warp's register
+// file is 13 rows (1.7 KB), not isa.NumRegs = 64 of them (8 KB).
+func TestEngineWarpBytes(t *testing.T) {
+	k := kernels.NewReduce(64, 256)
+	m0, m1, _ := runMemStats(t, detOptions(4, config.GTO, false), k.Launch)
+	warps := uint64(k.Launch.GridCTAs * k.Launch.CTAThreads / isa.WarpSize)
+	if perWarp := (m1.TotalAlloc - m0.TotalAlloc) / warps; perWarp > 4096 {
+		t.Errorf("Run allocates %d B per warp placed over %d warps, want ≤ 4096", perWarp, warps)
+	}
 }
 
 // TestEngineSteadyStateAllocs requires the issue/writeback hot path to be

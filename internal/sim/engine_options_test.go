@@ -107,6 +107,20 @@ func TestNewRejectsBadFaults(t *testing.T) {
 	}
 }
 
+// TestNewRejectsHugeTAGEHistory: a TAGE-SIB geometry whose longest history
+// would need a history ring too large to allocate per warp slot is a
+// configuration error from New, not an out-of-memory death.
+func TestNewRejectsHugeTAGEHistory(t *testing.T) {
+	opt := testOptions(config.GTO)
+	opt.Detector = config.DetectTAGE
+	opt.TAGE = config.DefaultTAGE()
+	opt.TAGE.Tables, opt.TAGE.Ratio = 2, 1<<40
+	l := Launch{Prog: vecAddProg(t), GridCTAs: 1, CTAThreads: 32, MemWords: 64, Params: []uint32{0, 0, 0, 0}}
+	if _, err := New(opt, l); err == nil || !strings.Contains(err.Error(), "longest history") {
+		t.Fatalf("New = %v, want a longest-history error", err)
+	}
+}
+
 // TestNewRejectsParamOutOfRange: a program reading a parameter the launch
 // does not supply is a configuration error from New, naming the PC and the
 // index — not a panic in the middle of Run.

@@ -2,6 +2,7 @@ package simt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"warpsched/internal/isa"
 )
@@ -26,6 +27,9 @@ type Table struct {
 	// Prog is the program the table was decoded from.
 	Prog *isa.Program
 	code []Inst
+	// nregs is one past the highest register the program names: the rows
+	// a warp's register file starts with.
+	nregs int
 }
 
 // Inst is one decoded instruction: the scoreboard bits and readiness class
@@ -125,6 +129,7 @@ func Decode(p *isa.Program) *Table {
 				d.RegMask |= 1 << uint(o.Reg)
 			}
 		}
+		t.nregs = max(t.nregs, bits.Len64(d.RegMask))
 		if in.Op == isa.OpSetp {
 			d.PredMask |= 1 << uint(in.PDst)
 		}

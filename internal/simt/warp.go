@@ -72,10 +72,13 @@ type Warp struct {
 	tab *Table
 	// regs is register-major: regs[r] is register r's 32-lane row, so a
 	// source operand is one contiguous row and a destination another. It
+	// holds the rows of the registers the program names (Table.nregs), not
+	// all isa.NumRegs: Execute touches no other. A register past its end
+	// reads 0 through Reg, and SetReg or RegRow grows the file to fit. It
 	// and memScratch are allocations of their own (pointer-free, so never
 	// scanned): held inside the Warp they measured +6 MB of peak RSS on the
 	// issue_bound benchmark.
-	regs *[isa.NumRegs]row
+	regs []row
 	// preds[p] holds predicate p of lane l in bit l.
 	preds [isa.NumPreds]uint32
 
@@ -114,7 +117,7 @@ func (t *Table) NewWarp(cta *CTA, idInCTA, slot, sm int, gtidBase int32, lanes i
 		Prog: t.Prog, CTA: cta, IDInCTA: idInCTA, Slot: slot, SM: sm,
 		GTIDBase: gtidBase, Valid: valid,
 		tab:        t,
-		regs:       new([isa.NumRegs]row),
+		regs:       make([]row, t.nregs),
 		memScratch: new([isa.WarpSize]MemAccess),
 	}
 	w.Stack = append(w.Stack, StackEntry{PC: 0, Reconv: isa.NoReconv, Mask: valid})
@@ -122,15 +125,28 @@ func (t *Table) NewWarp(cta *CTA, idInCTA, slot, sm int, gtidBase int32, lanes i
 	return w
 }
 
-// Reg returns lane's register r (for tests and result verification).
-func (w *Warp) Reg(lane int, r isa.Reg) uint32 { return w.regs[r][lane] }
+// Reg returns lane's register r (for tests and result verification); a
+// register the program never names reads 0 until SetReg writes it.
+func (w *Warp) Reg(lane int, r isa.Reg) uint32 {
+	if int(r) >= len(w.regs) {
+		return 0
+	}
+	return w.regs[r][lane]
+}
 
-// SetReg sets lane's register r.
-func (w *Warp) SetReg(lane int, r isa.Reg, v uint32) { w.regs[r][lane] = v }
+// SetReg sets lane's register r, growing the register file when the
+// program never names r.
+func (w *Warp) SetReg(lane int, r isa.Reg, v uint32) { w.RegRow(r)[lane] = v }
 
 // RegRow returns register r's 32-lane row, for writing back a memory
-// instruction's results without re-indexing per lane.
-func (w *Warp) RegRow(r isa.Reg) *[isa.WarpSize]uint32 { return &w.regs[r] }
+// instruction's results without re-indexing per lane. Like SetReg it
+// grows the register file to hold r.
+func (w *Warp) RegRow(r isa.Reg) *[isa.WarpSize]uint32 {
+	if n := int(r) + 1; n > len(w.regs) {
+		w.regs = append(w.regs, make([]row, n-len(w.regs))...)
+	}
+	return &w.regs[r]
+}
 
 // PredVal returns lane's predicate p.
 func (w *Warp) PredVal(lane int, p isa.Pred) bool { return w.preds[p]>>uint(lane)&1 != 0 }

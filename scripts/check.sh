@@ -55,8 +55,8 @@ echo "== go test -race (runner determinism, resume from the store-backed journal
 go test -race ./internal/exp -run TestRunner
 go test -race ./internal/sim -run 'TestFaultInjectionStress|TestFaultDeterminism'
 
-echo "== pick, mem and Submit-hit benchmarks still build and run (one iteration) =="
-go test -run '^$' -bench 'PickMask' -benchtime 1x ./internal/sched ./internal/core
+echo "== pick, detector, mem and Submit-hit benchmarks still build and run (one iteration) =="
+go test -run '^$' -bench 'PickMask|OnSetp' -benchtime 1x ./internal/sched ./internal/core
 go test -run '^$' -bench 'L2|EventWheel|L1Miss' -benchtime 1x ./internal/mem
 go test -run '^$' -bench 'Submit' -benchtime 1x ./internal/server
 
