@@ -106,3 +106,24 @@ func TestQueueLockHashtable(t *testing.T) {
 		t.Errorf("blocking locks should cut failures: %d vs %d", fails, baseFails)
 	}
 }
+
+// BenchmarkSuiteBuild measures building kernels, verifier models
+// included: both quick suites, the full sync-free suite and the
+// full-scale TSP.
+func BenchmarkSuiteBuild(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		build func()
+	}{
+		{"QuickSyncSuite", func() { QuickSyncSuite() }},
+		{"QuickSyncFreeSuite", func() { QuickSyncFreeSuite() }},
+		{"SyncFreeSuite", func() { SyncFreeSuite() }},
+		{"FullTSP", func() { NewTSP(6144, 64, 48, 128) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for range b.N {
+				c.build()
+			}
+		})
+	}
+}

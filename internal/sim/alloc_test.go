@@ -3,11 +3,13 @@ package sim_test
 import (
 	"runtime"
 	"testing"
+	"weak"
 
 	"warpsched/internal/config"
 	"warpsched/internal/isa"
 	"warpsched/internal/kernels"
 	"warpsched/internal/sim"
+	"warpsched/internal/simt"
 )
 
 // aluLoopProg builds a pure-ALU countdown loop: iters iterations of a few
@@ -223,5 +225,48 @@ func TestEngineMissAllocs(t *testing.T) {
 	}
 	if aBig > aSmall+64 {
 		t.Errorf("%d extra allocs over %d extra L1 misses (small=%d big=%d)", aBig-aSmall, mBig-mSmall, aSmall, aBig)
+	}
+}
+
+// warpWatcher keeps a weak pointer to every warp that issues a memory
+// access, so a test can ask which of them are still reachable.
+type warpWatcher struct {
+	seen map[weak.Pointer[simt.Warp]]bool
+}
+
+func (o *warpWatcher) Access(w *simt.Warp, _ int32, _ *isa.Instr, _ []simt.MemAccess) {
+	o.seen[weak.Make(w)] = true
+}
+
+func (o *warpWatcher) BarrierRelease(*simt.CTA) {}
+
+// TestFinishedWarpsCollectable requires the engine to let go of a warp
+// once its CTA is done: after a REDUCE run, whose every warp waits at a
+// barrier, no warp may be reachable through the engine that ran it.
+func TestFinishedWarpsCollectable(t *testing.T) {
+	k := kernels.NewReduce(64, 256)
+	ob := &warpWatcher{seen: map[weak.Pointer[simt.Warp]]bool{}}
+	opt := detOptions(4, config.GTO, false)
+	opt.Observer = ob
+	eng, err := sim.New(opt, k.Launch)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	runtime.GC()
+	live := 0
+	for p := range ob.seen {
+		if p.Value() != nil {
+			live++
+		}
+	}
+	runtime.KeepAlive(eng)
+	if want := k.Launch.GridCTAs * k.Launch.CTAThreads / isa.WarpSize; len(ob.seen) != want {
+		t.Fatalf("observed %d warps, want %d", len(ob.seen), want)
+	}
+	if live != 0 {
+		t.Errorf("%d of %d finished warps are still reachable after Run", live, len(ob.seen))
 	}
 }

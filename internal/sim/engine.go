@@ -11,6 +11,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"warpsched/internal/config"
@@ -182,7 +183,6 @@ type wbItem struct {
 type ctaRec struct {
 	cta   *simt.CTA
 	slots []int
-	done  bool
 }
 
 type smUnit struct {
@@ -224,9 +224,10 @@ type smState struct {
 	det  core.Detector
 	bows *core.BOWS
 
+	// ctas lists the resident CTAs; checkCTADone drops a finished one, so
+	// its warps are garbage once nothing else holds them.
 	ctas      []*ctaRec
 	freeSlots []int
-	resident  int
 
 	// Warp-slot sets, bit s for slot s (WarpsPerSM ≤ 64, see the
 	// compile-time lines below). They are maintained, not recomputed:
@@ -787,7 +788,7 @@ func (e *Engine) dispatch() {
 	warpsPerCTA := (e.launch.CTAThreads + 31) / 32
 	for _, m := range e.sms {
 		for e.nextCTA < e.totalCTAs &&
-			m.resident < e.opt.GPU.MaxCTAsPerSM &&
+			len(m.ctas) < e.opt.GPU.MaxCTAsPerSM &&
 			len(m.freeSlots) >= warpsPerCTA {
 			m.placeCTA(e.nextCTA, warpsPerCTA)
 			e.nextCTA++
@@ -820,7 +821,6 @@ func (m *smState) placeCTA(ctaID, warpsPerCTA int) {
 		rec.slots = append(rec.slots, slot)
 	}
 	m.ctas = append(m.ctas, rec)
-	m.resident++
 }
 
 // refresh rederives slot's bits in live, sbReady and nextMem from the
@@ -1152,14 +1152,13 @@ func (m *smState) checkCTADone(rec *ctaRec) {
 	if rec.cta.LiveWarps() != 0 {
 		return
 	}
-	rec.done = true
 	for _, s := range rec.slots {
 		m.warps[s] = nil
 		m.ctaOf[s] = nil
 		m.metrics[s] = sched.WarpMetrics{}
 		m.freeSlots = append(m.freeSlots, s)
 	}
-	m.resident--
+	m.ctas = slices.DeleteFunc(m.ctas, func(r *ctaRec) bool { return r == rec })
 	m.eng.ctasDone++
 }
 

@@ -244,14 +244,10 @@ func (e *Engine) checkInvariants(atEnd bool) error {
 				add("cta.free-slot", i, s, "slot %d is on the free list but holds a warp", s)
 			}
 		}
-		liveCTAs := 0
 		for _, rec := range m.ctas {
-			if !rec.done {
-				liveCTAs++
+			if rec.cta.LiveWarps() == 0 {
+				add("cta.residency", i, -1, "CTA %d is listed resident but has no live warps", rec.cta.ID)
 			}
-		}
-		if m.resident != liveCTAs {
-			add("cta.residency", i, -1, "resident=%d but %d CTAs are live", m.resident, liveCTAs)
 		}
 
 		if atEnd {

@@ -10,6 +10,7 @@ import (
 	"warpsched/internal/isa"
 	"warpsched/internal/mem"
 	"warpsched/internal/sched"
+	"warpsched/internal/simt"
 )
 
 // lockAddProg increments a shared counter (word 1) under the lock at
@@ -159,7 +160,7 @@ func TestInvariantDetectsSlotCorruption(t *testing.T) {
 	requireViolation(t, eng.checkInvariants(false), "cta.free-slot")
 
 	eng2 := invTestEngine(t)
-	eng2.sms[0].resident++
+	eng2.sms[0].ctas = append(eng2.sms[0].ctas, &ctaRec{cta: simt.NewCTA(99, 32, 100, 0)}) // a finished CTA left listed
 	requireViolation(t, eng2.checkInvariants(false), "cta.residency")
 }
 

@@ -212,13 +212,20 @@ func (w *Warp) finish() {
 func (c *CTA) warpFinished() {
 	c.liveWarps--
 	if c.arrived > 0 && c.arrived >= c.liveWarps {
-		for _, ww := range c.waiting {
-			ww.AtBarrier = false
-		}
-		c.waiting = c.waiting[:0]
-		c.arrived = 0
-		c.Released = true
+		c.release()
 	}
+}
+
+// release unblocks every waiting warp and drops the CTA's references to
+// them, so a warp that waited once can be collected after it retires.
+func (c *CTA) release() {
+	for _, ww := range c.waiting {
+		ww.AtBarrier = false
+	}
+	clear(c.waiting)
+	c.waiting = c.waiting[:0]
+	c.arrived = 0
+	c.Released = true
 }
 
 // src is an operand resolved for one execution: a register row read in
@@ -665,12 +672,7 @@ func (c *CTA) Arrive(w *Warp) bool {
 	if c.arrived < c.liveWarps {
 		return false
 	}
-	for _, ww := range c.waiting {
-		ww.AtBarrier = false
-	}
-	c.waiting = c.waiting[:0]
-	c.arrived = 0
-	c.Released = true
+	c.release()
 	return true
 }
 

@@ -98,8 +98,10 @@ func (OS) SyncDir(path string) error {
 // point leaves either the old state or the new entry — never a partial
 // entry under the final name (partial temp files are swept into
 // quarantine at the next Open). tmpName must be unique per concurrent
-// writer; on any error the temp file is removed best-effort.
-func atomicWrite(fs FS, dir, tmpName, path string, data []byte) error {
+// writer; on any error the temp file is removed best-effort. The rename
+// runs inside publish, so the caller can make it one critical section
+// with its own bookkeeping (Put indexes the key under the same lock).
+func atomicWrite(fs FS, dir, tmpName, path string, data []byte, publish func(rename func() error) error) error {
 	tmp := dir + "/" + tmpName
 	f, err := fs.Create(tmp)
 	if err != nil {
@@ -120,7 +122,7 @@ func atomicWrite(fs FS, dir, tmpName, path string, data []byte) error {
 	if err := f.Close(); err != nil {
 		return cleanup(fmt.Errorf("store: close %s: %w", tmp, err))
 	}
-	if err := fs.Rename(tmp, path); err != nil {
+	if err := publish(func() error { return fs.Rename(tmp, path) }); err != nil {
 		return cleanup(fmt.Errorf("store: rename %s: %w", tmp, err))
 	}
 	if err := fs.SyncDir(dir); err != nil {

@@ -410,9 +410,17 @@ func (s *Store) dropCorrupt(key, path, reason string, size int64) {
 	s.mu.Unlock()
 }
 
-// Put durably stores payload under key: atomic write, fsync, then index
-// update and GC. Re-putting an existing key only refreshes recency —
+// Put durably stores payload under key: atomic write and fsync, then the
+// rename with the index update and GC, then the directory fsync.
+// Re-putting an existing key only refreshes recency —
 // content addressing makes overwrites value-identical by construction.
+//
+// One rule decides who indexes a key: the Put whose rename put the file
+// in place, in the same critical section as that rename. GC removes
+// files under s.mu too, so an indexed key always has its file on disk:
+// with the lock dropped between them, a concurrent Put of the same key
+// and another key's GC could delete the file after the rename and before
+// the index insert.
 func (s *Store) Put(key string, payload []byte) error {
 	if err := validKey(key); err != nil {
 		return err
@@ -432,19 +440,20 @@ func (s *Store) Put(key string, payload []byte) error {
 	if err := s.fs.MkdirAll(dir); err != nil {
 		return fmt.Errorf("store: mkdir shard: %w", err)
 	}
-	if err := atomicWrite(s.fs, dir, tmpName, dir+"/"+key, data); err != nil {
-		return err
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index[key]; !ok {
-		s.index[key] = s.ll.PushFront(&entry{key: key, size: int64(len(data))})
-		s.bytes += int64(len(data))
-	}
-	s.puts++
-	s.gcLocked(key)
-	return nil
+	return atomicWrite(s.fs, dir, tmpName, dir+"/"+key, data, func(rename func() error) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := rename(); err != nil {
+			return err
+		}
+		if _, ok := s.index[key]; !ok {
+			s.index[key] = s.ll.PushFront(&entry{key: key, size: int64(len(data))})
+			s.bytes += int64(len(data))
+		}
+		s.puts++
+		s.gcLocked(key)
+		return nil
+	})
 }
 
 // gcLocked evicts least-recently-accessed entries (never the key just

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -359,5 +360,70 @@ func TestCrashRestartLoop(t *testing.T) {
 	}
 	if len(acked) == 0 {
 		t.Fatal("fault schedule acked nothing; test proved nothing")
+	}
+}
+
+// parkFS runs park once, on the goroutine of the first Rename onto key,
+// just after that rename completes.
+type parkFS struct {
+	FS
+	key    string
+	parked atomic.Bool
+	park   func()
+}
+
+func (p *parkFS) Rename(oldpath, newpath string) error {
+	err := p.FS.Rename(oldpath, newpath)
+	if err == nil && strings.HasSuffix(newpath, "/"+p.key) && p.parked.CompareAndSwap(false, true) {
+		p.park()
+	}
+	return err
+}
+
+// TestPutIndexesOnlyWhatIsOnDisk parks the first Put of a key between
+// its rename and whatever follows, and there runs the interleaving that
+// once indexed a deleted file: a second Put of the key indexes it, and
+// another key's Put evicts it, deleting the file. The parked Put must
+// then not index the key again — the store owns only what is on disk.
+// Where the index lock is held across the rename, that interleaving
+// cannot run and the park returns at once.
+func TestPutIndexesOnlyWhatIsOnDisk(t *testing.T) {
+	payload := bytes.Repeat([]byte("z"), 1000)
+	key, other := testKey(1), testKey(2)
+	pfs := &parkFS{FS: OS{}, key: key}
+	// Room for one entry: the other key's Put evicts key.
+	s, _ := mustOpen(t, t.TempDir(), Options{MaxBytes: 1500, FS: pfs})
+	interleaved := false
+	pfs.park = func() {
+		if !s.mu.TryLock() {
+			return
+		}
+		s.mu.Unlock()
+		interleaved = true
+		if err := s.Put(key, payload); err != nil {
+			t.Errorf("second Put: %v", err)
+		}
+		if err := s.Put(other, payload); err != nil {
+			t.Errorf("other Put: %v", err)
+		}
+	}
+	if err := s.Put(key, payload); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get after a nil Put: ok=%v (interleaved=%v)", ok, interleaved)
+	}
+	st := s.Stats()
+	if st.CorruptReads != 0 {
+		t.Fatalf("corrupt reads = %d, want 0", st.CorruptReads)
+	}
+	var onDisk int64
+	for _, k := range []string{key, other} {
+		if fi, err := os.Stat(filepath.Join(s.root, shardOf(k), k)); err == nil {
+			onDisk += fi.Size()
+		}
+	}
+	if st.Bytes != onDisk {
+		t.Fatalf("index counts %d bytes, disk holds %d", st.Bytes, onDisk)
 	}
 }

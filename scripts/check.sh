@@ -9,7 +9,8 @@
 # ordinary tests, and the paper-claims inequalities over full.json), the
 # parallel-runner determinism tests under the race detector, one
 # iteration of the sched/core pick, mem L2-queue, completion-wheel and
-# L1-miss, and server Submit-hit benchmarks (so they cannot rot), the warplint
+# L1-miss, server Submit-hit and kernel suite-build benchmarks (so they
+# cannot rot), the warplint
 # static analyzer over every registered kernel, an invariant-checked
 # simulation smoke pass (-check arms the runtime invariant checker and
 # hang diagnosis; the third run is the 64-slot machine, the full width of
@@ -55,10 +56,11 @@ echo "== go test -race (runner determinism, resume from the store-backed journal
 go test -race ./internal/exp -run TestRunner
 go test -race ./internal/sim -run 'TestFaultInjectionStress|TestFaultDeterminism'
 
-echo "== pick, detector, mem and Submit-hit benchmarks still build and run (one iteration) =="
+echo "== pick, detector, mem, Submit-hit and suite-build benchmarks still build and run (one iteration) =="
 go test -run '^$' -bench 'PickMask|OnSetp' -benchtime 1x ./internal/sched ./internal/core
 go test -run '^$' -bench 'L2|EventWheel|L1Miss' -benchtime 1x ./internal/mem
 go test -run '^$' -bench 'Submit' -benchtime 1x ./internal/server
+go test -run '^$' -bench 'SuiteBuild' -benchtime 1x ./internal/kernels
 
 echo "== invariant-checked smoke (warpsim -check) =="
 go run ./cmd/warpsim -kernel HT -sms 2 -check > /dev/null
