@@ -162,27 +162,18 @@ const tspPasses = 12
 // 0 to climbers−1.
 func tspModel(dist []uint32, cities, climbers int) (costOf func(gtid int) uint32, minCost uint32) {
 	m2 := cities * cities
-	// next steps an index into dist by stride (reduced mod M²), wrapping
-	// with a subtraction instead of a division.
-	next := func(i, stride int) int {
-		if i += stride; i >= m2 {
-			i -= m2
-		}
-		return i
-	}
-	kStride, pStride := 31%m2, 13%m2
 	inner := make([]uint32, m2)
 	for o := range inner {
 		var sum uint32
-		for k, i := 0, o; k < cities; k, i = k+1, next(i, kStride) {
-			sum += dist[i] ^ uint32(k)
+		for k := 0; k < cities; k++ {
+			sum += dist[(o+31*k)%m2] ^ uint32(k)
 		}
 		inner[o] = sum
 	}
 	costOf = func(gtid int) uint32 {
 		var cost uint32
-		for p, o := 0, gtid*7%m2; p < tspPasses; p, o = p+1, next(o, pStride) {
-			cost += inner[o]
+		for p := 0; p < tspPasses; p++ {
+			cost += inner[(7*gtid+13*p)%m2]
 		}
 		return cost & 0x7FFFFFFF
 	}

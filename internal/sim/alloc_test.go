@@ -2,8 +2,9 @@ package sim_test
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
-	"weak"
+	"time"
 
 	"warpsched/internal/config"
 	"warpsched/internal/isa"
@@ -228,14 +229,22 @@ func TestEngineMissAllocs(t *testing.T) {
 	}
 }
 
-// warpWatcher keeps a weak pointer to every warp that issues a memory
-// access, so a test can ask which of them are still reachable.
+// warpWatcher sets a finalizer on every warp that issues a memory
+// access and counts the finalizers that have run, so a test can ask how
+// many of those warps the garbage collector found unreachable.
 type warpWatcher struct {
-	seen map[weak.Pointer[simt.Warp]]bool
+	// seen is keyed by GTIDBase, not by pointer: a map of pointers would
+	// keep the warps alive, and a collected warp's address can be reused.
+	seen      map[int32]bool
+	collected atomic.Int64
 }
 
 func (o *warpWatcher) Access(w *simt.Warp, _ int32, _ *isa.Instr, _ []simt.MemAccess) {
-	o.seen[weak.Make(w)] = true
+	if o.seen[w.GTIDBase] {
+		return
+	}
+	o.seen[w.GTIDBase] = true
+	runtime.SetFinalizer(w, func(*simt.Warp) { o.collected.Add(1) })
 }
 
 func (o *warpWatcher) BarrierRelease(*simt.CTA) {}
@@ -245,7 +254,7 @@ func (o *warpWatcher) BarrierRelease(*simt.CTA) {}
 // barrier, no warp may be reachable through the engine that ran it.
 func TestFinishedWarpsCollectable(t *testing.T) {
 	k := kernels.NewReduce(64, 256)
-	ob := &warpWatcher{seen: map[weak.Pointer[simt.Warp]]bool{}}
+	ob := &warpWatcher{seen: map[int32]bool{}}
 	opt := detOptions(4, config.GTO, false)
 	opt.Observer = ob
 	eng, err := sim.New(opt, k.Launch)
@@ -255,18 +264,18 @@ func TestFinishedWarpsCollectable(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	runtime.GC()
-	live := 0
-	for p := range ob.seen {
-		if p.Value() != nil {
-			live++
-		}
-	}
-	runtime.KeepAlive(eng)
-	if want := k.Launch.GridCTAs * k.Launch.CTAThreads / isa.WarpSize; len(ob.seen) != want {
+	want := k.Launch.GridCTAs * k.Launch.CTAThreads / isa.WarpSize
+	if len(ob.seen) != want {
 		t.Fatalf("observed %d warps, want %d", len(ob.seen), want)
 	}
-	if live != 0 {
-		t.Errorf("%d of %d finished warps are still reachable after Run", live, len(ob.seen))
+	// Finalizers run on their own goroutine after the collection that
+	// finds their object unreachable; give them a bounded while.
+	for i := 0; i < 50 && ob.collected.Load() < int64(want); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	runtime.KeepAlive(eng)
+	if n := ob.collected.Load(); n != int64(want) {
+		t.Errorf("%d of %d finished warps are still reachable after Run", int64(want)-n, want)
 	}
 }

@@ -1,13 +1,13 @@
 package store
 
-// This file is the audited write-protocol helper: every byte the store
-// puts on disk goes through atomicWrite (temp file in the target
-// directory → write → fsync → close → rename → fsync directory), and
-// every filesystem primitive the store touches is reached through the
-// FS interface so tests can inject faults (ENOSPC, torn writes, failed
-// renames). cmd/golint-internal enforces the single-sourcing: bare
-// os.Rename / os.WriteFile calls are forbidden anywhere else in this
-// package.
+// This file holds the audited write protocol's first half and the FS
+// seam. Every entry the store puts on disk goes through writeTemp (temp
+// file in the target directory → write → fsync → close), then Put's
+// rename and directory fsync. Every filesystem primitive the store
+// touches is reached through the FS interface so tests can inject faults
+// (ENOSPC, torn writes, failed renames). cmd/golint-internal enforces the
+// single-sourcing: bare os.Rename / os.WriteFile calls are forbidden
+// anywhere else in this package.
 
 import (
 	"fmt"
@@ -92,24 +92,24 @@ func (OS) SyncDir(path string) error {
 	return d.Close()
 }
 
-// atomicWrite is the store's one write path: it writes data to a
-// temporary file in dir, fsyncs it, atomically renames it to path, and
-// fsyncs the directory so the rename itself is durable. A crash at any
-// point leaves either the old state or the new entry — never a partial
-// entry under the final name (partial temp files are swept into
-// quarantine at the next Open). tmpName must be unique per concurrent
-// writer; on any error the temp file is removed best-effort. The rename
-// runs inside publish, so the caller can make it one critical section
-// with its own bookkeeping (Put indexes the key under the same lock).
-func atomicWrite(fs FS, dir, tmpName, path string, data []byte, publish func(rename func() error) error) error {
+// writeTemp is the first half of the store's one write path: it
+// writes data to the temporary file tmpName in dir, fsyncs and closes
+// it, and returns its path. Put finishes the protocol: it renames the
+// temp file onto the entry's name and then fsyncs dir, so the rename
+// itself is durable. A crash at any point leaves either the old state or
+// the new entry — never a partial entry under the final name (partial
+// temp files are swept into quarantine at the next Open). tmpName must
+// be unique per concurrent writer; on any error the temp file is removed
+// best-effort.
+func writeTemp(fs FS, dir, tmpName string, data []byte) (string, error) {
 	tmp := dir + "/" + tmpName
 	f, err := fs.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("store: create %s: %w", tmp, err)
+		return "", fmt.Errorf("store: create %s: %w", tmp, err)
 	}
-	cleanup := func(err error) error {
+	cleanup := func(err error) (string, error) {
 		fs.Remove(tmp) // best-effort; Open quarantines survivors
-		return err
+		return "", err
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
@@ -122,11 +122,5 @@ func atomicWrite(fs FS, dir, tmpName, path string, data []byte, publish func(ren
 	if err := f.Close(); err != nil {
 		return cleanup(fmt.Errorf("store: close %s: %w", tmp, err))
 	}
-	if err := publish(func() error { return fs.Rename(tmp, path) }); err != nil {
-		return cleanup(fmt.Errorf("store: rename %s: %w", tmp, err))
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("store: fsync dir %s: %w", dir, err)
-	}
-	return nil
+	return tmp, nil
 }

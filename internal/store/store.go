@@ -5,7 +5,7 @@
 // needs no invalidation protocol, only durability and self-healing:
 //
 //   - every write is atomic and fsynced (temp file → fsync → rename →
-//     dir fsync, single-sourced in atomicWrite), so a crash never leaves
+//     dir fsync, through writeTemp and Put), so a crash never leaves
 //     a partial entry under a live name;
 //   - every entry carries a checksummed header, verified on startup and
 //     on every read;
@@ -205,43 +205,40 @@ func (s *Store) scan(rep *RecoveryReport) error {
 			files[j], files[j-1] = files[j-1], files[j]
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, f := range files {
 		rep.Scanned++
 		path := s.root + "/" + f.shard + "/" + f.name
 		if strings.HasPrefix(f.name, ".tmp-") {
 			// A temp file that survived a crash mid-write: by protocol it
 			// was never acked, but quarantine it anyway — never delete.
-			rep.Quarantined = append(rep.Quarantined, s.quarantine(path, f.name, "orphan-temp", f.size))
+			rep.Quarantined = append(rep.Quarantined, s.quarantineLocked(path, f.name, "orphan-temp", f.size))
 			continue
 		}
 		data, err := s.fs.ReadFile(path)
 		if err != nil {
-			rep.Quarantined = append(rep.Quarantined, s.quarantine(path, f.name, "unreadable", f.size))
+			rep.Quarantined = append(rep.Quarantined, s.quarantineLocked(path, f.name, "unreadable", f.size))
 			continue
 		}
 		if _, reason := parseEntry(f.name, data); reason != "" {
-			rep.Quarantined = append(rep.Quarantined, s.quarantine(path, f.name, reason, f.size))
+			rep.Quarantined = append(rep.Quarantined, s.quarantineLocked(path, f.name, reason, f.size))
 			continue
 		}
-		s.mu.Lock()
 		s.index[f.name] = s.ll.PushFront(&entry{key: f.name, size: int64(len(data))})
 		s.bytes += int64(len(data))
-		s.mu.Unlock()
 		rep.Recovered++
 	}
 	return nil
 }
 
-// quarantine moves one damaged file into quarantine/ (never deleting
-// it) and appends a structured record to the report file. Failures to
-// move are logged but never fatal: a store that cannot quarantine still
-// serves every healthy entry.
-func (s *Store) quarantine(path, key, reason string, size int64) QuarantinedEntry {
-	s.mu.Lock()
+// quarantineLocked moves one damaged file into quarantine/ (never
+// deleting it) and appends a structured record to the report file; s.mu
+// is held. Failures to move are logged but never fatal: a store that
+// cannot quarantine still serves every healthy entry.
+func (s *Store) quarantineLocked(path, key, reason string, size int64) QuarantinedEntry {
 	s.tmpSeq++
-	seq := s.tmpSeq
-	s.mu.Unlock()
-	qname := fmt.Sprintf("%s.%d.%s", key, seq, reason)
+	qname := fmt.Sprintf("%s.%d.%s", key, s.tmpSeq, reason)
 	q := QuarantinedEntry{Key: key, Reason: reason, SizeBytes: size,
 		QuarantinePath: quarantineDir + "/" + qname}
 	if err := s.fs.Rename(path, s.root+"/"+q.QuarantinePath); err != nil {
@@ -347,8 +344,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	// index check, which distinguishes the cases by index-entry identity:
 	// key gone → eviction (miss); a different element → a re-put raced us
 	// (retry against the fresh file); the same element still indexed with
-	// its file unreadable → real damage (files are only ever removed by
-	// GC, which also removes the element, under the lock).
+	// its file unreadable → real damage (files are only ever moved away by
+	// GC or dropCorrupt, which also remove the element, under the lock).
 	for {
 		s.mu.Lock()
 		el, ok := s.index[key]
@@ -377,7 +374,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 			if el2 != el {
 				continue
 			}
-			s.dropCorrupt(key, path, "unreadable", 0)
+			s.dropCorrupt(el, key, path, "unreadable", 0)
 			return nil, false
 		}
 		payload, reason := parseEntry(key, data)
@@ -387,40 +384,42 @@ func (s *Store) Get(key string) ([]byte, bool) {
 			s.mu.Unlock()
 			return payload, true
 		}
-		s.dropCorrupt(key, path, reason, int64(len(data)))
+		s.dropCorrupt(el, key, path, reason, int64(len(data)))
 		return nil, false
 	}
 }
 
 // dropCorrupt removes a damaged entry from the index and quarantines
-// the file.
-func (s *Store) dropCorrupt(key, path, reason string, size int64) {
+// its file, in one s.mu hold (see Put), provided el — the index entry
+// the damaged read went through — is still the key's: once GC or a
+// re-put has replaced it, the damaged file is gone already.
+func (s *Store) dropCorrupt(el *list.Element, key, path, reason string, size int64) {
 	s.mu.Lock()
-	if el, ok := s.index[key]; ok {
-		e := s.ll.Remove(el).(*entry)
-		delete(s.index, key)
-		s.bytes -= e.size
-	}
+	defer s.mu.Unlock()
 	s.corrupt++
 	s.misses++
-	s.mu.Unlock()
-	s.quarantine(path, key, reason, size)
-	s.mu.Lock()
+	if s.index[key] != el {
+		return
+	}
+	e := s.ll.Remove(el).(*entry)
+	delete(s.index, key)
+	s.bytes -= e.size
+	s.quarantineLocked(path, key, reason, size)
 	s.quarantined++
-	s.mu.Unlock()
 }
 
-// Put durably stores payload under key: atomic write and fsync, then the
-// rename with the index update and GC, then the directory fsync.
-// Re-putting an existing key only refreshes recency —
-// content addressing makes overwrites value-identical by construction.
+// Put durably stores payload under key: the temp file is written and
+// fsynced, then renamed into place with the index update and GC, then
+// the directory is fsynced. Re-putting an existing key only refreshes
+// recency — content addressing makes overwrites value-identical by
+// construction.
 //
-// One rule decides who indexes a key: the Put whose rename put the file
-// in place, in the same critical section as that rename. GC removes
-// files under s.mu too, so an indexed key always has its file on disk:
-// with the lock dropped between them, a concurrent Put of the same key
-// and another key's GC could delete the file after the rename and before
-// the index insert.
+// One rule decides who indexes or drops a key: whoever moves its file,
+// in the same s.mu hold as the move. Put renames and indexes under
+// s.mu; GC removes and dropCorrupt quarantines under it too. So an
+// indexed key always has its file on disk: with the lock dropped between
+// a move and the index update, another writer's move of the same path
+// could land in the gap.
 func (s *Store) Put(key string, payload []byte) error {
 	if err := validKey(key); err != nil {
 		return err
@@ -440,20 +439,27 @@ func (s *Store) Put(key string, payload []byte) error {
 	if err := s.fs.MkdirAll(dir); err != nil {
 		return fmt.Errorf("store: mkdir shard: %w", err)
 	}
-	return atomicWrite(s.fs, dir, tmpName, dir+"/"+key, data, func(rename func() error) error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err := rename(); err != nil {
-			return err
-		}
-		if _, ok := s.index[key]; !ok {
-			s.index[key] = s.ll.PushFront(&entry{key: key, size: int64(len(data))})
-			s.bytes += int64(len(data))
-		}
-		s.puts++
-		s.gcLocked(key)
-		return nil
-	})
+	tmp, err := writeTemp(s.fs, dir, tmpName, data)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	if err := s.fs.Rename(tmp, dir+"/"+key); err != nil {
+		s.mu.Unlock()
+		s.fs.Remove(tmp) // best-effort; Open quarantines survivors
+		return fmt.Errorf("store: rename %s: %w", tmp, err)
+	}
+	if _, ok := s.index[key]; !ok {
+		s.index[key] = s.ll.PushFront(&entry{key: key, size: int64(len(data))})
+		s.bytes += int64(len(data))
+	}
+	s.puts++
+	s.gcLocked(key)
+	s.mu.Unlock()
+	if err := s.fs.SyncDir(dir); err != nil {
+		return fmt.Errorf("store: fsync dir %s: %w", dir, err)
+	}
+	return nil
 }
 
 // gcLocked evicts least-recently-accessed entries (never the key just

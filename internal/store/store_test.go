@@ -363,18 +363,24 @@ func TestCrashRestartLoop(t *testing.T) {
 	}
 }
 
-// parkFS runs park once, on the goroutine of the first Rename onto key,
-// just after that rename completes.
+// parkFS runs park once, on the goroutine of the first Rename whose new
+// path match accepts: before that rename if before is set, else just
+// after it completes.
 type parkFS struct {
 	FS
-	key    string
+	match  func(newpath string) bool
+	before bool
 	parked atomic.Bool
 	park   func()
 }
 
 func (p *parkFS) Rename(oldpath, newpath string) error {
+	hit := p.match(newpath) && p.parked.CompareAndSwap(false, true)
+	if hit && p.before {
+		p.park()
+	}
 	err := p.FS.Rename(oldpath, newpath)
-	if err == nil && strings.HasSuffix(newpath, "/"+p.key) && p.parked.CompareAndSwap(false, true) {
+	if hit && !p.before && err == nil {
 		p.park()
 	}
 	return err
@@ -390,7 +396,7 @@ func (p *parkFS) Rename(oldpath, newpath string) error {
 func TestPutIndexesOnlyWhatIsOnDisk(t *testing.T) {
 	payload := bytes.Repeat([]byte("z"), 1000)
 	key, other := testKey(1), testKey(2)
-	pfs := &parkFS{FS: OS{}, key: key}
+	pfs := &parkFS{FS: OS{}, match: func(newpath string) bool { return strings.HasSuffix(newpath, "/"+key) }}
 	// Room for one entry: the other key's Put evicts key.
 	s, _ := mustOpen(t, t.TempDir(), Options{MaxBytes: 1500, FS: pfs})
 	interleaved := false
@@ -425,5 +431,112 @@ func TestPutIndexesOnlyWhatIsOnDisk(t *testing.T) {
 	}
 	if st.Bytes != onDisk {
 		t.Fatalf("index counts %d bytes, disk holds %d", st.Bytes, onDisk)
+	}
+}
+
+// TestQuarantineMovesOnlyWhatItDrops parks a damaged entry's quarantine
+// rename before it runs, and there runs the interleaving that once moved
+// a fresh file away: a Put of the key finds it unindexed, renames its
+// file into place and indexes it, and the quarantine rename then moves
+// that file, so the Put returned nil with nothing on disk. Where the
+// index lock is held from the drop through the rename, that
+// interleaving cannot run and the park returns at once.
+func TestQuarantineMovesOnlyWhatItDrops(t *testing.T) {
+	payload := bytes.Repeat([]byte("q"), 1000)
+	key := testKey(1)
+	pfs := &parkFS{FS: OS{}, before: true,
+		match: func(newpath string) bool { return strings.Contains(newpath, "/"+quarantineDir+"/") }}
+	s, _ := mustOpen(t, t.TempDir(), Options{FS: pfs})
+	if err := s.Put(key, payload); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	path := filepath.Join(s.root, shardOf(key), key)
+	if err := os.WriteFile(path, []byte("damaged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	interleaved := false
+	pfs.park = func() {
+		if !s.mu.TryLock() {
+			return
+		}
+		s.mu.Unlock()
+		interleaved = true
+		if err := s.Put(key, payload); err != nil {
+			t.Errorf("Put in the gap: %v", err)
+		}
+	}
+	if _, ok := s.Get(key); ok {
+		t.Fatal("damaged entry served")
+	}
+	if !pfs.parked.Load() {
+		t.Fatal("the damaged entry was never quarantined")
+	}
+	if err := s.Put(key, payload); err != nil {
+		t.Fatalf("Put after the drop: %v", err)
+	}
+	if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get after a nil Put: ok=%v (interleaved=%v)", ok, interleaved)
+	}
+	st := s.Stats()
+	if st.CorruptReads != 1 {
+		t.Fatalf("corrupt reads = %d, want 1", st.CorruptReads)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatalf("entry file: %v", err)
+	}
+	if st.Bytes != fi.Size() {
+		t.Fatalf("index counts %d bytes, disk holds %d", st.Bytes, fi.Size())
+	}
+}
+
+// readParkFS runs park once, just after the first ReadFile of the
+// entry file of key.
+type readParkFS struct {
+	FS
+	key    string
+	parked atomic.Bool
+	park   func()
+}
+
+func (p *readParkFS) ReadFile(path string) ([]byte, error) {
+	data, err := p.FS.ReadFile(path)
+	if strings.HasSuffix(path, "/"+p.key) && p.parked.CompareAndSwap(false, true) {
+		p.park()
+	}
+	return data, err
+}
+
+// TestDamagedReadSparesReplacement reads a damaged entry and, before the
+// read is acted on, evicts the key and puts it again: the damaged file
+// is gone, and the fresh entry must stay indexed and out of quarantine.
+func TestDamagedReadSparesReplacement(t *testing.T) {
+	payload := bytes.Repeat([]byte("r"), 1000)
+	key, other := testKey(1), testKey(2)
+	rfs := &readParkFS{FS: OS{}, key: key}
+	// Room for one entry: each Put evicts the other key.
+	s, _ := mustOpen(t, t.TempDir(), Options{MaxBytes: 1500, FS: rfs})
+	if err := s.Put(key, payload); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	path := filepath.Join(s.root, shardOf(key), key)
+	if err := os.WriteFile(path, []byte("damaged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rfs.park = func() {
+		for _, k := range []string{other, key} {
+			if err := s.Put(k, payload); err != nil {
+				t.Errorf("Put %s: %v", k, err)
+			}
+		}
+	}
+	if _, ok := s.Get(key); ok {
+		t.Fatal("damaged entry served")
+	}
+	if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get of the replacement: ok=%v", ok)
+	}
+	if q := s.Stats().Quarantined; q != 0 {
+		t.Fatalf("quarantined = %d, want 0", q)
 	}
 }
