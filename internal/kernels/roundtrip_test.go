@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -38,5 +40,58 @@ func TestAssemblyRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAssemblyPinned pins the FNV-64a of every registered variant's
+// Assembly() text. Those bytes are the program half of exp.ContentKey,
+// so any drift in the formatter — an operand order, an annotation name,
+// a scoped !nolint — would silently re-key every store and journal
+// entry. The literals were read before the syntax moved into one table
+// shared by Parse, Assembly and Disasm.
+func TestAssemblyPinned(t *testing.T) {
+	want := map[string]string{
+		"TB/full": "bf0ce15161fb8c6a", "ST/full": "070e7a794b3ca8b5",
+		"DS/full": "738371fbd5fc4187", "ATM/full": "1ffbcd4517716aea",
+		"HT/full": "80b042e043bdcb5e", "TSP/full": "c469e1b803c3dda7",
+		"NW1/full": "ba96b5a9d10b59da", "NW2/full": "e0f141ecc6d8a005",
+		"KMEANS/full": "9abce662cfdfcd52", "VECADD/full": "90873b98a2a1b905",
+		"REDUCE/full": "e59b5560cfc5ddcc", "MS/full": "bf3fa66d4d5313e0",
+		"HL/full": "0d132df93264eeba", "STENCIL/full": "85504321b9d683c6",
+		"BFS/full": "cf03f992d10e3536", "HOTSPOT/full": "8a3edda79d539063",
+		"PATHFINDER/full": "11c76c1ff7b0a7be", "BACKPROP/full": "270c007fd324c351",
+		"SRAD/full": "b8a639a9490ce5ff", "LUD/full": "917d3a6a6918d819",
+		"NN/full": "376743f3f2edbada", "GAUSSIAN/full": "55be3d9a746289ef",
+
+		"TB/quick": "6f9b1cd149d0acff", "ST/quick": "e45af63e14c42d88",
+		"DS/quick": "738371fbd5fc4187", "ATM/quick": "1ffbcd4517716aea",
+		"HT/quick": "80b042e043bdcb5e", "TSP/quick": "c469e1b803c3dda7",
+		"NW1/quick": "8c0ed398c831b10a", "NW2/quick": "cecd7612f5d871a7",
+		"KMEANS/quick": "9abce662cfdfcd52", "VECADD/quick": "90873b98a2a1b905",
+		"REDUCE/quick": "e59b5560cfc5ddcc", "MS/quick": "bf3fa66d4d5313e0",
+		"HL/quick": "0d132df93264eeba", "STENCIL/quick": "85504321b9d683c6",
+		"BFS/quick": "cf03f992d10e3536", "HOTSPOT/quick": "8a3edda79d539063",
+		"PATHFINDER/quick": "11c76c1ff7b0a7be", "BACKPROP/quick": "270c007fd324c351",
+		"SRAD/quick": "b8a639a9490ce5ff", "LUD/quick": "917d3a6a6918d819",
+		"NN/quick": "376743f3f2edbada", "GAUSSIAN/quick": "55be3d9a746289ef",
+	}
+	seen := 0
+	for i, set := range [][]*Kernel{SyncSuite(), SyncFreeSuite(), QuickSyncSuite(), QuickSyncFreeSuite()} {
+		scale := "full"
+		if i >= 2 {
+			scale = "quick"
+		}
+		for _, k := range set {
+			id := k.Name + "/" + scale
+			h := fnv.New64a()
+			h.Write([]byte(k.Launch.Prog.Assembly()))
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != want[id] {
+				t.Errorf("%s: Assembly() hash = %s, want %s", id, got, want[id])
+			}
+			seen++
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("%d registered variants, %d pinned", seen, len(want))
 	}
 }
