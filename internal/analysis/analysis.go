@@ -4,45 +4,12 @@ import (
 	"warpsched/internal/isa"
 )
 
-// Options controls suppression of findings.
-type Options struct {
-	// Allow suppresses findings by category. A nil entry value suppresses
-	// the whole category; a non-empty PC list suppresses only findings at
-	// those PCs. Findings at instructions carrying isa.AnnNoLint are
-	// always suppressed regardless of Allow.
-	Allow map[Category][]int32
-}
-
-func (o *Options) allows(f Finding) bool {
-	pcs, ok := o.Allow[f.Category]
-	if !ok {
-		return false
-	}
-	if len(pcs) == 0 {
-		return true
-	}
-	for _, pc := range pcs {
-		if pc == f.PC {
-			return true
-		}
-	}
-	return false
-}
-
-// Analyze runs every pass over the program with default options.
-func Analyze(p *isa.Program) *Report {
-	return AnalyzeOpts(p, Options{})
-}
-
-// Suppressed reports whether finding f is silenced: allowlisted in opt,
-// or anchored at an instruction whose !nolint annotation matches the
-// finding's category or class. Pair findings (OtherPC > 0) are silenced
-// when either endpoint carries a matching nolint — suppressing one
-// access of a race suppresses the pair.
-func (o *Options) Suppressed(p *isa.Program, f Finding) bool {
-	if o.allows(f) {
-		return true
-	}
+// suppressed reports whether finding f is silenced: anchored at an
+// instruction whose !nolint annotation matches the finding's category or
+// class. Pair findings (OtherPC > 0) are silenced when either endpoint
+// carries a matching nolint — suppressing one access of a race
+// suppresses the pair.
+func suppressed(p *isa.Program, f Finding) bool {
 	match := func(pc int32) bool {
 		return pc >= 0 && pc < p.Len() &&
 			p.At(pc).Suppresses(string(f.Category), f.Category.Class())
@@ -51,15 +18,15 @@ func (o *Options) Suppressed(p *isa.Program, f Finding) bool {
 }
 
 // BuildReport splits findings into Findings and Suppressed according to
-// opt and per-instruction nolint annotations, fills each finding's Class
+// per-instruction nolint annotations, fills each finding's Class
 // from its category, and sorts for deterministic output. Shared by the
 // core passes and internal/analysis/race.
-func BuildReport(p *isa.Program, opt Options, all []Finding) *Report {
+func BuildReport(p *isa.Program, all []Finding) *Report {
 	rep := &Report{Program: p.Name}
 	sortFindings(all)
 	for _, f := range all {
 		f.Class = f.Category.Class()
-		if opt.Suppressed(p, f) {
+		if suppressed(p, f) {
 			rep.Suppressed = append(rep.Suppressed, f)
 		} else {
 			rep.Findings = append(rep.Findings, f)
@@ -68,11 +35,11 @@ func BuildReport(p *isa.Program, opt Options, all []Finding) *Report {
 	return rep
 }
 
-// AnalyzeOpts runs the full analysis: structural validation, CFG/IPDOM
-// reconvergence verification, def-use dataflow lints and the
+// Analyze runs every pass over the program: structural validation,
+// CFG/IPDOM reconvergence verification, def-use dataflow lints and the
 // synchronization-discipline checks. Findings at instructions annotated
-// AnnNoLint (or allowlisted in opt) are reported under Suppressed.
-func AnalyzeOpts(p *isa.Program, opt Options) *Report {
+// AnnNoLint are reported under Suppressed.
+func Analyze(p *isa.Program) *Report {
 	if err := p.Validate(); err != nil {
 		// Structural invariants are broken; the CFG passes would index
 		// out of range, so report and stop.
@@ -92,5 +59,5 @@ func AnalyzeOpts(p *isa.Program, opt Options) *Report {
 	all = append(all, checkPredDefiniteAssignment(g)...)
 	all = append(all, checkDeadWrites(g)...)
 	all = append(all, checkSyncDiscipline(g)...)
-	return BuildReport(p, opt, all)
+	return BuildReport(p, all)
 }

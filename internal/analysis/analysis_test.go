@@ -277,24 +277,4 @@ func TestSuppression(t *testing.T) {
 			t.Fatalf("suppression must stay visible, got %v", rep.Suppressed)
 		}
 	})
-	src := strings.ReplaceAll(srcSuppressable, "!nolint", "")
-	t.Run("allow-category", func(t *testing.T) {
-		rep := AnalyzeOpts(mustParse(t, "s", src),
-			Options{Allow: map[Category][]int32{CatDivergentBarrier: nil}})
-		if !rep.Clean() || !hasFinding(rep.Suppressed, CatDivergentBarrier, 3) {
-			t.Fatalf("category allowlist not honored: %+v", rep)
-		}
-	})
-	t.Run("allow-pc", func(t *testing.T) {
-		rep := AnalyzeOpts(mustParse(t, "s", src),
-			Options{Allow: map[Category][]int32{CatDivergentBarrier: {3}}})
-		if !rep.Clean() {
-			t.Fatalf("pc allowlist not honored: %v", rep.Findings)
-		}
-		rep = AnalyzeOpts(mustParse(t, "s", src),
-			Options{Allow: map[Category][]int32{CatDivergentBarrier: {99}}})
-		if rep.Clean() {
-			t.Fatal("allowlist for pc 99 must not suppress the finding at 3")
-		}
-	})
 }

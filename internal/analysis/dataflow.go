@@ -219,11 +219,7 @@ func DeadLoadDests(g *CFG) []bool {
 	return out
 }
 
-// VaryingSets exposes the CTA-uniformity analysis to sibling packages
-// (internal/analysis/race layers its address abstraction on it).
-func VaryingSets(g *CFG) (regs uint64, preds uint8) { return varyingSets(g) }
-
-// varyingSets computes a conservative CTA-level divergence analysis: a
+// VaryingSets computes a conservative CTA-level divergence analysis: a
 // register/predicate is "varying" if threads of one CTA may hold
 // different values for it. Sources of variance are the thread-indexed
 // special registers (%tid, %laneid, %warpid, %gtid, %clock), every memory
@@ -234,17 +230,26 @@ func VaryingSets(g *CFG) (regs uint64, preds uint8) { return varyingSets(g) }
 // the granularity that matters for bar.sync. The analysis is
 // flow-insensitive (one bit per register) and iterates to a fixpoint
 // because control dependence feeds back into data dependence.
-func varyingSets(g *CFG) (uint64, uint8) {
+//
+// threadOnly narrows the sources to values derived from the thread's
+// identity, for the race package's barrier-reachability check: %clock
+// counts as uniform, and a load varies only when its address does. A
+// load from a uniform address (the BFS frontier flag, a producer/
+// consumer mailbox) yields the same word to every thread issuing it at
+// that moment, so branching on it cannot split the CTA's warps across
+// different barriers, whereas tid-indexed data can. Atomics vary either
+// way: each thread receives a distinct old value.
+func VaryingSets(g *CFG, threadOnly bool) (regs uint64, preds uint8) {
 	p := g.Prog
 	var varyR uint64
 	var varyP uint8
 
 	specVarying := func(s isa.Special) bool {
 		switch s {
-		case isa.SpecTID, isa.SpecLaneID, isa.SpecWarpID, isa.SpecGTID, isa.SpecClock:
+		case isa.SpecTID, isa.SpecLaneID, isa.SpecWarpID, isa.SpecGTID:
 			return true
 		}
-		return false
+		return s == isa.SpecClock && !threadOnly
 	}
 	opdVarying := func(o isa.Operand) bool {
 		switch o.Kind {
@@ -277,6 +282,8 @@ func varyingSets(g *CFG) (uint64, uint8) {
 			v := divergent[pc] || (in.Guarded() && varyP&(1<<uint8(in.Guard)) != 0)
 			if !v {
 				switch {
+				case in.Op == isa.OpLd && threadOnly:
+					v = opdVarying(in.A) || opdVarying(in.B)
 				case in.Op.IsMem(): // loads and atomics produce varying values
 					v = true
 				case in.Op == isa.OpLdParam:

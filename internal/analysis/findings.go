@@ -19,7 +19,7 @@ import (
 )
 
 // Category identifies a class of finding. Categories are stable strings
-// so they can be used in allowlists and JSON output.
+// so they can be named in !nolint annotations and JSON output.
 type Category string
 
 const (
@@ -65,8 +65,8 @@ const (
 	CatDivergentBarrier Category = "divergent-barrier"
 
 	// The categories below are produced by the inter-warp race analyzer
-	// (internal/analysis/race); they share this taxonomy so suppression,
-	// allowlists and JSON output treat every pass uniformly.
+	// (internal/analysis/race); they share this taxonomy so suppression
+	// and JSON output treat every pass uniformly.
 
 	// CatRace: two accesses in the same barrier interval may touch the
 	// same word from different threads and at least one is a non-atomic
@@ -137,8 +137,7 @@ func (f Finding) String() string {
 }
 
 // Report is the result of analyzing one program. Suppressed holds
-// findings whose instruction carries isa.AnnNoLint or whose (category,
-// PC) pair is allowlisted.
+// findings whose instruction carries a matching isa.AnnNoLint.
 type Report struct {
 	Program    string    `json:"program"`
 	Findings   []Finding `json:"findings"`

@@ -94,84 +94,6 @@ func firstBars(p *isa.Program, g *analysis.CFG, start int32) map[int32]bool {
 	return out
 }
 
-// threadVaryingSets computes a "strictly thread-identity-derived"
-// divergence analysis, deliberately tighter than analysis.VaryingSets:
-// loads taint their destination only when the *address* is varying.
-// A load from a uniform address (the BFS frontier flag, a producer/
-// consumer mailbox) yields the same word to every thread issuing it at
-// that moment, so branching on it cannot split the CTA's warps across
-// different barriers — whereas tid-indexed data genuinely can.
-func threadVaryingSets(g *analysis.CFG) (uint64, uint8) {
-	p := g.Prog
-	var varyR uint64
-	var varyP uint8
-
-	specVarying := func(s isa.Special) bool {
-		switch s {
-		case isa.SpecTID, isa.SpecLaneID, isa.SpecWarpID, isa.SpecGTID:
-			return true
-		}
-		return false
-	}
-	opdVarying := func(o isa.Operand) bool {
-		switch o.Kind {
-		case isa.OpdReg:
-			return varyR&(1<<o.Reg) != 0
-		case isa.OpdSpecial:
-			return specVarying(o.Spec)
-		}
-		return false
-	}
-
-	for {
-		divergent := make([]bool, g.N+1)
-		for pc := int32(0); pc < g.N; pc++ {
-			in := p.At(pc)
-			if in.Op != isa.OpBra || !in.Guarded() || varyP&(1<<uint8(in.Guard)) == 0 {
-				continue
-			}
-			for v, inRegion := range g.DivergentRegion(pc) {
-				if inRegion {
-					divergent[v] = true
-				}
-			}
-		}
-		changed := false
-		for pc := int32(0); pc < g.N; pc++ {
-			in := p.At(pc)
-			v := divergent[pc] || (in.Guarded() && varyP&(1<<uint8(in.Guard)) != 0)
-			if !v {
-				switch {
-				case in.Op == isa.OpLd:
-					v = opdVarying(in.A) || opdVarying(in.B)
-				case in.Op.IsAtomic():
-					v = true // each thread receives a distinct old value
-				case in.Op == isa.OpLdParam:
-					v = false
-				case in.Op == isa.OpSelp:
-					v = opdVarying(in.A) || opdVarying(in.B) || varyP&(1<<in.PSrc) != 0
-				default:
-					v = opdVarying(in.A) || opdVarying(in.B) || opdVarying(in.C) || opdVarying(in.D)
-				}
-			}
-			if !v {
-				continue
-			}
-			if in.WritesReg() && varyR&(1<<in.Dst) == 0 {
-				varyR |= 1 << in.Dst
-				changed = true
-			}
-			if in.Op == isa.OpSetp && varyP&(1<<in.PDst) == 0 {
-				varyP |= 1 << in.PDst
-				changed = true
-			}
-		}
-		if !changed {
-			return varyR, varyP
-		}
-	}
-}
-
 // checkBarrierReachability flags forward branches whose guard is derived
 // from the thread's identity and whose two edges proceed to *different*
 // next barriers: threads of one CTA then arrive at bar.syncs of distinct
@@ -192,7 +114,7 @@ func checkBarrierReachability(p *isa.Program, g *analysis.CFG) []analysis.Findin
 	if !hasBar {
 		return nil
 	}
-	_, varyP := threadVaryingSets(g)
+	_, varyP := analysis.VaryingSets(g, true)
 	var fs []analysis.Finding
 	for pc := int32(0); pc < g.N; pc++ {
 		in := p.At(pc)

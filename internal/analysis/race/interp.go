@@ -46,7 +46,7 @@ func newInterp(p *isa.Program, g *analysis.CFG, geo geometry) *interp {
 		reached: make([]bool, g.N+1),
 		setps:   make([]setpRel, g.N),
 	}
-	it.varyR, it.varyP = analysis.VaryingSets(g)
+	it.varyR, it.varyP = analysis.VaryingSets(g, false)
 	it.divergent = make([]bool, g.N+1)
 	for pc := int32(0); pc < g.N; pc++ {
 		in := p.At(pc)

@@ -13,8 +13,6 @@ import (
 type Options struct {
 	GridCTAs   int32
 	CTAThreads int32
-	// Lint carries suppression options through to the report builder.
-	Lint analysis.Options
 }
 
 // Result is the outcome of Analyze.
@@ -128,7 +126,7 @@ func Analyze(p *isa.Program, opt Options) *Result {
 		}
 	}
 
-	res.Report = analysis.BuildReport(p, opt.Lint, all)
+	res.Report = analysis.BuildReport(p, all)
 	return res
 }
 

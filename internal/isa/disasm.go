@@ -3,81 +3,16 @@ package isa
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// Disasm renders one instruction in a PTX-flavoured syntax.
+// Disasm renders one instruction in the syntax Parse reads, with numeric
+// PCs for branch targets and reconvergence points.
 func Disasm(in *Instr) string {
 	var sb strings.Builder
-	if in.Guarded() {
-		if in.GuardNeg {
-			sb.WriteString(fmt.Sprintf("@!%%p%d ", in.Guard))
-		} else {
-			sb.WriteString(fmt.Sprintf("@%%p%d ", in.Guard))
-		}
-	}
-	switch in.Op {
-	case OpNop, OpExit, OpBar, OpMembar:
-		sb.WriteString(in.Op.String())
-	case OpMov:
-		fmt.Fprintf(&sb, "mov %%r%d, %s", in.Dst, in.A)
-	case OpSetp:
-		fmt.Fprintf(&sb, "setp.%s %%p%d, %s, %s", in.Cmp, in.PDst, in.A, in.B)
-	case OpSelp:
-		fmt.Fprintf(&sb, "selp %%r%d, %s, %s, %%p%d", in.Dst, in.A, in.B, in.PSrc)
-	case OpBra:
-		fmt.Fprintf(&sb, "bra %d", in.Target)
-		if in.Reconv != NoReconv {
-			fmt.Fprintf(&sb, " (reconv %d)", in.Reconv)
-		}
-	case OpLd:
-		fmt.Fprintf(&sb, "ld.global %%r%d, [%s+%s]", in.Dst, in.A, in.B)
-	case OpSt:
-		fmt.Fprintf(&sb, "st.global [%s+%s], %s", in.A, in.B, in.C)
-	case OpAtomCAS:
-		fmt.Fprintf(&sb, "atom.cas %%r%d, [%s+%s], %s, %s", in.Dst, in.A, in.B, in.C, in.D)
-	case OpAtomExch:
-		fmt.Fprintf(&sb, "atom.exch %%r%d, [%s+%s], %s", in.Dst, in.A, in.B, in.C)
-	case OpAtomAdd:
-		fmt.Fprintf(&sb, "atom.add %%r%d, [%s+%s], %s", in.Dst, in.A, in.B, in.C)
-	case OpAtomMax:
-		fmt.Fprintf(&sb, "atom.max %%r%d, [%s+%s], %s", in.Dst, in.A, in.B, in.C)
-	case OpLdParam:
-		fmt.Fprintf(&sb, "ld.param %%r%d, [param%d]", in.Dst, in.Param)
-	default:
-		fmt.Fprintf(&sb, "%s %%r%d, %s, %s", in.Op, in.Dst, in.A, in.B)
-	}
-	var anns []string
-	for _, a := range [...]struct {
-		bit  Ann
-		name string
-	}{
-		{AnnSIB, "SIB"}, {AnnLockAcquire, "acquire"}, {AnnLockRelease, "release"},
-		{AnnWaitCheck, "waitcheck"}, {AnnSync, "sync"},
-	} {
-		if in.HasAnn(a.bit) {
-			anns = append(anns, a.name)
-		}
-	}
-	if in.HasAnn(AnnNoLint) {
-		anns = append(anns, nolintTokens(in)...)
-	}
-	if len(anns) > 0 {
-		fmt.Fprintf(&sb, "  ; %s", strings.Join(anns, ","))
-	}
+	in.format(&sb, func(pc int32) string { return strconv.Itoa(int(pc)) })
 	return sb.String()
-}
-
-// nolintTokens renders an instruction's nolint annotation in the comma
-// list Parse accepts: bare "nolint", or "nolint <class>" followed by the
-// remaining classes as their own tokens. Emitted last so the class list
-// cannot swallow other annotation names.
-func nolintTokens(in *Instr) []string {
-	if len(in.NoLint) == 0 {
-		return []string{"nolint"}
-	}
-	toks := []string{"nolint " + in.NoLint[0]}
-	return append(toks, in.NoLint[1:]...)
 }
 
 // Assembly renders the program in the exact syntax accepted by Parse, so
@@ -98,87 +33,21 @@ func (p *Program) Assembly() string {
 			needLabel[in.Reconv] = true
 		}
 	}
-	lbl := func(pc int32) string { return fmt.Sprintf("L%d", pc) }
-
-	opd := func(o Operand) string { return o.String() } // "_" never reachable for used slots
-	addr := func(in *Instr) string {
-		if in.B.Kind == OpdNone {
-			return fmt.Sprintf("[%s]", opd(in.A))
-		}
-		return fmt.Sprintf("[%s+%s]", opd(in.A), opd(in.B))
-	}
+	lbl := func(pc int32) string { return "L" + strconv.Itoa(int(pc)) }
 
 	var sb strings.Builder
 	for pc := range p.Code {
 		if needLabel[int32(pc)] {
-			fmt.Fprintf(&sb, "%s:\n", lbl(int32(pc)))
+			sb.WriteString(lbl(int32(pc)) + ":\n")
 		}
-		in := &p.Code[pc]
 		sb.WriteString("  ")
-		if in.Guarded() {
-			if in.GuardNeg {
-				fmt.Fprintf(&sb, "@!%%p%d ", in.Guard)
-			} else {
-				fmt.Fprintf(&sb, "@%%p%d ", in.Guard)
-			}
-		}
-		switch in.Op {
-		case OpNop, OpExit, OpBar, OpMembar:
-			sb.WriteString(in.Op.String())
-		case OpMov:
-			fmt.Fprintf(&sb, "mov %%r%d, %s", in.Dst, opd(in.A))
-		case OpSetp:
-			fmt.Fprintf(&sb, "setp.%s %%p%d, %s, %s", in.Cmp, in.PDst, opd(in.A), opd(in.B))
-		case OpSelp:
-			fmt.Fprintf(&sb, "selp %%r%d, %s, %s, %%p%d", in.Dst, opd(in.A), opd(in.B), in.PSrc)
-		case OpBra:
-			fmt.Fprintf(&sb, "bra %s", lbl(in.Target))
-			if in.Guarded() && in.Reconv != NoReconv {
-				fmt.Fprintf(&sb, " reconv=%s", lbl(in.Reconv))
-			}
-		case OpLd:
-			mn := "ld.global"
-			if in.Vol {
-				mn = "ld.volatile"
-			}
-			fmt.Fprintf(&sb, "%s %%r%d, %s", mn, in.Dst, addr(in))
-		case OpSt:
-			fmt.Fprintf(&sb, "st.global %s, %s", addr(in), opd(in.C))
-		case OpAtomCAS:
-			fmt.Fprintf(&sb, "atom.cas %%r%d, %s, %s, %s", in.Dst, addr(in), opd(in.C), opd(in.D))
-		case OpAtomExch, OpAtomAdd, OpAtomMax:
-			fmt.Fprintf(&sb, "%s %%r%d, %s, %s", in.Op, in.Dst, addr(in), opd(in.C))
-		case OpLdParam:
-			fmt.Fprintf(&sb, "ld.param %%r%d, %d", in.Dst, in.Param)
-		default:
-			fmt.Fprintf(&sb, "%s %%r%d, %s, %s", in.Op, in.Dst, opd(in.A), opd(in.B))
-		}
-		if in.Ann != 0 {
-			var names []string
-			for _, a := range [...]struct {
-				bit  Ann
-				name string
-			}{
-				{AnnSIB, "sib"}, {AnnLockAcquire, "acquire"},
-				{AnnLockRelease, "release"}, {AnnWaitCheck, "waitcheck"},
-				{AnnSync, "sync"},
-			} {
-				if in.HasAnn(a.bit) {
-					names = append(names, a.name)
-				}
-			}
-			if in.HasAnn(AnnNoLint) {
-				// Always last: the class list consumes the rest of the line.
-				names = append(names, nolintTokens(in)...)
-			}
-			fmt.Fprintf(&sb, " !%s", strings.Join(names, ","))
-		}
+		p.Code[pc].format(&sb, lbl)
 		sb.WriteByte('\n')
 	}
 	// A reconvergence point one past the last instruction needs a label
 	// at end of file; Parse accepts a trailing label with no instruction.
 	if needLabel[int32(len(p.Code))] {
-		fmt.Fprintf(&sb, "%s:\n", lbl(int32(len(p.Code))))
+		sb.WriteString(lbl(int32(len(p.Code))) + ":\n")
 	}
 	return sb.String()
 }

@@ -34,6 +34,10 @@ import (
 //	end:
 //	  exit
 //
+// ld, st and bar are short for ld.global, st.global and bar.sync.
+// Operands written after nop, exit, bar.sync or membar are ignored, so
+// PTX's "bar.sync 0" parses.
+//
 // A trailing "!a,b,c" annotates the instruction with any of: sib,
 // acquire, release, waitcheck, sync, nolint. A nolint token may carry a
 // finding-class list — `!nolint race,lockorder` — restricting the
@@ -63,15 +67,6 @@ func stripComment(line string) string {
 		line = line[:i]
 	}
 	return line
-}
-
-var annNames = map[string]Ann{
-	"sib":       AnnSIB,
-	"acquire":   AnnLockAcquire,
-	"release":   AnnLockRelease,
-	"waitcheck": AnnWaitCheck,
-	"sync":      AnnSync,
-	"nolint":    AnnNoLint,
 }
 
 func parseLine(b *Builder, line string) error {
@@ -109,7 +104,7 @@ func parseLine(b *Builder, line string) error {
 				inClasses = true
 				continue
 			}
-			bit, ok := annNames[tok]
+			bit, ok := annByName[tok]
 			if !ok {
 				return fmt.Errorf("unknown annotation %q", tok)
 			}
@@ -140,210 +135,85 @@ func parseLine(b *Builder, line string) error {
 
 	op, rest, _ := strings.Cut(line, " ")
 	rest = strings.TrimSpace(rest)
-	args := splitArgs(rest)
-
-	emit := func(in Instr) {
-		in.Guard, in.GuardNeg = guard, guardNeg
-		in.Ann |= ann
-		in.NoLint = nolint
-		b.Emit(in)
+	in, ok := mnemonics[op]
+	if !ok {
+		if cmp, isSetp := strings.CutPrefix(op, "setp."); isSetp {
+			return fmt.Errorf("unknown comparison %q", cmp)
+		}
+		return fmt.Errorf("unknown opcode %q", op)
 	}
-
-	switch {
-	case op == "nop":
-		emit(Instr{Op: OpNop})
-	case op == "exit":
-		emit(Instr{Op: OpExit})
-	case op == "bar.sync" || op == "bar":
-		emit(Instr{Op: OpBar})
-	case op == "membar":
-		emit(Instr{Op: OpMembar})
-	case op == "mov":
-		if len(args) != 2 {
-			return fmt.Errorf("mov needs dst, src")
+	in.Guard, in.GuardNeg, in.Ann, in.NoLint = guard, guardNeg, ann, nolint
+	if in.Op == OpBra {
+		return parseBra(b, &in, rest)
+	}
+	if slots := syntax[in.Op]; len(slots) > 0 {
+		args := splitArgs(rest)
+		if len(args) != len(slots) {
+			names := make([]string, len(slots))
+			for i, s := range slots {
+				names[i] = slotNames[s]
+			}
+			noun := in.Op.String()
+			if kind, ok := map[Op]string{OpLd: "load", OpSt: "store"}[in.Op]; ok {
+				noun = kind // several mnemonics: name the kind
+			}
+			return fmt.Errorf("%s needs %s", noun, strings.Join(names, ", "))
 		}
-		dst, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		a, err := parseOperand(args[1])
-		if err != nil {
-			return err
-		}
-		emit(Instr{Op: OpMov, Dst: dst, A: a})
-	case op == "selp":
-		if len(args) != 4 {
-			return fmt.Errorf("selp needs dst, a, b, pred")
-		}
-		dst, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		a, err := parseOperand(args[1])
-		if err != nil {
-			return err
-		}
-		c, err := parseOperand(args[2])
-		if err != nil {
-			return err
-		}
-		p, err := parsePred(args[3])
-		if err != nil {
-			return err
-		}
-		emit(Instr{Op: OpSelp, Dst: dst, A: a, B: c, PSrc: p})
-	case op == "ld.param":
-		if len(args) != 2 {
-			return fmt.Errorf("ld.param needs dst, index")
-		}
-		dst, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		idx, err := strconv.Atoi(args[1])
-		if err != nil || idx < 0 || idx > 255 {
-			return fmt.Errorf("bad parameter index %q", args[1])
-		}
-		emit(Instr{Op: OpLdParam, Dst: dst, Param: uint8(idx)})
-	case strings.HasPrefix(op, "setp."):
-		cmp, err := parseCmp(strings.TrimPrefix(op, "setp."))
-		if err != nil {
-			return err
-		}
-		if len(args) != 3 {
-			return fmt.Errorf("setp needs pred, a, b")
-		}
-		p, err := parsePred(args[0])
-		if err != nil {
-			return err
-		}
-		a, err := parseOperand(args[1])
-		if err != nil {
-			return err
-		}
-		c, err := parseOperand(args[2])
-		if err != nil {
-			return err
-		}
-		emit(Instr{Op: OpSetp, Cmp: cmp, PDst: p, A: a, B: c})
-	case op == "bra":
-		target, reconv := "", ""
-		for _, a := range strings.Fields(rest) {
-			if v, ok := strings.CutPrefix(a, "reconv="); ok {
-				reconv = v
-			} else if target == "" {
-				target = a
-			} else {
-				return fmt.Errorf("too many branch operands")
+		for i, s := range slots {
+			if err := in.parseSlot(s, args[i]); err != nil {
+				return err
 			}
 		}
-		if target == "" {
-			return fmt.Errorf("branch without target")
-		}
-		// Route through the builder's fixup machinery; annotations and
-		// guards are applied to the just-emitted instruction.
-		if guard == NoGuard {
-			b.Bra(target)
+	}
+	b.Emit(in)
+	return nil
+}
+
+// parseSlot parses one operand into the field its slot names.
+func (in *Instr) parseSlot(s slot, arg string) (err error) {
+	switch s {
+	case slotDst:
+		in.Dst, err = parseReg(arg)
+	case slotPDst:
+		in.PDst, err = parsePred(arg)
+	case slotPSrc:
+		in.PSrc, err = parsePred(arg)
+	case slotA, slotB, slotC, slotD:
+		*in.operand(s), err = parseOperand(arg)
+	case slotAddr:
+		in.A, in.B, err = parseAddr(arg)
+	case slotParam:
+		in.Param, err = parseIndexed[uint8](arg, "", "parameter index", 256)
+	}
+	return err
+}
+
+// parseBra routes a branch through the builder's label fixups: its
+// operands are a target label and, on a guarded branch, reconv=<label>.
+func parseBra(b *Builder, in *Instr, rest string) error {
+	target, reconv := "", ""
+	for _, a := range strings.Fields(rest) {
+		if v, ok := strings.CutPrefix(a, "reconv="); ok {
+			reconv = v
+		} else if target == "" {
+			target = a
 		} else {
-			b.BraP(Pred(guard), guardNeg, target, reconv)
+			return fmt.Errorf("too many branch operands")
 		}
-		if ann != 0 {
-			b.AnnotateLast(ann)
-		}
-		if len(nolint) > 0 {
-			b.NoLintLast(nolint...)
-		}
-	case op == "ld.global" || op == "ld.volatile" || op == "ld":
-		if len(args) != 2 {
-			return fmt.Errorf("load needs dst, [addr]")
-		}
-		dst, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		base, off, err := parseAddr(args[1])
-		if err != nil {
-			return err
-		}
-		emit(Instr{Op: OpLd, Dst: dst, A: base, B: off, Vol: op == "ld.volatile"})
-	case op == "st.global" || op == "st":
-		if len(args) != 2 {
-			return fmt.Errorf("store needs [addr], src")
-		}
-		base, off, err := parseAddr(args[0])
-		if err != nil {
-			return err
-		}
-		v, err := parseOperand(args[1])
-		if err != nil {
-			return err
-		}
-		emit(Instr{Op: OpSt, A: base, B: off, C: v})
-	case op == "atom.cas":
-		if len(args) != 4 {
-			return fmt.Errorf("atom.cas needs dst, [addr], cmp, val")
-		}
-		dst, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		base, off, err := parseAddr(args[1])
-		if err != nil {
-			return err
-		}
-		cmp, err := parseOperand(args[2])
-		if err != nil {
-			return err
-		}
-		val, err := parseOperand(args[3])
-		if err != nil {
-			return err
-		}
-		emit(Instr{Op: OpAtomCAS, Dst: dst, A: base, B: off, C: cmp, D: val})
-	case op == "atom.exch" || op == "atom.add" || op == "atom.max":
-		if len(args) != 3 {
-			return fmt.Errorf("%s needs dst, [addr], val", op)
-		}
-		dst, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		base, off, err := parseAddr(args[1])
-		if err != nil {
-			return err
-		}
-		val, err := parseOperand(args[2])
-		if err != nil {
-			return err
-		}
-		o := map[string]Op{"atom.exch": OpAtomExch, "atom.add": OpAtomAdd, "atom.max": OpAtomMax}[op]
-		emit(Instr{Op: o, Dst: dst, A: base, B: off, C: val})
-	default:
-		aluOps := map[string]Op{
-			"add": OpAdd, "sub": OpSub, "mul": OpMul, "div": OpDiv,
-			"rem": OpRem, "min": OpMin, "max": OpMax, "and": OpAnd,
-			"or": OpOr, "xor": OpXor, "shl": OpShl, "shr": OpShr,
-		}
-		o, ok := aluOps[op]
-		if !ok {
-			return fmt.Errorf("unknown opcode %q", op)
-		}
-		if len(args) != 3 {
-			return fmt.Errorf("%s needs dst, a, b", op)
-		}
-		dst, err := parseReg(args[0])
-		if err != nil {
-			return err
-		}
-		a, err := parseOperand(args[1])
-		if err != nil {
-			return err
-		}
-		c, err := parseOperand(args[2])
-		if err != nil {
-			return err
-		}
-		emit(Instr{Op: o, Dst: dst, A: a, B: c})
+	}
+	if target == "" {
+		return fmt.Errorf("branch without target")
+	}
+	if in.Guarded() {
+		b.BraP(Pred(in.Guard), in.GuardNeg, target, reconv)
+	} else {
+		b.Bra(target)
+	}
+	if in.Ann != 0 {
+		b.AnnotateLast(in.Ann)
+	}
+	if len(in.NoLint) > 0 {
+		b.NoLintLast(in.NoLint...)
 	}
 	return nil
 }
@@ -388,33 +258,21 @@ func splitArgs(s string) []string {
 	return out
 }
 
-func parseReg(s string) (Reg, error) {
-	if !strings.HasPrefix(s, "%r") {
-		return 0, fmt.Errorf("expected register, got %q", s)
+// parseIndexed parses prefix+N with 0 <= N < limit: a register (%rN), a
+// predicate (%pN) or, with no prefix, a parameter index.
+func parseIndexed[T ~uint8](s, prefix, what string, limit int) (T, error) {
+	if !strings.HasPrefix(s, prefix) {
+		return 0, fmt.Errorf("expected %s, got %q", what, s)
 	}
-	n, err := strconv.Atoi(s[2:])
-	if err != nil || n < 0 || n >= NumRegs {
-		return 0, fmt.Errorf("bad register %q", s)
+	n, err := strconv.Atoi(s[len(prefix):])
+	if err != nil || n < 0 || n >= limit {
+		return 0, fmt.Errorf("bad %s %q", what, s)
 	}
-	return Reg(n), nil
+	return T(n), nil
 }
 
-func parsePred(s string) (Pred, error) {
-	if !strings.HasPrefix(s, "%p") {
-		return 0, fmt.Errorf("expected predicate, got %q", s)
-	}
-	n, err := strconv.Atoi(s[2:])
-	if err != nil || n < 0 || n >= NumPreds {
-		return 0, fmt.Errorf("bad predicate %q", s)
-	}
-	return Pred(n), nil
-}
-
-var specialByName = map[string]Special{
-	"%tid": SpecTID, "%ntid": SpecNTID, "%ctaid": SpecCTAID,
-	"%nctaid": SpecNCTAID, "%laneid": SpecLaneID, "%warpid": SpecWarpID,
-	"%smid": SpecSMID, "%gtid": SpecGTID, "%clock": SpecClock,
-}
+func parseReg(s string) (Reg, error)   { return parseIndexed[Reg](s, "%r", "register", NumRegs) }
+func parsePred(s string) (Pred, error) { return parseIndexed[Pred](s, "%p", "predicate", NumPreds) }
 
 func parseOperand(s string) (Operand, error) {
 	if sp, ok := specialByName[s]; ok {
@@ -451,13 +309,4 @@ func parseAddr(s string) (base, off Operand, err error) {
 		return
 	}
 	return base, I(0), nil
-}
-
-func parseCmp(s string) (Cmp, error) {
-	for c := EQ; c <= GE; c++ {
-		if cmpNames[c] == s {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown comparison %q", s)
 }

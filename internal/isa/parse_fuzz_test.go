@@ -45,6 +45,12 @@ func FuzzParse(f *testing.F) {
 		"frob %r1",
 		"add %r1, %r2, 1\nexit\n",
 		"exit\n",
+		// Forms the language accepts beside the canonical ones, and one
+		// reject: short mnemonics, operands bar.sync and nop ignore, and
+		// a parameter index past 255.
+		"bar.sync 0\nbar\nnop %r1, 5\nexit\n",
+		"ld %r1, [%r2+4]\nst [%r2+8], %r1\nexit\n",
+		"ld.param %r1, 256\nexit\n",
 	} {
 		f.Add(src)
 	}

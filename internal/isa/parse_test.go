@@ -135,6 +135,7 @@ func TestParseErrors(t *testing.T) {
 		{"ld.global %r1, %r2", "expected [address]"},
 		{"mov %r1, 1 !shiny", "unknown annotation"},
 		{"add %r1, %r2", "needs dst, a, b"},
+		{"ld.param %r1, 256", "bad parameter index"},
 	}
 	for _, c := range cases {
 		_, err := Parse("bad", c.src)
@@ -150,6 +151,11 @@ func TestParseAddressForms(t *testing.T) {
   ld.global %r2, [%r1]
   ld.global %r3, [%r1+%r2]
   ld.global %r4, [%r1+12]
+  ld %r5, [%r1+4]
+  st [%r1+8], %r5
+  bar.sync 0
+  bar
+  nop %r1, 5
   exit
 `)
 	if err != nil {
@@ -166,5 +172,15 @@ func TestParseAddressForms(t *testing.T) {
 	}
 	if p.At(3).B.Imm != 12 {
 		t.Fatal("[reg+imm] form wrong")
+	}
+	// The short forms and the operands bar.sync and nop ignore.
+	if in := p.At(4); in.Op != OpLd || in.Vol || in.B.Imm != 4 {
+		t.Fatalf("ld alias wrong: %s", Disasm(in))
+	}
+	if in := p.At(5); in.Op != OpSt || in.B.Imm != 8 || in.C.Reg != 5 {
+		t.Fatalf("st alias wrong: %s", Disasm(in))
+	}
+	if p.At(6).Op != OpBar || p.At(7).Op != OpBar || p.At(8).Op != OpNop {
+		t.Fatalf("bar.sync 0 / bar / nop %%r1, 5 wrong:\n%s", p.Listing())
 	}
 }

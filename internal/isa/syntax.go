@@ -1,0 +1,179 @@
+package isa
+
+import (
+	"fmt"
+	"strings"
+)
+
+// The instruction text syntax, written once: Parse reads an instruction
+// through these tables and Instr.format prints one through them, for
+// Assembly and Disasm alike.
+
+// slot is one operand position of an instruction's text form.
+type slot uint8
+
+const (
+	slotDst    slot = iota // %rN into Dst
+	slotPDst               // %pN into PDst
+	slotPSrc               // %pN into PSrc
+	slotA                  // register, immediate or special register into A
+	slotB                  // ... into B
+	slotC                  // ... into C
+	slotD                  // ... into D
+	slotAddr               // [A+B], or [A] with B = 0
+	slotParam              // parameter index 0..255 into Param
+	slotTarget             // branch target, then reconv=<label> if guarded
+)
+
+var slotNames = [...]string{
+	slotDst: "dst", slotPDst: "pred", slotPSrc: "pred", slotA: "a", slotB: "b",
+	slotC: "c", slotD: "d", slotAddr: "[addr]", slotParam: "index", slotTarget: "target",
+}
+
+var (
+	aluSlots  = []slot{slotDst, slotA, slotB}
+	atomSlots = []slot{slotDst, slotAddr, slotC}
+)
+
+// syntax lists each opcode's operand slots in text order. An opcode with
+// none (nop, exit, bar.sync, membar) ignores whatever follows it.
+var syntax = [opCount][]slot{
+	OpMov: {slotDst, slotA},
+	OpAdd: aluSlots, OpSub: aluSlots, OpMul: aluSlots, OpDiv: aluSlots,
+	OpRem: aluSlots, OpMin: aluSlots, OpMax: aluSlots, OpAnd: aluSlots,
+	OpOr: aluSlots, OpXor: aluSlots, OpShl: aluSlots, OpShr: aluSlots,
+	OpSetp:     {slotPDst, slotA, slotB},
+	OpSelp:     {slotDst, slotA, slotB, slotPSrc},
+	OpBra:      {slotTarget},
+	OpLd:       {slotDst, slotAddr},
+	OpSt:       {slotAddr, slotC},
+	OpAtomCAS:  {slotDst, slotAddr, slotC, slotD},
+	OpAtomExch: atomSlots, OpAtomAdd: atomSlots, OpAtomMax: atomSlots,
+	OpLdParam: {slotDst, slotParam},
+}
+
+// operand returns the source operand field that slot A–D names.
+func (in *Instr) operand(s slot) *Operand {
+	return [...]*Operand{&in.A, &in.B, &in.C, &in.D}[s-slotA]
+}
+
+// mnemonic is the opcode as written: its opNames entry, except that setp
+// carries its comparison and a volatile load is ld.volatile.
+func (in *Instr) mnemonic() string {
+	switch {
+	case in.Op == OpSetp:
+		return "setp." + in.Cmp.String()
+	case in.Op == OpLd && in.Vol:
+		return "ld.volatile"
+	}
+	return in.Op.String()
+}
+
+// mnemonics inverts mnemonic over every opcode, comparison and load kind,
+// and adds the short forms Parse also accepts. Each value is the
+// instruction a mnemonic starts.
+var mnemonics = func() map[string]Instr {
+	m := make(map[string]Instr)
+	for op := Op(0); op < opCount; op++ {
+		for c := Cmp(0); int(c) < len(cmpNames); c++ {
+			for _, vol := range [...]bool{false, true} {
+				in := Instr{Op: op, Cmp: c, Vol: vol}
+				if _, dup := m[in.mnemonic()]; !dup {
+					m[in.mnemonic()] = in
+				}
+			}
+		}
+	}
+	for short, full := range map[string]string{"ld": "ld.global", "st": "st.global", "bar": "bar.sync"} {
+		m[short] = m[full]
+	}
+	return m
+}()
+
+// annNames names the annotation bits in text order. nolint comes last
+// because its class list runs to the end of the line.
+var annNames = [...]struct {
+	bit  Ann
+	name string
+}{
+	{AnnSIB, "sib"}, {AnnLockAcquire, "acquire"}, {AnnLockRelease, "release"},
+	{AnnWaitCheck, "waitcheck"}, {AnnSync, "sync"}, {AnnNoLint, "nolint"},
+}
+
+var annByName = func() map[string]Ann {
+	m := make(map[string]Ann, len(annNames))
+	for _, a := range annNames {
+		m[a.name] = a.bit
+	}
+	return m
+}()
+
+var specialByName = func() map[string]Special {
+	m := make(map[string]Special, len(specialNames))
+	for s, name := range specialNames {
+		m[name] = Special(s)
+	}
+	return m
+}()
+
+// format writes the instruction in the syntax Parse reads; label renders
+// a branch target or reconvergence PC.
+func (in *Instr) format(sb *strings.Builder, label func(int32) string) {
+	if in.Guarded() {
+		sb.WriteByte('@')
+		if in.GuardNeg {
+			sb.WriteByte('!')
+		}
+		fmt.Fprintf(sb, "%%p%d ", in.Guard)
+	}
+	sb.WriteString(in.mnemonic())
+	var slots []slot
+	if in.Op < opCount {
+		slots = syntax[in.Op]
+	}
+	for i, s := range slots {
+		if i == 0 {
+			sb.WriteByte(' ')
+		} else {
+			sb.WriteString(", ")
+		}
+		switch s {
+		case slotDst:
+			fmt.Fprintf(sb, "%%r%d", in.Dst)
+		case slotPDst:
+			fmt.Fprintf(sb, "%%p%d", in.PDst)
+		case slotPSrc:
+			fmt.Fprintf(sb, "%%p%d", in.PSrc)
+		case slotA, slotB, slotC, slotD:
+			sb.WriteString(in.operand(s).String())
+		case slotAddr:
+			if in.B.Kind == OpdNone {
+				fmt.Fprintf(sb, "[%s]", in.A)
+			} else {
+				fmt.Fprintf(sb, "[%s+%s]", in.A, in.B)
+			}
+		case slotParam:
+			fmt.Fprintf(sb, "%d", in.Param)
+		case slotTarget:
+			sb.WriteString(label(in.Target))
+			if in.Guarded() && in.Reconv != NoReconv {
+				sb.WriteString(" reconv=" + label(in.Reconv))
+			}
+		}
+	}
+	if in.Ann == 0 {
+		return
+	}
+	var names []string
+	for _, a := range annNames {
+		switch {
+		case !in.HasAnn(a.bit):
+		case a.bit == AnnNoLint && len(in.NoLint) > 0:
+			names = append(names, "nolint "+in.NoLint[0])
+			names = append(names, in.NoLint[1:]...)
+		default:
+			names = append(names, a.name)
+		}
+	}
+	sb.WriteString(" !" + strings.Join(names, ","))
+}
