@@ -29,11 +29,10 @@ func (g *CFG) Exit() int32 { return g.N }
 func BuildCFG(p *isa.Program) *CFG {
 	n := p.Len()
 	g := &CFG{
-		Prog:      p,
-		N:         n,
-		Succ:      make([][]int32, n+1),
-		Pred:      make([][]int32, n+1),
-		Reachable: make([]bool, n+1),
+		Prog: p,
+		N:    n,
+		Succ: make([][]int32, n+1),
+		Pred: make([][]int32, n+1),
 	}
 	for pc := int32(0); pc < n; pc++ {
 		in := p.At(pc)
@@ -51,25 +50,47 @@ func BuildCFG(p *isa.Program) *CFG {
 			g.addEdge(pc, pc+1)
 		}
 	}
-	// Entry reachability.
-	stack := []int32{0}
-	g.Reachable[0] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.Succ[v] {
-			if !g.Reachable[s] {
-				g.Reachable[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
+	g.Reachable = g.Walk([]int32{0}, false, nil)
 	return g
 }
 
 func (g *CFG) addEdge(from, to int32) {
 	g.Succ[from] = append(g.Succ[from], to)
 	g.Pred[to] = append(g.Pred[to], from)
+}
+
+// Walk marks every node reachable from seeds along Succ edges, or along
+// Pred edges when back is set, and returns the marks indexed by node (the
+// virtual exit included). Seeds are marked. A node for which stop returns
+// true is marked but not expanded; a nil stop expands every node. Every
+// reachability question both analyzers ask is one Walk.
+func (g *CFG) Walk(seeds []int32, back bool, stop func(int32) bool) []bool {
+	adj := g.Succ
+	if back {
+		adj = g.Pred
+	}
+	seen := make([]bool, g.N+1)
+	stack := make([]int32, 0, len(seeds))
+	for _, s := range seeds {
+		if !seen[s] {
+			seen[s] = true
+			stack = append(stack, s)
+		}
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if stop != nil && stop(v) {
+			continue
+		}
+		for _, w := range adj[v] {
+			if !seen[w] {
+				seen[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return seen
 }
 
 // DivergentRegion returns the set of nodes executed while the warp may be
@@ -81,47 +102,21 @@ func (g *CFG) DivergentRegion(pc int32) []bool {
 	if in.Op != isa.OpBra || !in.Guarded() || in.Reconv == isa.NoReconv {
 		return nil
 	}
-	region := make([]bool, g.N+1)
-	var stack []int32
-	for _, s := range g.Succ[pc] {
-		if s != in.Reconv && !region[s] {
-			region[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.Succ[v] {
-			if s != in.Reconv && !region[s] {
-				region[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
+	region := g.Walk(g.Succ[pc], false, func(v int32) bool { return v == in.Reconv })
+	region[in.Reconv] = false
 	return region
 }
 
 // reachingStops walks the CFG backward from the predecessors of `from`
-// and returns every node satisfying stop that is reachable without
-// passing through an earlier stop node — i.e. the "nearest definitions"
-// along each backward path. Used by the dataflow slices.
+// and returns, in PC order, every node satisfying stop that is reachable
+// without passing through an earlier stop node — i.e. the "nearest
+// definitions" along each backward path. Used by the dataflow slices.
 func (g *CFG) reachingStops(from int32, stop func(int32) bool) []int32 {
 	var out []int32
-	seen := make(map[int32]bool)
-	stack := append([]int32(nil), g.Pred[from]...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
+	for v, m := range g.Walk(g.Pred[from], true, stop) {
+		if m && stop(int32(v)) {
+			out = append(out, int32(v))
 		}
-		seen[v] = true
-		if stop(v) {
-			out = append(out, v)
-			continue
-		}
-		stack = append(stack, g.Pred[v]...)
 	}
 	return out
 }
@@ -129,19 +124,10 @@ func (g *CFG) reachingStops(from int32, stop func(int32) bool) []int32 {
 // anyReachable reports whether a node satisfying want is reachable from
 // pc by following successor edges (pc itself is not tested).
 func (g *CFG) anyReachable(pc int32, want func(int32) bool) bool {
-	seen := make(map[int32]bool)
-	stack := append([]int32(nil), g.Succ[pc]...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		if want(v) {
+	for v, m := range g.Walk(g.Succ[pc], false, want) {
+		if m && want(int32(v)) {
 			return true
 		}
-		stack = append(stack, g.Succ[v]...)
 	}
 	return false
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 
 	"warpsched/internal/isa"
@@ -156,6 +157,58 @@ func TestDivergentRegion(t *testing.T) {
 		want := pc >= 3 && pc <= 5
 		if region[pc] != want {
 			t.Errorf("DivergentRegion(2)[%d] = %v, want %v", pc, region[pc], want)
+		}
+	}
+}
+
+func TestWalk(t *testing.T) {
+	cases := []struct {
+		name  string
+		src   string
+		seeds []int32
+		back  bool
+		stops []int32 // nil: expand every node
+		want  []int32 // every marked node; node N is the virtual exit
+	}{
+		{"forward", srcIfElse, []int32{2}, false, nil, []int32{2, 3, 4, 5, 6, 7, 8, 9}},
+		{"forward-stop", srcIfElse, []int32{2}, false, []int32{6}, []int32{2, 3, 4, 5, 6}},
+		{"forward-seeds", srcIfElse, []int32{3, 5}, false, []int32{6}, []int32{3, 4, 5, 6}},
+		{"stop-seed", srcNestedLoops, []int32{3}, false, []int32{3}, []int32{3}},
+		{"loop-stop", srcSpinLoop, []int32{1}, false, []int32{3}, []int32{1, 2, 3}},
+		{"back", srcIfElse, []int32{6}, true, nil, []int32{0, 1, 2, 3, 4, 5, 6}},
+		{"back-stop", srcIfElse, []int32{6}, true, []int32{2}, []int32{2, 3, 4, 5, 6}},
+		{"back-loops", srcNestedLoops, []int32{8}, true, []int32{4}, []int32{4, 5, 6, 7, 8}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := isa.Parse(c.name, c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := BuildCFG(p)
+			var stop func(int32) bool
+			if c.stops != nil {
+				stop = func(v int32) bool { return slices.Contains(c.stops, v) }
+			}
+			got := g.Walk(c.seeds, c.back, stop)
+			for v := int32(0); v <= g.N; v++ {
+				if want := slices.Contains(c.want, v); got[v] != want {
+					t.Errorf("Walk(%v, back=%v, stops %v)[%d] = %v, want %v", c.seeds, c.back, c.stops, v, got[v], want)
+				}
+			}
+		})
+	}
+	// With a nil stop, a walk from entry is the CFG's own reachability,
+	// and every node of these fixtures is reachable.
+	for _, src := range []string{srcIfElse, srcNestedLoops, srcSpinLoop, srcUnstructured} {
+		p, err := isa.Parse("reach", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := BuildCFG(p)
+		got := g.Walk([]int32{0}, false, nil)
+		if !slices.Equal(got, g.Reachable) || slices.Contains(got, false) {
+			t.Errorf("Walk from entry = %v, Reachable = %v", got, g.Reachable)
 		}
 	}
 }

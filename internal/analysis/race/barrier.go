@@ -2,6 +2,7 @@ package race
 
 import (
 	"fmt"
+	"slices"
 
 	"warpsched/internal/analysis"
 	"warpsched/internal/isa"
@@ -17,7 +18,7 @@ type intervals struct {
 }
 
 func buildIntervals(p *isa.Program, g *analysis.CFG) *intervals {
-	isBar := func(v int32) bool { return v < g.N && p.At(v).Op == isa.OpBar }
+	isBar := barAt(p, g)
 	var starts []int32
 	seenStart := make(map[int32]bool)
 	addStart := func(v int32) {
@@ -36,25 +37,15 @@ func buildIntervals(p *isa.Program, g *analysis.CFG) *intervals {
 	}
 	iv := &intervals{}
 	for _, s := range starts {
-		m := make([]bool, g.N+1)
-		stack := []int32{s}
-		m[s] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if isBar(v) {
-				continue // the interval ends at the next barrier
-			}
-			for _, w := range g.Succ[v] {
-				if w < g.N && !m[w] {
-					m[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-		iv.member = append(iv.member, m)
+		iv.member = append(iv.member, g.Walk([]int32{s}, false, isBar))
 	}
 	return iv
+}
+
+// barAt returns the predicate "node v is a bar.sync" (the virtual exit
+// is not), the stop of every barrier-bounded walk.
+func barAt(p *isa.Program, g *analysis.CFG) func(int32) bool {
+	return func(v int32) bool { return v < g.N && p.At(v).Op == isa.OpBar }
 }
 
 // same reports whether some barrier interval contains both PCs.
@@ -67,28 +58,14 @@ func (iv *intervals) same(u, v int32) bool {
 	return false
 }
 
-// firstBars collects the bar.sync PCs reachable from start without
-// crossing another bar — the set of "next barriers" on that edge.
-func firstBars(p *isa.Program, g *analysis.CFG, start int32) map[int32]bool {
-	out := map[int32]bool{}
-	if start >= g.N {
-		return out
-	}
-	seen := make([]bool, g.N+1)
-	stack := []int32{start}
-	seen[start] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if v < g.N && p.At(v).Op == isa.OpBar {
-			out[v] = true
-			continue
-		}
-		for _, w := range g.Succ[v] {
-			if w < g.N && !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
+// firstBars lists, in PC order, the bar.sync PCs reachable from start
+// without crossing another bar — the "next barriers" on that edge.
+func firstBars(p *isa.Program, g *analysis.CFG, start int32) []int32 {
+	isBar := barAt(p, g)
+	var out []int32
+	for v, m := range g.Walk([]int32{start}, false, isBar) {
+		if m && isBar(int32(v)) {
+			out = append(out, int32(v))
 		}
 	}
 	return out
@@ -125,11 +102,8 @@ func checkBarrierReachability(p *isa.Program, g *analysis.CFG) []analysis.Findin
 			continue
 		}
 		taken := firstBars(p, g, in.Target)
-		fall := map[int32]bool{}
-		if pc+1 < g.N {
-			fall = firstBars(p, g, pc+1)
-		}
-		if len(taken) == 0 || len(fall) == 0 || sameBarSet(taken, fall) {
+		fall := firstBars(p, g, pc+1)
+		if len(taken) == 0 || len(fall) == 0 || slices.Equal(taken, fall) {
 			continue
 		}
 		fs = append(fs, analysis.Finding{
@@ -142,28 +116,10 @@ func checkBarrierReachability(p *isa.Program, g *analysis.CFG) []analysis.Findin
 	return fs
 }
 
-func sameBarSet(a, b map[int32]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func barList(m map[int32]bool) string {
-	lo := int32(-1)
-	for k := range m {
-		if lo < 0 || k < lo {
-			lo = k
-		}
-	}
-	s := fmt.Sprintf("pc %d", lo)
-	if len(m) > 1 {
-		s += fmt.Sprintf(" (+%d more)", len(m)-1)
+func barList(bars []int32) string {
+	s := fmt.Sprintf("pc %d", bars[0])
+	if len(bars) > 1 {
+		s += fmt.Sprintf(" (+%d more)", len(bars)-1)
 	}
 	return s
 }

@@ -67,36 +67,9 @@ func newInterp(p *isa.Program, g *analysis.CFG, geo geometry) *interp {
 // bar.sync: such a node can execute twice inside one barrier interval.
 func barFreeCycles(p *isa.Program, g *analysis.CFG) []bool {
 	out := make([]bool, g.N+1)
-	isBar := func(v int32) bool { return v < g.N && p.At(v).Op == isa.OpBar }
+	isBar := barAt(p, g)
 	for pc := int32(0); pc < g.N; pc++ {
-		if isBar(pc) {
-			continue
-		}
-		// BFS from successors, never passing through a barrier node.
-		seen := make([]bool, g.N+1)
-		stack := []int32{}
-		for _, s := range g.Succ[pc] {
-			if !isBar(s) && !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-		found := false
-		for len(stack) > 0 && !found {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if v == pc {
-				found = true
-				break
-			}
-			for _, s := range g.Succ[v] {
-				if !isBar(s) && !seen[s] {
-					seen[s] = true
-					stack = append(stack, s)
-				}
-			}
-		}
-		out[pc] = found
+		out[pc] = !isBar(pc) && g.Walk(g.Succ[pc], false, isBar)[pc]
 	}
 	return out
 }

@@ -350,34 +350,13 @@ func classifyLocks(locks []heldLock, rel predCmp, predTrue bool) []heldLock {
 // AnnLockRelease in between: a failed attempt spins rather than backing
 // out, which is the precondition for an acquisition-order deadlock.
 // Try-lock-with-backout (the ATM idiom) releases on the failure path and
-// is exempt.
+// is exempt, and so is an acquire that is itself annotated as a release.
 func blockingAcquires(p *isa.Program, g *analysis.CFG) []bool {
 	out := make([]bool, g.N)
+	isRel := func(v int32) bool { return v == g.N || p.At(v).HasAnn(isa.AnnLockRelease) }
 	for pc := int32(0); pc < g.N; pc++ {
-		if !p.At(pc).HasAnn(isa.AnnLockAcquire) {
-			continue
-		}
-		seen := make([]bool, g.N+1)
-		stack := []int32{}
-		for _, s := range g.Succ[pc] {
-			if s < g.N && !p.At(s).HasAnn(isa.AnnLockRelease) && !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-		for len(stack) > 0 && !out[pc] {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if v == pc {
-				out[pc] = true
-				break
-			}
-			for _, s := range g.Succ[v] {
-				if s < g.N && !p.At(s).HasAnn(isa.AnnLockRelease) && !seen[s] {
-					seen[s] = true
-					stack = append(stack, s)
-				}
-			}
+		if p.At(pc).HasAnn(isa.AnnLockAcquire) && !isRel(pc) {
+			out[pc] = g.Walk(g.Succ[pc], false, isRel)[pc]
 		}
 	}
 	return out

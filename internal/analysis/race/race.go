@@ -76,7 +76,7 @@ func Analyze(p *isa.Program, opt Options) *Result {
 	it := newInterp(p, g, geo)
 	it.run()
 
-	az := &analyzer{p: p, g: g, it: it, reach: map[int32][]bool{}}
+	az := &analyzer{p: p, g: g, it: it, reach: map[[2]int32][]bool{}}
 	locks := analyzeLocks(it, g)
 	iv := buildIntervals(p, g)
 	deadLd := analysis.DeadLoadDests(g)
@@ -200,53 +200,19 @@ type analyzer struct {
 	p  *isa.Program
 	g  *analysis.CFG
 	it *interp
-	// reach caches reachAvoid closures keyed by (start<<32 | avoid).
-	reach map[int32][]bool
+	// reach caches reachAvoid results keyed by {start, avoid}.
+	reach map[[2]int32][]bool
 }
 
-// reachAvoid returns the nodes reachable from start's successors-of-start
-// ... precisely: reachable from start (exclusive) by expanding edges,
-// never expanding out of node avoid. start itself is not marked.
+// reachAvoid returns the nodes reachable from start's successors without
+// expanding node avoid. start itself is marked only when a cycle returns
+// to it.
 func (az *analyzer) reachAvoid(start, avoid int32) []bool {
-	key := start*(az.g.N+2) + avoid + 1
+	key := [2]int32{start, avoid}
 	if m, ok := az.reach[key]; ok {
 		return m
 	}
-	m := make([]bool, az.g.N+1)
-	var stack []int32
-	expand := func(v int32) {
-		if v == avoid {
-			return
-		}
-		for _, s := range az.g.Succ[v] {
-			if !m[s] {
-				m[s] = true
-				if s < az.g.N {
-					stack = append(stack, s)
-				}
-			}
-		}
-	}
-	if start < az.g.N {
-		expand(start)
-		// expand() skips avoid; if start == avoid we still want its
-		// direct successors (the query is "from this node onward").
-		if start == avoid {
-			for _, s := range az.g.Succ[start] {
-				if !m[s] {
-					m[s] = true
-					if s < az.g.N {
-						stack = append(stack, s)
-					}
-				}
-			}
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		expand(v)
-	}
+	m := az.g.Walk(az.g.Succ[start], false, func(v int32) bool { return v == avoid })
 	az.reach[key] = m
 	return m
 }
@@ -255,38 +221,22 @@ func (az *analyzer) reachAvoid(start, avoid int32) []bool {
 // reach it. ok is false when a path from entry carries no definition or
 // a reaching setp is guarded (partial definition — unclassifiable).
 func (az *analyzer) reachingSetps(pc int32, pred isa.Pred) ([]int32, bool) {
-	var out []int32
-	seen := make([]bool, az.g.N+1)
-	var stack []int32
-	for _, q := range az.g.Pred[pc] {
-		if !seen[q] {
-			seen[q] = true
-			stack = append(stack, q)
-		}
-	}
-	ok := true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	isDef := func(v int32) bool {
 		in := az.p.At(v)
-		if in.Op == isa.OpSetp && in.PDst == pred {
-			if in.Guarded() {
-				return nil, false
-			}
-			out = append(out, v)
+		return in.Op == isa.OpSetp && in.PDst == pred
+	}
+	var out []int32
+	m := az.g.Walk(az.g.Pred[pc], true, isDef)
+	for v := int32(0); v < az.g.N; v++ {
+		if !m[v] || !isDef(v) {
 			continue
 		}
-		if v == 0 {
-			ok = false // reached entry without a definition
+		if az.p.At(v).Guarded() {
+			return nil, false
 		}
-		for _, q := range az.g.Pred[v] {
-			if !seen[q] {
-				seen[q] = true
-				stack = append(stack, q)
-			}
-		}
+		out = append(out, v)
 	}
-	return out, ok
+	return out, !m[0] || isDef(0) // false when entry is reached undefined
 }
 
 // fresh reports whether the setp's operand symbols are stable between
@@ -370,16 +320,9 @@ func (az *analyzer) guardsFor(pc int32) []guardCon {
 		if bi.Op != isa.OpBra || !bi.Guarded() || !az.it.reached[bpc] || bpc == pc {
 			continue
 		}
-		rTaken := az.reachAvoid(bi.Target, bpc)
 		fall := bpc + 1
-		var rFall []bool
-		if fall < az.g.N {
-			rFall = az.reachAvoid(fall, bpc)
-		} else {
-			rFall = make([]bool, az.g.N+1)
-		}
-		onTaken := rTaken[pc] || bi.Target == pc
-		onFall := rFall[pc] || fall == pc
+		onTaken := az.reachAvoid(bi.Target, bpc)[pc] || bi.Target == pc
+		onFall := az.reachAvoid(fall, bpc)[pc] || fall == pc
 		if onTaken == onFall {
 			continue // both or neither: the branch tells us nothing
 		}

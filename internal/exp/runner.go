@@ -87,7 +87,8 @@ func firstErr(outs []Outcome) error {
 // read their captured inputs, so runs are independent: parallelism is
 // across engines, never within one, and each run's cycle-level
 // determinism is untouched. Results — and therefore every table rendered
-// from them — are byte-identical for any worker count.
+// from them — are byte-identical for any worker count. With one worker,
+// runs execute one at a time in submission order.
 //
 // Progress lines are funneled through a single channel drained by one
 // goroutine, so Cfg.Progress is never called concurrently. Completion
@@ -102,12 +103,6 @@ func (c Cfg) runAll(specs []Spec) []Outcome {
 	}
 	if jobs > len(specs) {
 		jobs = len(specs)
-	}
-	if jobs <= 1 {
-		for i := range specs {
-			out[i] = c.runOne(&specs[i], i, len(specs), nil)
-		}
-		return out
 	}
 
 	var progress chan string
@@ -193,8 +188,7 @@ func (c Cfg) guardedRun(sp *Spec) (o Outcome) {
 
 // runOne gets a spec's outcome one of two ways — replayed from the
 // journal, else simulated on the local engine and journaled for the next
-// spec (or invocation) that asks — and reports its completion. With a nil
-// progress channel the line goes directly to c.note (serial path).
+// spec (or invocation) that asks — and reports its completion.
 func (c Cfg) runOne(sp *Spec, i, n int, progress chan<- string) Outcome {
 	var key string
 	if c.Journal != nil {
@@ -233,18 +227,14 @@ func (c Cfg) collect(sp *Spec, o *Outcome, wallMS float64) {
 	}
 }
 
-// report emits the run's one-line completion to Cfg.Progress.
+// report sends the run's one-line completion to runAll's progress
+// funnel, which is nil when Cfg.Progress is.
 func (c Cfg) report(sp *Spec, o Outcome, i, n int, suffix string, progress chan<- string) {
-	if c.Progress == nil {
+	if progress == nil {
 		return
 	}
-	line := fmt.Sprintf("[%d/%d] %s %s%s on %s: %s%s", i+1, n,
+	progress <- fmt.Sprintf("[%d/%d] %s %s%s on %s: %s%s", i+1, n,
 		sp.Kernel.Name, sp.Sched, bowsTag(sp.BOWS), sp.GPU.Name, outcome(o), suffix)
-	if progress != nil {
-		progress <- line
-	} else {
-		c.Progress(line)
-	}
 }
 
 func bowsTag(b config.BOWS) string {

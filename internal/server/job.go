@@ -192,6 +192,13 @@ var (
 	})
 )
 
+// maxInlineInstrs bounds an inline program. Resolve analyzes inline
+// programs inside the POST handler, before any queue limit applies, and
+// the race analyzer's pairwise prover grows about quadratically with the
+// guarded accesses: a 900-instruction program costs seconds. 256 is 3.4×
+// the longest registered kernel (TB, 75 instructions).
+const maxInlineInstrs = 256
+
 // resolveKernel maps the request to a program: a registered kernel
 // (full-size or, with config.quick, the reduced test-suite variant) or a
 // parsed inline program with caller-supplied launch geometry.
@@ -220,6 +227,8 @@ func (o Options) resolveKernel(req *JobRequest) (*kernels.Kernel, *RequestError)
 			return nil, badRequest("parse inline program: %v", err)
 		}
 		switch {
+		case prog.Len() > maxInlineInstrs:
+			return nil, badRequest("program has %d instructions; the server ceiling is %d", prog.Len(), maxInlineInstrs)
 		case req.GridCTAs <= 0 || req.CTAThreads <= 0:
 			return nil, badRequest("inline programs need positive grid_ctas and cta_threads")
 		case req.MemWords <= 0:

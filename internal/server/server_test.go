@@ -250,6 +250,9 @@ func TestBadRequests(t *testing.T) {
 		"no geometry":     {Source: testSrc},
 		"huge max_cycles": {Kernel: "HT", Config: JobConfig{Quick: true, MaxCycles: 1 << 60}},
 		"parse error":     {Source: "frob %r1", GridCTAs: 1, CTAThreads: 32, MemWords: 64},
+		// Would fail analysis with a 422; the ceiling turns it away first.
+		"too long": {Source: strings.Repeat("add %r1, %r2, 1\n", maxInlineInstrs) + "exit\n",
+			GridCTAs: 1, CTAThreads: 32, MemWords: 64},
 	} {
 		body, _ := json.Marshal(req)
 		if code, data := post(string(body)); code != 400 {

@@ -93,6 +93,7 @@ func FuzzSubmit(f *testing.F) {
 		{Source: testSrc, GridCTAs: 1, CTAThreads: 32, MemWords: 1 << 20},
 		{Source: "frob %r1", GridCTAs: 1, CTAThreads: 32, MemWords: 64},
 		{Source: "add %r1, %r2, 1\nexit\n", GridCTAs: 1, CTAThreads: 32, MemWords: 64},
+		{Source: strings.Repeat("mov %r1, 1\n", maxInlineInstrs) + "exit\n", GridCTAs: 1, CTAThreads: 32, MemWords: 64},
 		{Source: racySrc, GridCTAs: 1, CTAThreads: 64, MemWords: 64},
 		{Source: racySrc, GridCTAs: 1, CTAThreads: 64, MemWords: 64, AllowUnsafe: true, Wait: true},
 	} {
