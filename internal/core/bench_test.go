@@ -52,3 +52,24 @@ func benchOnSetp(b *testing.B, d Detector) {
 func BenchmarkTAGESIBOnSetp(b *testing.B) { benchOnSetp(b, NewTAGESIB(config.DefaultTAGE(), 48)) }
 
 func BenchmarkDDOSOnSetp(b *testing.B) { benchOnSetp(b, NewDDOS(config.DefaultDDOS(), 48)) }
+
+// benchOnBranch feeds d the branch stream of bench/probes_sim.go's
+// core.*_onbranch_ns probes, after the setp stream above has left every
+// slot spinning: 48 slots in turn, five backward-branch PCs, every fifth
+// call annotated a ground-truth SIB. All five PCs confirm within the
+// first calls, so the loop times the steady state of a spinning kernel.
+func benchOnBranch(b *testing.B, d Detector) {
+	const slots = 48
+	for i := uint32(1); i <= 4096; i++ {
+		d.OnSetp(int(i%slots), int32(8+4*(i%5)), 0, i&7, 3)
+	}
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		c := int64(i)
+		d.OnBranch(int(c%slots), int32(8+4*(c%5)), c%5 == 0, c)
+	}
+}
+
+func BenchmarkTAGESIBOnBranch(b *testing.B) { benchOnBranch(b, NewTAGESIB(config.DefaultTAGE(), 48)) }
+
+func BenchmarkDDOSOnBranch(b *testing.B) { benchOnBranch(b, NewDDOS(config.DefaultDDOS(), 48)) }

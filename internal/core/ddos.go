@@ -23,7 +23,6 @@ import (
 	"math"
 
 	"warpsched/internal/config"
-	"warpsched/internal/metrics"
 )
 
 // hashTo folds a 32-bit value to bits wide using the configured function.
@@ -130,35 +129,24 @@ func (h *history) insert(l int, pe, va, vb uint16) {
 	}
 }
 
-// branchTrack records encounter times of one backward branch for the
-// detection-phase-ratio metric (Table I).
-type branchTrack struct {
-	firstSeen int64
-	lastSeen  int64
-	isSIB     bool // ground truth (AnnSIB)
-}
-
 // DDOS is one SM's detector.
 type DDOS struct {
+	*SIBPT
 	cfg   config.DDOS
 	hists []history // per warp slot; single shared entry when TimeShare
-	table *SIBPT
 
 	// Time-sharing state: the slot currently owning the shared registers.
 	owner      int
 	numSlots   int
 	epochStart int64
-
-	branches map[int32]*branchTrack
 }
 
 // NewDDOS builds a detector for an SM with numSlots warp slots.
 func NewDDOS(cfg config.DDOS, numSlots int) *DDOS {
 	d := &DDOS{
+		SIBPT:    NewSIBPT(cfg.TableSize, cfg.ConfidenceThreshold),
 		cfg:      cfg,
-		table:    NewSIBPT(cfg.TableSize, cfg.ConfidenceThreshold),
 		numSlots: numSlots,
-		branches: make(map[int32]*branchTrack),
 	}
 	n := numSlots
 	if cfg.TimeShare {
@@ -169,17 +157,6 @@ func NewDDOS(cfg config.DDOS, numSlots int) *DDOS {
 		d.hists[i].reset(cfg.HistoryLen)
 	}
 	return d
-}
-
-// RegisterMetrics registers the detector's observability surface under
-// prefix (e.g. "sm0.ddos."): the SIB-PT counters plus detection-quality
-// gauges evaluated lazily at snapshot time (Metrics walks the branch map,
-// so it must stay off the per-cycle path).
-func (d *DDOS) RegisterMetrics(r *metrics.Registry, prefix string) {
-	d.table.RegisterMetrics(r, prefix+"sibpt.")
-	r.Gauge(prefix+"branches_tracked", func() float64 { return float64(len(d.branches)) })
-	r.Gauge(prefix+"tsdr", func() float64 { m := d.Metrics(); return m.TSDR() })
-	r.Gauge(prefix+"fsdr", func() float64 { m := d.Metrics(); return m.FSDR() })
 }
 
 func (d *DDOS) hist(slot int) *history {
@@ -242,96 +219,10 @@ func (d *DDOS) Spinning(slot int) bool {
 }
 
 // OnBranch observes a taken backward branch at pc executed by the warp in
-// slot and updates the SIB-PT: spinning warps build confidence,
-// non-spinning warps decay it (aliasing guard). isSIB is the ground-truth
-// annotation, used only for metrics.
+// slot and updates the SIB-PT. Under time sharing a slot that does not
+// own the history registers is unobserved: it neither builds nor decays
+// confidence.
 func (d *DDOS) OnBranch(slot int, pc int32, isSIB bool, cycle int64) {
-	bt := d.branches[pc]
-	if bt == nil {
-		bt = &branchTrack{firstSeen: cycle, isSIB: isSIB}
-		d.branches[pc] = bt
-	}
-	bt.lastSeen = cycle
 	h := d.hist(slot)
-	if h == nil {
-		return // time sharing: unobserved warps neither build nor decay
-	}
-	if h.spinning {
-		d.table.Bump(pc, cycle)
-	} else {
-		d.table.Decay(pc)
-	}
+	d.onBranch(pc, isSIB, cycle, h != nil, h != nil && h.spinning)
 }
-
-// IsSIB reports whether pc is a confirmed spin-inducing branch.
-func (d *DDOS) IsSIB(pc int32) bool { return d.table.Confirmed(pc) }
-
-// DetectionMetrics summarizes one SM's detection quality (Table I).
-type DetectionMetrics struct {
-	// TrueSeen/TrueDetected: ground-truth SIBs encountered / confirmed.
-	TrueSeen     int
-	TrueDetected int
-	// FalseSeen/FalseDetected: non-SIB backward branches encountered /
-	// wrongly confirmed.
-	FalseSeen     int
-	FalseDetected int
-	// TrueDPRSum/FalseDPRSum accumulate detection phase ratios over the
-	// detected branches of each class.
-	TrueDPRSum  float64
-	FalseDPRSum float64
-}
-
-// TSDR returns the true spin detection rate.
-func (m *DetectionMetrics) TSDR() float64 {
-	if m.TrueSeen == 0 {
-		return 0
-	}
-	return float64(m.TrueDetected) / float64(m.TrueSeen)
-}
-
-// FSDR returns the false spin detection rate.
-func (m *DetectionMetrics) FSDR() float64 {
-	if m.FalseSeen == 0 {
-		return 0
-	}
-	return float64(m.FalseDetected) / float64(m.FalseSeen)
-}
-
-// TrueDPR returns the mean detection phase ratio over detected true SIBs.
-func (m *DetectionMetrics) TrueDPR() float64 {
-	if m.TrueDetected == 0 {
-		return 0
-	}
-	return m.TrueDPRSum / float64(m.TrueDetected)
-}
-
-// FalseDPR returns the mean detection phase ratio over false detections.
-func (m *DetectionMetrics) FalseDPR() float64 {
-	if m.FalseDetected == 0 {
-		return 0
-	}
-	return m.FalseDPRSum / float64(m.FalseDetected)
-}
-
-// Add merges o into m (cross-SM aggregation).
-func (m *DetectionMetrics) Add(o DetectionMetrics) {
-	m.TrueSeen += o.TrueSeen
-	m.TrueDetected += o.TrueDetected
-	m.FalseSeen += o.FalseSeen
-	m.FalseDetected += o.FalseDetected
-	m.TrueDPRSum += o.TrueDPRSum
-	m.FalseDPRSum += o.FalseDPRSum
-}
-
-// Metrics computes the SM's detection metrics over all backward branches
-// it observed.
-func (d *DDOS) Metrics() DetectionMetrics {
-	return detectionFrom(d.branches, d.table)
-}
-
-// ConfirmedPCs returns every confirmed SIB PC (order unspecified).
-func (d *DDOS) ConfirmedPCs() []int32 { return d.table.ConfirmedPCs() }
-
-// TableSnapshot returns a PC-sorted copy of the SIB-PT for hang
-// reports.
-func (d *DDOS) TableSnapshot() []SIBView { return d.table.Snapshot() }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -120,14 +121,14 @@ func TestDDOSConfidenceDecay(t *testing.T) {
 	var cycle int64
 	// Two spinning bumps...
 	feedSpin(d, 0, 6, &cycle) // history warm-up + bumps
-	pre := d.table.entry(24)
+	pre := d.entries[24]
 	if pre == nil || pre.Confirmed() {
 		t.Fatalf("branch should be tracked but not yet confirmed (conf=%v)", pre)
 	}
 	conf := pre.Confidence()
 	// ...then a non-spinning warp takes the branch: confidence decays.
 	d.OnBranch(1, 24, true, cycle)
-	if got := d.table.entry(24).Confidence(); got != conf-1 {
+	if got := d.entries[24].Confidence(); got != conf-1 {
 		t.Fatalf("confidence = %d, want %d", got, conf-1)
 	}
 }
@@ -234,10 +235,10 @@ func TestSIBPTEviction(t *testing.T) {
 	pt.Bump(2, 0)
 	pt.Bump(2, 0)
 	pt.Bump(3, 0) // must evict PC 1 (lowest confidence)
-	if pt.entry(1) != nil {
+	if pt.entries[1] != nil {
 		t.Fatal("lowest-confidence entry should have been evicted")
 	}
-	if pt.entry(3) == nil || pt.entry(2) == nil {
+	if pt.entries[3] == nil || pt.entries[2] == nil {
 		t.Fatal("wrong eviction victim")
 	}
 	if pt.evictions != 1 {
@@ -249,21 +250,36 @@ func TestSIBPTConfirmedSticky(t *testing.T) {
 	pt := NewSIBPT(4, 2)
 	pt.Bump(7, 0)
 	pt.Bump(7, 1)
-	if !pt.Confirmed(7) {
+	if !pt.IsSIB(7) {
 		t.Fatal("should confirm at threshold")
 	}
 	for i := 0; i < 10; i++ {
 		pt.Decay(7)
 	}
-	if !pt.Confirmed(7) {
+	if !pt.IsSIB(7) {
 		t.Fatal("confirmation must be sticky")
 	}
-	if got := pt.entry(7).Confidence(); got != 0 {
+	if got := pt.entries[7].Confidence(); got != 0 {
 		t.Fatalf("confidence should decay to 0, got %d", got)
 	}
 	pcs := pt.ConfirmedPCs()
 	if len(pcs) != 1 || pcs[0] != 7 {
 		t.Fatalf("ConfirmedPCs = %v", pcs)
+	}
+}
+
+// TestSIBPTConfirmedPCsSorted confirms PCs inserted out of order in
+// fresh tables: map iteration order must never leak into the list.
+func TestSIBPTConfirmedPCsSorted(t *testing.T) {
+	pcs := []int32{40, 8, 96, 24, 72, 16, 88, 56}
+	for i := 0; i < 20; i++ {
+		pt := NewSIBPT(16, 1)
+		for _, pc := range pcs {
+			pt.Bump(pc, int64(i))
+		}
+		if got := pt.ConfirmedPCs(); len(got) != len(pcs) || !slices.IsSorted(got) {
+			t.Fatalf("table %d: ConfirmedPCs = %v, want all %d PCs ascending", i, got, len(pcs))
+		}
 	}
 }
 

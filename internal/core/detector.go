@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"warpsched/internal/metrics"
-)
+import "warpsched/internal/metrics"
 
 // Detector is the spin-detection contract BOWS and the engine consume.
 // DDOS (the paper's hash-based history detector) and TAGE (the
@@ -21,7 +17,9 @@ import (
 // event-driven fast-forward (a detector whose Tick is a no-op must
 // return math.MaxInt64 so skipped cycles are provably unobservable),
 // and the remaining methods expose the confirmation table to metrics,
-// hang reports and the manifest pipeline.
+// hang reports and the manifest pipeline. Both detectors embed one
+// SIBPT, and IsSIB, Metrics, ConfirmedPCs and TableSnapshot are its
+// methods.
 type Detector interface {
 	// Tick advances any cycle-driven internal state (e.g. DDOS
 	// time-sharing epochs). Detectors with no such state make it a
@@ -47,7 +45,7 @@ type Detector interface {
 	// Metrics computes the SM's detection-quality summary over all
 	// backward branches observed so far.
 	Metrics() DetectionMetrics
-	// ConfirmedPCs returns every confirmed SIB PC (order unspecified).
+	// ConfirmedPCs returns every confirmed SIB PC in ascending order.
 	ConfirmedPCs() []int32
 	// TableSnapshot returns a PC-sorted copy of the confirmation
 	// table, for attaching to hang reports.
@@ -55,44 +53,4 @@ type Detector interface {
 	// RegisterMetrics registers the detector's observability surface
 	// under prefix (e.g. "sm0.ddos.").
 	RegisterMetrics(r *metrics.Registry, prefix string)
-}
-
-// detectionFrom computes detection-quality metrics from a branch
-// tracking map and the confirmation table. PCs are walked in sorted
-// order so the floating-point DPR sums are identical across runs
-// regardless of map iteration order.
-func detectionFrom(branches map[int32]*branchTrack, table *SIBPT) DetectionMetrics {
-	pcs := make([]int32, 0, len(branches))
-	for pc := range branches {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	var m DetectionMetrics
-	for _, pc := range pcs {
-		bt := branches[pc]
-		e := table.entry(pc)
-		confirmed := e != nil && e.confirmed
-		var dpr float64
-		if confirmed {
-			span := bt.lastSeen - bt.firstSeen
-			if span < 1 {
-				span = 1
-			}
-			dpr = float64(e.confirmedAt-bt.firstSeen) / float64(span)
-		}
-		if bt.isSIB {
-			m.TrueSeen++
-			if confirmed {
-				m.TrueDetected++
-				m.TrueDPRSum += dpr
-			}
-		} else {
-			m.FalseSeen++
-			if confirmed {
-				m.FalseDetected++
-				m.FalseDPRSum += dpr
-			}
-		}
-	}
-	return m
 }

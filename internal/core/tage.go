@@ -106,13 +106,14 @@ func (t *TAGESIB) push(s *tageSlot, rec uint16) {
 // longest matching table predicts spin and the current observation
 // confirms it, or — before the tables are trained — when it has
 // observed ConfidenceThreshold consecutive operand repeats. Confirmed
-// spin-inducing branches then accumulate in a SIB-PT exactly as in
-// DDOS, so BOWS consumes either detector unchanged.
+// spin-inducing branches then accumulate in an embedded SIB-PT exactly
+// as in DDOS, so BOWS consumes either detector unchanged.
 //
 // The predictor is event-count-driven: Tick is a no-op and
 // NextEpochBoundary returns math.MaxInt64, so the engine's event-driven
 // fast-forward stays cycle-exact atop it.
 type TAGESIB struct {
+	*SIBPT
 	cfg config.TAGE
 	// folds describes tageSlot.folds: table i's index fold, then its tag
 	// fold; the history lengths grow with i.
@@ -121,9 +122,6 @@ type TAGESIB struct {
 	tables [][]tageEntry
 	base   []uint8 // tagless bimodal base, 2-bit counters
 	slots  []tageSlot
-	table  *SIBPT
-
-	branches map[int32]*branchTrack
 
 	// Observability counters.
 	allocs       int64
@@ -142,10 +140,9 @@ var (
 // NewTAGESIB builds a predictor for an SM with numSlots warp slots.
 func NewTAGESIB(cfg config.TAGE, numSlots int) *TAGESIB {
 	t := &TAGESIB{
-		cfg:      cfg,
-		table:    NewSIBPT(tageSIBPTSize, cfg.ConfidenceThreshold),
-		branches: make(map[int32]*branchTrack),
-		base:     make([]uint8, 1<<cfg.IndexBits),
+		SIBPT: NewSIBPT(tageSIBPTSize, cfg.ConfidenceThreshold),
+		cfg:   cfg,
+		base:  make([]uint8, 1<<cfg.IndexBits),
 	}
 	h := cfg.BaseHist
 	for i := 0; i < cfg.Tables; i++ {
@@ -323,47 +320,18 @@ func (t *TAGESIB) Spinning(slot int) bool { return t.slots[slot].spin }
 // and updates the confirmation table exactly as DDOS does: spinning
 // warps build confidence, non-spinning warps decay it.
 func (t *TAGESIB) OnBranch(slot int, pc int32, isSIB bool, cycle int64) {
-	bt := t.branches[pc]
-	if bt == nil {
-		bt = &branchTrack{firstSeen: cycle, isSIB: isSIB}
-		t.branches[pc] = bt
-	}
-	bt.lastSeen = cycle
-	if t.slots[slot].spin {
-		t.table.Bump(pc, cycle)
-	} else {
-		t.table.Decay(pc)
-	}
+	t.onBranch(pc, isSIB, cycle, true, t.slots[slot].spin)
 }
-
-// IsSIB reports whether pc is a confirmed spin-inducing branch.
-func (t *TAGESIB) IsSIB(pc int32) bool { return t.table.Confirmed(pc) }
-
-// Metrics computes the SM's detection metrics over all backward
-// branches it observed.
-func (t *TAGESIB) Metrics() DetectionMetrics {
-	return detectionFrom(t.branches, t.table)
-}
-
-// ConfirmedPCs returns every confirmed SIB PC (order unspecified).
-func (t *TAGESIB) ConfirmedPCs() []int32 { return t.table.ConfirmedPCs() }
-
-// TableSnapshot returns a PC-sorted copy of the confirmation table for
-// hang reports.
-func (t *TAGESIB) TableSnapshot() []SIBView { return t.table.Snapshot() }
 
 // RegisterMetrics registers the predictor's observability surface under
-// prefix (e.g. "sm0.tage."): the confirmation-table counters, the
-// predictor's allocation/decay/accuracy counters, and the same lazy
-// detection-quality gauges DDOS exposes.
+// prefix (e.g. "sm0.tage."): the SIB-PT's counters and detection-quality
+// gauges, as DDOS registers them, plus the predictor's
+// allocation/decay/accuracy counters.
 func (t *TAGESIB) RegisterMetrics(r *metrics.Registry, prefix string) {
-	t.table.RegisterMetrics(r, prefix+"sibpt.")
+	t.SIBPT.RegisterMetrics(r, prefix)
 	r.Int64(prefix+"allocations", &t.allocs)
 	r.Int64(prefix+"allocation_failures", &t.allocFails)
 	r.Int64(prefix+"useful_decays", &t.usefulDecays)
 	r.Int64(prefix+"predict_hits", &t.predHits)
 	r.Int64(prefix+"predict_misses", &t.predMisses)
-	r.Gauge(prefix+"branches_tracked", func() float64 { return float64(len(t.branches)) })
-	r.Gauge(prefix+"tsdr", func() float64 { m := t.Metrics(); return m.TSDR() })
-	r.Gauge(prefix+"fsdr", func() float64 { m := t.Metrics(); return m.FSDR() })
 }

@@ -164,8 +164,10 @@ func (j *Journal) load(key string) (journalEntry, bool) {
 // of the result is a shallow copy without the memory image and the PC
 // profile — kernel output is verified before an entry is written, so
 // replay never needs them — and without the clock's activity counters,
-// which no table reads and which alone depend on -no-ff, so an entry's
-// bytes are a function of its key.
+// which no table reads and which alone depend on -no-ff. So an entry's
+// bytes are a function of its key; that includes ConfirmedSIBs, which
+// the engine sorts by PC rather than leaving in the SIB-PT map's
+// iteration order.
 func (j *Journal) record(key string, o Outcome) error {
 	e := journalEntry{Key: key}
 	if o.Res != nil {

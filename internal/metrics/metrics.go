@@ -5,10 +5,10 @@
 // cmd/experiments emit via -stats-json.
 //
 // The design constraint is near-zero hot-path cost: an instrument is a
-// plain int64 the owning subsystem increments directly (either a
-// registry-allocated Counter or an existing struct field registered as a
-// view with Int64). Name resolution, maps and allocation happen only at
-// registration and snapshot time, never on the per-cycle issue path.
+// plain int64 field of the owning subsystem, which increments it
+// directly; Int64 registers the field as a counter view. Name
+// resolution, maps and allocation happen only at registration and
+// snapshot time, never on the per-cycle issue path.
 // Registries are not safe for concurrent use; one registry belongs to
 // one engine, mirroring sim.Engine's own concurrency contract.
 package metrics
@@ -18,21 +18,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 )
-
-// Counter is a monotonically increasing event count. The zero value is
-// ready to use; Add and Inc are plain integer adds.
-type Counter struct{ v int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v += n }
-
-// Get returns the current value.
-func (c *Counter) Get() int64 { return c.v }
 
 // Histogram counts int64 observations into buckets with fixed upper
 // bounds, tracking count, sum, min and max. It is intended for off-hot-
@@ -105,7 +91,7 @@ const (
 type entry struct {
 	name  string
 	kind  kind
-	value *int64 // counter or view
+	value *int64 // counter view
 	gauge func() float64
 	hist  *Histogram
 }
@@ -114,13 +100,13 @@ type entry struct {
 // an invalid or duplicate name: both are programming errors in the
 // instrumented subsystem, not run-time conditions.
 type Registry struct {
-	byName map[string]int
-	ents   []entry
+	names map[string]struct{}
+	ents  []entry
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]int)}
+	return &Registry{names: make(map[string]struct{})}
 }
 
 // validName reports whether name is a nonempty dotted path of
@@ -151,18 +137,11 @@ func (r *Registry) add(e entry) {
 	if !validName(e.name) {
 		panic(fmt.Sprintf("metrics: invalid instrument name %q", e.name))
 	}
-	if _, dup := r.byName[e.name]; dup {
+	if _, dup := r.names[e.name]; dup {
 		panic(fmt.Sprintf("metrics: duplicate instrument name %q", e.name))
 	}
-	r.byName[e.name] = len(r.ents)
+	r.names[e.name] = struct{}{}
 	r.ents = append(r.ents, e)
-}
-
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.add(entry{name: name, kind: kindCounter, value: &c.v})
-	return c
 }
 
 // Int64 registers an existing int64 field as a counter view: the owner
@@ -211,27 +190,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
-// Lookup returns the current value of the named counter (or counter
-// view). The second result is false when the name is absent or not a
-// counter.
-func (r *Registry) Lookup(name string) (int64, bool) {
-	i, ok := r.byName[name]
-	if !ok || r.ents[i].kind != kindCounter {
-		return 0, false
-	}
-	return *r.ents[i].value, true
-}
-
-// Names returns every registered instrument name, sorted.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.ents))
-	for _, e := range r.ents {
-		out = append(out, e.name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Snapshot is a point-in-time dump of a registry: exact integer counters
 // (compared exactly by the golden harness) and derived float gauges
 // (compared within tolerance). Histograms flatten into the counter map as
@@ -272,18 +230,4 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 	}
 	return s
-}
-
-// Sum returns the summed value of every counter whose name matches
-// prefix after stripping its first dotted segment — e.g.
-// Sum(snapshot, "mem.l1_hits") totals sm0.mem.l1_hits, sm1.mem.l1_hits,
-// ... across SMs. A name with no dot never matches.
-func (s *Snapshot) Sum(suffix string) int64 {
-	var tot int64
-	for name, v := range s.Counters {
-		if i := strings.IndexByte(name, '.'); i >= 0 && name[i+1:] == suffix {
-			tot += v
-		}
-	}
-	return tot
 }

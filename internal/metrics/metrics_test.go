@@ -5,36 +5,23 @@ import (
 	"testing"
 )
 
-func TestRegistryRegistrationAndLookup(t *testing.T) {
+// TestRegistryViews registers each instrument kind and reads it back
+// through a snapshot: an Int64 view reports its field's value at
+// snapshot time, not at registration.
+func TestRegistryViews(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("sm0.sched.issue_cycles")
-	c.Add(41)
-	c.Inc()
-	if got := c.Get(); got != 42 {
-		t.Fatalf("counter = %d, want 42", got)
-	}
-	if v, ok := r.Lookup("sm0.sched.issue_cycles"); !ok || v != 42 {
-		t.Fatalf("Lookup = %d,%v, want 42,true", v, ok)
-	}
-
-	var field int64
-	r.Int64("sm0.mem.l1_hits", &field)
-	field = 7
-	if v, ok := r.Lookup("sm0.mem.l1_hits"); !ok || v != 7 {
-		t.Fatalf("view Lookup = %d,%v, want 7,true", v, ok)
-	}
-
+	var issues, hits int64
+	r.Int64("sm0.sched.issue_cycles", &issues)
+	r.Int64("sm0.mem.l1_hits", &hits)
 	r.Gauge("sm0.mem.l1_hit_rate", func() float64 { return 0.5 })
-	if _, ok := r.Lookup("sm0.mem.l1_hit_rate"); ok {
-		t.Fatal("Lookup of a gauge should report absent")
+	issues, hits = 42, 7
+	s := r.Snapshot()
+	wantCounters := map[string]int64{"sm0.sched.issue_cycles": 42, "sm0.mem.l1_hits": 7}
+	if !reflect.DeepEqual(s.Counters, wantCounters) {
+		t.Fatalf("Counters = %v, want %v", s.Counters, wantCounters)
 	}
-	if _, ok := r.Lookup("no.such.name"); ok {
-		t.Fatal("Lookup of an unknown name should report absent")
-	}
-
-	want := []string{"sm0.mem.l1_hit_rate", "sm0.mem.l1_hits", "sm0.sched.issue_cycles"}
-	if got := r.Names(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Names = %v, want %v", got, want)
+	if want := map[string]float64{"sm0.mem.l1_hit_rate": 0.5}; !reflect.DeepEqual(s.Gauges, want) {
+		t.Fatalf("Gauges = %v, want %v", s.Gauges, want)
 	}
 }
 
@@ -46,23 +33,26 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 					t.Errorf("name %q: expected panic", bad)
 				}
 			}()
-			NewRegistry().Counter(bad)
+			var v int64
+			NewRegistry().Int64(bad, &v)
 		}()
 	}
-	// Duplicate registration panics too.
+	// Duplicate registration panics too, whatever the kinds.
 	r := NewRegistry()
-	r.Counter("a.b")
+	var v int64
+	r.Int64("a.b", &v)
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate name: expected panic")
 		}
 	}()
-	r.Counter("a.b")
+	r.Gauge("a.b", func() float64 { return 0 })
 }
 
 func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x.events").Add(3)
+	events := int64(3)
+	r.Int64("x.events", &events)
 	var num, den int64 = 1, 4
 	r.Rate("x.ratio", &num, &den)
 	h := r.Histogram("x.lat", []int64{10, 100})
@@ -93,32 +83,14 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 }
 
-func TestSnapshotSum(t *testing.T) {
-	s := &Snapshot{Counters: map[string]int64{
-		"sm0.mem.l1_hits":     3,
-		"sm1.mem.l1_hits":     4,
-		"sm0.mem.l1_accesses": 9,
-		"engine.cycles":       100,
-	}}
-	if got := s.Sum("mem.l1_hits"); got != 7 {
-		t.Errorf("Sum = %d, want 7", got)
-	}
-	if got := s.Sum("cycles"); got != 100 {
-		t.Errorf("Sum(cycles) = %d, want 100", got)
-	}
-}
-
 // TestCounterHotPathZeroAlloc pins the observability layer's core
 // promise: incrementing instruments on the issue path allocates nothing.
 func TestCounterHotPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("hot.issues")
 	var view int64
 	r.Int64("hot.view", &view)
 	h := r.Histogram("hot.hist", []int64{8, 64, 512})
 	if n := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(3)
 		view++
 		h.Observe(42)
 	}); n != 0 {

@@ -9,9 +9,11 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"warpsched/internal/config"
+	"warpsched/internal/isa"
 	"warpsched/internal/kernels"
 	"warpsched/internal/mem"
 	"warpsched/internal/sim"
@@ -153,5 +155,76 @@ func TestFastForwardCycleExact(t *testing.T) {
 					name, got.FFSkippedCycles, got.Stats.Cycles)
 			}
 		})
+	}
+}
+
+// twoLockSrc takes two CAS spin locks in sequence, each guarding its own
+// counter (lock at base+0, counter at base+32), so every SM's SIB-PT
+// confirms two spin-inducing branches.
+const twoLockSrc = `
+  ld.param %r10, 0
+  ld.param %r11, 1
+  mov %r1, %gtid
+  mov %r6, 0
+top1:
+  atom.cas %r7, [%r10+0], 0, 1  !acquire,sync
+  setp.eq %p1, %r7, 0           !sync
+  @!%p1 bra again1 reconv=again1
+  ld.volatile %r8, [%r10+32]
+  add %r8, %r8, 1
+  st.global [%r10+32], %r8
+  mov %r6, 1
+  membar                        !sync
+  atom.exch %r9, [%r10+0], 0    !release,sync
+again1:
+  setp.eq %p2, %r6, 0           !sync
+  @%p2 bra top1                 !sib,sync
+  mov %r6, 0
+top2:
+  atom.cas %r7, [%r11+0], 0, 1  !acquire,sync
+  setp.eq %p1, %r7, 0           !sync
+  @!%p1 bra again2 reconv=again2
+  ld.volatile %r8, [%r11+32]
+  add %r8, %r8, 1
+  st.global [%r11+32], %r8
+  mov %r6, 1
+  membar                        !sync
+  atom.exch %r9, [%r11+0], 0    !release,sync
+again2:
+  setp.eq %p2, %r6, 0           !sync
+  @%p2 bra top2                 !sib,sync
+  exit
+`
+
+// TestConfirmedSIBsInPCOrder runs a two-lock program repeatedly: the
+// confirmed-SIB list must be the same ascending list every time, equal
+// to the annotated ground truth. A list built in map order differs
+// between identical runs once a table holds two confirmed SIBs.
+func TestConfirmedSIBsInPCOrder(t *testing.T) {
+	const ctas, threads = 2, 128
+	prog, err := isa.Parse("twolock", twoLockSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.TrueSIBs) != 2 || !slices.IsSorted(prog.TrueSIBs) {
+		t.Fatalf("TrueSIBs = %v, want two spin branches in PC order", prog.TrueSIBs)
+	}
+	launch := sim.Launch{Prog: prog, GridCTAs: ctas, CTAThreads: threads,
+		Params: []uint32{0, 64}, MemWords: 128}
+	for i := 0; i < 40; i++ {
+		eng, err := sim.New(detOptions(2, config.GTO, true), launch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := res.Memory[32], res.Memory[96]; a != ctas*threads || b != ctas*threads {
+			t.Fatalf("run %d: counters %d, %d, want %d each", i, a, b, ctas*threads)
+		}
+		if !slices.Equal(res.ConfirmedSIBs, prog.TrueSIBs) {
+			t.Fatalf("run %d: ConfirmedSIBs = %v, want %v", i, res.ConfirmedSIBs, prog.TrueSIBs)
+		}
 	}
 }

@@ -151,7 +151,8 @@ type Result struct {
 	// Detection aggregates spin-detection quality (from whichever
 	// detector Options.Detector selected) over SMs.
 	Detection core.DetectionMetrics
-	// ConfirmedSIBs is the union of confirmed SIB PCs across SMs.
+	// ConfirmedSIBs is the union of confirmed SIB PCs across SMs, in
+	// ascending order.
 	ConfirmedSIBs []int32
 	// FinalDelayLimits holds each SM's final (adaptive) delay limit.
 	FinalDelayLimits []int64
@@ -1168,7 +1169,6 @@ func (e *Engine) result() *Result {
 	for _, m := range e.sms {
 		r.FFSkippedSMTicks += m.ffSkipped
 	}
-	seen := make(map[int32]struct{})
 	for _, m := range e.sms {
 		m.st.Cycles = e.cycle
 		m.st.Mem = *e.sys.Stats(m.id)
@@ -1183,12 +1183,7 @@ func (e *Engine) result() *Result {
 		}
 		r.Detection.Add(m.det.Metrics())
 		r.Stats.Add(&m.st)
-		for _, pc := range m.det.ConfirmedPCs() {
-			if _, ok := seen[pc]; !ok {
-				seen[pc] = struct{}{}
-				r.ConfirmedSIBs = append(r.ConfirmedSIBs, pc)
-			}
-		}
+		r.ConfirmedSIBs = append(r.ConfirmedSIBs, m.det.ConfirmedPCs()...)
 		if m.pcCounts != nil {
 			if r.PCProfile == nil {
 				r.PCProfile = make([]int64, len(m.pcCounts))
@@ -1198,6 +1193,8 @@ func (e *Engine) result() *Result {
 			}
 		}
 	}
+	slices.Sort(r.ConfirmedSIBs)
+	r.ConfirmedSIBs = slices.Compact(r.ConfirmedSIBs)
 	// Snapshot after the aggregate lands in e.agg so the energy gauges
 	// (registered over &e.agg) read the finished run.
 	e.agg = r.Stats

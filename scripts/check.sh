@@ -57,7 +57,7 @@ go test -race ./internal/exp -run TestRunner
 go test -race ./internal/sim -run 'TestFaultInjectionStress|TestFaultDeterminism'
 
 echo "== pick, detector, mem, Submit-hit and suite-build benchmarks still build and run (one iteration) =="
-go test -run '^$' -bench 'PickMask|OnSetp' -benchtime 1x ./internal/sched ./internal/core
+go test -run '^$' -bench 'PickMask|OnSetp|OnBranch' -benchtime 1x ./internal/sched ./internal/core
 go test -run '^$' -bench 'L2|EventWheel|L1Miss' -benchtime 1x ./internal/mem
 go test -run '^$' -bench 'Submit' -benchtime 1x ./internal/server
 go test -run '^$' -bench 'SuiteBuild' -benchtime 1x ./internal/kernels
