@@ -188,8 +188,11 @@ func (it *interp) shrConst(pc int32, dst isa.Reg, v AbsVal, k int64) AbsVal {
 		}
 		return constV(0)
 	}
+	// shr shifts the unsigned register, which is the form itself only
+	// while the form stays in [0, 2^32).
 	lo, vhi := v.bounds(it.t, it.geo)
-	if v.IsConst() && v.C >= 0 {
+	exact := v.inRange(it.t, it.geo, 0, wrap)
+	if v.IsConst() && exact {
 		return constV(v.C >> uint(k))
 	}
 	m := int64(1) << uint(k)
@@ -198,7 +201,7 @@ func (it *interp) shrConst(pc int32, dst isa.Reg, v AbsVal, k int64) AbsVal {
 	for _, tm := range v.Terms {
 		allDiv = allDiv && divisible(tm.Coef)
 	}
-	if !v.Top && lo >= 0 && allDiv {
+	if exact && allDiv {
 		switch {
 		case v.Lane == 0:
 			return v.mulConstExactDiv(m)
@@ -283,7 +286,7 @@ func (it *interp) transfer(pc int32, s *regs) {
 		if bv.IsConst() && bv.C > 0 {
 			lo, _ := av.bounds(it.t, it.geo)
 			l := int64(0)
-			if lo < 0 {
+			if lo < 0 || !av.fitsInt32(it.t, it.geo) {
 				l = -(bv.C - 1)
 			}
 			set(it.fresh(pc, in.Dst, it.freshKind(pc, av), l, bv.C-1))
@@ -293,7 +296,7 @@ func (it *interp) transfer(pc int32, s *regs) {
 	case isa.OpDiv:
 		av, bv := a(), b()
 		lo, hi := av.bounds(it.t, it.geo)
-		if bv.IsConst() && bv.C > 0 && lo >= 0 {
+		if bv.IsConst() && bv.C > 0 && lo >= 0 && av.fitsInt32(it.t, it.geo) {
 			h := hi
 			if h != posInf {
 				h /= bv.C
@@ -331,10 +334,12 @@ func (it *interp) transfer(pc int32, s *regs) {
 		av, bv := a(), b()
 		alo, ahi := av.bounds(it.t, it.geo)
 		blo, bhi := bv.bounds(it.t, it.geo)
-		var lo, hi int64
-		if in.Op == isa.OpMin {
+		lo, hi := int64(negInf), int64(posInf)
+		switch {
+		case !av.fitsInt32(it.t, it.geo) || !bv.fitsInt32(it.t, it.geo):
+		case in.Op == isa.OpMin:
 			lo, hi = min(alo, blo), min(ahi, bhi)
-		} else {
+		default:
 			lo, hi = max(alo, blo), max(ahi, bhi)
 		}
 		set(it.fresh(pc, in.Dst, it.freshKind(pc, av, bv), lo, hi))
