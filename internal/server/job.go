@@ -195,8 +195,9 @@ var (
 // maxInlineInstrs bounds an inline program. Resolve analyzes inline
 // programs inside the POST handler, before any queue limit applies, and
 // the race analyzer's pairwise prover grows about quadratically with the
-// guarded accesses: a 900-instruction program costs seconds. 256 is 3.4×
-// the longest registered kernel (TB, 75 instructions).
+// guarded accesses: race's BenchmarkAnalyzeLadder takes about 3, 11–18,
+// 40–68 and 170–260 ms at 34, 67, 130 and 256 instructions on a 2-core
+// Xeon. 256 is 3.4× the longest registered kernel (TB, 75 instructions).
 const maxInlineInstrs = 256
 
 // resolveKernel maps the request to a program: a registered kernel
