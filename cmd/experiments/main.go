@@ -60,7 +60,7 @@ func main() {
 	defer journal.Close()
 	cfg.Journal = journal
 	loaded := journal.Len()
-	damaged, _ := journal.Dropped()
+	damaged := journal.Dropped()
 	if damaged > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: journal %s: %d of %d files damaged or orphaned, moved to %s; their runs simulate again, %d entries replay\n",
 			*resume, damaged, loaded+damaged, filepath.Join(*resume, "quarantine"), loaded)
@@ -106,17 +106,13 @@ func main() {
 		fmt.Printf("(%s completed in %v)\n\n", e.Name, time.Since(t0).Round(time.Millisecond))
 	}
 
-	// A run simulated in place of an entry dropped since the open adds
-	// nothing to Len: its entry was counted in loaded, and is either
-	// quarantined and written again or still there, foreign.
-	quarantined, foreign := journal.Dropped()
-	simulated := journal.Len() - loaded + (quarantined - damaged) + foreign
+	// A run simulated in place of an entry quarantined since the open adds
+	// nothing to Len: its entry was counted in loaded, then moved away and
+	// written again.
+	simulated := journal.Len() - loaded + journal.Dropped() - damaged
 	fmt.Fprintf(os.Stderr, "experiments: %d distinct runs simulated, %d repeats replayed", simulated, journal.Hits())
 	if *resume != "" {
 		fmt.Fprintf(os.Stderr, "; journal %s holds %d", *resume, journal.Len())
-	}
-	if foreign > 0 {
-		fmt.Fprintf(os.Stderr, ", %d of them not runs of this journal and never replayed (a warpsimd -store directory?)", foreign)
 	}
 	fmt.Fprintln(os.Stderr)
 

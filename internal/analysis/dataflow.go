@@ -239,7 +239,10 @@ func DeadLoadDests(g *CFG) []bool {
 // that moment, so branching on it cannot split the CTA's warps across
 // different barriers, whereas tid-indexed data can. Atomics vary either
 // way: each thread receives a distinct old value.
-func VaryingSets(g *CFG, threadOnly bool) (regs uint64, preds uint8) {
+//
+// divergent marks the nodes inside the divergent region of some guarded
+// branch whose guard is varying in the final predicate set.
+func VaryingSets(g *CFG, threadOnly bool) (regs uint64, preds uint8, divergent []bool) {
 	p := g.Prog
 	var varyR uint64
 	var varyP uint8
@@ -264,7 +267,7 @@ func VaryingSets(g *CFG, threadOnly bool) (regs uint64, preds uint8) {
 	for {
 		// Nodes under divergent control: the divergent region of every
 		// guarded branch whose guard is currently varying.
-		divergent := make([]bool, g.N+1)
+		divergent = make([]bool, g.N+1)
 		for pc := int32(0); pc < g.N; pc++ {
 			in := p.At(pc)
 			if in.Op != isa.OpBra || !in.Guarded() || varyP&(1<<uint8(in.Guard)) == 0 {
@@ -307,7 +310,7 @@ func VaryingSets(g *CFG, threadOnly bool) (regs uint64, preds uint8) {
 			}
 		}
 		if !changed {
-			return varyR, varyP
+			return varyR, varyP, divergent
 		}
 	}
 }

@@ -91,7 +91,7 @@ func checkBarrierReachability(p *isa.Program, g *analysis.CFG) []analysis.Findin
 	if !hasBar {
 		return nil
 	}
-	_, varyP := analysis.VaryingSets(g, true)
+	_, varyP, _ := analysis.VaryingSets(g, true)
 	var fs []analysis.Finding
 	for pc := int32(0); pc < g.N; pc++ {
 		in := p.At(pc)

@@ -46,19 +46,7 @@ func newInterp(p *isa.Program, g *analysis.CFG, geo geometry) *interp {
 		reached: make([]bool, g.N+1),
 		setps:   make([]setpRel, g.N),
 	}
-	it.varyR, it.varyP = analysis.VaryingSets(g, false)
-	it.divergent = make([]bool, g.N+1)
-	for pc := int32(0); pc < g.N; pc++ {
-		in := p.At(pc)
-		if in.Op != isa.OpBra || !in.Guarded() || it.varyP&(1<<uint8(in.Guard)) == 0 {
-			continue
-		}
-		for v, inR := range g.DivergentRegion(pc) {
-			if inR {
-				it.divergent[v] = true
-			}
-		}
-	}
+	it.varyR, it.varyP, it.divergent = analysis.VaryingSets(g, false)
 	it.onBarFreeCycle = barFreeCycles(p, g)
 	return it
 }

@@ -172,7 +172,7 @@ func checkDivergentBarrier(g *CFG) []Finding {
 		return nil
 	}
 
-	_, varyP := VaryingSets(g, false)
+	_, varyP, _ := VaryingSets(g, false)
 	// Union of divergent regions of thread-varying forward branches,
 	// remembering one responsible branch per node for the message.
 	owner := make([]int32, g.N+1)

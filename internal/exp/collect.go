@@ -188,14 +188,15 @@ func VariantHash(sp Spec) string {
 		l.GridCTAs, l.CTAThreads, l.MemWords, l.Params})
 }
 
-// ContentKey is the content address of a spec's result, the key of the
-// sweep journal and of warpsimd's cache and store (server.CacheKey):
-// FNV-1a over the program's canonical assembly text (so two routes to
-// the same instruction stream share results, and any instruction change
-// misses), the variant hash over the full configuration, and the
-// engine's semantic version (sim.Version, bumped whenever results can
-// change). Deterministic simulation makes it sound: equal key ⇒ equal
-// result, with no expiry policy.
+// ContentKey is the content address of a spec's result: warpsimd's cache
+// and store file a one-run manifest under it (server.CacheKey, also the
+// job id), and the sweep journal files its record under it plus
+// journalSuffix. It is FNV-1a over the program's canonical assembly text
+// (so two routes to the same instruction stream share results, and any
+// instruction change misses), the variant hash over the full
+// configuration, and the engine's semantic version (sim.Version, bumped
+// whenever results can change). Deterministic simulation makes it sound:
+// equal key ⇒ equal result, with no expiry policy.
 func ContentKey(sp Spec) string {
 	h := fnv.New64a()
 	h.Write([]byte(sp.Kernel.Launch.Prog.Assembly()))

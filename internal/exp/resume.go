@@ -3,14 +3,17 @@
 // content key (ContentKey, collect.go): a spec another experiment of the
 // same invocation already ran replays instead of simulating again. With
 // a directory behind it (cmd/experiments -resume) every entry is also a
-// file of an internal/store there — the same checksummed, atomically
-// written and fsynced entries warpsimd keeps, under the same key — so
-// interrupting a sweep (a crash, a kill, a power cut mid-write) loses at
-// most the runs in flight; on the next invocation finished specs replay
-// from the store (their results were verified before journaling) and
-// only unfinished work simulates. Because replay restores the exact
-// Result fields and error strings the original run produced, a sweep
-// that replays renders byte-identical tables and manifests.
+// file of an internal/store there: the same checksummed, atomically
+// written and fsynced entries warpsimd keeps. The journal files a run
+// under its content key plus journalSuffix and warpsimd files its
+// manifest under the bare key, so one directory can serve both tools and
+// neither shadows the other's entries. Interrupting a sweep (a crash, a
+// kill, a power cut mid-write) loses at most the runs in flight; on the
+// next invocation finished specs replay from the store (their results
+// were verified before journaling) and only unfinished work simulates.
+// Because replay restores the exact Result fields and error strings the
+// original run produced, a sweep that replays renders byte-identical
+// tables and manifests.
 package exp
 
 import (
@@ -24,12 +27,15 @@ import (
 	"warpsched/internal/store"
 )
 
-// journalEntry is one finished run: the spec's content key, the run's
-// error string (empty on success — replay restores it verbatim so
-// manifests compare equal), and what a table can consume of the result.
-// Its JSON is the payload stored under Key.
+// journalSuffix ends the store key of every journal entry, keeping it
+// apart from the manifest warpsimd files under the bare content key.
+const journalSuffix = ".run"
+
+// journalEntry is one finished run: its error string (empty on success —
+// replay restores it verbatim so manifests compare equal) and what a
+// table can consume of the result. Its JSON is the payload stored under
+// the run's content key plus journalSuffix.
 type journalEntry struct {
-	Key string      `json:"key"`
 	Err string      `json:"err,omitempty"`
 	Res *sim.Result `json:"res,omitempty"`
 }
@@ -42,7 +48,6 @@ type Journal struct {
 	mu      sync.Mutex
 	entries map[string]journalEntry // every run recorded or replayed by this invocation
 	hits    int
-	foreign int // payloads that verified in the store but are not the run filed under their key
 }
 
 // OpenJournal opens (or creates) the journal kept in the directory at
@@ -74,9 +79,9 @@ func OpenJournal(path string) (*Journal, error) {
 // recorded entry is already durable when record returns.
 func (j *Journal) Close() error { return nil }
 
-// Len returns the number of entries the journal holds: those on disk
-// (found at open plus recorded since) when it has a directory, else the
-// runs remembered by this invocation.
+// Len returns the number of entries in the journal's directory (found at
+// open plus recorded since, whichever tool wrote them) when it has one,
+// else the runs remembered by this invocation.
 func (j *Journal) Len() int {
 	if j.st != nil {
 		return j.st.Len()
@@ -94,20 +99,15 @@ func (j *Journal) Hits() int {
 	return j.hits
 }
 
-// Dropped counts what the directory held that the journal will not
-// replay, so its runs simulate once more: files the store moved to
-// quarantine/ (damaged entries and orphaned temp files, found at open or
-// on a later read), and entries that pass the store's checksum but are
-// not a journal record of their own key — what a warpsimd -store
-// directory holds. Both are zero for a journal with no directory.
-func (j *Journal) Dropped() (quarantined, foreign int) {
+// Dropped counts the files the store moved to quarantine/ — damaged
+// entries and orphaned temp files, found at open or on a later read —
+// whose runs simulate once more. It is zero for a journal with no
+// directory.
+func (j *Journal) Dropped() int {
 	if j.st == nil {
-		return 0, 0
+		return 0
 	}
-	quarantined = int(j.st.Stats().Quarantined)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return quarantined, j.foreign
+	return int(j.st.Stats().Quarantined)
 }
 
 // lookup replays a finished run: from this invocation's memory, else
@@ -140,20 +140,13 @@ func (j *Journal) lookup(key string) (Outcome, bool) {
 	return o, true
 }
 
-// load reads one entry from the store. The store has already verified
-// the bytes against their checksum; a payload that is not a journal
-// record carrying the key it is filed under is somebody else's, and a
-// miss.
+// load reads one entry from the store, which has already verified the
+// bytes against their checksum and the key in their header. A payload
+// that does not decode is a miss.
 func (j *Journal) load(key string) (journalEntry, bool) {
-	data, ok := j.st.Get(key)
-	if !ok {
-		return journalEntry{}, false
-	}
 	var e journalEntry
-	if err := json.Unmarshal(data, &e); err != nil || e.Key != key {
-		j.mu.Lock()
-		j.foreign++
-		j.mu.Unlock()
+	data, ok := j.st.Get(key + journalSuffix)
+	if !ok || json.Unmarshal(data, &e) != nil {
 		return journalEntry{}, false
 	}
 	return e, true
@@ -169,7 +162,7 @@ func (j *Journal) load(key string) (journalEntry, bool) {
 // the engine sorts by PC rather than leaving in the SIB-PT map's
 // iteration order.
 func (j *Journal) record(key string, o Outcome) error {
-	e := journalEntry{Key: key}
+	var e journalEntry
 	if o.Res != nil {
 		res := *o.Res
 		res.Memory, res.PCProfile = nil, nil
@@ -182,7 +175,7 @@ func (j *Journal) record(key string, o Outcome) error {
 	if j.st != nil {
 		data, err := json.Marshal(e)
 		if err == nil {
-			err = j.st.Put(key, data)
+			err = j.st.Put(key+journalSuffix, data)
 		}
 		if err != nil {
 			return fmt.Errorf("exp: journaling %s: %w", key, err)

@@ -96,8 +96,8 @@ func TestRunnerResumeByteIdentical(t *testing.T) {
 	if j2.Len() != 3 {
 		t.Fatalf("damaged journal loaded %d entries, want 3", j2.Len())
 	}
-	if q, f := j2.Dropped(); q != 2 || f != 0 {
-		t.Errorf("damaged journal dropped %d files and %d foreign entries, want 2 and 0", q, f)
+	if q := j2.Dropped(); q != 2 {
+		t.Errorf("damaged journal dropped %d files, want 2", q)
 	}
 	resumed, outs2 := sweep(j2)
 	if j2.Hits() != 3 {
@@ -161,8 +161,8 @@ func TestRunnerResumeRendersIdenticalTable(t *testing.T) {
 	}
 	j3 := openTestJournal(t, path)
 	defer j3.Close()
-	if q, f := j3.Dropped(); q != 1 || f != 0 || j3.Len() != entries-1 {
-		t.Errorf("one flipped byte: %d files and %d foreign entries dropped, %d entries left; want 1, 0 and %d", q, f, j3.Len(), entries-1)
+	if q := j3.Dropped(); q != 1 || j3.Len() != entries-1 {
+		t.Errorf("one flipped byte: %d files dropped, %d entries left; want 1 and %d", q, j3.Len(), entries-1)
 	}
 	healed := render(j3)
 	if j3.Hits() != entries-1 || j3.Len() != entries {
@@ -198,11 +198,11 @@ func TestRunnerResumeReadsOlderEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	files := journalFiles(t, path)
+	older := make(map[string][]byte)
 	for _, f := range files {
 		key := filepath.Base(f)
 		data, _ := st.Get(key)
 		var e struct {
-			Key string         `json:"key"`
 			Err string         `json:"err,omitempty"`
 			Res map[string]any `json:"res"`
 		}
@@ -212,11 +212,20 @@ func TestRunnerResumeReadsOlderEntries(t *testing.T) {
 		e.Res["PerSM"] = []any{e.Res["Stats"], e.Res["Stats"]}
 		e.Res["PerSMDetection"] = []any{e.Res["Detection"], e.Res["Detection"]}
 		e.Res["MaxSIBPTEntries"] = 3
-		old, err := json.Marshal(e)
-		if err != nil {
+		if older[key], err = json.Marshal(e); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Put(key, old); err != nil {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Put on a key the store holds only refreshes it, so the older
+	// entries go in through a store opened on the emptied directory.
+	if st, _, err = store.Open(path, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for key, data := range older {
+		if err := st.Put(key, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,8 +234,8 @@ func TestRunnerResumeReadsOlderEntries(t *testing.T) {
 	if replayed := render(j); replayed != fresh {
 		t.Errorf("table replayed from older entries differs:\n--- fresh ---\n%s--- replayed ---\n%s", fresh, replayed)
 	}
-	if q, f := j.Dropped(); j.Hits() != len(files) || q != 0 || f != 0 {
-		t.Errorf("%d of %d older entries replayed, %d quarantined, %d foreign; want all, 0, 0", j.Hits(), len(files), q, f)
+	if q := j.Dropped(); j.Hits() != len(files) || q != 0 {
+		t.Errorf("%d of %d older entries replayed, %d quarantined; want all and 0", j.Hits(), len(files), q)
 	}
 }
 
@@ -280,37 +289,44 @@ func TestOpenJournalRefusesRetiredFile(t *testing.T) {
 	}
 }
 
-// TestJournalForeignPayloadMisses: an entry that passes the store's
-// checksum but is not a journal record of its own key — here what
-// warpsimd files under the same content key, a manifest — is a miss,
-// counted, and the run simulates.
-func TestJournalForeignPayloadMisses(t *testing.T) {
+// TestJournalSharesDirectoryWithWarpsimd: warpsimd files a one-run
+// manifest under a spec's content key, and a journal opened on the same
+// directory files that spec's run beside it, not over it. The run
+// simulates once, replays after a reopen, and the manifest keeps its
+// bytes.
+func TestJournalSharesDirectoryWithWarpsimd(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store")
-	sp, other := testSpec(16), testSpec(32)
+	sp := testSpec(16)
+	manifest := []byte(`{"tool":"warpsimd","runs":[{"kernel":"HT","cycles":1}]}`)
 	st, _, err := store.Open(path, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(ContentKey(sp), []byte(`{"tool":"warpsimd","runs":[{"kernel":"HT","cycles":1}]}`)); err != nil {
-		t.Fatal(err)
-	}
-	stolen, _ := json.Marshal(journalEntry{Key: ContentKey(sp), Err: "somebody else's run"})
-	if err := st.Put(ContentKey(other), stolen); err != nil {
+	if err := st.Put(ContentKey(sp), manifest); err != nil {
 		t.Fatal(err)
 	}
 
-	j := openTestJournal(t, path)
-	defer j.Close()
-	for i, s := range []Spec{sp, other} {
-		if o := (Cfg{Journal: j}).runOne(&s, 0, 1, nil); o.Err != nil || o.Res.Stats.Cycles <= 1 {
-			t.Fatalf("spec %d: outcome %+v: replayed from a foreign payload, not simulated", i, o)
-		}
+	j1 := openTestJournal(t, path)
+	first := Cfg{Journal: j1}.runOne(&sp, 0, 1, nil)
+	if first.Err != nil || first.Res.Stats.Cycles <= 1 || j1.Hits() != 0 {
+		t.Fatalf("outcome %+v with %d hits: want a simulation, not a replay of the manifest", first, j1.Hits())
 	}
-	if q, f := j.Dropped(); j.Hits() != 0 || q != 0 || f != 2 {
-		t.Errorf("%d hits, %d files and %d foreign entries dropped; want 0, 0 and 2", j.Hits(), q, f)
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if o := (Cfg{Journal: j}).runOne(&sp, 0, 1, nil); o.Err != nil || j.Hits() != 1 {
-		t.Errorf("the simulated run is not remembered: err %v, %d hits", o.Err, j.Hits())
+
+	j2 := openTestJournal(t, path)
+	defer j2.Close()
+	again := Cfg{Journal: j2}.runOne(&sp, 0, 1, nil)
+	if j2.Hits() != 1 || j2.Dropped() != 0 || again.Err != nil || again.Res.Stats.Cycles != first.Res.Stats.Cycles {
+		t.Errorf("after a reopen: %d hits, %d dropped, outcome %+v; want the run replayed with %d cycles",
+			j2.Hits(), j2.Dropped(), again, first.Res.Stats.Cycles)
+	}
+	if st, _, err = store.Open(path, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := st.Get(ContentKey(sp)); !ok || !bytes.Equal(got, manifest) {
+		t.Errorf("warpsimd's entry under the content key now reads %q, want %q", got, manifest)
 	}
 }
 
@@ -385,8 +401,8 @@ func TestJournalKeyedByContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := fmt.Sprintf(`{"key":%q,"res":{"Stats":{"Cycles":1}}}`, VariantHash(orig))
-	if err := st.Put(VariantHash(orig), []byte(stale)); err != nil {
+	stale := []byte(`{"res":{"Stats":{"Cycles":1}}}`)
+	if err := st.Put(VariantHash(orig), stale); err != nil {
 		t.Fatal(err)
 	}
 

@@ -45,9 +45,3 @@ func Build(ms ...*metrics.Manifest) (*Report, error) {
 
 // Set exposes the joined record set the report was derived from.
 func (r *Report) Set() *Set { return r.set }
-
-// Write renders the report: the Markdown document at mdPath and the SVG
-// figures under svgDir. It returns the paths written.
-func (r *Report) Write(mdPath, svgDir string) ([]string, error) {
-	return r.write(mdPath, svgDir)
-}

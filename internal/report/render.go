@@ -21,9 +21,9 @@ func (r *Report) Files(mdPath, svgDir string) map[string][]byte {
 	return out
 }
 
-// write renders and writes every output file, returning the sorted list
-// of paths written.
-func (r *Report) write(mdPath, svgDir string) ([]string, error) {
+// Write renders the report: the Markdown document at mdPath and the SVG
+// figures under svgDir. It returns the sorted list of paths written.
+func (r *Report) Write(mdPath, svgDir string) ([]string, error) {
 	files := r.Files(mdPath, svgDir)
 	var paths []string
 	for p := range files {

@@ -146,17 +146,13 @@ func (s *Set) Experiments() []string {
 	return out
 }
 
-// Find returns the unique record with the given coordinates, or a
+// FindDDOS returns the unique record with the given coordinates, or a
 // *MissingRunError if absent, or an error if several variants match
 // (meaning the coordinates under-specify the run — e.g. the fig16 bucket
-// sweep, whose points differ only in launch parameters).
-func (s *Set) Find(exp, kernel, sched, bows string) (*metrics.RunRecord, error) {
-	return s.FindDDOS(exp, kernel, sched, bows, "")
-}
-
-// FindDDOS is Find with the detector descriptor as a fifth coordinate,
-// needed where runs differ only in detector parameters (the fig14 hashing
-// comparison, the Table I sweep); an empty descriptor matches any.
+// sweep, whose points differ only in launch parameters). The detector
+// descriptor ddos tells apart runs that differ only in detector
+// parameters (the fig14 hashing comparison, the Table I sweep); an empty
+// descriptor matches any.
 func (s *Set) FindDDOS(exp, kernel, sched, bows, ddos string) (*metrics.RunRecord, error) {
 	missing := &MissingRunError{Exp: exp, Kernel: kernel, Sched: sched, BOWS: bows, DDOS: ddos}
 	var found *metrics.RunRecord

@@ -92,10 +92,10 @@ func TestFindMissingAndAmbiguous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Find("fig9", "HT", "GTO", "off"); err != nil {
-		t.Fatalf("Find existing: %v", err)
+	if _, err := s.FindDDOS("fig9", "HT", "GTO", "off", ""); err != nil {
+		t.Fatalf("FindDDOS existing: %v", err)
 	}
-	_, err = s.Find("fig9", "HT", "CAWA", "off")
+	_, err = s.FindDDOS("fig9", "HT", "CAWA", "off", "")
 	var mre *MissingRunError
 	if !errors.As(err, &mre) {
 		t.Fatalf("want MissingRunError, got %v", err)
@@ -104,8 +104,8 @@ func TestFindMissingAndAmbiguous(t *testing.T) {
 		t.Fatalf("MissingRunError coordinates wrong: %+v", mre)
 	}
 	// fig16 reuses kernel/sched/bows across launch variants: ambiguous.
-	if _, err := s.Find("fig16", "HT", "GTO", "off"); err == nil {
-		t.Fatal("Find on ambiguous coordinates should error")
+	if _, err := s.FindDDOS("fig16", "HT", "GTO", "off", ""); err == nil {
+		t.Fatal("FindDDOS on ambiguous coordinates should error")
 	}
 	// FindDDOS disambiguates by detector only, not launch: still ambiguous.
 	if _, err := s.FindDDOS("fig16", "HT", "GTO", "off", "XOR-m8k8-t4-l8"); err == nil {

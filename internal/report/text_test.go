@@ -66,7 +66,7 @@ func TestGoldenTextTables(t *testing.T) {
 // checks that the section the harness derived from its outcomes (lookup
 // by submission index, counts from sim.Result) and the section this
 // package derives from the manifest that same call collected (lookup by
-// Set.Find, counts from record counters) agree number for number. Only
+// Set.FindDDOS, counts from record counters) agree number for number. Only
 // the kernel order differs — suite order against sorted — and with it the
 // last bits of the order-dependent means.
 func TestLiveSectionMatchesManifest(t *testing.T) {

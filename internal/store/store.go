@@ -1,8 +1,13 @@
 // Package store is a persistent content-addressed result store: a
 // durable key→bytes map under the simulation service's cache keys
 // (FNV(program)-VariantHash-v{sim.Version}). Determinism makes entries
-// immutable — equal key means byte-equal value, forever — so the store
-// needs no invalidation protocol, only durability and self-healing:
+// immutable — equal key means byte-equal value, forever — which is why
+// Put on a key the store already holds only refreshes its recency. That
+// holds in a directory several tools write because each keeps a key
+// space of its own: warpsimd files a manifest under the bare key, the
+// sweep journal (exp.Journal) a journal record under the key plus
+// ".run". The store needs no invalidation protocol, only durability and
+// self-healing:
 //
 //   - every write is atomic and fsynced (temp file → fsync → rename →
 //     dir fsync, through writeTemp and Put), so a crash never leaves
