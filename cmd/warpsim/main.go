@@ -122,14 +122,10 @@ func main() {
 			desc["fault_seed"], desc["fault_rate"] = *faultSeed, *faultRate
 		}
 		m := metrics.NewManifest("warpsim", desc)
-		rec := exp.Record(spec, exp.Outcome{Res: res})
-		rec.WallMS = wallMS
 		// warpsim is a single run, so the manifest keeps the full per-SM
 		// resolution instead of machine totals.
-		if res.Metrics != nil {
-			rec.Counters = res.Metrics.Counters
-			rec.Derived = res.Metrics.Gauges
-		}
+		rec := exp.SMRecord(spec, exp.Outcome{Res: res})
+		rec.WallMS = wallMS
 		if err := m.Add(rec); err != nil {
 			fatal(err)
 		}

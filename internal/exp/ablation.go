@@ -48,7 +48,7 @@ func AblationLayout() []Column {
 // Ablation runs the component study on GTO.
 func Ablation(c Cfg) (*AblationSection, error) {
 	cols := AblationLayout()
-	kernels, runs, _, err := c.sweep(c.fermi(), c.syncSuite(), cols, false)
+	kernels, runs, err := c.sweep(c.fermi(), c.syncSuite(), cols, false)
 	if err != nil {
 		return nil, err
 	}

@@ -44,11 +44,11 @@ func (c *Collector) Manifest() *metrics.Manifest {
 
 // Record fills the identity columns of a spec's manifest record —
 // kernel, machine, scheduler, the BOWS and detector descriptors, the
-// variant hash — and the outcome's headline (error string, cycles). Every
-// emitter (the sweep collector below, warpsimd's result manifests,
-// warpsim -stats-json) starts from it, so one configuration reads the
-// same in every manifest; each then attaches counters at its own
-// resolution (machine totals here, per-SM in the single-run tools).
+// variant hash — and the outcome's headline (error string, cycles). Both
+// record builders start from it, so one configuration reads the same in
+// every manifest: sweepRecord attaches machine totals (the sweep's
+// journal and collector), SMRecord the per-SM counters (warpsimd's
+// result manifests, warpsim -stats-json).
 func Record(sp Spec, o Outcome) metrics.RunRecord {
 	r := metrics.RunRecord{
 		Kernel:  sp.Kernel.Name,
@@ -79,12 +79,24 @@ func (sp Spec) DetectorDesc() string {
 	return sp.DDOS.Desc()
 }
 
-// sweepRecord converts one finished sweep run into a manifest record
-// tagged with the submitting experiment (Cfg.Exp), with counters folded
-// into machine totals.
-func sweepRecord(exp string, sp *Spec, o Outcome, wallMS float64) metrics.RunRecord {
+// SMRecord is the record of a single-run tool's manifest (warpsimd's
+// results, warpsim -stats-json): Record plus the outcome's counters and
+// gauges at their full per-SM resolution.
+func SMRecord(sp Spec, o Outcome) metrics.RunRecord {
+	r := Record(sp, o)
+	if o.Res != nil && o.Res.Metrics != nil {
+		r.Counters = o.Res.Metrics.Counters
+		r.Derived = o.Res.Metrics.Gauges
+	}
+	return r
+}
+
+// sweepRecord converts one finished sweep run into its manifest record,
+// with counters folded into machine totals: the one form in which a sweep
+// keeps, journals and replays a run. The collector adds the experiment
+// tag and the wall time (Cfg.collect).
+func sweepRecord(sp *Spec, o Outcome) metrics.RunRecord {
 	r := Record(*sp, o)
-	r.Exp, r.WallMS = exp, wallMS
 	res := o.Res
 	if res == nil {
 		return r

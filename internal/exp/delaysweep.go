@@ -45,31 +45,14 @@ func DelayLayout() []Column {
 	return append(cols, on("BOWS(Adaptive)", config.DefaultBOWS()))
 }
 
-// DelaySweepResult is the delay-limit section plus the one quantity a
-// manifest record does not carry: the adaptive controller's final limit.
-type DelaySweepResult struct {
-	*DelaySection
-	// FinalLimits[i] is the largest per-SM delay limit kernel i's
-	// adaptive run ended on (sim.Result.FinalDelayLimits).
-	FinalLimits []int64
-}
-
 // DelaySweep runs the Figures 10-13 sweep.
-func DelaySweep(c Cfg) (*DelaySweepResult, error) {
+func DelaySweep(c Cfg) (*DelaySection, error) {
 	cols := DelayLayout()
-	kernels, runs, outs, err := c.sweep(c.fermi(), c.syncSuite(), cols, false)
+	kernels, runs, err := c.sweep(c.fermi(), c.syncSuite(), cols, false)
 	if err != nil {
 		return nil, err
 	}
-	r := &DelaySweepResult{DelaySection: DeriveDelay(kernels, cols, runs)}
-	for ki := range kernels {
-		var limit int64
-		for _, fl := range outs[(ki+1)*len(cols)-1].Res.FinalDelayLimits {
-			limit = max(limit, fl)
-		}
-		r.FinalLimits = append(r.FinalLimits, limit)
-	}
-	return r, nil
+	return DeriveDelay(kernels, cols, runs), nil
 }
 
 // DeriveDelay derives the delay-limit section from a DelayLayout run
@@ -139,21 +122,5 @@ func (s *DelaySection) String() string {
 	sb.WriteString("\nFig. 13c — SIMD efficiency\n\n")
 	sb.WriteString(pctTable(s.Kernels, s.Columns, s.SIMD))
 	sb.WriteString("paper: BOWS improves SIMD efficiency on HT (3.4x) and ATM (1.85x) vs GTO\n")
-	return sb.String()
-}
-
-// String appends the adaptive controller's final limits to the section's
-// tables.
-func (r *DelaySweepResult) String() string {
-	var sb strings.Builder
-	sb.WriteString(r.DelaySection.String())
-	sb.WriteString("\nAdaptive final delay limits per kernel: ")
-	for i, k := range r.Kernels {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%s=%d", k, r.FinalLimits[i])
-	}
-	sb.WriteByte('\n')
 	return sb.String()
 }

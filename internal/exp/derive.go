@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"errors"
+
 	"warpsched/internal/config"
 	"warpsched/internal/kernels"
 	"warpsched/internal/stats"
@@ -12,8 +14,8 @@ import (
 //	layout → lookup → derive → render
 //
 // A layout is a []Column; a lookup fills the kernels × columns matrix of
-// Runs (the harness by outcome index — sweep below — and
-// internal/report by Set.Find over a manifest); a Derive* function turns
+// Runs (the harness by submission index — sweep below — and
+// internal/report by Set.FindDDOS over a manifest); a Derive* function turns
 // the matrix into the family's section; the section's String method
 // renders the stdout table and internal/report renders the same section
 // as Markdown and SVG. Every published number is therefore computed once.
@@ -36,11 +38,9 @@ func labels(cols []Column) []string {
 	return out
 }
 
-// Run is the per-run input of every derivation: exactly what both a
-// runner Outcome (simulated or journal-replayed) and a manifest
-// record can supply. Anything a record does not carry —
-// Result.FinalDelayLimits — stays on the Outcome and out of the
-// derivations.
+// Run is the per-run input of every derivation, built only from a
+// manifest record (RunOfRecord): the sweep's own records (simulated or
+// journal-replayed) and internal/report's manifests supply it alike.
 type Run struct {
 	// GPU is the machine configuration name; it selects the energy model.
 	GPU string
@@ -64,27 +64,32 @@ type Detection struct {
 	TrueDPR, FalseDPR        float64
 }
 
-// runOf converts a finished run to the derivation input.
-func runOf(gpu string, o Outcome) Run {
-	det := o.Res.Detection
-	return Run{
-		GPU: gpu, Cycles: o.Res.Stats.Cycles, LowerBound: o.Err != nil, Stats: &o.Res.Stats,
-		Detection: Detection{
-			TrueSeen: int64(det.TrueSeen), TrueDetected: int64(det.TrueDetected),
-			FalseSeen: int64(det.FalseSeen), FalseDetected: int64(det.FalseDetected),
-			TrueDPR: det.TrueDPR(), FalseDPR: det.FalseDPR(),
-		},
+// runs executes specs and returns each one's derivation input, in
+// submission order. The first failed run in submission order is the
+// error; with lowerBounds set, a watchdog abort (an error beside
+// counters) is kept as a lower bound instead — the livelocking baselines
+// of fig9/fig15/wasp.
+func (c Cfg) runs(specs []Spec, lowerBounds bool) ([]Run, error) {
+	recs := c.runAll(specs)
+	out := make([]Run, len(recs))
+	for i := range recs {
+		rec := &recs[i]
+		if rec.Err != "" && (rec.Cycles == 0 || !lowerBounds) {
+			return nil, errors.New(rec.Err)
+		}
+		var err error
+		if out[i], err = RunOfRecord(rec); err != nil {
+			return nil, err
+		}
 	}
+	return out, nil
 }
 
 // sweep is the harness's lookup: it runs every suite kernel under every
-// column on gpu and shapes the outcomes, by submission index, into the
-// kernels × columns matrix the derivations consume (outs keeps the raw
-// outcomes, kernel-major, for what a Run does not carry). The first
-// failed run in submission order is the error; with lowerBounds set, a
-// watchdog abort (an error beside a partial result) is kept as a lower
-// bound instead — the livelocking baselines of fig9/fig15/wasp.
-func (c Cfg) sweep(gpu config.GPU, suite []*kernels.Kernel, cols []Column, lowerBounds bool) (names []string, runs [][]Run, outs []Outcome, err error) {
+// column on gpu and shapes the runs, by submission index, into the
+// kernels × columns matrix the derivations consume (see runs for errors
+// and lowerBounds).
+func (c Cfg) sweep(gpu config.GPU, suite []*kernels.Kernel, cols []Column, lowerBounds bool) (names []string, matrix [][]Run, err error) {
 	var specs []Spec
 	for _, k := range suite {
 		names = append(names, k.Name)
@@ -94,15 +99,16 @@ func (c Cfg) sweep(gpu config.GPU, suite []*kernels.Kernel, cols []Column, lower
 			specs = append(specs, sp)
 		}
 	}
-	outs = c.runAll(specs)
-	runs = make([][]Run, len(suite))
-	for i, o := range outs {
-		if o.Err != nil && (o.Res == nil || !lowerBounds) {
-			return nil, nil, nil, o.Err
-		}
-		runs[i/len(cols)] = append(runs[i/len(cols)], runOf(gpu.Name, o))
+	runs, err := c.runs(specs, lowerBounds)
+	if err != nil {
+		return nil, nil, err
 	}
-	return names, runs, outs, nil
+	n := len(cols)
+	matrix = make([][]Run, len(suite))
+	for ki := range matrix {
+		matrix[ki] = runs[ki*n : (ki+1)*n : (ki+1)*n]
+	}
+	return names, matrix, nil
 }
 
 // Bar is one derived data point. Runs aborted by the simulation watchdog

@@ -39,8 +39,10 @@ func TestManifestByteIdenticalAcrossJobsAndClocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := manifestBytes(t, base)
+	if got := manifestBytes(t, quickGoldenManifest(t)); !bytes.Equal(want, got) {
+		t.Errorf("jobs=0 noff=false: manifest bytes diverged from the per-cycle serial sweep")
+	}
 	for _, c := range []Cfg{
-		{Quick: true},
 		{Quick: true, Jobs: 8},
 		{Quick: true, Jobs: 4, NoFastForward: true},
 	} {

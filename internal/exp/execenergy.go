@@ -94,7 +94,7 @@ func Wasp(c Cfg) (*BarsSection, error) {
 
 func (c Cfg) bars(gpu config.GPU, tag string, scheds []config.SchedulerKind) (*BarsSection, error) {
 	cols := BarsLayout(scheds)
-	kernels, runs, _, err := c.sweep(gpu, c.syncSuite(), cols, true)
+	kernels, runs, err := c.sweep(gpu, c.syncSuite(), cols, true)
 	if err != nil {
 		return nil, err
 	}

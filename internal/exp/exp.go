@@ -6,9 +6,10 @@
 //
 // The families internal/report also publishes are split layout → lookup →
 // derive → render (derive.go): the Derive* functions here are the only
-// place their numbers are computed, from a per-run input (Run) that a
-// runner Outcome and a manifest record can both supply, and
-// internal/report renders the sections they return as Markdown and SVG.
+// place their numbers are computed, from a per-run input (Run) built
+// from a manifest record — the sweep's own or an archived manifest's —
+// and internal/report renders the sections they return as Markdown and
+// SVG.
 package exp
 
 import (
@@ -51,7 +52,7 @@ type Cfg struct {
 	// a diagnosis when something is wrong.
 	Check bool
 	// Journal, when non-nil, makes the sweep crash-tolerant and resumable
-	// (cmd/experiments -resume): specs whose results are already journaled
+	// (cmd/experiments -resume): specs whose records are already journaled
 	// are replayed instead of re-simulated, and freshly finished specs are
 	// recorded (durably, when the journal has a directory), so an
 	// interrupted sweep picks up where it died and renders byte-identical

@@ -52,12 +52,12 @@ func Fig1(c Cfg) (*Fig1Result, error) {
 			Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k},
 			Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k1})
 	}
-	outs := c.runAll(specs)
-	if err := firstErr(outs); err != nil {
+	runs, err := c.runs(specs, false)
+	if err != nil {
 		return nil, err
 	}
 	for i, buckets := range Fig16Buckets {
-		res, res1 := outs[2*i].Res, outs[2*i+1].Res
+		run, run1 := runs[2*i], runs[2*i+1]
 		// CPU reference uses the same key stream length.
 		keys := make([]uint32, items)
 		for j := range keys {
@@ -66,13 +66,13 @@ func Fig1(c Cfg) (*Fig1Result, error) {
 		cres := cpu.RunHashtable(keys, buckets)
 
 		r.Buckets = append(r.Buckets, buckets)
-		r.GPUms = append(r.GPUms, float64(res.Stats.Cycles)/(float64(gpu.CoreClockMHz)*1000))
+		r.GPUms = append(r.GPUms, float64(run.Cycles)/(float64(gpu.CoreClockMHz)*1000))
 		r.CPUms = append(r.CPUms, cres.Millis)
-		r.SyncInstrFrac = append(r.SyncInstrFrac, res.Stats.SyncInstrFraction())
-		r.SyncMemFrac = append(r.SyncMemFrac, res.Stats.SyncMemFraction())
-		r.SIMDSingle = append(r.SIMDSingle, res1.Stats.SIMDEfficiency())
-		r.SIMDMulti = append(r.SIMDMulti, res.Stats.SIMDEfficiency())
-		c.note("fig1 buckets=%d: gpu=%d cycles cpu=%.3fms", buckets, res.Stats.Cycles, cres.Millis)
+		r.SyncInstrFrac = append(r.SyncInstrFrac, run.Stats.SyncInstrFraction())
+		r.SyncMemFrac = append(r.SyncMemFrac, run.Stats.SyncMemFraction())
+		r.SIMDSingle = append(r.SIMDSingle, run1.Stats.SIMDEfficiency())
+		r.SIMDMulti = append(r.SIMDMulti, run.Stats.SIMDEfficiency())
+		c.note("fig1 buckets=%d: gpu=%d cycles cpu=%.3fms", buckets, run.Cycles, cres.Millis)
 	}
 	return r, nil
 }

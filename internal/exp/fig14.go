@@ -38,7 +38,7 @@ func Fig14Layout() []Column {
 // Fig14 runs the detection-error overhead study.
 func Fig14(c Cfg) (*Fig14Section, error) {
 	cols := Fig14Layout()
-	kernels, runs, _, err := c.sweep(c.fermi(), c.syncFreeSuite(), cols, false)
+	kernels, runs, err := c.sweep(c.fermi(), c.syncFreeSuite(), cols, false)
 	if err != nil {
 		return nil, err
 	}

@@ -54,18 +54,18 @@ func Fig16Specs(c Cfg) []Spec {
 // Fig16 runs the contention sweep.
 func Fig16(c Cfg) (*Fig16Result, error) {
 	r := &Fig16Result{}
-	outs := c.runAll(Fig16Specs(c))
-	if err := firstErr(outs); err != nil {
+	runs, err := c.runs(Fig16Specs(c), false)
+	if err != nil {
 		return nil, err
 	}
 	for i, buckets := range Fig16Buckets {
-		base, bows, ideal := outs[3*i].Res, outs[3*i+1].Res, outs[3*i+2].Res
+		base, bows, ideal := runs[3*i], runs[3*i+1], runs[3*i+2]
 		r.Buckets = append(r.Buckets, buckets)
-		r.Speedup = append(r.Speedup, float64(base.Stats.Cycles)/float64(bows.Stats.Cycles))
+		r.Speedup = append(r.Speedup, float64(base.Cycles)/float64(bows.Cycles))
 		r.BOWSInstr = append(r.BOWSInstr, float64(bows.Stats.ThreadInstrs)/float64(base.Stats.ThreadInstrs))
 		r.IdealInstr = append(r.IdealInstr, float64(ideal.Stats.ThreadInstrs)/float64(base.Stats.ThreadInstrs))
-		r.IdealSpeed = append(r.IdealSpeed, float64(base.Stats.Cycles)/float64(ideal.Stats.Cycles))
-		c.note("fig16 buckets=%d: GTO=%d BOWS=%d ideal=%d cycles", buckets, base.Stats.Cycles, bows.Stats.Cycles, ideal.Stats.Cycles)
+		r.IdealSpeed = append(r.IdealSpeed, float64(base.Cycles)/float64(ideal.Cycles))
+		c.note("fig16 buckets=%d: GTO=%d BOWS=%d ideal=%d cycles", buckets, base.Cycles, bows.Cycles, ideal.Cycles)
 	}
 	return r, nil
 }

@@ -28,8 +28,8 @@ func Fig2(c Cfg) (*Fig2Result, error) {
 			specs = append(specs, Spec{GPU: gpu, Sched: kind, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k})
 		}
 	}
-	outs := c.runAll(specs)
-	if err := firstErr(outs); err != nil {
+	runs, err := c.runs(specs, false)
+	if err != nil {
 		return nil, err
 	}
 	i := 0
@@ -37,11 +37,10 @@ func Fig2(c Cfg) (*Fig2Result, error) {
 		r.Kernels = append(r.Kernels, k.Name)
 		var evs []stats.SyncEvents
 		for _, kind := range config.Schedulers {
-			res := outs[i].Res
+			ev := runs[i].Stats.Sync
 			i++
-			evs = append(evs, res.Stats.Sync)
-			c.note("fig2 %s %s: attempts=%d", k.Name, kind,
-				res.Stats.Sync.LockAttempts()+res.Stats.Sync.WaitAttempts())
+			evs = append(evs, ev)
+			c.note("fig2 %s %s: attempts=%d", k.Name, kind, ev.LockAttempts()+ev.WaitAttempts())
 		}
 		r.Events[k.Name] = evs
 	}

@@ -22,17 +22,16 @@ type Fig3Result struct {
 // Fig3Factors is the paper's sweep (0 = no delay code).
 var Fig3Factors = []int{0, 50, 100, 500, 1000}
 
-// Fig3 runs the software back-off study.
-func Fig3(c Cfg) (*Fig3Result, error) {
+// fig3Specs lists the software back-off sweep's runs, bucket-major over
+// Fig3Factors, with the bucket counts they cover.
+func fig3Specs(c Cfg) (buckets []int, specs []Spec) {
 	gpu := c.fermi()
 	items, ctas, ctaThreads := 8192, 16, 128
-	buckets := []int{128, 512, 2048}
+	buckets = []int{128, 512, 2048}
 	if c.Quick {
 		items, ctas, ctaThreads = 2048, 4, 64
 		buckets = []int{128, 512}
 	}
-	r := &Fig3Result{Factors: Fig3Factors}
-	var specs []Spec
 	for _, bk := range buckets {
 		for _, df := range Fig3Factors {
 			k := kernels.NewHashTable(kernels.HashTableConfig{
@@ -42,18 +41,25 @@ func Fig3(c Cfg) (*Fig3Result, error) {
 			specs = append(specs, Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k})
 		}
 	}
-	outs := c.runAll(specs)
-	if err := firstErr(outs); err != nil {
+	return buckets, specs
+}
+
+// Fig3 runs the software back-off study.
+func Fig3(c Cfg) (*Fig3Result, error) {
+	buckets, specs := fig3Specs(c)
+	runs, err := c.runs(specs, false)
+	if err != nil {
 		return nil, err
 	}
+	r := &Fig3Result{Factors: Fig3Factors}
 	i := 0
 	for _, bk := range buckets {
 		var row []int64
 		for _, df := range Fig3Factors {
-			res := outs[i].Res
+			cyc := runs[i].Cycles
 			i++
-			row = append(row, res.Stats.Cycles)
-			c.note("fig3 buckets=%d delay=%d: %d cycles", bk, df, res.Stats.Cycles)
+			row = append(row, cyc)
+			c.note("fig3 buckets=%d delay=%d: %d cycles", bk, df, cyc)
 		}
 		r.Buckets = append(r.Buckets, bk)
 		r.Cycles = append(r.Cycles, row)

@@ -40,8 +40,7 @@ func GoldenManifest(c Cfg) (*metrics.Manifest, error) {
 	col := NewCollector("golden", map[string]any{"quick": c.Quick, "sms": c.SMs})
 	c.Collect = col
 	c.Exp = "golden"
-	outs := c.runAll(goldenSpecs(c))
-	if err := firstErr(outs); err != nil {
+	if _, err := c.runs(goldenSpecs(c), false); err != nil {
 		return nil, err
 	}
 	return col.Manifest(), nil

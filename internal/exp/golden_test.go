@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"warpsched/internal/metrics"
@@ -13,6 +14,28 @@ var update = flag.Bool("update", false, "rewrite golden stats files under testda
 
 const goldenPath = "testdata/golden/quick.json"
 
+// quickGolden is the quick golden sweep's manifest, simulated once per
+// test binary: TestGoldenQuickStats and TestManifestByteIdenticalAcrossJobsAndClocks
+// both need the default-Cfg sweep.
+var quickGolden = sync.OnceValues(func() (*metrics.Manifest, error) {
+	return GoldenManifest(Cfg{Quick: true})
+})
+
+// quickGoldenManifest returns a copy of the quick golden manifest that the
+// caller may sort and whose wall times it may zero (manifestBytes does
+// both) without touching the other callers' copies. The records' counter
+// maps are shared and must not be written.
+func quickGoldenManifest(t *testing.T) *metrics.Manifest {
+	t.Helper()
+	m, err := quickGolden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := *m
+	cp.Runs = append([]metrics.RunRecord(nil), m.Runs...)
+	return &cp
+}
+
 // TestGoldenQuickStats is the golden-stats regression gate: it re-runs
 // the quick golden sweep and diffs the resulting manifest against the
 // committed snapshot — cycles and event counters exactly, derived floats
@@ -21,10 +44,7 @@ const goldenPath = "testdata/golden/quick.json"
 //
 //	go test ./internal/exp -run Golden -update
 func TestGoldenQuickStats(t *testing.T) {
-	got, err := GoldenManifest(Cfg{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := quickGoldenManifest(t)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)

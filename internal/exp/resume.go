@@ -1,44 +1,40 @@
 // The sweep's memory of finished runs, and its crash-tolerant resumption.
 // A Journal holds one entry per finished simulation, keyed by the spec's
 // content key (ContentKey, collect.go): a spec another experiment of the
-// same invocation already ran replays instead of simulating again. With
-// a directory behind it (cmd/experiments -resume) every entry is also a
-// file of an internal/store there: the same checksummed, atomically
-// written and fsynced entries warpsimd keeps. The journal files a run
-// under its content key plus journalSuffix and warpsimd files its
-// manifest under the bare key, so one directory can serve both tools and
-// neither shadows the other's entries. Interrupting a sweep (a crash, a
-// kill, a power cut mid-write) loses at most the runs in flight; on the
-// next invocation finished specs replay from the store (their results
-// were verified before journaling) and only unfinished work simulates.
-// Because replay restores the exact Result fields and error strings the
-// original run produced, a sweep that replays renders byte-identical
-// tables and manifests.
+// same invocation already ran replays instead of simulating again. An
+// entry is the run's manifest record (sweepRecord: machine-total
+// counters, without the experiment tag and wall time, which the collector
+// adds), so replay hands the experiments exactly what a simulation does
+// and a sweep that replays renders byte-identical tables and manifests.
+// With a directory behind it (cmd/experiments -resume) every entry is
+// also a file of an internal/store there: the same checksummed,
+// atomically written and fsynced entries warpsimd keeps. The journal
+// files a record under its content key plus journalSuffix and warpsimd
+// files its per-SM manifest under the bare key, so one directory can
+// serve both tools and neither shadows the other's entries. Interrupting
+// a sweep (a crash, a kill, a power cut mid-write) loses at most the runs
+// in flight; on the next invocation finished specs replay from the store
+// (their results were verified before journaling) and only unfinished
+// work simulates.
 package exp
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"sync"
 
-	"warpsched/internal/sim"
+	"warpsched/internal/metrics"
 	"warpsched/internal/store"
 )
 
 // journalSuffix ends the store key of every journal entry, keeping it
-// apart from the manifest warpsimd files under the bare content key.
-const journalSuffix = ".run"
-
-// journalEntry is one finished run: its error string (empty on success —
-// replay restores it verbatim so manifests compare equal) and what a
-// table can consume of the result. Its JSON is the payload stored under
-// the run's content key plus journalSuffix.
-type journalEntry struct {
-	Err string      `json:"err,omitempty"`
-	Res *sim.Result `json:"res,omitempty"`
-}
+// apart from the manifest warpsimd files under the bare content key. An
+// entry of the format before records (a JSON sim.Result under ".run")
+// would decode into a record with every field zero, so the suffix changed
+// with the payload: such entries are never looked up, and their runs
+// simulate once more.
+const journalSuffix = ".rec"
 
 // Journal is a crash-tolerant store of finished runs. One Journal serves
 // a whole parallel sweep; lookup and record are safe under Jobs > 1.
@@ -46,7 +42,7 @@ type Journal struct {
 	st *store.Store // nil for a journal with no directory behind it
 
 	mu      sync.Mutex
-	entries map[string]journalEntry // every run recorded or replayed by this invocation
+	entries map[string]metrics.RunRecord // every run recorded or replayed by this invocation
 	hits    int
 }
 
@@ -60,7 +56,7 @@ type Journal struct {
 // (another sim.Version, an edited program) is never looked up, so its
 // run simulates again.
 func OpenJournal(path string) (*Journal, error) {
-	j := &Journal{entries: make(map[string]journalEntry)}
+	j := &Journal{entries: make(map[string]metrics.RunRecord)}
 	if path == "" {
 		return j, nil
 	}
@@ -110,70 +106,45 @@ func (j *Journal) Dropped() int {
 	return int(j.st.Stats().Quarantined)
 }
 
-// lookup replays a finished run: from this invocation's memory, else
-// from the store. The restored error is a plain string — typed detail
-// (hang reports, panic stacks) lives only in the original invocation —
-// but its message is verbatim, so records and tables built from a replay
-// match the original byte for byte.
-func (j *Journal) lookup(key string) (Outcome, bool) {
+// lookup replays a finished run's record: from this invocation's memory,
+// else from the store.
+func (j *Journal) lookup(key string) (metrics.RunRecord, bool) {
 	j.mu.Lock()
-	e, ok := j.entries[key]
+	rec, ok := j.entries[key]
 	j.mu.Unlock()
 	if !ok && j.st != nil {
-		e, ok = j.load(key)
+		rec, ok = j.load(key)
 	}
 	if !ok {
-		return Outcome{}, false
+		return metrics.RunRecord{}, false
 	}
 	j.mu.Lock()
-	j.entries[key] = e
+	j.entries[key] = rec
 	j.hits++
 	j.mu.Unlock()
-	var o Outcome
-	if e.Res != nil {
-		res := *e.Res
-		o.Res = &res
-	}
-	if e.Err != "" {
-		o.Err = errors.New(e.Err)
-	}
-	return o, true
+	return rec, true
 }
 
-// load reads one entry from the store, which has already verified the
+// load reads one record from the store, which has already verified the
 // bytes against their checksum and the key in their header. A payload
 // that does not decode is a miss.
-func (j *Journal) load(key string) (journalEntry, bool) {
-	var e journalEntry
+func (j *Journal) load(key string) (metrics.RunRecord, bool) {
+	var rec metrics.RunRecord
 	data, ok := j.st.Get(key + journalSuffix)
-	if !ok || json.Unmarshal(data, &e) != nil {
-		return journalEntry{}, false
+	if !ok || json.Unmarshal(data, &rec) != nil {
+		return metrics.RunRecord{}, false
 	}
-	return e, true
+	return rec, true
 }
 
-// record journals one finished run (success or deterministic failure):
-// durably first when there is a directory, then in memory. What is kept
-// of the result is a shallow copy without the memory image and the PC
-// profile — kernel output is verified before an entry is written, so
-// replay never needs them — and without the clock's activity counters,
-// which no table reads and which alone depend on -no-ff. So an entry's
-// bytes are a function of its key; that includes ConfirmedSIBs, which
-// the engine sorts by PC rather than leaving in the SIB-PT map's
-// iteration order.
-func (j *Journal) record(key string, o Outcome) error {
-	var e journalEntry
-	if o.Res != nil {
-		res := *o.Res
-		res.Memory, res.PCProfile = nil, nil
-		res.FFJumps, res.FFSkippedCycles, res.FFSkippedSMTicks = 0, 0, 0
-		e.Res = &res
-	}
-	if o.Err != nil {
-		e.Err = o.Err.Error()
-	}
+// record journals one finished run's record (success or deterministic
+// failure): durably first when there is a directory, then in memory. The
+// record's bytes are a function of its key: it holds no wall time, no
+// build stamp and nothing of the clock's activity counters, which alone
+// depend on -no-ff.
+func (j *Journal) record(key string, rec metrics.RunRecord) error {
 	if j.st != nil {
-		data, err := json.Marshal(e)
+		data, err := json.Marshal(rec)
 		if err == nil {
 			err = j.st.Put(key+journalSuffix, data)
 		}
@@ -183,6 +154,6 @@ func (j *Journal) record(key string, o Outcome) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.entries[key] = e
+	j.entries[key] = rec
 	return nil
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -49,22 +48,24 @@ func TestRunnerResumeByteIdentical(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	specs := []Spec{testSpec(16), testSpec(32), testSpec(64), testSpec(128)}
 
-	sweep := func(j *Journal) ([]metrics.RunRecord, []Outcome) {
+	sweep := func(j *Journal) ([]metrics.RunRecord, []metrics.RunRecord) {
 		col := NewCollector("test", nil)
 		c := Cfg{Jobs: 2, Collect: col, Journal: j}
-		outs := c.runAll(specs)
-		if err := firstErr(outs); err != nil {
-			t.Fatal(err)
+		recs := c.runAll(specs)
+		for _, r := range recs {
+			if r.Err != "" {
+				t.Fatal(r.Err)
+			}
 		}
 		runs := append([]metrics.RunRecord(nil), col.Manifest().Runs...)
 		for i := range runs {
 			runs[i].WallMS = 0 // the one legitimately nondeterministic field
 		}
-		return runs, outs
+		return runs, recs
 	}
 
 	j1 := openTestJournal(t, path)
-	full, outs1 := sweep(j1)
+	full, recs1 := sweep(j1)
 	if j1.Len() != len(specs) || j1.Hits() != 0 {
 		t.Fatalf("first pass journaled %d entries with %d hits, want %d/0", j1.Len(), j1.Hits(), len(specs))
 	}
@@ -99,7 +100,7 @@ func TestRunnerResumeByteIdentical(t *testing.T) {
 	if q := j2.Dropped(); q != 2 {
 		t.Errorf("damaged journal dropped %d files, want 2", q)
 	}
-	resumed, outs2 := sweep(j2)
+	resumed, recs2 := sweep(j2)
 	if j2.Hits() != 3 {
 		t.Errorf("resume replayed %d runs, want 3", j2.Hits())
 	}
@@ -109,10 +110,8 @@ func TestRunnerResumeByteIdentical(t *testing.T) {
 	if !reflect.DeepEqual(full, resumed) {
 		t.Errorf("resumed manifest differs from uninterrupted run:\n%+v\nvs\n%+v", full, resumed)
 	}
-	for i := range outs1 {
-		if !reflect.DeepEqual(outs1[i].Res.Stats, outs2[i].Res.Stats) {
-			t.Errorf("spec %d: resumed stats differ", i)
-		}
+	if !reflect.DeepEqual(recs1, recs2) {
+		t.Errorf("resumed records differ from the simulated ones:\n%+v\nvs\n%+v", recs1, recs2)
 	}
 }
 
@@ -177,65 +176,64 @@ func TestRunnerResumeRendersIdenticalTable(t *testing.T) {
 	}
 }
 
-// TestRunnerResumeReadsOlderEntries: entries written before sim.Result
-// lost its per-SM copies still carry PerSM, PerSMDetection and
-// MaxSIBPTEntries. Such a directory replays every run — the fields are
-// ignored, not a decode failure that would quarantine or re-simulate —
-// and the table it renders is byte-identical.
-func TestRunnerResumeReadsOlderEntries(t *testing.T) {
+// TestRunnerResumeRetiresOlderEntries: a directory written before the
+// journal stored records holds {"err","res"} payloads (a JSON sim.Result)
+// under ContentKey plus ".run". Such a payload decodes into a record with
+// every field zero, so replaying one would fail the sweep "without
+// counters". Instead none is looked up: every run simulates once, the
+// table is byte-identical, and the next invocation replays them all.
+func TestRunnerResumeRetiresOlderEntries(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
+	c := Cfg{Quick: true, Jobs: 2}
 	render := func(j *Journal) string {
-		r, err := Fig3(Cfg{Quick: true, Jobs: 2, Journal: j})
+		c := c
+		c.Journal = j
+		r, err := Fig3(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r.String()
 	}
-	fresh := render(openTestJournal(t, path))
+	fresh := render(nil)
 
 	st, _, err := store.Open(path, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := journalFiles(t, path)
-	older := make(map[string][]byte)
-	for _, f := range files {
-		key := filepath.Base(f)
-		data, _ := st.Get(key)
-		var e struct {
-			Err string         `json:"err,omitempty"`
-			Res map[string]any `json:"res"`
+	_, specs := fig3Specs(c)
+	for i, o := range c.Execute(specs) {
+		if o.Err != nil {
+			t.Fatal(o.Err)
 		}
-		if err := json.Unmarshal(data, &e); err != nil {
+		res := *o.Res
+		res.Memory, res.PCProfile = nil, nil
+		data, err := json.Marshal(struct {
+			Err string      `json:"err,omitempty"`
+			Res *sim.Result `json:"res,omitempty"`
+		}{Res: &res})
+		if err != nil {
 			t.Fatal(err)
 		}
-		e.Res["PerSM"] = []any{e.Res["Stats"], e.Res["Stats"]}
-		e.Res["PerSMDetection"] = []any{e.Res["Detection"], e.Res["Detection"]}
-		e.Res["MaxSIBPTEntries"] = 3
-		if older[key], err = json.Marshal(e); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Put on a key the store holds only refreshes it, so the older
-	// entries go in through a store opened on the emptied directory.
-	if st, _, err = store.Open(path, store.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	for key, data := range older {
-		if err := st.Put(key, data); err != nil {
+		if err := st.Put(ContentKey(specs[i])+".run", data); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	j := openTestJournal(t, path)
-	if replayed := render(j); replayed != fresh {
-		t.Errorf("table replayed from older entries differs:\n--- fresh ---\n%s--- replayed ---\n%s", fresh, replayed)
+	if got := render(j); got != fresh {
+		t.Errorf("table over older entries differs:\n--- fresh ---\n%s--- got ---\n%s", fresh, got)
 	}
-	if q := j.Dropped(); j.Hits() != len(files) || q != 0 {
-		t.Errorf("%d of %d older entries replayed, %d quarantined; want all and 0", j.Hits(), len(files), q)
+	if simulated := j.Len() - len(specs); j.Hits() != 0 || simulated != len(specs) || j.Dropped() != 0 {
+		t.Errorf("over %d older entries: %d replayed, %d simulated, %d dropped; want 0, %d, 0",
+			len(specs), j.Hits(), simulated, j.Dropped(), len(specs))
+	}
+	again := openTestJournal(t, path)
+	if got := render(again); got != fresh {
+		t.Errorf("replayed table differs:\n--- fresh ---\n%s--- got ---\n%s", fresh, got)
+	}
+	if again.Hits() != len(specs) || again.Len() != 2*len(specs) {
+		t.Errorf("second invocation: %d of %d runs replayed, journal holds %d; want all and %d",
+			again.Hits(), len(specs), again.Len(), 2*len(specs))
 	}
 }
 
@@ -251,8 +249,8 @@ func TestRunnerResumeReplaysFailures(t *testing.T) {
 	sp.Kernel = k
 
 	j1 := openTestJournal(t, path)
-	o1 := Cfg{Journal: j1}.runOne(&sp, 0, 1, nil)
-	if o1.Err == nil {
+	r1 := Cfg{Journal: j1}.runOne(&sp, 0, 1, nil)
+	if r1.Err == "" {
 		t.Fatal("sabotaged spec succeeded")
 	}
 	j1.Close()
@@ -262,12 +260,12 @@ func TestRunnerResumeReplaysFailures(t *testing.T) {
 
 	j2 := openTestJournal(t, path)
 	defer j2.Close()
-	o2 := Cfg{Journal: j2}.runOne(&sp, 0, 1, nil)
+	r2 := Cfg{Journal: j2}.runOne(&sp, 0, 1, nil)
 	if runs != 1 {
 		t.Errorf("resume re-executed a journaled failure (%d executions)", runs)
 	}
-	if o2.Err == nil || o2.Err.Error() != o1.Err.Error() {
-		t.Errorf("replayed error differs:\n%v\nvs\n%v", o2.Err, o1.Err)
+	if r2.Err != r1.Err {
+		t.Errorf("replayed error differs:\n%v\nvs\n%v", r2.Err, r1.Err)
 	}
 }
 
@@ -308,7 +306,7 @@ func TestJournalSharesDirectoryWithWarpsimd(t *testing.T) {
 
 	j1 := openTestJournal(t, path)
 	first := Cfg{Journal: j1}.runOne(&sp, 0, 1, nil)
-	if first.Err != nil || first.Res.Stats.Cycles <= 1 || j1.Hits() != 0 {
+	if first.Err != "" || first.Cycles <= 1 || j1.Hits() != 0 {
 		t.Fatalf("outcome %+v with %d hits: want a simulation, not a replay of the manifest", first, j1.Hits())
 	}
 	if err := j1.Close(); err != nil {
@@ -318,9 +316,9 @@ func TestJournalSharesDirectoryWithWarpsimd(t *testing.T) {
 	j2 := openTestJournal(t, path)
 	defer j2.Close()
 	again := Cfg{Journal: j2}.runOne(&sp, 0, 1, nil)
-	if j2.Hits() != 1 || j2.Dropped() != 0 || again.Err != nil || again.Res.Stats.Cycles != first.Res.Stats.Cycles {
-		t.Errorf("after a reopen: %d hits, %d dropped, outcome %+v; want the run replayed with %d cycles",
-			j2.Hits(), j2.Dropped(), again, first.Res.Stats.Cycles)
+	if j2.Hits() != 1 || j2.Dropped() != 0 || again.Err != "" || again.Cycles != first.Cycles {
+		t.Errorf("after a reopen: %d hits, %d dropped, record %+v; want the run replayed with %d cycles",
+			j2.Hits(), j2.Dropped(), again, first.Cycles)
 	}
 	if st, _, err = store.Open(path, store.Options{}); err != nil {
 		t.Fatal(err)
@@ -339,18 +337,18 @@ func TestJournalPutErrorIsRunError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &Journal{st: st, entries: make(map[string]journalEntry)}
+	j := &Journal{st: st, entries: make(map[string]metrics.RunRecord)}
 	sp := testSpec(16)
-	o := Cfg{Journal: j}.runOne(&sp, 0, 1, nil)
-	if !errors.Is(o.Err, syscall.ENOSPC) || o.Res == nil {
-		t.Fatalf("run on a full disk: err %v, result %v; want ENOSPC beside the result", o.Err, o.Res)
+	rec := Cfg{Journal: j}.runOne(&sp, 0, 1, nil)
+	if !strings.HasSuffix(rec.Err, syscall.ENOSPC.Error()) || rec.Cycles == 0 {
+		t.Fatalf("run on a full disk: err %q, %d cycles; want ENOSPC beside the result", rec.Err, rec.Cycles)
 	}
 	if _, ok := j.lookup(ContentKey(sp)); ok || j.Len() != 0 {
 		t.Errorf("an entry that never reached the disk replays (journal holds %d)", j.Len())
 	}
 	fs.SetEnabled(false)
-	if o := (Cfg{Journal: j}).runOne(&sp, 0, 1, nil); o.Err != nil || j.Len() != 1 || j.Hits() != 0 {
-		t.Errorf("with space again: err %v, %d entries, %d hits; want a journaled simulation", o.Err, j.Len(), j.Hits())
+	if rec := (Cfg{Journal: j}).runOne(&sp, 0, 1, nil); rec.Err != "" || j.Len() != 1 || j.Hits() != 0 {
+		t.Errorf("with space again: err %q, %d entries, %d hits; want a journaled simulation", rec.Err, j.Len(), j.Hits())
 	}
 }
 
@@ -391,7 +389,7 @@ func TestJournalKeyedByContent(t *testing.T) {
 
 	j1 := openTestJournal(t, path)
 	first := Cfg{Journal: j1}.runOne(&orig, 0, 1, nil)
-	if first.Err != nil {
+	if first.Err != "" {
 		t.Fatal(first.Err)
 	}
 	if err := j1.Close(); err != nil {
@@ -412,18 +410,18 @@ func TestJournalKeyedByContent(t *testing.T) {
 		t.Fatalf("journal loaded %d entries, want 2 (the run and the one under another key)", j2.Len())
 	}
 	again := Cfg{Journal: j2}.runOne(&orig, 0, 1, nil)
-	if j2.Hits() != 1 || again.Res.Stats.Cycles != first.Res.Stats.Cycles {
+	if j2.Hits() != 1 || again.Cycles != first.Cycles {
 		t.Errorf("unchanged program: %d hits, %d cycles, want 1 hit and %d cycles",
-			j2.Hits(), again.Res.Stats.Cycles, first.Res.Stats.Cycles)
+			j2.Hits(), again.Cycles, first.Cycles)
 	}
 	fresh := Cfg{Journal: j2}.runOne(&edited, 0, 1, nil)
-	if fresh.Err != nil {
+	if fresh.Err != "" {
 		t.Fatal(fresh.Err)
 	}
 	if j2.Hits() != 1 || j2.Len() != 3 {
 		t.Errorf("edited program: %d hits and %d entries, want 1 and 3 (a miss, journaled under its own key)", j2.Hits(), j2.Len())
 	}
-	if c := fresh.Res.Stats.Cycles; c == first.Res.Stats.Cycles || c == 1 {
+	if c := fresh.Cycles; c == first.Cycles || c == 1 {
 		t.Errorf("edited program reports %d cycles: replayed, not simulated", c)
 	}
 }
@@ -438,17 +436,20 @@ func TestRunnerFilelessJournal(t *testing.T) {
 	}
 	c := Cfg{Jobs: 2, Journal: j}
 	specs := []Spec{testSpec(16), testSpec(32), testSpec(64), testSpec(128)}
-	first := c.runAll(specs[:3])
-	if err := firstErr(first); err != nil {
+	first, err := c.runs(specs[:3], false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	all := c.runAll(specs)
+	all, err := c.runs(specs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if j.Hits() != 3 || j.Len() != 4 {
 		t.Errorf("%d hits and %d entries, want 3 and 4", j.Hits(), j.Len())
 	}
 	for i := range first {
-		if !reflect.DeepEqual(first[i].Res.Stats, all[i].Res.Stats) {
-			t.Errorf("spec %d: replayed stats differ", i)
+		if !reflect.DeepEqual(first[i], all[i]) {
+			t.Errorf("spec %d: replayed run differs", i)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"warpsched/internal/config"
 	"warpsched/internal/kernels"
+	"warpsched/internal/metrics"
 	"warpsched/internal/sim"
 )
 
@@ -64,45 +65,34 @@ func (s Spec) Normalized() Spec {
 }
 
 // Outcome pairs a spec's result with its error. On a watchdog abort Res
-// holds the partial state (see Cfg.run).
+// holds the partial state (see Cfg.run). Only Execute hands outcomes
+// back; a sweep keeps each run's record instead (runAll).
 type Outcome struct {
 	Res *sim.Result
 	Err error
 }
 
-// firstErr returns the first error in submission order, or nil. Using
-// submission order keeps the reported error independent of worker timing.
-func firstErr(outs []Outcome) error {
-	for _, o := range outs {
-		if o.Err != nil {
-			return o.Err
-		}
-	}
-	return nil
-}
-
-// runAll executes the specs on a bounded worker pool and returns results
-// in submission order. Each sim.Engine is self-contained (own memory
-// system, own SM state) and every kernel's Setup/Verify closures only
-// read their captured inputs, so runs are independent: parallelism is
-// across engines, never within one, and each run's cycle-level
-// determinism is untouched. Results — and therefore every table rendered
-// from them — are byte-identical for any worker count. With one worker,
-// runs execute one at a time in submission order.
+// pool calls do(i) for every index 0..n-1 on a bounded worker pool. Each
+// sim.Engine is self-contained (own memory system, own SM state) and
+// every kernel's Setup/Verify closures only read their captured inputs,
+// so runs are independent: parallelism is across engines, never within
+// one, and each run's cycle-level determinism is untouched. Callers store
+// results by index, so they — and every table rendered from them — are
+// byte-identical for any worker count. With one worker, runs execute one
+// at a time in submission order.
 //
 // Progress lines are funneled through a single channel drained by one
 // goroutine, so Cfg.Progress is never called concurrently. Completion
 // lines arrive in completion order (that much is timing-dependent);
 // per-run detail lines that experiments emit while collecting results
 // stay in submission order.
-func (c Cfg) runAll(specs []Spec) []Outcome {
-	out := make([]Outcome, len(specs))
+func (c Cfg) pool(n int, do func(i int, progress chan<- string)) {
 	jobs := c.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if jobs > len(specs) {
-		jobs = len(specs)
+	if jobs > n {
+		jobs = n
 	}
 
 	var progress chan string
@@ -124,11 +114,11 @@ func (c Cfg) runAll(specs []Spec) []Outcome {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i] = c.runOne(&specs[i], i, len(specs), progress)
+				do(i, progress)
 			}
 		}()
 	}
-	for i := range specs {
+	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)
@@ -137,17 +127,30 @@ func (c Cfg) runAll(specs []Spec) []Outcome {
 		close(progress)
 		<-drained
 	}
+}
+
+// runAll executes a sweep's specs on the worker pool and returns each
+// run's machine-total record (sweepRecord) in submission order: the only
+// thing a sweep keeps of a finished run.
+func (c Cfg) runAll(specs []Spec) []metrics.RunRecord {
+	out := make([]metrics.RunRecord, len(specs))
+	c.pool(len(specs), func(i int, progress chan<- string) {
+		out[i] = c.runOne(&specs[i], i, len(specs), progress)
+	})
 	return out
 }
 
 // Execute runs externally submitted specs (internal/server's daemon jobs)
-// on the same bounded worker pool (Cfg.Jobs) and returns outcomes in
-// submission order. Panics are recovered into *PanicError records,
-// identically to experiment sweeps. Cfg.Collect and Cfg.Journal are not
-// consulted — callers that cache or persist results own that layer.
+// on the same bounded worker pool (Cfg.Jobs) and returns their outcomes,
+// live results included, in submission order. Panics are recovered into
+// *PanicError records, identically to experiment sweeps. Cfg.Progress,
+// Cfg.Collect and Cfg.Journal are not consulted and no record is built —
+// callers that report, cache or persist results own that layer.
 func (c Cfg) Execute(specs []Spec) []Outcome {
-	c.Collect, c.Journal = nil, nil
-	return c.runAll(specs)
+	out := make([]Outcome, len(specs))
+	c.Progress = nil
+	c.pool(len(specs), func(i int, _ chan<- string) { out[i] = c.guardedRun(&specs[i]) })
+	return out
 }
 
 // PanicError records a simulation that panicked: the spec it was running,
@@ -186,55 +189,61 @@ func (c Cfg) guardedRun(sp *Spec) (o Outcome) {
 	return Outcome{Res: res, Err: err}
 }
 
-// runOne gets a spec's outcome one of two ways — replayed from the
-// journal, else simulated on the local engine and journaled for the next
-// spec (or invocation) that asks — and reports its completion.
-func (c Cfg) runOne(sp *Spec, i, n int, progress chan<- string) Outcome {
+// runOne gets a spec's record one of two ways — replayed from the
+// journal, else simulated on the local engine, converted once
+// (sweepRecord) and journaled for the next spec (or invocation) that
+// asks — and reports its completion.
+func (c Cfg) runOne(sp *Spec, i, n int, progress chan<- string) metrics.RunRecord {
 	var key string
 	if c.Journal != nil {
 		key = ContentKey(*sp)
-		if o, ok := c.Journal.lookup(key); ok {
-			c.collect(sp, &o, 0)
-			c.report(sp, o, i, n, " (from journal)", progress)
-			return o
+		if rec, ok := c.Journal.lookup(key); ok {
+			c.collect(&rec, 0)
+			c.report(sp, i, n, &rec, nil, " (from journal)", progress)
+			return rec
 		}
 	}
 	start := time.Now()
 	o := c.guardedRun(sp)
+	rec := sweepRecord(sp, o)
 	if c.Journal != nil {
-		if jerr := c.Journal.record(key, o); jerr != nil && o.Err == nil {
-			// A run whose result cannot be journaled must not be reported
+		if jerr := c.Journal.record(key, rec); jerr != nil && rec.Err == "" {
+			// A run whose record cannot be journaled must not be reported
 			// as resumable work; surface the write failure.
-			o.Err = jerr
+			rec.Err = jerr.Error()
 		}
 	}
-	c.collect(sp, &o, float64(time.Since(start).Microseconds())/1e3)
-	c.report(sp, o, i, n, "", progress)
-	return o
+	c.collect(&rec, float64(time.Since(start).Microseconds())/1e3)
+	c.report(sp, i, n, &rec, o.Err, "", progress)
+	return rec
 }
 
-// collect adds the run to the manifest collector, if any.
-func (c Cfg) collect(sp *Spec, o *Outcome, wallMS float64) {
+// collect adds the run's record, tagged with the submitting experiment
+// and its wall time, to the manifest collector, if any. A collection
+// failure means two specs hashed to one manifest key with different
+// counters — a determinism violation worth failing the sweep over, so it
+// becomes the run's error, but never one that masks a simulation error.
+func (c Cfg) collect(rec *metrics.RunRecord, wallMS float64) {
 	if c.Collect == nil {
 		return
 	}
-	rec := sweepRecord(c.Exp, sp, *o, wallMS)
-	// A collection failure means two specs hashed to one manifest key
-	// with different counters — a determinism violation worth failing
-	// the sweep over, but never one that masks a simulation error.
-	if cerr := c.Collect.add(rec); cerr != nil && o.Err == nil {
-		o.Err = cerr
+	r := *rec
+	r.Exp, r.WallMS = c.Exp, wallMS
+	if err := c.Collect.add(r); err != nil && rec.Err == "" {
+		rec.Err = err.Error()
 	}
 }
 
-// report sends the run's one-line completion to runAll's progress
-// funnel, which is nil when Cfg.Progress is.
-func (c Cfg) report(sp *Spec, o Outcome, i, n int, suffix string, progress chan<- string) {
+// report sends the run's one-line completion to the pool's progress
+// funnel, which is nil when Cfg.Progress is. err is the simulation's own
+// error, nil for a replayed run: only it carries a hang diagnosis or a
+// panic value as a type.
+func (c Cfg) report(sp *Spec, i, n int, rec *metrics.RunRecord, err error, suffix string, progress chan<- string) {
 	if progress == nil {
 		return
 	}
 	progress <- fmt.Sprintf("[%d/%d] %s %s%s on %s: %s%s", i+1, n,
-		sp.Kernel.Name, sp.Sched, bowsTag(sp.BOWS), sp.GPU.Name, outcome(o), suffix)
+		sp.Kernel.Name, sp.Sched, bowsTag(sp.BOWS), sp.GPU.Name, outcome(rec, err), suffix)
 }
 
 func bowsTag(b config.BOWS) string {
@@ -244,21 +253,21 @@ func bowsTag(b config.BOWS) string {
 	return "+BOWS"
 }
 
-func outcome(o Outcome) string {
+func outcome(rec *metrics.RunRecord, err error) string {
 	var he *sim.HangError
 	var pe *PanicError
 	switch {
-	case errors.As(o.Err, &he):
+	case errors.As(err, &he):
 		// Hang diagnosis: classification plus the top stuck warps.
 		return he.Summary()
-	case errors.As(o.Err, &pe):
+	case errors.As(err, &pe):
 		return pe.Brief()
-	case o.Err != nil && o.Res != nil:
-		return fmt.Sprintf("watchdog at %d cycles", o.Res.Stats.Cycles)
-	case o.Err != nil:
+	case rec.Err != "" && rec.Cycles > 0:
+		return fmt.Sprintf("watchdog at %d cycles", rec.Cycles)
+	case rec.Err != "":
 		// First line only: journal-replayed panic records carry stacks.
-		return strings.SplitN(o.Err.Error(), "\n", 2)[0]
+		return strings.SplitN(rec.Err, "\n", 2)[0]
 	default:
-		return fmt.Sprintf("%d cycles", o.Res.Stats.Cycles)
+		return fmt.Sprintf("%d cycles", rec.Cycles)
 	}
 }

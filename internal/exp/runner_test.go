@@ -78,14 +78,14 @@ func TestRunnerSubmissionOrder(t *testing.T) {
 		want[i] = res.Stats.Cycles
 	}
 	for _, jobs := range []int{1, 2, 8} {
-		outs := Cfg{Jobs: jobs}.runAll(specs)
-		if err := firstErr(outs); err != nil {
+		runs, err := Cfg{Jobs: jobs}.runs(specs, false)
+		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
-		for i := range outs {
-			if outs[i].Res.Stats.Cycles != want[i] {
+		for i := range runs {
+			if runs[i].Cycles != want[i] {
 				t.Errorf("jobs=%d: out[%d] = %d cycles, want %d (order scrambled?)",
-					jobs, i, outs[i].Res.Stats.Cycles, want[i])
+					jobs, i, runs[i].Cycles, want[i])
 			}
 		}
 	}
@@ -102,8 +102,7 @@ func TestRunnerProgressSerialized(t *testing.T) {
 	}
 	var lines []string
 	c := Cfg{Jobs: 4, Progress: func(s string) { lines = append(lines, s) }}
-	outs := c.runAll(specs)
-	if err := firstErr(outs); err != nil {
+	if _, err := c.runs(specs, false); err != nil {
 		t.Fatal(err)
 	}
 	if len(lines) != len(specs) {
@@ -126,7 +125,7 @@ func TestRunnerCollectorJobsInvariant(t *testing.T) {
 	collect := func(jobs int) []metrics.RunRecord {
 		col := NewCollector("test", map[string]any{"jobs": "varies"})
 		c := Cfg{Jobs: jobs, Collect: col}
-		if err := firstErr(c.runAll(specs)); err != nil {
+		if _, err := c.runs(specs, false); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		m := col.Manifest()
@@ -155,14 +154,15 @@ func TestRunnerFirstErr(t *testing.T) {
 	})
 	bad.Launch.GridCTAs = 0
 	specs[1].Kernel = bad
-	outs := Cfg{Jobs: 3}.runAll(specs)
-	if err := firstErr(outs); err == nil {
+	c := Cfg{Jobs: 3}
+	if _, err := c.runs(specs, false); err == nil {
 		t.Fatal("expected an error from the sabotaged spec")
 	}
-	if outs[0].Err != nil || outs[2].Err != nil {
-		t.Errorf("healthy specs errored: %v / %v", outs[0].Err, outs[2].Err)
+	recs := c.runAll(specs)
+	if recs[0].Err != "" || recs[2].Err != "" {
+		t.Errorf("healthy specs errored: %v / %v", recs[0].Err, recs[2].Err)
 	}
-	if outs[1].Err == nil {
+	if recs[1].Err == "" {
 		t.Error("sabotaged spec did not error")
 	}
 }

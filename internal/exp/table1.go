@@ -195,7 +195,7 @@ func Table1Columns() []Column {
 func (c Cfg) detectionSweep(cols []Column) ([][]Run, error) {
 	c.Quick = true
 	suite := append(c.syncSuite(), c.syncFreeSuite()...)
-	_, runs, _, err := c.sweep(c.fermi(), suite, cols, false)
+	_, runs, err := c.sweep(c.fermi(), suite, cols, false)
 	return runs, err
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"warpsched/internal/config"
@@ -361,8 +362,20 @@ func runDiffCase(t *testing.T, c diffCase, seed uint64) (cov diffCoverage) {
 // atomics cheaper and dearer than a cycle's refill, one contended line to
 // two hundred, with and without injected NACK storms, on the per-cycle
 // clock and on the event-driven one.
+//
+// The cases run in parallel; the coverage floor is checked in a cleanup,
+// which runs after every parallel subtest has finished.
 func TestL2QueueDifferential(t *testing.T) {
-	var total diffCoverage
+	var (
+		mu    sync.Mutex
+		total diffCoverage
+	)
+	t.Cleanup(func() {
+		t.Logf("%d clock jumps, %d compactions, longest queue %d", total.jumps, total.compactions, total.maxQueue)
+		if total.jumps == 0 || total.compactions == 0 || total.maxQueue <= 64 {
+			t.Error("the matrix no longer reaches FastForward, compact or a queue past its first 64 slots")
+		}
+	})
 	seed := uint64(0)
 	for _, sms := range []int{1, 3, 15} {
 		for _, banks := range []int{1, 6, 11} {
@@ -372,9 +385,12 @@ func TestL2QueueDifferential(t *testing.T) {
 						for _, faults := range []bool{false, true} {
 							for _, ff := range []bool{false, true} {
 								seed++
-								c := diffCase{sms, banks, cost, lat, lines, faults, ff}
+								c, seed := diffCase{sms, banks, cost, lat, lines, faults, ff}, seed
 								t.Run(c.String(), func(t *testing.T) {
+									t.Parallel()
 									cov := runDiffCase(t, c, seed)
+									mu.Lock()
+									defer mu.Unlock()
 									total.jumps += cov.jumps
 									total.compactions += cov.compactions
 									total.maxQueue = max(total.maxQueue, cov.maxQueue)
@@ -385,10 +401,6 @@ func TestL2QueueDifferential(t *testing.T) {
 				}
 			}
 		}
-	}
-	t.Logf("%d clock jumps, %d compactions, longest queue %d", total.jumps, total.compactions, total.maxQueue)
-	if total.jumps == 0 || total.compactions == 0 || total.maxQueue <= 64 {
-		t.Error("the matrix no longer reaches FastForward, compact or a queue past its first 64 slots")
 	}
 }
 

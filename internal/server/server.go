@@ -615,17 +615,13 @@ func (s *Server) Stats() Stats {
 // future hit serves identical bytes — from memory or from the
 // persistent store, which keeps exactly these bytes as its payload.
 func buildResult(key string, spec exp.Spec, out exp.Outcome) *CachedResult {
-	rec := exp.Record(spec, out)
+	rec := exp.SMRecord(spec, out)
 	r := &CachedResult{Key: key, Err: rec.Err, Cycles: rec.Cycles}
 	m := metrics.NewManifest("warpsimd", map[string]any{
 		"kernel": rec.Kernel, "gpu": rec.GPU, "sched": rec.Sched,
 		"bows": rec.BOWS, "ddos": rec.DDOS, "max_cycles": spec.MaxCycles,
 		"sim_version": sim.Version, "cache_key": key,
 	})
-	if res := out.Res; res != nil && res.Metrics != nil {
-		rec.Counters = res.Metrics.Counters
-		rec.Derived = res.Metrics.Gauges
-	}
 	// Add cannot fail on a fresh manifest's first record; a marshal
 	// failure would be a programming error in the metrics layer.
 	if err := m.Add(rec); err != nil {

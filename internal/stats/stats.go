@@ -252,8 +252,8 @@ func Hmean(vs []float64) float64 {
 // and per-SM names (warpsimd's manifests, e.g. "sm0.exec.warp_instrs"),
 // folding the latter by summing across SMs. It is the inverse of the
 // engine's metric registration as seen through manifest aggregation, and
-// lets offline consumers (internal/report through exp.RunOfRecord)
-// reuse every derived-metric method — SIMDEfficiency, SyncInstrFraction,
+// lets every consumer of a record (each experiment and internal/report,
+// through exp.RunOfRecord) reuse every derived-metric method — SIMDEfficiency, SyncInstrFraction,
 // energy.Compute — without a live simulation. Names absent from the map
 // leave their field zero; the golden-manifest round-trip test in
 // internal/exp pins the coupling.

@@ -5,8 +5,8 @@
 // Put on a key the store already holds only refreshes its recency. That
 // holds in a directory several tools write because each keeps a key
 // space of its own: warpsimd files a manifest under the bare key, the
-// sweep journal (exp.Journal) a journal record under the key plus
-// ".run". The store needs no invalidation protocol, only durability and
+// sweep journal (exp.Journal) a run record under the key plus ".rec".
+// The store needs no invalidation protocol, only durability and
 // self-healing:
 //
 //   - every write is atomic and fsynced (temp file → fsync → rename →
