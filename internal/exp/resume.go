@@ -30,11 +30,15 @@ import (
 
 // journalSuffix ends the store key of every journal entry, keeping it
 // apart from the manifest warpsimd files under the bare content key. An
-// entry of the format before records (a JSON sim.Result under ".run")
-// would decode into a record with every field zero, so the suffix changed
-// with the payload: such entries are never looked up, and their runs
-// simulate once more.
-const journalSuffix = ".rec"
+// entry of the format before records (a JSON sim.Result under
+// retiredSuffix) would decode into a record with every field zero, so the
+// suffix changed with the payload: such entries are never looked up,
+// their runs simulate once more, and record deletes each one as it files
+// the record that replaces it.
+const (
+	journalSuffix = ".rec"
+	retiredSuffix = ".run"
+)
 
 // Journal is a crash-tolerant store of finished runs. One Journal serves
 // a whole parallel sweep; lookup and record are safe under Jobs > 1.
@@ -141,7 +145,8 @@ func (j *Journal) load(key string) (metrics.RunRecord, bool) {
 // failure): durably first when there is a directory, then in memory. The
 // record's bytes are a function of its key: it holds no wall time, no
 // build stamp and nothing of the clock's activity counters, which alone
-// depend on -no-ff.
+// depend on -no-ff. Once the record is durable, the run's retired-format
+// twin, if the directory holds one, is deleted.
 func (j *Journal) record(key string, rec metrics.RunRecord) error {
 	if j.st != nil {
 		data, err := json.Marshal(rec)
@@ -151,6 +156,9 @@ func (j *Journal) record(key string, rec metrics.RunRecord) error {
 		if err != nil {
 			return fmt.Errorf("exp: journaling %s: %w", key, err)
 		}
+		// The run is journaled either way; a retired file that fails to
+		// go is dead bytes that nothing looks up.
+		_ = j.st.Delete(key + retiredSuffix)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()

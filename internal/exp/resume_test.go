@@ -180,8 +180,10 @@ func TestRunnerResumeRendersIdenticalTable(t *testing.T) {
 // journal stored records holds {"err","res"} payloads (a JSON sim.Result)
 // under ContentKey plus ".run". Such a payload decodes into a record with
 // every field zero, so replaying one would fail the sweep "without
-// counters". Instead none is looked up: every run simulates once, the
-// table is byte-identical, and the next invocation replays them all.
+// counters". Instead none is looked up: every run simulates once, filing
+// its record deletes the ".run" entry (so the directory holds one entry
+// per run), the table is byte-identical, and the next invocation replays
+// them all.
 func TestRunnerResumeRetiresOlderEntries(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	c := Cfg{Quick: true, Jobs: 2}
@@ -214,7 +216,7 @@ func TestRunnerResumeRetiresOlderEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Put(ContentKey(specs[i])+".run", data); err != nil {
+		if err := st.Put(ContentKey(specs[i])+retiredSuffix, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,17 +225,22 @@ func TestRunnerResumeRetiresOlderEntries(t *testing.T) {
 	if got := render(j); got != fresh {
 		t.Errorf("table over older entries differs:\n--- fresh ---\n%s--- got ---\n%s", fresh, got)
 	}
-	if simulated := j.Len() - len(specs); j.Hits() != 0 || simulated != len(specs) || j.Dropped() != 0 {
-		t.Errorf("over %d older entries: %d replayed, %d simulated, %d dropped; want 0, %d, 0",
-			len(specs), j.Hits(), simulated, j.Dropped(), len(specs))
+	if j.Hits() != 0 || j.Len() != len(specs) || j.Dropped() != 0 {
+		t.Errorf("over %d older entries: %d replayed, journal holds %d, %d dropped; want 0, %d, 0",
+			len(specs), j.Hits(), j.Len(), j.Dropped(), len(specs))
+	}
+	// Filing a run's record deleted its retired twin, file and all.
+	retired, err := filepath.Glob(filepath.Join(path, "*", "*"+retiredSuffix))
+	if err != nil || len(retired) != 0 {
+		t.Errorf("after the resumed pass %d retired entries are left on disk (%v), want 0", len(retired), err)
 	}
 	again := openTestJournal(t, path)
 	if got := render(again); got != fresh {
 		t.Errorf("replayed table differs:\n--- fresh ---\n%s--- got ---\n%s", fresh, got)
 	}
-	if again.Hits() != len(specs) || again.Len() != 2*len(specs) {
+	if again.Hits() != len(specs) || again.Len() != len(specs) {
 		t.Errorf("second invocation: %d of %d runs replayed, journal holds %d; want all and %d",
-			again.Hits(), len(specs), again.Len(), 2*len(specs))
+			again.Hits(), len(specs), again.Len(), len(specs))
 	}
 }
 

@@ -74,8 +74,9 @@ type Outcome struct {
 
 // pool calls do(i) for every index 0..n-1 on a bounded worker pool. Each
 // sim.Engine is self-contained (own memory system, own SM state) and
-// every kernel's Setup/Verify closures only read their captured inputs,
-// so runs are independent: parallelism is across engines, never within
+// every kernel's Setup/Verify closures only read its inputs, which the
+// first of them synthesizes once under a sync.OnceValue, so runs are
+// independent: parallelism is across engines, never within
 // one, and each run's cycle-level determinism is untouched. Callers store
 // results by index, so they — and every table rendered from them — are
 // byte-identical for any worker count. With one worker, runs execute one

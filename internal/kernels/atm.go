@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"warpsched/internal/isa"
 	"warpsched/internal/sim"
@@ -99,40 +100,47 @@ func NewATM(txns, accounts, ctas, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	r := rng(7)
-	srcV := make([]uint32, txns)
-	dstV := make([]uint32, txns)
-	amtV := make([]uint32, txns)
-	for i := 0; i < txns; i++ {
-	retry:
-		s := r.Intn(accounts)
-		d := r.Intn(accounts - 1)
-		if d >= s {
-			d++ // distinct accounts: same-account transfers would self-livelock
-		}
-		// Reject anti-symmetric pairs within the same warp's 32-txn group:
-		// two lanes of one warp running (x→y, y→x) acquire their first
-		// locks in SIMT lockstep and retry-collide forever — the unordered
-		// try-lock of Figure 6a cannot terminate on such inputs on any
-		// SIMT machine, so valid inputs must exclude them.
-		for j := i - i%32; j < i; j++ {
-			if srcV[j] == uint32(d) && dstV[j] == uint32(s) {
-				goto retry
-			}
-		}
-		srcV[i] = uint32(s)
-		dstV[i] = uint32(d)
-		amtV[i] = uint32(1 + r.Intn(100))
-	}
 	const initBal = 1 << 20
-	expected := make([]int64, accounts)
-	for i := range expected {
-		expected[i] = initBal
+	type atmData struct {
+		src, dst, amt []uint32
+		expected      []int64 // final balance per account
 	}
-	for i := 0; i < txns; i++ {
-		expected[srcV[i]] -= int64(amtV[i])
-		expected[dstV[i]] += int64(amtV[i])
-	}
+	data := sync.OnceValue(func() atmData {
+		r := rng(7)
+		srcV := make([]uint32, txns)
+		dstV := make([]uint32, txns)
+		amtV := make([]uint32, txns)
+		for i := 0; i < txns; i++ {
+		retry:
+			s := r.Intn(accounts)
+			d := r.Intn(accounts - 1)
+			if d >= s {
+				d++ // distinct accounts: same-account transfers would self-livelock
+			}
+			// Reject anti-symmetric pairs within the same warp's 32-txn group:
+			// two lanes of one warp running (x→y, y→x) acquire their first
+			// locks in SIMT lockstep and retry-collide forever — the unordered
+			// try-lock of Figure 6a cannot terminate on such inputs on any
+			// SIMT machine, so valid inputs must exclude them.
+			for j := i - i%32; j < i; j++ {
+				if srcV[j] == uint32(d) && dstV[j] == uint32(s) {
+					goto retry
+				}
+			}
+			srcV[i] = uint32(s)
+			dstV[i] = uint32(d)
+			amtV[i] = uint32(1 + r.Intn(100))
+		}
+		expected := make([]int64, accounts)
+		for i := range expected {
+			expected[i] = initBal
+		}
+		for i := 0; i < txns; i++ {
+			expected[srcV[i]] -= int64(amtV[i])
+			expected[dstV[i]] += int64(amtV[i])
+		}
+		return atmData{srcV, dstV, amtV, expected}
+	})
 
 	return &Kernel{
 		Name:  "ATM",
@@ -145,15 +153,17 @@ func NewATM(txns, accounts, ctas, ctaThreads int) *Kernel {
 			Params:     []uint32{uint32(txns), src, dst, amt, locks, bal},
 			MemWords:   l.size(),
 			Setup: func(w []uint32) {
-				copy(w[src:], srcV)
-				copy(w[dst:], dstV)
-				copy(w[amt:], amtV)
+				d := data()
+				copy(w[src:], d.src)
+				copy(w[dst:], d.dst)
+				copy(w[amt:], d.amt)
 				for a := 0; a < accounts; a++ {
 					w[bal+uint32(a)] = initBal
 				}
 			},
 		},
 		Verify: func(w []uint32) error {
+			expected := data().expected
 			var total int64
 			for a := 0; a < accounts; a++ {
 				got := int64(int32(w[bal+uint32(a)]))
@@ -266,33 +276,38 @@ func NewClothDS(constraints, particles, ctas, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	r := rng(11)
-	iaV := make([]uint32, constraints)
-	ibV := make([]uint32, constraints)
-	posV := make([]uint32, particles)
-	var posSum int64
-	for i := 0; i < constraints; i++ {
-	retry:
-		a := r.Intn(particles)
-		c := r.Intn(particles - 1)
-		if c >= a {
-			c++
-		}
-		// As in ATM, anti-symmetric pairs within one warp's group would
-		// livelock under lockstep retry; real constraint sets are built
-		// without them.
-		for j := i - i%32; j < i; j++ {
-			if iaV[j] == uint32(c) && ibV[j] == uint32(a) {
-				goto retry
+	type dsData struct {
+		ia, ib, pos []uint32
+		posSum      int64
+	}
+	data := sync.OnceValue(func() (d dsData) {
+		r := rng(11)
+		d.ia = make([]uint32, constraints)
+		d.ib = make([]uint32, constraints)
+		for i := 0; i < constraints; i++ {
+		retry:
+			a := r.Intn(particles)
+			c := r.Intn(particles - 1)
+			if c >= a {
+				c++
 			}
+			// As in ATM, anti-symmetric pairs within one warp's group would
+			// livelock under lockstep retry; real constraint sets are built
+			// without them.
+			for j := i - i%32; j < i; j++ {
+				if d.ia[j] == uint32(c) && d.ib[j] == uint32(a) {
+					goto retry
+				}
+			}
+			d.ia[i] = uint32(a)
+			d.ib[i] = uint32(c)
 		}
-		iaV[i] = uint32(a)
-		ibV[i] = uint32(c)
-	}
-	for p := 0; p < particles; p++ {
-		posV[p] = uint32(r.Intn(1 << 16))
-		posSum += int64(posV[p])
-	}
+		d.pos = draws(r, particles, 0, 1<<16)
+		for _, p := range d.pos {
+			d.posSum += int64(p)
+		}
+		return d
+	})
 
 	return &Kernel{
 		Name:  "DS",
@@ -305,9 +320,10 @@ func NewClothDS(constraints, particles, ctas, ctaThreads int) *Kernel {
 			Params:     []uint32{uint32(constraints), ia, ib, locks, pos, done},
 			MemWords:   l.size(),
 			Setup: func(w []uint32) {
-				copy(w[ia:], iaV)
-				copy(w[ib:], ibV)
-				copy(w[pos:], posV)
+				d := data()
+				copy(w[ia:], d.ia)
+				copy(w[ib:], d.ib)
+				copy(w[pos:], d.pos)
 			},
 		},
 		Verify: func(w []uint32) error {
@@ -323,7 +339,7 @@ func NewClothDS(constraints, particles, ctas, ctaThreads int) *Kernel {
 					return fmt.Errorf("DS: lock %d still held", p)
 				}
 			}
-			if total != posSum {
+			if posSum := data().posSum; total != posSum {
 				return fmt.Errorf("DS: position sum %d, want %d (not conserved)", total, posSum)
 			}
 			return nil

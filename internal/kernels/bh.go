@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"warpsched/internal/isa"
 	"warpsched/internal/sim"
@@ -137,11 +138,7 @@ func NewBHTB(bodies, depth, ctas, ctaThreads int) *Kernel {
 		panic(fmt.Sprintf("TB: bodies (%d) must be ≥ thread count (%d)", bodies, ctas*ctaThreads))
 	}
 
-	r := rng(23)
-	keyV := make([]uint32, bodies)
-	for i := range keyV {
-		keyV[i] = uint32(r.Intn(1 << 30))
-	}
+	keyV := sync.OnceValue(func() []uint32 { return draws(rng(23), bodies, 0, 1<<30) })
 	leafOf := func(key uint32) uint32 {
 		node := uint32(1)
 		for lvl := 0; lvl < depth; lvl++ {
@@ -161,7 +158,7 @@ func NewBHTB(bodies, depth, ctas, ctaThreads int) *Kernel {
 			Params:     []uint32{uint32(bodies), uint32(depth), keys, nodes, child, next, cnt},
 			MemWords:   l.size(),
 			Setup: func(w []uint32) {
-				copy(w[keys:], keyV)
+				copy(w[keys:], keyV())
 				for c := 0; c < leaves; c++ {
 					w[child+uint32(c)] = empty
 				}
@@ -171,6 +168,7 @@ func NewBHTB(bodies, depth, ctas, ctaThreads int) *Kernel {
 			},
 		},
 		Verify: func(w []uint32) error {
+			keyV := keyV()
 			seen := make([]bool, bodies)
 			total := 0
 			for c := 0; c < leaves; c++ {
@@ -314,14 +312,17 @@ func NewBHST(m, ctas, ctaThreads int) *Kernel {
 	prog := b.MustBuild()
 
 	// Subtree sizes (leaf count under each node).
-	sizeV := make([]uint32, m)
-	for id := m - 1; id >= 0; id-- {
-		if id >= leafStart {
-			sizeV[id] = 1
-		} else {
-			sizeV[id] = sizeV[2*id+1] + sizeV[2*id+2]
+	sizeV := sync.OnceValue(func() []uint32 {
+		sizeV := make([]uint32, m)
+		for id := m - 1; id >= 0; id-- {
+			if id >= leafStart {
+				sizeV[id] = 1
+			} else {
+				sizeV[id] = sizeV[2*id+1] + sizeV[2*id+2]
+			}
 		}
-	}
+		return sizeV
+	})
 
 	return &Kernel{
 		Name:  "ST",
@@ -338,7 +339,7 @@ func NewBHST(m, ctas, ctaThreads int) *Kernel {
 					w[start+uint32(i)] = 0xFFFFFFFF // -1: not signalled
 				}
 				w[start] = 0 // root
-				copy(w[size:], sizeV)
+				copy(w[size:], sizeV())
 			},
 		},
 		Verify: func(w []uint32) error {

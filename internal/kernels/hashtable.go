@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"warpsched/internal/isa"
 	"warpsched/internal/sim"
@@ -134,20 +135,17 @@ func NewHashTable(c HashTableConfig) *Kernel {
 	params[htParamNexts] = nexts
 	params[htParamDelay] = uint32(c.DelayFactor)
 
-	keyVals := make([]uint32, c.Items)
-	r := rng(c.Seed)
-	for i := range keyVals {
-		keyVals[i] = uint32(r.Intn(1 << 24))
-	}
+	keyVals := sync.OnceValue(func() []uint32 { return draws(rng(c.Seed), c.Items, 0, 1<<24) })
 
 	setup := func(w []uint32) {
-		copy(w[keys:], keyVals)
+		copy(w[keys:], keyVals())
 		for i := 0; i < c.Buckets; i++ {
 			w[heads+uint32(i)] = 0xFFFFFFFF // empty chain
 		}
 	}
 
 	verify := func(w []uint32) error {
+		keyVals := keyVals()
 		seen := make([]bool, c.Items)
 		total := 0
 		for bkt := 0; bkt < c.Buckets; bkt++ {

@@ -5,6 +5,14 @@
 // MODULO-hash false detections in Figure 14) — each with a deterministic
 // input generator and a functional verifier that checks the final memory
 // image, so scheduler changes can never silently break program semantics.
+//
+// A constructor builds what identifies and validates a kernel — the
+// program, the memory layout, Params, MemWords, the geometry — and panics
+// on bad arguments. What derives from the seed (the input arrays, the
+// reference results, the verifier's model) is synthesized by one
+// sync.OnceValue per kernel, on the kernel's first Launch.Setup or
+// Verify, so a kernel built only for its name or program never pays for
+// its data, and a launched one pays once.
 package kernels
 
 import (
@@ -25,7 +33,9 @@ const (
 	ClassSyncFree Class = "sync-free"
 )
 
-// Kernel bundles a launch with its verifier.
+// Kernel bundles a launch with its verifier. Launch.Setup and Verify
+// share the kernel's seeded data, which the first call of either
+// synthesizes; both are safe for concurrent use.
 type Kernel struct {
 	Name  string
 	Class Class
@@ -61,6 +71,15 @@ func (l *layout) size() int { return int(l.next) + 64 }
 
 // rng returns a deterministic generator for input synthesis.
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// draws returns n words lo + r.Intn(span), drawn in index order.
+func draws(r *rand.Rand, n, lo, span int) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = uint32(lo + r.Intn(span))
+	}
+	return out
+}
 
 // row is one line of the suite table: a kernel's name and class and the
 // constructors of its full- and quick-scale instances.

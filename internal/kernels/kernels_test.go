@@ -1,6 +1,9 @@
 package kernels
 
 import (
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"warpsched/internal/config"
@@ -107,22 +110,100 @@ func TestQueueLockHashtable(t *testing.T) {
 	}
 }
 
-// BenchmarkSuiteBuild measures building kernels, verifier models
-// included: both quick suites, the full sync-free suite and the
-// full-scale TSP.
+// BenchmarkSuiteBuild measures each leg — both quick suites, the full
+// sync-free suite and the full-scale TSP — twice: "build" constructs the
+// kernels, which synthesizes nothing; "first-launch" constructs them and
+// runs every kernel's Setup into a reused image and its Verify on that
+// image, so it also pays for the seeded inputs and verifier models.
 func BenchmarkSuiteBuild(b *testing.B) {
 	for _, c := range []struct {
 		name  string
-		build func()
+		build func() []*Kernel
 	}{
-		{"QuickSyncSuite", func() { QuickSyncSuite() }},
-		{"QuickSyncFreeSuite", func() { QuickSyncFreeSuite() }},
-		{"SyncFreeSuite", func() { SyncFreeSuite() }},
-		{"FullTSP", func() { NewTSP(6144, 64, 48, 128) }},
+		{"QuickSyncSuite", QuickSyncSuite},
+		{"QuickSyncFreeSuite", QuickSyncFreeSuite},
+		{"SyncFreeSuite", SyncFreeSuite},
+		{"FullTSP", func() []*Kernel { return []*Kernel{NewTSP(6144, 64, 48, 128)} }},
 	} {
-		b.Run(c.name, func(b *testing.B) {
+		b.Run(c.name+"/build", func(b *testing.B) {
 			for range b.N {
 				c.build()
+			}
+		})
+		b.Run(c.name+"/first-launch", func(b *testing.B) {
+			var img []uint32
+			for range b.N {
+				for _, k := range c.build() {
+					img = slices.Grow(img[:0], k.Launch.MemWords)[:k.Launch.MemWords]
+					clear(img)
+					k.Launch.Setup(img)
+					_ = k.Verify(img) // an initial image fails; the model is built all the same
+				}
+			}
+		})
+	}
+}
+
+// TestConstructionSynthesizesNothing bounds the bytes that building all
+// four suites allocates. Construction builds programs and layouts only;
+// inputs and verifier models wait for a first Setup or Verify. Building
+// the 44 variants allocated 6.21 MB while constructors synthesized their
+// data, and allocates 0.46 MB now.
+func TestConstructionSynthesizesNothing(t *testing.T) {
+	const bound = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allRegistered()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("building the four suites allocated %d bytes", got)
+	if got > bound {
+		t.Errorf("building the four suites allocated %d bytes, want at most %d", got, bound)
+	}
+}
+
+// TestFirstLaunchRaceFree: eight goroutines launch one freshly built
+// kernel at once and verify a correct final image with it, so its inputs
+// and verifier model are synthesized under contention (CI runs it under
+// -race). Every launch must start from the same image, and every Verify
+// must pass. The final image comes from a run of a second instance, so
+// the one under test synthesizes nothing before the goroutines start.
+func TestFirstLaunchRaceFree(t *testing.T) {
+	for _, mk := range []func() *Kernel{
+		func() *Kernel { return NewTSP(3072, 48, 24, 128) },        // quick TSP
+		func() *Kernel { return NewMergeSortPass(131072, 8, 128) }, // full MS
+	} {
+		final := goldenMemory(t, mk())
+		k := mk()
+		t.Run(k.Name, func(t *testing.T) {
+			const launches = 8
+			images := make([][]uint32, launches)
+			errs := make([]error, launches)
+			var wg sync.WaitGroup
+			for i := range launches {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					l := k.Launch
+					l.Setup = func(w []uint32) {
+						k.Launch.Setup(w)
+						images[i] = slices.Clone(w)
+					}
+					if _, err := sim.New(smallOpt(config.GTO, config.BOWSOff), l); err != nil {
+						errs[i] = err
+						return
+					}
+					errs[i] = k.Verify(final)
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("launch %d: %v", i, err)
+				}
+				if !slices.Equal(images[i], images[0]) {
+					t.Fatalf("launch %d started from a different image than launch 0", i)
+				}
 			}
 		})
 	}

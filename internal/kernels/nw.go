@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"warpsched/internal/isa"
 	"warpsched/internal/sim"
@@ -168,63 +169,71 @@ func NewNW(direction, g, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	r := rng(int64(17 + direction))
-	aV := make([]uint32, g)
-	bV := make([]uint32, g)
-	for i := 0; i < g; i++ {
-		aV[i] = uint32(r.Intn(4)) // nucleotide alphabet
-		bV[i] = uint32(r.Intn(4))
+	type nwData struct {
+		a, b []uint32
+		ref  []int32 // the reference DP matrix
 	}
+	data := sync.OnceValue(func() nwData {
+		r := rng(int64(17 + direction))
+		aV := make([]uint32, g)
+		bV := make([]uint32, g)
+		for i := 0; i < g; i++ {
+			aV[i] = uint32(r.Intn(4)) // nucleotide alphabet
+			bV[i] = uint32(r.Intn(4))
+		}
 
-	// Reference DP in Go.
-	ref := make([]int32, (g+1)*(g+1))
-	if direction == 1 {
-		for j := 0; j <= g; j++ {
-			ref[j] = int32(-j * nwGap)
-		}
-		for i := 1; i <= g; i++ {
-			ref[i*stride] = int32(-i * nwGap)
-			for j := 1; j <= g; j++ {
-				s := int32(nwMismatch)
-				if aV[i-1] == bV[j-1] {
-					s = nwMatch
+		// Reference DP in Go.
+		ref := make([]int32, (g+1)*(g+1))
+		if direction == 1 {
+			for j := 0; j <= g; j++ {
+				ref[j] = int32(-j * nwGap)
+			}
+			for i := 1; i <= g; i++ {
+				ref[i*stride] = int32(-i * nwGap)
+				for j := 1; j <= g; j++ {
+					s := int32(nwMismatch)
+					if aV[i-1] == bV[j-1] {
+						s = nwMatch
+					}
+					v := ref[(i-1)*stride+j-1] + s
+					if w := ref[(i-1)*stride+j] - nwGap; w > v {
+						v = w
+					}
+					if w := ref[i*stride+j-1] - nwGap; w > v {
+						v = w
+					}
+					ref[i*stride+j] = v
 				}
-				v := ref[(i-1)*stride+j-1] + s
-				if w := ref[(i-1)*stride+j] - nwGap; w > v {
-					v = w
+			}
+		} else {
+			for j := 0; j <= g; j++ {
+				ref[g*stride+j] = int32(-(g - j) * nwGap)
+			}
+			for i := g - 1; i >= 0; i-- {
+				ref[i*stride+g] = int32(-(g - i) * nwGap)
+				for j := g - 1; j >= 0; j-- {
+					s := int32(nwMismatch)
+					if aV[i] == bV[j] {
+						s = nwMatch
+					}
+					v := ref[(i+1)*stride+j+1] + s
+					if w := ref[(i+1)*stride+j] - nwGap; w > v {
+						v = w
+					}
+					if w := ref[i*stride+j+1] - nwGap; w > v {
+						v = w
+					}
+					ref[i*stride+j] = v
 				}
-				if w := ref[i*stride+j-1] - nwGap; w > v {
-					v = w
-				}
-				ref[i*stride+j] = v
 			}
 		}
-	} else {
-		for j := 0; j <= g; j++ {
-			ref[g*stride+j] = int32(-(g - j) * nwGap)
-		}
-		for i := g - 1; i >= 0; i-- {
-			ref[i*stride+g] = int32(-(g - i) * nwGap)
-			for j := g - 1; j >= 0; j-- {
-				s := int32(nwMismatch)
-				if aV[i] == bV[j] {
-					s = nwMatch
-				}
-				v := ref[(i+1)*stride+j+1] + s
-				if w := ref[(i+1)*stride+j] - nwGap; w > v {
-					v = w
-				}
-				if w := ref[i*stride+j+1] - nwGap; w > v {
-					v = w
-				}
-				ref[i*stride+j] = v
-			}
-		}
-	}
+		return nwData{aV, bV, ref}
+	})
 
 	setup := func(w []uint32) {
-		copy(w[seqA:], aV)
-		copy(w[seqB:], bV)
+		d := data()
+		copy(w[seqA:], d.a)
+		copy(w[seqB:], d.b)
 		if direction == 1 {
 			for j := 0; j <= g; j++ {
 				w[matrix+uint32(j)] = uint32(int32(-j * nwGap))
@@ -243,6 +252,7 @@ func NewNW(direction, g, ctaThreads int) *Kernel {
 	}
 
 	verify := func(w []uint32) error {
+		ref := data().ref
 		for i := 0; i <= g; i++ {
 			for j := 0; j <= g; j++ {
 				got := int32(w[matrix+uint32(i*stride+j)])

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -93,5 +94,59 @@ func TestAssemblyPinned(t *testing.T) {
 	}
 	if seen != len(want) {
 		t.Errorf("%d registered variants, %d pinned", seen, len(want))
+	}
+}
+
+// TestInputsPinned pins the FNV-64a of every registered variant's initial
+// memory image: Setup into a fresh MemWords slice, hashed as little-endian
+// words. Those bytes are what every simulated statistic starts from, and
+// no content key covers them. The literals were read before constructors
+// left input synthesis to the first launch.
+func TestInputsPinned(t *testing.T) {
+	want := map[string]string{
+		"TB/full": "81250d0bbcfd9507", "ST/full": "3a628c59a390f0dd",
+		"DS/full": "a0312250eb451b3a", "ATM/full": "154683081365b32e",
+		"HT/full": "ef3959156d41d72d", "TSP/full": "73a42331c293f2b1",
+		"NW1/full": "a513177fb8a29dc7", "NW2/full": "047a5e8c0e3a1614",
+		"KMEANS/full": "fcc21c0fa30d8521", "VECADD/full": "c5c79f5b073e8b25",
+		"REDUCE/full": "8589b72ea9f1b63e", "MS/full": "6a3012c1a4863e4a",
+		"HL/full": "fd9a5e3966d16301", "STENCIL/full": "74c1ef7194319d89",
+		"BFS/full": "7aae39330bd99a39", "HOTSPOT/full": "17a1b7a126c8cda7",
+		"PATHFINDER/full": "8827caaa8c174af0", "BACKPROP/full": "c2ce9aa1e909b52c",
+		"SRAD/full": "ddac5b7153ca0521", "LUD/full": "aff7b32ed348705b",
+		"NN/full": "0e561d153bae0eb8", "GAUSSIAN/full": "6ae619d8371a5135",
+
+		"TB/quick": "7585f641d8a445ed", "ST/quick": "064151e20a9f702d",
+		"DS/quick": "a71d35a1a9a17485", "ATM/quick": "02b3a2b5725583a2",
+		"HT/quick": "1ee678d9987d382c", "TSP/quick": "34d1c44a34c1afd3",
+		"NW1/quick": "82eb383ba35cf024", "NW2/quick": "bd5e35446f02bc27",
+		"KMEANS/quick": "ec16b9b7fcd8a546", "VECADD/quick": "915b520d1474d325",
+		"REDUCE/quick": "c4a614ea6f03d0db", "MS/quick": "e2e773ececeab239",
+		"HL/quick": "2b3cbf29201c221c", "STENCIL/quick": "98c7e00df54388dc",
+		"BFS/quick": "f663ce00ead6aebc", "HOTSPOT/quick": "af458fe04edab465",
+		"PATHFINDER/quick": "7550b89f0f8018f6", "BACKPROP/quick": "e8bd08e84b6a8725",
+		"SRAD/quick": "ccef01de396c58d7", "LUD/quick": "ed5efcd948720282",
+		"NN/quick": "df1a5a92fe180c05", "GAUSSIAN/quick": "14f137d4d1b750e6",
+	}
+	all := allRegistered()
+	if len(all) != len(want) {
+		t.Errorf("%d registered variants, %d pinned", len(all), len(want))
+	}
+	for i, k := range all {
+		id := k.Name + "/full"
+		if i >= len(all)/2 {
+			id = k.Name + "/quick"
+		}
+		w := make([]uint32, k.Launch.MemWords)
+		k.Launch.Setup(w)
+		h := fnv.New64a()
+		buf := make([]byte, 0, 4*len(w))
+		for _, x := range w {
+			buf = binary.LittleEndian.AppendUint32(buf, x)
+		}
+		h.Write(buf)
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != want[id] {
+			t.Errorf("%s: initial image hash = %s, want %s", id, got, want[id])
+		}
 	}
 }

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"warpsched/internal/isa"
 	"warpsched/internal/sim"
@@ -36,11 +37,7 @@ func NewKmeansCopy(n, ctas, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	inV := make([]uint32, n)
-	r := rng(31)
-	for i := range inV {
-		inV[i] = uint32(r.Intn(1 << 30))
-	}
+	inV := sync.OnceValue(func() []uint32 { return draws(rng(31), n, 0, 1<<30) })
 	return &Kernel{
 		Name:  "KMEANS",
 		Class: ClassSyncFree,
@@ -49,9 +46,10 @@ func NewKmeansCopy(n, ctas, ctaThreads int) *Kernel {
 			Prog: prog, GridCTAs: ctas, CTAThreads: ctaThreads,
 			Params:   []uint32{uint32(n), in, out},
 			MemWords: l.size(),
-			Setup:    func(w []uint32) { copy(w[in:], inV) },
+			Setup:    func(w []uint32) { copy(w[in:], inV()) },
 		},
 		Verify: func(w []uint32) error {
+			inV := inV()
 			for i := 0; i < n; i++ {
 				if w[out+uint32(i)] != inV[i] {
 					return fmt.Errorf("KMEANS: out[%d] = %d, want %d", i, w[out+uint32(i)], inV[i])
@@ -175,11 +173,7 @@ func NewReduce(ctas, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	inV := make([]uint32, n)
-	r := rng(37)
-	for i := range inV {
-		inV[i] = uint32(r.Intn(1000))
-	}
+	inV := sync.OnceValue(func() []uint32 { return draws(rng(37), n, 0, 1000) })
 	return &Kernel{
 		Name:  "REDUCE",
 		Class: ClassSyncFree,
@@ -188,9 +182,10 @@ func NewReduce(ctas, ctaThreads int) *Kernel {
 			Prog: prog, GridCTAs: ctas, CTAThreads: ctaThreads,
 			Params:   []uint32{in, buf, out},
 			MemWords: l.size(),
-			Setup:    func(w []uint32) { copy(w[in:], inV) },
+			Setup:    func(w []uint32) { copy(w[in:], inV()) },
 		},
 		Verify: func(w []uint32) error {
+			inV := inV()
 			for c := 0; c < ctas; c++ {
 				var want uint32
 				for t := 0; t < ctaThreads; t++ {
@@ -241,11 +236,7 @@ func NewMergeSortPass(n, ctas, ctaThreads int) *Kernel {
 	if threads > step {
 		panic("MS: thread count must be ≤ 4096")
 	}
-	inV := make([]uint32, n)
-	r := rng(41)
-	for i := range inV {
-		inV[i] = uint32(r.Intn(1 << 30))
-	}
+	inV := sync.OnceValue(func() []uint32 { return draws(rng(41), n, 0, 1<<30) })
 	return &Kernel{
 		Name:  "MS",
 		Class: ClassSyncFree,
@@ -254,9 +245,10 @@ func NewMergeSortPass(n, ctas, ctaThreads int) *Kernel {
 			Prog: prog, GridCTAs: ctas, CTAThreads: ctaThreads,
 			Params:   []uint32{uint32(n), in, out},
 			MemWords: l.size(),
-			Setup:    func(w []uint32) { copy(w[in:], inV) },
+			Setup:    func(w []uint32) { copy(w[in:], inV()) },
 		},
 		Verify: func(w []uint32) error {
+			inV := inV()
 			for base := 0; base < n; base += step {
 				for t := 0; t < threads; t++ {
 					i := base + t
@@ -302,11 +294,7 @@ func NewHeartwall(n, ctas, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	inV := make([]uint32, n)
-	r := rng(43)
-	for i := range inV {
-		inV[i] = uint32(r.Intn(1000))
-	}
+	inV := sync.OnceValue(func() []uint32 { return draws(rng(43), n, 0, 1000) })
 	threads := ctas * ctaThreads
 	return &Kernel{
 		Name:  "HL",
@@ -316,9 +304,10 @@ func NewHeartwall(n, ctas, ctaThreads int) *Kernel {
 			Prog: prog, GridCTAs: ctas, CTAThreads: ctaThreads,
 			Params:   []uint32{uint32(n), in, out},
 			MemWords: l.size(),
-			Setup:    func(w []uint32) { copy(w[in:], inV) },
+			Setup:    func(w []uint32) { copy(w[in:], inV()) },
 		},
 		Verify: func(w []uint32) error {
+			inV := inV()
 			for t := 0; t < threads; t++ {
 				var want uint32
 				for off := 0; off < n; off += step {
@@ -368,11 +357,7 @@ func NewStencil(n, ctas, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	inV := make([]uint32, n)
-	r := rng(47)
-	for i := range inV {
-		inV[i] = uint32(r.Intn(10000))
-	}
+	inV := sync.OnceValue(func() []uint32 { return draws(rng(47), n, 0, 10000) })
 	return &Kernel{
 		Name:  "STENCIL",
 		Class: ClassSyncFree,
@@ -381,9 +366,10 @@ func NewStencil(n, ctas, ctaThreads int) *Kernel {
 			Prog: prog, GridCTAs: ctas, CTAThreads: ctaThreads,
 			Params:   []uint32{uint32(n), in, out},
 			MemWords: l.size(),
-			Setup:    func(w []uint32) { copy(w[in:], inV) },
+			Setup:    func(w []uint32) { copy(w[in:], inV()) },
 		},
 		Verify: func(w []uint32) error {
+			inV := inV()
 			for i := 1; i < n-1; i++ {
 				want := (inV[i-1] + inV[i] + inV[i+1]) / 3
 				if got := w[out+uint32(i)]; got != want {

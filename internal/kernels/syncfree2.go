@@ -9,6 +9,9 @@ package kernels
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 
 	"warpsched/internal/isa"
 	"warpsched/internal/sim"
@@ -108,32 +111,36 @@ func NewBFS(nodes, degree, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	// Random graph (deterministic), guaranteed connected via a ring.
-	r := rng(53)
-	adj := make([][]uint32, nodes)
-	for v := 0; v < nodes; v++ {
-		adj[v] = append(adj[v], uint32((v+1)%nodes))
-		for d := 1; d < degree; d++ {
-			adj[v] = append(adj[v], uint32(r.Intn(nodes)))
-		}
-	}
-	// Reference BFS from node 0.
-	want := make([]int32, nodes)
-	for i := range want {
-		want[i] = -1
-	}
-	want[0] = 0
-	queue := []int{0}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, nb := range adj[v] {
-			if want[nb] == -1 {
-				want[nb] = want[v] + 1
-				queue = append(queue, int(nb))
+	// The graph and its reference levels.
+	data := sync.OnceValues(func() ([][]uint32, []int32) {
+		// Random graph (deterministic), guaranteed connected via a ring.
+		r := rng(53)
+		adj := make([][]uint32, nodes)
+		for v := 0; v < nodes; v++ {
+			adj[v] = append(adj[v], uint32((v+1)%nodes))
+			for d := 1; d < degree; d++ {
+				adj[v] = append(adj[v], uint32(r.Intn(nodes)))
 			}
 		}
-	}
+		// Reference BFS from node 0.
+		want := make([]int32, nodes)
+		for i := range want {
+			want[i] = -1
+		}
+		want[0] = 0
+		queue := []int{0}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, nb := range adj[v] {
+				if want[nb] == -1 {
+					want[nb] = want[v] + 1
+					queue = append(queue, int(nb))
+				}
+			}
+		}
+		return adj, want
+	})
 
 	return &Kernel{
 		Name:  "BFS",
@@ -144,6 +151,7 @@ func NewBFS(nodes, degree, ctaThreads int) *Kernel {
 			Params:   []uint32{uint32(nodes), rowptr, cols, level, changed},
 			MemWords: l.size(),
 			Setup: func(w []uint32) {
+				adj, _ := data()
 				e := uint32(0)
 				for v := 0; v < nodes; v++ {
 					w[rowptr+uint32(v)] = e
@@ -164,6 +172,7 @@ func NewBFS(nodes, degree, ctaThreads int) *Kernel {
 			// The GPU's level assignment may differ from serial BFS when a
 			// node is reachable at the same level via several parents, but
 			// the level VALUES must match exactly (BFS level is unique).
+			_, want := data()
 			for v := 0; v < nodes; v++ {
 				if got := int32(w[level+uint32(v)]); got != want[v] {
 					return fmt.Errorf("BFS: level[%d] = %d, want %d", v, got, want[v])
@@ -244,12 +253,8 @@ func NewHotspot(dim, ctas, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	r := rng(59)
-	inV := make([]uint32, n)
-	for i := range inV {
-		inV[i] = uint32(300 + r.Intn(700))
-	}
-	ref := func(i int) uint32 {
+	inV := sync.OnceValue(func() []uint32 { return draws(rng(59), n, 300, 700) })
+	ref := func(inV []uint32, i int) uint32 {
 		x, y := i%dim, i/dim
 		c := int32(inV[i])
 		if x == 0 || x == dim-1 || y == 0 || y == dim-1 {
@@ -267,11 +272,12 @@ func NewHotspot(dim, ctas, ctaThreads int) *Kernel {
 			Prog: prog, GridCTAs: ctas, CTAThreads: ctaThreads,
 			Params:   []uint32{uint32(dim), in, out},
 			MemWords: l.size(),
-			Setup:    func(w []uint32) { copy(w[in:], inV) },
+			Setup:    func(w []uint32) { copy(w[in:], inV()) },
 		},
 		Verify: func(w []uint32) error {
+			inV := inV()
 			for i := 0; i < n; i++ {
-				if got, want := w[out+uint32(i)], ref(i); got != want {
+				if got, want := w[out+uint32(i)], ref(inV, i); got != want {
 					return fmt.Errorf("HOTSPOT: out[%d] = %d, want %d", i, got, want)
 				}
 			}
@@ -349,34 +355,27 @@ func NewPathfinder(rows, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	r := rng(61)
-	dataV := make([]uint32, rows*width)
-	for i := range dataV {
-		dataV[i] = uint32(r.Intn(100))
-	}
-	// Reference DP.
-	cur := make([]uint32, width)
-	copy(cur, dataV[:width])
-	for row := 1; row < rows; row++ {
-		next := make([]uint32, width)
-		for j := 0; j < width; j++ {
-			best := cur[j]
-			if j > 0 && cur[j-1] < best {
-				best = cur[j-1]
+	// The cost rows and the reference DP's last row.
+	rowsV := sync.OnceValues(func() ([]uint32, []uint32) {
+		dataV := draws(rng(61), rows*width, 0, 100)
+		cur := make([]uint32, width)
+		copy(cur, dataV[:width])
+		for row := 1; row < rows; row++ {
+			next := make([]uint32, width)
+			for j := 0; j < width; j++ {
+				best := cur[j]
+				if j > 0 && cur[j-1] < best {
+					best = cur[j-1]
+				}
+				if j+1 < width && cur[j+1] < best {
+					best = cur[j+1]
+				}
+				next[j] = best + dataV[row*width+j]
 			}
-			if j+1 < width && cur[j+1] < best {
-				best = cur[j+1]
-			}
-			next[j] = best + dataV[row*width+j]
+			cur = next
 		}
-		cur = next
-	}
-	// After an odd number of swaps the result sits in bufA or bufB.
-	finalBuf := bufA
-	if rows%2 == 0 {
-		finalBuf = bufB
-	}
-	_ = finalBuf
+		return dataV, cur
+	})
 
 	return &Kernel{
 		Name:  "PATHFINDER",
@@ -386,9 +385,13 @@ func NewPathfinder(rows, ctaThreads int) *Kernel {
 			Prog: prog, GridCTAs: 1, CTAThreads: ctaThreads,
 			Params:   []uint32{uint32(rows), data, bufA, bufB},
 			MemWords: l.size(),
-			Setup:    func(w []uint32) { copy(w[data:], dataV) },
+			Setup: func(w []uint32) {
+				dataV, _ := rowsV()
+				copy(w[data:], dataV)
+			},
 		},
 		Verify: func(w []uint32) error {
+			_, cur := rowsV()
 			// rows-1 iterations: the last write lands in bufB when rows-1
 			// is odd, bufA when even.
 			buf := bufB
@@ -444,15 +447,11 @@ func NewBackprop(inputs, outputs, ctas, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	r := rng(67)
-	inV := make([]uint32, inputs)
-	wV := make([]uint32, inputs*outputs)
-	for i := range inV {
-		inV[i] = uint32(r.Intn(64))
-	}
-	for i := range wV {
-		wV[i] = uint32(r.Intn(64))
-	}
+	// The inputs and the weights.
+	data := sync.OnceValues(func() ([]uint32, []uint32) {
+		r := rng(67)
+		return draws(r, inputs, 0, 64), draws(r, inputs*outputs, 0, 64)
+	})
 
 	return &Kernel{
 		Name:  "BACKPROP",
@@ -463,11 +462,13 @@ func NewBackprop(inputs, outputs, ctas, ctaThreads int) *Kernel {
 			Params:   []uint32{uint32(inputs), in, wgt, out, uint32(outputs)},
 			MemWords: l.size(),
 			Setup: func(w []uint32) {
+				inV, wV := data()
 				copy(w[in:], inV)
 				copy(w[wgt:], wV)
 			},
 		},
 		Verify: func(w []uint32) error {
+			inV, wV := data()
 			for j := 0; j < outputs; j++ {
 				var acc uint32
 				for i := 0; i < inputs; i++ {
@@ -531,12 +532,8 @@ func NewSRAD(n, ctas, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	r := rng(71)
-	inV := make([]uint32, n)
-	for i := range inV {
-		inV[i] = uint32(r.Intn(1000))
-	}
-	ref := func(i int) uint32 {
+	inV := sync.OnceValue(func() []uint32 { return draws(rng(71), n, 0, 1000) })
+	ref := func(inV []uint32, i int) uint32 {
 		g := int32(inV[i-1]) - int32(inV[i+1])
 		if g < 0 {
 			g = -g
@@ -557,11 +554,12 @@ func NewSRAD(n, ctas, ctaThreads int) *Kernel {
 			Prog: prog, GridCTAs: ctas, CTAThreads: ctaThreads,
 			Params:   []uint32{uint32(n), in, out},
 			MemWords: l.size(),
-			Setup:    func(w []uint32) { copy(w[in:], inV) },
+			Setup:    func(w []uint32) { copy(w[in:], inV()) },
 		},
 		Verify: func(w []uint32) error {
+			inV := inV()
 			for i := 1; i < n-1; i++ {
-				if got, want := w[out+uint32(i)], ref(i); got != want {
+				if got, want := w[out+uint32(i)], ref(inV, i); got != want {
 					return fmt.Errorf("SRAD: out[%d] = %d, want %d", i, got, want)
 				}
 			}
@@ -668,28 +666,25 @@ func NewLUD(dim, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	r := rng(73)
-	matV := make([]uint32, n)
-	for i := range matV {
-		matV[i] = uint32(16 + r.Intn(240))
-	}
-	for d := 0; d < dim; d++ {
-		matV[d*dim+d] = uint32(512 + r.Intn(512)) // dominant pivots
-	}
-	// Reference elimination with identical integer arithmetic.
-	ref := make([]int32, n)
-	for i, v := range matV {
-		ref[i] = int32(v)
-	}
-	for k := 0; k < dim-1; k++ {
-		piv := ref[k*dim+k]
-		for i := k + 1; i < dim; i++ {
-			f := ref[i*dim+k] / piv
-			for j := k; j < dim; j++ {
-				ref[i*dim+j] -= f * ref[k*dim+j]
+	// The matrix and its reference elimination.
+	data := sync.OnceValues(func() ([]uint32, []int32) {
+		matV := pivoted(rng(73), dim)
+		// Reference elimination with identical integer arithmetic.
+		ref := make([]int32, n)
+		for i, v := range matV {
+			ref[i] = int32(v)
+		}
+		for k := 0; k < dim-1; k++ {
+			piv := ref[k*dim+k]
+			for i := k + 1; i < dim; i++ {
+				f := ref[i*dim+k] / piv
+				for j := k; j < dim; j++ {
+					ref[i*dim+j] -= f * ref[k*dim+j]
+				}
 			}
 		}
-	}
+		return matV, ref
+	})
 
 	return &Kernel{
 		Name:  "LUD",
@@ -699,9 +694,13 @@ func NewLUD(dim, ctaThreads int) *Kernel {
 			Prog: prog, GridCTAs: 1, CTAThreads: ctaThreads,
 			Params:   []uint32{uint32(dim), mat, factor},
 			MemWords: l.size(),
-			Setup:    func(w []uint32) { copy(w[mat:], matV) },
+			Setup: func(w []uint32) {
+				matV, _ := data()
+				copy(w[mat:], matV)
+			},
 		},
 		Verify: func(w []uint32) error {
+			_, ref := data()
 			for i := 0; i < n; i++ {
 				if got := int32(w[mat+uint32(i)]); got != ref[i] {
 					return fmt.Errorf("LUD: A[%d][%d] = %d, want %d", i/dim, i%dim, got, ref[i])
@@ -710,6 +709,17 @@ func NewLUD(dim, ctaThreads int) *Kernel {
 			return nil
 		},
 	}
+}
+
+// pivoted draws a dim×dim integer matrix from r, entries 16–255 with a
+// dominant diagonal of 512–1023 drawn after them: the input of LUD and
+// GAUSSIAN.
+func pivoted(r *rand.Rand, dim int) []uint32 {
+	m := draws(r, dim*dim, 16, 240)
+	for d := 0; d < dim; d++ {
+		m[d*dim+d] = uint32(512 + r.Intn(512))
+	}
+	return m
 }
 
 // NewNN builds a nearest-neighbour search: each thread computes a
@@ -757,32 +767,28 @@ func NewNN(records, features, ctas, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	r := rng(79)
-	dataV := make([]uint32, records*features)
-	queryV := make([]uint32, features)
-	for i := range dataV {
-		dataV[i] = uint32(r.Intn(256))
+	type nnData struct {
+		data, query []uint32
+		dist        []int32 // reference distance per record
+		minDist     int32
 	}
-	for i := range queryV {
-		queryV[i] = uint32(r.Intn(256))
-	}
-	distOf := func(t int) int32 {
-		var acc int32
-		for i := 0; i < features; i++ {
-			d := int32(dataV[t*features+i]) - int32(queryV[i])
-			if d < 0 {
-				d = -d
+	nd := sync.OnceValue(func() (d nnData) {
+		r := rng(79)
+		d.data = draws(r, records*features, 0, 256)
+		d.query = draws(r, features, 0, 256)
+		d.dist = make([]int32, records)
+		for t := range d.dist {
+			for i := 0; i < features; i++ {
+				x := int32(d.data[t*features+i]) - int32(d.query[i])
+				if x < 0 {
+					x = -x
+				}
+				d.dist[t] += x
 			}
-			acc += d
 		}
-		return acc
-	}
-	minDist := distOf(0)
-	for t := 1; t < records; t++ {
-		if d := distOf(t); d < minDist {
-			minDist = d
-		}
-	}
+		d.minDist = slices.Min(d.dist)
+		return d
+	})
 
 	return &Kernel{
 		Name:  "NN",
@@ -793,19 +799,20 @@ func NewNN(records, features, ctas, ctaThreads int) *Kernel {
 			Params:   []uint32{uint32(features), data, query, best, dist},
 			MemWords: l.size(),
 			Setup: func(w []uint32) {
-				copy(w[data:], dataV)
-				copy(w[query:], queryV)
+				copy(w[data:], nd().data)
+				copy(w[query:], nd().query)
 				sentinel := int32(-1 << 30)
 				w[best] = uint32(sentinel)
 			},
 		},
 		Verify: func(w []uint32) error {
-			if got := -int32(w[best]); got != minDist {
-				return fmt.Errorf("NN: min distance %d, want %d", got, minDist)
+			d := nd()
+			if got := -int32(w[best]); got != d.minDist {
+				return fmt.Errorf("NN: min distance %d, want %d", got, d.minDist)
 			}
-			for t := 0; t < records; t++ {
-				if got := int32(w[dist+uint32(t)]); got != distOf(t) {
-					return fmt.Errorf("NN: dist[%d] = %d, want %d", t, got, distOf(t))
+			for t, want := range d.dist {
+				if got := int32(w[dist+uint32(t)]); got != want {
+					return fmt.Errorf("NN: dist[%d] = %d, want %d", t, got, want)
 				}
 			}
 			return nil
@@ -872,15 +879,8 @@ func NewGaussian(dim, k, ctas, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	r := rng(83)
-	matV := make([]uint32, n)
-	for i := range matV {
-		matV[i] = uint32(16 + r.Intn(240))
-	}
-	for d := 0; d < dim; d++ {
-		matV[d*dim+d] = uint32(512 + r.Intn(512))
-	}
-	ref := func(i int) int32 {
+	matV := sync.OnceValue(func() []uint32 { return pivoted(rng(83), dim) })
+	ref := func(matV []uint32, i int) int32 {
 		row, col := i/dim, i%dim
 		v := int32(matV[i])
 		if row > k {
@@ -898,12 +898,13 @@ func NewGaussian(dim, k, ctas, ctaThreads int) *Kernel {
 			Prog: prog, GridCTAs: ctas, CTAThreads: ctaThreads,
 			Params:   []uint32{uint32(dim), mat, out, uint32(k)},
 			MemWords: l.size(),
-			Setup:    func(w []uint32) { copy(w[mat:], matV) },
+			Setup:    func(w []uint32) { copy(w[mat:], matV()) },
 		},
 		Verify: func(w []uint32) error {
+			matV := matV()
 			for i := 0; i < n; i++ {
-				if got := int32(w[out+uint32(i)]); got != ref(i) {
-					return fmt.Errorf("GAUSSIAN: out[%d] = %d, want %d", i, got, ref(i))
+				if got, want := int32(w[out+uint32(i)]), ref(matV, i); got != want {
+					return fmt.Errorf("GAUSSIAN: out[%d] = %d, want %d", i, got, want)
 				}
 			}
 			return nil

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"warpsched/internal/isa"
 	"warpsched/internal/sim"
@@ -17,12 +18,13 @@ import (
 // matching the paper's observation (<0.03%).
 //
 // Verify checks the published best against a host model of the cost
-// function, built here by tspModel: a table of the M² inner sums over
-// the cities, one per start offset, so a climber's cost is one table
-// read per pass. Building it takes M³ + 12·climbers steps, where a
-// replay of every climber took 12·M per climber. The model is exact:
-// the kernel's running sum is a uint32 that wraps, and wrapping addition
-// gives the same bits however the terms are grouped.
+// function, built by tspModel with the distance matrix on first launch:
+// a table of the M² inner sums over the cities, one per start offset, so
+// a climber's cost is one table read per pass. Building it takes M³ +
+// 12·climbers steps, where a replay of every climber took 12·M per
+// climber. The model is exact: the kernel's running sum is a uint32 that
+// wraps, and wrapping addition gives the same bits however the terms are
+// grouped.
 func NewTSP(climbers, cities, ctas, ctaThreads int) *Kernel {
 	if climbers != ctas*ctaThreads {
 		panic(fmt.Sprintf("TSP: climbers (%d) must equal ctas*ctaThreads (%d)", climbers, ctas*ctaThreads))
@@ -108,12 +110,16 @@ func NewTSP(climbers, cities, ctas, ctaThreads int) *Kernel {
 	b.Exit()
 	prog := b.MustBuild()
 
-	r := rng(13)
-	distV := make([]uint32, cities*cities)
-	for i := range distV {
-		distV[i] = uint32(1 + r.Intn(1000))
+	type tspData struct {
+		dist    []uint32
+		costOf  func(gtid int) uint32
+		minCost uint32
 	}
-	costOf, minCost := tspModel(distV, cities, climbers)
+	data := sync.OnceValue(func() (d tspData) {
+		d.dist = draws(rng(13), cities*cities, 1, 1000)
+		d.costOf, d.minCost = tspModel(d.dist, cities, climbers)
+		return d
+	})
 
 	return &Kernel{
 		Name:  "TSP",
@@ -126,11 +132,13 @@ func NewTSP(climbers, cities, ctas, ctaThreads int) *Kernel {
 			Params:     []uint32{uint32(cities), dist, lock, best, bestIdx},
 			MemWords:   l.size(),
 			Setup: func(w []uint32) {
-				copy(w[dist:], distV)
+				copy(w[dist:], data().dist)
 				w[best] = 0x7FFFFFFF
 			},
 		},
 		Verify: func(w []uint32) error {
+			d := data()
+			costOf, minCost := d.costOf, d.minCost
 			if w[lock] != 0 {
 				return fmt.Errorf("TSP: global lock still held")
 			}

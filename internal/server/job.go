@@ -177,12 +177,13 @@ func (o Options) Resolve(req *JobRequest) (exp.Spec, *RequestError) {
 }
 
 // fullSuite and quickSuite are the registered kernel suites, each
-// assembled once on first use (a daemon serving only quick kernels never
-// pays for the full-size inputs). Kernels are immutable once built (the
-// experiment harness already shares one kernel across concurrent runs),
-// so one instance serves every admission (resolveKernel) and its inverse
-// (registeredVariant) — admitting a registered kernel stays at
-// microseconds.
+// assembled once on first use. Building a suite builds programs only: a
+// kernel synthesizes its inputs on its first launch, so a daemon pays
+// for the inputs of the kernels it serves, not of a whole scale. Kernels
+// are safe to share once built (their inputs are synthesized once, under
+// a sync.OnceValue, and only read after), so one instance serves every
+// admission (resolveKernel) and its inverse (registeredVariant) —
+// admitting a registered kernel stays at microseconds.
 var (
 	fullSuite = sync.OnceValue(func() []*kernels.Kernel {
 		return append(kernels.SyncSuite(), kernels.SyncFreeSuite()...)

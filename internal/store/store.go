@@ -495,6 +495,25 @@ func (s *Store) gcLocked(keep string) int {
 	return n
 }
 
+// Delete removes the entry under key, index and file in one s.mu hold
+// (the rule Put documents), as GC does. A key the store does not hold is
+// a no-op.
+func (s *Store) Delete(key string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.index[key]
+	if !ok {
+		return nil
+	}
+	s.ll.Remove(el)
+	delete(s.index, key)
+	s.bytes -= el.Value.(*entry).size
+	if err := s.fs.Remove(s.root + "/" + shardOf(key) + "/" + key); err != nil {
+		return fmt.Errorf("store: remove %s: %w", key, err)
+	}
+	return nil
+}
+
 // Len returns the number of live entries.
 func (s *Store) Len() int {
 	s.mu.Lock()

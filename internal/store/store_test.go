@@ -540,3 +540,25 @@ func TestDamagedReadSparesReplacement(t *testing.T) {
 		t.Fatalf("quarantined = %d, want 0", q)
 	}
 }
+
+// TestDelete: a deleted key misses, its file is gone (a reopen recovers
+// nothing), and deleting an absent key is a no-op.
+func TestDelete(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{})
+	key := testKey(1)
+	if err := s.Put(key, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if err := s.Delete(key); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+	}
+	if _, ok := s.Get(key); ok || s.Len() != 0 || s.Stats().Bytes != 0 {
+		t.Fatalf("after Delete: hit=%v, %d entries, %d bytes; want a miss and an empty store", ok, s.Len(), s.Stats().Bytes)
+	}
+	if _, rep := mustOpen(t, dir, Options{}); rep.Scanned != 0 {
+		t.Fatalf("reopen scanned %d files, want 0", rep.Scanned)
+	}
+}

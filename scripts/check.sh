@@ -7,7 +7,8 @@
 # corpora of the ISA-parser (FuzzParse), analyzer (FuzzAnalyze),
 # store-entry, manifest-join and POST /v1/jobs fuzz targets, which are
 # ordinary tests, and the paper-claims inequalities over full.json), the
-# parallel-runner determinism tests under the race detector, one
+# parallel-runner determinism tests and a kernel's concurrent first
+# launch under the race detector, one
 # iteration of the sched/core pick, mem L2-queue, completion-wheel and
 # L1-miss, server Submit-hit, kernel suite-build and race admission-ladder
 # benchmarks (so they cannot rot), the warplint
@@ -52,9 +53,10 @@ go run ./cmd/warpreport -manifest internal/report/testdata/full.json \
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (runner determinism, resume from the store-backed journal, fault injection) =="
+echo "== go test -race (runner determinism, resume from the store-backed journal, fault injection, a kernel's first launch) =="
 go test -race ./internal/exp -run TestRunner
 go test -race ./internal/sim -run 'TestFaultInjectionStress|TestFaultDeterminism'
+go test -race ./internal/kernels -run TestFirstLaunchRaceFree
 
 echo "== pick, detector, mem, Submit-hit, suite-build and admission-ladder benchmarks still build and run (one iteration) =="
 go test -run '^$' -bench 'PickMask|OnSetp|OnBranch' -benchtime 1x ./internal/sched ./internal/core
