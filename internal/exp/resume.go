@@ -133,12 +133,12 @@ func (j *Journal) lookup(key string) (metrics.RunRecord, bool) {
 // bytes against their checksum and the key in their header. A payload
 // that does not decode is a miss.
 func (j *Journal) load(key string) (metrics.RunRecord, bool) {
-	var rec metrics.RunRecord
 	data, ok := j.st.Get(key + journalSuffix)
-	if !ok || json.Unmarshal(data, &rec) != nil {
+	if !ok {
 		return metrics.RunRecord{}, false
 	}
-	return rec, true
+	rec, err := metrics.DecodeRunRecord(data)
+	return rec, err == nil
 }
 
 // record journals one finished run's record (success or deterministic

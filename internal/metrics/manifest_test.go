@@ -65,6 +65,18 @@ func TestManifestAddVerifiesDuplicates(t *testing.T) {
 	if err := m.Add(bad); err == nil {
 		t.Fatal("conflicting duplicate accepted")
 	}
+	// Identity is Key(): fields that differ but join to an equal key
+	// through a '|' inside a field are one run.
+	if err := m.Add(RunRecord{Exp: "a|b", Kernel: "c", Cycles: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Add(RunRecord{Exp: "a", Kernel: "b|c", Cycles: 1}); err != nil || len(m.Runs) != 2 {
+		t.Fatalf("an equal key was stored twice (%d runs, %v)", len(m.Runs), err)
+	}
+	if err := m.Add(RunRecord{Exp: "a", Kernel: "b|c", Cycles: 2}); err == nil ||
+		!strings.Contains(err.Error(), "duplicate run a|b|c||||| disagrees") {
+		t.Fatalf("a disagreeing run under an equal key: %v", err)
+	}
 }
 
 func TestManifestDiff(t *testing.T) {

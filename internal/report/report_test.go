@@ -139,3 +139,19 @@ func TestLoadFullManifest(t *testing.T) {
 		t.Error("fig9 section has no kernels")
 	}
 }
+
+// BenchmarkJoinFull joins the 857 runs of the full-scale manifest: one
+// identity comparison per pair of runs, then the sort by key.
+func BenchmarkJoinFull(b *testing.B) {
+	m, err := metrics.ReadFile("testdata/full.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Join(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
