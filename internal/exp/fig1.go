@@ -28,19 +28,16 @@ type Fig1Result struct {
 	Items      int
 }
 
-// Fig1 runs the motivation experiment.
-func Fig1(c Cfg) (*Fig1Result, error) {
+// fig1Specs lists the motivation experiment's runs, with its item count:
+// two per bucket count of Fig16Buckets, the full launch and a single-warp
+// launch for the SIMD comparison (1e), the latter with items scaled down
+// so the run stays small.
+func fig1Specs(c Cfg) (items int, specs []Spec) {
 	gpu := c.fermi()
 	items, ctas, ctaThreads := 12288, 48, 128
 	if c.Quick {
 		items, ctas, ctaThreads = 6144, 24, 128
 	}
-	cpu := cpuref.DefaultCPU()
-	r := &Fig1Result{Items: items}
-	// Two runs per bucket count: the full launch and a single-warp launch
-	// for the SIMD comparison (1e), the latter with items scaled down so
-	// the run stays small.
-	var specs []Spec
 	for _, buckets := range Fig16Buckets {
 		k := kernels.NewHashTable(kernels.HashTableConfig{
 			Items: items, Buckets: buckets, CTAs: ctas, CTAThreads: ctaThreads,
@@ -52,6 +49,15 @@ func Fig1(c Cfg) (*Fig1Result, error) {
 			Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k},
 			Spec{GPU: gpu, Sched: config.GTO, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k1})
 	}
+	return items, specs
+}
+
+// Fig1 runs the motivation experiment.
+func Fig1(c Cfg) (*Fig1Result, error) {
+	items, specs := fig1Specs(c)
+	gpu := specs[0].GPU
+	cpu := cpuref.DefaultCPU()
+	r := &Fig1Result{Items: items}
 	runs, err := c.runs(specs, false)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"warpsched/internal/isa"
@@ -9,10 +10,8 @@ import (
 )
 
 // NewATM builds the bank-transfer kernel (paper §V, Figure 6a): each
-// transaction locks two account mutexes with the nested try-lock idiom —
-// acquire lock1; try lock2; on failure release lock1 and retry the whole
-// sequence — which is SIMT-deadlock-free because no thread spins while
-// holding a lock.
+// transaction moves an amount between two accounts inside the nested
+// try-lock of their two mutexes (nestedTryLock).
 func NewATM(txns, accounts, ctas, ctaThreads int) *Kernel {
 	var l layout
 	src := l.array(txns)
@@ -46,55 +45,16 @@ func NewATM(txns, accounts, ctas, ctaThreads int) *Kernel {
 			b.Ld(rS, isa.R(rSrcB), isa.R(rT))
 			b.Ld(rD, isa.R(rDstB), isa.R(rT))
 			b.Ld(rA, isa.R(rAmtB), isa.R(rT))
-			b.Annotate(isa.AnnSync, func() { b.Mov(rDone, isa.I(0)) })
-			b.DoWhile(pSpin, false, true,
-				func() {
-					// try lock 1 (source account)
-					b.Annotate(isa.AnnSync, func() {
-						b.AtomCAS(rCas1, isa.R(rLockB), isa.R(rS), isa.I(0), isa.I(1))
-						b.AnnotateLast(isa.AnnLockAcquire)
-						b.Setp(isa.EQ, pGot1, isa.R(rCas1), isa.I(0))
-					})
-					b.If(pGot1, false, func() {
-						// try lock 2 (destination account)
-						b.Annotate(isa.AnnSync, func() {
-							b.AtomCAS(rCas2, isa.R(rLockB), isa.R(rD), isa.I(0), isa.I(1))
-							b.AnnotateLast(isa.AnnLockAcquire)
-							b.Setp(isa.EQ, pGot2, isa.R(rCas2), isa.I(0))
-						})
-						b.IfElse(pGot2, false,
-							func() {
-								// critical section: the transfer
-								b.LdVol(rB1, isa.R(rBalB), isa.R(rS))
-								b.Sub(rB1, isa.R(rB1), isa.R(rA))
-								b.St(isa.R(rBalB), isa.R(rS), isa.R(rB1))
-								b.LdVol(rB2, isa.R(rBalB), isa.R(rD))
-								b.Add(rB2, isa.R(rB2), isa.R(rA))
-								b.St(isa.R(rBalB), isa.R(rD), isa.R(rB2))
-								b.Annotate(isa.AnnSync, func() {
-									b.Membar()
-									b.AtomExch(rTmp, isa.R(rLockB), isa.R(rD), isa.I(0))
-									b.AnnotateLast(isa.AnnLockRelease)
-									b.AtomExch(rTmp, isa.R(rLockB), isa.R(rS), isa.I(0))
-									b.AnnotateLast(isa.AnnLockRelease)
-									b.Mov(rDone, isa.I(1))
-								})
-							},
-							func() {
-								// lock 2 busy: back out of lock 1 (Figure 6a line 10)
-								b.Annotate(isa.AnnSync, func() {
-									b.AtomExch(rTmp, isa.R(rLockB), isa.R(rS), isa.I(0))
-									b.AnnotateLast(isa.AnnLockRelease)
-								})
-							})
-					})
-				},
-				func() {
-					b.Annotate(isa.AnnSync, func() {
-						b.Setp(isa.EQ, pSpin, isa.R(rDone), isa.I(0))
-					})
-				})
-			b.AnnotateLast(isa.AnnSync)
+			nestedTryLock(b, tryLockRegs{locks: rLockB, first: rS, second: rD, done: rDone,
+				cas1: rCas1, cas2: rCas2, tmp: rTmp, got1: pGot1, got2: pGot2, spin: pSpin}, func() {
+				// critical section: the transfer
+				b.LdVol(rB1, isa.R(rBalB), isa.R(rS))
+				b.Sub(rB1, isa.R(rB1), isa.R(rA))
+				b.St(isa.R(rBalB), isa.R(rS), isa.R(rB1))
+				b.LdVol(rB2, isa.R(rBalB), isa.R(rD))
+				b.Add(rB2, isa.R(rB2), isa.R(rA))
+				b.St(isa.R(rBalB), isa.R(rD), isa.R(rB2))
+			})
 			b.Add(rT, isa.R(rT), isa.R(rStride))
 		})
 	b.Exit()
@@ -111,24 +71,7 @@ func NewATM(txns, accounts, ctas, ctaThreads int) *Kernel {
 		dstV := make([]uint32, txns)
 		amtV := make([]uint32, txns)
 		for i := 0; i < txns; i++ {
-		retry:
-			s := r.Intn(accounts)
-			d := r.Intn(accounts - 1)
-			if d >= s {
-				d++ // distinct accounts: same-account transfers would self-livelock
-			}
-			// Reject anti-symmetric pairs within the same warp's 32-txn group:
-			// two lanes of one warp running (x→y, y→x) acquire their first
-			// locks in SIMT lockstep and retry-collide forever — the unordered
-			// try-lock of Figure 6a cannot terminate on such inputs on any
-			// SIMT machine, so valid inputs must exclude them.
-			for j := i - i%32; j < i; j++ {
-				if srcV[j] == uint32(d) && dstV[j] == uint32(s) {
-					goto retry
-				}
-			}
-			srcV[i] = uint32(s)
-			dstV[i] = uint32(d)
+			srcV[i], dstV[i] = drawPair(r, accounts, srcV[:i], dstV[:i])
 			amtV[i] = uint32(1 + r.Intn(100))
 		}
 		expected := make([]int64, accounts)
@@ -220,57 +163,20 @@ func NewClothDS(constraints, particles, ctas, ctaThreads int) *Kernel {
 		func() {
 			b.Ld(rI, isa.R(rIaB), isa.R(rT))
 			b.Ld(rJ, isa.R(rIbB), isa.R(rT))
-			b.Annotate(isa.AnnSync, func() { b.Mov(rFlag, isa.I(0)) })
-			b.DoWhile(pSpin, false, true,
-				func() {
-					b.Annotate(isa.AnnSync, func() {
-						b.AtomCAS(rCas1, isa.R(rLockB), isa.R(rI), isa.I(0), isa.I(1))
-						b.AnnotateLast(isa.AnnLockAcquire)
-						b.Setp(isa.EQ, pGot1, isa.R(rCas1), isa.I(0))
-					})
-					b.If(pGot1, false, func() {
-						b.Annotate(isa.AnnSync, func() {
-							b.AtomCAS(rCas2, isa.R(rLockB), isa.R(rJ), isa.I(0), isa.I(1))
-							b.AnnotateLast(isa.AnnLockAcquire)
-							b.Setp(isa.EQ, pGot2, isa.R(rCas2), isa.I(0))
-						})
-						b.IfElse(pGot2, false,
-							func() {
-								// Relax the constraint: move both particles
-								// a quarter of their signed separation
-								// toward each other (sum-conserving).
-								b.LdVol(rPi, isa.R(rPosB), isa.R(rI))
-								b.LdVol(rPj, isa.R(rPosB), isa.R(rJ))
-								b.Sub(rDelta, isa.R(rPi), isa.R(rPj))
-								b.Div(rDelta, isa.R(rDelta), isa.I(4))
-								b.Sub(rPi, isa.R(rPi), isa.R(rDelta))
-								b.Add(rPj, isa.R(rPj), isa.R(rDelta))
-								b.St(isa.R(rPosB), isa.R(rI), isa.R(rPi))
-								b.St(isa.R(rPosB), isa.R(rJ), isa.R(rPj))
-								b.St(isa.R(rDoneB), isa.R(rT), isa.I(1))
-								b.Annotate(isa.AnnSync, func() {
-									b.Membar()
-									b.AtomExch(rTmp, isa.R(rLockB), isa.R(rJ), isa.I(0))
-									b.AnnotateLast(isa.AnnLockRelease)
-									b.AtomExch(rTmp, isa.R(rLockB), isa.R(rI), isa.I(0))
-									b.AnnotateLast(isa.AnnLockRelease)
-									b.Mov(rFlag, isa.I(1))
-								})
-							},
-							func() {
-								b.Annotate(isa.AnnSync, func() {
-									b.AtomExch(rTmp, isa.R(rLockB), isa.R(rI), isa.I(0))
-									b.AnnotateLast(isa.AnnLockRelease)
-								})
-							})
-					})
-				},
-				func() {
-					b.Annotate(isa.AnnSync, func() {
-						b.Setp(isa.EQ, pSpin, isa.R(rFlag), isa.I(0))
-					})
-				})
-			b.AnnotateLast(isa.AnnSync)
+			nestedTryLock(b, tryLockRegs{locks: rLockB, first: rI, second: rJ, done: rFlag,
+				cas1: rCas1, cas2: rCas2, tmp: rTmp, got1: pGot1, got2: pGot2, spin: pSpin}, func() {
+				// Relax the constraint: move both particles a quarter of
+				// their signed separation toward each other (sum-conserving).
+				b.LdVol(rPi, isa.R(rPosB), isa.R(rI))
+				b.LdVol(rPj, isa.R(rPosB), isa.R(rJ))
+				b.Sub(rDelta, isa.R(rPi), isa.R(rPj))
+				b.Div(rDelta, isa.R(rDelta), isa.I(4))
+				b.Sub(rPi, isa.R(rPi), isa.R(rDelta))
+				b.Add(rPj, isa.R(rPj), isa.R(rDelta))
+				b.St(isa.R(rPosB), isa.R(rI), isa.R(rPi))
+				b.St(isa.R(rPosB), isa.R(rJ), isa.R(rPj))
+				b.St(isa.R(rDoneB), isa.R(rT), isa.I(1))
+			})
 			b.Add(rT, isa.R(rT), isa.R(rStride))
 		})
 	b.Exit()
@@ -285,22 +191,7 @@ func NewClothDS(constraints, particles, ctas, ctaThreads int) *Kernel {
 		d.ia = make([]uint32, constraints)
 		d.ib = make([]uint32, constraints)
 		for i := 0; i < constraints; i++ {
-		retry:
-			a := r.Intn(particles)
-			c := r.Intn(particles - 1)
-			if c >= a {
-				c++
-			}
-			// As in ATM, anti-symmetric pairs within one warp's group would
-			// livelock under lockstep retry; real constraint sets are built
-			// without them.
-			for j := i - i%32; j < i; j++ {
-				if d.ia[j] == uint32(c) && d.ib[j] == uint32(a) {
-					goto retry
-				}
-			}
-			d.ia[i] = uint32(a)
-			d.ib[i] = uint32(c)
+			d.ia[i], d.ib[i] = drawPair(r, particles, d.ia[:i], d.ib[:i])
 		}
 		d.pos = draws(r, particles, 0, 1<<16)
 		for _, p := range d.pos {
@@ -344,5 +235,84 @@ func NewClothDS(constraints, particles, ctas, ctaThreads int) *Kernel {
 			}
 			return nil
 		},
+	}
+}
+
+// tryLockRegs names the registers and predicates of one Figure 6a
+// nested try-lock: the lock array base and the two lock indices, the
+// done flag, the two CAS results, the release scratch, and the
+// first-lock, second-lock and retry predicates.
+type tryLockRegs struct {
+	locks, first, second, done, cas1, cas2, tmp isa.Reg
+	got1, got2, spin                            isa.Pred
+}
+
+// nestedTryLock emits Figure 6a's nested try-lock around critical: take
+// lock first; try lock second; if both are held run critical, release
+// both and set done, else release first (Figure 6a line 10); repeat until
+// done. No lane spins while holding a lock, which makes the idiom
+// SIMT-deadlock-free. Everything but critical is AnnSync, and the retry
+// branch is the loop's SIB.
+func nestedTryLock(b *isa.Builder, r tryLockRegs, critical func()) {
+	tryLock := func(cas, idx isa.Reg, got isa.Pred) {
+		b.Annotate(isa.AnnSync, func() {
+			b.AtomCAS(cas, isa.R(r.locks), isa.R(idx), isa.I(0), isa.I(1))
+			b.AnnotateLast(isa.AnnLockAcquire)
+			b.Setp(isa.EQ, got, isa.R(cas), isa.I(0))
+		})
+	}
+	release := func(idx isa.Reg) {
+		b.AtomExch(r.tmp, isa.R(r.locks), isa.R(idx), isa.I(0))
+		b.AnnotateLast(isa.AnnLockRelease)
+	}
+	b.Annotate(isa.AnnSync, func() { b.Mov(r.done, isa.I(0)) })
+	b.DoWhile(r.spin, false, true,
+		func() {
+			tryLock(r.cas1, r.first, r.got1)
+			b.If(r.got1, false, func() {
+				tryLock(r.cas2, r.second, r.got2)
+				b.IfElse(r.got2, false,
+					func() {
+						critical()
+						b.Annotate(isa.AnnSync, func() {
+							b.Membar()
+							release(r.second)
+							release(r.first)
+							b.Mov(r.done, isa.I(1))
+						})
+					},
+					func() { b.Annotate(isa.AnnSync, func() { release(r.first) }) })
+			})
+		},
+		func() {
+			b.Annotate(isa.AnnSync, func() {
+				b.Setp(isa.EQ, r.spin, isa.R(r.done), isa.I(0))
+			})
+		})
+	b.AnnotateLast(isa.AnnSync)
+}
+
+// drawPair draws the next lock pair of a Figure 6a input, given the
+// pairs drawn so far: two distinct indices below n, first then second,
+// redrawn while an earlier element of the same 32-element warp group
+// holds the reverse pair. A pair on one lock would self-livelock, and two
+// lanes of one warp running (x, y) and (y, x) take their first locks in
+// SIMT lockstep and retry-collide forever: the unordered try-lock cannot
+// terminate on such inputs on any SIMT machine, so valid inputs exclude
+// them.
+func drawPair(r *rand.Rand, n int, firsts, seconds []uint32) (first, second uint32) {
+	i := len(firsts)
+redraw:
+	for {
+		first, second = uint32(r.Intn(n)), uint32(r.Intn(n-1))
+		if second >= first {
+			second++
+		}
+		for j := i - i%32; j < i; j++ {
+			if firsts[j] == second && seconds[j] == first {
+				continue redraw
+			}
+		}
+		return first, second
 	}
 }

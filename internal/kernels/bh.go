@@ -344,10 +344,8 @@ func NewBHST(m, ctas, ctaThreads int) *Kernel {
 		},
 		Verify: func(w []uint32) error {
 			// In-order propagation places leaf (leafStart+i) at output i.
-			for i := 0; i < nLeaves; i++ {
-				if got := w[out+uint32(i)]; got != uint32(i) {
-					return fmt.Errorf("ST: out[%d] = %d, want %d", i, got, i)
-				}
+			if err := checkElems(w, "ST: out", out, 0, nLeaves, func(i int) uint32 { return uint32(i) }); err != nil {
+				return err
 			}
 			for id := 0; id < m; id++ {
 				if int32(w[start+uint32(id)]) < 0 {

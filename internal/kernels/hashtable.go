@@ -111,6 +111,9 @@ func NewHashTable(c HashTableConfig) *Kernel {
 									func() {
 										b.Setp(isa.LT, pDelay, isa.R(rElapsed), isa.R(rLimit))
 									})
+								// The back-off loop spins on clock, not on
+								// another thread: sync overhead, but no SIB.
+								b.NoLintLast("sync-backward-missing-sib")
 							})
 						})
 					}

@@ -81,6 +81,18 @@ func draws(r *rand.Rand, n, lo, span int) []uint32 {
 	return out
 }
 
+// checkElems is the verifiers' element check: it reports the first index
+// i in [lo, hi) whose word at base+i, read as T, differs from want(i), as
+// "<what>[i] = got, want w" (what is "KERNEL: array").
+func checkElems[T uint32 | int32](w []uint32, what string, base uint32, lo, hi int, want func(i int) T) error {
+	for i, g := range w[base+uint32(lo) : base+uint32(hi)] {
+		if got, wi := T(g), want(lo+i); got != wi {
+			return fmt.Errorf("%s[%d] = %d, want %d", what, lo+i, got, wi)
+		}
+	}
+	return nil
+}
+
 // row is one line of the suite table: a kernel's name and class and the
 // constructors of its full- and quick-scale instances.
 type row struct {

@@ -50,12 +50,7 @@ func NewKmeansCopy(n, ctas, ctaThreads int) *Kernel {
 		},
 		Verify: func(w []uint32) error {
 			inV := inV()
-			for i := 0; i < n; i++ {
-				if w[out+uint32(i)] != inV[i] {
-					return fmt.Errorf("KMEANS: out[%d] = %d, want %d", i, w[out+uint32(i)], inV[i])
-				}
-			}
-			return nil
+			return checkElems(w, "KMEANS: out", out, 0, n, func(i int) uint32 { return inV[i] })
 		},
 	}
 }
@@ -106,12 +101,7 @@ func NewVecAdd(n, ctas, ctaThreads int) *Kernel {
 			},
 		},
 		Verify: func(w []uint32) error {
-			for i := 0; i < n; i++ {
-				if w[c+uint32(i)] != uint32(3*i) {
-					return fmt.Errorf("VECADD: c[%d] = %d, want %d", i, w[c+uint32(i)], 3*i)
-				}
-			}
-			return nil
+			return checkElems(w, "VECADD: c", c, 0, n, func(i int) uint32 { return uint32(3 * i) })
 		},
 	}
 }
@@ -186,16 +176,12 @@ func NewReduce(ctas, ctaThreads int) *Kernel {
 		},
 		Verify: func(w []uint32) error {
 			inV := inV()
-			for c := 0; c < ctas; c++ {
-				var want uint32
-				for t := 0; t < ctaThreads; t++ {
-					want += inV[c*ctaThreads+t]
+			return checkElems(w, "REDUCE: out", out, 0, ctas, func(c int) (sum uint32) {
+				for _, v := range inV[c*ctaThreads : (c+1)*ctaThreads] {
+					sum += v
 				}
-				if got := w[out+uint32(c)]; got != want {
-					return fmt.Errorf("REDUCE: out[%d] = %d, want %d", c, got, want)
-				}
-			}
-			return nil
+				return sum
+			})
 		},
 	}
 }
@@ -308,16 +294,12 @@ func NewHeartwall(n, ctas, ctaThreads int) *Kernel {
 		},
 		Verify: func(w []uint32) error {
 			inV := inV()
-			for t := 0; t < threads; t++ {
-				var want uint32
+			return checkElems(w, "HL: out", out, 0, threads, func(t int) (sum uint32) {
 				for off := 0; off < n; off += step {
-					want += inV[off+(t&(step-1))]
+					sum += inV[off+(t&(step-1))]
 				}
-				if got := w[out+uint32(t)]; got != want {
-					return fmt.Errorf("HL: out[%d] = %d, want %d", t, got, want)
-				}
-			}
-			return nil
+				return sum
+			})
 		},
 	}
 }
@@ -370,13 +352,7 @@ func NewStencil(n, ctas, ctaThreads int) *Kernel {
 		},
 		Verify: func(w []uint32) error {
 			inV := inV()
-			for i := 1; i < n-1; i++ {
-				want := (inV[i-1] + inV[i] + inV[i+1]) / 3
-				if got := w[out+uint32(i)]; got != want {
-					return fmt.Errorf("STENCIL: out[%d] = %d, want %d", i, got, want)
-				}
-			}
-			return nil
+			return checkElems(w, "STENCIL: out", out, 1, n-1, func(i int) uint32 { return (inV[i-1] + inV[i] + inV[i+1]) / 3 })
 		},
 	}
 }

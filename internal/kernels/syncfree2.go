@@ -173,12 +173,7 @@ func NewBFS(nodes, degree, ctaThreads int) *Kernel {
 			// node is reachable at the same level via several parents, but
 			// the level VALUES must match exactly (BFS level is unique).
 			_, want := data()
-			for v := 0; v < nodes; v++ {
-				if got := int32(w[level+uint32(v)]); got != want[v] {
-					return fmt.Errorf("BFS: level[%d] = %d, want %d", v, got, want[v])
-				}
-			}
-			return nil
+			return checkElems(w, "BFS: level", level, 0, nodes, func(v int) int32 { return want[v] })
 		},
 	}
 }
@@ -276,12 +271,7 @@ func NewHotspot(dim, ctas, ctaThreads int) *Kernel {
 		},
 		Verify: func(w []uint32) error {
 			inV := inV()
-			for i := 0; i < n; i++ {
-				if got, want := w[out+uint32(i)], ref(inV, i); got != want {
-					return fmt.Errorf("HOTSPOT: out[%d] = %d, want %d", i, got, want)
-				}
-			}
-			return nil
+			return checkElems(w, "HOTSPOT: out", out, 0, n, func(i int) uint32 { return ref(inV, i) })
 		},
 	}
 }
@@ -398,12 +388,7 @@ func NewPathfinder(rows, ctaThreads int) *Kernel {
 			if (rows-1)%2 == 0 {
 				buf = bufA
 			}
-			for j := 0; j < width; j++ {
-				if got := w[buf+uint32(j)]; got != cur[j] {
-					return fmt.Errorf("PATHFINDER: cost[%d] = %d, want %d", j, got, cur[j])
-				}
-			}
-			return nil
+			return checkElems(w, "PATHFINDER: cost", buf, 0, width, func(j int) uint32 { return cur[j] })
 		},
 	}
 }
@@ -469,16 +454,13 @@ func NewBackprop(inputs, outputs, ctas, ctaThreads int) *Kernel {
 		},
 		Verify: func(w []uint32) error {
 			inV, wV := data()
-			for j := 0; j < outputs; j++ {
+			return checkElems(w, "BACKPROP: out", out, 0, outputs, func(j int) uint32 {
 				var acc uint32
 				for i := 0; i < inputs; i++ {
 					acc += inV[i] * wV[i*outputs+j]
 				}
-				if got := w[out+uint32(j)]; got != acc>>8 {
-					return fmt.Errorf("BACKPROP: out[%d] = %d, want %d", j, got, acc>>8)
-				}
-			}
-			return nil
+				return acc >> 8
+			})
 		},
 	}
 }
@@ -558,12 +540,7 @@ func NewSRAD(n, ctas, ctaThreads int) *Kernel {
 		},
 		Verify: func(w []uint32) error {
 			inV := inV()
-			for i := 1; i < n-1; i++ {
-				if got, want := w[out+uint32(i)], ref(inV, i); got != want {
-					return fmt.Errorf("SRAD: out[%d] = %d, want %d", i, got, want)
-				}
-			}
-			return nil
+			return checkElems(w, "SRAD: out", out, 1, n-1, func(i int) uint32 { return ref(inV, i) })
 		},
 	}
 }
@@ -810,12 +787,7 @@ func NewNN(records, features, ctas, ctaThreads int) *Kernel {
 			if got := -int32(w[best]); got != d.minDist {
 				return fmt.Errorf("NN: min distance %d, want %d", got, d.minDist)
 			}
-			for t, want := range d.dist {
-				if got := int32(w[dist+uint32(t)]); got != want {
-					return fmt.Errorf("NN: dist[%d] = %d, want %d", t, got, want)
-				}
-			}
-			return nil
+			return checkElems(w, "NN: dist", dist, 0, len(d.dist), func(t int) int32 { return d.dist[t] })
 		},
 	}
 }
@@ -902,12 +874,7 @@ func NewGaussian(dim, k, ctas, ctaThreads int) *Kernel {
 		},
 		Verify: func(w []uint32) error {
 			matV := matV()
-			for i := 0; i < n; i++ {
-				if got, want := int32(w[out+uint32(i)]), ref(matV, i); got != want {
-					return fmt.Errorf("GAUSSIAN: out[%d] = %d, want %d", i, got, want)
-				}
-			}
-			return nil
+			return checkElems(w, "GAUSSIAN: out", out, 0, n, func(i int) int32 { return ref(matV, i) })
 		},
 	}
 }

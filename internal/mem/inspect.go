@@ -1,7 +1,8 @@
 // Read-only inspection of in-flight memory-system state, consumed by the
 // engine's hang diagnosis (internal/sim/hang.go) and runtime invariant
 // checker (internal/sim/invariants.go). Nothing here mutates simulation
-// state, so inspection cannot perturb a run.
+// state (Audit writes only its own marks on segments), so inspection
+// cannot perturb a run.
 package mem
 
 import (
@@ -93,7 +94,7 @@ func (s *System) ParkedWaiters() []ParkedWaiter {
 // and request-pool accounting. Iteration order is unspecified.
 func (s *System) ForEachInFlightRequest(fn func(*Request)) {
 	seen := make(map[*Request]struct{})
-	s.eachQueued(func(_ string, seg *segment) bool {
+	s.eachQueued(func(_ queue, seg *segment) bool {
 		if _, ok := seen[seg.req]; !ok && seg.req != nil {
 			seen[seg.req] = struct{}{}
 			fn(seg.req)
@@ -102,33 +103,49 @@ func (s *System) ForEachInFlightRequest(fn func(*Request)) {
 	})
 }
 
+// queue names a place a segment waits in.
+type queue uint8
+
+const (
+	onWheel queue = iota
+	onL2Queue
+	onDRAMQueue
+	onLockQueue
+	onLSQ
+	onMSHRChain
+)
+
+func (q queue) String() string {
+	return [...]string{"the wheel", "the L2 queue", "the DRAM queue", "a lock queue", "an LSQ", "an MSHR chain"}[q]
+}
+
 // eachQueued calls fn with every segment waiting on the wheel, in the L2
 // or DRAM queue, in a lock queue, on an LSQ or on an MSHR chain, and that
-// queue's name. A chain is cut short where fn returns false.
-func (s *System) eachQueued(fn func(q string, seg *segment) bool) {
+// queue. A chain is cut short where fn returns false.
+func (s *System) eachQueued(fn func(q queue, seg *segment) bool) {
 	for _, sl := range s.events.slots {
-		for seg := sl.head; seg != nil && fn("the wheel", seg); seg = seg.next {
+		for seg := sl.head; seg != nil && fn(onWheel, seg); seg = seg.next {
 		}
 	}
 	for _, e := range s.l2q.ent[:s.l2q.tail] {
 		if e.seg != nil { // nil in a hole
-			fn("the L2 queue", e.seg)
+			fn(onL2Queue, e.seg)
 		}
 	}
 	for _, seg := range s.dramQueue.items() {
-		fn("the DRAM queue", seg)
+		fn(onDRAMQueue, seg)
 	}
 	for _, q := range s.lockQueues {
 		for _, w := range q.items() {
-			fn("a lock queue", w.seg)
+			fn(onLockQueue, w.seg)
 		}
 	}
 	for _, p := range s.ports {
 		for _, seg := range p.lsq.items() {
-			fn("an LSQ", seg)
+			fn(onLSQ, seg)
 		}
 		for _, e := range p.mshr {
-			for seg := e.waiters.head; seg != nil && fn("an MSHR chain", seg); seg = seg.next {
+			for seg := e.waiters.head; seg != nil && fn(onMSHRChain, seg); seg = seg.next {
 			}
 		}
 	}
@@ -141,17 +158,20 @@ func (s *System) eachQueued(fn func(q string, seg *segment) bool) {
 // (l2.index-drift, wheel.index-drift), that no segment is queued in two
 // places at once (segment.aliased), MSHR table shape (mshr), segment pool
 // hygiene, lock-queue/parked-count agreement and lock-hold accounting.
+// Its three passes over segments mark each one with the pass's stamp
+// instead of building a set.
 func (s *System) Audit() []string {
 	out := append(s.l2q.audit(s.cycle), s.events.audit()...)
+	s.audits += 3
+	seen, counted, checked := s.audits-2, s.audits-1, s.audits
 	// Each segment waits in one queue at most.
-	where := make(map[*segment]string)
-	s.eachQueued(func(q string, seg *segment) bool {
-		prev, seen := where[seg]
-		if seen {
-			out = append(out, fmt.Sprintf("segment.aliased: line %d queued on %s and on %s", seg.line, prev, q))
+	s.eachQueued(func(q queue, seg *segment) bool {
+		again := seg.audit == seen
+		if again {
+			out = append(out, fmt.Sprintf("segment.aliased: line %d queued on %s and on %s", seg.line, seg.queue, q))
 		}
-		where[seg] = q
-		return !seen
+		seg.audit, seg.queue = seen, q
+		return !again
 	})
 	for _, p := range s.ports {
 		if len(p.mshr) > s.cfg.L1MSHRs {
@@ -175,19 +195,26 @@ func (s *System) Audit() []string {
 		}
 	}
 	// Each parked lane is counted exactly once by its segment.
-	parkedPerSeg := make(map[*segment]int)
 	for addr, q := range s.lockQueues {
 		if q.len() == 0 {
 			out = append(out, fmt.Sprintf("empty lock queue for addr %d", addr))
 		}
 		for _, w := range q.items() {
-			parkedPerSeg[w.seg]++
+			if w.seg.audit != counted {
+				w.seg.audit, w.seg.waiters = counted, 0
+			}
+			w.seg.waiters++
 		}
 	}
-	for seg, n := range parkedPerSeg {
-		if seg.parked != n {
-			out = append(out, fmt.Sprintf("segment for sm%d line %d: parked=%d but %d queued waiters",
-				seg.req.SM, seg.line, seg.parked, n))
+	for _, q := range s.lockQueues {
+		for _, w := range q.items() {
+			if seg := w.seg; seg.audit == counted {
+				seg.audit = checked
+				if seg.parked != int(seg.waiters) {
+					out = append(out, fmt.Sprintf("segment for sm%d line %d: parked=%d but %d queued waiters",
+						seg.req.SM, seg.line, seg.parked, seg.waiters))
+				}
+			}
 		}
 	}
 	for warp, n := range s.warpHolds {

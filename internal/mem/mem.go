@@ -69,9 +69,11 @@ type Request struct {
 
 // segment is one coalesced 128-byte transaction.
 type segment struct {
-	req   *Request
-	line  uint32
-	lanes []int // indexes into req.Accesses
+	req  *Request
+	line uint32
+	// waiters counts the segment's lock-queue entries during one Audit.
+	waiters int32
+	lanes   []int // indexes into req.Accesses
 	// parked counts lanes waiting in a lock queue (QueueLocks mode);
 	// the segment completes only when every parked lane is granted.
 	parked int
@@ -80,7 +82,11 @@ type segment struct {
 	// on an MSHR (with no completion pending), behind the previous merge.
 	at   int64
 	kind evKind
-	next *segment
+	// queue and audit are Audit's marks (inspect.go): the queue the
+	// segment was last seen on, in the Audit pass stamped audit.
+	queue queue
+	audit uint32
+	next  *segment
 }
 
 // evKind tags a scheduled completion. A completion is a kind on its
@@ -136,6 +142,9 @@ type System struct {
 	// curSeg is the segment whose accesses are being applied, so an
 	// address fault can name the SM, warp and operation it was servicing.
 	curSeg *segment
+	// audits stamps Audit's passes over segments, three per call, so it
+	// needs no per-call set.
+	audits uint32
 }
 
 // lockWaiter is one parked lock acquire: the segment and the index of

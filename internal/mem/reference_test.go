@@ -445,6 +445,12 @@ func TestAuditDetectsIndexDrift(t *testing.T) {
 		}},
 		{"completion also on an LSQ", "segment.aliased", func(s *System, q *l2Queue) { s.ports[1].lsq.push(s.events.slots[3].head) }},
 		{"merged miss also on the L2 queue", "segment.aliased", func(s *System, q *l2Queue) { q.push(s.ports[0].mshr[0].waiters.head, s.cycle) }},
+		{"parked lane its segment does not count", "segment for sm1", func(s *System, q *l2Queue) {
+			var f fifo[lockWaiter]
+			f.push(lockWaiter{seg: s.ports[1].newSegment(&Request{SM: 1}, 40)})
+			s.lockQueues[7] = f
+		}},
+		{"empty lock queue", "empty lock queue", func(s *System, q *l2Queue) { s.lockQueues[9] = fifo[lockWaiter]{} }},
 		{"MSHR line held twice", "mshr", func(s *System, q *l2Queue) { s.ports[0].mshr = append(s.ports[0].mshr, mshrEntry{line: 20}) }},
 		{"MSHRs beyond L1MSHRs", "mshr", func(s *System, q *l2Queue) {
 			for line := uint32(100); len(s.ports[0].mshr) <= s.cfg.L1MSHRs; line++ {

@@ -124,7 +124,25 @@ func (m *Manifest) Add(r RunRecord) error {
 // Sort orders runs by key so a manifest's JSON is independent of worker
 // scheduling in the parallel runner.
 func (m *Manifest) Sort() {
-	sort.Slice(m.Runs, func(i, j int) bool { return m.Runs[i].Key() < m.Runs[j].Key() })
+	keys := make([]string, len(m.Runs))
+	for i := range m.Runs {
+		keys[i] = m.Runs[i].Key()
+	}
+	sort.Sort(byKey{keys, m.Runs})
+}
+
+// byKey sorts runs by their precomputed keys. sort.Sort and sort.Slice
+// run the same algorithm, so ties land where sort.Slice put them.
+type byKey struct {
+	keys []string
+	runs []RunRecord
+}
+
+func (s byKey) Len() int           { return len(s.keys) }
+func (s byKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s byKey) Swap(i, j int) {
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	s.runs[i], s.runs[j] = s.runs[j], s.runs[i]
 }
 
 // Run returns the record with the given key, or nil.
@@ -135,6 +153,17 @@ func (m *Manifest) Run(key string) *RunRecord {
 		}
 	}
 	return nil
+}
+
+// index maps each key to its record, the first of several as in Run.
+func (m *Manifest) index() map[string]*RunRecord {
+	idx := make(map[string]*RunRecord, len(m.Runs))
+	for i := range m.Runs {
+		if k := m.Runs[i].Key(); idx[k] == nil {
+			idx[k] = &m.Runs[i]
+		}
+	}
+	return idx
 }
 
 // WriteFile marshals the manifest (sorted, indented) to path.
@@ -183,21 +212,24 @@ type DiffOptions struct {
 // times, git revisions and config hashes are never compared.
 func Diff(got, want *Manifest, opt DiffOptions) []string {
 	var out []string
+	gotIdx := got.index()
 	for i := range want.Runs {
 		w := &want.Runs[i]
-		g := got.Run(w.Key())
+		key := w.Key()
+		g := gotIdx[key]
 		if g == nil {
-			out = append(out, fmt.Sprintf("run %s: missing", w.Key()))
+			out = append(out, fmt.Sprintf("run %s: missing", key))
 			continue
 		}
 		for _, d := range diffRun(g, w, opt.FloatTol) {
-			out = append(out, fmt.Sprintf("run %s: %s", w.Key(), d))
+			out = append(out, fmt.Sprintf("run %s: %s", key, d))
 		}
 	}
 	if opt.RequireSameRuns {
+		wantIdx := want.index()
 		for i := range got.Runs {
-			if want.Run(got.Runs[i].Key()) == nil {
-				out = append(out, fmt.Sprintf("run %s: unexpected (absent from golden)", got.Runs[i].Key()))
+			if key := got.Runs[i].Key(); wantIdx[key] == nil {
+				out = append(out, fmt.Sprintf("run %s: unexpected (absent from golden)", key))
 			}
 		}
 	}

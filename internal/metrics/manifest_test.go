@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"bytes"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -168,4 +170,45 @@ func TestHashJSONStable(t *testing.T) {
 	if len(h1) != 16 {
 		t.Errorf("hash length = %d, want 16", len(h1))
 	}
+}
+
+// TestSortFullWritesFile shuffles full.json's records and checks that
+// WriteFile sorts them back to the file's exact bytes.
+func TestSortFullWritesFile(t *testing.T) {
+	want := readTestFile(t, fullPath)
+	m, err := ReadFile(fullPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(m.Runs), func(i, j int) { m.Runs[i], m.Runs[j] = m.Runs[j], m.Runs[i] })
+	path := filepath.Join(t.TempDir(), "full.json")
+	if err := m.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := readTestFile(t, path); !bytes.Equal(got, want) {
+		t.Errorf("re-sorted full.json differs from the file (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// BenchmarkDiffFull compares full.json (857 runs) with itself under
+// RequireSameRuns, the golden and regrow gates' check, and re-sorts it.
+func BenchmarkDiffFull(b *testing.B) {
+	m, err := ReadFile(fullPath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("diff", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if d := Diff(m, m, DiffOptions{RequireSameRuns: true}); len(d) > 0 {
+				b.Fatal(d[0])
+			}
+		}
+	})
+	b.Run("sort", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Sort()
+		}
+	})
 }

@@ -3,13 +3,17 @@ package report
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"warpsched/internal/config"
+	"warpsched/internal/energy"
 	"warpsched/internal/exp"
 	"warpsched/internal/metrics"
+	"warpsched/internal/stats"
 )
 
 // The paper's headline claims, as README "Reproduction status" states
@@ -23,6 +27,9 @@ const (
 	// maxPaperSpeedupGap is today's benchmark layer report.paper_speedup_gap:
 	// |Fig. 9 harmonic-mean CAWA speedup − the paper's 1.5| ÷ 1.5.
 	maxPaperSpeedupGap = 0.2208
+	// energyBoxSpan bounds the energy claim's coefficient box: each of
+	// the nine per-event energies anywhere in [c/4, 4c] of its nominal c.
+	energyBoxSpan = 4
 	// maxSTSlowdown is the worst BOWS slowdown of ST over the six Fig. 9/15
 	// scheduler pairs (Known divergence 1): 2.718 for GTO on Fermi, the
 	// others 1.97 to 2.48.
@@ -68,6 +75,23 @@ func claims(r *Report) []string {
 			if o.b.Speedup[hi] <= o.b.Speedup[lo] {
 				fail("%s: BOWS speedup over %s (%.3f) no longer exceeds that over %s (%.3f)",
 					o.b.Exp, hi, o.b.Speedup[hi], lo, o.b.Speedup[lo])
+			}
+		}
+	}
+	// The energy win holds over a box of energy models, not only at the
+	// nominal coefficients: the gmean over kernels of each kernel's worst
+	// saving anywhere in [c/4, 4c] stays above 1.
+	for _, tag := range []string{"fig9", "fig15"} {
+		pairs, c, err := energyPairs(r.Set(), tag)
+		if err != nil {
+			fail("%s: %v", tag, err)
+			continue
+		}
+		bound := boxBound(pairs, c, energyBoxSpan, func(energyPair) bool { return true })
+		for _, sched := range []string{"LRR", "GTO", "CAWA"} {
+			if bound[sched] <= 1 {
+				fail("%s: BOWS energy saving over %s falls to %.3f in the [c/%d, %dc] coefficient box, want > 1",
+					tag, sched, bound[sched], energyBoxSpan, energyBoxSpan)
 			}
 		}
 	}
@@ -267,5 +291,180 @@ func TestPaperClaims(t *testing.T) {
 			t.Errorf("%s at 1.5x its cycles violates no claim", mutated.Runs[i].Key())
 		}
 		t.Logf("a 50%% slower %s trips: %v", mutated.Runs[i].Key(), bad)
+	}
+}
+
+// coefNames names energy.Coefficients' fields in boxVertex's bit order.
+var coefNames = []string{"Issue", "LaneOp", "RF", "L1", "L2", "DRAM", "Atomic", "Idle", "Sched"}
+
+// boxVertex returns vertex v of the box [c/span, span·c]: coefficient j
+// at span·c when bit j of v is set, at c/span otherwise.
+func boxVertex(c energy.Coefficients, span float64, v int) energy.Coefficients {
+	for j, p := range []*float64{&c.IssuePJ, &c.LaneOpPJ, &c.RFAccessPJ, &c.L1PJ, &c.L2PJ,
+		&c.DRAMPJ, &c.AtomicPJ, &c.IdleWarpPJ, &c.SchedulerPJ} {
+		if v>>j&1 == 1 {
+			*p *= span
+		} else {
+			*p /= span
+		}
+	}
+	return c
+}
+
+// energyPair is one kernel's baseline and BOWS runs under one scheduler.
+type energyPair struct {
+	kernel, sched string
+	base, bows    exp.Run
+}
+
+// worstSaving returns the smallest E_base / E_BOWS over the box's 512
+// vertices and the vertex attaining it. Energy is linear in the
+// coefficients, so the ratio is linear-fractional in them and its
+// minimum over the box lies at a vertex. A watchdog-aborted baseline's
+// partial energy is a floor, so its saving stays a sound lower bound.
+func (p energyPair) worstSaving(c energy.Coefficients, span float64) (float64, int) {
+	worst, at := math.Inf(1), 0
+	for v := 0; v < 1<<len(coefNames); v++ {
+		cv := boxVertex(c, span, v)
+		if s := energy.Compute(cv, p.base.Stats).Total() / energy.Compute(cv, p.bows.Stats).Total(); s < worst {
+			worst, at = s, v
+		}
+	}
+	return worst, at
+}
+
+// energyPairs returns a Fig. 9/15 sweep's (kernel, scheduler) pairs from
+// the set, and the nominal coefficients of its machine.
+func energyPairs(s *Set, tag string) ([]energyPair, energy.Coefficients, error) {
+	var pairs []energyPair
+	_, err := derive(s, tag, exp.BarsLayout(config.Schedulers), func(kernels []string, cols []exp.Column, runs [][]exp.Run) bool {
+		for ki, k := range kernels {
+			for i := 0; i+1 < len(cols); i += 2 {
+				pairs = append(pairs, energyPair{k, cols[i].Label, runs[ki][i], runs[ki][i+1]})
+			}
+		}
+		return true
+	})
+	if err != nil {
+		return nil, energy.Coefficients{}, err
+	}
+	if len(pairs) == 0 {
+		return nil, energy.Coefficients{}, fmt.Errorf("%s has no runs", tag)
+	}
+	return pairs, energy.ByConfigName(pairs[0].base.GPU), nil
+}
+
+// boxBound returns, per scheduler, the gmean over the kept pairs of each
+// pair's worst saving in the box [c/span, span·c]: a lower bound on the
+// gmean saving under any coefficient set in the box.
+func boxBound(pairs []energyPair, c energy.Coefficients, span float64, keep func(energyPair) bool) map[string]float64 {
+	worst := map[string][]float64{}
+	for _, p := range pairs {
+		if keep(p) {
+			s, _ := p.worstSaving(c, span)
+			worst[p.sched] = append(worst[p.sched], s)
+		}
+	}
+	out := map[string]float64{}
+	for sched, ws := range worst {
+		out[sched] = stats.Gmean(ws)
+	}
+	return out
+}
+
+// maxSpan is the widest box breakSpan searches.
+const maxSpan = 1000
+
+// breakSpan returns the span at which f, falling as the span grows,
+// reaches 1, bisected on a log scale over [1, maxSpan]: 1 if f(1) <= 1,
+// maxSpan if f stays above 1 there.
+func breakSpan(f func(span float64) float64) float64 {
+	if f(maxSpan) > 1 {
+		return maxSpan
+	}
+	lo, hi := 1.0, float64(maxSpan)
+	for i := 0; i < 20; i++ {
+		mid := math.Sqrt(lo * hi)
+		if f(mid) > 1 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestEnergyBox ties the energy-box bound to the report: at span 1 the
+// box is the nominal coefficient set and the bound is the section's
+// EnergySaving. It logs the numbers EXPERIMENTS.md tabulates: per
+// machine and baseline, the largest span at which the bound stays above
+// 1 (for Pascal also without its watchdog-aborted cells), and per kernel
+// the smallest span at which any one of its six savings reaches 1, and
+// its worst saving in the ×/÷4 box with the vertex that attains it.
+func TestEnergyBox(t *testing.T) {
+	if n := reflect.TypeOf(energy.Coefficients{}).NumField(); n != len(coefNames) {
+		t.Fatalf("energy.Coefficients has %d fields, the box %d", n, len(coefNames))
+	}
+	m, err := metrics.ReadFile("testdata/full.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Build(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := func(energyPair) bool { return true }
+	finished := func(p energyPair) bool { return !p.base.LowerBound && !p.bows.LowerBound }
+	type kernelWorst struct {
+		span, worst     float64
+		spanAt, worstAt string
+		nominal         float64
+		vertex          int
+	}
+	kernels := map[string]*kernelWorst{}
+	for _, b := range []*exp.BarsSection{r.Fig9, r.Fig15} {
+		pairs, c, err := energyPairs(r.Set(), b.Exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nominal := boxBound(pairs, c, 1, all)
+		atBox := boxBound(pairs, c, energyBoxSpan, all)
+		atBoxFinished := boxBound(pairs, c, energyBoxSpan, finished)
+		for _, sched := range []string{"LRR", "GTO", "CAWA"} {
+			if got, want := nominal[sched], b.EnergySaving[sched]; math.Abs(got-want) > 1e-9*want {
+				t.Errorf("%s %s: box bound at span 1 is %.6f, the section's saving %.6f", b.Exp, sched, got, want)
+			}
+			span := func(keep func(energyPair) bool) float64 {
+				return breakSpan(func(s float64) float64 { return boxBound(pairs, c, s, keep)[sched] })
+			}
+			t.Logf("%s %s: nominal %.3f, box x/%d %.3f (finished cells %.3f), bound > 1 up to span %.2f (finished cells %.2f)",
+				b.Exp, sched, nominal[sched], energyBoxSpan, atBox[sched], atBoxFinished[sched], span(all), span(finished))
+		}
+		for _, p := range pairs {
+			kw := kernels[p.kernel]
+			if kw == nil {
+				kw = &kernelWorst{span: math.Inf(1), worst: math.Inf(1)}
+				kernels[p.kernel] = kw
+			}
+			where := b.Exp + " " + p.sched
+			if s := breakSpan(func(s float64) float64 { w, _ := p.worstSaving(c, s); return w }); s < kw.span {
+				kw.span, kw.spanAt = s, where
+				kw.nominal, _ = p.worstSaving(c, 1)
+			}
+			if w, v := p.worstSaving(c, energyBoxSpan); w < kw.worst {
+				kw.worst, kw.worstAt, kw.vertex = w, where, v
+			}
+		}
+	}
+	for _, k := range r.Fig9.Kernels {
+		kw := kernels[k]
+		var high []string
+		for j, name := range coefNames {
+			if kw.vertex>>j&1 == 1 {
+				high = append(high, name)
+			}
+		}
+		t.Logf("%s: first saving reaches 1 at span %.2f of %d (%s, nominal %.3f); worst in the x/%d box %.3f (%s) with %v high",
+			k, kw.span, maxSpan, kw.spanAt, kw.nominal, energyBoxSpan, kw.worst, kw.worstAt, high)
 	}
 }
