@@ -70,8 +70,8 @@ func Record(sp Spec, o Outcome) metrics.RunRecord {
 // DetectorDesc returns the descriptor of the spec's active detector: the
 // manifest's detector-configuration join key (RunRecord.DDOS). TAGE specs
 // carry the TAGE descriptor there — disjoint from every DDOS descriptor
-// by construction — so the tagesib sensitivity table joins both detector
-// families on one key under a stable schema.
+// by construction — so a record of either detector family joins on one
+// key under a stable schema (the golden sweep's TAGE records do).
 func (sp Spec) DetectorDesc() string {
 	if sp.Detector == config.DetectTAGE {
 		return sp.TAGE.Desc()
@@ -157,8 +157,8 @@ func RunOfRecord(rec *metrics.RunRecord) (Run, error) {
 // (fig16's queue-lock comparator differs only in Mem.QueueLocks; a daemon
 // job's admitted MaxCycles rides in GPU.MaxCycles), the BOWS and DDOS
 // parameter sets (table1 and the delay sweep vary these), the detector
-// selection with its TAGE parameters and the WASP knobs (the
-// scheduler-zoo sweeps vary these), and the launch geometry and
+// selection with its TAGE parameters and the WASP knobs (the golden
+// sweep's zoo records and warpsim vary these), and the launch geometry and
 // parameters (fig16 reuses kernel names across bucket counts). It is the
 // one run identity: manifest records carry it and ContentKey (the journal's
 // and warpsimd's key) embeds it, so a daemon job, a sweep run and a

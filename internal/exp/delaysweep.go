@@ -91,24 +91,8 @@ func (s *DelaySection) String() string {
 	sb.WriteString("paper: backed-off share grows with the delay limit once it exceeds a per-benchmark threshold (Fig. 11)\n")
 
 	sb.WriteString("\nFig. 12 — lock acquire / wait exit outcome distribution (per-lane attempts, normalized to the GTO bar's total)\n\n")
-	t := &table{header: []string{"kernel", "column", "success", "interwarp-fail", "intrawarp-fail", "wait-ok", "wait-fail", "total/GTO"}}
-	for _, k := range s.Kernels {
-		attempts := func(e stats.SyncEvents) float64 { return float64(e.LockAttempts() + e.WaitAttempts()) }
-		base := attempts(s.Sync[k][0])
-		if base == 0 {
-			base = 1
-		}
-		for i, e := range s.Sync[k] {
-			t.add(k, s.Columns[i],
-				fmt.Sprintf("%d", e.LockSuccess),
-				fmt.Sprintf("%d", e.InterWarpFail),
-				fmt.Sprintf("%d", e.IntraWarpFail),
-				fmt.Sprintf("%d", e.WaitExitSuccess),
-				fmt.Sprintf("%d", e.WaitExitFail),
-				f2(attempts(e)/base))
-		}
-	}
-	sb.WriteString(t.String())
+	sb.WriteString(syncTable([]string{"kernel", "column", "success", "interwarp-fail", "intrawarp-fail", "wait-ok", "wait-fail", "total/GTO"},
+		s.Kernels, s.Columns, s.Sync))
 	sb.WriteString("paper: BOWS sharply cuts failed acquires (e.g. 10.8x fewer lock failures on HT vs GTO)\n")
 
 	sb.WriteString("\nFig. 13a — normalized dynamic (thread) instruction count (GTO = 1.00)\n\n")

@@ -2,14 +2,15 @@ package exp
 
 import (
 	"errors"
+	"fmt"
 
 	"warpsched/internal/config"
 	"warpsched/internal/kernels"
 	"warpsched/internal/stats"
 )
 
-// The figure families internal/report also publishes (fig9/fig15, wasp,
-// delaysweep, fig14, table1, tagesib, ablation) are one pipeline each:
+// The figure families internal/report also publishes (fig9/fig15,
+// delaysweep, fig14, table1, ablation) are one pipeline each:
 //
 //	layout → lookup → derive → render
 //
@@ -68,7 +69,7 @@ type Detection struct {
 // submission order. The first failed run in submission order is the
 // error; with lowerBounds set, a watchdog abort (an error beside
 // counters) is kept as a lower bound instead — the livelocking baselines
-// of fig9/fig15/wasp.
+// of fig9/fig15.
 func (c Cfg) runs(specs []Spec, lowerBounds bool) ([]Run, error) {
 	recs := c.runAll(specs)
 	out := make([]Run, len(recs))
@@ -200,6 +201,31 @@ func pctTable(kernels, cols []string, data map[string][]float64) string {
 			row = append(row, pct(v))
 		}
 		t.add(row...)
+	}
+	return t.String()
+}
+
+// syncTable renders per-lane lock-acquire and wait-exit outcomes (Figures
+// 2 and 12): one row per kernel and column under header, whose first two
+// cells name the kernel and column and whose last is the total-attempts
+// ratio to the kernel's column-0 run.
+func syncTable(header, kernels, cols []string, data map[string][]stats.SyncEvents) string {
+	t := &table{header: header}
+	attempts := func(e stats.SyncEvents) float64 { return float64(e.LockAttempts() + e.WaitAttempts()) }
+	for _, k := range kernels {
+		base := attempts(data[k][0])
+		if base == 0 {
+			base = 1
+		}
+		for i, e := range data[k] {
+			t.add(k, cols[i],
+				fmt.Sprintf("%d", e.LockSuccess),
+				fmt.Sprintf("%d", e.InterWarpFail),
+				fmt.Sprintf("%d", e.IntraWarpFail),
+				fmt.Sprintf("%d", e.WaitExitSuccess),
+				fmt.Sprintf("%d", e.WaitExitFail),
+				f2(attempts(e)/base))
+		}
 	}
 	return t.String()
 }

@@ -10,13 +10,13 @@ import (
 )
 
 // BarsSection is the normalized-bars derivation shared by Figure 9
-// (Fermi), Figure 15 (Pascal) and the WaSP head-to-head: execution time
+// (Fermi) and Figure 15 (Pascal): execution time
 // and dynamic energy for every synchronization kernel under each
 // scheduler with and without BOWS, normalized to the first scheduler's
 // baseline, plus the mean improvements the paper quotes and an issue-slot
 // breakdown of where baseline GTO's cycles go.
 type BarsSection struct {
-	// Exp is the experiment tag: "fig9", "fig15" or "wasp".
+	// Exp is the experiment tag: "fig9" or "fig15".
 	Exp string
 	// GPU is the machine configuration name the sweep ran on.
 	GPU string
@@ -55,21 +55,13 @@ type SlotBreakdown struct {
 	SyncInstr float64
 }
 
-// WaspSchedulers is the WaSP head-to-head's scheduler order: the paper's
-// two strongest baselines, then the zoo contender (LRR would only
-// flatter it).
-var WaspSchedulers = []config.SchedulerKind{config.GTO, config.CAWA, config.WASP}
-
-// BarsLayout returns the normalized-bars columns for a scheduler list:
-// each scheduler without and with adaptive BOWS, the first scheduler's
-// baseline being the normalization anchor.
-func BarsLayout(scheds []config.SchedulerKind) []Column {
+// BarsLayout returns the normalized-bars columns: each of the paper's
+// schedulers without and with adaptive BOWS, LRR's baseline being the
+// normalization anchor.
+func BarsLayout() []Column {
 	var cols []Column
-	for _, kind := range scheds {
+	for _, kind := range config.Schedulers {
 		sp := Spec{Sched: kind, BOWS: bowsOff(), DDOS: config.DefaultDDOS()}
-		if kind == config.WASP {
-			sp.WaSP = config.DefaultWaSP()
-		}
 		cols = append(cols, Column{string(kind), sp})
 		sp.BOWS = config.DefaultBOWS()
 		cols = append(cols, Column{string(kind) + "+BOWS", sp})
@@ -80,20 +72,7 @@ func BarsLayout(scheds []config.SchedulerKind) []Column {
 // ExecEnergy runs the Figure 9/15 sweep (tag "fig9" or "fig15") on the
 // given GPU configuration.
 func ExecEnergy(c Cfg, gpu config.GPU, tag string) (*BarsSection, error) {
-	return c.bars(gpu, tag, config.Schedulers)
-}
-
-// Wasp runs the WaSP-vs-baselines sweep on the Fermi machine: the shape
-// of the Figure 9 sweep, anchored at GTO. It answers the two questions
-// the zoo exists for — does prefetch-mimicking priority grouping beat the
-// paper's baselines on spin-heavy kernels, and does BOWS compose with it
-// the way it composes with GTO/CAWA.
-func Wasp(c Cfg) (*BarsSection, error) {
-	return c.bars(c.fermi(), "wasp", WaspSchedulers)
-}
-
-func (c Cfg) bars(gpu config.GPU, tag string, scheds []config.SchedulerKind) (*BarsSection, error) {
-	cols := BarsLayout(scheds)
+	cols := BarsLayout()
 	kernels, runs, err := c.sweep(gpu, c.syncSuite(), cols, true)
 	if err != nil {
 		return nil, err
@@ -144,46 +123,19 @@ func DeriveBars(tag string, kernels []string, cols []Column, runs [][]Run) *Bars
 	return sec
 }
 
-// TimeVs returns the geometric-mean execution-time ratio of column base
-// over column other (>1 means other is faster).
-func (s *BarsSection) TimeVs(base, other string) float64 {
-	var bi, oi int
-	for i, c := range s.Columns {
-		switch c {
-		case base:
-			bi = i
-		case other:
-			oi = i
-		}
-	}
-	return ratio(s.GmeanTime[bi], s.GmeanTime[oi])
-}
-
 // String renders the time and energy tables in the harness's text format.
 func (s *BarsSection) String() string {
-	label, knobs := "Fig. 9", ""
-	switch s.Exp {
-	case "fig15":
+	label := "Fig. 9"
+	if s.Exp == "fig15" {
 		label = "Fig. 15"
-	case "wasp":
-		label, knobs = "WaSP head-to-head", "; WASP "+config.DefaultWaSP().Desc()
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s — normalized execution time on %s (lower is better, %s = 1.00%s)\n\n",
-		label, s.GPU, s.Columns[0], knobs)
+	fmt.Fprintf(&sb, "%s — normalized execution time on %s (lower is better, %s = 1.00)\n\n",
+		label, s.GPU, s.Columns[0])
 	sb.WriteString(barTable(s.Kernels, s.Columns, s.Time, s.GmeanTime))
 	fmt.Fprintf(&sb, "\n%s — normalized dynamic energy on %s\n\n", label, s.GPU)
 	sb.WriteString(barTable(s.Kernels, s.Columns, s.Energy, s.GmeanEnergy))
 
-	if s.Exp == "wasp" {
-		fmt.Fprintf(&sb, "\nWaSP time vs baselines: %.2fx vs GTO, %.2fx vs CAWA (>1 means WaSP faster)\n",
-			s.TimeVs("GTO", "WASP"), s.TimeVs("CAWA", "WASP"))
-		fmt.Fprintf(&sb, "BOWS speedup within sweep: %.2fx on GTO, %.2fx on CAWA, %.2fx on WASP\n",
-			s.Speedup["GTO"], s.Speedup["CAWA"], s.Speedup["WASP"])
-		sb.WriteString("WaSP reference (Joseph et al., arXiv 2404.06156): priority grouping buys most on cache-sensitive kernels;\n")
-		sb.WriteString("spin-heavy kernels are expected to favor GTO/CAWA+BOWS — the point of running the head-to-head\n")
-		return sb.String()
-	}
 	fmt.Fprintf(&sb, "\nBOWS speedup: %.2fx vs LRR, %.2fx vs GTO, %.2fx vs CAWA\n",
 		s.Speedup["LRR"], s.Speedup["GTO"], s.Speedup["CAWA"])
 	fmt.Fprintf(&sb, "BOWS energy saving: %.2fx vs LRR, %.2fx vs GTO, %.2fx vs CAWA\n",

@@ -170,8 +170,6 @@ func All() []Experiment {
 		{"fig15", "Fig. 15: performance and energy savings on Pascal (GTX1080Ti)", func(c Cfg) (fmt.Stringer, error) { return ExecEnergy(c, c.pascal(), "fig15") }},
 		{"fig16", "Fig. 16: sensitivity to contention (hashtable buckets sweep)", func(c Cfg) (fmt.Stringer, error) { return Fig16(c) }},
 		{"ablation", "Ablation: BOWS component contributions (deprioritize / fixed delay / adaptive / static annotations)", func(c Cfg) (fmt.Stringer, error) { return Ablation(c) }},
-		{"wasp", "Scheduler zoo: WaSP priority-group scheduling vs GTO/CAWA (time and energy)", func(c Cfg) (fmt.Stringer, error) { return Wasp(c) }},
-		{"tagesib", "Scheduler zoo: TAGE-SIB vs DDOS detection accuracy (Table I grid)", func(c Cfg) (fmt.Stringer, error) { return TageSIB(c) }},
 		{"table2", "Table II: simulated configurations", func(c Cfg) (fmt.Stringer, error) { return Table2(c) }},
 		{"table3", "Table III: DDOS and BOWS implementation costs", func(c Cfg) (fmt.Stringer, error) { return Table3(c) }},
 	}

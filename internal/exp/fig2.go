@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"strings"
 
 	"warpsched/internal/config"
@@ -51,27 +50,12 @@ func Fig2(c Cfg) (*Fig2Result, error) {
 func (r *Fig2Result) String() string {
 	var sb strings.Builder
 	sb.WriteString("Fig. 2 — synchronization status distribution (bars: LRR, GTO, CAWA; totals normalized to LRR)\n\n")
-	t := &table{header: []string{"kernel", "sched", "lock-success", "inter-warp fail", "intra-warp fail",
-		"wait-exit ok", "wait-exit fail", "total/LRR"}}
-	for _, k := range r.Kernels {
-		evs := r.Events[k]
-		base := float64(evs[0].LockAttempts() + evs[0].WaitAttempts())
-		if base == 0 {
-			base = 1
-		}
-		for i, kind := range config.Schedulers {
-			e := evs[i]
-			tot := float64(e.LockAttempts() + e.WaitAttempts())
-			t.add(k, string(kind),
-				fmt.Sprintf("%d", e.LockSuccess),
-				fmt.Sprintf("%d", e.InterWarpFail),
-				fmt.Sprintf("%d", e.IntraWarpFail),
-				fmt.Sprintf("%d", e.WaitExitSuccess),
-				fmt.Sprintf("%d", e.WaitExitFail),
-				f2(tot/base))
-		}
+	var scheds []string
+	for _, kind := range config.Schedulers {
+		scheds = append(scheds, string(kind))
 	}
-	sb.WriteString(t.String())
+	sb.WriteString(syncTable([]string{"kernel", "sched", "lock-success", "inter-warp fail", "intra-warp fail",
+		"wait-exit ok", "wait-exit fail", "total/LRR"}, r.Kernels, scheds, r.Events))
 	sb.WriteString("paper: most lock failures are inter-warp, and the failure volume depends strongly on the scheduler\n")
 	return sb.String()
 }

@@ -462,36 +462,37 @@ func TestRunnerFilelessJournal(t *testing.T) {
 }
 
 // TestSweepMemoReplaysRepeats: two experiments sharing one file-less
-// journal, as every cmd/experiments invocation does. The TAGE-SIB study
-// runs its DDOS rows on Table I's grid, so those 44 runs replay; both
-// tables and the manifest are what two separate sweeps produce.
+// journal, as every cmd/experiments invocation does. The ablation's GTO
+// and adaptive(DDOS) arms are Figure 9's GTO and GTO+BOWS columns, so
+// those 16 runs replay; both tables and the manifest are what two
+// separate sweeps produce.
 func TestSweepMemoReplaysRepeats(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the quick table1 and tagesib sweeps twice")
+		t.Skip("runs the quick fig9 and ablation sweeps twice")
 	}
 	sweep := func(j *Journal) (string, string, *metrics.Manifest) {
 		col := NewCollector("test", nil)
-		c := Cfg{Quick: true, Collect: col, Journal: j, Exp: "table1"}
-		t1, err := Table1(c)
+		c := Cfg{Quick: true, Collect: col, Journal: j, Exp: "fig9"}
+		f9, err := ExecEnergy(c, c.fermi(), "fig9")
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Exp = "tagesib"
-		ts, err := TageSIB(c)
+		c.Exp = "ablation"
+		ab, err := Ablation(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return t1.String(), ts.String(), col.Manifest()
+		return f9.String(), ab.String(), col.Manifest()
 	}
 	j := openTestJournal(t, "")
-	t1, ts, got := sweep(j)
-	const shared = 44
+	f9, ab, got := sweep(j)
+	const shared = 16
 	if j.Hits() != shared || j.Len() != len(got.Runs)-shared {
 		t.Errorf("%d replayed, %d remembered of %d runs; want %d replayed", j.Hits(), j.Len(), len(got.Runs), shared)
 	}
-	wantT1, wantTS, want := sweep(nil)
-	if t1 != wantT1 || ts != wantTS {
-		t.Errorf("tables differ from the sweep without a journal:\n%s%s--- want ---\n%s%s", t1, ts, wantT1, wantTS)
+	wantF9, wantAb, want := sweep(nil)
+	if f9 != wantF9 || ab != wantAb {
+		t.Errorf("tables differ from the sweep without a journal:\n%s%s--- want ---\n%s%s", f9, ab, wantF9, wantAb)
 	}
 	for _, d := range metrics.Diff(got, want, metrics.DiffOptions{RequireSameRuns: true}) {
 		t.Error(d)

@@ -29,7 +29,9 @@ type Spec struct {
 	DDOS  config.DDOS
 	// Detector selects the spin detector (empty means DDOS, matching
 	// sim.Options). TAGE and WaSP only carry values for TAGE-detector and
-	// WASP-scheduler specs respectively.
+	// WASP-scheduler specs respectively; no experiment sets them, only the
+	// golden sweep's zoo records and cmd/warpsim, which the benchmark's
+	// engine probes measure.
 	Detector config.DetectorKind
 	TAGE     config.TAGE
 	WaSP     config.WaSP

@@ -9,8 +9,7 @@ import (
 )
 
 // DetectionRow is one detector configuration's detection quality over
-// the benchmark suite — the row shape Table I and the TAGE-SIB
-// head-to-head share.
+// the benchmark suite: one row of Table I.
 type DetectionRow struct {
 	// Label is the configuration label, e.g. "XOR, m=k=8".
 	Label string
@@ -24,12 +23,10 @@ type DetectionRow struct {
 	Precision, Recall float64
 }
 
-// DetectionRows is the one detection-quality aggregation: for each
-// column of a kernels × columns run matrix, per-kernel TSDR/FSDR and DPR
-// means plus suite-aggregate precision/recall from the raw confirmation
-// counts. The counts keep their historical "ddos." manifest names for
-// every detector (see sweepRecord), so it serves DDOS and TAGE rows alike.
-func DetectionRows(cols []Column, runs [][]Run) []DetectionRow {
+// detectionRows is the detection-quality aggregation: for each column
+// of a kernels × columns run matrix, per-kernel TSDR/FSDR and DPR means
+// plus suite-aggregate precision/recall from the raw confirmation counts.
+func detectionRows(cols []Column, runs [][]Run) []DetectionRow {
 	rows := make([]DetectionRow, len(cols))
 	for ci, col := range cols {
 		var tsdrs, fsdrs, tdprs, fdprs []float64
@@ -188,21 +185,14 @@ func Table1Columns() []Column {
 	return cols
 }
 
-// detectionSweep runs detector configurations at the Table I evaluation
-// point: the sync plus sync-free suites on Fermi. Detection-quality rates
-// are insensitive to input scale (loops only need enough iterations to
-// exercise the history FSM), so it always uses the quick suite sizes.
-func (c Cfg) detectionSweep(cols []Column) ([][]Run, error) {
-	c.Quick = true
-	suite := append(c.syncSuite(), c.syncFreeSuite()...)
-	_, runs, err := c.sweep(c.fermi(), suite, cols, false)
-	return runs, err
-}
-
-// Table1 runs the sensitivity sweep over the sync and sync-free suites.
+// Table1 runs the sensitivity sweep over the sync and sync-free suites
+// on Fermi. Detection-quality rates are insensitive to input scale (loops
+// only need enough iterations to exercise the history FSM), so it always
+// uses the quick suite sizes.
 func Table1(c Cfg) (*Table1Section, error) {
+	c.Quick = true
 	cols := Table1Columns()
-	runs, err := c.detectionSweep(cols)
+	_, runs, err := c.sweep(c.fermi(), append(c.syncSuite(), c.syncFreeSuite()...), cols, false)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +203,7 @@ func Table1(c Cfg) (*Table1Section, error) {
 // each distinct configuration's row out to every block that lists it.
 func DeriveTable1(_ []string, cols []Column, runs [][]Run) *Table1Section {
 	byDesc := map[string]DetectionRow{}
-	for ci, row := range DetectionRows(cols, runs) {
+	for ci, row := range detectionRows(cols, runs) {
 		byDesc[cols[ci].DetectorDesc()] = row
 	}
 	sec := &Table1Section{}

@@ -245,36 +245,57 @@ func diffRun(got, want *RunRecord, floatTol float64) []string {
 	if got.Err != want.Err {
 		out = append(out, fmt.Sprintf("err = %q, want %q", got.Err, want.Err))
 	}
-	for _, name := range sortedKeys(want.Counters) {
-		g, ok := got.Counters[name]
-		if !ok {
-			out = append(out, fmt.Sprintf("counter %s: missing", name))
-			continue
+	out = diffNamed(out, "counter", got.Counters, want.Counters, func(g, w int64) string {
+		if g == w {
+			return ""
 		}
-		if g != want.Counters[name] {
-			out = append(out, fmt.Sprintf("counter %s = %d, want %d", name, g, want.Counters[name]))
+		return fmt.Sprintf(" = %d, want %d", g, w)
+	})
+	return diffNamed(out, "derived", got.Derived, want.Derived, func(g, w float64) string {
+		if floatClose(g, w, floatTol) {
+			return ""
+		}
+		return fmt.Sprintf(" = %g, want %g (tol %g)", g, w, floatTol)
+	})
+}
+
+// diffNamed appends the lines for one name → value map: first each name
+// of want that got lacks or whose values differ (differ returns the
+// line's suffix, "" when they agree), then each name only got has, each
+// block in name order. It compares by lookup and sorts only the names
+// that produce a line, so agreeing maps cost no sort.
+func diffNamed[V any](out []string, kind string, got, want map[string]V, differ func(g, w V) string) []string {
+	var bad []string
+	shared := 0
+	for name, w := range want {
+		g, ok := got[name]
+		if ok {
+			shared++
+		}
+		if !ok || differ(g, w) != "" {
+			bad = append(bad, name)
 		}
 	}
-	for _, name := range sortedKeys(got.Counters) {
-		if _, ok := want.Counters[name]; !ok {
-			out = append(out, fmt.Sprintf("counter %s: unexpected (absent from golden — regenerate with -update?)", name))
+	sort.Strings(bad)
+	for _, name := range bad {
+		if g, ok := got[name]; ok {
+			out = append(out, fmt.Sprintf("%s %s%s", kind, name, differ(g, want[name])))
+		} else {
+			out = append(out, fmt.Sprintf("%s %s: missing", kind, name))
 		}
 	}
-	for _, name := range sortedKeys(want.Derived) {
-		g, ok := got.Derived[name]
-		if !ok {
-			out = append(out, fmt.Sprintf("derived %s: missing", name))
-			continue
-		}
-		w := want.Derived[name]
-		if !floatClose(g, w, floatTol) {
-			out = append(out, fmt.Sprintf("derived %s = %g, want %g (tol %g)", name, g, w, floatTol))
+	if len(got) == shared {
+		return out
+	}
+	var extra []string
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			extra = append(extra, name)
 		}
 	}
-	for _, name := range sortedKeys(got.Derived) {
-		if _, ok := want.Derived[name]; !ok {
-			out = append(out, fmt.Sprintf("derived %s: unexpected (absent from golden — regenerate with -update?)", name))
-		}
+	sort.Strings(extra)
+	for _, name := range extra {
+		out = append(out, fmt.Sprintf("%s %s: unexpected (absent from golden — regenerate with -update?)", kind, name))
 	}
 	return out
 }
@@ -285,15 +306,6 @@ func floatClose(a, b, tol float64) bool {
 	}
 	d := math.Abs(a - b)
 	return d <= tol || d <= tol*math.Max(math.Abs(a), math.Abs(b))
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // HashJSON returns a short stable FNV-1a hash of v's JSON encoding; it

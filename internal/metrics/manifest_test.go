@@ -151,6 +151,48 @@ func TestManifestDiff(t *testing.T) {
 	if d := Diff(slow, golden, DiffOptions{}); len(d) > 0 {
 		t.Errorf("wall time compared: %v", d)
 	}
+
+	// Every kind of difference at once: the lines come in a fixed order —
+	// cycles, err, counters, unexpected counters, derived, unexpected
+	// derived — each block sorted by name, missing and drifted names
+	// interleaved.
+	want := sampleRun("HT", 5000)
+	want.Counters = map[string]int64{"c": 3, "a": 1, "e": 5, "b": 2, "d": 4}
+	want.Derived = map[string]float64{"y": 2, "w": 0.5, "x": 1, "v": 0}
+	wantM := NewManifest("test", nil)
+	if err := wantM.Add(want); err != nil {
+		t.Fatal(err)
+	}
+	r = sampleRun("HT", 5001)
+	r.Err = "watchdog"
+	r.Counters = map[string]int64{"e": 6, "z": 1, "c": 3, "a": 9, "m": 0}
+	r.Derived = map[string]float64{"x": 1.5, "u": 7, "v": 0, "t": 1}
+	gotM := NewManifest("test", nil)
+	if err := gotM.Add(r); err != nil {
+		t.Fatal(err)
+	}
+	key := want.Key()
+	var wantLines []string
+	for _, l := range []string{
+		"cycles = 5001, want 5000",
+		`err = "watchdog", want ""`,
+		"counter a = 9, want 1",
+		"counter b: missing",
+		"counter d: missing",
+		"counter e = 6, want 5",
+		"counter m: unexpected (absent from golden — regenerate with -update?)",
+		"counter z: unexpected (absent from golden — regenerate with -update?)",
+		"derived w: missing",
+		"derived x = 1.5, want 1 (tol 0)",
+		"derived y: missing",
+		"derived t: unexpected (absent from golden — regenerate with -update?)",
+		"derived u: unexpected (absent from golden — regenerate with -update?)",
+	} {
+		wantLines = append(wantLines, "run "+key+": "+l)
+	}
+	if d := Diff(gotM, wantM, DiffOptions{}); !reflect.DeepEqual(d, wantLines) {
+		t.Errorf("every-kind diff =\n%s\nwant\n%s", strings.Join(d, "\n"), strings.Join(wantLines, "\n"))
+	}
 }
 
 func TestHashJSONStable(t *testing.T) {
@@ -190,7 +232,7 @@ func TestSortFullWritesFile(t *testing.T) {
 	}
 }
 
-// BenchmarkDiffFull compares full.json (857 runs) with itself under
+// BenchmarkDiffFull compares full.json (611 runs) with itself under
 // RequireSameRuns, the golden and regrow gates' check, and re-sorts it.
 func BenchmarkDiffFull(b *testing.B) {
 	m, err := ReadFile(fullPath)

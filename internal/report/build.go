@@ -22,10 +22,6 @@ type Report struct {
 	Table1 *exp.Table1Section
 	// Ablation is the BOWS component study.
 	Ablation *exp.AblationSection
-	// Wasp is the scheduler-zoo head-to-head (WaSP vs GTO/CAWA).
-	Wasp *exp.BarsSection
-	// TageSIB is the detector head-to-head (TAGE-SIB vs DDOS).
-	TageSIB *exp.TageSIBSection
 }
 
 // Build joins the manifests and derives every report section present in

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"warpsched/internal/config"
 	"warpsched/internal/energy"
 	"warpsched/internal/exp"
 	"warpsched/internal/metrics"
@@ -337,7 +336,7 @@ func (p energyPair) worstSaving(c energy.Coefficients, span float64) (float64, i
 // the set, and the nominal coefficients of its machine.
 func energyPairs(s *Set, tag string) ([]energyPair, energy.Coefficients, error) {
 	var pairs []energyPair
-	_, err := derive(s, tag, exp.BarsLayout(config.Schedulers), func(kernels []string, cols []exp.Column, runs [][]exp.Run) bool {
+	_, err := derive(s, tag, exp.BarsLayout(), func(kernels []string, cols []exp.Column, runs [][]exp.Run) bool {
 		for ki, k := range kernels {
 			for i := 0; i+1 < len(cols); i += 2 {
 				pairs = append(pairs, energyPair{k, cols[i].Label, runs[ki][i], runs[ki][i+1]})

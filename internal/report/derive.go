@@ -3,7 +3,6 @@ package report
 import (
 	"sort"
 
-	"warpsched/internal/config"
 	"warpsched/internal/exp"
 )
 
@@ -18,11 +17,9 @@ func (r *Report) deriveAll() error {
 		var err error
 		switch e {
 		case "fig9":
-			r.Fig9, err = deriveBars(s, e, config.Schedulers)
+			r.Fig9, err = deriveBars(s, e)
 		case "fig15":
-			r.Fig15, err = deriveBars(s, e, config.Schedulers)
-		case "wasp":
-			r.Wasp, err = deriveBars(s, e, exp.WaspSchedulers)
+			r.Fig15, err = deriveBars(s, e)
 		case "delaysweep":
 			r.Delay, err = derive(s, e, exp.DelayLayout(), exp.DeriveDelay)
 		case "fig14":
@@ -31,8 +28,6 @@ func (r *Report) deriveAll() error {
 			r.Table1, err = derive(s, e, exp.Table1Columns(), exp.DeriveTable1)
 		case "ablation":
 			r.Ablation, err = derive(s, e, exp.AblationLayout(), exp.DeriveAblation)
-		case "tagesib":
-			r.TageSIB, err = derive(s, e, exp.TageSIBLayout(), exp.DeriveTageSIB)
 		default:
 			// Other experiments (fig1-3, fig16, tables 2-3) publish
 			// through their own harness output; the report has no
@@ -78,8 +73,8 @@ func derive[S any](s *Set, tag string, cols []exp.Column, f func([]string, []exp
 	return f(kernels, cols, runs), nil
 }
 
-func deriveBars(s *Set, tag string, scheds []config.SchedulerKind) (*exp.BarsSection, error) {
-	return derive(s, tag, exp.BarsLayout(scheds), func(kernels []string, cols []exp.Column, runs [][]exp.Run) *exp.BarsSection {
+func deriveBars(s *Set, tag string) (*exp.BarsSection, error) {
+	return derive(s, tag, exp.BarsLayout(), func(kernels []string, cols []exp.Column, runs [][]exp.Run) *exp.BarsSection {
 		return exp.DeriveBars(tag, kernels, cols, runs)
 	})
 }

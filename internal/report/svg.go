@@ -274,12 +274,6 @@ func (r *Report) figures() map[string][]byte {
 		out["fig14.svg"] = groupedBars("fig14: detection-error overhead (GTO = 1)",
 			"normalized time", groups, []svgSeries{xor, mod})
 	}
-	if s := r.Wasp; s != nil {
-		out["wasp-time.svg"] = barsSVG(s, s.Time, s.GmeanTime,
-			fmt.Sprintf("WaSP head-to-head: execution time on %s (normalized to GTO)", s.GPU))
-		out["wasp-energy.svg"] = barsSVG(s, s.Energy, s.GmeanEnergy,
-			fmt.Sprintf("WaSP head-to-head: dynamic energy on %s (normalized to GTO)", s.GPU))
-	}
 	if s := r.Ablation; s != nil {
 		groups := append(append([]string{}, s.Kernels...), "gmean")
 		var series []svgSeries
@@ -297,8 +291,8 @@ func (r *Report) figures() map[string][]byte {
 	return out
 }
 
-// barsSVG renders one normalized-bars panel (Figure 9/15, WaSP
-// head-to-head): per-kernel groups plus a gmean group, scheduler hue
+// barsSVG renders one normalized-bars panel (Figure 9/15):
+// per-kernel groups plus a gmean group, scheduler hue
 // carried by the pair, baseline tinted and +BOWS solid.
 func barsSVG(s *exp.BarsSection, data map[string][]exp.Bar, gmean []float64, title string) []byte {
 	groups := append(append([]string{}, s.Kernels...), "gmean")

@@ -38,7 +38,6 @@ func TestGoldenTextTables(t *testing.T) {
 	}{
 		{"table1", rep.Table1}, {"fig9", rep.Fig9}, {"delaysweep", rep.Delay},
 		{"fig14", rep.Fig14}, {"fig15", rep.Fig15}, {"ablation", rep.Ablation},
-		{"wasp", rep.Wasp}, {"tagesib", rep.TageSIB},
 	} {
 		fmt.Fprintf(&got, "==== %s ====\n%s\n", sec.tag, sec.text)
 	}
