@@ -32,7 +32,7 @@ push:
   atom.exch %r9, [%r10+0], 0       !release,sync
 retry:
   setp.eq %p2, %r6, 0              !sync
-  @%p2 bra push                    !sib,sync
+  @%p2 bra push                    !sync
   exit
 `
 

@@ -78,17 +78,6 @@ end:
 			cat: CatUnreachable, pc: 1,
 		},
 		{
-			name: "sib-on-forward-branch",
-			src: `
-  mov %r1, %tid
-  setp.lt %p0, %r1, 8
-  @%p0 bra end reconv=end  !sib  // 2
-end:
-  exit
-`,
-			cat: CatSIBNotBackward, pc: 2,
-		},
-		{
 			name: "uninitialized-register",
 			src: `
   ld.param %r2, 0
@@ -141,7 +130,7 @@ end:
 top:
   ld.global %r1, [%r2+0]     // 1: must be ld.volatile
   setp.ne %p0, %r1, 0
-  @%p0 bra top    !sib,sync
+  @%p0 bra top    !sync
   exit
 `,
 			cat: CatSpinLoadNotVolatile, pc: 1,
@@ -163,18 +152,6 @@ top:
   exit
 `,
 			cat: CatUnpairedRelease, pc: 1,
-		},
-		{
-			name: "sync-backward-branch-missing-sib",
-			src: `
-  ld.param %r2, 0
-top:
-  ld.volatile %r1, [%r2+0]
-  setp.ne %p0, %r1, 0
-  @%p0 bra top    !sync      // 3: busy-wait marked sync but not sib
-  exit
-`,
-			cat: CatSyncBackwardNoSIB, pc: 3,
 		},
 		{
 			// The classic barrier-in-one-arm-of-an-if deadlock: lanes that

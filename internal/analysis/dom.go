@@ -110,8 +110,7 @@ func computeIdom(n int, root int32, out, in [][]int32) []int32 {
 
 // checkCFG verifies the structural branch properties the SIMT stack
 // relies on: every guarded branch reconverges exactly at its immediate
-// post-dominator, every AnnSIB instruction is a guarded backward branch,
-// TrueSIBs agrees with the AnnSIB annotations, and all code is reachable.
+// post-dominator, and all code is reachable.
 func checkCFG(g *CFG) []Finding {
 	p := g.Prog
 	var fs []Finding
@@ -134,39 +133,6 @@ func checkCFG(g *CFG) []Finding {
 			add(pc, CatReconvMismatch,
 				"reconvergence PC %d, but the branch's immediate post-dominator is %d",
 				in.Reconv, ipdom[pc])
-		}
-	}
-
-	// SIB ground truth: AnnSIB must mark guarded backward branches only,
-	// and the TrueSIBs index must agree with the annotations.
-	sibAnn := make(map[int32]bool)
-	for pc := int32(0); pc < g.N; pc++ {
-		in := p.At(pc)
-		if !in.HasAnn(isa.AnnSIB) {
-			continue
-		}
-		sibAnn[pc] = true
-		switch {
-		case in.Op != isa.OpBra:
-			add(pc, CatSIBNotBackward, "AnnSIB on a non-branch instruction (%s)", in.Op)
-		case !in.Guarded():
-			add(pc, CatSIBNotBackward, "AnnSIB on an unconditional branch")
-		case in.Target > pc:
-			add(pc, CatSIBNotBackward,
-				"AnnSIB on a forward branch (target %d > pc %d); spin-inducing branches are backward",
-				in.Target, pc)
-		}
-	}
-	inTrue := make(map[int32]bool)
-	for _, pc := range p.TrueSIBs {
-		inTrue[pc] = true
-		if pc < 0 || pc >= g.N || !sibAnn[pc] {
-			add(pc, CatSIBNotBackward, "TrueSIBs lists pc %d, which carries no AnnSIB annotation", pc)
-		}
-	}
-	for pc := range sibAnn {
-		if !inTrue[pc] {
-			add(pc, CatSIBNotBackward, "AnnSIB instruction missing from TrueSIBs")
 		}
 	}
 

@@ -5,8 +5,7 @@
 // construction and the SIMT stack in internal/simt relies on), register
 // and predicate def-use dataflow lints, and synchronization-discipline
 // checks for the busy-wait idioms of the paper's kernels (volatile spin
-// loads, acquire/release pairing, SIB ground-truth consistency, barriers
-// under divergent control flow).
+// loads, acquire/release pairing, barriers under divergent control flow).
 //
 // The analysis never executes anything: it is purely structural, so it can
 // gate kernel registration and CI without touching simulated cycle counts.
@@ -31,9 +30,6 @@ const (
 	// CatNoExitPath: no path from a divergent branch to program exit, so
 	// its post-dominator (and reconvergence point) is undefined.
 	CatNoExitPath Category = "no-exit-path"
-	// CatSIBNotBackward: an instruction annotated AnnSIB is not a guarded
-	// backward branch (DDOS can only ever detect backward branches).
-	CatSIBNotBackward Category = "sib-not-backward"
 	// CatUnreachable: the instruction can never execute.
 	CatUnreachable Category = "unreachable-code"
 	// CatUninitReg: a general-purpose register is read somewhere but
@@ -51,14 +47,11 @@ const (
 	CatUnpairedAcquire Category = "unpaired-acquire"
 	// CatUnpairedRelease: an AnnLockRelease no AnnLockAcquire can reach.
 	CatUnpairedRelease Category = "unpaired-release"
-	// CatSpinLoadNotVolatile: the value tested by a spin (AnnSIB) or
-	// wait-check branch is produced by a non-volatile load; on the
-	// non-coherent L1 the spin would re-read a stale line forever.
+	// CatSpinLoadNotVolatile: the value tested by a spin (a guarded
+	// backward AnnSync branch) or wait-check branch is produced by a
+	// non-volatile load; on the non-coherent L1 the spin would re-read a
+	// stale line forever.
 	CatSpinLoadNotVolatile Category = "spin-load-not-volatile"
-	// CatSyncBackwardNoSIB: a guarded backward branch inside an AnnSync
-	// region is not annotated AnnSIB, so DDOS ground truth (TSDR/FSDR
-	// accounting) would drift from the sync-overhead accounting.
-	CatSyncBackwardNoSIB Category = "sync-backward-missing-sib"
 	// CatDivergentBarrier: a CTA barrier under divergent control flow —
 	// guarded by a thread-varying predicate, or inside the arm of a
 	// forward branch whose guard is thread-varying.
@@ -100,12 +93,11 @@ const (
 // category.
 func (c Category) Class() string {
 	switch c {
-	case CatInvalid, CatReconvMismatch, CatNoExitPath, CatSIBNotBackward, CatUnreachable:
+	case CatInvalid, CatReconvMismatch, CatNoExitPath, CatUnreachable:
 		return "cfg"
 	case CatUninitReg, CatUninitPred, CatDeadWrite:
 		return "dataflow"
-	case CatUnpairedAcquire, CatUnpairedRelease, CatSpinLoadNotVolatile,
-		CatSyncBackwardNoSIB, CatDivergentBarrier:
+	case CatUnpairedAcquire, CatUnpairedRelease, CatSpinLoadNotVolatile, CatDivergentBarrier:
 		return "sync"
 	case CatRace, CatBarrierDeadlock:
 		return "race"

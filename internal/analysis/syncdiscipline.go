@@ -10,15 +10,12 @@ import (
 // checkSyncDiscipline verifies the synchronization idioms the paper's
 // kernels depend on (cf. Stuart & Owens, "Efficient Synchronization
 // Primitives for GPUs"): lock acquires must be able to reach a release,
-// spin-tested values must bypass the non-coherent L1, backward branches
-// in synchronization regions must carry the SIB ground-truth annotation,
-// and CTA barriers must not sit under thread-divergent forward control
-// flow.
+// spin-tested values must bypass the non-coherent L1, and CTA barriers
+// must not sit under thread-divergent forward control flow.
 func checkSyncDiscipline(g *CFG) []Finding {
 	var fs []Finding
 	fs = append(fs, checkLockPairing(g)...)
 	fs = append(fs, checkSpinVolatile(g)...)
-	fs = append(fs, checkSyncSIB(g)...)
 	fs = append(fs, checkDivergentBarrier(g)...)
 	return fs
 }
@@ -56,13 +53,14 @@ func checkLockPairing(g *CFG) []Finding {
 	return fs
 }
 
-// checkSpinVolatile slices the guard predicate of every spin-inducing
-// (AnnSIB) and wait-check (AnnWaitCheck) branch back through setp and the
-// ALU/mov/selp chain to the producing definitions. If the tested value is
-// produced by a non-volatile load, the spin re-reads a potentially stale
-// line from the non-coherent L1 and can livelock: the awaited word is by
-// definition written by another thread, possibly on another SM. Volatile
-// loads, atomics and ld.param terminate the slice cleanly.
+// checkSpinVolatile slices the guard predicate of every spin (a guarded
+// backward AnnSync branch) and wait-check (AnnWaitCheck) branch back
+// through setp and the ALU/mov/selp chain to the producing definitions.
+// If the tested value is produced by a non-volatile load, the spin
+// re-reads a potentially stale line from the non-coherent L1 and can
+// livelock: the awaited word is by definition written by another thread,
+// possibly on another SM. Volatile loads, atomics, ld.param and special
+// registers (a clock-only delay loop) terminate the slice cleanly.
 func checkSpinVolatile(g *CFG) []Finding {
 	p := g.Prog
 	var fs []Finding
@@ -77,7 +75,7 @@ func checkSpinVolatile(g *CFG) []Finding {
 		if !g.Reachable[pc] || in.Op != isa.OpBra || !in.Guarded() {
 			continue
 		}
-		if !in.HasAnn(isa.AnnSIB) && !in.HasAnn(isa.AnnWaitCheck) {
+		if !(in.HasAnn(isa.AnnSync) && in.Target <= pc) && !in.HasAnn(isa.AnnWaitCheck) {
 			continue
 		}
 		guard := isa.Pred(in.Guard)
@@ -124,26 +122,6 @@ func checkSpinVolatile(g *CFG) []Finding {
 				// Atomics and ld.param terminate the slice: atomics are
 				// L1-bypassing by construction, parameters are constant.
 			}
-		}
-	}
-	return fs
-}
-
-// checkSyncSIB flags guarded backward branches inside AnnSync regions
-// that lack the AnnSIB ground-truth annotation. The statistics layer
-// counts AnnSync instructions as synchronization overhead, and DDOS's
-// TSDR/FSDR metrics compare detections against TrueSIBs; a busy-wait
-// backward branch marked sync but not SIB makes the two accountings
-// silently disagree.
-func checkSyncSIB(g *CFG) []Finding {
-	p := g.Prog
-	var fs []Finding
-	for pc := int32(0); pc < g.N; pc++ {
-		in := p.At(pc)
-		if in.Op == isa.OpBra && in.Guarded() && in.Target <= pc &&
-			in.HasAnn(isa.AnnSync) && !in.HasAnn(isa.AnnSIB) {
-			fs = append(fs, Finding{Program: p.Name, PC: pc, Category: CatSyncBackwardNoSIB,
-				Message: fmt.Sprintf("guarded backward branch (target %d) in an AnnSync region lacks the AnnSIB ground-truth annotation", in.Target)})
 		}
 	}
 	return fs

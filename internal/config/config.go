@@ -245,9 +245,10 @@ const (
 	// BOWSDDOS drives BOWS from the DDOS SIB-PT (the paper's full
 	// system).
 	BOWSDDOS BOWSMode = "ddos"
-	// BOWSStatic drives BOWS from the ground-truth AnnSIB annotations
-	// (the paper's "identified by programmer or compiler" mode); used to
-	// isolate scheduler effects from detection effects.
+	// BOWSStatic drives BOWS from the ground-truth AnnSIB bits that
+	// isa.Builder.Build derives from sync code (the paper's "identified
+	// by programmer or compiler" mode); used to isolate scheduler
+	// effects from detection effects.
 	BOWSStatic BOWSMode = "static"
 )
 

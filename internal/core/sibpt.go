@@ -30,7 +30,7 @@ func (e *SIBEntry) Confirmed() bool { return e.confirmed }
 type branchTrack struct {
 	firstSeen int64
 	lastSeen  int64
-	isSIB     bool // ground truth (AnnSIB)
+	isSIB     bool // ground truth (AnnSIB, derived by isa.Builder.Build)
 }
 
 // SIBPT is the per-SM Spin-inducing Branch Prediction Table, shared

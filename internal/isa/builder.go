@@ -270,16 +270,13 @@ func (b *Builder) While(p Pred, neg bool, cond, body func()) {
 // DoWhile emits the paper's bottom-tested loop shape (Figure 7a): the body
 // runs at least once; cond() sets predicate p; the backward branch taken
 // while p (negated when neg) holds is the loop's spin-inducing-branch
-// position. If sib is true the backward branch is annotated AnnSIB.
-func (b *Builder) DoWhile(p Pred, neg bool, sib bool, body, cond func()) {
+// position. Build decides whether it is a SIB (see spinInducing).
+func (b *Builder) DoWhile(p Pred, neg bool, body, cond func()) {
 	top := b.anonLabel("do")
 	b.Label(top)
 	body()
 	cond()
 	b.BraP(p, neg, top, "")
-	if sib {
-		b.AnnotateLast(AnnSIB)
-	}
 }
 
 // For emits a counted loop: cnt runs from start to limit-1 in steps of
@@ -300,8 +297,10 @@ func (b *Builder) For(cnt Reg, start, limit Operand, step int32, p Pred, body fu
 	b.Label(end)
 }
 
-// Build resolves labels and reconvergence points, validates the program
-// and returns it.
+// Build resolves labels and reconvergence points, validates the program,
+// derives its SIB ground truth and returns it. AnnSIB is Build's output,
+// not an input: an authored AnnSIB is dropped and every branch
+// spinInducing accepts gets the bit and a TrueSIBs entry.
 func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -330,15 +329,37 @@ func (b *Builder) Build() (*Program, error) {
 		}
 	}
 	p := &Program{Name: b.name, Code: b.code, Labels: b.labels}
-	for pc := range p.Code {
-		if p.Code[pc].HasAnn(AnnSIB) {
-			p.TrueSIBs = append(p.TrueSIBs, int32(pc))
-		}
-	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	for pc := range p.Code {
+		in := &p.Code[pc]
+		in.Ann &^= AnnSIB
+		if spinInducing(p.Code, int32(pc)) {
+			in.Ann |= AnnSIB
+			p.TrueSIBs = append(p.TrueSIBs, int32(pc))
+		}
+	}
 	return p, nil
+}
+
+// spinInducing reports whether the instruction at pc is a spin-inducing
+// branch: a guarded backward branch in synchronization code (AnnSync)
+// whose loop body [Target, pc) holds an atomic or an ld.volatile, so each
+// iteration re-reads a word another thread writes. A sync loop that waits
+// on the clock alone (Figure 3a's back-off delay) is overhead but not a
+// SIB.
+func spinInducing(code []Instr, pc int32) bool {
+	in := &code[pc]
+	if in.Op != OpBra || !in.Guarded() || in.Target > pc || !in.HasAnn(AnnSync) {
+		return false
+	}
+	for _, body := range code[in.Target:pc] {
+		if body.Op.IsAtomic() || body.Op == OpLd && body.Vol {
+			return true
+		}
+	}
+	return false
 }
 
 // MustBuild is Build that panics on error; kernel definitions are static

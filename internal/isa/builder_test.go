@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -119,21 +120,36 @@ func TestBuilderWhileShape(t *testing.T) {
 	}
 }
 
-func TestBuilderDoWhileSIBAnnotation(t *testing.T) {
+// TestBuilderDoWhileDerivesSIB: Build marks a DoWhile's backward branch
+// AnnSIB exactly when the loop is sync code whose body reads shared
+// memory, and drops an authored AnnSIB that the rule does not support.
+func TestBuilderDoWhileDerivesSIB(t *testing.T) {
 	b := NewBuilder("t")
-	b.DoWhile(0, false, true,
-		func() { b.Nop() },
-		func() { b.Setp(EQ, 0, I(0), I(0)) })
+	loop := func(sync bool, body func()) {
+		b.DoWhile(0, false, body, func() { b.Setp(EQ, 0, I(0), I(0)) })
+		if sync {
+			b.AnnotateLast(AnnSync)
+		}
+	}
+	loop(true, func() { b.AtomCAS(1, I(0), I(0), I(0), I(1)) }) // 0-2: SIB
+	loop(false, func() { b.LdVol(1, I(0), I(0)) })              // 3-5: not sync
+	b.AnnotateLast(AnnSIB)
+	loop(true, func() { b.LdVol(1, I(0), I(0)) }) // 6-8: SIB
 	b.Exit()
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.TrueSIBs) != 1 || p.TrueSIBs[0] != 2 {
-		t.Fatalf("TrueSIBs = %v, want [2]", p.TrueSIBs)
+	if !slices.Equal(p.TrueSIBs, []int32{2, 8}) {
+		t.Fatalf("TrueSIBs = %v, want [2 8]", p.TrueSIBs)
+	}
+	for pc := range p.Code {
+		if in := &p.Code[pc]; in.HasAnn(AnnSIB) != slices.Contains(p.TrueSIBs, int32(pc)) {
+			t.Errorf("pc %d: AnnSIB disagrees with TrueSIBs: %s", pc, Disasm(in))
+		}
 	}
 	br := p.At(2)
-	if !br.HasAnn(AnnSIB) || br.Target != 0 || br.Reconv != 3 {
+	if br.Target != 0 || br.Reconv != 3 {
 		t.Fatalf("DoWhile SIB branch wrong: %s", Disasm(br))
 	}
 }

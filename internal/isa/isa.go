@@ -259,9 +259,10 @@ type Ann uint16
 
 const (
 	// AnnSIB marks the ground-truth spin-inducing branch of a busy-wait
-	// loop (the paper's SIB). DDOS must discover these dynamically; the
-	// annotation is used only for TSDR/FSDR accounting and for the
-	// "static annotation" BOWS mode.
+	// loop (the paper's SIB). Builder.Build derives it from AnnSync code
+	// and overwrites any authored bit; `sib` is only its printed form.
+	// DDOS must discover these dynamically; the bit is used only for
+	// TSDR/FSDR accounting and for the "static annotation" BOWS mode.
 	AnnSIB Ann = 1 << iota
 	// AnnLockAcquire marks an atomic that attempts a lock acquire
 	// (atomicCAS(mutex,0,1) in Figure 1a). Per-lane success/failure is
@@ -375,7 +376,7 @@ func (in *Instr) WritesReg() bool {
 type Program struct {
 	Name string
 	Code []Instr
-	// TrueSIBs lists the PCs annotated AnnSIB, for DDOS accounting.
+	// TrueSIBs lists the PCs Build derived as AnnSIB, for DDOS accounting.
 	TrueSIBs []int32
 	// Labels maps label name to PC, kept for disassembly/debugging.
 	Labels map[string]int32

@@ -39,7 +39,9 @@ import (
 // PTX's "bar.sync 0" parses.
 //
 // A trailing "!a,b,c" annotates the instruction with any of: sib,
-// acquire, release, waitcheck, sync, nolint. A nolint token may carry a
+// acquire, release, waitcheck, sync, nolint. `sib` is accepted so that
+// Assembly output parses back, but Build derives the SIB bit itself: a
+// written `sib` neither makes nor unmakes one. A nolint token may carry a
 // finding-class list — `!nolint race,lockorder` — restricting the
 // suppression to those classes; because the classes are comma-separated
 // too, `nolint <class>` must be the last annotation on the line (every

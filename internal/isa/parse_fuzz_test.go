@@ -51,6 +51,13 @@ func FuzzParse(f *testing.F) {
 		"bar.sync 0\nbar\nnop %r1, 5\nexit\n",
 		"ld %r1, [%r2+4]\nst [%r2+8], %r1\nexit\n",
 		"ld.param %r1, 256\nexit\n",
+		// A written sib mark never changes the truth Build derives: one
+		// on a clock-only delay loop, which is not a SIB, and a wait loop
+		// on ld.volatile written without it, which is.
+		"\n  mov %r1, %clock\ndelay:\n  mov %r2, %clock  !sync\n  sub %r2, %r2, %r1  !sync\n" +
+			"  setp.lt %p0, %r2, 50  !sync\n  @%p0 bra delay  !sib,sync\n  exit\n",
+		"\n  ld.param %r2, 0\nwait:\n  ld.volatile %r1, [%r2+0]  !sync\n  setp.eq %p0, %r1, 0  !sync\n" +
+			"  @%p0 bra wait  !sync\n  exit\n",
 	} {
 		f.Add(src)
 	}

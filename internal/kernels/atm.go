@@ -266,7 +266,7 @@ func nestedTryLock(b *isa.Builder, r tryLockRegs, critical func()) {
 		b.AnnotateLast(isa.AnnLockRelease)
 	}
 	b.Annotate(isa.AnnSync, func() { b.Mov(r.done, isa.I(0)) })
-	b.DoWhile(r.spin, false, true,
+	b.DoWhile(r.spin, false,
 		func() {
 			tryLock(r.cas1, r.first, r.got1)
 			b.If(r.got1, false, func() {

@@ -60,7 +60,7 @@ func NewBHTB(bodies, depth, ctas, ctaThreads int) *Kernel {
 	b.Mov(rI, isa.S(isa.SpecGTID))
 	b.Mov(rStride, isa.S(isa.SpecNTID))
 	b.Mul(rStride, isa.R(rStride), isa.S(isa.SpecNCTAID))
-	b.DoWhile(pLoop, false, true,
+	b.DoWhile(pLoop, false,
 		func() {
 			// Throttle: all warps of the CTA rendezvous between attempts.
 			b.Bar()
@@ -263,7 +263,7 @@ func NewBHST(m, ctas, ctaThreads int) *Kernel {
 	b.Sub(rK, isa.R(rM), isa.I(1))
 	b.Sub(rK, isa.R(rK), isa.R(rTmp))
 	b.Mov(rID, isa.S(isa.SpecGTID))
-	b.DoWhile(pLoop, false, true,
+	b.DoWhile(pLoop, false,
 		func() {
 			b.Annotate(isa.AnnSync, func() {
 				b.LdVol(rS, isa.R(rStartB), isa.R(rID))

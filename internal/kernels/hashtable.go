@@ -79,7 +79,7 @@ func NewHashTable(c HashTableConfig) *Kernel {
 			b.Ld(rKey, isa.R(rKeys), isa.R(rI))
 			b.Rem(rH, isa.R(rKey), isa.R(rB))
 			b.Annotate(isa.AnnSync, func() { b.Mov(rDone, isa.I(0)) })
-			b.DoWhile(pSpin, false, true,
+			b.DoWhile(pSpin, false,
 				func() {
 					b.Annotate(isa.AnnSync, func() {
 						b.AtomCAS(rCas, isa.R(rLocks), isa.R(rH), isa.I(0), isa.I(1))
@@ -99,11 +99,13 @@ func NewHashTable(c HashTableConfig) *Kernel {
 						})
 					})
 					if c.DelayFactor > 0 {
-						// Figure 3a back-off delay on the failure path.
+						// Figure 3a back-off delay on the failure path. The
+						// loop spins on the clock, not on another thread:
+						// sync overhead, but Build derives no SIB for it.
 						b.Annotate(isa.AnnSync, func() {
 							b.If(pGot, true, func() {
 								b.Clock(rClk0)
-								b.DoWhile(pDelay, false, false,
+								b.DoWhile(pDelay, false,
 									func() {
 										b.Clock(rClk1)
 										b.Sub(rElapsed, isa.R(rClk1), isa.R(rClk0))
@@ -111,9 +113,6 @@ func NewHashTable(c HashTableConfig) *Kernel {
 									func() {
 										b.Setp(isa.LT, pDelay, isa.R(rElapsed), isa.R(rLimit))
 									})
-								// The back-off loop spins on clock, not on
-								// another thread: sync overhead, but no SIB.
-								b.NoLintLast("sync-backward-missing-sib")
 							})
 						})
 					}

@@ -111,7 +111,7 @@ func NewNW(direction, g, ctaThreads int) *Kernel {
 				// has published this column (Figure 6c-style polling).
 				b.If(pDep, false, func() {
 					b.Annotate(isa.AnnSync, func() {
-						b.DoWhile(pWait, false, true,
+						b.DoWhile(pWait, false,
 							func() { b.LdVol(rPr, isa.R(rProgB), isa.R(rPrevBand)) },
 							func() { b.Setp(isa.LE, pWait, isa.R(rPr), isa.R(rCol)) })
 						b.AnnotateLast(isa.AnnWaitCheck)

@@ -138,7 +138,7 @@ func NewReduce(ctas, ctaThreads int) *Kernel {
 	b.Membar()
 	b.Bar()
 	b.Mov(rS, isa.S(isa.SpecNTID))
-	b.DoWhile(pLoop, false, false,
+	b.DoWhile(pLoop, false,
 		func() {
 			b.Shr(rS, isa.R(rS), isa.I(1))
 			b.Setp(isa.LT, pHalf, isa.R(rTid), isa.R(rS))

@@ -53,7 +53,7 @@ func NewBFS(nodes, degree, ctaThreads int) *Kernel {
 	b.Mov(rTid, isa.S(isa.SpecTID))
 	b.Mov(rStride, isa.S(isa.SpecNTID))
 	b.Mov(rL, isa.I(0)) // current level
-	b.DoWhile(pOuter, false, false,
+	b.DoWhile(pOuter, false,
 		func() {
 			// Expand every frontier node owned by this thread.
 			b.Mov(rNode, isa.R(rTid))

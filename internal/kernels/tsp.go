@@ -84,7 +84,7 @@ func NewTSP(climbers, cities, ctas, ctaThreads int) *Kernel {
 			b.Setp(isa.EQ, pSpin, isa.R(rLane), isa.R(rSer))
 			b.If(pSpin, false, func() {
 				b.Annotate(isa.AnnSync, func() {
-					b.DoWhile(pSpin, false, true,
+					b.DoWhile(pSpin, false,
 						func() {
 							b.AtomCAS(rCas, isa.R(rLockB), isa.I(0), isa.I(0), isa.I(1))
 							b.AnnotateLast(isa.AnnLockAcquire)

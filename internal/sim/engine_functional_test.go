@@ -359,9 +359,10 @@ func TestMembarOrdersStoreBeforeFlag(t *testing.T) {
 			})
 		},
 		func() { // consumer warps
-			b.DoWhile(1, false, true,
+			b.DoWhile(1, false,
 				func() { b.LdVol(3, isa.I(0), isa.I(1)) },
 				func() { b.Setp(isa.EQ, 1, isa.R(3), isa.I(0)) })
+			b.AnnotateLast(isa.AnnSync)
 			b.LdVol(4, isa.I(0), isa.I(0))
 			b.Add(5, isa.R(1), isa.I(16))
 			b.St(isa.I(0), isa.R(5), isa.R(4)) // out[16+gtid] = data

@@ -24,7 +24,7 @@ func spinPairProg(t *testing.T) *isa.Program {
 		func() { b.Setp(isa.LT, 0, isa.R(2), isa.R(12)) },
 		func() {
 			b.Mov(3, isa.I(0)) // done
-			b.DoWhile(1, false, true,
+			b.DoWhile(1, false,
 				func() {
 					b.AtomCAS(4, isa.R(10), isa.I(0), isa.I(0), isa.I(1))
 					b.AnnotateLast(isa.AnnLockAcquire | isa.AnnSync)
@@ -40,6 +40,7 @@ func spinPairProg(t *testing.T) *isa.Program {
 					})
 				},
 				func() { b.Setp(isa.EQ, 1, isa.R(3), isa.I(0)) })
+			b.AnnotateLast(isa.AnnSync)
 			b.Add(2, isa.R(2), isa.I(1))
 		})
 	b.Exit()

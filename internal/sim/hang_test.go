@@ -80,7 +80,7 @@ func livelockProg(t *testing.T) *isa.Program {
 	t.Helper()
 	b := isa.NewBuilder("hang-livelock")
 	b.Annotate(isa.AnnSync, func() {
-		b.DoWhile(0, false, true,
+		b.DoWhile(0, false,
 			func() {
 				b.AtomCAS(1, isa.I(0), isa.I(0), isa.I(0), isa.I(1))
 				b.AnnotateLast(isa.AnnLockAcquire)

@@ -23,7 +23,7 @@ func lockAddProg(t *testing.T) *isa.Program {
 	b.Setp(isa.EQ, 1, isa.S(isa.SpecLaneID), isa.I(0))
 	b.If(1, false, func() {
 		b.Annotate(isa.AnnSync, func() {
-			b.DoWhile(0, false, true,
+			b.DoWhile(0, false,
 				func() {
 					b.AtomCAS(1, isa.I(0), isa.I(0), isa.I(0), isa.I(1))
 					b.AnnotateLast(isa.AnnLockAcquire)

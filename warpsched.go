@@ -186,8 +186,10 @@ func Run(opt Options, k *Benchmark) (*Result, error) {
 
 // ParseProgram assembles a PTX-flavoured text kernel. The syntax is
 // documented on internal/isa.Parse; see examples/customkernel for a
-// complete program. Annotate spin-loop branches with "!sib" to give
-// BOWSStatic mode (and detection-quality metrics) ground truth.
+// complete program. Mark busy-wait code "!sync": the program's SIB ground
+// truth, which BOWSStatic mode and the detection-quality metrics read,
+// is every guarded backward sync branch whose loop body holds an atomic
+// or an ld.volatile. A written "!sib" is accepted and does not change it.
 func ParseProgram(name, src string) (*Program, error) {
 	return isa.Parse(name, src)
 }
