@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"strings"
-
 	"warpsched/internal/config"
 )
 
@@ -63,12 +61,17 @@ func DeriveAblation(kernels []string, cols []Column, runs [][]Run) *AblationSect
 	return sec
 }
 
-// String renders the ablation table in the harness's text format.
-func (s *AblationSection) String() string {
-	var sb strings.Builder
-	sb.WriteString("Ablation — BOWS component contributions (normalized execution time, GTO = 1.00)\n\n")
-	sb.WriteString(barTable(s.Kernels, s.Columns, s.Time, s.Gmean))
-	sb.WriteString("reading: deprioritize-only isolates the priority-queue change; fixed-1000 adds the minimum\n")
-	sb.WriteString("interval; adaptive(static) bounds what a compiler-annotated BOWS could do over DDOS\n")
-	return sb.String()
+// Tables lays out the ablation table.
+func (s *AblationSection) Tables() []Table {
+	t := barTable("Ablation — BOWS component contributions (normalized execution time on GTO, Fermi; GTO = 1.00)",
+		s.Kernels, s.Columns, s.Time, s.Gmean)
+	t.Note = []string{
+		"reading: deprioritize-only isolates the priority-queue change; fixed-1000 adds the minimum interval;",
+		"adaptive(static) bounds what a compiler-annotated BOWS could do over DDOS-driven detection",
+	}
+	t.Figure = "ablation.svg"
+	return []Table{t}
 }
+
+// String renders the section's table in the harness's text format.
+func (s *AblationSection) String() string { return text(s.Tables()) }

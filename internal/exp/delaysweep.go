@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"warpsched/internal/config"
 	"warpsched/internal/stats"
@@ -78,33 +77,26 @@ func DeriveDelay(kernels []string, cols []Column, runs [][]Run) *DelaySection {
 	return sec
 }
 
-// String renders the Figures 10-13 tables in the harness's text format.
-func (s *DelaySection) String() string {
-	var sb strings.Builder
-
-	sb.WriteString("Fig. 10 — normalized execution time under GTO+BOWS at fixed/adaptive delay limits (GTO = 1.00)\n\n")
-	sb.WriteString(barTable(s.Kernels, s.Columns, s.Time, s.GmeanTime))
-	sb.WriteString("paper: BOWS improves over GTO across limits; very large limits hurt TSP (Fig. 10)\n")
-
-	sb.WriteString("\nFig. 11 — average fraction of resident warps in the backed-off state\n\n")
-	sb.WriteString(pctTable(s.Kernels, s.Columns, s.BackedOff))
-	sb.WriteString("paper: backed-off share grows with the delay limit once it exceeds a per-benchmark threshold (Fig. 11)\n")
-
-	sb.WriteString("\nFig. 12 — lock acquire / wait exit outcome distribution (per-lane attempts, normalized to the GTO bar's total)\n\n")
-	sb.WriteString(syncTable([]string{"kernel", "column", "success", "interwarp-fail", "intrawarp-fail", "wait-ok", "wait-fail", "total/GTO"},
-		s.Kernels, s.Columns, s.Sync))
-	sb.WriteString("paper: BOWS sharply cuts failed acquires (e.g. 10.8x fewer lock failures on HT vs GTO)\n")
-
-	sb.WriteString("\nFig. 13a — normalized dynamic (thread) instruction count (GTO = 1.00)\n\n")
-	sb.WriteString(barTable(s.Kernels, s.Columns, s.Instrs, s.GmeanInstrs))
-	sb.WriteString("paper: BOWS reduces dynamic instructions 2.1x on average vs GTO\n")
-
-	sb.WriteString("\nFig. 13b — normalized memory transactions (GTO = 1.00)\n\n")
-	sb.WriteString(barTable(s.Kernels, s.Columns, s.MemTrans, s.GmeanMemTrans))
-	sb.WriteString("paper: BOWS reduces memory transactions ~19% vs GTO\n")
-
-	sb.WriteString("\nFig. 13c — SIMD efficiency\n\n")
-	sb.WriteString(pctTable(s.Kernels, s.Columns, s.SIMD))
-	sb.WriteString("paper: BOWS improves SIMD efficiency on HT (3.4x) and ATM (1.85x) vs GTO\n")
-	return sb.String()
+// Tables lays out the Figures 10-13 tables.
+func (s *DelaySection) Tables() []Table {
+	time := barTable("Fig. 10 — normalized execution time under GTO+BOWS at fixed/adaptive delay limits (GTO = 1.00)",
+		s.Kernels, s.Columns, s.Time, s.GmeanTime)
+	time.Note = []string{"paper: BOWS improves over GTO across limits; very large limits hurt TSP (Fig. 10)"}
+	time.Figure = "delaysweep-time.svg"
+	backedOff := pctTable("Fig. 11 — average fraction of resident warps in the backed-off state", s.Kernels, s.Columns, s.BackedOff)
+	backedOff.Note = []string{"paper: backed-off share grows with the delay limit once it exceeds a per-benchmark threshold (Fig. 11)"}
+	sync := syncTable("Fig. 12 — lock acquire / wait exit outcome distribution (per-lane attempts, normalized to the GTO bar's total)",
+		[]string{"kernel", "column", "success", "interwarp-fail", "intrawarp-fail", "wait-ok", "wait-fail", "total/GTO"},
+		s.Kernels, s.Columns, s.Sync)
+	sync.Note = []string{"paper: BOWS sharply cuts failed acquires (e.g. 10.8× fewer lock failures on HT vs GTO)"}
+	instrs := barTable("Fig. 13a — normalized dynamic (thread) instruction count (GTO = 1.00)", s.Kernels, s.Columns, s.Instrs, s.GmeanInstrs)
+	instrs.Note = []string{"paper: BOWS reduces dynamic instructions 2.1× on average vs GTO"}
+	mem := barTable("Fig. 13b — normalized memory transactions (GTO = 1.00)", s.Kernels, s.Columns, s.MemTrans, s.GmeanMemTrans)
+	mem.Note = []string{"paper: BOWS reduces memory transactions ~19% vs GTO"}
+	simd := pctTable("Fig. 13c — SIMD efficiency", s.Kernels, s.Columns, s.SIMD)
+	simd.Note = []string{"paper: BOWS improves SIMD efficiency on HT (3.4×) and ATM (1.85×) vs GTO"}
+	return []Table{time, backedOff, sync, instrs, mem, simd}
 }
+
+// String renders the section's tables in the harness's text format.
+func (s *DelaySection) String() string { return text(s.Tables()) }

@@ -17,9 +17,11 @@ import (
 // A layout is a []Column; a lookup fills the kernels × columns matrix of
 // Runs (the harness by submission index — sweep below — and
 // internal/report by Set.FindDDOS over a manifest); a Derive* function turns
-// the matrix into the family's section; the section's String method
-// renders the stdout table and internal/report renders the same section
-// as Markdown and SVG. Every published number is therefore computed once.
+// the matrix into the family's section; the section's Tables method lays
+// it out once, as the []Table its String renders as stdout text and
+// internal/report renders as Markdown (beside its SVG figures). Every
+// published number is therefore computed, and every published row built,
+// once.
 
 // Column is one arm of a sweep: a display label and the policy half of
 // the Spec it runs. GPU and Kernel are left zero; the lookup fills them in
@@ -173,10 +175,10 @@ func ratio(num, den float64) float64 {
 	return num / den
 }
 
-// barTable renders a kernels × columns block of bars as a text table with
-// a closing gmean row.
-func barTable(kernels, cols []string, data map[string][]Bar, gmeans []float64) string {
-	t := &table{header: append([]string{"kernel"}, cols...)}
+// barTable is a kernels × columns block of bars with a closing gmean
+// row.
+func barTable(title string, kernels, cols []string, data map[string][]Bar, gmeans []float64) Table {
+	t := Table{Title: title, Header: append([]string{"kernel"}, cols...), Summary: []string{"gmean"}}
 	for _, k := range kernels {
 		row := []string{k}
 		for _, b := range data[k] {
@@ -184,17 +186,15 @@ func barTable(kernels, cols []string, data map[string][]Bar, gmeans []float64) s
 		}
 		t.add(row...)
 	}
-	row := []string{"gmean"}
 	for _, v := range gmeans {
-		row = append(row, f2(v))
+		t.Summary = append(t.Summary, f2(v))
 	}
-	t.add(row...)
-	return t.String()
+	return t
 }
 
-// pctTable renders a kernels × columns block of fractions as percentages.
-func pctTable(kernels, cols []string, data map[string][]float64) string {
-	t := &table{header: append([]string{"kernel"}, cols...)}
+// pctTable is a kernels × columns block of fractions as percentages.
+func pctTable(title string, kernels, cols []string, data map[string][]float64) Table {
+	t := Table{Title: title, Header: append([]string{"kernel"}, cols...)}
 	for _, k := range kernels {
 		row := []string{k}
 		for _, v := range data[k] {
@@ -202,15 +202,15 @@ func pctTable(kernels, cols []string, data map[string][]float64) string {
 		}
 		t.add(row...)
 	}
-	return t.String()
+	return t
 }
 
-// syncTable renders per-lane lock-acquire and wait-exit outcomes (Figures
-// 2 and 12): one row per kernel and column under header, whose first two
-// cells name the kernel and column and whose last is the total-attempts
-// ratio to the kernel's column-0 run.
-func syncTable(header, kernels, cols []string, data map[string][]stats.SyncEvents) string {
-	t := &table{header: header}
+// syncTable is the per-lane lock-acquire and wait-exit outcomes of
+// Figures 2 and 12: one row per kernel and column under header, whose
+// first two cells name the kernel and column and whose last is the
+// total-attempts ratio to the kernel's column-0 run.
+func syncTable(title string, header, kernels, cols []string, data map[string][]stats.SyncEvents) Table {
+	t := Table{Title: title, Header: header}
 	attempts := func(e stats.SyncEvents) float64 { return float64(e.LockAttempts() + e.WaitAttempts()) }
 	for _, k := range kernels {
 		base := attempts(data[k][0])
@@ -227,5 +227,5 @@ func syncTable(header, kernels, cols []string, data map[string][]stats.SyncEvent
 				f2(attempts(e)/base))
 		}
 	}
-	return t.String()
+	return t
 }

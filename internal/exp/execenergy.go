@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"warpsched/internal/config"
 	"warpsched/internal/energy"
@@ -123,27 +122,40 @@ func DeriveBars(tag string, kernels []string, cols []Column, runs [][]Run) *Bars
 	return sec
 }
 
-// String renders the time and energy tables in the harness's text format.
-func (s *BarsSection) String() string {
-	label := "Fig. 9"
+// Tables lays out the section: the time and energy bars, the BOWS
+// improvement over each baseline and baseline GTO's issue slots.
+func (s *BarsSection) Tables() []Table {
+	label, paper := "Fig. 9", "paper (GTX480): speedup 2.2×/1.4×/1.5× and energy saving 2.3×/1.7×/1.6× vs LRR/GTO/CAWA;"
 	if s.Exp == "fig15" {
-		label = "Fig. 15"
+		label, paper = "Fig. 15", "paper (Pascal): speedup 1.9×/1.7×/1.5× vs LRR/GTO/CAWA;"
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s — normalized execution time on %s (lower is better, %s = 1.00)\n\n",
-		label, s.GPU, s.Columns[0])
-	sb.WriteString(barTable(s.Kernels, s.Columns, s.Time, s.GmeanTime))
-	fmt.Fprintf(&sb, "\n%s — normalized dynamic energy on %s\n\n", label, s.GPU)
-	sb.WriteString(barTable(s.Kernels, s.Columns, s.Energy, s.GmeanEnergy))
-
-	fmt.Fprintf(&sb, "\nBOWS speedup: %.2fx vs LRR, %.2fx vs GTO, %.2fx vs CAWA\n",
-		s.Speedup["LRR"], s.Speedup["GTO"], s.Speedup["CAWA"])
-	fmt.Fprintf(&sb, "BOWS energy saving: %.2fx vs LRR, %.2fx vs GTO, %.2fx vs CAWA\n",
-		s.EnergySaving["LRR"], s.EnergySaving["GTO"], s.EnergySaving["CAWA"])
-	if s.Exp == "fig9" {
-		sb.WriteString("paper (GTX480): speedup 2.2x/1.4x/1.5x and energy 2.3x/1.7x/1.6x vs LRR/GTO/CAWA\n")
-	} else {
-		sb.WriteString("paper (Pascal): speedup 1.9x/1.7x/1.5x vs LRR/GTO/CAWA\n")
+	time := barTable(fmt.Sprintf("%s — normalized execution time on %s (lower is better, %s = 1.00)", label, s.GPU, s.Columns[0]),
+		s.Kernels, s.Columns, s.Time, s.GmeanTime)
+	time.Figure = s.Exp + "-time.svg"
+	energy := barTable(fmt.Sprintf("%s — normalized dynamic energy on %s", label, s.GPU),
+		s.Kernels, s.Columns, s.Energy, s.GmeanEnergy)
+	energy.Note = []string{"energy is recomputed offline from each run's event counts through internal/energy"}
+	energy.Figure = s.Exp + "-energy.svg"
+	bows := Table{
+		Title:  label + " — BOWS improvement over each baseline scheduler",
+		Header: []string{"baseline", "gmean speedup", "hmean speedup", "gmean energy saving"},
+		Note:   []string{paper, "the hmean covers the kernels whose baseline and BOWS runs both finished"},
 	}
-	return sb.String()
+	for i := 0; i+1 < len(s.Columns); i += 2 {
+		base := s.Columns[i]
+		bows.add(base, f2(s.Speedup[base]), f2(s.HmeanSpeedup[base]), f2(s.EnergySaving[base]))
+	}
+	slots := Table{
+		Title:  label + " — issue-slot breakdown under baseline GTO (fractions of all SMs' scheduler issue slots)",
+		Header: []string{"kernel", "issue", "idle", "sync instr share"},
+		Note:   []string{"the sync share of issued thread instructions is the spin overhead BOWS attacks"},
+	}
+	for _, k := range s.Kernels {
+		sl := s.Slots[k]
+		slots.add(k, pct(sl.Issue), pct(sl.Idle), pct(sl.SyncInstr))
+	}
+	return []Table{time, energy, bows, slots}
 }
+
+// String renders the section's tables in the harness's text format.
+func (s *BarsSection) String() string { return text(s.Tables()) }

@@ -8,8 +8,9 @@
 // derive → render (derive.go): the Derive* functions here are the only
 // place their numbers are computed, from a per-run input (Run) built
 // from a manifest record — the sweep's own or an archived manifest's —
-// and internal/report renders the sections they return as Markdown and
-// SVG.
+// and each section's Tables method the only place its rows are built,
+// as a []Table that its String prints and internal/report renders as
+// Markdown (beside the SVG figures it draws from the section).
 package exp
 
 import (
@@ -190,22 +191,43 @@ func ByName(name string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("exp: unknown experiment %q (have: %s)", name, strings.Join(names, ", "))
 }
 
-// table is a minimal fixed-width text table renderer. A cell's leading
-// lowerBoundMark hangs in the two-space gutter before its column, so a
-// marked cell neither widens the column nor shifts the digits under it.
-type table struct {
-	header []string
-	rows   [][]string
+// Table is one titled table of the harness's output. The sections
+// internal/report also publishes (BarsSection, DelaySection,
+// Fig14Section, Table1Section, AblationSection) state their content once,
+// as the ordered []Table their Tables method builds: their String
+// renders it as fixed-width text and internal/report as Markdown. A
+// cell's leading lowerBoundMark hangs in the two-space gutter before its
+// column, so a marked cell neither widens the column nor shifts the
+// digits under it.
+type Table struct {
+	// Title heads the table; "" prints none.
+	Title string
+	// Header names the columns; every row of Rows follows it.
+	Header []string
+	Rows   [][]string
+	// Summary is an optional closing row (a gmean), bold in Markdown.
+	Summary []string
+	// Note is the prose under the table, one string per printed line.
+	Note []string
+	// Figure is the SVG base name the Markdown embeds under the table;
+	// the text rendering has no figures.
+	Figure string
 }
 
-func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
+func (t *Table) add(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-func (t *table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
+// String renders the table as fixed-width text: the title and a blank
+// line, the header, a dashed rule, the rows and summary, then the note.
+func (t *Table) String() string {
+	rows := t.Rows
+	if t.Summary != nil {
+		rows = append(rows[:len(rows):len(rows)], t.Summary)
+	}
+	widths := make([]int, len(t.Header))
+	for i, h := range t.Header {
 		widths[i] = len(h)
 	}
-	for _, r := range t.rows {
+	for _, r := range rows {
 		for i, c := range r {
 			if w := len(strings.TrimPrefix(c, lowerBoundMark)); i < len(widths) && w > widths[i] {
 				widths[i] = w
@@ -213,6 +235,9 @@ func (t *table) String() string {
 		}
 	}
 	var sb strings.Builder
+	if t.Title != "" {
+		sb.WriteString(t.Title + "\n\n")
+	}
 	line := func(cells []string) {
 		for i, c := range cells {
 			rest, marked := strings.CutPrefix(c, lowerBoundMark)
@@ -227,7 +252,7 @@ func (t *table) String() string {
 		}
 		sb.WriteByte('\n')
 	}
-	line(t.header)
+	line(t.Header)
 	for i, w := range widths {
 		if i > 0 {
 			sb.WriteString("  ")
@@ -235,10 +260,23 @@ func (t *table) String() string {
 		sb.WriteString(strings.Repeat("-", w))
 	}
 	sb.WriteByte('\n')
-	for _, r := range t.rows {
+	for _, r := range rows {
 		line(r)
 	}
+	for _, n := range t.Note {
+		sb.WriteString(n + "\n")
+	}
 	return sb.String()
+}
+
+// text renders a section's tables as the harness prints it: one after
+// another, a blank line between.
+func text(tables []Table) string {
+	parts := make([]string, len(tables))
+	for i := range tables {
+		parts[i] = tables[i].String()
+	}
+	return strings.Join(parts, "\n")
 }
 
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestTableRenderer(t *testing.T) {
-	tb := &table{header: []string{"a", "long-header"}}
+	tb := &Table{Header: []string{"a", "long-header"}}
 	tb.add("x", "1")
 	tb.add("longer-cell", "2")
 	out := tb.String()

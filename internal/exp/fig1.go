@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"warpsched/internal/config"
 	"warpsched/internal/cpuref"
@@ -85,19 +84,21 @@ func Fig1(c Cfg) (*Fig1Result, error) {
 
 // String renders the Figure 1 table in the harness's text format.
 func (r *Fig1Result) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Fig. 1 — fine-grained synchronization on GPUs (hashtable, %d insertions)\n\n", r.Items)
-	t := &table{header: []string{"buckets", "GPU ms (1b)", "CPU ms (1b)", "log10 GPU/CPU",
-		"sync instr (1c)", "sync mem (1d)", "SIMD 1-warp (1e)", "SIMD multi (1e)"}}
+	t := &Table{
+		Title: fmt.Sprintf("Fig. 1 — fine-grained synchronization on GPUs (hashtable, %d insertions)", r.Items),
+		Header: []string{"buckets", "GPU ms (1b)", "CPU ms (1b)", "log10 GPU/CPU",
+			"sync instr (1c)", "sync mem (1d)", "SIMD 1-warp (1e)", "SIMD multi (1e)"},
+		Note: []string{
+			"paper: GPU beats the serial CPU at low contention (9.77x at 4096 buckets on GTX1080);",
+			"       sync overhead 61-98% of instructions and 41-96% of memory traffic at high contention;",
+			"       SIMD efficiency 87-99% single-warp but 16-47% with many warps",
+		},
+	}
 	for i, b := range r.Buckets {
 		ratio := math.Log10(r.GPUms[i] / r.CPUms[i])
 		t.add(fmt.Sprintf("%d", b), fmt.Sprintf("%.3f", r.GPUms[i]), fmt.Sprintf("%.3f", r.CPUms[i]),
 			f2(ratio), pct(r.SyncInstrFrac[i]), pct(r.SyncMemFrac[i]),
 			pct(r.SIMDSingle[i]), pct(r.SIMDMulti[i]))
 	}
-	sb.WriteString(t.String())
-	sb.WriteString("paper: GPU beats the serial CPU at low contention (9.77x at 4096 buckets on GTX1080);\n")
-	sb.WriteString("       sync overhead 61-98% of instructions and 41-96% of memory traffic at high contention;\n")
-	sb.WriteString("       SIMD efficiency 87-99% single-warp but 16-47% with many warps\n")
-	return sb.String()
+	return t.String()
 }

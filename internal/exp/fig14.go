@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"warpsched/internal/config"
 )
@@ -65,21 +64,26 @@ func DeriveFig14(kernels []string, cols []Column, runs [][]Run) *Fig14Section {
 	return sec
 }
 
-// String renders the Figure 14 table in the harness's text format.
-func (s *Fig14Section) String() string {
-	var sb strings.Builder
-	sb.WriteString("Fig. 14 — overheads due to detection errors on sync-free kernels\n")
-	sb.WriteString("(execution time under GTO+BOWS(5000) normalized to GTO; falseDet = falsely confirmed SIBs)\n\n")
-	t := &table{header: []string{"kernel", "XOR time", "XOR falseDet", "MODULO time", "MODULO falseDet"}}
+// Tables lays out the Figure 14 table.
+func (s *Fig14Section) Tables() []Table {
+	t := Table{
+		Title:   "Fig. 14 — execution time of sync-free kernels under GTO+BOWS(5000), normalized to GTO",
+		Header:  []string{"kernel", "XOR time", "XOR falseDet", "MODULO time", "MODULO falseDet"},
+		Summary: []string{"gmean", f2(s.GmeanXOR), "", f2(s.GmeanMOD), ""},
+		Note: []string{
+			"falseDet counts falsely confirmed SIBs. paper: XOR — identical to baseline (no false detections,",
+			"reproduced exactly); MODULO — only MS and HL slow down (2.1% avg over Rodinia). Our suite false-detects",
+			"more kernels under MODULO because its grid-stride loops all advance by power-of-two strides — the exact",
+			"mechanism the paper diagnoses for MS/HL (increments invisible to low-order-bit hashing)",
+		},
+		Figure: "fig14.svg",
+	}
 	for _, k := range s.Kernels {
 		t.add(k, s.XOR[k].String(), fmt.Sprintf("%d", s.FalseXOR[k]),
 			s.MOD[k].String(), fmt.Sprintf("%d", s.FalseMOD[k]))
 	}
-	t.add("gmean", f2(s.GmeanXOR), "", f2(s.GmeanMOD), "")
-	sb.WriteString(t.String())
-	sb.WriteString("paper: XOR — identical to baseline (no false detections, reproduced exactly); MODULO — only MS\n")
-	sb.WriteString("       and HL slow down (2.1% avg over Rodinia). Our suite false-detects more kernels under\n")
-	sb.WriteString("       MODULO because its grid-stride loops all advance by power-of-two strides — the exact\n")
-	sb.WriteString("       mechanism the paper diagnoses for MS/HL (increments invisible to low-order-bit hashing)\n")
-	return sb.String()
+	return []Table{t}
 }
+
+// String renders the section's table in the harness's text format.
+func (s *Fig14Section) String() string { return text(s.Tables()) }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"warpsched/internal/config"
 	"warpsched/internal/kernels"
@@ -72,14 +71,16 @@ func Fig16(c Cfg) (*Fig16Result, error) {
 
 // String renders the Figure 16 table in the harness's text format.
 func (r *Fig16Result) String() string {
-	var sb strings.Builder
-	sb.WriteString("Fig. 16 — sensitivity to contention (hashtable; fewer buckets = higher contention)\n\n")
-	t := &table{header: []string{"buckets", "BOWS speedup over GTO (16a)", "BOWS inst. count / GTO (16b)", "ideal blocking inst. count / GTO", "ideal blocking speedup"}}
+	t := &Table{
+		Title:  "Fig. 16 — sensitivity to contention (hashtable; fewer buckets = higher contention)",
+		Header: []string{"buckets", "BOWS speedup over GTO (16a)", "BOWS inst. count / GTO (16b)", "ideal blocking inst. count / GTO", "ideal blocking speedup"},
+		Note: []string{
+			"paper: speedup ~5x at 128 buckets down to ~1.2x at 4096; instruction savings 3.7x→1.3x;",
+			"       the gap to ideal blocking narrows as buckets increase",
+		},
+	}
 	for i, b := range r.Buckets {
 		t.add(fmt.Sprintf("%d", b), f2(r.Speedup[i]), f2(r.BOWSInstr[i]), f2(r.IdealInstr[i]), f2(r.IdealSpeed[i]))
 	}
-	sb.WriteString(t.String())
-	sb.WriteString("paper: speedup ~5x at 128 buckets down to ~1.2x at 4096; instruction savings 3.7x→1.3x;\n")
-	sb.WriteString("       the gap to ideal blocking narrows as buckets increase\n")
-	return sb.String()
+	return t.String()
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"strings"
-
 	"warpsched/internal/config"
 	"warpsched/internal/stats"
 )
@@ -18,44 +16,34 @@ type Fig2Result struct {
 
 // Fig2 runs the distribution study.
 func Fig2(c Cfg) (*Fig2Result, error) {
-	gpu := c.fermi()
-	r := &Fig2Result{Events: map[string][]stats.SyncEvents{}}
-	suite := c.syncSuite()
-	var specs []Spec
-	for _, k := range suite {
-		for _, kind := range config.Schedulers {
-			specs = append(specs, Spec{GPU: gpu, Sched: kind, BOWS: bowsOff(), DDOS: config.DefaultDDOS(), Kernel: k})
-		}
+	var cols []Column
+	for _, kind := range config.Schedulers {
+		cols = append(cols, Column{string(kind), Spec{Sched: kind, BOWS: bowsOff(), DDOS: config.DefaultDDOS()}})
 	}
-	runs, err := c.runs(specs, false)
+	kernels, runs, err := c.sweep(c.fermi(), c.syncSuite(), cols, false)
 	if err != nil {
 		return nil, err
 	}
-	i := 0
-	for _, k := range suite {
-		r.Kernels = append(r.Kernels, k.Name)
-		var evs []stats.SyncEvents
-		for _, kind := range config.Schedulers {
-			ev := runs[i].Stats.Sync
-			i++
-			evs = append(evs, ev)
-			c.note("fig2 %s %s: attempts=%d", k.Name, kind, ev.LockAttempts()+ev.WaitAttempts())
+	r := &Fig2Result{Kernels: kernels, Events: map[string][]stats.SyncEvents{}}
+	for ki, k := range kernels {
+		for ci, run := range runs[ki] {
+			ev := run.Stats.Sync
+			r.Events[k] = append(r.Events[k], ev)
+			c.note("fig2 %s %s: attempts=%d", k, cols[ci].Label, ev.LockAttempts()+ev.WaitAttempts())
 		}
-		r.Events[k.Name] = evs
 	}
 	return r, nil
 }
 
 // String renders the Figure 2 table in the harness's text format.
 func (r *Fig2Result) String() string {
-	var sb strings.Builder
-	sb.WriteString("Fig. 2 — synchronization status distribution (bars: LRR, GTO, CAWA; totals normalized to LRR)\n\n")
 	var scheds []string
 	for _, kind := range config.Schedulers {
 		scheds = append(scheds, string(kind))
 	}
-	sb.WriteString(syncTable([]string{"kernel", "sched", "lock-success", "inter-warp fail", "intra-warp fail",
-		"wait-exit ok", "wait-exit fail", "total/LRR"}, r.Kernels, scheds, r.Events))
-	sb.WriteString("paper: most lock failures are inter-warp, and the failure volume depends strongly on the scheduler\n")
-	return sb.String()
+	t := syncTable("Fig. 2 — synchronization status distribution (bars: LRR, GTO, CAWA; totals normalized to LRR)",
+		[]string{"kernel", "sched", "lock-success", "inter-warp fail", "intra-warp fail",
+			"wait-exit ok", "wait-exit fail", "total/LRR"}, r.Kernels, scheds, r.Events)
+	t.Note = []string{"paper: most lock failures are inter-warp, and the failure volume depends strongly on the scheduler"}
+	return t.String()
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"warpsched/internal/config"
 	"warpsched/internal/kernels"
@@ -69,13 +68,17 @@ func Fig3(c Cfg) (*Fig3Result, error) {
 
 // String renders the Figure 3 table in the harness's text format.
 func (r *Fig3Result) String() string {
-	var sb strings.Builder
-	sb.WriteString("Fig. 3 — software back-off delay on the hashtable (execution cycles; normalized to no-delay)\n\n")
-	header := []string{"buckets"}
-	for _, f := range r.Factors {
-		header = append(header, fmt.Sprintf("factor=%d", f))
+	t := &Table{
+		Title:  "Fig. 3 — software back-off delay on the hashtable (execution cycles; normalized to no-delay)",
+		Header: []string{"buckets"},
+		Note: []string{
+			"paper: adding a software back-off delay degrades performance on recent GPUs except at",
+			"       very high contention — wasted issue slots outweigh the memory-traffic savings",
+		},
 	}
-	t := &table{header: header}
+	for _, f := range r.Factors {
+		t.Header = append(t.Header, fmt.Sprintf("factor=%d", f))
+	}
 	for i, bk := range r.Buckets {
 		row := []string{fmt.Sprintf("%d", bk)}
 		base := float64(r.Cycles[i][0])
@@ -84,8 +87,5 @@ func (r *Fig3Result) String() string {
 		}
 		t.add(row...)
 	}
-	sb.WriteString(t.String())
-	sb.WriteString("paper: adding a software back-off delay degrades performance on recent GPUs except at\n")
-	sb.WriteString("       very high contention — wasted issue slots outweigh the memory-traffic savings\n")
-	return sb.String()
+	return t.String()
 }

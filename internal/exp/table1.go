@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"warpsched/internal/config"
 	"warpsched/internal/stats"
@@ -219,21 +218,30 @@ func DeriveTable1(_ []string, cols []Column, runs [][]Run) *Table1Section {
 	return sec
 }
 
-// String renders Table I in the harness's text format.
-func (s *Table1Section) String() string {
-	var sb strings.Builder
-	sb.WriteString("Table I — DDOS sensitivity to design parameters (averaged over the benchmark suite)\n\n")
+// Tables lays out Table I: one table per varied dimension.
+func (s *Table1Section) Tables() []Table {
+	var out []Table
 	for _, b := range s.Blocks {
-		fmt.Fprintf(&sb, "· Sensitivity to %s\n", b.Name)
-		t := &table{header: []string{"config", "avg TSDR", "avg DPR (true)", "avg FSDR", "avg DPR (false)"}}
-		for _, row := range b.Rows {
-			t.add(row.Label, f3(row.TSDR), f3(row.TrueDPR), f3(row.FSDR), f3(row.FalseDPR))
+		t := Table{
+			Title:  "Table I — sensitivity to " + b.Name,
+			Header: []string{"config", "avg TSDR", "avg DPR (true)", "avg FSDR", "avg DPR (false)", "precision", "recall"},
 		}
-		sb.WriteString(t.String())
-		sb.WriteByte('\n')
+		for _, row := range b.Rows {
+			t.add(row.Label, f3(row.TSDR), f3(row.TrueDPR), f3(row.FSDR), f3(row.FalseDPR), f3(row.Precision), f3(row.Recall))
+		}
+		out = append(out, t)
 	}
-	sb.WriteString("paper: TSDR=1 for all XOR configs; FSDR=0 at XOR m=k=8; MODULO false-detects (0.17/0.104 at 4/8 bits);\n")
-	sb.WriteString("       higher thresholds trade detection delay for fewer false positives; l≥8 needed for full TSDR;\n")
-	sb.WriteString("       time sharing reduces TSDR to 0.642 and lengthens the detection phase\n")
-	return sb.String()
+	out[0].Note = []string{
+		"TSDR/FSDR: true/false SIB detection rate and DPR: detection phase ratio, each averaged over the benchmark",
+		"suite; precision and recall of SIB confirmation aggregate the whole suite's counts",
+	}
+	out[len(out)-1].Note = []string{
+		"paper: TSDR=1 for all XOR configs; FSDR=0 at XOR m=k=8; MODULO false-detects (0.17/0.104 at 4/8 bits);",
+		"higher thresholds trade detection delay for fewer false positives; l≥8 needed for full TSDR;",
+		"time sharing reduces TSDR to 0.642 and lengthens the detection phase",
+	}
+	return out
 }
+
+// String renders Table I in the harness's text format.
+func (s *Table1Section) String() string { return text(s.Tables()) }

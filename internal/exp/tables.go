@@ -38,7 +38,7 @@ func (r *Table2Result) String() string {
 	fmt.Fprintf(&sb, "  hashing=%s, history width m=k=%d, history length l=%d, confidence threshold t=%d, time sharing=%v\n",
 		r.DDOS.Hash, r.DDOS.PathBits, r.DDOS.HistoryLen, r.DDOS.ConfidenceThreshold, r.DDOS.TimeShare)
 	sb.WriteString("· Baseline GPUs\n")
-	t := &table{header: []string{"parameter", "GTX480 (Fermi)", "GTX1080Ti (Pascal)"}}
+	t := &Table{Header: []string{"parameter", "GTX480 (Fermi)", "GTX1080Ti (Pascal)"}}
 	f, p := r.Fermi, r.Pascal
 	t.add("SMs", fmt.Sprint(f.NumSMs), fmt.Sprint(p.NumSMs))
 	t.add("threads/SM", fmt.Sprint(f.WarpsPerSM*32), fmt.Sprint(p.WarpsPerSM*32))
@@ -86,9 +86,10 @@ func Table3(Cfg) (*Table3Result, error) {
 
 // String renders Table III in the harness's text format.
 func (r *Table3Result) String() string {
-	var sb strings.Builder
-	sb.WriteString("Table III — DDOS and BOWS implementation costs per SM (GTX480, 48 warps)\n\n")
-	t := &table{header: []string{"component", "storage", "paper"}}
+	t := &Table{
+		Title:  "Table III — DDOS and BOWS implementation costs per SM (GTX480, 48 warps)",
+		Header: []string{"component", "storage", "paper"},
+	}
 	t.add("DDOS history registers",
 		fmt.Sprintf("%d warps x %d bits = %d bits", r.Warps, r.HistoryBitsPerWarp, r.HistoryBitsTotal),
 		"48 x 192 bits = 9216 bits")
@@ -103,6 +104,5 @@ func (r *Table3Result) String() string {
 	t.add("BOWS backed-off queue",
 		fmt.Sprintf("%d x 5 bits = %d bits", r.Warps, r.BackedOffQueueBits), "240 bits")
 	t.add("BOWS arbitration/adaptive logic", "reuses idle functional units for the divide", "same")
-	sb.WriteString(t.String())
-	return sb.String()
+	return t.String()
 }

@@ -54,12 +54,11 @@ func (b *Builder) anonLabel(prefix string) string {
 }
 
 // Emit appends a raw instruction, applying the current annotation scope.
+// Its Guard is taken as given, and the zero value guards on predicate 0:
+// an unguarded instruction must set Guard to NoGuard, as every builder
+// helper does.
 func (b *Builder) Emit(in Instr) *Builder {
 	in.Ann |= b.ann
-	if in.Guard == 0 && !in.Guarded() {
-		// Zero value of Guard is 0, which is a valid predicate id; callers
-		// of Emit must set NoGuard explicitly. All builder helpers do.
-	}
 	b.code = append(b.code, in)
 	return b
 }

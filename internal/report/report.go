@@ -4,8 +4,9 @@
 // document states — per-benchmark and mean speedups normalized to the
 // paper's baselines, normalized dynamic energy, issue-slot and
 // spin-overhead breakdowns, and the Table I detection-quality rates — is
-// *derived* from manifest counters, never hand-entered, and by the same
-// internal/exp functions that feed cmd/experiments' text tables, so the
+// *derived* from manifest counters, never hand-entered, and derived and
+// laid out as tables by the same internal/exp functions that feed
+// cmd/experiments' text output, so the
 // published numbers cannot drift from the code that produced them or
 // from stdout (a CI job regenerates the document from the checked-in
 // manifest and fails on any diff).

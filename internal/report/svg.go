@@ -226,12 +226,13 @@ func lineChart(title, yLabel string, xs []string, ys []float64) []byte {
 	fmt.Fprintf(&sb, "<polyline points=\"%s\" fill=\"none\" stroke=\"%s\" stroke-width=\"2\"/>\n",
 		strings.Join(pts, " "), palette[0].light)
 	for i, v := range ys {
+		val := fmt.Sprintf("%.2f", v)
 		fmt.Fprintf(&sb, "<circle class=\"s0\" cx=\"%s\" cy=\"%s\" r=\"4\"><title>%s: %s</title></circle>\n",
-			c1(x(i)), c1(y(v)), xmlEscape(xs[i]), f2(v))
+			c1(x(i)), c1(y(v)), xmlEscape(xs[i]), val)
 		fmt.Fprintf(&sb, "<text class=\"ink2\" x=\"%s\" y=\"%d\" font-size=\"10\" text-anchor=\"middle\">%s</text>\n",
 			c1(x(i)), marginT+plotH+16, xmlEscape(xs[i]))
 		fmt.Fprintf(&sb, "<text class=\"ink2\" x=\"%s\" y=\"%s\" font-size=\"9\" text-anchor=\"middle\">%s</text>\n",
-			c1(x(i)), c1(y(v)-8), f2(v))
+			c1(x(i)), c1(y(v)-8), val)
 	}
 	fmt.Fprintf(&sb, "<line class=\"axis\" x1=\"%d\" y1=\"%d\" x2=\"%d\" y2=\"%d\" stroke-width=\"1\"/>\n",
 		marginL, marginT+plotH, marginL+plotW, marginT+plotH)
