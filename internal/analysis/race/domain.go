@@ -24,7 +24,7 @@ package race
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"warpsched/internal/isa"
 )
@@ -237,7 +237,11 @@ func (v AbsVal) sameShape(w AbsVal) bool {
 // mergeTerms returns a·x + b·y over two Sym-sorted term lists, sorted
 // and without zero coefficients.
 func mergeTerms(x []Term, a int64, y []Term, b int64) []Term {
-	out := make([]Term, 0, len(x)+len(y))
+	return appendMerged(make([]Term, 0, len(x)+len(y)), x, a, y, b)
+}
+
+// appendMerged appends mergeTerms(x, a, y, b) to out.
+func appendMerged(out, x []Term, a int64, y []Term, b int64) []Term {
 	i, j := 0, 0
 	for i < len(x) || j < len(y) {
 		var t Term
@@ -441,15 +445,22 @@ func (v AbsVal) key(t *symtab) string {
 	if v.Top {
 		return "top"
 	}
-	s := fmt.Sprintf("c%d,l%d,w%d,b%d,s%d", v.C, v.Lane, v.Warp, v.CTA, v.Stride)
+	b := make([]byte, 0, 32+16*len(v.Terms))
+	for i, f := range [...]int64{v.C, v.Lane, v.Warp, v.CTA, v.Stride} {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(append(b, "clwbs"[i]), f, 10)
+	}
 	for _, tm := range v.Terms {
+		b = strconv.AppendInt(append(b, '+'), tm.Coef, 10)
 		if in := t.info(tm.Sym); in.kind == symParam {
-			s += fmt.Sprintf("+%d*p%d", tm.Coef, in.param)
+			b = strconv.AppendInt(append(b, "*p"...), int64(in.param), 10)
 		} else {
-			s += fmt.Sprintf("+%d*y%d", tm.Coef, tm.Sym)
+			b = strconv.AppendInt(append(b, "*y"...), int64(tm.Sym), 10)
 		}
 	}
-	return s
+	return string(b)
 }
 
 // describe renders the value for finding messages.
@@ -495,8 +506,4 @@ func (v AbsVal) describe(t *symtab) string {
 		}
 	}
 	return out
-}
-
-func sortTerms(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Sym < ts[j].Sym })
 }

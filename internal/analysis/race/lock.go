@@ -3,6 +3,7 @@ package race
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"warpsched/internal/analysis"
@@ -53,13 +54,16 @@ type lockState struct {
 const maxLocksetsPerPC = 16
 
 func (s *lockState) signature() string {
+	if len(s.locks) == 0 {
+		return ""
+	}
 	keys := make([]string, len(s.locks))
 	for i, h := range s.locks {
-		p := "h"
+		p := ":h:"
 		if h.pending {
-			p = "p"
+			p = ":p:"
 		}
-		keys[i] = fmt.Sprintf("%d:%s:%s", h.acqPC, p, h.key)
+		keys[i] = strconv.Itoa(int(h.acqPC)) + p + h.key
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, "|")

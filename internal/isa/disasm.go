@@ -3,7 +3,6 @@ package isa
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -11,7 +10,7 @@ import (
 // PCs for branch targets and reconvergence points.
 func Disasm(in *Instr) string {
 	var sb strings.Builder
-	in.format(&sb, func(pc int32) string { return strconv.Itoa(int(pc)) })
+	in.format(&sb, func(sb *strings.Builder, pc int32) { writeIndexed(sb, "", int64(pc)) })
 	return sb.String()
 }
 
@@ -22,23 +21,32 @@ func Disasm(in *Instr) string {
 // "L<pc>" labels; reconvergence is always emitted explicitly (reconv=L)
 // so backward and forward conditional branches round-trip identically.
 func (p *Program) Assembly() string {
-	needLabel := make(map[int32]bool)
+	// Only PCs 0..len(p.Code) get a label line; an unvalidated program
+	// may name others.
+	needLabel := make([]bool, len(p.Code)+1)
+	mark := func(pc int32) {
+		if pc >= 0 && int(pc) < len(needLabel) {
+			needLabel[pc] = true
+		}
+	}
 	for pc := range p.Code {
 		in := &p.Code[pc]
 		if in.Op != OpBra {
 			continue
 		}
-		needLabel[in.Target] = true
+		mark(in.Target)
 		if in.Guarded() && in.Reconv != NoReconv {
-			needLabel[in.Reconv] = true
+			mark(in.Reconv)
 		}
 	}
-	lbl := func(pc int32) string { return "L" + strconv.Itoa(int(pc)) }
+	lbl := func(sb *strings.Builder, pc int32) { writeIndexed(sb, "L", int64(pc)) }
 
 	var sb strings.Builder
+	sb.Grow(24 * len(p.Code))
 	for pc := range p.Code {
-		if needLabel[int32(pc)] {
-			sb.WriteString(lbl(int32(pc)) + ":\n")
+		if needLabel[pc] {
+			lbl(&sb, int32(pc))
+			sb.WriteString(":\n")
 		}
 		sb.WriteString("  ")
 		p.Code[pc].format(&sb, lbl)
@@ -46,8 +54,9 @@ func (p *Program) Assembly() string {
 	}
 	// A reconvergence point one past the last instruction needs a label
 	// at end of file; Parse accepts a trailing label with no instruction.
-	if needLabel[int32(len(p.Code))] {
-		sb.WriteString(lbl(int32(len(p.Code))) + ":\n")
+	if needLabel[len(p.Code)] {
+		lbl(&sb, int32(len(p.Code)))
+		sb.WriteString(":\n")
 	}
 	return sb.String()
 }

@@ -19,7 +19,11 @@
 //     DDOS evaluation as ground truth.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Reg identifies a per-thread general purpose register.
 type Reg uint8
@@ -76,7 +80,7 @@ func (s Special) String() string {
 	if int(s) < len(specialNames) {
 		return specialNames[s]
 	}
-	return fmt.Sprintf("%%spec%d", uint8(s))
+	return "%spec" + strconv.Itoa(int(s))
 }
 
 // OperandKind discriminates Operand variants.
@@ -112,15 +116,22 @@ func I(v int32) Operand { return Operand{Kind: OpdImm, Imm: v} }
 func S(s Special) Operand { return Operand{Kind: OpdSpecial, Spec: s} }
 
 func (o Operand) String() string {
+	var sb strings.Builder
+	o.writeTo(&sb)
+	return sb.String()
+}
+
+// writeTo writes the operand as String renders it.
+func (o Operand) writeTo(sb *strings.Builder) {
 	switch o.Kind {
 	case OpdReg:
-		return fmt.Sprintf("%%r%d", o.Reg)
+		writeIndexed(sb, "%r", int64(o.Reg))
 	case OpdImm:
-		return fmt.Sprintf("%d", o.Imm)
+		writeIndexed(sb, "", int64(o.Imm))
 	case OpdSpecial:
-		return o.Spec.String()
+		sb.WriteString(o.Spec.String())
 	default:
-		return "_"
+		sb.WriteByte('_')
 	}
 }
 

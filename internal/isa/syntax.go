@@ -1,7 +1,7 @@
 package isa
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -116,15 +116,16 @@ var specialByName = func() map[string]Special {
 	return m
 }()
 
-// format writes the instruction in the syntax Parse reads; label renders
+// format writes the instruction in the syntax Parse reads; label writes
 // a branch target or reconvergence PC.
-func (in *Instr) format(sb *strings.Builder, label func(int32) string) {
+func (in *Instr) format(sb *strings.Builder, label func(*strings.Builder, int32)) {
 	if in.Guarded() {
 		sb.WriteByte('@')
 		if in.GuardNeg {
 			sb.WriteByte('!')
 		}
-		fmt.Fprintf(sb, "%%p%d ", in.Guard)
+		writeIndexed(sb, "%p", int64(in.Guard))
+		sb.WriteByte(' ')
 	}
 	sb.WriteString(in.mnemonic())
 	var slots []slot
@@ -139,25 +140,28 @@ func (in *Instr) format(sb *strings.Builder, label func(int32) string) {
 		}
 		switch s {
 		case slotDst:
-			fmt.Fprintf(sb, "%%r%d", in.Dst)
+			writeIndexed(sb, "%r", int64(in.Dst))
 		case slotPDst:
-			fmt.Fprintf(sb, "%%p%d", in.PDst)
+			writeIndexed(sb, "%p", int64(in.PDst))
 		case slotPSrc:
-			fmt.Fprintf(sb, "%%p%d", in.PSrc)
+			writeIndexed(sb, "%p", int64(in.PSrc))
 		case slotA, slotB, slotC, slotD:
-			sb.WriteString(in.operand(s).String())
+			in.operand(s).writeTo(sb)
 		case slotAddr:
-			if in.B.Kind == OpdNone {
-				fmt.Fprintf(sb, "[%s]", in.A)
-			} else {
-				fmt.Fprintf(sb, "[%s+%s]", in.A, in.B)
+			sb.WriteByte('[')
+			in.A.writeTo(sb)
+			if in.B.Kind != OpdNone {
+				sb.WriteByte('+')
+				in.B.writeTo(sb)
 			}
+			sb.WriteByte(']')
 		case slotParam:
-			fmt.Fprintf(sb, "%d", in.Param)
+			writeIndexed(sb, "", int64(in.Param))
 		case slotTarget:
-			sb.WriteString(label(in.Target))
+			label(sb, in.Target)
 			if in.Guarded() && in.Reconv != NoReconv {
-				sb.WriteString(" reconv=" + label(in.Reconv))
+				sb.WriteString(" reconv=")
+				label(sb, in.Reconv)
 			}
 		}
 	}
@@ -176,4 +180,11 @@ func (in *Instr) format(sb *strings.Builder, label func(int32) string) {
 		}
 	}
 	sb.WriteString(" !" + strings.Join(names, ","))
+}
+
+// writeIndexed writes prefix followed by n in decimal.
+func writeIndexed(sb *strings.Builder, prefix string, n int64) {
+	var buf [20]byte
+	sb.WriteString(prefix)
+	sb.Write(strconv.AppendInt(buf[:0], n, 10))
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -167,4 +168,39 @@ func asDrift(err error, target **DriftError) bool {
 		*target = de
 	}
 	return ok
+}
+
+// TestFiguresEmbedded holds figures() to the document: every ![…](…)
+// target the Markdown embeds is a figure figures() renders, and every
+// figure it renders is embedded. figures() names its files apart from
+// the sections' exp.Table.Figure names, so a rename on one side only
+// would leave a broken image or an orphan SVG.
+func TestFiguresEmbedded(t *testing.T) {
+	full, err := Load("testdata/full.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := regexp.MustCompile(`!\[[^\]]*\]\(([^)]*)\)`)
+	for name, m := range map[string]*metrics.Manifest{"golden fixture": goldenFixture(t), "full.json": full.Manifest()} {
+		rep, err := Build(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		figs := rep.figures()
+		embedded := map[string]bool{}
+		for _, sub := range image.FindAllStringSubmatch(string(rep.markdown(func(f string) string { return f })), -1) {
+			embedded[sub[1]] = true
+			if _, ok := figs[sub[1]]; !ok {
+				t.Errorf("%s: the document embeds %s, which figures() does not render", name, sub[1])
+			}
+		}
+		for f := range figs {
+			if !embedded[f] {
+				t.Errorf("%s: figures() renders %s, which the document does not embed", name, f)
+			}
+		}
+		if len(figs) == 0 {
+			t.Errorf("%s: no figures rendered", name)
+		}
+	}
 }
