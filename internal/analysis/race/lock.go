@@ -94,9 +94,16 @@ func flipCmp(c isa.Cmp) isa.Cmp {
 // analyzeLocks runs a path-sensitive lockset exploration, reporting
 // double acquires, releases without a matching acquire, locks still held
 // at thread exit, and acquisition-order cycles between blocking locks.
+// A program with no AnnLockAcquire and no AnnLockRelease gets the empty
+// result without exploring: its locksets stay empty on every path, so
+// there is nothing to report and no lock held anywhere.
 func analyzeLocks(it *interp, g *analysis.CFG) *lockResult {
 	p := it.p
-	res := &lockResult{mustHeld: map[int32][]heldLock{}}
+	res := &lockResult{}
+	if !hasLockAnn(p) {
+		return res
+	}
+	res.mustHeld = map[int32][]heldLock{}
 	blocking := blockingAcquires(p, g)
 
 	// Per-PC exploration bookkeeping.
@@ -323,6 +330,17 @@ func analyzeLocks(it *interp, g *analysis.CFG) *lockResult {
 		}
 	}
 	return res
+}
+
+// hasLockAnn reports whether any instruction carries AnnLockAcquire or
+// AnnLockRelease.
+func hasLockAnn(p *isa.Program) bool {
+	for pc := range p.Code {
+		if p.Code[pc].HasAnn(isa.AnnLockAcquire | isa.AnnLockRelease) {
+			return true
+		}
+	}
+	return false
 }
 
 // classifyLocks resolves pending acquires along a branch edge where the

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"warpsched/internal/analysis"
+	"warpsched/internal/isa"
+	"warpsched/internal/kernels"
 )
 
 // lockSetup parses src, runs the interpreter and the lockset DFS.
@@ -139,5 +141,57 @@ spin:
 `)
 	if held := res.mustHeld[6]; len(held) != 0 {
 		t.Fatalf("mustHeld[6] = %+v, want empty (result clobbered)", held)
+	}
+}
+
+// TestLockPassNeedsLockAnnotations: a program with no lock annotation
+// gets the empty result without exploring (exploration records a
+// must-held set at every PC it reaches, pc 0 first), and every program
+// with one, registered or release-only, is still explored. A release
+// alone is reason enough: unlocking on a path that holds nothing is the
+// unlock-without-lock finding.
+func TestLockPassNeedsLockAnnotations(t *testing.T) {
+	run := func(p *isa.Program) *lockResult {
+		g := analysis.BuildCFG(p)
+		it := newInterp(p, g, geometry{ctas: 2, threads: 64, warps: 2})
+		it.run()
+		return analyzeLocks(it, g)
+	}
+	var ks []*kernels.Kernel
+	for _, suite := range [][]*kernels.Kernel{kernels.SyncSuite(), kernels.SyncFreeSuite(),
+		kernels.QuickSyncSuite(), kernels.QuickSyncFreeSuite()} {
+		ks = append(ks, suite...)
+	}
+	locked := 0
+	for _, k := range ks {
+		p := k.Launch.Prog
+		res := run(p)
+		annotated := false
+		for pc := range p.Code {
+			annotated = annotated || p.Code[pc].HasAnn(isa.AnnLockAcquire) || p.Code[pc].HasAnn(isa.AnnLockRelease)
+		}
+		if !annotated {
+			if res.mustHeld != nil || res.findings != nil {
+				t.Errorf("%s has no lock annotation but was explored: %+v", p.Name, res)
+			}
+			continue
+		}
+		locked++
+		if _, ok := res.mustHeld[0]; !ok {
+			t.Errorf("%s carries a lock annotation but was not explored", p.Name)
+		}
+	}
+	if locked == 0 || locked == len(ks) {
+		t.Fatalf("%d of %d registered programs carry a lock annotation; the test needs both kinds", locked, len(ks))
+	}
+
+	releaseOnly := mustParse(t, "t", `
+  ld.param %r2, 0
+  atom.exch %r1, [%r2+0], 0  !release,sync
+  exit
+`)
+	res := run(releaseOnly)
+	if len(res.findings) != 1 || res.findings[0].Category != analysis.CatUnlockWithoutLock {
+		t.Fatalf("release-only program: findings %v, want one unlock-without-lock", res.findings)
 	}
 }

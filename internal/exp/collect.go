@@ -2,13 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"warpsched/internal/config"
 	"warpsched/internal/energy"
 	"warpsched/internal/metrics"
-	"warpsched/internal/sim"
 	"warpsched/internal/stats"
 )
 
@@ -150,69 +148,6 @@ func RunOfRecord(rec *metrics.RunRecord) (Run, error) {
 			TrueDPR: rec.Derived["ddos_true_dpr"], FalseDPR: rec.Derived["ddos_false_dpr"],
 		},
 	}, nil
-}
-
-// VariantHash fingerprints everything that can distinguish two runs
-// sharing a kernel/GPU/scheduler name: the full machine configuration
-// (fig16's queue-lock comparator differs only in Mem.QueueLocks; a daemon
-// job's admitted MaxCycles rides in GPU.MaxCycles), the BOWS and DDOS
-// parameter sets (table1 and the delay sweep vary these), the detector
-// selection with its TAGE parameters and the WASP knobs (the golden
-// sweep's zoo records and warpsim vary these), and the launch geometry and
-// parameters (fig16 reuses kernel names across bucket counts). It is the
-// one run identity: manifest records carry it and ContentKey (the journal's
-// and warpsimd's key) embeds it, so a daemon job, a sweep run and a
-// warpsim run of the same configuration share a variant. Deliberately
-// excluded, like Cfg.Jobs/NoFastForward: anything that cannot change
-// simulation results. Manifest.Add cross-checks records that still
-// collide, so a dimension missed here surfaces as an error, not a silent
-// overwrite.
-//
-// The zoo dimensions are omitted from the JSON when they are inactive
-// (empty detector kind, nil pointers), so every pre-existing variant
-// hash — including the committed golden and report manifests — is
-// byte-identical to what it was before the zoo existed.
-func VariantHash(sp Spec) string {
-	var tage *config.TAGE
-	var det config.DetectorKind
-	if sp.Detector == config.DetectTAGE {
-		det, tage = sp.Detector, &sp.TAGE
-	}
-	var wasp *config.WaSP
-	if sp.Sched == config.WASP {
-		wasp = &sp.WaSP
-	}
-	l := &sp.Kernel.Launch
-	return metrics.HashJSON(struct {
-		GPU      config.GPU
-		Sched    config.SchedulerKind
-		BOWS     config.BOWS
-		DDOS     config.DDOS
-		Detector config.DetectorKind `json:",omitempty"`
-		TAGE     *config.TAGE        `json:",omitempty"`
-		WaSP     *config.WaSP        `json:",omitempty"`
-		Kernel   string
-		Grid     int
-		Threads  int
-		MemWords int
-		Params   []uint32
-	}{sp.GPU, sp.Sched, sp.BOWS, sp.DDOS, det, tage, wasp, sp.Kernel.Name,
-		l.GridCTAs, l.CTAThreads, l.MemWords, l.Params})
-}
-
-// ContentKey is the content address of a spec's result: warpsimd's cache
-// and store file a one-run manifest under it (server.CacheKey, also the
-// job id), and the sweep journal files its record under it plus
-// journalSuffix. It is FNV-1a over the program's canonical assembly text
-// (so two routes to the same instruction stream share results, and any
-// instruction change misses), the variant hash over the full
-// configuration, and the engine's semantic version (sim.Version, bumped
-// whenever results can change). Deterministic simulation makes it sound:
-// equal key ⇒ equal result, with no expiry policy.
-func ContentKey(sp Spec) string {
-	h := fnv.New64a()
-	h.Write([]byte(sp.Kernel.Launch.Prog.Assembly()))
-	return fmt.Sprintf("%016x-%s-v%d", h.Sum64(), VariantHash(sp), sim.Version)
 }
 
 // aggregateCounters folds a per-SM snapshot into machine totals: names

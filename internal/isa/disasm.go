@@ -9,9 +9,7 @@ import (
 // Disasm renders one instruction in the syntax Parse reads, with numeric
 // PCs for branch targets and reconvergence points.
 func Disasm(in *Instr) string {
-	var sb strings.Builder
-	in.format(&sb, func(sb *strings.Builder, pc int32) { writeIndexed(sb, "", int64(pc)) })
-	return sb.String()
+	return string(in.appendTo(nil, func(b []byte, pc int32) []byte { return appendIndexed(b, "", int64(pc)) }))
 }
 
 // Assembly renders the program in the exact syntax accepted by Parse, so
@@ -21,6 +19,11 @@ func Disasm(in *Instr) string {
 // "L<pc>" labels; reconvergence is always emitted explicitly (reconv=L)
 // so backward and forward conditional branches round-trip identically.
 func (p *Program) Assembly() string {
+	return string(p.AppendAssembly(make([]byte, 0, 24*len(p.Code))))
+}
+
+// AppendAssembly appends the text Assembly returns to b.
+func (p *Program) AppendAssembly(b []byte) []byte {
 	// Only PCs 0..len(p.Code) get a label line; an unvalidated program
 	// may name others.
 	needLabel := make([]bool, len(p.Code)+1)
@@ -39,26 +42,21 @@ func (p *Program) Assembly() string {
 			mark(in.Reconv)
 		}
 	}
-	lbl := func(sb *strings.Builder, pc int32) { writeIndexed(sb, "L", int64(pc)) }
+	lbl := func(b []byte, pc int32) []byte { return appendIndexed(b, "L", int64(pc)) }
 
-	var sb strings.Builder
-	sb.Grow(24 * len(p.Code))
 	for pc := range p.Code {
 		if needLabel[pc] {
-			lbl(&sb, int32(pc))
-			sb.WriteString(":\n")
+			b = append(lbl(b, int32(pc)), ":\n"...)
 		}
-		sb.WriteString("  ")
-		p.Code[pc].format(&sb, lbl)
-		sb.WriteByte('\n')
+		b = append(b, "  "...)
+		b = append(p.Code[pc].appendTo(b, lbl), '\n')
 	}
 	// A reconvergence point one past the last instruction needs a label
 	// at end of file; Parse accepts a trailing label with no instruction.
 	if needLabel[len(p.Code)] {
-		lbl(&sb, int32(len(p.Code)))
-		sb.WriteString(":\n")
+		b = append(lbl(b, int32(len(p.Code))), ":\n"...)
 	}
-	return sb.String()
+	return b
 }
 
 // Listing renders the full program with PCs and label markers.

@@ -22,7 +22,6 @@ package isa
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Reg identifies a per-thread general purpose register.
@@ -115,23 +114,19 @@ func I(v int32) Operand { return Operand{Kind: OpdImm, Imm: v} }
 // S makes a special-register operand.
 func S(s Special) Operand { return Operand{Kind: OpdSpecial, Spec: s} }
 
-func (o Operand) String() string {
-	var sb strings.Builder
-	o.writeTo(&sb)
-	return sb.String()
-}
+func (o Operand) String() string { return string(o.appendTo(nil)) }
 
-// writeTo writes the operand as String renders it.
-func (o Operand) writeTo(sb *strings.Builder) {
+// appendTo appends the operand as String renders it.
+func (o Operand) appendTo(b []byte) []byte {
 	switch o.Kind {
 	case OpdReg:
-		writeIndexed(sb, "%r", int64(o.Reg))
+		return appendIndexed(b, "%r", int64(o.Reg))
 	case OpdImm:
-		writeIndexed(sb, "", int64(o.Imm))
+		return appendIndexed(b, "", int64(o.Imm))
 	case OpdSpecial:
-		sb.WriteString(o.Spec.String())
+		return append(b, o.Spec.String()...)
 	default:
-		sb.WriteByte('_')
+		return append(b, '_')
 	}
 }
 

@@ -48,6 +48,52 @@ func DecodeRunRecord(data []byte) (RunRecord, error) {
 	return r, nil
 }
 
+// Headline is what warpsimd's disk tier reads of a stored manifest: the
+// number of runs, and the first run's cycles and error.
+type Headline struct {
+	Runs   int
+	Cycles int64
+	Err    string
+}
+
+// DecodeHeadline reads a manifest's headline as json.Unmarshal reads it
+// into
+//
+//	struct {
+//		Runs []struct {
+//			Cycles int64  `json:"cycles"`
+//			Err    string `json:"err"`
+//		} `json:"runs"`
+//	}
+//
+// and fails where that fails. Canonical bytes are read in one pass that
+// skips every other member, validating it, and allocates nothing but a
+// non-empty error string; any other input goes to json.Unmarshal.
+func DecodeHeadline(data []byte) (Headline, error) {
+	d := decoder{data: data}
+	var h Headline
+	if errb, ok := d.headline(&h); ok && d.end() {
+		if len(errb) > 0 {
+			h.Err = string(errb)
+		}
+		return h, nil
+	}
+	var m struct {
+		Runs []struct {
+			Cycles int64  `json:"cycles"`
+			Err    string `json:"err"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		return Headline{}, err
+	}
+	h = Headline{Runs: len(m.Runs)}
+	if h.Runs > 0 {
+		h.Cycles, h.Err = m.Runs[0].Cycles, m.Runs[0].Err
+	}
+	return h, nil
+}
+
 // decoder walks canonical manifest bytes. Every method reports false at
 // the first byte outside the canonical form, leaving the value it was
 // filling half done; the caller then discards it.
@@ -175,6 +221,120 @@ func (d *decoder) derived() (map[string]float64, bool) {
 	return m, ok
 }
 
+// headline reads a manifest's runs into h, returning the first run's
+// err bytes (aliasing the input); it skips the other manifest and record
+// members. Only the field names the tools write are known: any other
+// name might match runs, cycles or err case-insensitively, as
+// encoding/json matches names, so it leaves the canonical form, and so
+// does a repeated runs member, whose elements encoding/json decodes into
+// the first one's.
+func (d *decoder) headline(h *Headline) (errb []byte, ok bool) {
+	seen := false
+	ok = d.object(func(key []byte) bool {
+		switch string(key) {
+		case "runs":
+			if seen {
+				return false
+			}
+			seen = true
+			errb, ok = d.headlineRuns(h)
+			return ok
+		case "schema", "tool", "git_rev", "config_hash", "config", "wall_ms":
+			return d.skip(0)
+		}
+		return false
+	})
+	return errb, ok
+}
+
+// headlineRuns counts the runs of a runs array into h.Runs, with cycles
+// from the first run and err returned.
+func (d *decoder) headlineRuns(h *Headline) (errb []byte, ok bool) {
+	if !d.next('[') {
+		return nil, false
+	}
+	if d.next(']') {
+		return nil, true
+	}
+	for {
+		var cycles int64
+		var runErr []byte
+		ok := d.object(func(key []byte) bool {
+			ok := false
+			switch string(key) {
+			case "cycles":
+				cycles, ok = d.int()
+			case "err":
+				runErr, ok = d.str()
+			case "exp", "kernel", "gpu", "sched", "bows", "ddos", "variant", "wall_ms", "counters", "derived":
+				ok = d.skip(0)
+			}
+			return ok
+		})
+		if !ok {
+			return nil, false
+		}
+		if h.Runs == 0 {
+			h.Cycles, errb = cycles, runErr
+		}
+		h.Runs++
+		if d.next(']') {
+			return errb, true
+		}
+		if !d.next(',') {
+			return nil, false
+		}
+	}
+}
+
+// maxSkipDepth bounds the nesting skip follows. The canonical form nests
+// a skipped value one level deep (a flat map); encoding/json refuses
+// input nested past 10000 levels, which skip therefore must not accept.
+const maxSkipDepth = 64
+
+// skip consumes one value of any type in the JSON grammar, with strings
+// as str reads them, at nesting depth depth.
+func (d *decoder) skip(depth int) bool {
+	d.ws()
+	if d.pos == len(d.data) {
+		return false
+	}
+	switch d.data[d.pos] {
+	case '"':
+		_, ok := d.str()
+		return ok
+	case '{':
+		return depth < maxSkipDepth && d.object(func([]byte) bool { return d.skip(depth + 1) })
+	case '[':
+		if depth == maxSkipDepth {
+			return false
+		}
+		d.pos++
+		if d.next(']') {
+			return true
+		}
+		for {
+			if !d.skip(depth + 1) {
+				return false
+			}
+			if d.next(']') {
+				return true
+			}
+			if !d.next(',') {
+				return false
+			}
+		}
+	case 't':
+		return d.word("true")
+	case 'f':
+		return d.word("false")
+	case 'n':
+		return d.word("null")
+	}
+	_, _, ok := d.number()
+	return ok
+}
+
 // config decodes the invocation configuration: flat, with string,
 // number and boolean values (numbers as float64, as into any).
 func (d *decoder) config() (map[string]any, bool) {
@@ -230,16 +390,17 @@ func (d *decoder) str() ([]byte, bool) {
 	if !d.next('"') {
 		return nil, false
 	}
+	b, start := d.data, d.pos
 	ascii := true
-	for i := d.pos; i < len(d.data); i++ {
-		switch c := d.data[i]; {
-		case c == '"':
-			s := d.data[d.pos:i]
-			d.pos = i + 1
-			return s, ascii || utf8.Valid(s)
-		case c < 0x20 || c == '\\':
-			return nil, false
-		case c >= utf8.RuneSelf:
+	for i := start; i < len(b); i++ {
+		if c := b[i]; c-0x20 >= 0x60 || c == '"' || c == '\\' { // outside 0x20..0x7f, or a quote or backslash
+			switch {
+			case c == '"':
+				d.pos = i + 1
+				return b[start:i], ascii || utf8.Valid(b[start:i])
+			case c < 0x20 || c == '\\':
+				return nil, false
+			}
 			ascii = false
 		}
 	}
@@ -363,12 +524,9 @@ func (d *decoder) end() bool {
 }
 
 func (d *decoder) ws() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
-		}
+	b, i := d.data, d.pos
+	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+		i++
 	}
+	d.pos = i
 }

@@ -63,9 +63,9 @@ func benchSubmitHits(b *testing.B, opt Options, reqs []*JobRequest) {
 	b.StopTimer()
 }
 
-// BenchmarkSubmitHitRegistered: memory-tier hits on registered quick
-// kernels, the bulk of the benchmark's service mix.
-func BenchmarkSubmitHitRegistered(b *testing.B) {
+// registeredReqs is six jobs on registered quick kernels at 2 SMs, the
+// bulk of the benchmark's service mix.
+func registeredReqs() []*JobRequest {
 	var reqs []*JobRequest
 	for _, sched := range []string{"LRR", "GTO", "CAWA"} {
 		for _, k := range []string{"VECADD", "HT"} {
@@ -73,7 +73,13 @@ func BenchmarkSubmitHitRegistered(b *testing.B) {
 				Config: JobConfig{SMs: 2, Quick: true, Sched: sched, BOWS: "off"}})
 		}
 	}
-	benchSubmitHits(b, Options{}, reqs)
+	return reqs
+}
+
+// BenchmarkSubmitHitRegistered: memory-tier hits on registered quick
+// kernels.
+func BenchmarkSubmitHitRegistered(b *testing.B) {
+	benchSubmitHits(b, Options{}, registeredReqs())
 }
 
 // BenchmarkSubmitHitInline: memory-tier hits on inline programs, which a
@@ -88,11 +94,44 @@ func BenchmarkSubmitHitInline(b *testing.B) {
 }
 
 // BenchmarkSubmitDiskHit: a one-byte memory cache stores nothing, so
-// every submission reads, verifies and decodes a store entry.
+// every submission reads, verifies and decodes a store entry: a one-SM
+// inline program's, or a 2-SM registered quick kernel's, whose manifest
+// carries twice the per-SM counters.
 func BenchmarkSubmitDiskHit(b *testing.B) {
-	var reqs []*JobRequest
+	var inline []*JobRequest
 	for i := uint32(0); i < 12; i++ {
-		reqs = append(reqs, inlineReq(200+i))
+		inline = append(inline, inlineReq(200+i))
 	}
-	benchSubmitHits(b, Options{CacheBytes: 1, StoreDir: filepath.Join(b.TempDir(), "store")}, reqs)
+	for _, leg := range []struct {
+		name string
+		reqs []*JobRequest
+	}{{"inline", inline}, {"registered", registeredReqs()}} {
+		b.Run(leg.name, func(b *testing.B) {
+			benchSubmitHits(b, Options{CacheBytes: 1, StoreDir: filepath.Join(b.TempDir(), "store")}, leg.reqs)
+		})
+	}
+}
+
+// BenchmarkCacheKey: the content address of a resolved spec, a
+// registered quick kernel's and an inline program's: the program's
+// canonical assembly and the variant's canonical bytes, each hashed.
+func BenchmarkCacheKey(b *testing.B) {
+	for _, leg := range []struct {
+		name string
+		req  *JobRequest
+	}{
+		{"registered", &JobRequest{Kernel: "HT", Config: JobConfig{SMs: 2, Quick: true}}},
+		{"inline", inlineReq(1000)},
+	} {
+		spec, rerr := Options{}.Resolve(leg.req)
+		if rerr != nil {
+			b.Fatal(rerr)
+		}
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				CacheKey(spec)
+			}
+		})
+	}
 }

@@ -130,7 +130,8 @@ func TestAckedImpliesDurable(t *testing.T) {
 // TestResultFromManifest: the disk tier decodes two fields of a stored
 // manifest. Anything that is not one run with an integer cycles and a
 // string err is an error (fetch turns it into a miss and leaves the entry
-// for inspection); a real manifest yields what the full decode yields.
+// for inspection); a real manifest yields what the full decode yields,
+// in one pass.
 func TestResultFromManifest(t *testing.T) {
 	for name, payload := range map[string]string{
 		"truncated":      `{"schema":2,"runs":[{"cycles":12`,
@@ -179,6 +180,15 @@ func TestResultFromManifest(t *testing.T) {
 		}
 		if &res.Manifest[0] != &engine.Manifest[0] {
 			t.Error("the payload was copied, not kept verbatim")
+		}
+		// A fresh manifest takes metrics.DecodeHeadline's one pass, whose
+		// only allocation is the error string; encoding/json makes several.
+		want := 1.0
+		if res.Err != "" {
+			want = 2
+		}
+		if n := testing.AllocsPerRun(10, func() { resultFromManifest(j.key, engine.Manifest) }); n > want {
+			t.Errorf("decoding a fresh manifest made %v allocations, want %v: it left the one-pass path", n, want)
 		}
 	}
 }

@@ -196,11 +196,13 @@ var (
 // maxInlineInstrs bounds an inline program. Resolve analyzes inline
 // programs inside the POST handler, before any queue limit applies. The
 // race analyzer proves each pair of address forms once, so guarded
-// stores sharing one form are cheap: race.Analyze takes 2–4 ms on race's
-// 256-instruction ladder and 30–50 ms at 1k instructions (GOMAXPROCS 1,
-// 2-core Xeon). Stores whose forms all differ still need one proof per
-// pair: about 45 ms at 256 instructions, 0.5 s at 1k. So the ceiling
-// stays at 256, 3.4× the longest registered kernel (TB, 75 instructions).
+// stores sharing one form are cheap: race.Analyze takes 1.3–2 ms on
+// race's 256-instruction ladder and 20–23 ms at 1k instructions
+// (GOMAXPROCS 1, 2-core Xeon, best of 15). Stores whose forms all differ
+// still need one proof per pair: about 22–24 ms at 256 instructions and
+// 0.4 s at 1k on a ladder whose every store adds its own constant to
+// %gtid. So the ceiling stays at 256, 3.4× the longest registered kernel
+// (TB, 75 instructions).
 const maxInlineInstrs = 256
 
 // resolveKernel maps the request to a program: a registered kernel

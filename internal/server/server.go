@@ -257,28 +257,22 @@ func (s *Server) fetchDisk(key string) (*CachedResult, bool) {
 
 // resultFromManifest rebuilds a CachedResult from a persisted manifest:
 // the payload bytes are kept verbatim (byte-identical serving) and the
-// headline cycles/error are recovered from the manifest's single run.
-// Only those two fields are decoded. json.Unmarshal still validates the
-// whole document, and a run count other than one, a non-integer cycles
-// or a non-string err is still an error; a wrong type in a field the
-// server never reads (a counter map, say) is no longer noticed — a
-// checksum-valid entry is bytes buildResult encoded, so Put cannot have
-// written one.
+// headline cycles/error are recovered from the manifest's single run
+// through metrics.DecodeHeadline, which reads a stored manifest in one
+// pass and decodes only those two fields. The whole document is still
+// validated, and a run count other than one, a non-integer cycles or a
+// non-string err is still an error; a wrong type in a field the server
+// never reads (a counter map, say) is not noticed — a checksum-valid
+// entry is bytes buildResult encoded, so Put cannot have written one.
 func resultFromManifest(key string, payload []byte) (*CachedResult, error) {
-	var m struct {
-		Runs []struct {
-			Cycles int64  `json:"cycles"`
-			Err    string `json:"err"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(payload, &m); err != nil {
+	h, err := metrics.DecodeHeadline(payload)
+	if err != nil {
 		return nil, err
 	}
-	if len(m.Runs) != 1 {
-		return nil, fmt.Errorf("want 1 run, got %d", len(m.Runs))
+	if h.Runs != 1 {
+		return nil, fmt.Errorf("want 1 run, got %d", h.Runs)
 	}
-	return &CachedResult{Key: key, Cycles: m.Runs[0].Cycles,
-		Err: m.Runs[0].Err, Manifest: payload}, nil
+	return &CachedResult{Key: key, Cycles: h.Cycles, Err: h.Err, Manifest: payload}, nil
 }
 
 // runJob executes one queued job (or resolves it from a cache tier — a

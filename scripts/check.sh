@@ -5,13 +5,14 @@
 # manifest), full test suite (including the golden-stats regression in
 # internal/exp, the golden rendering tests in internal/report and the seed
 # corpora of the ISA-parser (FuzzParse), analyzer (FuzzAnalyze),
-# store-entry, manifest-join, manifest-decode and POST /v1/jobs fuzz
+# store-entry, manifest-join, manifest-decode, variant-hash and POST /v1/jobs fuzz
 # targets, which are ordinary tests, and the paper-claims inequalities
 # over full.json), the parallel-runner determinism tests and a kernel's
 # concurrent first launch under the race detector, one iteration of the
 # sched/core pick, mem L2-queue, completion-wheel and L1-miss, server
-# Submit-hit, kernel suite-build, race admission-ladder, manifest-read,
-# manifest-diff and full-scale join benchmarks (so they cannot rot), the warplint
+# Submit-hit and cache-key, kernel suite-build, race admission-ladder,
+# manifest-read, headline-decode, manifest-diff and full-scale join
+# benchmarks (so they cannot rot), the warplint
 # static analyzer over every registered kernel, an invariant-checked
 # simulation smoke pass (-check arms the runtime invariant checker and
 # hang diagnosis; the third run is the 64-slot machine, the full width of
@@ -58,13 +59,13 @@ go test -race ./internal/exp -run TestRunner
 go test -race ./internal/sim -run 'TestFaultInjectionStress|TestFaultDeterminism'
 go test -race ./internal/kernels -run TestFirstLaunchRaceFree
 
-echo "== pick, detector, mem, Submit-hit, suite-build, admission-ladder, manifest-read, manifest-diff and join benchmarks still build and run (one iteration) =="
+echo "== pick, detector, mem, Submit-hit, cache-key, suite-build, admission-ladder, manifest-read, headline-decode, manifest-diff and join benchmarks still build and run (one iteration) =="
 go test -run '^$' -bench 'PickMask|OnSetp|OnBranch' -benchtime 1x ./internal/sched ./internal/core
 go test -run '^$' -bench 'L2|EventWheel|L1Miss' -benchtime 1x ./internal/mem
-go test -run '^$' -bench 'Submit' -benchtime 1x ./internal/server
+go test -run '^$' -bench 'Submit|CacheKey' -benchtime 1x ./internal/server
 go test -run '^$' -bench 'SuiteBuild' -benchtime 1x ./internal/kernels
 go test -run '^$' -bench 'AnalyzeLadder' -benchtime 1x ./internal/analysis/race
-go test -run '^$' -bench 'ReadFile|DiffFull' -benchtime 1x ./internal/metrics
+go test -run '^$' -bench 'ReadFile|DecodeHeadline|DiffFull' -benchtime 1x ./internal/metrics
 go test -run '^$' -bench 'JoinFull' -benchtime 1x ./internal/report
 
 echo "== invariant-checked smoke (warpsim -check) =="
