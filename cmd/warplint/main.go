@@ -117,7 +117,7 @@ func main() {
 		if *withRace {
 			rrep := race.Analyze(t.prog, race.Options{
 				GridCTAs: t.ctas, CTAThreads: t.threads,
-			}).Report
+			})
 			mergeReports(rep, rrep)
 		}
 		reports = append(reports, rep)

@@ -24,7 +24,6 @@ package race
 
 import (
 	"fmt"
-	"strconv"
 
 	"warpsched/internal/isa"
 )
@@ -438,29 +437,6 @@ func (v AbsVal) paramBase(t *symtab) (uint8, bool) {
 		idx, found = s.param, true
 	}
 	return idx, found
-}
-
-// key renders a canonical identity string; used to name lock addresses.
-func (v AbsVal) key(t *symtab) string {
-	if v.Top {
-		return "top"
-	}
-	b := make([]byte, 0, 32+16*len(v.Terms))
-	for i, f := range [...]int64{v.C, v.Lane, v.Warp, v.CTA, v.Stride} {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(append(b, "clwbs"[i]), f, 10)
-	}
-	for _, tm := range v.Terms {
-		b = strconv.AppendInt(append(b, '+'), tm.Coef, 10)
-		if in := t.info(tm.Sym); in.kind == symParam {
-			b = strconv.AppendInt(append(b, "*p"...), int64(in.param), 10)
-		} else {
-			b = strconv.AppendInt(append(b, "*y"...), int64(tm.Sym), 10)
-		}
-	}
-	return string(b)
 }
 
 // describe renders the value for finding messages.

@@ -35,7 +35,7 @@ func TestLadderInstantiationsLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := race.Options{GridCTAs: 2, CTAThreads: 64}
-		if rep := race.Analyze(p, opt).Report; !rep.Clean() {
+		if rep := race.Analyze(p, opt); !rep.Clean() {
 			t.Fatalf("ladder of %d rungs: %d findings, want none", n, len(rep.Findings))
 		}
 		return race.Instantiations(p, opt)

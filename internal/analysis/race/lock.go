@@ -2,28 +2,42 @@ package race
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 
 	"warpsched/internal/analysis"
 	"warpsched/internal/isa"
 )
 
-// heldLock is one lockset entry: an AnnLockAcquire site together with
-// the abstract address it locked. An entry is pending until a branch on
-// the acquire's result register proves the acquire succeeded on the
-// current path (the atomicCAS spin idiom: cas; setp.eq p,old,0; @!p bra).
-type heldLock struct {
-	acqPC int32
-	key   string
-	addr  AbsVal
-
-	pending      bool
+// acquireSite is one atomic AnnLockAcquire instruction with what the
+// lockset exploration reads of it, computed once per analysis. Sites are
+// numbered in PC order.
+type acquireSite struct {
+	pc   int32
+	addr AbsVal
+	// key numbers the locked word's address form: two sites, or a site
+	// and a release, lock the same word exactly when their keys agree.
+	key int32
+	// A classifiable acquire is resolved by a branch on its result
+	// register dst (the atomicCAS spin idiom: cas; setp.eq p,old,0;
+	// @!p bra): an unguarded CAS against an immediate or an exchange.
+	// succVal is the dst value that means "lock taken".
 	classifiable bool
-	dst          isa.Reg // acquire result register
-	succVal      int64   // dst value that means "lock taken"
+	dst          isa.Reg
+	succVal      int64
 }
+
+// lockset counts, for each of a program's n acquire sites, the entries
+// of that site a path holds: ls[2i] held and ls[2i+1] pending (acquired,
+// success not yet known) for site i, and ls[2n+i] of those pending
+// entries unclassifiable, because the result register was overwritten
+// before the success test. An acquire re-entered around its retry loop
+// before it resolves (TB's try-lock) leaves one more pending entry each
+// time, so the counts matter, not only which sites appear. Paths at one
+// program point are the same exploration state when ls[:2n] agree. A
+// site's entries only grow at its own PC, which explores at most
+// maxLocksetsPerPC locksets, so no count exceeds maxLocksetsPerPC and a
+// byte holds it.
+type lockset string
 
 // predCmp is the last path-local "reg cmp imm" setp per predicate,
 // used to classify acquire success edges.
@@ -37,14 +51,15 @@ type predCmp struct {
 // lockResult is everything the lockset DFS learned.
 type lockResult struct {
 	findings []analysis.Finding
-	// mustHeld[pc]: locks held (resolved) on every path reaching pc.
-	mustHeld map[int32][]heldLock
+	// mustHeld[pc]: acquire sites held (resolved) on every path reaching
+	// pc.
+	mustHeld map[int32][]*acquireSite
 }
 
 // lockState is one DFS configuration.
 type lockState struct {
 	pc    int32
-	locks []heldLock
+	locks lockset
 	setps [isa.NumPreds]predCmp
 }
 
@@ -52,28 +67,6 @@ type lockState struct {
 // beyond it the point is saturated and its must-held set cleared (sound:
 // fewer exemptions).
 const maxLocksetsPerPC = 16
-
-func (s *lockState) signature() string {
-	if len(s.locks) == 0 {
-		return ""
-	}
-	keys := make([]string, len(s.locks))
-	for i, h := range s.locks {
-		p := ":h:"
-		if h.pending {
-			p = ":p:"
-		}
-		keys[i] = strconv.Itoa(int(h.acqPC)) + p + h.key
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "|")
-}
-
-func cloneLocks(ls []heldLock) []heldLock {
-	out := make([]heldLock, len(ls))
-	copy(out, ls)
-	return out
-}
 
 // flipCmp mirrors a comparison across its operands (imm cmp reg →
 // reg flip cmp imm).
@@ -91,6 +84,121 @@ func flipCmp(c isa.Cmp) isa.Cmp {
 	return c // EQ, NE symmetric
 }
 
+// sites are a program's acquire sites, numbered in PC order.
+type sites []acquireSite
+
+// lockSites numbers the acquire sites and the lock words of the
+// reachable PCs: siteAt[pc] is the site at pc or -1, and keyAt[pc] the
+// key of a lock-annotated pc.
+func lockSites(it *interp, n int32) (ss sites, siteAt, keyAt []int32) {
+	siteAt, keyAt = make([]int32, n), make([]int32, n)
+	keys := map[string]int32{}
+	for pc := int32(0); pc < n; pc++ {
+		siteAt[pc] = -1
+		in := it.p.At(pc)
+		if !it.reached[pc] || !in.HasAnn(isa.AnnLockAcquire|isa.AnnLockRelease) {
+			continue
+		}
+		addr := it.addr(pc)
+		form := string(appendForm(nil, addr))
+		k, ok := keys[form]
+		if !ok {
+			k = int32(len(keys))
+			keys[form] = k
+		}
+		keyAt[pc] = k
+		if !in.HasAnn(isa.AnnLockAcquire) || !in.Op.IsAtomic() {
+			continue
+		}
+		s := acquireSite{pc: pc, addr: addr, key: k}
+		switch {
+		case in.Op == isa.OpAtomCAS && in.C.Kind == isa.OpdImm:
+			s.classifiable, s.dst, s.succVal = true, in.Dst, int64(in.C.Imm)
+		case in.Op == isa.OpAtomExch:
+			s.classifiable, s.dst, s.succVal = true, in.Dst, 0
+		}
+		s.classifiable = s.classifiable && !in.Guarded()
+		siteAt[pc] = int32(len(ss))
+		ss = append(ss, s)
+	}
+	return ss, siteAt, keyAt
+}
+
+// counts returns site i's held, pending and unclassifiable-pending
+// entries.
+func (ss sites) counts(ls lockset, i int) (held, pend, unc byte) {
+	return ls[2*i], ls[2*i+1], ls[2*len(ss)+i]
+}
+
+// with returns ls with site i's counts replaced.
+func (ss sites) with(ls lockset, i int, held, pend, unc byte) lockset {
+	b := []byte(ls)
+	b[2*i], b[2*i+1], b[2*len(ss)+i] = held, pend, unc
+	return lockset(b)
+}
+
+// declassify makes every classifiable pending entry whose result
+// register is dst unclassifiable.
+func (ss sites) declassify(ls lockset, dst isa.Reg) lockset {
+	for i, s := range ss {
+		if held, pend, unc := ss.counts(ls, i); pend > unc && s.classifiable && s.dst == dst {
+			ls = ss.with(ls, i, held, pend, pend)
+		}
+	}
+	return ls
+}
+
+// release drops one entry locking key and reports whether there was
+// one. A held entry goes first, since releasing the word frees the lock
+// the path holds, whichever site took it; otherwise an unclassifiable
+// pending entry, and last a classifiable one (always its site's newest).
+// Sites go in PC order.
+func (ss sites) release(ls lockset, key int32) (lockset, bool) {
+	for rank := range 3 {
+		for i, s := range ss {
+			held, pend, unc := ss.counts(ls, i)
+			switch {
+			case s.key != key:
+				continue
+			case rank == 0 && held > 0:
+				held--
+			case rank == 1 && unc > 0:
+				pend, unc = pend-1, unc-1
+			case rank == 2 && pend > unc:
+				pend--
+			default:
+				continue
+			}
+			return ss.with(ls, i, held, pend, unc), true
+		}
+	}
+	return ls, false
+}
+
+// classify resolves classifiable pending acquires along a branch edge
+// where the guard predicate is known to be predTrue and was defined by
+// rel: the predicate is (dst cmp k), and it may show dst == succVal
+// (taken) or dst != succVal (failed, dropped).
+func (ss sites) classify(ls lockset, rel predCmp, predTrue bool) lockset {
+	if !rel.valid || (rel.cmp != isa.EQ && rel.cmp != isa.NE) {
+		return ls
+	}
+	eq := rel.cmp == isa.EQ
+	for i, s := range ss {
+		held, pend, unc := ss.counts(ls, i)
+		if pend == unc || !s.classifiable || s.dst != rel.reg {
+			continue
+		}
+		switch {
+		case rel.k == s.succVal && eq == predTrue:
+			ls = ss.with(ls, i, held+pend-unc, unc, unc)
+		case rel.k == s.succVal || eq && predTrue:
+			ls = ss.with(ls, i, held, unc, unc)
+		}
+	}
+	return ls
+}
+
 // analyzeLocks runs a path-sensitive lockset exploration, reporting
 // double acquires, releases without a matching acquire, locks still held
 // at thread exit, and acquisition-order cycles between blocking locks.
@@ -103,58 +211,37 @@ func analyzeLocks(it *interp, g *analysis.CFG) *lockResult {
 	if !hasLockAnn(p) {
 		return res
 	}
-	res.mustHeld = map[int32][]heldLock{}
+	res.mustHeld = map[int32][]*acquireSite{}
 	blocking := blockingAcquires(p, g)
+	ss, siteAt, keyAt := lockSites(it, g.N)
+	n := len(ss)
+	seen := make([][]lockset, g.N) // the locksets explored at each PC
 
-	// Per-PC exploration bookkeeping.
-	seen := make([]map[string]bool, g.N+1)
-	saturated := make([]bool, g.N+1)
-	haveMust := make([]bool, g.N+1)
+	// edges: k2 acquired blocking while k1 held, one per key pair, at
+	// the PCs of the last such acquire explored.
+	type lockEdge struct{ k1, k2, heldPC, acqPC int32 }
+	var edges []lockEdge
 
-	type lockEdge struct {
-		from, to      string
-		heldPC, acqPC int32
-	}
-	edges := map[string]lockEdge{}
-
-	dedup := map[string]bool{}
 	report := func(f analysis.Finding) {
-		k := fmt.Sprintf("%s|%d|%d", f.Category, f.PC, f.OtherPC)
-		if !dedup[k] {
-			dedup[k] = true
+		if !slices.ContainsFunc(res.findings, func(g analysis.Finding) bool {
+			return g.Category == f.Category && g.PC == f.PC && g.OtherPC == f.OtherPC
+		}) {
 			res.findings = append(res.findings, f)
 		}
 	}
 
-	intersectMust := func(pc int32, locks []heldLock) {
-		if saturated[pc] {
-			return
-		}
-		var resolved []heldLock
-		for _, h := range locks {
-			if !h.pending {
-				resolved = append(resolved, h)
-			}
-		}
-		if !haveMust[pc] {
-			haveMust[pc] = true
-			res.mustHeld[pc] = cloneLocks(resolved)
-			return
-		}
-		cur := res.mustHeld[pc]
-		var kept []heldLock
-		for _, h := range cur {
-			for _, r := range resolved {
-				if r.acqPC == h.acqPC && r.key == h.key {
-					kept = append(kept, h)
-					break
-				}
+	intersectMust := func(pc int32, ls lockset) {
+		cur, ok := res.mustHeld[pc]
+		var kept []*acquireSite
+		for i := range ss {
+			if ls[2*i] > 0 && (!ok || slices.Contains(cur, &ss[i])) {
+				kept = append(kept, &ss[i])
 			}
 		}
 		res.mustHeld[pc] = kept
 	}
 
-	stack := []lockState{{pc: 0}}
+	stack := []lockState{{pc: 0, locks: lockset(make([]byte, 3*n))}}
 	for len(stack) > 0 {
 		st := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -163,87 +250,66 @@ func analyzeLocks(it *interp, g *analysis.CFG) *lockResult {
 		if pc >= g.N { // virtual exit
 			continue
 		}
-		if seen[pc] == nil {
-			seen[pc] = map[string]bool{}
-		}
-		sig := st.signature()
-		if seen[pc][sig] {
+		key := st.locks[:2*n]
+		if slices.Contains(seen[pc], key) {
 			continue
 		}
 		if len(seen[pc]) >= maxLocksetsPerPC {
-			if !saturated[pc] {
-				saturated[pc] = true
-				haveMust[pc] = true
-				res.mustHeld[pc] = nil
-			}
+			res.mustHeld[pc] = nil // saturated
 			continue
 		}
-		seen[pc][sig] = true
+		seen[pc] = append(seen[pc], key)
 		intersectMust(pc, st.locks)
 
 		in := p.At(pc)
-		locks := cloneLocks(st.locks)
+		locks := st.locks
 		setps := st.setps
 
 		// A write to an acquire's result register after the acquire makes
 		// the success test unclassifiable on this path.
 		if in.WritesReg() && !in.HasAnn(isa.AnnLockAcquire) {
-			for i := range locks {
-				if locks[i].pending && locks[i].classifiable && locks[i].dst == in.Dst {
-					locks[i].classifiable = false
-				}
-			}
+			locks = ss.declassify(locks, in.Dst)
 		}
 
 		switch {
-		case in.HasAnn(isa.AnnLockAcquire) && in.Op.IsAtomic():
-			addr := it.addr(pc)
-			key := addr.key(it.t)
-			for _, h := range locks {
-				if !h.pending && h.key == key && addr.globalConst(it.t) {
-					lo, hi := minMax(h.acqPC, pc)
+		case siteAt[pc] >= 0:
+			si := int(siteAt[pc])
+			s := &ss[si]
+			for i, h := range ss {
+				if locks[2*i] == 0 {
+					continue
+				}
+				if h.key == s.key && s.addr.globalConst(it.t) {
+					lo, hi := minMax(h.pc, pc)
 					report(analysis.Finding{Program: p.Name, PC: lo, OtherPC: other(lo, hi),
 						Category: analysis.CatDoubleAcquire,
 						Message: fmt.Sprintf("lock [%s] acquired at pc %d is still held when re-acquired at pc %d — self-deadlock on a non-reentrant lock",
-							addr.describe(it.t), h.acqPC, pc)})
+							s.addr.describe(it.t), h.pc, pc)})
 				}
-				if !h.pending && blocking[pc] {
-					e := lockEdge{from: h.key, to: key, heldPC: h.acqPC, acqPC: pc}
-					edges[e.from+"->"+e.to] = e
+				if blocking[pc] {
+					e := lockEdge{h.key, s.key, h.pc, pc}
+					if j := slices.IndexFunc(edges, func(f lockEdge) bool { return f.k1 == e.k1 && f.k2 == e.k2 }); j >= 0 {
+						edges[j] = e
+					} else {
+						edges = append(edges, e)
+					}
 				}
 			}
-			ent := heldLock{acqPC: pc, key: key, addr: addr, pending: true}
-			switch in.Op {
-			case isa.OpAtomCAS:
-				if in.C.Kind == isa.OpdImm {
-					ent.classifiable, ent.dst, ent.succVal = true, in.Dst, int64(in.C.Imm)
-				}
-			case isa.OpAtomExch:
-				ent.classifiable, ent.dst, ent.succVal = true, in.Dst, 0
+			held, pend, unc := ss.counts(locks, si)
+			if !s.classifiable {
+				unc++
 			}
-			if in.Guarded() {
-				ent.classifiable = false
-			}
-			locks = append(locks, ent)
+			locks = ss.with(locks, si, held, pend+1, unc)
 
 		case in.HasAnn(isa.AnnLockRelease):
-			addr := it.addr(pc)
-			key := addr.key(it.t)
-			matched := -1
-			for i, h := range locks {
-				if h.key == key {
-					matched = i
-					break
-				}
-			}
-			if matched >= 0 {
-				locks = append(locks[:matched], locks[matched+1:]...)
-			} else if !in.Guarded() {
+			var ok bool
+			if locks, ok = ss.release(locks, keyAt[pc]); !ok && !in.Guarded() {
 				// Only report when the mismatch is provable: the released
 				// address and every held key are precise.
+				addr := it.addr(pc)
 				precise := addr.globalConst(it.t)
-				for _, h := range locks {
-					if !h.addr.globalConst(it.t) {
+				for i, h := range ss {
+					if locks[2*i]+locks[2*i+1] > 0 && !h.addr.globalConst(it.t) {
 						precise = false
 					}
 				}
@@ -268,9 +334,9 @@ func analyzeLocks(it *interp, g *analysis.CFG) *lockResult {
 			setps[in.PDst] = pcInfo
 
 		case in.Op == isa.OpExit:
-			for _, h := range locks {
-				if !h.pending {
-					report(analysis.Finding{Program: p.Name, PC: h.acqPC,
+			for i, h := range ss {
+				if locks[2*i] > 0 {
+					report(analysis.Finding{Program: p.Name, PC: h.pc,
 						Category: analysis.CatLockLeak,
 						Message: fmt.Sprintf("lock [%s] acquired here is still held when the thread exits at pc %d",
 							h.addr.describe(it.t), pc)})
@@ -279,49 +345,36 @@ func analyzeLocks(it *interp, g *analysis.CFG) *lockResult {
 			continue
 		}
 
-		if in.Op == isa.OpBra && in.Guarded() {
-			rel := setps[isa.Pred(in.Guard)]
-			for _, s := range g.Succ[pc] {
-				pval := s == in.Target // taken edge
-				// taken ⟺ guard predicate matches: @p → p true, @!p → p false.
-				predTrue := pval != in.GuardNeg
-				el := cloneLocks(locks)
-				el = classifyLocks(el, rel, predTrue)
-				stack = append(stack, lockState{pc: s, locks: el, setps: setps})
-			}
-			continue
-		}
 		for _, s := range g.Succ[pc] {
-			stack = append(stack, lockState{pc: s, locks: cloneLocks(locks), setps: setps})
+			el := locks
+			if in.Op == isa.OpBra && in.Guarded() {
+				// taken ⟺ guard predicate matches: @p → p true, @!p → p false.
+				predTrue := (s == in.Target) != in.GuardNeg
+				el = ss.classify(locks, setps[isa.Pred(in.Guard)], predTrue)
+			}
+			stack = append(stack, lockState{pc: s, locks: el, setps: setps})
 		}
 	}
 
 	// Lock-order cycles: an edge k1→k2 (k2 acquired blocking while k1
 	// held) participating in a cycle of the acquisition graph.
-	adj := map[string][]string{}
-	for _, e := range edges {
-		adj[e.from] = append(adj[e.from], e.to)
-	}
-	reaches := func(from, to string) bool {
-		seenK := map[string]bool{from: true}
-		q := []string{from}
-		for len(q) > 0 {
-			v := q[0]
-			q = q[1:]
-			if v == to {
+	reaches := func(from, to int32) bool {
+		seenK := map[int32]bool{from: true}
+		for q := []int32{from}; len(q) > 0; q = q[1:] {
+			if q[0] == to {
 				return true
 			}
-			for _, w := range adj[v] {
-				if !seenK[w] {
-					seenK[w] = true
-					q = append(q, w)
+			for _, e := range edges {
+				if e.k1 == q[0] && !seenK[e.k2] {
+					seenK[e.k2] = true
+					q = append(q, e.k2)
 				}
 			}
 		}
 		return false
 	}
 	for _, e := range edges {
-		if reaches(e.to, e.from) {
+		if reaches(e.k2, e.k1) {
 			lo, hi := minMax(e.heldPC, e.acqPC)
 			report(analysis.Finding{Program: p.Name, PC: lo, OtherPC: other(lo, hi),
 				Category: analysis.CatLockOrder,
@@ -341,31 +394,6 @@ func hasLockAnn(p *isa.Program) bool {
 		}
 	}
 	return false
-}
-
-// classifyLocks resolves pending acquires along a branch edge where the
-// guard predicate is known to be predTrue and was defined by rel.
-func classifyLocks(locks []heldLock, rel predCmp, predTrue bool) []heldLock {
-	if !rel.valid || (rel.cmp != isa.EQ && rel.cmp != isa.NE) {
-		return locks
-	}
-	out := locks[:0]
-	for _, h := range locks {
-		if h.pending && h.classifiable && h.dst == rel.reg {
-			// Predicate is (dst cmp k); what do we learn about dst==succVal?
-			eq := rel.cmp == isa.EQ
-			switch {
-			case rel.k == h.succVal && eq == predTrue:
-				h.pending = false // dst == succVal: acquire succeeded
-			case rel.k == h.succVal && eq != predTrue:
-				continue // dst != succVal: acquire failed, drop
-			case rel.k != h.succVal && eq && predTrue:
-				continue // dst == k ≠ succVal: failed
-			}
-		}
-		out = append(out, h)
-	}
-	return out
 }
 
 // blockingAcquires marks acquire PCs that can re-execute without any

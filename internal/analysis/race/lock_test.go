@@ -1,6 +1,8 @@
 package race
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"warpsched/internal/analysis"
@@ -41,7 +43,7 @@ func TestLocksetSuccessClassification(t *testing.T) {
   exit
 `)
 	held := res.mustHeld[5]
-	if len(held) != 1 || held[0].acqPC != 1 || held[0].pending {
+	if len(held) != 1 || held[0].pc != 1 {
 		t.Fatalf("mustHeld[5] = %+v, want the resolved acquire from pc 1", held)
 	}
 	if len(res.findings) != 0 {
@@ -68,7 +70,7 @@ join:
 `)
 	for _, pc := range []int32{8, 10, 11} {
 		held := res.mustHeld[pc]
-		if len(held) != 1 || held[0].acqPC != 1 || held[0].pending {
+		if len(held) != 1 || held[0].pc != 1 {
 			t.Fatalf("mustHeld[%d] = %+v, want the acquire from pc 1", pc, held)
 		}
 	}
@@ -97,7 +99,7 @@ join:
   st.global [%r3+4], %r4       // 10: lock held on no path here
   exit
 `)
-	if held := res.mustHeld[8]; len(held) != 1 || held[0].acqPC != 5 {
+	if held := res.mustHeld[8]; len(held) != 1 || held[0].pc != 5 {
 		t.Fatalf("mustHeld[8] = %+v, want the acquire from pc 5", held)
 	}
 	if held := res.mustHeld[10]; len(held) != 0 {
@@ -193,5 +195,94 @@ func TestLockPassNeedsLockAnnotations(t *testing.T) {
 	res := run(releaseOnly)
 	if len(res.findings) != 1 || res.findings[0].Category != analysis.CatUnlockWithoutLock {
 		t.Fatalf("release-only program: findings %v, want one unlock-without-lock", res.findings)
+	}
+}
+
+// tbLoopSrc is TB's shape inside an outer spin lock: a try-lock whose
+// CAS compares against a loaded register, so its success test cannot be
+// read off the result, is re-entered around a retry loop. Each failed
+// attempt leaves one more pending entry of the same acquire site, so the
+// loop's program points see a lockset per pending count until they
+// saturate at maxLocksetsPerPC. A saturated point forgets the outer lock,
+// and the store at pc 14 becomes a reported race that the lock would
+// otherwise exempt.
+const tbLoopSrc = `
+  ld.param %r2, 0
+  ld.param %r3, 1
+  ld.param %r9, 2
+  mov %r4, %gtid
+spin:
+  atom.cas %r1, [%r2+0], 0, 1  !acquire,sync  // 4: outer lock, classifiable
+  setp.ne %p0, %r1, 0
+  @%p0 bra spin  !sib,sync
+  mov %r5, 0
+loop:
+  ld.volatile %r6, [%r3+%r4]                  // 8
+  atom.cas %r7, [%r3+%r4], %r6, -2  !acquire,sync  // 9: unclassifiable
+  setp.eq %p1, %r7, %r6
+  @!%p1 bra next reconv=next
+  st.global [%r9+0], %r4                      // 12: outer lock still known
+  st.global [%r3+%r4], %r4  !release,sync     // 13
+next:
+  st.global [%r9+1], %r5                      // 14: saturated
+  add %r5, %r5, 1
+  setp.lt %p2, %r5, 4
+  @%p2 bra loop
+  atom.exch %r1, [%r2+0], 0  !release,sync
+  exit
+`
+
+// TestLocksetPendingMultiplicitySaturates pins TB's case: pending
+// entries of one unclassifiable acquire site are counted, not merged, so
+// the retry loop saturates, and the findings that follow from it stay
+// as they are.
+func TestLocksetPendingMultiplicitySaturates(t *testing.T) {
+	res, _ := lockSetup(t, tbLoopSrc)
+	if held := res.mustHeld[12]; len(held) != 1 {
+		t.Fatalf("mustHeld[12] = %+v, want the outer lock from pc 4", held)
+	}
+	if held := res.mustHeld[14]; len(held) != 0 {
+		t.Fatalf("mustHeld[14] = %+v, want empty: pc 14 saturates at %d locksets", held, maxLocksetsPerPC)
+	}
+	rep := Analyze(mustParse(t, "tb-loop", tbLoopSrc), Options{GridCTAs: 2, CTAThreads: 64})
+	var got []string
+	for _, f := range rep.Findings {
+		got = append(got, fmt.Sprintf("%s@%d/%d", f.Category, f.PC, f.OtherPC))
+	}
+	want := []string{"race@14/0"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("findings = %q, want %q", got, want)
+	}
+}
+
+// TestLocksetReleaseFreesHeldLock: a path that holds a lock and also
+// carries an unresolved attempt on the same word releases the lock it
+// holds. Releasing the older, unresolved attempt instead would keep the
+// lock "held" past its release: the store after it would be exempted as
+// protected, and the thread would leak a lock it freed.
+func TestLocksetReleaseFreesHeldLock(t *testing.T) {
+	const src = `
+  ld.param %r2, 0
+  ld.param %r3, 1
+  atom.cas %r5, [%r2+0], %r3, 1  !acquire,sync  // 2: success never tested
+spin:
+  atom.cas %r1, [%r2+0], 0, 1  !acquire,sync    // 3
+  setp.ne %p0, %r1, 0
+  @%p0 bra spin  !sib,sync
+  atom.exch %r1, [%r2+0], 0  !release,sync     // 6
+  st.global [%r3+0], %r1                       // 7: after the release
+  exit
+`
+	res, _ := lockSetup(t, src)
+	if held := res.mustHeld[7]; len(held) != 0 {
+		t.Fatalf("mustHeld[7] = %+v, want empty after the release", held)
+	}
+	rep := Analyze(mustParse(t, "release", src), Options{GridCTAs: 2, CTAThreads: 64})
+	var got []string
+	for _, f := range rep.Findings {
+		got = append(got, fmt.Sprintf("%s@%d/%d", f.Category, f.PC, f.OtherPC))
+	}
+	if want := []string{"race@7/0"}; !slices.Equal(got, want) {
+		t.Fatalf("findings = %q, want %q", got, want)
 	}
 }

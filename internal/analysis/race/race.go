@@ -15,20 +15,6 @@ type Options struct {
 	CTAThreads int32
 }
 
-// Result is the outcome of Analyze.
-type Result struct {
-	Report *analysis.Report
-	// DisjointSameCTA / DisjointCrossCTA record access pairs (keyed
-	// [lowPC, highPC]) that the prover claims can NEVER touch the same
-	// word from two threads of one barrier interval / of different CTAs.
-	// The dynamic soundness harness checks observed collisions against
-	// these sets: membership of an observed racing pair is a soundness
-	// bug in the analyzer. Exempted pairs (volatile spin reads, lock
-	// releases, lock-protected accesses) are absent from both maps.
-	DisjointSameCTA  map[[2]int32]bool
-	DisjointCrossCTA map[[2]int32]bool
-}
-
 // guardCon is one linear fact known about the thread executing an
 // access: the relation a cmp b held at the controlling setp.
 type guardCon struct {
@@ -45,7 +31,7 @@ type access struct {
 	isSt   bool
 	deadLd bool
 	guards []guardCon
-	held   []heldLock
+	held   []*acquireSite
 	// base is the parameter the address is based on, or -1; form interns
 	// the address form (prover.classify).
 	base int16
@@ -54,25 +40,25 @@ type access struct {
 
 // Analyze runs the full static race/lock/barrier analysis over p at the
 // given launch geometry.
-func Analyze(p *isa.Program, opt Options) *Result {
-	res, _ := analyze(p, opt)
-	return res
+func Analyze(p *isa.Program, opt Options) *analysis.Report {
+	rep, _ := analyze(p, opt, nil)
+	return rep
 }
 
 // analyze is Analyze, also returning how many prover instantiations the
-// pair stage built.
-func analyze(p *isa.Program, opt Options) (*Result, int) {
-	res := &Result{
-		DisjointSameCTA:  map[[2]int32]bool{},
-		DisjointCrossCTA: map[[2]int32]bool{},
-	}
+// pair stage built. Unless nil, disjoint is called with every access
+// pair (lowPC, highPC) that the prover claims can never touch the same
+// word from two threads of one barrier interval (sameCTA) or of two
+// CTAs: an observed collision on such a pair is a soundness bug.
+// Exempted pairs (volatile spin reads, lock releases, lock-protected
+// accesses) are never passed.
+func analyze(p *isa.Program, opt Options, disjoint func(pc1, pc2 int32, sameCTA bool)) (*analysis.Report, int) {
 	if err := p.Validate(); err != nil {
-		res.Report = &analysis.Report{Program: p.Name, Findings: []analysis.Finding{{
+		return &analysis.Report{Program: p.Name, Findings: []analysis.Finding{{
 			Program: p.Name, PC: -1,
 			Category: analysis.CatInvalid, Class: analysis.CatInvalid.Class(),
 			Message: err.Error(),
-		}}}
-		return res, 0
+		}}}, 0
 	}
 	geo := geometry{ctas: int64(opt.GridCTAs), threads: int64(opt.CTAThreads)}
 	if geo.ctas <= 0 {
@@ -121,7 +107,6 @@ func analyze(p *isa.Program, opt Options) (*Result, int) {
 			if !a1.isSt && !a2.isSt {
 				continue // at least one plain store, or no race
 			}
-			key := [2]int32{a1.pc, a2.pc}
 			if exemptPair(a1, a2, it) {
 				continue
 			}
@@ -129,11 +114,11 @@ func analyze(p *isa.Program, opt Options) (*Result, int) {
 			crossConc := geo.ctas > 1
 			sameRace := sameConc && !pr.disjoint(a1, a2, true)
 			crossRace := crossConc && !pr.disjoint(a1, a2, false)
-			if sameConc && !sameRace {
-				res.DisjointSameCTA[key] = true
+			if disjoint != nil && sameConc && !sameRace {
+				disjoint(a1.pc, a2.pc, true)
 			}
-			if crossConc && !crossRace {
-				res.DisjointCrossCTA[key] = true
+			if disjoint != nil && crossConc && !crossRace {
+				disjoint(a1.pc, a2.pc, false)
 			}
 			if sameRace || crossRace {
 				all = append(all, raceFinding(p, a1, a2, it, sameRace, crossRace))
@@ -141,8 +126,7 @@ func analyze(p *isa.Program, opt Options) (*Result, int) {
 		}
 	}
 
-	res.Report = analysis.BuildReport(p, all)
-	return res, pr.insts
+	return analysis.BuildReport(p, all), pr.insts
 }
 
 // exemptPair filters intended racy-looking idioms before proving.

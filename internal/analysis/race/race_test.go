@@ -226,9 +226,9 @@ end:
 			}
 			res := race.Analyze(mustParse(t, c.name, c.src),
 				race.Options{GridCTAs: ctas, CTAThreads: 64})
-			if !hasFinding(res.Report.Findings, c.cat, c.pc, c.other) {
+			if !hasFinding(res.Findings, c.cat, c.pc, c.other) {
 				t.Errorf("want [%s] at pc %d other %d, got: %v",
-					c.cat, c.pc, c.other, res.Report.Findings)
+					c.cat, c.pc, c.other, res.Findings)
 			}
 		})
 	}
@@ -241,8 +241,7 @@ func TestInvalidProgram(t *testing.T) {
 		{Op: isa.OpSelp, Dst: 0, PSrc: isa.NumPreds, A: isa.I(1), B: isa.I(2), Guard: isa.NoGuard},
 		{Op: isa.OpExit, Guard: isa.NoGuard},
 	}}
-	res := race.Analyze(p, race.Options{GridCTAs: 1, CTAThreads: 64})
-	fs := res.Report.Findings
+	fs := race.Analyze(p, race.Options{GridCTAs: 1, CTAThreads: 64}).Findings
 	if len(fs) != 1 || fs[0].Category != analysis.CatInvalid || fs[0].PC != -1 {
 		t.Fatalf("want one CatInvalid finding at pc -1, got %v", fs)
 	}
@@ -375,8 +374,8 @@ loop:
 		t.Run(c.name, func(t *testing.T) {
 			res := race.Analyze(mustParse(t, c.name, c.src),
 				race.Options{GridCTAs: c.ctas, CTAThreads: 64})
-			if len(res.Report.Findings) != 0 {
-				t.Errorf("want clean, got: %v", res.Report.Findings)
+			if len(res.Findings) != 0 {
+				t.Errorf("want clean, got: %v", res.Findings)
 			}
 		})
 	}
@@ -393,22 +392,22 @@ func TestNoLintClassSuppression(t *testing.T) {
   st.global [%r2+0], %r1    NOLINT // 3
   exit
 `
-	run := func(ann string) *race.Result {
+	run := func(ann string) *analysis.Report {
 		src := strings.Replace(tmpl, "NOLINT", ann, 1)
 		return race.Analyze(mustParse(t, "nolint", src),
 			race.Options{GridCTAs: 1, CTAThreads: 64})
 	}
 
-	if res := run("!nolint race"); hasFinding(res.Report.Findings, analysis.CatRace, 1, 3) {
-		t.Errorf("class-matched nolint on the store did not silence the pair: %v", res.Report.Findings)
-	} else if !hasFinding(res.Report.Suppressed, analysis.CatRace, 1, 3) {
-		t.Errorf("suppressed finding not recorded: %v", res.Report.Suppressed)
+	if res := run("!nolint race"); hasFinding(res.Findings, analysis.CatRace, 1, 3) {
+		t.Errorf("class-matched nolint on the store did not silence the pair: %v", res.Findings)
+	} else if !hasFinding(res.Suppressed, analysis.CatRace, 1, 3) {
+		t.Errorf("suppressed finding not recorded: %v", res.Suppressed)
 	}
-	if res := run("!nolint lockorder"); !hasFinding(res.Report.Findings, analysis.CatRace, 1, 3) {
-		t.Errorf("non-matching nolint class must not suppress: %v", res.Report.Findings)
+	if res := run("!nolint lockorder"); !hasFinding(res.Findings, analysis.CatRace, 1, 3) {
+		t.Errorf("non-matching nolint class must not suppress: %v", res.Findings)
 	}
-	if res := run("!nolint"); hasFinding(res.Report.Findings, analysis.CatRace, 1, 3) {
-		t.Errorf("bare nolint must suppress everything at the site: %v", res.Report.Findings)
+	if res := run("!nolint"); hasFinding(res.Findings, analysis.CatRace, 1, 3) {
+		t.Errorf("bare nolint must suppress everything at the site: %v", res.Findings)
 	}
 }
 
@@ -428,7 +427,7 @@ func TestRegisteredKernelsClean(t *testing.T) {
 				GridCTAs:   int32(k.Launch.GridCTAs),
 				CTAThreads: int32(k.Launch.CTAThreads),
 			})
-			for _, f := range res.Report.Findings {
+			for _, f := range res.Findings {
 				t.Errorf("%s: unsuppressed finding: pc %d [%s] %s",
 					k.Name, f.PC, f.Category, f.Message)
 			}

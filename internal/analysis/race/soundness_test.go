@@ -3,6 +3,7 @@ package race_test
 import (
 	"testing"
 
+	"warpsched/internal/analysis"
 	"warpsched/internal/analysis/race"
 	"warpsched/internal/config"
 	"warpsched/internal/isa"
@@ -79,14 +80,15 @@ func (l *shadowLog) BarrierRelease(cta *simt.CTA) {
 // of wrapPrograms, runs under a shadow access log, and every observed
 // pair of accesses to one word from two threads with at least one
 // non-atomic store is checked against the prover's disjointness claims.
-// A same-CTA same-interval collision on a pair in DisjointSameCTA, or a
-// cross-CTA collision on a pair in DisjointCrossCTA, means the static
+// A same-CTA same-interval collision on a pair proved disjoint within a
+// barrier interval, or a cross-CTA collision on a pair proved disjoint
+// across CTAs, means the static
 // pass proved apart two accesses that demonstrably met — a soundness
 // bug, not a tuning matter.
 //
 // Pairs the analyzer exempts (volatile spin reads, lock releases,
-// lock-protected and !nolint-suppressed accesses) are absent from both
-// maps, so collisions on them — expected for the lock-based kernels —
+// lock-protected and !nolint-suppressed accesses) are never proved
+// disjoint, so collisions on them — expected for the lock-based kernels —
 // do not trip the check.
 func TestSoundnessAgainstDynamic(t *testing.T) {
 	if testing.Short() {
@@ -103,11 +105,11 @@ func TestSoundnessAgainstDynamic(t *testing.T) {
 				t.Fatal(err)
 			}
 			launch := sim.Launch{Prog: p, GridCTAs: 1, CTAThreads: 32, Params: []uint32{100}, MemWords: 256}
-			sres, checked := checkSoundness(t, launch)
+			rep, checked := checkSoundness(t, launch)
 			if checked == 0 {
 				t.Error("no conflicting pair observed: the program no longer exercises wraparound")
 			}
-			if len(sres.Report.Findings) == 0 {
+			if len(rep.Findings) == 0 {
 				t.Error("static pass missed the wraparound race")
 			}
 		})
@@ -160,10 +162,10 @@ var wrapPrograms = []struct{ name, src string }{
 
 // checkSoundness runs the launch under a shadow access log and fails t
 // for every observed collision on a pair the prover claims disjoint. It
-// returns the static result and the number of conflicting pairs checked.
-func checkSoundness(t *testing.T, launch sim.Launch) (*race.Result, int) {
+// returns the static report and the number of conflicting pairs checked.
+func checkSoundness(t *testing.T, launch sim.Launch) (*analysis.Report, int) {
 	t.Helper()
-	sres := race.Analyze(launch.Prog, race.Options{
+	rep, disjoint := race.AnalyzeDisjoint(launch.Prog, race.Options{
 		GridCTAs:   int32(launch.GridCTAs),
 		CTAThreads: int32(launch.CTAThreads),
 	})
@@ -200,11 +202,11 @@ func checkSoundness(t *testing.T, launch sim.Launch) (*race.Result, int) {
 				}
 				checked++
 				if a.cta == b.cta {
-					if a.epoch == b.epoch && sres.DisjointSameCTA[key] {
+					if a.epoch == b.epoch && disjoint.SameCTA[key] {
 						t.Errorf("soundness: word %d touched by gtid %d (pc %d) and gtid %d (pc %d) in interval %d of CTA %d, but the prover claims same-CTA disjointness",
 							addr, a.gtid, a.pc, b.gtid, b.pc, a.epoch, a.cta)
 					}
-				} else if sres.DisjointCrossCTA[key] {
+				} else if disjoint.CrossCTA[key] {
 					t.Errorf("soundness: word %d touched by gtid %d (pc %d, CTA %d) and gtid %d (pc %d, CTA %d), but the prover claims cross-CTA disjointness",
 						addr, a.gtid, a.pc, a.cta, b.gtid, b.pc, b.cta)
 				}
@@ -212,7 +214,7 @@ func checkSoundness(t *testing.T, launch sim.Launch) (*race.Result, int) {
 		}
 	}
 	t.Logf("%s: %d words, %d conflicting pairs checked", launch.Prog.Name, len(log.recs), checked)
-	return sres, checked
+	return rep, checked
 }
 
 // TestSoundnessHarnessCatchesMisses turns the harness on itself: a
@@ -233,8 +235,7 @@ func TestSoundnessHarnessCatchesMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres := race.Analyze(p, race.Options{GridCTAs: 1, CTAThreads: 64})
-	if len(sres.Report.Findings) == 0 {
+	if len(race.Analyze(p, race.Options{GridCTAs: 1, CTAThreads: 64}).Findings) == 0 {
 		t.Fatal("static pass missed the seeded race")
 	}
 

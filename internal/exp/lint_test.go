@@ -25,7 +25,7 @@ func TestHashtableSweepsLintClean(t *testing.T) {
 		}
 		seen[id] = true
 		rep := analysis.Analyze(l.Prog)
-		rrep := race.Analyze(l.Prog, race.Options{GridCTAs: int32(l.GridCTAs), CTAThreads: int32(l.CTAThreads)}).Report
+		rrep := race.Analyze(l.Prog, race.Options{GridCTAs: int32(l.GridCTAs), CTAThreads: int32(l.CTAThreads)})
 		for _, f := range append(rep.Findings, rrep.Findings...) {
 			t.Errorf("%s at %dx%d: %s", k.Name, l.GridCTAs, l.CTAThreads, f)
 		}

@@ -128,7 +128,7 @@ func (o Options) Resolve(req *JobRequest) (exp.Spec, *RequestError) {
 			rrep := race.Analyze(k.Launch.Prog, race.Options{
 				GridCTAs:   int32(k.Launch.GridCTAs),
 				CTAThreads: int32(k.Launch.CTAThreads),
-			}).Report
+			})
 			if !rrep.Clean() {
 				return s, &RequestError{Status: 422,
 					Msg: fmt.Sprintf("program %s failed race analysis (%d findings; resubmit with allow_unsafe to run anyway)",

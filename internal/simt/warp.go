@@ -282,8 +282,9 @@ func (s *src) full(buf *row) *row {
 	return buf
 }
 
-// MemAccess is one lane's pending access (re-exported shape; the sim
-// engine converts to mem.Access to avoid an import cycle).
+// MemAccess is one lane's pending access; the sim engine copies each
+// into a mem.Access. No import cycle requires the copy: simt imports
+// only isa, and mem imports neither simt nor sim.
 type MemAccess struct {
 	Lane   int
 	Addr   uint32

@@ -5,6 +5,7 @@
 # manifest), full test suite (including the golden-stats regression in
 # internal/exp, the golden rendering tests in internal/report and the seed
 # corpora of the ISA-parser (FuzzParse), analyzer (FuzzAnalyze),
+# race-soundness (FuzzSoundness: generated programs analyzed and run),
 # store-entry, manifest-join, manifest-decode, variant-hash and POST /v1/jobs fuzz
 # targets, which are ordinary tests, and the paper-claims inequalities
 # over full.json), the parallel-runner determinism tests and a kernel's
