@@ -182,7 +182,8 @@ func genLaunch(p *isa.Program, geo [2]int) sim.Launch {
 	}
 }
 
-// genSeeds are the tier-1 seeds of FuzzSoundness.
+// genSeeds are the tier-1 seeds of FuzzSoundness: 100 random ones, then
+// hand-picked ones for what the random ones miss.
 func genSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(1))
 	seeds := make([][]byte, 100)
@@ -190,7 +191,15 @@ func genSeeds() [][]byte {
 		seeds[i] = make([]byte, 96)
 		rng.Read(seeds[i])
 	}
-	return seeds
+	// Two programs whose first rung stores to data[0] in every thread of
+	// CTA 0: setp.ne %p0, %ctaid, 0, then the store under @!%p0 or past
+	// @%p0 bra (each byte is one of generate's picks in turn). The prover
+	// needs negCmp's NE row to read the store's guard as %ctaid == 0;
+	// without it the guard reads %ctaid < 0, no thread runs the store,
+	// and the colliding stores pass as disjoint.
+	return append(seeds,
+		[]byte{1, 0, 2, 1, 1, 0, 1, 1, 6, 0, 1, 1, 0, 1, 0},
+		[]byte{1, 0, 2, 1, 1, 0, 0, 0, 6, 0, 1, 1, 0, 1, 0})
 }
 
 // FuzzSoundness audits the prover with programs nobody chose: each

@@ -44,7 +44,7 @@ type Request struct {
 	Ann      isa.Ann
 	// Vol marks a volatile (L1-bypassing) load.
 	Vol      bool
-	Accesses []Access
+	Accesses []Access // at most isa.WarpSize, served in index (lane) order
 	// Done is invoked exactly once when every segment has been serviced;
 	// Accesses[i].Result fields are valid by then. The memory system never
 	// touches the request after Done returns, so pooling callers may
@@ -73,7 +73,7 @@ type segment struct {
 	line uint32
 	// waiters counts the segment's lock-queue entries during one Audit.
 	waiters int32
-	lanes   []int // indexes into req.Accesses
+	lanes   uint32 // bit i set: req.Accesses[i] falls in this segment
 	// parked counts lanes waiting in a lock queue (QueueLocks mode);
 	// the segment completes only when every parked lane is granted.
 	parked int
@@ -169,11 +169,10 @@ type Port struct {
 	outstanding []int
 	// segScratch is Enqueue's coalescing scratch (reused per call).
 	segScratch []*segment
-	// segFree pools retired segments (and their lane-index backing
-	// arrays): the steady-state simulated cycle allocates nothing. The
-	// pool is per-port rather than system-wide so Enqueue — which runs in
-	// the engine's SM phase — touches only this SM's state; finish returns
-	// segments here from the memory phase.
+	// segFree pools retired segments: the steady-state simulated cycle
+	// allocates nothing. The pool is per-port rather than system-wide so
+	// Enqueue — which runs in the engine's SM phase — touches only this
+	// SM's state; finish returns segments here from the memory phase.
 	segFree []*segment
 
 	stats *stats.Mem
@@ -302,10 +301,10 @@ func (p *Port) newSegment(r *Request, line uint32) *segment {
 		seg := p.segFree[n-1]
 		p.segFree[n-1] = nil
 		p.segFree = p.segFree[:n-1]
-		seg.req, seg.line, seg.lanes, seg.parked = r, line, seg.lanes[:0], 0
+		seg.req, seg.line, seg.lanes, seg.parked = r, line, 0, 0
 		return seg
 	}
-	return &segment{req: r, line: line, lanes: make([]int, 0, 8)}
+	return &segment{req: r, line: line}
 }
 
 // Stats returns the per-SM memory counters for SM sm.
@@ -331,8 +330,9 @@ func (s *System) LockOwner(addr uint32) int32 {
 
 // --- port-side API used by the SM pipeline ---
 
-// CanAccept reports whether the port can take another warp memory
-// instruction (LSQ space for its segments).
+// CanAccept reports whether nSegments more segments fit in the LSQ. The
+// engine asks for one, not for the instruction's Coalesce count, so the
+// LSQ can overshoot LSQDepth (EXPERIMENTS.md divergence 8).
 func (p *Port) CanAccept(nSegments int) bool {
 	return p.lsq.len()+nSegments <= p.sys.cfg.LSQDepth
 }
@@ -347,8 +347,8 @@ func (p *Port) Outstanding(warpSlot int) int { return p.outstanding[warpSlot] }
 func (p *Port) LSQEmpty() bool { return p.lsq.len() == 0 }
 
 // Coalesce groups the request's lane accesses into 128-byte segments,
-// returning the segment count without enqueuing (used for LSQ admission
-// checks).
+// returning the segment count without enqueuing (an exact LSQ admission
+// check is CanAccept(Coalesce(accesses))).
 func Coalesce(accesses []Access) int {
 	// A warp has at most 32 lanes, so a linear scan over the distinct
 	// lines beats a map (and allocates nothing).
@@ -368,8 +368,8 @@ scan:
 	return n
 }
 
-// Enqueue accepts a warp memory instruction. The caller must have checked
-// CanAccept with the segment count from Coalesce.
+// Enqueue queues all of a warp memory instruction's segments, whatever
+// room is left: admission is the caller's check (the engine's CanAccept(1)).
 func (p *Port) Enqueue(r *Request) {
 	if len(r.Accesses) == 0 {
 		// Fully predicated-off memory instruction: complete immediately.
@@ -396,7 +396,7 @@ func (p *Port) Enqueue(r *Request) {
 			seg = p.newSegment(r, line)
 			segs = append(segs, seg)
 		}
-		seg.lanes = append(seg.lanes, i)
+		seg.lanes |= 1 << uint(i)
 	}
 	r.remaining = len(segs)
 	p.outstanding[r.WarpSlot]++
@@ -779,8 +779,8 @@ func (s *System) loadFilled(seg *segment) {
 func (s *System) applyLoads(seg *segment) {
 	s.curSeg = seg
 	defer func() { s.curSeg = nil }()
-	for _, li := range seg.lanes {
-		a := &seg.req.Accesses[li]
+	for m := seg.lanes; m != 0; m &= m - 1 {
+		a := &seg.req.Accesses[bits.TrailingZeros32(m)]
 		a.Result = s.Read(a.Addr)
 	}
 }
@@ -788,8 +788,8 @@ func (s *System) applyLoads(seg *segment) {
 func (s *System) applyStores(seg *segment) {
 	s.curSeg = seg
 	defer func() { s.curSeg = nil }()
-	for _, li := range seg.lanes {
-		a := &seg.req.Accesses[li]
+	for m := seg.lanes; m != 0; m &= m - 1 {
+		a := &seg.req.Accesses[bits.TrailingZeros32(m)]
 		s.Write(a.Addr, a.V1)
 		if seg.req.Ann&isa.AnnLockRelease != 0 {
 			s.releaseOwner(a.Addr)
@@ -847,7 +847,8 @@ func (s *System) applyAtomics(seg *segment) {
 	defer func() { s.curSeg = nil }()
 	r := seg.req
 	sync := s.ports[r.SM].sync
-	for _, li := range seg.lanes {
+	for m := seg.lanes; m != 0; m &= m - 1 {
+		li := bits.TrailingZeros32(m)
 		a := &r.Accesses[li]
 		old := s.Read(a.Addr)
 		a.Result = old

@@ -290,10 +290,10 @@ type smState struct {
 	// completion allocates no closure.
 	port   *mem.Port
 	doneFn func(*mem.Request)
-	// reqFree pools memory requests (with their access buffers); requests
-	// return to the pool in memDone. reqGets/reqPuts count pool traffic so
-	// the invariant checker can prove issued == completed + in-flight and
-	// catch request leaks (they are not registered metrics).
+	// reqFree pools memory requests (each with a free access buffer);
+	// requests return to the pool in memDone. reqGets/reqPuts count pool
+	// traffic so the invariant checker can prove issued == completed +
+	// in-flight and catch request leaks (they are not registered metrics).
 	reqFree []*mem.Request
 	reqGets int64
 	reqPuts int64
@@ -1084,26 +1084,20 @@ func (m *smState) issue(u *smUnit, slot int, cycle int64) {
 }
 
 func (m *smState) issueMem(w *simt.Warp, in *isa.Instr, res *simt.ExecResult, slot int) {
+	// The request takes the accesses the warp built, uncopied, and the
+	// warp takes the request's free buffer (a full warp's, see getReq).
 	req := m.getReq()
-	// Pooled requests hold a full warp's accesses (getReq). Fields are
-	// stored in place: appending a composite stalls on store forwarding.
-	accs := req.Accesses[:len(res.Mem)]
-	for i := range accs {
-		from, to := &res.Mem[i], &accs[i]
-		to.Lane, to.Addr = from.Lane, from.Addr
-		to.V1, to.V2 = from.V1, from.V2
-		to.Result, to.GTID = 0, from.GTID
-	}
+	w.HandOff(req.Accesses)
+	req.Accesses = res.Mem
 	req.SM, req.WarpSlot = m.id, slot
 	req.Op, req.Ann, req.Vol = in.Op, in.Ann, in.Vol
-	req.Accesses = accs
 	req.Dst, req.WritesReg = in.Dst, in.WritesReg()
 	// The warp travels in the request: the slot may be recycled by a new
 	// CTA before a store drains, so writeback must target this warp, not
 	// whatever occupies the slot at completion time.
 	req.Owner = w
 	req.Done = m.doneFn
-	if req.WritesReg && len(accs) > 0 {
+	if req.WritesReg && len(req.Accesses) > 0 {
 		m.regPend[slot] |= 1 << uint(in.Dst)
 	}
 	m.port.Enqueue(req)

@@ -184,12 +184,9 @@ func (w *refWarp) execute(clock int64) ExecResult {
 	eff := active & w.guardMask(in, active)
 	res.EffMask = eff
 	switch in.Op {
-	case isa.OpNop, isa.OpMembar:
+	case isa.OpNop, isa.OpMembar, isa.OpBar:
 	case isa.OpExit:
 		w.exited |= eff
-		res.ExitedLanes = eff
-	case isa.OpBar:
-		res.Barrier = true
 	case isa.OpSetp:
 		if w.valid&^w.exited&(1<<w.profiledLane) == 0 {
 			w.profiledLane = bits.TrailingZeros32(w.valid &^ w.exited)
@@ -256,7 +253,6 @@ func (w *refWarp) execBranch(in *isa.Instr, pc int32, active uint32, res *ExecRe
 	case notTaken == 0:
 		top.PC = in.Target
 	default:
-		res.Diverged = true
 		top.PC = in.Reconv
 		w.stack = append(w.stack,
 			StackEntry{PC: pc + 1, Reconv: in.Reconv, Mask: notTaken},

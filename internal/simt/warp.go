@@ -16,6 +16,7 @@ import (
 	"math/bits"
 
 	"warpsched/internal/isa"
+	"warpsched/internal/mem"
 )
 
 // StackEntry is one SIMT reconvergence stack entry.
@@ -82,10 +83,11 @@ type Warp struct {
 	// preds[p] holds predicate p of lane l in bit l.
 	preds [isa.NumPreds]uint32
 
-	// memScratch backs ExecResult.Mem. The engine converts the accesses
-	// into its memory request before the warp's next Execute, so one
-	// buffer per warp suffices and the issue path stays allocation-free.
-	memScratch *[isa.WarpSize]MemAccess
+	// memScratch backs ExecResult.Mem. The engine hands that buffer to its
+	// memory request and gives the warp the request's free one (HandOff)
+	// before the warp's next Execute, so the accesses are built once and
+	// never copied, and the issue path stays allocation-free.
+	memScratch []mem.Access
 }
 
 // row is one value per lane.
@@ -118,7 +120,7 @@ func (t *Table) NewWarp(cta *CTA, idInCTA, slot, sm int, gtidBase int32, lanes i
 		GTIDBase: gtidBase, Valid: valid,
 		tab:        t,
 		regs:       make([]row, t.nregs),
-		memScratch: new([isa.WarpSize]MemAccess),
+		memScratch: make([]mem.Access, isa.WarpSize),
 	}
 	w.Stack = append(w.Stack, StackEntry{PC: 0, Reconv: isa.NoReconv, Mask: valid})
 	w.ProfiledLane = bits.TrailingZeros32(valid)
@@ -282,15 +284,15 @@ func (s *src) full(buf *row) *row {
 	return buf
 }
 
-// MemAccess is one lane's pending access; the sim engine copies each
-// into a mem.Access. No import cycle requires the copy: simt imports
-// only isa, and mem imports neither simt nor sim.
-type MemAccess struct {
-	Lane   int
-	Addr   uint32
-	V1, V2 uint32
-	GTID   int32
-}
+// MemAccess is one lane's pending access. It is the memory system's own
+// record, so the accesses Execute builds are the ones the memory request
+// carries.
+type MemAccess = mem.Access
+
+// HandOff gives the warp buf, which must have capacity isa.WarpSize, as
+// the backing of its next memory instruction's accesses; the caller keeps
+// the slice the last Execute returned in ExecResult.Mem.
+func (w *Warp) HandOff(buf []mem.Access) { w.memScratch = buf[:isa.WarpSize] }
 
 // ExecResult describes the side effects of executing one instruction.
 type ExecResult struct {
@@ -301,22 +303,17 @@ type ExecResult struct {
 	// branches it is the full active mask.
 	EffMask uint32
 	// Mem holds per-lane accesses for memory operations (nil otherwise).
-	Mem []MemAccess
+	Mem []mem.Access
 	// Branch fields.
 	IsBranch      bool
 	Taken         uint32 // lanes that took the branch
 	NotTaken      uint32
 	BackwardTaken bool // branch was backward and taken by ≥1 lane
-	Diverged      bool
 	// Setp observation for DDOS: source values of the first active lane
 	// (the profiled thread), and which lane that was.
 	IsSetp         bool
 	SetpLane       int
 	SetpV1, SetpV2 uint32
-	// Barrier is set when the warp blocked on bar.sync.
-	Barrier bool
-	// ExitedLanes is the mask of lanes that retired this cycle.
-	ExitedLanes uint32
 }
 
 // ActiveLanes returns the number of executing lanes.
@@ -347,14 +344,10 @@ func (w *Warp) Execute(clock int64) (res ExecResult) {
 	res.EffMask = eff
 
 	switch d.op {
-	case isa.OpNop, isa.OpMembar:
-		// Timing handled by the engine.
+	case isa.OpNop, isa.OpMembar, isa.OpBar:
+		// Timing, and barrier arrival (CTA.Arrive), are the engine's.
 	case isa.OpExit:
 		w.Exited |= eff
-		res.ExitedLanes = eff
-	case isa.OpBar:
-		res.Barrier = true
-		// Arrival/release handled by the engine via CTA.Arrive.
 	case isa.OpMov, isa.OpLdParam, isa.OpSelp,
 		isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpRem,
 		isa.OpMin, isa.OpMax, isa.OpAnd, isa.OpOr, isa.OpXor,
@@ -600,10 +593,10 @@ func bit(v bool) uint32 {
 }
 
 // buildAccesses builds the per-lane access list for a memory instruction
-// in the warp's scratch buffer (valid until the warp's next Execute). The
-// operands are resolved once; slots the opcode does not read are the
-// constant 0 (see Inst).
-func (w *Warp) buildAccesses(d *Inst, eff uint32, clock int64) []MemAccess {
+// in the warp's scratch buffer (valid until the warp's next Execute unless
+// HandOff replaces the buffer first). The operands are resolved once;
+// slots the opcode does not read are the constant 0 (see Inst).
+func (w *Warp) buildAccesses(d *Inst, eff uint32, clock int64) []mem.Access {
 	a, b := w.resolve(d.a, clock), w.resolve(d.b, clock)
 	c, e := w.resolve(d.c, clock), w.resolve(d.d, clock)
 	// Fields are stored in place: a composite built on the stack and copied
@@ -616,7 +609,7 @@ func (w *Warp) buildAccesses(d *Inst, eff uint32, clock int64) []MemAccess {
 		acc.Lane = lane
 		acc.Addr = a.at(lane) + b.at(lane)
 		acc.V1, acc.V2 = c.at(lane), e.at(lane)
-		acc.GTID = w.GTIDBase + int32(lane)
+		acc.Result, acc.GTID = 0, w.GTIDBase+int32(lane)
 		n++
 	}
 	return buf[:n]
@@ -651,7 +644,6 @@ func (w *Warp) execBranch(d *Inst, pc int32, active uint32, res *ExecResult) {
 	case notTaken == 0:
 		top.PC = d.target
 	default:
-		res.Diverged = true
 		// Standard reconvergence-stack divergence: the current entry
 		// becomes the reconvergence entry; the not-taken path is pushed
 		// below the taken path, so the taken side executes first.

@@ -197,7 +197,7 @@ func TestStackMaskPartition(t *testing.T) {
 		for step := 0; step < 200 && !w.Done; step++ {
 			active := w.ActiveMask()
 			res := w.Execute(0)
-			if res.Diverged {
+			if res.Taken != 0 && res.NotTaken != 0 {
 				if res.Taken&res.NotTaken != 0 || res.Taken|res.NotTaken != active {
 					return false
 				}

@@ -11,9 +11,9 @@
 # over full.json), the parallel-runner determinism tests and a kernel's
 # concurrent first launch under the race detector, one iteration of the
 # sched/core pick, mem L2-queue, completion-wheel and L1-miss, server
-# Submit-hit and cache-key, kernel suite-build, race admission-ladder,
-# manifest-read, headline-decode, manifest-diff and full-scale join
-# benchmarks (so they cannot rot), the warplint
+# resolve, Submit-hit and cache-key, exp variant-hash, kernel suite-build,
+# race admission-ladder, manifest-read, headline-decode, manifest-diff and
+# full-scale join benchmarks (so they cannot rot), the warplint
 # static analyzer over every registered kernel, an invariant-checked
 # simulation smoke pass (-check arms the runtime invariant checker and
 # hang diagnosis; the third run is the 64-slot machine, the full width of
@@ -60,10 +60,11 @@ go test -race ./internal/exp -run TestRunner
 go test -race ./internal/sim -run 'TestFaultInjectionStress|TestFaultDeterminism'
 go test -race ./internal/kernels -run TestFirstLaunchRaceFree
 
-echo "== pick, detector, mem, Submit-hit, cache-key, suite-build, admission-ladder, manifest-read, headline-decode, manifest-diff and join benchmarks still build and run (one iteration) =="
+echo "== pick, detector, mem, resolve, Submit-hit, cache-key, variant-hash, suite-build, admission-ladder, manifest-read, headline-decode, manifest-diff and join benchmarks still build and run (one iteration) =="
 go test -run '^$' -bench 'PickMask|OnSetp|OnBranch' -benchtime 1x ./internal/sched ./internal/core
 go test -run '^$' -bench 'L2|EventWheel|L1Miss' -benchtime 1x ./internal/mem
-go test -run '^$' -bench 'Submit|CacheKey' -benchtime 1x ./internal/server
+go test -run '^$' -bench 'Resolve|Submit|CacheKey' -benchtime 1x ./internal/server
+go test -run '^$' -bench 'VariantHash' -benchtime 1x ./internal/exp
 go test -run '^$' -bench 'SuiteBuild' -benchtime 1x ./internal/kernels
 go test -run '^$' -bench 'AnalyzeLadder' -benchtime 1x ./internal/analysis/race
 go test -run '^$' -bench 'ReadFile|DecodeHeadline|DiffFull' -benchtime 1x ./internal/metrics
